@@ -7,8 +7,9 @@ from .errors import (ClassificationError, DataError, NumericalError,
 from .ingest import (AirspaceConfig, Flight, FlightClass, TrackPoint,
                      classify_flight, enu_to_wgs84, flight_to_enu,
                      parse_tracks, wgs84_to_enu)
-from .mixture import (EMFit, GaussianComponent, MixtureModel, compress_model,
-                      condition, em_fit, load_model, log_likelihood,
+from .mixture import (ConditionalMixture, EMFit, GaussianComponent,
+                      MixtureModel, compress_model, condition, em_fit,
+                      load_model, log_likelihood,
                       low_rank_approx, ppca_fit, sample, sample_many,
                       save_model, select_rank)
 from .multi_model import (ArrivalRecord, PairwiseSample, SceneParams,

@@ -513,6 +513,7 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
         meta.append({
             "scene_id": i, "procedures": sequence,
             "components": params.provenance,
+            "block_drift": params.block_drift,
             "inter_arrival_times": [float(v) for v in scene.inter_arrival_times],
         })
     _write_scene_csv(config.out_dir / "scenes.csv", scenes)

@@ -52,16 +52,33 @@ class SeparationConfig:
             raise ValueError("separation minima must be positive")
 
 
+# Bin-count cap: a few far outliers would otherwise make the Freedman-Diaconis
+# width ask for millions of bins, and the memory they need.
+MAX_BINS = 10_000
+
+
 def shared_fd_edges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Freedman-Diaconis bin edges over the union of two sample sets."""
+    """Freedman-Diaconis bin edges over the union of two sample sets.
+
+    When the Freedman-Diaconis width would need more than ``MAX_BINS`` bins,
+    the range is split into ``MAX_BINS`` equal bins instead. Non-finite
+    samples raise DataError.
+    """
     union = np.concatenate([np.asarray(x, dtype=float).ravel(),
                             np.asarray(y, dtype=float).ravel()])
     if union.size == 0:
         raise DataError("cannot bin empty sample sets")
+    if not np.all(np.isfinite(union)):
+        raise DataError(f"cannot bin {np.count_nonzero(~np.isfinite(union))} "
+                        "non-finite samples")
     lo, hi = union.min(), union.max()
     if lo == hi:
         return np.array([lo - 0.5, hi + 0.5])
-    edges = np.histogram_bin_edges(union, bins="fd")
+    # numpy's Freedman-Diaconis width and bin count, so uncapped edges match
+    width = 2.0 * np.subtract(*np.percentile(union, [75, 25])) \
+        * union.size ** (-1.0 / 3.0)
+    too_many = width and np.ceil((hi - lo) / width) > MAX_BINS
+    edges = np.histogram_bin_edges(union, bins=MAX_BINS if too_many else "fd")
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         edges = np.array([lo, hi])
     return edges
@@ -191,7 +208,8 @@ def extract_variables(scenes: Sequence[Scene]) -> VariableSamples:
             ys.append(points[:, 1])
             dt = np.diff(times)
             step = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1)
-            speeds.append(step / dt * MPS_TO_KT)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                speeds.append(step / dt * MPS_TO_KT)  # checked when binned
             others = [trajectories[j] for j in range(len(trajectories)) if j != i]
             if not others:
                 continue

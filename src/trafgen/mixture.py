@@ -372,6 +372,92 @@ def compress_model(model: MixtureModel, rank: int) -> MixtureModel:
 # ---------------------------------------------------------------------------
 # Conditioning (posterior of tau_b given tau_a) and sampling
 
+class ConditionalMixture:
+    """A mixture conditioned on a fixed set of observed coordinates.
+
+    Gaussian conditioning (Bishop, *PRML* section 2.3.1) splits into a part
+    that depends only on the model and the observed index set ``a`` and a
+    part that depends on the observed values x_a. Per component j the first
+    part is the Cholesky factor L_j of Sigma_aa, the gain
+    G_j = Sigma_ba Sigma_aa^-1 and a factor of the conditional covariance
+    Sigma_bb - G_j Sigma_ab; it is computed once, here. Calling the object
+    with x_a computes only the second part: the log-weights
+    log pi_j + log N(x_a | mu_a, L_j L_j^T) and the means
+    mu_b + G_j (x_a - mu_a). A Sigma_aa that stays indefinite after jitter
+    raises NumericalError here, since no observed value can repair it.
+
+    The conditioned mixture covers the remaining coordinates in ascending
+    index order. Its components share their covariance factors with this
+    object; treat them as read-only.
+    """
+
+    def __init__(self, model: MixtureModel, observed_idx: Sequence[int]):
+        idx_a = np.asarray(observed_idx, dtype=int)
+        n = model.dimension
+        if idx_a.size == 0:
+            raise ValueError("observed index set is empty")
+        if len(np.unique(idx_a)) != idx_a.size:
+            raise ValueError("observed indices repeat")
+        if idx_a.min() < 0 or idx_a.max() >= n:
+            raise ValueError("observed index out of range")
+        mask = np.ones(n, dtype=bool)
+        mask[idx_a] = False
+        idx_b = np.flatnonzero(mask)
+        if idx_b.size == 0:
+            raise ValueError(
+                "conditioning on every coordinate leaves nothing to sample")
+
+        self.observed_idx = idx_a
+        self.segment_kind = model.segment_kind
+        self._prior_weights = model.weights
+        self._parts = []  # (log weight, mean_a, mean_b, chol_aa, gain, factor)
+        for comp in model.components:
+            cov = comp.covariance()
+            sigma_aa = cov[np.ix_(idx_a, idx_a)]
+            sigma_ba = cov[np.ix_(idx_b, idx_a)]
+            sigma_bb = cov[np.ix_(idx_b, idx_b)]
+            chol_aa = psd_jitter_cholesky(sigma_aa)
+            gain = cho_solve((chol_aa, True), sigma_ba.T).T  # Sigma_ba Sigma_aa^-1
+            cond_cov = sigma_bb - gain @ sigma_ba.T
+            with np.errstate(divide="ignore"):
+                log_weight = np.log(comp.weight)
+            self._parts.append((log_weight, comp.mean[idx_a], comp.mean[idx_b],
+                                chol_aa, gain,
+                                psd_factor((cond_cov + cond_cov.T) / 2.0)))
+
+    def __call__(self, observed_vals: Sequence[float]) -> MixtureModel:
+        """The mixture over the unobserved coordinates given x_a."""
+        vals = np.asarray(observed_vals, dtype=float)
+        if vals.size != self.observed_idx.size:
+            raise ValueError("observed indices and values differ in length")
+        log_w = np.empty(len(self._parts))
+        cond_means = []
+        for j, (log_weight, mean_a, mean_b, chol_aa, gain, _) in enumerate(
+                self._parts):
+            delta = vals - mean_a
+            log_w[j] = log_weight + _component_log_density(
+                delta[None, :], np.zeros_like(delta), chol_aa)[0]
+            cond_means.append(mean_b + gain @ delta)
+
+        norm = logsumexp(log_w)
+        if np.isneginf(norm):
+            # every component assigns zero density to the observation
+            # (degenerate covariances): no evidence to reweight on, keep the
+            # prior weights
+            new_weights = self._prior_weights
+        elif not np.isfinite(norm):
+            raise NumericalError("conditioning weights are not finite")
+        else:
+            new_weights = np.exp(log_w - norm)
+            new_weights /= new_weights.sum()
+        components = [
+            GaussianComponent(weight=float(new_weights[j]), mean=cond_means[j],
+                              cov_factor=part[5], noise_var=0.0)
+            for j, part in enumerate(self._parts)
+        ]
+        return MixtureModel(components=components, segment_kind=self.segment_kind)
+
+
 def condition(model: MixtureModel, observed_idx: Sequence[int],
               observed_vals: Sequence[float]) -> MixtureModel:
     """Condition the mixture on observed coordinates.
@@ -379,59 +465,10 @@ def condition(model: MixtureModel, observed_idx: Sequence[int],
     Returns a mixture over the remaining coordinates (in ascending index
     order) with reweighted components; weights use log-sum-exp and each
     Sigma_aa solve goes through a jittered Cholesky, never an explicit
-    inverse.
+    inverse. To condition one model on many observations of the same
+    coordinates, build a :class:`ConditionalMixture` once instead.
     """
-    idx_a = np.asarray(observed_idx, dtype=int)
-    vals = np.asarray(observed_vals, dtype=float)
-    n = model.dimension
-    if idx_a.size == 0:
-        raise ValueError("observed index set is empty")
-    if idx_a.size != vals.size:
-        raise ValueError("observed indices and values differ in length")
-    if len(np.unique(idx_a)) != idx_a.size:
-        raise ValueError("observed indices repeat")
-    if idx_a.min() < 0 or idx_a.max() >= n:
-        raise ValueError("observed index out of range")
-    mask = np.ones(n, dtype=bool)
-    mask[idx_a] = False
-    idx_b = np.flatnonzero(mask)
-    if idx_b.size == 0:
-        raise ValueError("conditioning on every coordinate leaves nothing to sample")
-
-    log_w = np.empty(len(model.components))
-    cond_means = []
-    cond_factors = []
-    for j, comp in enumerate(model.components):
-        cov = comp.covariance()
-        sigma_aa = cov[np.ix_(idx_a, idx_a)]
-        sigma_ba = cov[np.ix_(idx_b, idx_a)]
-        sigma_bb = cov[np.ix_(idx_b, idx_b)]
-        chol_aa = psd_jitter_cholesky(sigma_aa)
-        delta = vals - comp.mean[idx_a]
-        with np.errstate(divide="ignore"):
-            log_w[j] = np.log(comp.weight) + _component_log_density(
-                delta[None, :], np.zeros_like(delta), chol_aa)[0]
-        gain = cho_solve((chol_aa, True), sigma_ba.T).T  # Sigma_ba Sigma_aa^-1
-        cond_means.append(comp.mean[idx_b] + gain @ delta)
-        cond_cov = sigma_bb - gain @ sigma_ba.T
-        cond_factors.append(psd_factor((cond_cov + cond_cov.T) / 2.0))
-
-    norm = logsumexp(log_w)
-    if np.isneginf(norm):
-        # every component assigns zero density to the observation (degenerate
-        # covariances): no evidence to reweight on, keep the prior weights
-        new_weights = np.array([c.weight for c in model.components])
-    elif not np.isfinite(norm):
-        raise NumericalError("conditioning weights are not finite")
-    else:
-        new_weights = np.exp(log_w - norm)
-        new_weights /= new_weights.sum()
-    components = [
-        GaussianComponent(weight=float(new_weights[j]), mean=cond_means[j],
-                          cov_factor=cond_factors[j], noise_var=0.0)
-        for j in range(len(model.components))
-    ]
-    return MixtureModel(components=components, segment_kind=model.segment_kind)
+    return ConditionalMixture(model, observed_idx)(observed_vals)
 
 
 def sample(model: MixtureModel, rng: int | np.random.Generator | None = None,

@@ -165,6 +165,19 @@ def _pair_dim(models: Mapping[tuple[str, str], MixtureModel]) -> int:
     return (dim - 1) // 2
 
 
+def _gram(factor: np.ndarray, noise_var: float) -> np.ndarray:
+    """``factor factor^T + noise_var I``: a diagonal block from factor rows."""
+    out = factor @ factor.T
+    out[np.diag_indices_from(out)] += noise_var
+    return out
+
+
+def _set_block(cov: np.ndarray, rows, cols, value) -> None:
+    """Write a covariance block and its transpose."""
+    cov[rows, cols] = value
+    cov[cols, rows] = np.transpose(value)
+
+
 def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
                           procedure_sequence: Sequence[str],
                           rng: int | np.random.Generator | None = None,
@@ -178,6 +191,10 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     jointly closest and contributes only its cross block. Inter-arrival
     covariances that no pairwise model observes stay zero. The result is
     repaired to PSD by eigenvalue clipping.
+
+    Every block is built from the components' factor rows, never from a
+    full pairwise covariance, and the factor rows placed in each aircraft's
+    block are kept for the low-rank repair in :func:`_repair_psd`.
     """
     rng = np.random.default_rng(rng)
     procs = list(procedure_sequence)
@@ -191,40 +208,44 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     mean = np.zeros(dim)
     cov = np.zeros((dim, dim))
     diag_blocks: list[np.ndarray] = []
+    block_factors: list[list[np.ndarray]] = [[] for _ in range(n)]
     provenance: dict[str, int] = {}
+
+    def place_adjacent(k: int, comp) -> None:
+        """Pair (k, k+1): everything but aircraft k's diagonal block."""
+        f = comp.cov_factor
+        f_a, f_q, f_b = f[a_blk], f[d], f[b_blk]
+        q = _delta_index(k, d)
+        blk_k, blk_k1 = _block(k, d), _block(k + 1, d)
+        mean[q] = comp.mean[d]
+        mean[blk_k1] = comp.mean[b_blk]
+        _set_block(cov, blk_k, q, f_a @ f_q)
+        _set_block(cov, blk_k, blk_k1, f_a @ f_b.T)
+        cov[q, q] = f_q @ f_q + comp.noise_var
+        _set_block(cov, q, blk_k1, f_b @ f_q)
+        diag_blocks.append(_gram(f_b, comp.noise_var))
+        cov[blk_k1, blk_k1] = diag_blocks[-1]
+        block_factors[k].append(f_a)
+        block_factors[k + 1].append(f_b)
 
     # step 1: sample a component from the first pair's model
     model01 = _require_model(models, (procs[0], procs[1]))
     j0 = int(rng.choice(len(model01.components), p=model01.weights))
     comp = model01.components[j0]
-    full = comp.covariance()
-    mean[:2 * d + 1] = comp.mean
-    cov[:2 * d + 1, :2 * d + 1] = full
-    diag_blocks.append(full[a_blk, a_blk])
-    diag_blocks.append(full[b_blk, b_blk])
+    mean[a_blk] = comp.mean[a_blk]
+    diag_blocks.append(_gram(comp.cov_factor[a_blk], comp.noise_var))
+    cov[a_blk, a_blk] = diag_blocks[0]
+    place_adjacent(0, comp)
     provenance["pair_0_1"] = j0
 
     # step 2 repeated: adjacent pairs (k, k+1), matching the shared block
     for k in range(1, n - 1):
         model_k = _require_model(models, (procs[k], procs[k + 1]))
-        dists = [np.linalg.norm(c.covariance()[a_blk, a_blk] - diag_blocks[k])
+        dists = [np.linalg.norm(_gram(c.cov_factor[a_blk], c.noise_var)
+                                - diag_blocks[k])
                  for c in model_k.components]
         jk = int(np.argmin(dists))
-        comp = model_k.components[jk]
-        full = comp.covariance()
-        q = _delta_index(k, d)
-        blk_k, blk_k1 = _block(k, d), _block(k + 1, d)
-        mean[q] = comp.mean[d]
-        mean[blk_k1] = comp.mean[b_blk]
-        cov[blk_k, q] = full[a_blk, d]
-        cov[q, blk_k] = full[d, a_blk]
-        cov[blk_k, blk_k1] = full[a_blk, b_blk]
-        cov[blk_k1, blk_k] = full[b_blk, a_blk]
-        cov[q, q] = full[d, d]
-        cov[q, blk_k1] = full[d, b_blk]
-        cov[blk_k1, q] = full[b_blk, d]
-        cov[blk_k1, blk_k1] = full[b_blk, b_blk]
-        diag_blocks.append(full[b_blk, b_blk])
+        place_adjacent(k, model_k.components[jk])
         provenance[f"pair_{k}_{k + 1}"] = jk
 
     # step 3 repeated: non-adjacent cross blocks; own delta row is discarded
@@ -232,18 +253,21 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
         for i in range(0, k - 1):
             model_ik = _require_model(models, (procs[i], procs[k]))
             dists = [
-                np.linalg.norm(c.covariance()[a_blk, a_blk] - diag_blocks[i])
-                + np.linalg.norm(c.covariance()[b_blk, b_blk] - diag_blocks[k])
+                np.linalg.norm(_gram(c.cov_factor[a_blk], c.noise_var)
+                               - diag_blocks[i])
+                + np.linalg.norm(_gram(c.cov_factor[b_blk], c.noise_var)
+                                 - diag_blocks[k])
                 for c in model_ik.components
             ]
             jik = int(np.argmin(dists))
-            full = model_ik.components[jik].covariance()
-            cov[_block(i, d), _block(k, d)] = full[a_blk, b_blk]
-            cov[_block(k, d), _block(i, d)] = full[b_blk, a_blk]
+            f = model_ik.components[jik].cov_factor
+            _set_block(cov, _block(i, d), _block(k, d), f[a_blk] @ f[b_blk].T)
+            block_factors[i].append(f[a_blk])
+            block_factors[k].append(f[b_blk])
             provenance[f"cross_{i}_{k}"] = jik
 
-    cov = (cov + cov.T) / 2.0
-    repaired, drift = _repair_psd(cov, [_block(i, d) for i in range(n)])
+    repaired, drift = _repair_psd(cov, [_block(i, d) for i in range(n)],
+                                  block_factors)
     for i, value in enumerate(drift):
         if value > 0.05:
             logger.warning(
@@ -255,13 +279,52 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
 
 
 def _repair_psd(cov: np.ndarray, blocks: Sequence[slice],
+                block_factors: Sequence[Sequence[np.ndarray]],
                 ) -> tuple[np.ndarray, list[float]]:
-    """Clip negative eigenvalues to zero; report per-block Frobenius drift."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    """Clip negative eigenvalues to zero; report per-block Frobenius drift.
+
+    ``cov`` is a symmetric scene covariance. ``block_factors[i]`` holds the
+    factor rows (d x r each) of every component placed in ``blocks[i]``;
+    the coordinates outside the blocks are the inter-arrival times. Each
+    diagonal block is ``G G^T + s_i I`` with G among its factor rows and
+    s_i >= 0; each off-diagonal block and each inter-arrival row factors
+    through the factor rows of the blocks it touches.
+
+    Let Q be an orthonormal basis of the factor columns, each embedded in
+    its block, together with the unit vectors of the inter-arrival
+    coordinates. A vector v orthogonal to Q has no inter-arrival part and,
+    in every block, is orthogonal to every factor placed there; so every
+    off-diagonal block and inter-arrival row maps it to zero, and
+    cov v = s_i v blockwise. The complement of span(Q) is thus invariant
+    under cov with eigenvalues s_i >= 0, and by symmetry so is span(Q).
+    Every negative eigenvalue of cov is therefore one of the small matrix
+    Q^T cov Q (at most N(N-1)r + N-1 columns for N aircraft), and clipping
+    it subtracts U diag(lambda_neg) U^T with U = Q V_neg. An input that is
+    already PSD is returned as is.
+    """
+    dim = cov.shape[0]
+    columns = []
+    covered = np.zeros(dim, dtype=bool)
+    for blk, factors in zip(blocks, block_factors):
+        width = blk.stop - blk.start
+        q_blk = np.linalg.qr(np.hstack([np.empty((width, 0)), *factors]))[0]
+        embedded = np.zeros((dim, q_blk.shape[1]))
+        embedded[blk] = q_blk
+        columns.append(embedded)
+        covered[blk] = True
+    rest = np.flatnonzero(~covered)
+    units = np.zeros((dim, rest.size))
+    units[rest, np.arange(rest.size)] = 1.0
+    basis = np.hstack(columns + [units])
+
+    eigvals, eigvecs = np.linalg.eigh(basis.T @ (cov @ basis))
     if eigvals[0] >= 0.0:
         return cov, [0.0] * len(blocks)
-    repaired = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    repaired = (repaired + repaired.T) / 2.0
+    negative = eigvals < 0.0
+    # cov - U diag(lambda_neg) U^T = cov + W W^T, W = U sqrt(-lambda_neg)
+    lift = (basis @ eigvecs[:, negative]) * np.sqrt(-eigvals[negative])
+    repaired = lift @ lift.T
+    repaired += cov
     drift = []
     for blk in blocks:
         before = cov[blk, blk]

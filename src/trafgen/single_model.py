@@ -9,12 +9,14 @@ smoothly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
 from .metrics import silhouette_score
-from .mixture import MixtureModel, compress_model, condition, em_fit, sample
+from .mixture import (ConditionalMixture, MixtureModel, compress_model, em_fit,
+                      sample)
 from .preprocess import DeviationVector, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
@@ -52,11 +54,28 @@ class SingleTrajectoryModel:
                 f"final-approach model dimension {self.final_approach_model.dimension}"
                 f" != 3*T_f+2 = {expected_fa}")
 
+    @cached_property
+    def final_approach_conditional(self) -> ConditionalMixture:
+        """The final-approach mixture conditioned on its first n_overlap
+        deviations (the tau_a block).
+
+        Built on first use and kept: the overlap index set is fixed by the
+        config, so every generated trajectory reuses it.
+        """
+        return ConditionalMixture(self.final_approach_model,
+                                  np.arange(2, 2 + 3 * self.config.n_overlap))
+
 
 @dataclass
 class SyntheticTrajectory:
-    times: np.ndarray    # (T_v + T_f,), strictly increasing
-    points: np.ndarray   # (T_v + T_f, 3)
+    """A stitched trajectory of T_v + T_f - n_overlap + 1 samples.
+
+    The overlap is emitted once: the first final-approach sample, at index
+    ``boundary``, is the one that retraces the last radar-vector position.
+    """
+
+    times: np.ndarray    # (T_v + T_f - n_overlap + 1,), strictly increasing
+    points: np.ndarray   # (T_v + T_f - n_overlap + 1, 3)
     procedure_used: str
     source_components: tuple[int, int]  # (radar-vector, final-approach)
     boundary: int        # first final-approach sample index
@@ -134,7 +153,9 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
     Picks a radar-vector procedure proportionally to frequency, samples and
     reconstructs the radar-vector segment, conditions the final-approach
     mixture on the deviations of the segment's last ``n_overlap`` positions
-    from the IAP head, and concatenates the reconstructed segments.
+    from the IAP head, and joins the reconstructed segments. The overlap is
+    emitted once: final-approach samples before the one that retraces the
+    radar-vector end are dropped.
     """
     rng = np.random.default_rng(rng)
     cfg = model.config
@@ -147,22 +168,23 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
         raise ValueError("radar-vector procedural trajectory length != T_v")
     if iap.points.shape[0] != t_f:
         raise ValueError("IAP procedural trajectory length != T_f")
+    conditional_fa = model.final_approach_conditional
+    observed_idx = conditional_fa.observed_idx
 
-    last_error: NumericalError | None = None
+    last_error: Exception | None = None
     for _ in range(max_retries):
         tau_rv, comp_rv = sample(model.radar_vector_model, rng)
         try:
             rv_dev = DeviationVector.from_array(tau_rv)
-        except ValueError:
+        except ValueError as exc:
+            last_error = exc
             continue  # nonpositive sampled time/distance: resample
         rv_times, rv_points = reconstruct_trajectory(rv_dev, rv_proc)
 
         # deviations of the trajectory tail from the IAP head (tau_a block)
         overlap_dev = rv_points[t_v - n_ov:] - iap.points[:n_ov]
-        observed_idx = np.arange(2, 2 + 3 * n_ov)
         try:
-            conditional = condition(model.final_approach_model, observed_idx,
-                                    overlap_dev.ravel())
+            conditional = conditional_fa(overlap_dev.ravel())
         except NumericalError as exc:
             last_error = exc
             continue
@@ -174,21 +196,24 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
         tau_fa[mask] = tau_b
         try:
             fa_dev = DeviationVector.from_array(tau_fa)
-        except ValueError:
+        except ValueError as exc:
+            last_error = exc
             continue
         fa_times, fa_points = reconstruct_trajectory(fa_dev, iap)
 
-        # The first final-approach position retraces the radar-vector end, so
-        # the physical time gap at the join is zero; a vanishing offset keeps
+        # Final-approach sample n_ov-1 retraces the radar-vector end, so the
+        # physical time gap at the join is zero; a vanishing offset keeps
         # timestamps strictly increasing without distorting segment durations.
         epsilon = max(1e-6 * fa_times[-1], 1e-9 * rv_times[-1], 1e-9)
-        fa_times = fa_times + rv_times[-1] + epsilon
+        join = n_ov - 1
+        fa_times = fa_times[join:] - fa_times[join] + rv_times[-1] + epsilon
         return SyntheticTrajectory(
             times=np.concatenate([rv_times, fa_times]),
-            points=np.vstack([rv_points, fa_points]),
+            points=np.vstack([rv_points, fa_points[join:]]),
             procedure_used=rv_proc.procedure,
             source_components=(int(comp_rv), int(comp_fa)),
             boundary=t_v,
         )
     raise NumericalError(
-        f"generation failed after {max_retries} attempts: {last_error}")
+        f"generation failed after {max_retries} attempts; last cause: "
+        f"{last_error}")

@@ -3,12 +3,18 @@
 These deliberately avoid the library's own computational paths: the DTW
 oracle enumerates warping paths, the silhouette oracle is O(m^2) loops, and
 the conditional-Gaussian oracle estimates posterior moments by kernel-weighted
-joint sampling (no use of the conditional formulas).
+joint sampling (no use of the conditional formulas). Two references instead
+keep the plain dense computation that a structured fast path replaces: the
+per-call conditioning, which the fast path must match bit for bit, and the
+PSD repair by a full eigendecomposition.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.special import logsumexp
 
-from trafgen.mixture import MixtureModel, sample_many
+from trafgen.mixture import (MixtureModel, _component_log_density, psd_factor,
+                             psd_jitter_cholesky, sample_many)
 
 
 def dtw_brute_force(a, b):
@@ -99,3 +105,50 @@ def mc_conditional_moments(model: MixtureModel, observed_idx, observed_vals,
         weight_se[j] = np.sqrt(
             (w ** 2 * (indicator - weights[j]) ** 2).sum()) / w_sum
     return weights, weight_se, mean, mean_se
+
+
+def condition_dense(model: MixtureModel, observed_idx, observed_vals):
+    """Conditioning recomputed from each full covariance on every call.
+
+    Returns (weights, means, covariance factors) of the conditional mixture.
+    """
+    idx_a = np.asarray(observed_idx, dtype=int)
+    vals = np.asarray(observed_vals, dtype=float)
+    mask = np.ones(model.dimension, dtype=bool)
+    mask[idx_a] = False
+    idx_b = np.flatnonzero(mask)
+    log_w = np.empty(len(model.components))
+    means, factors = [], []
+    for j, comp in enumerate(model.components):
+        cov = comp.covariance()
+        sigma_aa = cov[np.ix_(idx_a, idx_a)]
+        sigma_ba = cov[np.ix_(idx_b, idx_a)]
+        sigma_bb = cov[np.ix_(idx_b, idx_b)]
+        chol_aa = psd_jitter_cholesky(sigma_aa)
+        delta = vals - comp.mean[idx_a]
+        with np.errstate(divide="ignore"):
+            log_w[j] = np.log(comp.weight) + _component_log_density(
+                delta[None, :], np.zeros_like(delta), chol_aa)[0]
+        gain = cho_solve((chol_aa, True), sigma_ba.T).T
+        means.append(comp.mean[idx_b] + gain @ delta)
+        cond_cov = sigma_bb - gain @ sigma_ba.T
+        factors.append(psd_factor((cond_cov + cond_cov.T) / 2.0))
+    weights = np.exp(log_w - logsumexp(log_w))
+    weights /= weights.sum()
+    return weights, means, factors
+
+
+def repair_psd_dense(cov, blocks):
+    """Clip negative eigenvalues of the full matrix; per-block Frobenius drift."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals[0] >= 0.0:
+        return cov, [0.0] * len(blocks)
+    repaired = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    repaired = (repaired + repaired.T) / 2.0
+    drift = []
+    for blk in blocks:
+        before = cov[blk, blk]
+        denom = np.linalg.norm(before)
+        drift.append(float(np.linalg.norm(repaired[blk, blk] - before) / denom)
+                     if denom > 0 else 0.0)
+    return repaired, drift

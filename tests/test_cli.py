@@ -157,6 +157,29 @@ def test_scene_outputs(pipeline):
     assert all(s["inter_arrival_times"][0] >= 0.0 for s in meta["scenes"])
 
 
+def test_scene_meta_records_block_drift(pipeline):
+    base, _ = pipeline
+    meta = json.loads((base / "out" / "scenes.meta.json").read_text())
+    for scene in meta["scenes"]:
+        drift = scene["block_drift"]
+        assert len(drift) == meta["aircraft_per_scene"]
+        assert all(value >= 0.0 for value in drift)
+
+
+def test_evaluate_non_finite_speed_is_data_error(tmp_path, pipeline):
+    base, config_path = pipeline
+    # a repeated timestamp makes the step speed infinite
+    bad = tmp_path / "bad.csv"
+    bad.write_text("traj_id,t,x,y,z\n0,0.0,0.0,0.0,300.0\n"
+                   "0,10.0,500.0,0.0,300.0\n0,10.0,900.0,0.0,300.0\n",
+                   encoding="utf-8")
+    code = run(["--config", str(config_path), "--out", str(tmp_path),
+                "evaluate", "--actual", str(base / "out" / "trajectories.csv"),
+                "--synthetic", str(bad)])
+    assert code == EXIT_DATA
+    assert not (tmp_path / "metrics_report.json").exists()
+
+
 def test_evaluate_self_comparison_is_zero(pipeline):
     base, config_path = pipeline
     traj_file = base / "out" / "trajectories.csv"

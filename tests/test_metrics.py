@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trafgen.errors import DataError
-from trafgen.metrics import (Histogram, SeparationConfig, extract_variables,
+from trafgen.metrics import (MAX_BINS, Histogram, SeparationConfig, extract_variables,
                              histogram_pair, js_divergence,
                              loss_of_separation_count, shared_fd_edges,
                              silhouette_score, silhouette_sweep)
@@ -159,6 +159,24 @@ def test_histogram_pair_shares_fd_edges():
 def test_fd_edges_constant_data():
     edges = shared_fd_edges(np.array([2.0, 2.0]), np.array([2.0]))
     assert edges.size == 2 and edges[0] < 2.0 < edges[1]
+
+
+def test_fd_edges_bin_count_is_capped():
+    rng = np.random.default_rng(6)
+    bulk = rng.normal(size=5000)
+    assert np.array_equal(shared_fd_edges(bulk, bulk[:10]),
+                          np.histogram_bin_edges(np.concatenate([bulk, bulk[:10]]),
+                                                 bins="fd"))
+    # one far outlier would ask Freedman-Diaconis for about 10^8 bins
+    edges = shared_fd_edges(bulk, np.array([1e7]))
+    assert edges.size == MAX_BINS + 1
+    assert edges[0] == bulk.min() and edges[-1] == 1e7
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fd_edges_reject_non_finite_samples(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        shared_fd_edges(np.array([1.0, 2.0]), np.array([3.0, bad]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from trafgen.errors import DataError
-from trafgen.mixture import (GaussianComponent, MixtureModel, compress_model,
-                             condition, em_fit, load_model, log_likelihood,
+from trafgen.mixture import (ConditionalMixture, GaussianComponent,
+                             MixtureModel, compress_model, condition, em_fit, load_model, log_likelihood,
                              low_rank_approx, model_from_dict, model_to_dict,
                              ppca_fit, sample, sample_many, save_model,
                              select_rank)
 
-from oracles import mc_conditional_moments
+from oracles import condition_dense, mc_conditional_moments
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -312,6 +312,39 @@ def test_condition_input_validation():
         condition(model, [0, 1], [1.0, 2.0])  # nothing left to sample
     with pytest.raises(ValueError):
         condition(model, [5], [1.0])
+
+
+@pytest.mark.parametrize("n_overlap", [1, 10])
+def test_conditional_mixture_matches_dense_conditioning_bitwise(n_overlap):
+    # final-approach shape at paper size: n = 3 * 150 + 2, K = 3, PPCA rank 16
+    rng = np.random.default_rng(n_overlap)
+    n = 452
+    base = rng.normal(scale=50.0, size=n)
+    model = MixtureModel(components=[
+        GaussianComponent(weight=w, mean=base + rng.normal(scale=5.0, size=n),
+                          cov_factor=rng.normal(scale=10.0, size=(n, 16)),
+                          noise_var=4.0)
+        for w in (0.5, 0.3, 0.2)])
+    idx = np.arange(2, 2 + 3 * n_overlap)
+    sampler = ConditionalMixture(model, idx)
+    for _ in range(3):
+        vals = base[idx] + rng.normal(scale=10.0, size=idx.size)
+        weights, means, factors = condition_dense(model, idx, vals)
+        for conditioned in (sampler(vals), condition(model, idx, vals)):
+            assert conditioned.dimension == n - idx.size
+            assert np.array_equal(conditioned.weights, weights)
+            for comp, mean, factor in zip(conditioned.components, means,
+                                          factors):
+                assert np.array_equal(comp.mean, mean)
+                assert np.array_equal(comp.cov_factor, factor)
+                assert comp.noise_var == 0.0
+
+
+def test_conditional_mixture_checks_value_count():
+    model = MixtureModel(components=[single_gaussian([0.0, 0.0], np.eye(2))])
+    sampler = ConditionalMixture(model, [0])
+    with pytest.raises(ValueError):
+        sampler([1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ import logging
 import numpy as np
 import pytest
 
+from trafgen import multi_model
 from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.multi_model import (ArrivalRecord, PairwiseSample, SceneParams,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, stack_pairs, train_pairwise,
-                                 _block, _delta_index)
+                                 _block, _delta_index, _repair_psd)
 
 from conftest import make_proc_traj
+from oracles import repair_psd_dense
 
 T_SEG = 3
 D = 3 * T_SEG + 2  # per-aircraft deviation dimension
@@ -258,6 +260,70 @@ def test_incompatible_components_repair_and_report(caplog):
     assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)
     if any(d > 0.05 for d in params.block_drift):
         assert any("PSD repair" in message for message in caplog.messages)
+
+
+def random_pair_models(rank, seed, n_components=3):
+    """Unrelated random components for every combination of procedures P, Q."""
+    rng = np.random.default_rng(seed)
+    mean = pair_component(1.0, 1.0).mean
+    models = {}
+    for key in (("P", "P"), ("P", "Q"), ("Q", "P"), ("Q", "Q")):
+        models[key] = MixtureModel(components=[
+            GaussianComponent(weight=1.0 / n_components, mean=mean,
+                              cov_factor=rng.normal(scale=2.0,
+                                                    size=(PAIR_DIM, rank)),
+                              noise_var=0.5)
+            for _ in range(n_components)], segment_kind="pairwise")
+    return models
+
+
+def capture_repair_inputs(monkeypatch):
+    """Record the assembled covariance and blocks handed to the repair."""
+    captured = []
+
+    def spy(cov, blocks, block_factors):
+        captured.append((cov.copy(), list(blocks)))
+        return _repair_psd(cov, blocks, block_factors)
+
+    monkeypatch.setattr(multi_model, "_repair_psd", spy)
+    return captured
+
+
+# (N, rank): rank 12 >= D, and (4, 6) places 3 x 6 >= D factor columns in
+# each inner aircraft's block, so there the basis spans the whole block
+@pytest.mark.parametrize("n_aircraft, rank",
+                         [(2, 3), (3, 3), (3, 12), (4, 3), (4, 6)])
+def test_low_rank_repair_matches_dense_eigh(monkeypatch, n_aircraft, rank):
+    models = random_pair_models(rank, seed=10 * n_aircraft + rank)
+    captured = capture_repair_inputs(monkeypatch)
+    repaired_any = False
+    for seed in range(4):
+        sequence = ["P", "Q", "Q", "P"][:n_aircraft]
+        params = assemble_scene_params(models, sequence, rng=seed)
+        cov, blocks = captured[-1]
+        assert np.array_equal(cov, cov.T)
+        expected, drift = repair_psd_dense(cov, blocks)
+        assert np.allclose(params.covariance, expected, rtol=1e-10)
+        assert np.allclose(params.block_drift, drift, rtol=1e-10)
+        repaired_any |= max(drift) > 0
+    # a scene of two aircraft is one component's covariance, already PSD
+    assert repaired_any == (n_aircraft > 2)
+
+
+def test_low_rank_repair_returns_psd_input_unchanged(monkeypatch):
+    rng = np.random.default_rng(3)
+    factor = rng.normal(size=(PAIR_DIM, 3))
+    cov = factor @ factor.T + 0.5 * np.eye(PAIR_DIM)
+    blocks = [_block(0, D), _block(1, D)]
+    repaired, drift = _repair_psd(cov, blocks, [[factor[:D]], [factor[D + 1:]]])
+    assert repaired is cov
+    assert drift == [0.0, 0.0]
+
+    captured = capture_repair_inputs(monkeypatch)
+    for n_aircraft in (3, 4):
+        params = assemble_scene_params(k1_models(), ["P"] * n_aircraft, rng=0)
+        assert np.array_equal(params.covariance, captured[-1][0])
+        assert params.block_drift == [0.0] * n_aircraft
 
 
 def test_missing_combination_is_named():

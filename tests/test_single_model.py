@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from trafgen import mixture
+from trafgen.errors import NumericalError
 from trafgen.metrics import histogram_pair, js_divergence, silhouette_sweep
 from trafgen.mixture import GaussianComponent, MixtureModel, model_to_dict, \
     sample_many
@@ -14,27 +16,29 @@ from conftest import make_proc_traj
 
 T_V, T_F, N_OV = 10, 6, 2
 DIM_V, DIM_F = 3 * T_V + 2, 3 * T_F + 2
+ROWS = T_V + T_F - N_OV + 1  # the overlap is emitted once
 CONFIG = SingleModelConfig(segment_length_rv=T_V, segment_length_fa=T_F,
                            n_overlap=N_OV)
 
 
-def iap_procedure():
-    u = np.linspace(0.0, 1.0, T_F)
-    x = np.zeros(T_F)
+def iap_procedure(t_f=T_F):
+    u = np.linspace(0.0, 1.0, t_f)
+    x = np.zeros(t_f)
     y = -8000.0 * u
     z = 450.0 * (1.0 - u)
     return make_proc_traj(np.column_stack([x, y, z]), name="IAP", duration=120.0)
 
 
-def rv_procedure(name="RV0", length=20000.0, y0=15000.0):
+def rv_procedure(name="RV0", length=20000.0, y0=15000.0, *,
+                 t_v=T_V, t_f=T_F, n_ov=N_OV):
     """Radar-vector path whose final points hand off onto the IAP head."""
-    lead = T_V - N_OV
+    lead = t_v - n_ov
     u = np.linspace(0.0, 1.0, lead, endpoint=False)
     x = -length * (1.0 - u)
     y = y0 * (1.0 - u) ** 2
     z = 1200.0 * (1.0 - u) + 450.0 * u
     points = np.vstack([np.column_stack([x, y, z]),
-                        iap_procedure().points[:N_OV]])
+                        iap_procedure(t_f).points[:n_ov]])
     return make_proc_traj(points, name=name, duration=300.0)
 
 
@@ -65,17 +69,20 @@ def gt_component(proc, dim, lateral, scale, weight, seed):
                              noise_var=4.0)
 
 
-def ground_truth_model():
+def ground_truth_model(config=CONFIG):
+    t_v, t_f = config.segment_length_rv, config.segment_length_fa
+    rv_proc = rv_procedure(t_v=t_v, t_f=t_f, n_ov=config.n_overlap)
+    dim_v, dim_f = 3 * t_v + 2, 3 * t_f + 2
     rv = MixtureModel(components=[
-        gt_component(rv_procedure(), DIM_V, +400.0, 30.0, 0.6, seed=1),
-        gt_component(rv_procedure(), DIM_V, -400.0, 30.0, 0.4, seed=2),
+        gt_component(rv_proc, dim_v, +400.0, 30.0, 0.6, seed=1),
+        gt_component(rv_proc, dim_v, -400.0, 30.0, 0.4, seed=2),
     ], segment_kind="radar_vector")
     fa = MixtureModel(components=[
-        gt_component(iap_procedure(), DIM_F, +120.0, 15.0, 0.5, seed=3),
-        gt_component(iap_procedure(), DIM_F, -120.0, 15.0, 0.5, seed=4),
+        gt_component(iap_procedure(t_f), dim_f, +120.0, 15.0, 0.5, seed=3),
+        gt_component(iap_procedure(t_f), dim_f, -120.0, 15.0, 0.5, seed=4),
     ], segment_kind="final_approach")
     return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
-                                 config=CONFIG)
+                                 config=config)
 
 
 def zero_cov_model():
@@ -172,11 +179,12 @@ def test_zero_covariance_reproduces_procedural_paths():
     traj = generate(model, make_procs(), np.random.default_rng(9))
     rv_proc, iap = rv_procedure(), iap_procedure()
     assert np.allclose(traj.points[:T_V], rv_proc.points, atol=1e-9)
-    assert np.allclose(traj.points[T_V:], iap.points, atol=1e-9)
+    assert np.allclose(traj.points[T_V:], iap.points[N_OV - 1:], atol=1e-9)
     # mean transit times: tau_2 equals the procedural distance, so t' = tau_1
     assert traj.times[T_V - 1] == pytest.approx(rv_proc.times[-1], abs=1e-9)
     span_fa = traj.times[-1] - traj.times[T_V]
-    assert span_fa == pytest.approx(iap.times[-1], abs=1e-9)
+    assert span_fa == pytest.approx(iap.times[-1] - iap.times[N_OV - 1],
+                                    abs=1e-9)
 
 
 def test_generated_trajectory_shape_and_monotone_times():
@@ -184,22 +192,67 @@ def test_generated_trajectory_shape_and_monotone_times():
     rng = np.random.default_rng(10)
     for _ in range(25):
         traj = generate(model, make_procs(), rng)
-        assert traj.points.shape == (T_V + T_F, 3)
+        assert traj.points.shape == (ROWS, 3)
+        assert traj.times.shape == (ROWS,)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.boundary == T_V
 
 
 def test_conditioning_consistency_of_overlap():
+    # the first emitted final-approach sample is overlap sample N_OV - 1,
+    # conditioned on the radar-vector end: the two coincide
     model = ground_truth_model()
-    iap = iap_procedure()
     rng = np.random.default_rng(11)
     for _ in range(10):
         traj = generate(model, make_procs(), rng)
-        rv_tail = traj.points[T_V - N_OV:T_V]
-        fa_head = traj.points[T_V:T_V + N_OV]
-        implied = fa_head - iap.points[:N_OV]
-        conditioned_on = rv_tail - iap.points[:N_OV]
-        assert np.allclose(implied, conditioned_on, atol=1e-9, rtol=0.0)
+        assert np.allclose(traj.points[T_V], traj.points[T_V - 1],
+                           atol=1e-9, rtol=0.0)
+
+
+def test_stitch_is_continuous_at_paper_overlap():
+    # n_overlap = 10 as in the paper: the join must not step back over the
+    # overlap, so its step speed stays within that of the other steps
+    config = SingleModelConfig(segment_length_rv=40, segment_length_fa=20,
+                               n_overlap=10)
+    model = ground_truth_model(config)
+    procs = ProcedureSet(
+        radar_vectors=[rv_procedure(t_v=40, t_f=20, n_ov=10)], frequencies=[1.0],
+        iap=iap_procedure(20))
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        traj = generate(model, procs, rng)
+        assert traj.points.shape == (40 + 20 - 10 + 1, 3)
+        dt = np.diff(traj.times)
+        assert np.all(dt > 0)
+        speed = np.linalg.norm(np.diff(traj.points[:, :2], axis=0), axis=1) / dt
+        join = traj.boundary - 1
+        assert speed[join] <= np.delete(speed, join).max()
+
+
+def test_retry_failure_names_its_cause():
+    model = zero_cov_model()
+    model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
+    with pytest.raises(NumericalError, match="transit_time must be positive"):
+        generate(model, make_procs(), np.random.default_rng(19), max_retries=3)
+
+
+def test_conditional_sampler_is_built_once(monkeypatch):
+    model = ground_truth_model()
+    sampler = model.final_approach_conditional
+    generate(model, make_procs(), np.random.default_rng(20))
+    assert model.final_approach_conditional is sampler
+
+    # an indefinite Sigma_aa does not depend on the draw: fail without retries
+    calls = []
+
+    def failing_cholesky(cov):
+        calls.append(cov.shape)
+        raise NumericalError("covariance is not positive definite")
+
+    monkeypatch.setattr(mixture, "psd_jitter_cholesky", failing_cholesky)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        generate(ground_truth_model(), make_procs(), np.random.default_rng(21))
+    assert calls == [(3 * N_OV, 3 * N_OV)]
 
 
 def test_generate_reproducible_for_fixed_seed():
