@@ -15,8 +15,8 @@ from .mixture import (ConditionalMixture, EMFit, GaussianComponent,
 from .multi_model import (ArrivalRecord, PairwiseSample, SceneParams,
                           TrafficScene, assemble_scene_params, extract_pairs,
                           generate_scene, train_pairwise)
-from .preprocess import (DeviationVector, SegmentedArrival,
-                         build_deviation_vector, dtw_distance, pchip_resample,
+from .preprocess import (DeviationVector, build_deviation_vector,
+                         dtw_distance, dtw_distances, pchip_resample,
                          reconstruct_trajectory, segment_trajectory)
 from .procedures import (Procedure, ProceduralTrajectory, ProcedureKind,
                          build_procedural_trajectory, extract_nominal_paths,

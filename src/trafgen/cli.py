@@ -9,12 +9,13 @@ config and inputs. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
+import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,9 @@ logger = logging.getLogger(__name__)
 
 DEVIATION_FORMAT = "trafgen-deviations/1"
 PAIRWISE_FORMAT = "trafgen-pairwise/1"
+
+# rejected track records quoted in the parse WARNING; the report lists all
+MAX_LOGGED_PARSE_ERRORS = 5
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,7 +80,7 @@ class RunConfig:
     proximity_nm: float = 0.5
     default_speed_kts: float = 140.0
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; every command is serial
     n_components_rv: int | None = None
     n_components_fa: int | None = None
     rank_rv: int | None = None
@@ -145,10 +149,25 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Shared file helpers
 
-def _write_json(path: Path, doc: dict) -> None:
+@contextlib.contextmanager
+def _atomic_path(path: Path):
+    """Yield a temporary path beside ``path``; on success it replaces ``path``.
+
+    A write that fails midway leaves any previous ``path`` untouched.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    with _atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _read_json(path: Path) -> dict:
@@ -159,8 +178,8 @@ def _read_json(path: Path) -> dict:
 
 def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,
                             segment_length: int, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    with _atomic_path(path) as tmp:
+        np.savetxt(tmp, data, delimiter=",", fmt="%.17g")
     _write_json(path.with_suffix(".meta.json"), {
         "format": DEVIATION_FORMAT,
         "segment_kind": segment_kind,
@@ -208,8 +227,8 @@ def _load_procedural_trajectories(config: RunConfig, *, exemplars=(),
 
 
 def _write_trajectory_csv(path: Path, rows: list[tuple]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _atomic_path(path) as tmp, \
+            tmp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["traj_id", "t", "x", "y", "z"])
         for traj_id, times, points in rows:
@@ -219,8 +238,8 @@ def _write_trajectory_csv(path: Path, rows: list[tuple]) -> None:
 
 
 def _write_scene_csv(path: Path, scenes: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _atomic_path(path) as tmp, \
+            tmp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scene_id", "aircraft_idx", "t", "x", "y", "z"])
         for scene_id, scene in enumerate(scenes):
@@ -263,17 +282,25 @@ def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_ingest(config: RunConfig) -> int:
-    """Parse tracks, classify arrivals, segment, and write deviation datasets."""
-    flights, parse_errors = parse_tracks(config.tracks, config.airspace)
-    for err in parse_errors:
-        logger.warning("parse: %s", err)
+def _log_parse_errors(errors: list[str]) -> None:
+    """One WARNING for all rejected records: the count and the first few."""
+    if errors:
+        shown = errors[:MAX_LOGGED_PARSE_ERRORS]
+        logger.warning("parse: %d records rejected; first %d: %s",
+                       len(errors), len(shown), "; ".join(shown))
 
-    arrivals = []
-    exclusions: list[dict] = []
+
+def _classify_arrivals(flights: list, airspace: AirspaceConfig,
+                       ) -> tuple[list[tuple], list[dict]]:
+    """Arrivals as (flight, ENU track), and an exclusion for every other flight.
+
+    Each flight is converted to ENU once; the track is reused downstream.
+    """
+    arrivals, exclusions = [], []
     for flight in flights:
+        track = flight_to_enu(flight, airspace)
         try:
-            kind = classify_flight(flight, config.airspace)
+            kind = classify_flight(flight, airspace, track=track)
         except TrafgenError as exc:
             exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
@@ -281,57 +308,92 @@ def cmd_ingest(config: RunConfig) -> int:
             exclusions.append({"flight": flight.id,
                                "reason": f"classified as {kind.value}"})
             continue
-        arrivals.append(flight)
+        arrivals.append((flight, track))
+    return arrivals, exclusions
+
+
+def cmd_ingest(config: RunConfig) -> int:
+    """Parse tracks, classify arrivals, segment, and write deviation datasets.
+
+    Arrivals are segmented and resampled one by one; every radar-vector
+    segment is then assigned its procedure in one batched DTW call, and the
+    deviation vectors are built last.
+    """
+    flights, parse_errors = parse_tracks(config.tracks)
+    _log_parse_errors(parse_errors)
+    flights_parsed = len(flights)
+    arrivals, exclusions = _classify_arrivals(flights, config.airspace)
     if not arrivals:
         raise DataError("no arrival flights after classification")
+    # only an arrival's id, arrival time and ENU track are used from here on;
+    # dropping the parsed points lets the arrays below reuse their memory
+    arrivals = [(flight.id, flight.points[-1].time, track)
+                for flight, track in arrivals]
+    del flights
 
     rv_trajs, _, iap_traj = _load_procedural_trajectories(
-        config, exemplars=arrivals)
+        config, exemplars=[track for *_, track in arrivals])
     threshold_m = config.segment_threshold_nm * NM_TO_M
 
-    def process(flight):
-        times, xyz = flight_to_enu(flight, config.airspace)
-        boundary = preprocess.segment_trajectory(xyz, iap_traj, threshold_m)
-        arrival_time = flight.points[-1].time
-        result = {"flight": flight.id, "arrival_time": arrival_time}
-        # the boundary sample is shared: the radar-vector part runs up TO the
-        # handoff point and the final approach starts AT it, so the trained
-        # radar-vector tail lands where the final-approach heads were observed
-        if boundary < 1:
+    # 1. boundary and resampled radar-vector part per arrival. The boundary
+    # sample is shared: the radar-vector part runs up TO the handoff point
+    # and the final approach starts AT it, so the trained radar-vector tail
+    # lands where the final-approach heads were observed
+    failures: dict[int, str] = {}
+    segments: dict[int, tuple] = {}
+    for i, (*_, (times, xyz)) in enumerate(arrivals):
+        try:
+            boundary = preprocess.segment_trajectory(xyz, iap_traj, threshold_m)
+            rv = (preprocess.pchip_resample(times[:boundary + 1],
+                                            xyz[:boundary + 1],
+                                            config.segment_length_rv)
+                  if boundary >= 1 else None)
+        except (TrafgenError, ValueError) as exc:
+            failures[i] = str(exc)
+            continue
+        segments[i] = (boundary, rv)
+
+    # 2. nearest radar-vector procedure of every segment, in one call
+    with_rv = [i for i, (_, rv) in segments.items() if rv is not None]
+    assigned = {}
+    if with_rv:
+        rv_points = np.stack([segments[i][1][1] for i in with_rv])
+        assigned = dict(zip(with_rv,
+                            preprocess.assign_procedures(rv_points, rv_trajs)))
+
+    # 3. deviation vectors. Each segment is dropped once used, so that the
+    # results reuse its memory instead of adding to the peak
+    def deviations(i: int) -> dict:
+        flight_id, arrival_time, (times, xyz) = arrivals[i]
+        boundary, rv = segments.pop(i)
+        result = {"flight": flight_id, "arrival_time": arrival_time}
+        if rv is None:
             result["rv"] = None
             result["rv_reason"] = "radar-vector segment too short"
         else:
-            rv_times, rv_points = preprocess.pchip_resample(
-                times[:boundary + 1], xyz[:boundary + 1],
-                config.segment_length_rv)
-            proc_idx = preprocess.assign_procedure(rv_points, rv_trajs)
-            tau_rv = preprocess.build_deviation_vector(
-                rv_times, rv_points, rv_trajs[proc_idx])
-            result["rv"] = tau_rv.to_array()
-            result["procedure"] = rv_trajs[proc_idx].procedure
+            proc = rv_trajs[assigned[i]]
+            result["rv"] = preprocess.build_deviation_vector(*rv, proc).to_array()
+            result["procedure"] = proc.procedure
         if len(times) - boundary < 2:
             result["fa"] = None
             result["fa_reason"] = "final-approach segment too short"
         else:
             fa_times, fa_points = preprocess.pchip_resample(
                 times[boundary:], xyz[boundary:], config.segment_length_fa)
-            tau_fa = preprocess.build_deviation_vector(
-                fa_times, fa_points, iap_traj)
-            result["fa"] = tau_fa.to_array()
+            result["fa"] = preprocess.build_deviation_vector(
+                fa_times, fa_points, iap_traj).to_array()
         return result
 
     results = []
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [(flight, pool.submit(process, flight)) for flight in arrivals]
-        outcomes = [(flight, future.result) for flight, future in futures]
-    else:
-        outcomes = [(flight, (lambda f=flight: process(f))) for flight in arrivals]
-    for flight, get in outcomes:
-        try:
-            results.append(get())
-        except (TrafgenError, ValueError) as exc:
-            exclusions.append({"flight": flight.id, "reason": str(exc)})
+    for i, (flight_id, *_) in enumerate(arrivals):
+        reason = failures.get(i)
+        if reason is None:
+            try:
+                results.append(deviations(i))
+                continue
+            except (TrafgenError, ValueError) as exc:
+                reason = str(exc)
+        exclusions.append({"flight": flight_id, "reason": reason})
 
     rv_rows, rv_meta, fa_rows, fa_meta = [], [], [], []
     for res in results:
@@ -357,7 +419,7 @@ def cmd_ingest(config: RunConfig) -> int:
     write_deviation_dataset(out / "fa_dataset.csv", np.stack(fa_rows),
                             "final_approach", config.segment_length_fa, fa_meta)
     _write_json(out / "ingest_report.json", {
-        "flights_parsed": len(flights),
+        "flights_parsed": flights_parsed,
         "parse_errors": parse_errors,
         "arrivals_retained": len(results),
         "rv_rows": len(rv_rows),
@@ -567,16 +629,10 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
 def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None,
                      samples: int) -> int:
     """Extract nominal radar-vector paths and write the curated subset."""
-    flights, parse_errors = parse_tracks(config.tracks, config.airspace)
-    for err in parse_errors:
-        logger.warning("parse: %s", err)
-    arrivals = []
-    for flight in flights:
-        try:
-            if classify_flight(flight, config.airspace) is FlightClass.ARRIVAL:
-                arrivals.append(flight)
-        except TrafgenError:
-            continue
+    flights, parse_errors = parse_tracks(config.tracks)
+    _log_parse_errors(parse_errors)
+    arrivals = [flight for flight, _ in
+                _classify_arrivals(flights, config.airspace)[0]]
     if len(arrivals) < k:
         raise DataError(f"only {len(arrivals)} arrivals for k={k} nominal paths")
     rng = substream(config.seed, "review-paths")
@@ -598,7 +654,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="trafgen", description=__doc__)
     parser.add_argument("--config", required=True, help="run config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, help="worker thread bound")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest")

@@ -31,7 +31,7 @@ class FlightClass(Enum):
     OVERFLIGHT = "overflight"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackPoint:
     time: float            # seconds, monotonic epoch
     lat: float             # degrees WGS84
@@ -180,15 +180,12 @@ def enu_to_wgs84(enu, config: AirspaceConfig):
 _REQUIRED_COLUMNS = ("id", "time", "lat", "lon", "alt")
 
 
-def parse_tracks(path: str | Path, config: AirspaceConfig | None = None,
-                 ) -> tuple[list[Flight], list[str]]:
+def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     """Parse a track CSV into per-aircraft flights.
 
     Returns (flights, record-level error messages). Rows violating the
     coordinate invariants are rejected individually; an unreadable or
-    header-less file raises DataError. ``config`` is accepted for call-site
-    symmetry with the rest of the ingest pipeline; parsing itself does not
-    depend on the airspace.
+    header-less file raises DataError.
     """
     path = Path(path)
     try:
@@ -270,15 +267,18 @@ def flight_to_enu(flight: Flight, config: AirspaceConfig,
     return times, xyz
 
 
-def classify_flight(flight: Flight, config: AirspaceConfig) -> FlightClass:
+def classify_flight(flight: Flight, config: AirspaceConfig, *,
+                    track: tuple[np.ndarray, np.ndarray] | None = None,
+                    ) -> FlightClass:
     """Classify a flight as arrival, departure, or overflight.
 
     An arrival shows a net-decreasing range to the origin and ends below the
     landing ceiling within the landing radius; a departure is the mirror
     image; anything else is an overflight. Uses only the in-airspace portion
-    of the track.
+    of the track: ``track``, the flight's ``flight_to_enu`` result when the
+    caller already has it.
     """
-    times, xyz = flight_to_enu(flight, config)
+    times, xyz = track if track is not None else flight_to_enu(flight, config)
     if len(times) < 2:
         raise ClassificationError(
             f"flight {flight.id!r}: fewer than 2 points inside the airspace"

@@ -54,18 +54,6 @@ class DeviationVector:
                    deviations=tau[2:].reshape(-1, 3))
 
 
-@dataclass
-class SegmentedArrival:
-    """An arrival split at the sample where it joins the final approach."""
-
-    radar_vector_times: np.ndarray
-    radar_vector_points: np.ndarray
-    final_approach_times: np.ndarray
-    final_approach_points: np.ndarray
-    boundary: int
-    assigned_procedure: str | None = None
-
-
 def path_length(points: np.ndarray) -> float:
     """Total polyline length (sum of consecutive segment lengths)."""
     points = np.asarray(points, dtype=float)
@@ -74,32 +62,107 @@ def path_length(points: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
+# Upper bound on the working arrays of one dtw_distances chunk, in bytes.
+DTW_CHUNK_BYTES = 1 << 20
+
+
+def dtw_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """DTW distance of every sequence in ``a`` (F, m, d) to every one in
+    ``b`` (R, n, d), as an (F, R) array. Euclidean local cost, no band.
+
+    The accumulated-cost table is swept one anti-diagonal i + j = k at a
+    time, for all F·R pairs at once: every cell of a diagonal depends only
+    on the two diagonals before it, so only those are kept, indexed by i.
+    Local costs are computed per diagonal. Flights are processed in chunks
+    so that these working arrays stay under ``DTW_CHUNK_BYTES``. Each cell
+    is the same floating-point expression as in the textbook double loop,
+    so results match it bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 3 or b.ndim != 3:
+        raise ValueError("dtw_distances expects (F, m, d) and (R, n, d) arrays")
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        raise ValueError("dtw_distances requires nonempty sequences")
+    if a.shape[2] != b.shape[2]:
+        raise ValueError("point dimensions differ")
+    n_flights, m, d = a.shape
+    n_procs, n, _ = b.shape
+    # per flight: the diff and cost of a diagonal, three diagonals of the
+    # table, the boundary rows, and the running minimum
+    bytes_per_flight = 8 * n_procs * (m * (d + 7) + 2 * n * (d + 1))
+    step = max(1, DTW_CHUNK_BYTES // max(bytes_per_flight, 1))
+    b_reversed = np.ascontiguousarray(b[:, ::-1])
+    out = np.empty((n_flights, n_procs))
+    for start in range(0, n_flights, step):
+        out[start:start + step] = _dtw_wavefront(
+            a[start:start + step, None], b[None], b_reversed[None])
+    return out
+
+
+def _local_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distance between broadcast point arrays (last axis = d)."""
+    diff = x - y
+    np.square(diff, out=diff)
+    return np.sqrt(diff.sum(axis=-1))
+
+
+def _dtw_wavefront(a: np.ndarray, b: np.ndarray,
+                   b_reversed: np.ndarray) -> np.ndarray:
+    """Anti-diagonal DTW sweep; a (F, 1, m, d), b and b_reversed (1, R, n, d)."""
+    m, n = a.shape[2], b.shape[2]
+    shape = np.broadcast_shapes(a.shape[:2], b.shape[:2])
+    # boundary row and column: running sums, as the textbook loop seeds them
+    first_row = _local_cost(a[:, :, :1], b)
+    first_col = _local_cost(a, b[:, :, :1])
+    origin = first_row[..., :1]
+    row0 = first_row[..., 1:].cumsum(axis=-1) + origin
+    col0 = first_col[..., 1:].cumsum(axis=-1) + origin
+    # acc(i, k - i) of diagonals k - 2, k - 1 and k, indexed by i
+    older, prev, cur = (np.empty(shape + (m,)) for _ in range(3))
+    prev[..., 0] = origin[..., 0]
+    for k in range(1, m + n - 1):
+        lo, hi = max(1, k - n + 1), min(m - 1, k - 1)
+        if lo <= hi:
+            # cells (i, k - i), i = lo..hi; b_reversed[n - 1 - j] is b[j]
+            cost = _local_cost(a[:, :, lo:hi + 1],
+                               b_reversed[:, :, n - 1 - k + lo:n - k + hi])
+            up, diag, left = (prev[..., lo - 1:hi], older[..., lo - 1:hi],
+                              prev[..., lo:hi + 1])
+            best = np.minimum(up, diag)
+            np.minimum(best, left, out=best)
+            np.add(cost, best, out=cur[..., lo:hi + 1])
+        if k < n:
+            cur[..., 0] = row0[..., k - 1]
+        if k < m:
+            cur[..., k] = col0[..., k - 1]
+        older, prev, cur = prev, cur, older
+    return prev[..., m - 1]
+
+
 def dtw_distance(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> float:
     """Dynamic-time-warping distance with Euclidean local cost.
 
-    Accepts 1-D sequences or (n, d) point arrays. O(mn) time and memory;
-    no warping band is applied.
+    Accepts 1-D sequences or (n, d) point arrays. O(mn) time; no warping
+    band is applied.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float).T).T
     b = np.atleast_2d(np.asarray(b, dtype=float).T).T
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("dtw_distance requires nonempty sequences")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("point dimensions differ")
-    # local cost c[i, j] = ||a_i - b_j||_2
-    diff = a[:, None, :] - b[None, :, :]
-    cost = np.sqrt((diff ** 2).sum(axis=2))
-    m, n = cost.shape
-    acc = np.empty_like(cost)
-    acc[0, 0] = cost[0, 0]
-    acc[0, 1:] = cost[0, 1:].cumsum() + acc[0, 0]
-    acc[1:, 0] = cost[1:, 0].cumsum() + acc[0, 0]
-    for i in range(1, m):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, n):
-            row[j] = cost[i, j] + min(prev[j], prev[j - 1], row[j - 1])
-    return float(acc[m - 1, n - 1])
+    return float(dtw_distances(a[None], b[None])[0, 0])
+
+
+def assign_procedures(points: np.ndarray,
+                      procedures: Sequence["ProceduralTrajectory"]) -> np.ndarray:
+    """Per trajectory in ``points`` (F, T, >= 2), the index of the procedure
+    with the smallest horizontal DTW distance.
+
+    The procedures must share one length. Ties break toward the lowest index.
+    """
+    if len(procedures) == 0:
+        raise ValueError("need at least one candidate procedure")
+    xy = np.asarray(points, dtype=float)[..., :2]
+    procs_xy = np.stack([proc.points[:, :2] for proc in procedures])
+    return np.argmin(dtw_distances(xy, procs_xy), axis=1)
 
 
 def assign_procedure(points: np.ndarray,
@@ -108,11 +171,7 @@ def assign_procedure(points: np.ndarray,
 
     Ties break toward the lowest index.
     """
-    if len(procedures) == 0:
-        raise ValueError("need at least one candidate procedure")
-    xy = np.asarray(points, dtype=float)[:, :2]
-    distances = [dtw_distance(xy, proc.points[:, :2]) for proc in procedures]
-    return int(np.argmin(distances))
+    return int(assign_procedures(np.asarray(points)[None], procedures)[0])
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
@@ -150,19 +209,6 @@ def segment_trajectory(points: np.ndarray, iap: "ProceduralTrajectory",
             f"{dist[-1]:.0f} m >= {threshold:.0f} m)"
         )
     return int(np.argmax(suffix_ok))
-
-
-def split_arrival(times: np.ndarray, points: np.ndarray, boundary: int,
-                  assigned_procedure: str | None = None) -> SegmentedArrival:
-    """Package the two segments around a boundary index."""
-    return SegmentedArrival(
-        radar_vector_times=times[:boundary],
-        radar_vector_points=points[:boundary],
-        final_approach_times=times[boundary:],
-        final_approach_points=points[boundary:],
-        boundary=boundary,
-        assigned_procedure=assigned_procedure,
-    )
 
 
 def pchip_resample(times: np.ndarray, values: np.ndarray, count: int,

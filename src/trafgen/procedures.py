@@ -21,6 +21,9 @@ from .ingest import AirspaceConfig, Flight, enu_to_wgs84, flight_to_enu, wgs84_t
 from .preprocess import path_length, pchip_resample
 from .units import KT_TO_MPS, NM_TO_M
 
+# an ENU track (times (n,), positions (n, 3)), as flight_to_enu returns it
+EnuTrack = tuple[np.ndarray, np.ndarray]
+
 
 class ProcedureKind(Enum):
     IAP = "IAP"
@@ -189,7 +192,7 @@ def waypoints_to_enu(proc: Procedure, config: AirspaceConfig) -> np.ndarray:
 
 def build_procedural_trajectory(proc: Procedure, count: int,
                                 config: AirspaceConfig, *,
-                                exemplars: Sequence[Flight] = (),
+                                exemplars: Sequence[EnuTrack] = (),
                                 proximity_nm: float = 0.5,
                                 default_speed_kts: float = 140.0,
                                 ) -> ProceduralTrajectory:
@@ -199,7 +202,8 @@ def build_procedural_trajectory(proc: Procedure, count: int,
     sampled at equal steps of the chord-length parameter. Timing comes from,
     in order of preference: exemplar flights that pass within ``proximity_nm``
     of every waypoint (IAPs), the procedure's recorded mean duration
-    (radar-vector nominal paths), or a constant-speed fallback.
+    (radar-vector nominal paths), or a constant-speed fallback. Exemplars are
+    ENU tracks ``(times, xyz)`` as :func:`flight_to_enu` returns them.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -216,7 +220,7 @@ def build_procedural_trajectory(proc: Procedure, count: int,
 
     times = None
     if exemplars:
-        times = _mean_exemplar_times(wps, points, exemplars, config,
+        times = _mean_exemplar_times(wps, points, exemplars,
                                      proximity_nm * NM_TO_M)
     if times is None and proc.duration_s is not None:
         times = np.linspace(0.0, proc.duration_s, count)
@@ -227,8 +231,8 @@ def build_procedural_trajectory(proc: Procedure, count: int,
 
 
 def _mean_exemplar_times(waypoints_enu: np.ndarray, proc_points: np.ndarray,
-                         exemplars: Sequence[Flight], config: AirspaceConfig,
-                         proximity_m: float) -> np.ndarray | None:
+                         exemplars: Sequence[EnuTrack], proximity_m: float,
+                         ) -> np.ndarray | None:
     """Mean arc-length-aligned exemplar timing, or None if none qualify.
 
     An exemplar qualifies when it passes within ``proximity_m`` (horizontal)
@@ -242,8 +246,7 @@ def _mean_exemplar_times(waypoints_enu: np.ndarray, proc_points: np.ndarray,
     fractions = proc_arc / proc_arc[-1]
 
     aligned = []
-    for flight in exemplars:
-        times, xyz = flight_to_enu(flight, config)
+    for times, xyz in exemplars:
         if len(times) < 2:
             continue
         dists_to_wps = np.linalg.norm(

@@ -19,6 +19,8 @@ from trafgen.procedures import (Procedure, ProcedureKind,
 from trafgen.single_model import (ProcedureSet, SingleModelConfig,
                                   SingleTrajectoryModel, generate)
 
+# default segment lengths and overlap of the test corpus; the paper's are
+# T_v = 350, T_f = 150 and n_overlap = 10
 T_V, T_F, N_OVERLAP = 40, 20, 1
 
 AIRSPACE = AirspaceConfig(origin_lat=40.6413, origin_lon=-73.7781,
@@ -69,11 +71,11 @@ def gt_procedures() -> list[Procedure]:
     ]
 
 
-def gt_procedure_set() -> ProcedureSet:
+def gt_procedure_set(t_v=T_V, t_f=T_F) -> ProcedureSet:
     procs = gt_procedures()
-    rv_trajs = [build_procedural_trajectory(p, T_V, AIRSPACE)
+    rv_trajs = [build_procedural_trajectory(p, t_v, AIRSPACE)
                 for p in procs[:2]]
-    iap = build_procedural_trajectory(procs[2], T_F, AIRSPACE,
+    iap = build_procedural_trajectory(procs[2], t_f, AIRSPACE,
                                       default_speed_kts=140.0)
     return ProcedureSet(radar_vectors=rv_trajs,
                         frequencies=[p.frequency for p in procs[:2]],
@@ -111,30 +113,31 @@ def _gt_component(proc_traj, t_len, lane_offset, descent, transit_mean,
                              noise_var=25.0)
 
 
-def ground_truth_model() -> SingleTrajectoryModel:
-    procs = gt_procedure_set()
+def ground_truth_model(t_v=T_V, t_f=T_F,
+                       n_overlap=N_OVERLAP) -> SingleTrajectoryModel:
+    procs = gt_procedure_set(t_v, t_f)
     rv = MixtureModel(components=[
-        _gt_component(procs.radar_vectors[0], T_V, +350.0, (1800.0, 450.0),
+        _gt_component(procs.radar_vectors[0], t_v, +350.0, (1800.0, 450.0),
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=11),
-        _gt_component(procs.radar_vectors[0], T_V, -350.0, (1800.0, 450.0),
+        _gt_component(procs.radar_vectors[0], t_v, -350.0, (1800.0, 450.0),
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=12),
     ], segment_kind="radar_vector")
     fa = MixtureModel(components=[
-        _gt_component(procs.iap, T_F, +450.0, None, 160.0, 40.0, 8.0, 100.0,
+        _gt_component(procs.iap, t_f, +450.0, None, 160.0, 40.0, 8.0, 100.0,
                       0.5, seed=13),
-        _gt_component(procs.iap, T_F, -450.0, None, 160.0, 40.0, 8.0, 100.0,
+        _gt_component(procs.iap, t_f, -450.0, None, 160.0, 40.0, 8.0, 100.0,
                       0.5, seed=14),
     ], segment_kind="final_approach")
     return SingleTrajectoryModel(
         radar_vector_model=rv, final_approach_model=fa,
-        config=SingleModelConfig(segment_length_rv=T_V, segment_length_fa=T_F,
-                                 n_overlap=N_OVERLAP))
+        config=SingleModelConfig(segment_length_rv=t_v, segment_length_fa=t_f,
+                                 n_overlap=n_overlap))
 
 
-def generate_actual(n, seed):
+def generate_actual(n, seed, t_v=T_V, t_f=T_F, n_overlap=N_OVERLAP):
     """Ground-truth trajectories, as the generator's SyntheticTrajectory."""
-    model = ground_truth_model()
-    procs = gt_procedure_set()
+    model = ground_truth_model(t_v, t_f, n_overlap)
+    procs = gt_procedure_set(t_v, t_f)
     rng = np.random.default_rng(seed)
     return [generate(model, procs, rng) for _ in range(n)]
 
@@ -195,11 +198,13 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
 
 
 def write_corpus(base: Path, n_flights=300, seed=0, *,
+                 t_v=T_V, t_f=T_F, n_overlap=N_OVERLAP,
                  k_grid="2,3,4", rank_grid="1,2,4,6,8",
                  explicit_choice=False) -> Path:
     """Write tracks, procedures, and a run config; returns the config path."""
     base.mkdir(parents=True, exist_ok=True)
-    write_tracks_csv(base / "tracks.csv", generate_actual(n_flights, seed),
+    write_tracks_csv(base / "tracks.csv",
+                     generate_actual(n_flights, seed, t_v, t_f, n_overlap),
                      seed=seed + 1)
     save_procedures(gt_procedures(), base / "procedures.yaml")
     chosen = ""
@@ -211,9 +216,9 @@ def write_corpus(base: Path, n_flights=300, seed=0, *,
         f"origin_alt_ft = {AIRSPACE.origin_alt_ft}\n"
         f"radius_nm = {AIRSPACE.radius_nm}\n"
         "landing_ceiling_ft = 500\n"
-        f"t_v = {T_V}\n"
-        f"t_f = {T_F}\n"
-        f"n_overlap = {N_OVERLAP}\n"
+        f"t_v = {t_v}\n"
+        f"t_f = {t_f}\n"
+        f"n_overlap = {n_overlap}\n"
         f"k_grid = {k_grid}\n"
         f"rank_grid = {rank_grid}\n"
         "pairing_window_s = 180\n"

@@ -5,8 +5,9 @@ oracle enumerates warping paths, the silhouette oracle is O(m^2) loops, and
 the conditional-Gaussian oracle estimates posterior moments by kernel-weighted
 joint sampling (no use of the conditional formulas). Two references instead
 keep the plain dense computation that a structured fast path replaces: the
-per-call conditioning, which the fast path must match bit for bit, and the
-PSD repair by a full eigendecomposition.
+per-call conditioning, which the fast path must match bit for bit, the
+PSD repair by a full eigendecomposition, and the row-by-row DTW double loop,
+which the batched wavefront must match bit for bit.
 """
 
 import numpy as np
@@ -41,6 +42,26 @@ def dtw_brute_force(a, b):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def dtw_loop(a, b):
+    """Textbook DTW double loop over the accumulated-cost table."""
+    a = np.atleast_2d(np.asarray(a, dtype=float).T).T
+    b = np.atleast_2d(np.asarray(b, dtype=float).T).T
+    # local cost c[i, j] = ||a_i - b_j||_2
+    diff = a[:, None, :] - b[None, :, :]
+    cost = np.sqrt((diff ** 2).sum(axis=2))
+    m, n = cost.shape
+    acc = np.empty_like(cost)
+    acc[0, 0] = cost[0, 0]
+    acc[0, 1:] = cost[0, 1:].cumsum() + acc[0, 0]
+    acc[1:, 0] = cost[1:, 0].cumsum() + acc[0, 0]
+    for i in range(1, m):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, n):
+            row[j] = cost[i, j] + min(prev[j], prev[j - 1], row[j - 1])
+    return float(acc[m - 1, n - 1])
 
 
 def silhouette_brute_force(data, labels):

@@ -1,17 +1,20 @@
 """CLI pipeline: commands, file formats, determinism, and exit codes."""
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trafgen import cli, preprocess, procedures
 from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
 from trafgen.ingest import enu_to_wgs84
 
 import corpus
+from oracles import dtw_loop
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +226,132 @@ def test_ingest_threaded_matches_single_threaded(tmp_path):
     for name in ("rv_dataset.csv", "fa_dataset.csv", "rv_dataset.meta.json",
                  "ingest_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+INGEST_OUTPUTS = ("rv_dataset.csv", "fa_dataset.csv", "rv_dataset.meta.json",
+                  "fa_dataset.meta.json", "ingest_report.json")
+
+
+def loop_assign_procedures(points, procs):
+    """Per-pair assignment with the textbook DTW loop."""
+    return np.array([
+        int(np.argmin([dtw_loop(p[:, :2], q.points[:, :2]) for q in procs]))
+        for p in points])
+
+
+def test_paper_dimension_ingest_matches_per_pair_loop(tmp_path, monkeypatch):
+    dims = {"t_v": 350, "t_f": 150, "n_overlap": 10}
+    config_path = corpus.write_corpus(tmp_path, n_flights=6, seed=4, **dims)
+    batched, looped = tmp_path / "batched", tmp_path / "looped"
+    assert run(["--config", str(config_path), "--out", str(batched),
+                "ingest"]) == EXIT_OK
+    monkeypatch.setattr(preprocess, "assign_procedures", loop_assign_procedures)
+    assert run(["--config", str(config_path), "--out", str(looped),
+                "ingest"]) == EXIT_OK
+    for name in INGEST_OUTPUTS:
+        assert (batched / name).read_bytes() == (looped / name).read_bytes(), name
+    rv, meta = read_deviation_dataset(batched / "rv_dataset.csv")
+    assert rv.shape == (6, 3 * 350 + 2)
+    flown = [t.procedure_used for t in corpus.generate_actual(6, 4, **dims)]
+    assert [row["procedure"] for row in meta["rows"]] == flown
+
+
+def write_enu_flight(lines, flight_id, t0, enu):
+    lat, lon, alt = enu_to_wgs84(np.asarray(enu, dtype=float), corpus.AIRSPACE)
+    for k, (la, lo, af) in enumerate(zip(lat, lon, alt)):
+        lines.append(f"{flight_id},{t0 + 20.0 * k!r},{float(la)!r},"
+                     f"{float(lo)!r},{float(af)!r}")
+
+
+def straight_track(start, end, n=30):
+    return np.linspace(start, end, n)
+
+
+def test_ingest_exclusions_keep_flight_order(tmp_path):
+    config_path = corpus.write_corpus(tmp_path, n_flights=3, seed=0)
+    tracks = tmp_path / "tracks.csv"
+    lines = tracks.read_text(encoding="utf-8").splitlines()
+    # flies only the final approach: no radar-vector part
+    write_enu_flight(lines, "Z1", 9000.0, straight_track(
+        [8000.0, 8000.0, 450.0], [0.0, 0.0, 3.0]))
+    write_enu_flight(lines, "Z2", 9500.0, straight_track(
+        [-40000.0, 0.0, 3000.0], [40000.0, 0.0, 3000.0]))
+    # lands 1.9 NM southeast of the field, never on the approach path
+    write_enu_flight(lines, "Z3", 10000.0, straight_track(
+        [-30000.0, -20000.0, 2000.0], [2500.0, -2500.0, 3.0]))
+    write_enu_flight(lines, "Z4", 10500.0, straight_track(
+        [40000.0, 0.0, 3000.0], [-40000.0, 0.0, 3000.0]))
+    tracks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+    flights = [e["flight"] for e in report["exclusions"]]
+    reasons = [e["reason"] for e in report["exclusions"]]
+    assert flights == ["Z2", "Z4", "Z3", "Z1"]
+    assert reasons[:2] == ["classified as overflight"] * 2
+    assert "never joins the final approach" in reasons[2]
+    assert reasons[3] == "radar-vector segment too short"
+    assert report["arrivals_retained"] == 4 and report["rv_rows"] == 3
+    assert report["fa_rows"] == 4
+
+
+def test_ingest_converts_each_flight_to_enu_once(tmp_path, monkeypatch):
+    from trafgen import ingest
+    config_path = corpus.write_corpus(tmp_path, n_flights=8, seed=2)
+    calls = []
+    original = ingest.flight_to_enu
+
+    def counting(flight, config, *args, **kwargs):
+        calls.append(flight.id)
+        return original(flight, config, *args, **kwargs)
+
+    for module in (ingest, cli, procedures):
+        monkeypatch.setattr(module, "flight_to_enu", counting)
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+    assert sorted(calls) == [f"AC{i:05d}" for i in range(8)]
+
+
+def test_parse_errors_are_logged_once_and_reported_in_full(tmp_path, caplog):
+    config_path = corpus.write_corpus(tmp_path, n_flights=3, seed=0)
+    tracks = tmp_path / "tracks.csv"
+    with tracks.open("a", encoding="utf-8") as handle:
+        for i in range(7):
+            handle.write(f"BAD{i},{i}.0,95.0,-73.7,1000\n")
+    with caplog.at_level(logging.WARNING, logger="trafgen.cli"):
+        assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+    errors = report["parse_errors"]
+    assert len(errors) == 7 and all("lat 95.0" in e for e in errors)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "7 records rejected" in message
+    assert all(e in message for e in errors[:5])
+    assert not any(e in message for e in errors[5:])
+
+
+def test_failed_writes_leave_the_previous_file_intact(tmp_path):
+    path = tmp_path / "trajectories.csv"
+    cli._write_trajectory_csv(path, [(0, [0.0, 1.0], [(1.0, 2.0, 3.0)] * 2)])
+    good = path.read_bytes()
+    # the second trajectory has 2-D points: the write fails after one row
+    with pytest.raises(ValueError):
+        cli._write_trajectory_csv(path, [(0, [0.0], [(4.0, 5.0, 6.0)]),
+                                         (1, [0.0], [(7.0, 8.0)])])
+    assert path.read_bytes() == good
+
+    data_path = tmp_path / "rv_dataset.csv"
+    cli.write_deviation_dataset(data_path, np.ones((2, 5)), "radar_vector", 1,
+                                [{"flight_id": "a"}, {"flight_id": "b"}])
+    data, meta = data_path.read_bytes(), data_path.with_suffix(".meta.json").read_bytes()
+    ragged = np.array([[1.0] * 5, [2.0, 2.0, "x", 2.0, 2.0]], dtype=object)
+    with pytest.raises((TypeError, ValueError)):
+        cli.write_deviation_dataset(data_path, ragged, "radar_vector", 1, [])
+    with pytest.raises(TypeError):
+        cli._write_json(data_path.with_suffix(".meta.json"), {"rows": object()})
+    assert data_path.read_bytes() == data
+    assert data_path.with_suffix(".meta.json").read_bytes() == meta
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rv_dataset.csv", "rv_dataset.meta.json", "trajectories.csv"]
 
 
 def test_evaluate_scene_file_has_closest_distance(pipeline):

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafgen import preprocess
 from trafgen.errors import SegmentationError
-from trafgen.preprocess import (DeviationVector, build_deviation_vector,
-                                dtw_distance, assign_procedure, path_length,
+from trafgen.preprocess import (DeviationVector, assign_procedure,
+                                assign_procedures, build_deviation_vector,
+                                dtw_distance, dtw_distances, path_length,
                                 pchip_resample, point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
 from conftest import make_proc_traj
-from oracles import dtw_brute_force
+from oracles import dtw_brute_force, dtw_loop
 
 
 def test_dtw_identical_sequences_is_zero():
@@ -54,6 +56,68 @@ def test_dtw_symmetry_and_nonnegativity(a, b):
     assert dtw_distance(a, a) == 0.0
 
 
+def random_walks(rng, count, length, dim=2):
+    return rng.normal(scale=100.0, size=(count, length, dim)).cumsum(axis=1)
+
+
+def loop_table(a, b):
+    return np.array([[dtw_loop(x, y) for y in b] for x in a])
+
+
+@pytest.mark.parametrize("n_flights, n_procs, m, n, dim", [
+    (7, 3, 40, 40, 2),    # the acceptance corpus's T_v
+    (3, 1, 350, 350, 2),  # the paper's T_v
+    (4, 3, 40, 23, 2),    # m != n
+    (3, 2, 17, 350, 2),
+    (5, 1, 1, 9, 2),      # single-sample sequences
+    (5, 2, 9, 1, 3),
+    (4, 3, 12, 15, 3),
+    (4, 2, 11, 8, 1),
+])
+def test_dtw_distances_equal_the_loop_bitwise(n_flights, n_procs, m, n, dim):
+    rng = np.random.default_rng(m * 1000 + n)
+    a = random_walks(rng, n_flights, m, dim)
+    b = random_walks(rng, n_procs, n, dim)
+    table = dtw_distances(a, b)
+    assert table.shape == (n_flights, n_procs)
+    assert np.array_equal(table, loop_table(a, b))
+
+
+def test_dtw_distances_chunks_flights_under_the_byte_budget(monkeypatch):
+    chunks = []
+    wavefront = preprocess._dtw_wavefront
+
+    def recording(a, b, b_reversed):
+        chunks.append(a.shape[0])
+        return wavefront(a, b, b_reversed)
+
+    monkeypatch.setattr(preprocess, "_dtw_wavefront", recording)
+    monkeypatch.setattr(preprocess, "DTW_CHUNK_BYTES", 40_000)
+    rng = np.random.default_rng(5)
+    a = random_walks(rng, 7, 40)
+    b = random_walks(rng, 3, 40)
+    table = dtw_distances(a, b)
+    # several chunks, the last one partial
+    assert len(chunks) > 1 and sum(chunks) == 7 and chunks[-1] < chunks[0]
+    assert np.array_equal(table, loop_table(a, b))
+
+
+def test_dtw_distance_wraps_the_batched_kernel():
+    rng = np.random.default_rng(8)
+    a, b = random_walks(rng, 2, 30)
+    assert dtw_distance(a, b) == dtw_distances(a[None], b[None])[0, 0]
+    assert dtw_distance(a, b) == dtw_loop(a, b)
+
+
+def test_dtw_distances_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        dtw_distances(np.zeros((2, 5)), np.zeros((1, 5, 2)))
+    with pytest.raises(ValueError):
+        dtw_distances(np.zeros((2, 5, 2)), np.zeros((1, 5, 3)))
+    with pytest.raises(ValueError):
+        dtw_distances(np.zeros((2, 0, 2)), np.zeros((1, 5, 2)))
+
+
 # ---------------------------------------------------------------------------
 # assign_procedure
 
@@ -82,6 +146,32 @@ def test_assign_matches_full_distance_table():
     traj = straight_proc(2000.0).points + rng.normal(scale=50.0, size=(20, 3))
     table = [dtw_distance(traj[:, :2], p.points[:, :2]) for p in procs]
     assert assign_procedure(traj, procs) == int(np.argmin(table))
+
+
+def test_assign_procedures_breaks_exact_ties_toward_lowest_index():
+    # a trajectory on y = 0 is exactly as far from y = +1000 as from -1000
+    procs = [straight_proc(1000.0, "N"), straight_proc(-1000.0, "S"),
+             straight_proc(1000.0, "N2")]
+    on_axis = straight_proc(0.0).points
+    row = dtw_distances(on_axis[None, :, :2],
+                        np.stack([p.points[:, :2] for p in procs]))[0]
+    assert row[0] == row[1] == row[2]
+    south = straight_proc(-1500.0).points
+    north = straight_proc(1500.0).points
+    batch = np.stack([on_axis, south, north, on_axis])
+    assert assign_procedures(batch, procs).tolist() == [0, 1, 0, 0]
+    assert assign_procedures(batch, procs[1:]).tolist() == [0, 0, 1, 0]
+    assert assign_procedure(on_axis, procs) == 0
+
+
+def test_assign_procedures_matches_per_pair_loop():
+    rng = np.random.default_rng(12)
+    procs = [straight_proc(0.0), straight_proc(3000.0), straight_proc(6000.0)]
+    batch = np.stack([straight_proc(y).points + rng.normal(scale=400.0, size=(20, 3))
+                      for y in (1400.0, 1600.0, 4400.0, 4600.0, -900.0)])
+    expected = [int(np.argmin([dtw_loop(t[:, :2], p.points[:, :2]) for p in procs]))
+                for t in batch]
+    assert assign_procedures(batch, procs).tolist() == expected
 
 
 # ---------------------------------------------------------------------------

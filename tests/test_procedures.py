@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trafgen.errors import DataError
-from trafgen.ingest import enu_to_wgs84, wgs84_to_enu
+from trafgen.ingest import enu_to_wgs84, flight_to_enu, wgs84_to_enu
 from trafgen.preprocess import path_length, pchip_resample, \
     point_to_polyline_distance
 from trafgen.procedures import (Procedure, ProcedureKind,
@@ -130,8 +130,9 @@ def test_exemplar_timing_matches_hand_average(airspace):
     for i, dur in enumerate(durations):
         x = np.linspace(-10000.0, 0.0, n)
         enu = np.column_stack([x, np.zeros(n), np.zeros(n)])
-        exemplars.append(enu_track_flight(airspace, f"ex{i}",
-                                          np.linspace(0.0, dur, n), enu))
+        flight = enu_track_flight(airspace, f"ex{i}",
+                                  np.linspace(0.0, dur, n), enu)
+        exemplars.append(flight_to_enu(flight, airspace))
     traj = build_procedural_trajectory(proc, 5, airspace, exemplars=exemplars)
     # constant-speed exemplars: mean timing is linear with the mean duration
     assert traj.times[-1] == pytest.approx(np.mean(durations), rel=1e-6)
@@ -144,7 +145,8 @@ def test_exemplars_outside_proximity_fall_back(airspace):
     x = np.linspace(-10000.0, 0.0, n)
     enu = np.column_stack([x, np.full(n, 5000.0), np.zeros(n)])  # 2.7 NM away
     far = enu_track_flight(airspace, "far", np.linspace(0.0, 300.0, n), enu)
-    traj = build_procedural_trajectory(proc, 5, airspace, exemplars=[far],
+    traj = build_procedural_trajectory(proc, 5, airspace,
+                                       exemplars=[flight_to_enu(far, airspace)],
                                        default_speed_kts=140.0)
     assert traj.times[-1] == pytest.approx(
         traj.total_distance / (140.0 * KT_TO_MPS))
