@@ -9,24 +9,22 @@ config and inputs. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import logging
-import os
 import sys
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, multi_model, preprocess, procedures, single_model
+from ._files import atomic_path
 from .errors import DataError, NumericalError, TrafgenError
 from .ingest import AirspaceConfig, FlightClass, classify_flight, flight_to_enu, \
     parse_keyvalue_file, parse_tracks
-from .mixture import (compress_model, em_fit, load_model,
-                      model_from_dict, model_to_dict, save_model, select_rank)
+from .mixture import (load_model, model_from_dict, model_to_dict, save_model,
+                      select_rank, substream)
 from .units import NM_TO_M
 
 logger = logging.getLogger(__name__)
@@ -55,12 +53,6 @@ class _UsageError(Exception):
     pass
 
 
-def substream(seed: int, name: str) -> np.random.Generator:
-    """Deterministic named RNG substream derived from the config seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 
@@ -80,7 +72,6 @@ class RunConfig:
     proximity_nm: float = 0.5
     default_speed_kts: float = 140.0
     seed: int = 0
-    threads: int = 1  # accepted for compatibility; every command is serial
     n_components_rv: int | None = None
     n_components_fa: int | None = None
     rank_rv: int | None = None
@@ -105,10 +96,7 @@ class RunConfig:
                 return default
             return [int(v) for v in raw.split(",") if v.strip()]
 
-        airspace_keys = {
-            "origin_lat", "origin_lon", "origin_alt_ft", "radius_nm",
-            "landing_ceiling_ft", "landing_radius_nm",
-        }
+        airspace_keys = {f.name for f in dataclass_fields(AirspaceConfig)}
         airspace_kwargs = {k: float(values.pop(k))
                            for k in list(values) if k in airspace_keys}
         if "origin_lat" not in airspace_kwargs or "origin_lon" not in airspace_kwargs:
@@ -130,7 +118,6 @@ class RunConfig:
             proximity_nm=take("proximity_nm", float, 0.5),
             default_speed_kts=take("default_speed_kts", float, 140.0),
             seed=take("seed", int, 0),
-            threads=take("threads", int, 1),
             n_components_rv=take("k_rv", int),
             n_components_fa=take("k_fa", int),
             rank_rv=take("rank_rv", int),
@@ -149,24 +136,9 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Shared file helpers
 
-@contextlib.contextmanager
-def _atomic_path(path: Path):
-    """Yield a temporary path beside ``path``; on success it replaces ``path``.
-
-    A write that fails midway leaves any previous ``path`` untouched.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_json(path: Path, doc: dict) -> None:
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    with _atomic_path(path) as tmp:
+    with atomic_path(path) as tmp:
         tmp.write_text(text, encoding="utf-8")
 
 
@@ -178,7 +150,7 @@ def _read_json(path: Path) -> dict:
 
 def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,
                             segment_length: int, rows: list[dict]) -> None:
-    with _atomic_path(path) as tmp:
+    with atomic_path(path) as tmp:
         np.savetxt(tmp, data, delimiter=",", fmt="%.17g")
     _write_json(path.with_suffix(".meta.json"), {
         "format": DEVIATION_FORMAT,
@@ -227,7 +199,7 @@ def _load_procedural_trajectories(config: RunConfig, *, exemplars=(),
 
 
 def _write_trajectory_csv(path: Path, rows: list[tuple]) -> None:
-    with _atomic_path(path) as tmp, \
+    with atomic_path(path) as tmp, \
             tmp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["traj_id", "t", "x", "y", "z"])
@@ -238,7 +210,7 @@ def _write_trajectory_csv(path: Path, rows: list[tuple]) -> None:
 
 
 def _write_scene_csv(path: Path, scenes: list) -> None:
-    with _atomic_path(path) as tmp, \
+    with atomic_path(path) as tmp, \
             tmp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scene_id", "aircraft_idx", "t", "x", "y", "z"])
@@ -462,24 +434,31 @@ def _chosen(config: RunConfig, segment: str) -> tuple[int, int]:
             explicit_rank if explicit_rank is not None else int(entry["rank"]))
 
 
+def _model_config(config: RunConfig) -> single_model.SingleModelConfig:
+    return single_model.SingleModelConfig(
+        segment_length_rv=config.segment_length_rv,
+        segment_length_fa=config.segment_length_fa,
+        n_overlap=config.n_overlap)
+
+
 def cmd_train(config: RunConfig) -> int:
     """Fit the per-segment mixtures and write model files plus training logs."""
-    log = {}
-    for segment, filename, model_name in (
-            ("radar_vector", "rv_dataset.csv", "model_rv.json"),
-            ("final_approach", "fa_dataset.csv", "model_fa.json")):
-        data, _ = read_deviation_dataset(config.out_dir / filename)
-        n_components, rank = _chosen(config, segment)
-        seed = int(substream(config.seed, f"train-{segment}").integers(2 ** 31))
-        fit = em_fit(data, n_components, seed=seed, segment_kind=segment)
-        model = compress_model(fit.model, rank)
-        save_model(model, config.out_dir / model_name)
-        log[segment] = {
-            "n_components": n_components,
-            "rank": rank,
-            "log_likelihoods": fit.log_likelihoods,
-        }
-    _write_json(config.out_dir / "train_log.json", log)
+    rv_data, _ = read_deviation_dataset(config.out_dir / "rv_dataset.csv")
+    fa_data, _ = read_deviation_dataset(config.out_dir / "fa_dataset.csv")
+    k_rv, rank_rv = _chosen(config, "radar_vector")
+    k_fa, rank_fa = _chosen(config, "final_approach")
+    model, report = single_model.train(
+        rv_data, fa_data, _model_config(config), n_components_rv=k_rv,
+        n_components_fa=k_fa, rank_rv=rank_rv, rank_fa=rank_fa,
+        seed=config.seed)
+    save_model(model.radar_vector_model, config.out_dir / "model_rv.json")
+    save_model(model.final_approach_model, config.out_dir / "model_fa.json")
+    _write_json(config.out_dir / "train_log.json", {
+        "radar_vector": {"n_components": k_rv, "rank": rank_rv,
+                         "log_likelihoods": report.log_likelihoods_rv},
+        "final_approach": {"n_components": k_fa, "rank": rank_fa,
+                           "log_likelihoods": report.log_likelihoods_fa},
+    })
     return EXIT_OK
 
 
@@ -525,10 +504,7 @@ def cmd_generate(config: RunConfig, count: int) -> int:
     fa_model = load_model(config.out_dir / "model_fa.json")
     model = single_model.SingleTrajectoryModel(
         radar_vector_model=rv_model, final_approach_model=fa_model,
-        config=single_model.SingleModelConfig(
-            segment_length_rv=config.segment_length_rv,
-            segment_length_fa=config.segment_length_fa,
-            n_overlap=config.n_overlap))
+        config=_model_config(config))
     rv_trajs, freqs, iap_traj = _load_procedural_trajectories(config)
     test_procs = single_model.ProcedureSet(
         radar_vectors=rv_trajs, frequencies=freqs, iap=iap_traj)
@@ -631,13 +607,13 @@ def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None,
     """Extract nominal radar-vector paths and write the curated subset."""
     flights, parse_errors = parse_tracks(config.tracks)
     _log_parse_errors(parse_errors)
-    arrivals = [flight for flight, _ in
-                _classify_arrivals(flights, config.airspace)[0]]
-    if len(arrivals) < k:
-        raise DataError(f"only {len(arrivals)} arrivals for k={k} nominal paths")
+    tracks = [track for _, track in
+              _classify_arrivals(flights, config.airspace)[0]]
+    if len(tracks) < k:
+        raise DataError(f"only {len(tracks)} arrivals for k={k} nominal paths")
     rng = substream(config.seed, "review-paths")
     paths = procedures.extract_nominal_paths(
-        arrivals, k, config.airspace, samples=samples, rng=rng)
+        tracks, k, config.airspace, samples=samples, rng=rng)
     if keep is not None:
         missing = [i for i in keep if not 0 <= i < len(paths)]
         if missing:
@@ -654,8 +630,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="trafgen", description=__doc__)
     parser.add_argument("--config", required=True, help="run config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest")
@@ -689,8 +663,6 @@ def run(argv: list[str] | None = None) -> int:
         config = RunConfig.from_file(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        if args.threads is not None:
-            config.threads = args.threads
         if args.out is not None:
             config.out_dir = Path(args.out)
         config.out_dir.mkdir(parents=True, exist_ok=True)

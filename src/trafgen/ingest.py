@@ -45,8 +45,6 @@ class TrackPoint:
 class Flight:
     id: str
     points: list[TrackPoint]
-    kind: FlightClass | None = None
-    runway: str | None = None
 
     def times(self) -> np.ndarray:
         return np.array([p.time for p in self.points], dtype=float)
@@ -68,19 +66,6 @@ class AirspaceConfig:
     @property
     def radius_m(self) -> float:
         return self.radius_nm * NM_TO_M
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "AirspaceConfig":
-        """Read a ``key = value`` config file ('#' starts a comment)."""
-        values = parse_keyvalue_file(path)
-        known = {
-            "origin_lat", "origin_lon", "origin_alt_ft", "radius_nm",
-            "landing_ceiling_ft", "landing_radius_nm",
-        }
-        kwargs = {k: float(v) for k, v in values.items() if k in known}
-        if "origin_lat" not in kwargs or "origin_lon" not in kwargs:
-            raise DataError(f"{path}: origin_lat and origin_lon are required")
-        return cls(**kwargs)
 
 
 def parse_keyvalue_file(path: str | Path) -> dict[str, str]:

@@ -8,6 +8,7 @@ itself runs full covariance; compression is applied afterwards.
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +18,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from ._cluster import kmeans
+from ._files import atomic_path
 from .errors import DataError, NumericalError
 
 MODEL_FORMAT = "trafgen-mixture/1"
@@ -147,10 +149,6 @@ class EMFit:
     responsibilities: np.ndarray  # (m, K)
     labels: np.ndarray            # (m,) argmax responsibility
     log_likelihoods: list[float]  # one entry per EM iteration
-
-    @property
-    def converged(self) -> bool:
-        return len(self.log_likelihoods) >= 2
 
 
 def em_fit(data: np.ndarray, n_components: int, *,
@@ -471,6 +469,12 @@ def condition(model: MixtureModel, observed_idx: Sequence[int],
     return ConditionalMixture(model, observed_idx)(observed_vals)
 
 
+def substream(seed: int, name: str) -> np.random.Generator:
+    """Deterministic named RNG substream derived from a run seed."""
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
+
+
 def sample(model: MixtureModel, rng: int | np.random.Generator | None = None,
            ) -> tuple[np.ndarray, int]:
     """Draw one vector from the mixture; returns (sample, component index)."""
@@ -535,8 +539,9 @@ def model_from_dict(doc: dict) -> MixtureModel:
 
 
 def save_model(model: MixtureModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
+    text = json.dumps(model_to_dict(model), sort_keys=True)
+    with atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def load_model(path: str | Path) -> MixtureModel:

@@ -165,15 +165,6 @@ def assign_procedures(points: np.ndarray,
     return np.argmin(dtw_distances(xy, procs_xy), axis=1)
 
 
-def assign_procedure(points: np.ndarray,
-                     procedures: Sequence["ProceduralTrajectory"]) -> int:
-    """Index of the procedure with the smallest horizontal DTW distance.
-
-    Ties break toward the lowest index.
-    """
-    return int(assign_procedures(np.asarray(points)[None], procedures)[0])
-
-
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
     """Distance from each point to a polyline (both 2-D), vectorized."""
     points = np.asarray(points, dtype=float)[:, :2]

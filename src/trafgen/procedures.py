@@ -16,8 +16,9 @@ import numpy as np
 import yaml
 
 from ._cluster import kmeans
+from ._files import atomic_path
 from .errors import DataError
-from .ingest import AirspaceConfig, Flight, enu_to_wgs84, flight_to_enu, wgs84_to_enu
+from .ingest import AirspaceConfig, enu_to_wgs84, wgs84_to_enu
 from .preprocess import path_length, pchip_resample
 from .units import KT_TO_MPS, NM_TO_M
 
@@ -119,16 +120,15 @@ def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
                 for wp in proc.waypoints
             ],
         })
-    Path(path).write_text(
-        yaml.safe_dump_all(docs, sort_keys=True, default_flow_style=None),
-        encoding="utf-8",
-    )
+    text = yaml.safe_dump_all(docs, sort_keys=True, default_flow_style=None)
+    with atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Nominal radar-vector paths from data
 
-def extract_nominal_paths(flights: Sequence[Flight], k: int,
+def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
                           config: AirspaceConfig, *,
                           samples: int = 100,
                           waypoint_count: int = 25,
@@ -137,23 +137,23 @@ def extract_nominal_paths(flights: Sequence[Flight], k: int,
                           ) -> list[Procedure]:
     """Cluster arrival tracks into ``k`` nominal radar-vector paths.
 
-    Flights are resampled to a common length and clustered with k-means
+    Tracks are ENU ``(times, xyz)`` pairs as :func:`flight_to_enu` returns
+    them. They are resampled to a common length and clustered with k-means
     (k-means++ seeding, best of ``restarts``) on flattened horizontal
     positions. Cluster means become waypoint lists; frequency is the cluster
     membership fraction. The caller curates which paths to keep.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(flights) < k:
-        raise ValueError(f"need at least k={k} flights, got {len(flights)}")
+    if len(tracks) < k:
+        raise ValueError(f"need at least k={k} tracks, got {len(tracks)}")
     rng = np.random.default_rng(rng)
 
     rows = []
     durations = []
-    for flight in flights:
-        times, xyz = flight_to_enu(flight, config)
+    for i, (times, xyz) in enumerate(tracks):
         if len(times) < 2:
-            raise DataError(f"flight {flight.id!r} has no usable airspace track")
+            raise DataError(f"track {i} has no usable airspace points")
         _, resampled = pchip_resample(times, xyz[:, :2], samples)
         rows.append(resampled.ravel())
         durations.append(times[-1] - times[0])

@@ -14,9 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError
-from .metrics import silhouette_score
 from .mixture import (ConditionalMixture, MixtureModel, compress_model, em_fit,
-                      sample)
+                      sample, substream)
 from .preprocess import DeviationVector, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
@@ -89,8 +88,6 @@ class SyntheticTrajectory:
 class TrainingReport:
     log_likelihoods_rv: list[float]
     log_likelihoods_fa: list[float]
-    silhouette_rv: float | None
-    silhouette_fa: float | None
 
 
 @dataclass
@@ -114,35 +111,35 @@ class ProcedureSet:
 
 def train(rv_data: np.ndarray, fa_data: np.ndarray, config: SingleModelConfig, *,
           n_components_rv: int, n_components_fa: int,
-          rank_rv: int, rank_fa: int,
-          seed: int = 0, max_iter: int = 200, tol: float = 1e-6,
+          rank_rv: int, rank_fa: int, seed: int = 0,
           ) -> tuple[SingleTrajectoryModel, TrainingReport]:
-    """Fit and compress one mixture per segment from deviation datasets."""
+    """Fit and compress one mixture per segment from deviation datasets.
+
+    Each segment's EM run is seeded from the substream ``train-<segment>``
+    of ``seed``, so the two fits draw independent initialisations.
+    """
     rv_data = np.asarray(rv_data, dtype=float)
     fa_data = np.asarray(fa_data, dtype=float)
     if rv_data.shape[1] != 3 * config.segment_length_rv + 2:
         raise ValueError("radar-vector dataset width is not 3*T_v+2")
     if fa_data.shape[1] != 3 * config.segment_length_fa + 2:
         raise ValueError("final-approach dataset width is not 3*T_f+2")
+    rv_model, lls_rv = _fit_segment(rv_data, "radar_vector", n_components_rv,
+                                    rank_rv, seed)
+    fa_model, lls_fa = _fit_segment(fa_data, "final_approach", n_components_fa,
+                                    rank_fa, seed)
+    model = SingleTrajectoryModel(radar_vector_model=rv_model,
+                                  final_approach_model=fa_model, config=config)
+    return model, TrainingReport(log_likelihoods_rv=lls_rv,
+                                 log_likelihoods_fa=lls_fa)
 
-    fit_rv = em_fit(rv_data, n_components_rv, seed=seed, max_iter=max_iter,
-                    tol=tol, segment_kind="radar_vector")
-    fit_fa = em_fit(fa_data, n_components_fa, seed=seed, max_iter=max_iter,
-                    tol=tol, segment_kind="final_approach")
-    model = SingleTrajectoryModel(
-        radar_vector_model=compress_model(fit_rv.model, rank_rv),
-        final_approach_model=compress_model(fit_fa.model, rank_fa),
-        config=config,
-    )
-    report = TrainingReport(
-        log_likelihoods_rv=fit_rv.log_likelihoods,
-        log_likelihoods_fa=fit_fa.log_likelihoods,
-        silhouette_rv=(silhouette_score(rv_data, fit_rv.labels)
-                       if n_components_rv >= 2 else None),
-        silhouette_fa=(silhouette_score(fa_data, fit_fa.labels)
-                       if n_components_fa >= 2 else None),
-    )
-    return model, report
+
+def _fit_segment(data: np.ndarray, segment: str, n_components: int, rank: int,
+                 seed: int) -> tuple[MixtureModel, list[float]]:
+    """EM fit compressed to ``rank``, and the EM log-likelihood history."""
+    segment_seed = int(substream(seed, f"train-{segment}").integers(2 ** 31))
+    fit = em_fit(data, n_components, seed=segment_seed, segment_kind=segment)
+    return compress_model(fit.model, rank), fit.log_likelihoods
 
 
 def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,

@@ -12,6 +12,7 @@ from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
 from trafgen.ingest import enu_to_wgs84
+from trafgen.mixture import save_model
 
 import corpus
 from oracles import dtw_loop
@@ -110,6 +111,26 @@ def test_train_rerun_identical_models(pipeline):
     before = read_bytes(out / "model_rv.json")
     assert run(["--config", str(config_path), "train"]) == EXIT_OK
     assert read_bytes(out / "model_rv.json") == before
+
+
+def test_train_rejects_dataset_of_another_length(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0,
+                                      explicit_choice=True)
+    out = tmp_path / "out"
+    rng = np.random.default_rng(0)
+    rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
+             "arrival_time": 100.0 * i} for i in range(20)]
+    # T_v one sample short of the config's t_v; T_f as configured
+    cli.write_deviation_dataset(out / "rv_dataset.csv",
+                                rng.normal(size=(20, 3 * (corpus.T_V - 1) + 2)),
+                                "radar_vector", corpus.T_V - 1, rows)
+    cli.write_deviation_dataset(out / "fa_dataset.csv",
+                                rng.normal(size=(20, 3 * corpus.T_F + 2)),
+                                "final_approach", corpus.T_F, rows)
+    assert run(["--config", str(config_path), "train"]) == EXIT_DATA
+    assert "3*T_v+2" in capsys.readouterr().err
+    for name in ("model_rv.json", "model_fa.json", "train_log.json"):
+        assert not (out / name).exists(), name
 
 
 def test_generated_trajectories_file(pipeline):
@@ -216,18 +237,6 @@ def test_evaluate_disjoint_supports_near_one(tmp_path, pipeline):
     assert report["variables"]["x_east"]["js_divergence"] > 0.99
 
 
-def test_ingest_threaded_matches_single_threaded(tmp_path):
-    config_path = corpus.write_corpus(tmp_path, n_flights=30, seed=3)
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert run(["--config", str(config_path), "--out", str(out1),
-                "ingest"]) == EXIT_OK
-    assert run(["--config", str(config_path), "--out", str(out2),
-                "--threads", "4", "ingest"]) == EXIT_OK
-    for name in ("rv_dataset.csv", "fa_dataset.csv", "rv_dataset.meta.json",
-                 "ingest_report.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-
 INGEST_OUTPUTS = ("rv_dataset.csv", "fa_dataset.csv", "rv_dataset.meta.json",
                   "fa_dataset.meta.json", "ingest_report.json")
 
@@ -254,6 +263,34 @@ def test_paper_dimension_ingest_matches_per_pair_loop(tmp_path, monkeypatch):
     assert rv.shape == (6, 3 * 350 + 2)
     flown = [t.procedure_used for t in corpus.generate_actual(6, 4, **dims)]
     assert [row["procedure"] for row in meta["rows"]] == flown
+
+
+@pytest.mark.parametrize("n_overlap", [
+    1,
+    pytest.param(10, marks=pytest.mark.xfail(strict=True, reason=(
+        "generate conditions the final approach on the last n_overlap "
+        "radar-vector samples, but ingest's segments share only their join "
+        "sample: the observed overlap lies outside the trained "
+        "distribution, every retry draws a negative transit time, exit 3"))),
+])
+def test_paper_dimension_pipeline_runs_through_evaluate(tmp_path, n_overlap):
+    dims = {"t_v": 350, "t_f": 150, "n_overlap": n_overlap}
+    # fixed k_* and rank_* in the config: train runs without select
+    config_path = corpus.write_corpus(tmp_path, n_flights=24, seed=0,
+                                      explicit_choice=True, **dims)
+    actual = tmp_path / "actual.csv"
+    cli._write_trajectory_csv(actual, [
+        (i, traj.times, traj.points)
+        for i, traj in enumerate(corpus.generate_actual(10, 1, **dims))])
+    out = tmp_path / "out"
+    for args in (["ingest"], ["train"], ["generate", "--count", "10"],
+                 ["evaluate", "--actual", str(actual),
+                  "--synthetic", str(out / "trajectories.csv")]):
+        assert run(["--config", str(config_path), *args]) == EXIT_OK, args
+    report = json.loads((out / "metrics_report.json").read_text())
+    js = [entry["js_divergence"] for entry in report["variables"].values()
+          if entry is not None]
+    assert len(js) == 3 and np.all(np.isfinite(js))
 
 
 def write_enu_flight(lines, flight_id, t0, enu):
@@ -304,7 +341,7 @@ def test_ingest_converts_each_flight_to_enu_once(tmp_path, monkeypatch):
         calls.append(flight.id)
         return original(flight, config, *args, **kwargs)
 
-    for module in (ingest, cli, procedures):
+    for module in (ingest, cli):
         monkeypatch.setattr(module, "flight_to_enu", counting)
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
     assert sorted(calls) == [f"AC{i:05d}" for i in range(8)]
@@ -329,7 +366,7 @@ def test_parse_errors_are_logged_once_and_reported_in_full(tmp_path, caplog):
     assert not any(e in message for e in errors[5:])
 
 
-def test_failed_writes_leave_the_previous_file_intact(tmp_path):
+def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "trajectories.csv"
     cli._write_trajectory_csv(path, [(0, [0.0, 1.0], [(1.0, 2.0, 3.0)] * 2)])
     good = path.read_bytes()
@@ -350,8 +387,33 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path):
         cli._write_json(data_path.with_suffix(".meta.json"), {"rows": object()})
     assert data_path.read_bytes() == data
     assert data_path.with_suffix(".meta.json").read_bytes() == meta
+
+    # model and procedure files are serialised first, then written in one
+    # call: an interrupted write (a full disk) must not truncate the old file
+    model_path = tmp_path / "model_rv.json"
+    save_model(corpus.ground_truth_model().radar_vector_model, model_path)
+    procedure_path = tmp_path / "nominal_paths.yaml"
+    procedures.save_procedures(corpus.gt_procedures(), procedure_path)
+    saved = {p: p.read_bytes() for p in (model_path, procedure_path)}
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as handle:
+            handle.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_model(corpus.ground_truth_model().final_approach_model,
+                       model_path)
+        with pytest.raises(OSError):
+            procedures.save_procedures(corpus.gt_procedures()[:1],
+                                       procedure_path)
+    for target, blob in saved.items():
+        assert target.read_bytes() == blob, target.name
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "rv_dataset.csv", "rv_dataset.meta.json", "trajectories.csv"]
+        "model_rv.json", "nominal_paths.yaml", "rv_dataset.csv",
+        "rv_dataset.meta.json", "trajectories.csv"]
 
 
 def test_evaluate_scene_file_has_closest_distance(pipeline):
@@ -475,6 +537,17 @@ def test_run_config_rejects_unknown_keys(tmp_path):
                     encoding="utf-8")
     with pytest.raises(Exception):
         RunConfig.from_file(path)
+
+
+def test_threads_is_neither_a_config_key_nor_a_flag(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    assert run(["--config", str(config_path), "--threads", "2",
+                "ingest"]) == EXIT_USAGE
+    with config_path.open("a", encoding="utf-8") as handle:
+        handle.write("threads = 2\n")
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_DATA
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_substreams_are_stable_and_distinct():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafgen.cli import RunConfig
 from trafgen.errors import ClassificationError, DataError
 from trafgen.ingest import (AirspaceConfig, FlightClass, classify_flight,
                             enu_to_wgs84, flight_to_enu, parse_tracks,
@@ -290,7 +291,7 @@ def test_too_few_points_inside_airspace(airspace):
 
 
 def test_airspace_config_file_round_trip(tmp_path):
-    path = tmp_path / "airspace.cfg"
+    path = tmp_path / "run.cfg"
     path.write_text(
         "# airport reference\n"
         "origin_lat = 40.6413\n"
@@ -299,8 +300,9 @@ def test_airspace_config_file_round_trip(tmp_path):
         "radius_nm = 25\n"
         "landing_ceiling_ft = 500\n",
         encoding="utf-8")
-    config = AirspaceConfig.from_file(path)
+    config = RunConfig.from_file(path).airspace
     assert config.origin_lat == 40.6413
+    assert config.origin_alt_ft == 13.0
     assert config.radius_nm == 25.0
     assert config.landing_ceiling_ft == 500.0
 
@@ -309,7 +311,7 @@ def test_airspace_config_requires_origin(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("radius_nm = 25\n", encoding="utf-8")
     with pytest.raises(DataError):
-        AirspaceConfig.from_file(path)
+        RunConfig.from_file(path)
 
 
 def test_airspace_config_rejects_nonpositive_radius():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from trafgen import preprocess
 from trafgen.errors import SegmentationError
-from trafgen.preprocess import (DeviationVector, assign_procedure,
-                                assign_procedures, build_deviation_vector,
-                                dtw_distance, dtw_distances, path_length,
-                                pchip_resample, point_to_polyline_distance,
+from trafgen.preprocess import (DeviationVector, assign_procedures,
+                                build_deviation_vector, dtw_distance,
+                                dtw_distances, path_length, pchip_resample,
+                                point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
 from conftest import make_proc_traj
@@ -119,7 +119,7 @@ def test_dtw_distances_rejects_bad_shapes():
 
 
 # ---------------------------------------------------------------------------
-# assign_procedure
+# assign_procedures
 
 def straight_proc(offset_y, name="P", n=20):
     x = np.linspace(0.0, 10000.0, n)
@@ -130,14 +130,14 @@ def straight_proc(offset_y, name="P", n=20):
 def test_assign_exact_match_selects_that_procedure():
     procs = [straight_proc(0.0, "P0"), straight_proc(4000.0, "P1"),
              straight_proc(8000.0, "P2")]
-    assert assign_procedure(procs[2].points, procs) == 2
+    assert assign_procedures(procs[2].points[None], procs)[0] == 2
     assert dtw_distance(procs[2].points[:, :2], procs[2].points[:, :2]) == 0.0
 
 
 def test_assign_single_candidate_defaults_to_zero():
     procs = [straight_proc(0.0)]
     traj = straight_proc(90000.0).points
-    assert assign_procedure(traj, procs) == 0
+    assert assign_procedures(traj[None], procs)[0] == 0
 
 
 def test_assign_matches_full_distance_table():
@@ -145,7 +145,7 @@ def test_assign_matches_full_distance_table():
     procs = [straight_proc(0.0), straight_proc(3000.0), straight_proc(6_000.0)]
     traj = straight_proc(2000.0).points + rng.normal(scale=50.0, size=(20, 3))
     table = [dtw_distance(traj[:, :2], p.points[:, :2]) for p in procs]
-    assert assign_procedure(traj, procs) == int(np.argmin(table))
+    assert assign_procedures(traj[None], procs)[0] == int(np.argmin(table))
 
 
 def test_assign_procedures_breaks_exact_ties_toward_lowest_index():
@@ -161,7 +161,7 @@ def test_assign_procedures_breaks_exact_ties_toward_lowest_index():
     batch = np.stack([on_axis, south, north, on_axis])
     assert assign_procedures(batch, procs).tolist() == [0, 1, 0, 0]
     assert assign_procedures(batch, procs[1:]).tolist() == [0, 0, 1, 0]
-    assert assign_procedure(on_axis, procs) == 0
+    assert assign_procedures(on_axis[None], procs)[0] == 0
 
 
 def test_assign_procedures_matches_per_pair_loop():

@@ -21,35 +21,33 @@ def enu_track_flight(airspace, flight_id, times, enu_points):
     return make_flight(flight_id, times, lat, lon, alt)
 
 
-def bundle_flight(airspace, flight_id, y_offset, duration, n=40, noise=0.0, seed=0):
+def bundle_track(airspace, y_offset, duration, n=40, noise=0.0, seed=0):
+    """ENU track, via a recorded flight, along y = ``y_offset``."""
     rng = np.random.default_rng(seed)
     x = np.linspace(-20000.0, 0.0, n)
     y = np.full(n, y_offset) + rng.normal(scale=noise, size=n)
     z = np.linspace(2000.0, 100.0, n)
     times = np.linspace(0.0, duration, n)
-    return enu_track_flight(airspace, flight_id, times,
-                            np.column_stack([x, y, z]))
+    flight = enu_track_flight(airspace, "bundle", times,
+                              np.column_stack([x, y, z]))
+    return flight_to_enu(flight, airspace)
 
 
 # ---------------------------------------------------------------------------
 # extract_nominal_paths
 
 def test_single_cluster_is_pointwise_mean(airspace):
-    flights = [bundle_flight(airspace, f"f{i}", y, 400.0)
-               for i, y in enumerate([-1000.0, 0.0, 1000.0])]
+    tracks = [bundle_track(airspace, y, 400.0) for y in [-1000.0, 0.0, 1000.0]]
     samples = 30
-    paths = extract_nominal_paths(flights, 1, airspace, samples=samples,
+    paths = extract_nominal_paths(tracks, 1, airspace, samples=samples,
                                   waypoint_count=samples, rng=0)
     assert len(paths) == 1
     assert paths[0].kind is ProcedureKind.RADAR_VECTOR
     assert paths[0].frequency == pytest.approx(1.0)
     assert paths[0].duration_s == pytest.approx(400.0)
 
-    resampled = []
-    for flight in flights:
-        from trafgen.ingest import flight_to_enu
-        times, xyz = flight_to_enu(flight, airspace)
-        resampled.append(pchip_resample(times, xyz[:, :2], samples)[1])
+    resampled = [pchip_resample(times, xyz[:, :2], samples)[1]
+                 for times, xyz in tracks]
     expected = np.mean(resampled, axis=0)
     got = waypoints_to_enu(paths[0], airspace)[:, :2]
     assert np.allclose(got, expected, atol=1e-6)
@@ -57,14 +55,14 @@ def test_single_cluster_is_pointwise_mean(airspace):
 
 def test_two_bundles_recovered_within_envelopes(airspace):
     rng_seed = 0
-    flights = []
+    tracks = []
     for i in range(12):
-        flights.append(bundle_flight(airspace, f"a{i}", -6000.0, 380.0,
-                                     noise=150.0, seed=100 + i))
+        tracks.append(bundle_track(airspace, -6000.0, 380.0, noise=150.0,
+                                   seed=100 + i))
     for i in range(8):
-        flights.append(bundle_flight(airspace, f"b{i}", 6000.0, 440.0,
-                                     noise=150.0, seed=200 + i))
-    paths = extract_nominal_paths(flights, 2, airspace, samples=30, rng=rng_seed)
+        tracks.append(bundle_track(airspace, 6000.0, 440.0, noise=150.0,
+                                   seed=200 + i))
+    paths = extract_nominal_paths(tracks, 2, airspace, samples=30, rng=rng_seed)
     assert len(paths) == 2
     mean_ys = sorted(np.mean(waypoints_to_enu(p, airspace)[:, 1]) for p in paths)
     assert abs(mean_ys[0] - (-6000.0)) < 500.0
@@ -73,17 +71,17 @@ def test_two_bundles_recovered_within_envelopes(airspace):
 
 
 def test_identical_flights_collapse_to_common_path(airspace):
-    flights = [bundle_flight(airspace, f"f{i}", 0.0, 400.0) for i in range(5)]
-    paths = extract_nominal_paths(flights, 2, airspace, samples=20, rng=1)
+    tracks = [bundle_track(airspace, 0.0, 400.0) for _ in range(5)]
+    paths = extract_nominal_paths(tracks, 2, airspace, samples=20, rng=1)
     # every restart leaves one cluster empty; output keeps the common path
     assert len(paths) == 1
     assert paths[0].frequency == pytest.approx(1.0)
 
 
 def test_more_clusters_than_flights_rejected(airspace):
-    flights = [bundle_flight(airspace, "only", 0.0, 400.0)]
+    tracks = [bundle_track(airspace, 0.0, 400.0)]
     with pytest.raises(ValueError):
-        extract_nominal_paths(flights, 2, airspace)
+        extract_nominal_paths(tracks, 2, airspace)
 
 
 # ---------------------------------------------------------------------------

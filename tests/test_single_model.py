@@ -123,7 +123,6 @@ def test_train_recovers_single_component_mean():
     recovered = model.radar_vector_model.components[0]
     sigma = np.sqrt(np.diag(gt.covariance()))
     assert np.all(np.abs(recovered.mean - gt.mean) <= 0.05 * sigma + 1e-9)
-    assert report.silhouette_rv is None
     assert len(report.log_likelihoods_rv) >= 1
 
 
