@@ -4,9 +4,8 @@ tracks and procedures, then generate synthetic trajectories and traffic scenes.
 
 from .errors import (ClassificationError, DataError, NumericalError,
                      SegmentationError, TrafgenError)
-from .ingest import (AirspaceConfig, Flight, FlightClass, TrackPoint,
-                     classify_flight, enu_to_wgs84, flight_to_enu,
-                     parse_tracks, wgs84_to_enu)
+from .ingest import (AirspaceConfig, Flight, FlightClass, classify_flight,
+                     enu_to_wgs84, flight_to_enu, parse_tracks, wgs84_to_enu)
 from .mixture import (ConditionalMixture, EMFit, GaussianComponent,
                       MixtureModel, compress_model, condition, em_fit,
                       load_model, log_likelihood,

@@ -59,9 +59,9 @@ class _UsageError(Exception):
 @dataclass
 class RunConfig:
     airspace: AirspaceConfig
-    tracks: Path
-    procedures: Path
-    out_dir: Path
+    tracks: Path = Path("tracks.csv")
+    procedures: Path = Path("procedures.yaml")
+    out_dir: Path = Path("out")
     segment_length_rv: int = 350
     segment_length_fa: int = 150
     n_overlap: int = 10
@@ -82,55 +82,55 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """Read a ``key = value`` config; paths are relative to its folder."""
         values = parse_keyvalue_file(path)
-        base = Path(path).parent
-
-        def take(key, cast, default=None):
-            if key in values:
-                return cast(values.pop(key))
-            return default
-
-        def take_grid(key, default):
-            raw = values.pop(key, None)
-            if raw is None:
-                return default
-            return [int(v) for v in raw.split(",") if v.strip()]
-
         airspace_keys = {f.name for f in dataclass_fields(AirspaceConfig)}
         airspace_kwargs = {k: float(values.pop(k))
                            for k in list(values) if k in airspace_keys}
         if "origin_lat" not in airspace_kwargs or "origin_lon" not in airspace_kwargs:
             raise DataError(f"{path}: origin_lat and origin_lon are required")
-
-        cfg = cls(
-            airspace=AirspaceConfig(**airspace_kwargs),
-            tracks=base / take("tracks", str, "tracks.csv"),
-            procedures=base / take("procedures", str, "procedures.yaml"),
-            out_dir=base / take("out_dir", str, "out"),
-            segment_length_rv=take("t_v", int, 350),
-            segment_length_fa=take("t_f", int, 150),
-            n_overlap=take("n_overlap", int, 10),
-            component_grid=take_grid("k_grid", [2, 3, 4, 5, 6]),
-            rank_grid=take_grid("rank_grid", [1, 2, 4, 8, 16]),
-            pairing_window_s=take("pairing_window_s", float,
-                                  multi_model.DEFAULT_PAIRING_WINDOW_S),
-            segment_threshold_nm=take("segment_threshold_nm", float, 1.0),
-            proximity_nm=take("proximity_nm", float, 0.5),
-            default_speed_kts=take("default_speed_kts", float, 140.0),
-            seed=take("seed", int, 0),
-            n_components_rv=take("k_rv", int),
-            n_components_fa=take("k_fa", int),
-            rank_rv=take("rank_rv", int),
-            rank_fa=take("rank_fa", int),
-            n_components_pairwise=take("k_pairwise", int, 1),
-            rank_pairwise=take("rank_pairwise", int),
-            pairwise_segment=take("pairwise_segment", str, "radar_vector"),
-        )
+        airspace = AirspaceConfig(**airspace_kwargs)
+        kwargs = {name: cast(values.pop(key))
+                  for key, (name, cast) in _CONFIG_KEYS.items() if key in values}
         if values:
             raise DataError(f"{path}: unknown config keys: {sorted(values)}")
+        cfg = cls(airspace=airspace, **kwargs)
+        base = Path(path).parent
+        cfg.tracks = base / cfg.tracks
+        cfg.procedures = base / cfg.procedures
+        cfg.out_dir = base / cfg.out_dir
         if min(cfg.segment_length_rv, cfg.segment_length_fa, cfg.n_overlap) < 1:
             raise DataError(f"{path}: segment lengths and n_overlap must be positive")
         return cfg
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(v) for v in raw.split(",") if v.strip()]
+
+
+# config file key -> (RunConfig field, parser of the value)
+_CONFIG_KEYS = {
+    "tracks": ("tracks", Path),
+    "procedures": ("procedures", Path),
+    "out_dir": ("out_dir", Path),
+    "t_v": ("segment_length_rv", int),
+    "t_f": ("segment_length_fa", int),
+    "n_overlap": ("n_overlap", int),
+    "k_grid": ("component_grid", _int_list),
+    "rank_grid": ("rank_grid", _int_list),
+    "pairing_window_s": ("pairing_window_s", float),
+    "segment_threshold_nm": ("segment_threshold_nm", float),
+    "proximity_nm": ("proximity_nm", float),
+    "default_speed_kts": ("default_speed_kts", float),
+    "seed": ("seed", int),
+    "k_rv": ("n_components_rv", int),
+    "k_fa": ("n_components_fa", int),
+    "rank_rv": ("rank_rv", int),
+    "rank_fa": ("rank_fa", int),
+    "k_pairwise": ("n_components_pairwise", int),
+    "rank_pairwise": ("rank_pairwise", int),
+    "pairwise_segment": ("pairwise_segment", str),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +198,16 @@ def _load_procedural_trajectories(config: RunConfig, *, exemplars=(),
     return rv_trajs, [p.frequency for p in rv_procs], iap_traj
 
 
-def _write_trajectory_csv(path: Path, rows: list[tuple]) -> None:
+def _write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
+    """Write (keys, times, points) rows as one CSV line per sample."""
     with atomic_path(path) as tmp, \
             tmp.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["traj_id", "t", "x", "y", "z"])
-        for traj_id, times, points in rows:
+        writer.writerow([*key_columns, "t", "x", "y", "z"])
+        for keys, times, points in rows:
             for t, (x, y, z) in zip(times, points):
-                writer.writerow([traj_id, repr(float(t)), repr(float(x)),
+                writer.writerow([*keys, repr(float(t)), repr(float(x)),
                                  repr(float(y)), repr(float(z))])
-
-
-def _write_scene_csv(path: Path, scenes: list) -> None:
-    with atomic_path(path) as tmp, \
-            tmp.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scene_id", "aircraft_idx", "t", "x", "y", "z"])
-        for scene_id, scene in enumerate(scenes):
-            for idx, traj in enumerate(scene.trajectories):
-                for t, (x, y, z) in zip(traj.times, traj.points):
-                    writer.writerow([scene_id, idx, repr(float(t)),
-                                     repr(float(x)), repr(float(y)),
-                                     repr(float(z))])
 
 
 def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -272,7 +260,7 @@ def _classify_arrivals(flights: list, airspace: AirspaceConfig,
     for flight in flights:
         track = flight_to_enu(flight, airspace)
         try:
-            kind = classify_flight(flight, airspace, track=track)
+            kind = classify_flight(flight, airspace, track)
         except TrafgenError as exc:
             exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
@@ -287,103 +275,73 @@ def _classify_arrivals(flights: list, airspace: AirspaceConfig,
 def cmd_ingest(config: RunConfig) -> int:
     """Parse tracks, classify arrivals, segment, and write deviation datasets.
 
-    Arrivals are segmented and resampled one by one; every radar-vector
-    segment is then assigned its procedure in one batched DTW call, and the
-    deviation vectors are built last.
+    Each arrival is split where it joins the IAP and both parts are
+    resampled; every radar-vector part is then assigned its procedure in one
+    batched DTW call.
     """
     flights, parse_errors = parse_tracks(config.tracks)
     _log_parse_errors(parse_errors)
-    flights_parsed = len(flights)
     arrivals, exclusions = _classify_arrivals(flights, config.airspace)
     if not arrivals:
         raise DataError("no arrival flights after classification")
-    # only an arrival's id, arrival time and ENU track are used from here on;
-    # dropping the parsed points lets the arrays below reuse their memory
-    arrivals = [(flight.id, flight.points[-1].time, track)
-                for flight, track in arrivals]
-    del flights
-
     rv_trajs, _, iap_traj = _load_procedural_trajectories(
-        config, exemplars=[track for *_, track in arrivals])
+        config, exemplars=[track for _, track in arrivals])
     threshold_m = config.segment_threshold_nm * NM_TO_M
 
-    # 1. boundary and resampled radar-vector part per arrival. The boundary
-    # sample is shared: the radar-vector part runs up TO the handoff point
-    # and the final approach starts AT it, so the trained radar-vector tail
-    # lands where the final-approach heads were observed
-    failures: dict[int, str] = {}
-    segments: dict[int, tuple] = {}
-    for i, (*_, (times, xyz)) in enumerate(arrivals):
+    # 1. split every arrival and resample both parts. The boundary sample is
+    # shared: the radar-vector part runs up TO the handoff point and the
+    # final approach starts AT it, so the trained radar-vector tail lands
+    # where the final-approach heads were observed. Every check that can
+    # reject an arrival runs here, so failures are listed in arrival order.
+    # Step 3 cannot fail: a radar-vector part runs from a sample outside the
+    # threshold to one inside it, so its length is positive
+    retained = 0
+    rv_parts, rv_keys, fa_rows, fa_meta, too_short = [], [], [], [], []
+    for flight, (times, xyz) in arrivals:
         try:
             boundary = preprocess.segment_trajectory(xyz, iap_traj, threshold_m)
-            rv = (preprocess.pchip_resample(times[:boundary + 1],
-                                            xyz[:boundary + 1],
-                                            config.segment_length_rv)
-                  if boundary >= 1 else None)
+            rv = fa = None
+            if boundary >= 1:
+                rv = preprocess.pchip_resample(times[:boundary + 1],
+                                               xyz[:boundary + 1],
+                                               config.segment_length_rv)
+            if len(times) - boundary >= 2:
+                fa = preprocess.build_deviation_vector(
+                    *preprocess.pchip_resample(times[boundary:], xyz[boundary:],
+                                               config.segment_length_fa),
+                    iap_traj).to_array()
         except (TrafgenError, ValueError) as exc:
-            failures[i] = str(exc)
+            exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
-        segments[i] = (boundary, rv)
-
-    # 2. nearest radar-vector procedure of every segment, in one call
-    with_rv = [i for i, (_, rv) in segments.items() if rv is not None]
-    assigned = {}
-    if with_rv:
-        rv_points = np.stack([segments[i][1][1] for i in with_rv])
-        assigned = dict(zip(with_rv,
-                            preprocess.assign_procedures(rv_points, rv_trajs)))
-
-    # 3. deviation vectors. Each segment is dropped once used, so that the
-    # results reuse its memory instead of adding to the peak
-    def deviations(i: int) -> dict:
-        flight_id, arrival_time, (times, xyz) = arrivals[i]
-        boundary, rv = segments.pop(i)
-        result = {"flight": flight_id, "arrival_time": arrival_time}
+        retained += 1
+        key = {"flight_id": flight.id,
+               "arrival_time": float(flight.points[-1, 0])}
         if rv is None:
-            result["rv"] = None
-            result["rv_reason"] = "radar-vector segment too short"
+            too_short.append({"flight": flight.id,
+                              "reason": "radar-vector segment too short"})
         else:
-            proc = rv_trajs[assigned[i]]
-            result["rv"] = preprocess.build_deviation_vector(*rv, proc).to_array()
-            result["procedure"] = proc.procedure
-        if len(times) - boundary < 2:
-            result["fa"] = None
-            result["fa_reason"] = "final-approach segment too short"
+            rv_parts.append(rv)
+            rv_keys.append(key)
+        if fa is None:
+            too_short.append({"flight": flight.id,
+                              "reason": "final-approach segment too short"})
         else:
-            fa_times, fa_points = preprocess.pchip_resample(
-                times[boundary:], xyz[boundary:], config.segment_length_fa)
-            result["fa"] = preprocess.build_deviation_vector(
-                fa_times, fa_points, iap_traj).to_array()
-        return result
-
-    results = []
-    for i, (flight_id, *_) in enumerate(arrivals):
-        reason = failures.get(i)
-        if reason is None:
-            try:
-                results.append(deviations(i))
-                continue
-            except (TrafgenError, ValueError) as exc:
-                reason = str(exc)
-        exclusions.append({"flight": flight_id, "reason": reason})
-
-    rv_rows, rv_meta, fa_rows, fa_meta = [], [], [], []
-    for res in results:
-        if res.get("rv") is not None:
-            rv_rows.append(res["rv"])
-            rv_meta.append({"flight_id": res["flight"],
-                            "procedure": res["procedure"],
-                            "arrival_time": res["arrival_time"]})
-        else:
-            exclusions.append({"flight": res["flight"],
-                               "reason": res.get("rv_reason", "no radar-vector part")})
-        if res.get("fa") is not None:
-            fa_rows.append(res["fa"])
-            fa_meta.append({"flight_id": res["flight"],
-                            "procedure": iap_traj.procedure,
-                            "arrival_time": res["arrival_time"]})
-    if not rv_rows or not fa_rows:
+            fa_rows.append(fa)
+            fa_meta.append({**key, "procedure": iap_traj.procedure})
+    exclusions += too_short
+    if not rv_parts or not fa_rows:
         raise DataError("ingest produced an empty deviation dataset")
+
+    # 2. nearest radar-vector procedure of every part, in one call
+    assigned = preprocess.assign_procedures(
+        np.stack([points for _, points in rv_parts]), rv_trajs)
+
+    # 3. radar-vector deviations from the assigned procedures
+    procs = [rv_trajs[j] for j in assigned]
+    rv_rows = [preprocess.build_deviation_vector(*rv, proc).to_array()
+               for rv, proc in zip(rv_parts, procs)]
+    rv_meta = [{**key, "procedure": proc.procedure}
+               for key, proc in zip(rv_keys, procs)]
 
     out = config.out_dir
     write_deviation_dataset(out / "rv_dataset.csv", np.stack(rv_rows),
@@ -391,9 +349,9 @@ def cmd_ingest(config: RunConfig) -> int:
     write_deviation_dataset(out / "fa_dataset.csv", np.stack(fa_rows),
                             "final_approach", config.segment_length_fa, fa_meta)
     _write_json(out / "ingest_report.json", {
-        "flights_parsed": flights_parsed,
+        "flights_parsed": len(flights),
         "parse_errors": parse_errors,
-        "arrivals_retained": len(results),
+        "arrivals_retained": retained,
         "rv_rows": len(rv_rows),
         "fa_rows": len(fa_rows),
         "exclusions": exclusions,
@@ -512,10 +470,10 @@ def cmd_generate(config: RunConfig, count: int) -> int:
     rows, meta = [], []
     for i in range(count):
         traj = single_model.generate(model, test_procs, rng)
-        rows.append((i, traj.times, traj.points))
+        rows.append(((i,), traj.times, traj.points))
         meta.append({"traj_id": i, "procedure": traj.procedure_used,
                      "components": list(traj.source_components)})
-    _write_trajectory_csv(config.out_dir / "trajectories.csv", rows)
+    _write_trajectory_csv(config.out_dir / "trajectories.csv", ["traj_id"], rows)
     _write_json(config.out_dir / "trajectories.meta.json", {
         "count": count, "seed": config.seed, "trajectories": meta,
     })
@@ -554,7 +512,11 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
             "block_drift": params.block_drift,
             "inter_arrival_times": [float(v) for v in scene.inter_arrival_times],
         })
-    _write_scene_csv(config.out_dir / "scenes.csv", scenes)
+    _write_trajectory_csv(
+        config.out_dir / "scenes.csv", ["scene_id", "aircraft_idx"],
+        (((scene_id, idx), traj.times, traj.points)
+         for scene_id, scene in enumerate(scenes)
+         for idx, traj in enumerate(scene.trajectories)))
     _write_json(config.out_dir / "scenes.meta.json", {
         "count": count, "aircraft_per_scene": n_aircraft,
         "seed": config.seed, "scenes": meta,

@@ -1,15 +1,16 @@
 """Track ingestion: file parsing, WGS84 -> local ENU conversion, flight classification.
 
 Track files are UTF-8 CSV with header ``id,time,lat,lon,alt`` and optional
-``gs,vr`` columns (times in seconds, altitudes in feet). All geometry
-downstream of this module is in meters in an east-north-up frame centered at
-the configured airport reference point.
+``gs,vr`` columns (times in seconds, altitudes in feet); ``gs`` and ``vr`` are
+checked but not kept. All geometry downstream of this module is in meters in
+an east-north-up frame centered at the configured airport reference point.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,23 +32,10 @@ class FlightClass(Enum):
     OVERFLIGHT = "overflight"
 
 
-@dataclass(frozen=True, slots=True)
-class TrackPoint:
-    time: float            # seconds, monotonic epoch
-    lat: float             # degrees WGS84
-    lon: float             # degrees WGS84
-    alt: float             # feet
-    ground_speed: float | None = None   # knots
-    vertical_rate: float | None = None  # feet/min
-
-
 @dataclass
 class Flight:
     id: str
-    points: list[TrackPoint]
-
-    def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.points], dtype=float)
+    points: np.ndarray  # (n, 4): time (s), lat (deg), lon (deg), alt (ft)
 
 
 @dataclass(frozen=True)
@@ -170,7 +158,8 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
 
     Returns (flights, record-level error messages). Rows violating the
     coordinate invariants are rejected individually; an unreadable or
-    header-less file raises DataError.
+    header-less file raises DataError. Each flight's rows are sorted by time;
+    of rows with equal timestamps the first in the file is kept.
     """
     path = Path(path)
     try:
@@ -179,7 +168,7 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
         raise DataError(f"cannot read track file {path}: {exc}") from exc
 
     errors: list[str] = []
-    rows_by_id: dict[str, list[TrackPoint]] = {}
+    rows_by_id: dict[str, array] = {}
     with handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not set(_REQUIRED_COLUMNS) <= set(reader.fieldnames):
@@ -188,28 +177,27 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
             )
         for lineno, row in enumerate(reader, start=2):
             try:
-                point = _parse_row(row)
+                values = _parse_row(row)
             except (KeyError, TypeError, ValueError) as exc:
                 errors.append(f"{path}:{lineno}: {exc}")
                 continue
-            rows_by_id.setdefault(row["id"], []).append(point)
+            rows_by_id.setdefault(row["id"], array("d")).extend(values)
 
     flights: list[Flight] = []
-    for flight_id, points in rows_by_id.items():
-        points.sort(key=lambda p: p.time)
-        deduped: list[TrackPoint] = []
-        for p in points:
-            if deduped and p.time == deduped[-1].time:
-                continue  # duplicate timestamp: keep first
-            deduped.append(p)
-        if len(deduped) < 2:
+    for flight_id, values in rows_by_id.items():
+        points = np.frombuffer(values).reshape(-1, 4)
+        points = points[np.argsort(points[:, 0], kind="stable")]
+        times = points[:, 0]
+        points = points[np.concatenate(([True], times[1:] != times[:-1]))]
+        if len(points) < 2:
             errors.append(f"{path}: flight {flight_id!r} has fewer than 2 usable points")
             continue
-        flights.append(Flight(id=flight_id, points=deduped))
+        flights.append(Flight(id=flight_id, points=points))
     return flights, errors
 
 
-def _parse_row(row: dict[str, str]) -> TrackPoint:
+def _parse_row(row: dict[str, str]) -> tuple[float, float, float, float]:
+    """(time, lat, lon, alt) of a row; the optional gs and vr are checked only."""
     time = float(row["time"])
     lat = float(row["lat"])
     lon = float(row["lon"])
@@ -220,50 +208,41 @@ def _parse_row(row: dict[str, str]) -> TrackPoint:
         raise ValueError(f"lon {lon} outside [-180, 180]")
     if not (math.isfinite(alt) and math.isfinite(time)):
         raise ValueError("time and alt must be finite")
-    gs = row.get("gs")
-    vr = row.get("vr")
-    return TrackPoint(
-        time=time, lat=lat, lon=lon, alt=alt,
-        ground_speed=float(gs) if gs not in (None, "") else None,
-        vertical_rate=float(vr) if vr not in (None, "") else None,
-    )
+    for column in ("gs", "vr"):
+        value = row.get(column)
+        if value not in (None, ""):
+            float(value)
+    return time, lat, lon, alt
 
 
 # ---------------------------------------------------------------------------
 # ENU trajectories and classification
 
-def flight_to_enu(flight: Flight, config: AirspaceConfig,
-                  clip_to_airspace: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def flight_to_enu(flight: Flight, config: AirspaceConfig) -> tuple[np.ndarray, np.ndarray]:
     """ENU trajectory of a flight as (times, positions (n, 3)).
 
-    With ``clip_to_airspace`` only points within the configured horizontal
-    radius are kept and times are rebased to the first kept point.
+    Only points within the configured horizontal radius are kept and times
+    are rebased to the first kept point.
     """
-    lats = np.array([p.lat for p in flight.points])
-    lons = np.array([p.lon for p in flight.points])
-    alts = np.array([p.alt for p in flight.points])
-    times = flight.times()
+    times, lats, lons, alts = flight.points.T
     xyz = wgs84_to_enu(lats, lons, alts, config)
-    if clip_to_airspace:
-        inside = np.hypot(xyz[:, 0], xyz[:, 1]) <= config.radius_m
-        xyz, times = xyz[inside], times[inside]
-        if len(times):
-            times = times - times[0]
+    inside = np.hypot(xyz[:, 0], xyz[:, 1]) <= config.radius_m
+    xyz, times = xyz[inside], times[inside]
+    if len(times):
+        times = times - times[0]
     return times, xyz
 
 
-def classify_flight(flight: Flight, config: AirspaceConfig, *,
-                    track: tuple[np.ndarray, np.ndarray] | None = None,
-                    ) -> FlightClass:
+def classify_flight(flight: Flight, config: AirspaceConfig,
+                    track: tuple[np.ndarray, np.ndarray]) -> FlightClass:
     """Classify a flight as arrival, departure, or overflight.
 
     An arrival shows a net-decreasing range to the origin and ends below the
     landing ceiling within the landing radius; a departure is the mirror
-    image; anything else is an overflight. Uses only the in-airspace portion
-    of the track: ``track``, the flight's ``flight_to_enu`` result when the
-    caller already has it.
+    image; anything else is an overflight. ``track`` is the flight's
+    :func:`flight_to_enu` result, so only the in-airspace portion is used.
     """
-    times, xyz = track if track is not None else flight_to_enu(flight, config)
+    times, xyz = track
     if len(times) < 2:
         raise ClassificationError(
             f"flight {flight.id!r}: fewer than 2 points inside the airspace"

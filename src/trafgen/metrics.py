@@ -145,8 +145,7 @@ class SilhouetteSweep:
 
 
 def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
-                     seed: int = 0, max_iter: int = 200,
-                     tol: float = 1e-6) -> SilhouetteSweep:
+                     seed: int = 0) -> SilhouetteSweep:
     """Fit a mixture per grid value and score its hard labels.
 
     Returns the argmax K (ties toward the smaller K) with the full curve.
@@ -158,7 +157,7 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
         raise ValueError("silhouette sweep needs K >= 2")
     curve = []
     for k in grid:
-        fit = em_fit(data, k, seed=seed, max_iter=max_iter, tol=tol)
+        fit = em_fit(data, k, seed=seed)
         curve.append((int(k), silhouette_score(data, fit.labels)))
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return SilhouetteSweep(n_components=curve[best][0], curve=curve)

@@ -120,14 +120,15 @@ def _component_log_density(data: np.ndarray, mean: np.ndarray,
     return -0.5 * (n * _LOG_2PI + maha) - log_det
 
 
-def _log_densities(model: MixtureModel, data: np.ndarray) -> np.ndarray:
+def _log_densities(data: np.ndarray, weights, means,
+                   covariances) -> np.ndarray:
     """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, Sigma_j)."""
-    out = np.empty((data.shape[0], len(model.components)))
-    for j, comp in enumerate(model.components):
-        chol_l = psd_jitter_cholesky(comp.covariance())
-        with np.errstate(divide="ignore"):
-            out[:, j] = np.log(comp.weight) + _component_log_density(
-                data, comp.mean, chol_l)
+    out = np.empty((data.shape[0], len(weights)))
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+        for j, (mean, cov) in enumerate(zip(means, covariances)):
+            out[:, j] = log_weights[j] + _component_log_density(
+                data, mean, psd_jitter_cholesky(cov))
     return out
 
 
@@ -137,7 +138,11 @@ def log_likelihood(model: MixtureModel, data: np.ndarray) -> float:
     if data.ndim != 2 or data.shape[1] != model.dimension:
         raise ValueError(
             f"data has dimension {data.shape}, model expects (m, {model.dimension})")
-    return float(logsumexp(_log_densities(model, data), axis=1).sum())
+    comps = model.components
+    log_dens = _log_densities(data, [c.weight for c in comps],
+                              [c.mean for c in comps],
+                              (c.covariance() for c in comps))
+    return float(logsumexp(log_dens, axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +194,7 @@ def em_fit(data: np.ndarray, n_components: int, *,
 
     history: list[float] = []
     for it in range(max_iter):
-        log_dens = np.empty((m, n_components))
-        for j in range(n_components):
-            chol_l = psd_jitter_cholesky(covs[j])
-            with np.errstate(divide="ignore"):
-                log_dens[:, j] = np.log(weights[j]) + _component_log_density(
-                    data, means[j], chol_l)
+        log_dens = _log_densities(data, weights, means, covs)
         log_norm = logsumexp(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])

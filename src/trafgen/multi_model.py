@@ -122,7 +122,7 @@ def stack_pairs(samples: Sequence[PairwiseSample]) -> np.ndarray:
 def train_pairwise(groups: Mapping[tuple[str, str], Sequence[PairwiseSample]],
                    n_components: int, rank: int, *,
                    min_samples: int | None = None,
-                   seed: int = 0, max_iter: int = 200, tol: float = 1e-6,
+                   seed: int = 0,
                    ) -> dict[tuple[str, str], MixtureModel]:
     """Fit one compressed pairwise mixture per procedure combination.
 
@@ -139,8 +139,7 @@ def train_pairwise(groups: Mapping[tuple[str, str], Sequence[PairwiseSample]],
                            key, len(samples), min_samples)
             continue
         data = stack_pairs(samples)
-        fit = em_fit(data, n_components, seed=seed, max_iter=max_iter, tol=tol,
-                     segment_kind="pairwise")
+        fit = em_fit(data, n_components, seed=seed, segment_kind="pairwise")
         models[key] = compress_model(fit.model, rank)
     return models
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trafgen.ingest import AirspaceConfig, Flight, TrackPoint
+from trafgen.ingest import AirspaceConfig, Flight
 from trafgen.procedures import ProceduralTrajectory
 
 
@@ -13,8 +13,7 @@ def airspace():
 
 
 def make_flight(flight_id, times, lats, lons, alts):
-    points = [TrackPoint(time=float(t), lat=float(la), lon=float(lo), alt=float(al))
-              for t, la, lo, al in zip(times, lats, lons, alts)]
+    points = np.column_stack([times, lats, lons, alts]).astype(float)
     return Flight(id=flight_id, points=points)
 
 

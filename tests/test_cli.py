@@ -279,8 +279,8 @@ def test_paper_dimension_pipeline_runs_through_evaluate(tmp_path, n_overlap):
     config_path = corpus.write_corpus(tmp_path, n_flights=24, seed=0,
                                       explicit_choice=True, **dims)
     actual = tmp_path / "actual.csv"
-    cli._write_trajectory_csv(actual, [
-        (i, traj.times, traj.points)
+    cli._write_trajectory_csv(actual, ["traj_id"], [
+        ((i,), traj.times, traj.points)
         for i, traj in enumerate(corpus.generate_actual(10, 1, **dims))])
     out = tmp_path / "out"
     for args in (["ingest"], ["train"], ["generate", "--count", "10"],
@@ -318,16 +318,21 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
         [-30000.0, -20000.0, 2000.0], [2500.0, -2500.0, 3.0]))
     write_enu_flight(lines, "Z4", 10500.0, straight_track(
         [40000.0, 0.0, 3000.0], [-40000.0, 0.0, 3000.0]))
+    # straight in from due south: only the last sample is within 1 NM of
+    # the approach path, so there is no final-approach part
+    write_enu_flight(lines, "Z5", 11000.0, straight_track(
+        [0.0, -20000.0, 3000.0], [0.0, 0.0, 3.0], n=10))
     tracks.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
     flights = [e["flight"] for e in report["exclusions"]]
     reasons = [e["reason"] for e in report["exclusions"]]
-    assert flights == ["Z2", "Z4", "Z3", "Z1"]
+    assert flights == ["Z2", "Z4", "Z3", "Z1", "Z5"]
     assert reasons[:2] == ["classified as overflight"] * 2
     assert "never joins the final approach" in reasons[2]
     assert reasons[3] == "radar-vector segment too short"
-    assert report["arrivals_retained"] == 4 and report["rv_rows"] == 3
+    assert reasons[4] == "final-approach segment too short"
+    assert report["arrivals_retained"] == 5 and report["rv_rows"] == 4
     assert report["fa_rows"] == 4
 
 
@@ -368,12 +373,14 @@ def test_parse_errors_are_logged_once_and_reported_in_full(tmp_path, caplog):
 
 def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "trajectories.csv"
-    cli._write_trajectory_csv(path, [(0, [0.0, 1.0], [(1.0, 2.0, 3.0)] * 2)])
+    cli._write_trajectory_csv(path, ["traj_id"],
+                              [((0,), [0.0, 1.0], [(1.0, 2.0, 3.0)] * 2)])
     good = path.read_bytes()
     # the second trajectory has 2-D points: the write fails after one row
     with pytest.raises(ValueError):
-        cli._write_trajectory_csv(path, [(0, [0.0], [(4.0, 5.0, 6.0)]),
-                                         (1, [0.0], [(7.0, 8.0)])])
+        cli._write_trajectory_csv(path, ["traj_id"],
+                                  [((0,), [0.0], [(4.0, 5.0, 6.0)]),
+                                   ((1,), [0.0], [(7.0, 8.0)])])
     assert path.read_bytes() == good
 
     data_path = tmp_path / "rv_dataset.csv"
@@ -529,6 +536,22 @@ def test_run_config_round_trip(tmp_path):
     assert cfg.component_grid == [2, 3, 4]
     assert cfg.airspace.radius_nm == 25.0
     assert cfg.pairing_window_s == 180.0
+
+
+def test_run_config_defaults_and_nonpositive_lengths(tmp_path, capsys):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("origin_lat = 1\norigin_lon = 2\n", encoding="utf-8")
+    cfg = RunConfig.from_file(path)
+    assert (cfg.tracks, cfg.procedures, cfg.out_dir) == (
+        tmp_path / "tracks.csv", tmp_path / "procedures.yaml", tmp_path / "out")
+    assert (cfg.segment_length_rv, cfg.segment_length_fa, cfg.n_overlap) == (
+        350, 150, 10)
+    assert cfg.component_grid == [2, 3, 4, 5, 6] and cfg.seed == 0
+    assert cfg.rank_rv is None and cfg.pairwise_segment == "radar_vector"
+    path.write_text("origin_lat = 1\norigin_lon = 2\nn_overlap = 0\n",
+                    encoding="utf-8")
+    assert run(["--config", str(path), "ingest"]) == EXIT_DATA
+    assert "n_overlap must be positive" in capsys.readouterr().err
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):

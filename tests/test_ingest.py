@@ -122,7 +122,7 @@ def test_parse_sorts_out_of_order_rows(tmp_path):
         "a,10,40.61,-73.71,1100\n"
     ))
     flights, _ = parse_tracks(path)
-    assert [p.time for p in flights[0].points] == [0.0, 10.0, 20.0]
+    assert flights[0].points[:, 0].tolist() == [0.0, 10.0, 20.0]
 
 
 def test_parse_rejects_bad_latitude_row_keeps_rest(tmp_path):
@@ -138,14 +138,20 @@ def test_parse_rejects_bad_latitude_row_keeps_rest(tmp_path):
 
 
 def test_parse_deduplicates_timestamps_keeping_first(tmp_path):
+    # flight b: eight timestamps in falling order, then the same eight again
+    # at another latitude; an unstable sort would keep some of the second pass
+    repeated = "".join(f"b,{t},{lat},-73.7,1000\n"
+                       for lat in (40.7, 40.8) for t in range(7, -1, -1))
     path = write_csv(tmp_path, (
         "id,time,lat,lon,alt\n"
         "a,0,40.60,-73.7,1000\n"
         "a,10,40.61,-73.7,1100\n"
         "a,10,40.99,-73.7,9999\n"
-    ))
+    ) + repeated)
     flights, _ = parse_tracks(path)
-    assert [p.lat for p in flights[0].points] == [40.60, 40.61]
+    assert flights[0].points[:, 1].tolist() == [40.60, 40.61]
+    assert flights[1].points[:, 0].tolist() == list(range(8))
+    assert flights[1].points[:, 1].tolist() == [40.7] * 8
 
 
 def test_parse_missing_file_is_fatal(tmp_path):
@@ -164,10 +170,13 @@ def test_parse_optional_speed_columns(tmp_path):
         "id,time,lat,lon,alt,gs,vr\n"
         "a,0,40.6,-73.7,1000,250,-800\n"
         "a,10,40.61,-73.71,1100,,\n"
+        "a,20,40.62,-73.72,1200,fast,-800\n"
+        "a,30,40.63,-73.73,1300,250,-800\n"
     ))
-    flights, _ = parse_tracks(path)
-    assert flights[0].points[0].ground_speed == 250.0
-    assert flights[0].points[1].ground_speed is None
+    flights, errors = parse_tracks(path)
+    assert flights[0].points[:, 0].tolist() == [0.0, 10.0, 30.0]
+    assert len(errors) == 1 and errors[0].startswith(f"{path}:4: ")
+    assert "'fast'" in errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +253,22 @@ def spiral_arrival(airspace, n=60):
 
 
 def reverse_flight(flight):
-    times = [p.time for p in flight.points]
     reversed_points = flight.points[::-1]
-    return make_flight(flight.id + "-rev", times,
-                       [p.lat for p in reversed_points],
-                       [p.lon for p in reversed_points],
-                       [p.alt for p in reversed_points])
+    return make_flight(flight.id + "-rev", flight.points[:, 0],
+                       *reversed_points[:, 1:].T)
+
+
+def classify(flight, airspace):
+    return classify_flight(flight, airspace, flight_to_enu(flight, airspace))
 
 
 def test_spiral_in_is_arrival(airspace):
-    assert classify_flight(spiral_arrival(airspace), airspace) is FlightClass.ARRIVAL
+    assert classify(spiral_arrival(airspace), airspace) is FlightClass.ARRIVAL
 
 
 def test_reversed_arrival_is_departure(airspace):
     flight = reverse_flight(spiral_arrival(airspace))
-    assert classify_flight(flight, airspace) is FlightClass.DEPARTURE
+    assert classify(flight, airspace) is FlightClass.DEPARTURE
 
 
 def test_high_chord_is_overflight(airspace):
@@ -268,7 +278,7 @@ def test_high_chord_is_overflight(airspace):
     z = np.full(n, 10000.0 * FT_TO_M)
     lat, lon, alt = enu_to_wgs84(np.column_stack([x, y, z]), airspace)
     flight = make_flight("chord", np.arange(n) * 15.0, lat, lon, alt)
-    assert classify_flight(flight, airspace) is FlightClass.OVERFLIGHT
+    assert classify(flight, airspace) is FlightClass.OVERFLIGHT
 
 
 def test_reverse_symmetry_fixes_overflight(airspace):
@@ -278,8 +288,8 @@ def test_reverse_symmetry_fixes_overflight(airspace):
     z = np.full(n, 9000.0 * FT_TO_M)
     lat, lon, alt = enu_to_wgs84(np.column_stack([x, y, z]), airspace)
     flight = make_flight("chord2", np.arange(n) * 15.0, lat, lon, alt)
-    assert classify_flight(flight, airspace) is FlightClass.OVERFLIGHT
-    assert classify_flight(reverse_flight(flight), airspace) is FlightClass.OVERFLIGHT
+    assert classify(flight, airspace) is FlightClass.OVERFLIGHT
+    assert classify(reverse_flight(flight), airspace) is FlightClass.OVERFLIGHT
 
 
 def test_too_few_points_inside_airspace(airspace):
@@ -287,7 +297,7 @@ def test_too_few_points_inside_airspace(airspace):
     flight = make_flight("far", [0.0, 10.0], [45.0, 45.01], [-70.0, -70.01],
                          [30000.0, 30000.0])
     with pytest.raises(ClassificationError):
-        classify_flight(flight, airspace)
+        classify(flight, airspace)
 
 
 def test_airspace_config_file_round_trip(tmp_path):
