@@ -9,8 +9,6 @@ config and inputs. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import sys
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -19,17 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, multi_model, preprocess, procedures, single_model
-from ._files import atomic_path
+from ._files import (read_deviation_dataset, read_json, read_keyvalue,
+                     read_trajectory_file, write_deviation_dataset, write_json,
+                     write_trajectory_csv)
 from .errors import DataError, NumericalError, TrafgenError
 from .ingest import AirspaceConfig, FlightClass, classify_flight, flight_to_enu, \
-    parse_keyvalue_file, parse_tracks
+    parse_tracks
 from .mixture import (load_model, model_from_dict, model_to_dict, save_model,
                       select_rank, substream)
 from .units import NM_TO_M
 
 logger = logging.getLogger(__name__)
 
-DEVIATION_FORMAT = "trafgen-deviations/1"
 PAIRWISE_FORMAT = "trafgen-pairwise/1"
 
 # rejected track records quoted in the parse WARNING; the report lists all
@@ -78,29 +77,29 @@ class RunConfig:
     rank_fa: int | None = None
     n_components_pairwise: int = 1
     rank_pairwise: int | None = None
-    pairwise_segment: str = "radar_vector"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Read a ``key = value`` config; paths are relative to its folder."""
-        values = parse_keyvalue_file(path)
+        return read_keyvalue(path, "config file",
+                             lambda values: cls._from_values(values, Path(path)))
+
+    @classmethod
+    def _from_values(cls, values: dict[str, str], path: Path) -> "RunConfig":
         airspace_keys = {f.name for f in dataclass_fields(AirspaceConfig)}
-        airspace_kwargs = {k: float(values.pop(k))
-                           for k in list(values) if k in airspace_keys}
-        if "origin_lat" not in airspace_kwargs or "origin_lon" not in airspace_kwargs:
-            raise DataError(f"{path}: origin_lat and origin_lon are required")
-        airspace = AirspaceConfig(**airspace_kwargs)
+        # a missing origin_lat or origin_lon is a TypeError here
+        airspace = AirspaceConfig(**{k: float(values.pop(k))
+                                     for k in list(values) if k in airspace_keys})
         kwargs = {name: cast(values.pop(key))
                   for key, (name, cast) in _CONFIG_KEYS.items() if key in values}
         if values:
             raise DataError(f"{path}: unknown config keys: {sorted(values)}")
         cfg = cls(airspace=airspace, **kwargs)
-        base = Path(path).parent
-        cfg.tracks = base / cfg.tracks
-        cfg.procedures = base / cfg.procedures
-        cfg.out_dir = base / cfg.out_dir
+        for name in ("tracks", "procedures", "out_dir"):
+            setattr(cfg, name, path.parent / getattr(cfg, name))
         if min(cfg.segment_length_rv, cfg.segment_length_fa, cfg.n_overlap) < 1:
             raise DataError(f"{path}: segment lengths and n_overlap must be positive")
+        _model_config(cfg)  # n_overlap against the segment lengths
         return cfg
 
 
@@ -129,53 +128,13 @@ _CONFIG_KEYS = {
     "rank_fa": ("rank_fa", int),
     "k_pairwise": ("n_components_pairwise", int),
     "rank_pairwise": ("rank_pairwise", int),
-    "pairwise_segment": ("pairwise_segment", str),
 }
 
 
 # ---------------------------------------------------------------------------
-# Shared file helpers
+# Commands
 
-def _write_json(path: Path, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
-
-
-def _read_json(path: Path) -> dict:
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,
-                            segment_length: int, rows: list[dict]) -> None:
-    with atomic_path(path) as tmp:
-        np.savetxt(tmp, data, delimiter=",", fmt="%.17g")
-    _write_json(path.with_suffix(".meta.json"), {
-        "format": DEVIATION_FORMAT,
-        "segment_kind": segment_kind,
-        "T": segment_length,
-        "rows": rows,
-    })
-
-
-def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
-    if not path.exists():
-        raise DataError(f"missing dataset: {path}")
-    meta = _read_json(path.with_suffix(".meta.json"))
-    if meta.get("format") != DEVIATION_FORMAT:
-        raise DataError(f"{path}: unsupported dataset format {meta.get('format')!r}")
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    expected = 3 * int(meta["T"]) + 2
-    if data.size and data.shape[1] != expected:
-        raise DataError(f"{path}: expected {expected} columns, found {data.shape[1]}")
-    return data, meta
-
-
-def _load_procedural_trajectories(config: RunConfig, *, exemplars=(),
-                                  ) -> tuple[list, list[float],
-                                             "procedures.ProceduralTrajectory"]:
+def _load_procedural_trajectories(config: RunConfig, *, exemplars=()) -> tuple:
     """Build (radar-vector trajectories, frequencies, IAP trajectory)."""
     procs = procedures.load_procedures(config.procedures)
     rv_procs = [p for p in procs if p.kind is procedures.ProcedureKind.RADAR_VECTOR]
@@ -197,50 +156,6 @@ def _load_procedural_trajectories(config: RunConfig, *, exemplars=(),
         default_speed_kts=config.default_speed_kts)
     return rv_trajs, [p.frequency for p in rv_procs], iap_traj
 
-
-def _write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
-    """Write (keys, times, points) rows as one CSV line per sample."""
-    with atomic_path(path) as tmp, \
-            tmp.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*key_columns, "t", "x", "y", "z"])
-        for keys, times, points in rows:
-            for t, (x, y, z) in zip(times, points):
-                writer.writerow([*keys, repr(float(t)), repr(float(x)),
-                                 repr(float(y)), repr(float(z))])
-
-
-def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Read a trajectory or scene CSV as a list of scenes.
-
-    Trajectory files yield one single-aircraft scene per trajectory; scene
-    files group aircraft by scene id.
-    """
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        grouped: dict[tuple, list[tuple[float, float, float, float]]] = {}
-        if "scene_id" in fields:
-            key_of = lambda row: (row["scene_id"], row["aircraft_idx"])
-        elif "traj_id" in fields:
-            key_of = lambda row: (row["traj_id"], "0")
-        else:
-            raise DataError(f"{path}: expected a traj_id or scene_id column")
-        for row in reader:
-            grouped.setdefault(key_of(row), []).append(
-                (float(row["t"]), float(row["x"]), float(row["y"]),
-                 float(row["z"])))
-    scenes: dict[str, list] = {}
-    for (scene_id, _aircraft), samples in grouped.items():
-        arr = np.asarray(samples)
-        scenes.setdefault(scene_id, []).append((arr[:, 0], arr[:, 1:4]))
-    return list(scenes.values())
-
-
-# ---------------------------------------------------------------------------
-# Commands
 
 def _log_parse_errors(errors: list[str]) -> None:
     """One WARNING for all rejected records: the count and the first few."""
@@ -288,13 +203,14 @@ def cmd_ingest(config: RunConfig) -> int:
         config, exemplars=[track for _, track in arrivals])
     threshold_m = config.segment_threshold_nm * NM_TO_M
 
-    # 1. split every arrival and resample both parts. The boundary sample is
-    # shared: the radar-vector part runs up TO the handoff point and the
-    # final approach starts AT it, so the trained radar-vector tail lands
-    # where the final-approach heads were observed. Every check that can
-    # reject an arrival runs here, so failures are listed in arrival order.
-    # Step 3 cannot fail: a radar-vector part runs from a sample outside the
-    # threshold to one inside it, so its length is positive
+    # 1. split every arrival and resample both parts. The radar-vector part
+    # runs up TO the handoff point; a final-approach row opens with the
+    # n_overlap - 1 radar-vector samples before it and resamples the track
+    # FROM it, so its first n_overlap samples are the tail generate
+    # conditions on. Every check that can reject an arrival runs here, so
+    # failures are listed in arrival order. Step 3 cannot fail: a
+    # radar-vector part runs from outside the threshold to inside it
+    n_lead = config.n_overlap - 1
     retained = 0
     rv_parts, rv_keys, fa_rows, fa_meta, too_short = [], [], [], [], []
     for flight, (times, xyz) in arrivals:
@@ -305,11 +221,15 @@ def cmd_ingest(config: RunConfig) -> int:
                 rv = preprocess.pchip_resample(times[:boundary + 1],
                                                xyz[:boundary + 1],
                                                config.segment_length_rv)
-            if len(times) - boundary >= 2:
+            if len(times) - boundary >= 2 and (rv is not None or not n_lead):
+                fa_times, fa_points = preprocess.pchip_resample(
+                    times[boundary:], xyz[boundary:],
+                    config.segment_length_fa - n_lead)
+                if n_lead:
+                    fa_times = np.concatenate([rv[0][-n_lead - 1:-1], fa_times])
+                    fa_points = np.concatenate([rv[1][-n_lead - 1:-1], fa_points])
                 fa = preprocess.build_deviation_vector(
-                    *preprocess.pchip_resample(times[boundary:], xyz[boundary:],
-                                               config.segment_length_fa),
-                    iap_traj).to_array()
+                    fa_times, fa_points, iap_traj).to_array()
         except (TrafgenError, ValueError) as exc:
             exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
@@ -348,14 +268,10 @@ def cmd_ingest(config: RunConfig) -> int:
                             "radar_vector", config.segment_length_rv, rv_meta)
     write_deviation_dataset(out / "fa_dataset.csv", np.stack(fa_rows),
                             "final_approach", config.segment_length_fa, fa_meta)
-    _write_json(out / "ingest_report.json", {
-        "flights_parsed": len(flights),
-        "parse_errors": parse_errors,
-        "arrivals_retained": retained,
-        "rv_rows": len(rv_rows),
-        "fa_rows": len(fa_rows),
-        "exclusions": exclusions,
-    })
+    write_json(out / "ingest_report.json", {
+        "flights_parsed": len(flights), "parse_errors": parse_errors,
+        "arrivals_retained": retained, "rv_rows": len(rv_rows),
+        "fa_rows": len(fa_rows), "exclusions": exclusions})
     return EXIT_OK
 
 
@@ -374,29 +290,27 @@ def cmd_select(config: RunConfig) -> int:
             "rank": ranks.rank,
             "rank_curve": [[k, ll] for k, ll in ranks.curve],
         }
-    _write_json(config.out_dir / "selection_report.json", report)
+    write_json(config.out_dir / "selection_report.json", report)
     return EXIT_OK
 
 
 def _chosen(config: RunConfig, segment: str) -> tuple[int, int]:
     """(n_components, rank) for a segment from config flags or the report."""
-    explicit_k = (config.n_components_rv if segment == "radar_vector"
-                  else config.n_components_fa)
-    explicit_rank = (config.rank_rv if segment == "radar_vector"
-                     else config.rank_fa)
-    if explicit_k is not None and explicit_rank is not None:
-        return explicit_k, explicit_rank
-    report = _read_json(config.out_dir / "selection_report.json")
-    entry = report[segment]
-    return (explicit_k if explicit_k is not None else int(entry["n_components"]),
-            explicit_rank if explicit_rank is not None else int(entry["rank"]))
+    explicit = ((config.n_components_rv, config.rank_rv)
+                if segment == "radar_vector"
+                else (config.n_components_fa, config.rank_fa))
+    if None not in explicit:
+        return explicit
+    reported = read_json(
+        config.out_dir / "selection_report.json", "selection report",
+        lambda report: (int(report[segment]["n_components"]),
+                        int(report[segment]["rank"])))
+    return tuple(r if e is None else e for e, r in zip(explicit, reported))
 
 
 def _model_config(config: RunConfig) -> single_model.SingleModelConfig:
     return single_model.SingleModelConfig(
-        segment_length_rv=config.segment_length_rv,
-        segment_length_fa=config.segment_length_fa,
-        n_overlap=config.n_overlap)
+        config.segment_length_rv, config.segment_length_fa, config.n_overlap)
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -411,7 +325,7 @@ def cmd_train(config: RunConfig) -> int:
         seed=config.seed)
     save_model(model.radar_vector_model, config.out_dir / "model_rv.json")
     save_model(model.final_approach_model, config.out_dir / "model_fa.json")
-    _write_json(config.out_dir / "train_log.json", {
+    write_json(config.out_dir / "train_log.json", {
         "radar_vector": {"n_components": k_rv, "rank": rank_rv,
                          "log_likelihoods": report.log_likelihoods_rv},
         "final_approach": {"n_components": k_fa, "rank": rank_fa,
@@ -421,10 +335,8 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_train_pairwise(config: RunConfig) -> int:
-    """Fit pairwise mixtures per procedure combination from a segment dataset."""
-    filename = ("rv_dataset.csv" if config.pairwise_segment == "radar_vector"
-                else "fa_dataset.csv")
-    data, meta = read_deviation_dataset(config.out_dir / filename)
+    """Fit pairwise mixtures per radar-vector procedure combination."""
+    data, meta = read_deviation_dataset(config.out_dir / "rv_dataset.csv")
     records = [
         multi_model.ArrivalRecord(
             flight_id=row["flight_id"], procedure=row["procedure"],
@@ -435,21 +347,17 @@ def cmd_train_pairwise(config: RunConfig) -> int:
     if not groups:
         raise DataError("no arrival pairs inside the pairing window")
     rank = config.rank_pairwise
-    if rank is None:
-        pair_dim = 2 * (3 * int(meta["T"]) + 2) + 1
-        rank = min(8, pair_dim - 1)
+    if rank is None:  # one below the pair dimension 2 (3T+2) + 1, at most 8
+        rank = min(8, 2 * data.shape[1])
     seed = int(substream(config.seed, "train-pairwise").integers(2 ** 31))
     models = multi_model.train_pairwise(
         groups, config.n_components_pairwise, rank, seed=seed)
     if not models:
         raise DataError("every pairwise group was under the sample minimum")
-    _write_json(config.out_dir / "model_pairwise.json", {
-        "format": PAIRWISE_FORMAT,
-        "segment": config.pairwise_segment,
-        "models": {f"{a}|{b}": model_to_dict(m)
-                   for (a, b), m in models.items()},
-    })
-    _write_json(config.out_dir / "train_pairwise_log.json", {
+    write_json(config.out_dir / "model_pairwise.json", {
+        "format": PAIRWISE_FORMAT, "segment": "radar_vector",
+        "models": {f"{a}|{b}": model_to_dict(m) for (a, b), m in models.items()}})
+    write_json(config.out_dir / "train_pairwise_log.json", {
         "groups": {f"{a}|{b}": len(v) for (a, b), v in groups.items()},
         "trained": sorted(f"{a}|{b}" for a, b in models),
     })
@@ -473,38 +381,34 @@ def cmd_generate(config: RunConfig, count: int) -> int:
         rows.append(((i,), traj.times, traj.points))
         meta.append({"traj_id": i, "procedure": traj.procedure_used,
                      "components": list(traj.source_components)})
-    _write_trajectory_csv(config.out_dir / "trajectories.csv", ["traj_id"], rows)
-    _write_json(config.out_dir / "trajectories.meta.json", {
-        "count": count, "seed": config.seed, "trajectories": meta,
-    })
+    write_trajectory_csv(config.out_dir / "trajectories.csv", ["traj_id"], rows)
+    write_json(config.out_dir / "trajectories.meta.json",
+               {"count": count, "seed": config.seed, "trajectories": meta})
     return EXIT_OK
+
+
+def _pairwise_models(doc: dict) -> dict:
+    if doc["segment"] != "radar_vector":
+        raise ValueError(f"segment {doc['segment']!r} is not radar_vector")
+    return {tuple(key.split("|")): model_from_dict(m)
+            for key, m in doc["models"].items()}
 
 
 def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     """Generate correlated multi-aircraft scenes from the pairwise models."""
-    doc = _read_json(config.out_dir / "model_pairwise.json")
-    if doc.get("format") != PAIRWISE_FORMAT:
-        raise DataError(f"unsupported pairwise model format {doc.get('format')!r}")
-    models = {tuple(key.split("|")): model_from_dict(m)
-              for key, m in doc["models"].items()}
-    rv_trajs, freqs, iap_traj = _load_procedural_trajectories(config)
-    if doc.get("segment") == "radar_vector":
-        proc_by_name = {t.procedure: t for t in rv_trajs}
-        names = [t.procedure for t in rv_trajs]
-        probs = np.asarray(freqs) / np.sum(freqs)
-    else:
-        proc_by_name = {iap_traj.procedure: iap_traj}
-        names = [iap_traj.procedure]
-        probs = np.array([1.0])
+    models = read_json(config.out_dir / "model_pairwise.json", "pairwise model",
+                       _pairwise_models, tag=PAIRWISE_FORMAT)
+    rv_trajs, freqs, _ = _load_procedural_trajectories(config)
+    probs = np.asarray(freqs) / np.sum(freqs)
 
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []
     for i in range(count):
-        sequence = [names[int(rng.choice(len(names), p=probs))]
-                    for _ in range(n_aircraft)]
+        chosen = [rv_trajs[int(rng.choice(len(rv_trajs), p=probs))]
+                  for _ in range(n_aircraft)]
+        sequence = [t.procedure for t in chosen]
         params = multi_model.assemble_scene_params(models, sequence, rng)
-        scene = multi_model.generate_scene(
-            params, [proc_by_name[name] for name in sequence], rng)
+        scene = multi_model.generate_scene(params, chosen, rng)
         scenes.append(scene)
         meta.append({
             "scene_id": i, "procedures": sequence,
@@ -512,15 +416,14 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
             "block_drift": params.block_drift,
             "inter_arrival_times": [float(v) for v in scene.inter_arrival_times],
         })
-    _write_trajectory_csv(
+    write_trajectory_csv(
         config.out_dir / "scenes.csv", ["scene_id", "aircraft_idx"],
         (((scene_id, idx), traj.times, traj.points)
          for scene_id, scene in enumerate(scenes)
          for idx, traj in enumerate(scene.trajectories)))
-    _write_json(config.out_dir / "scenes.meta.json", {
+    write_json(config.out_dir / "scenes.meta.json", {
         "count": count, "aircraft_per_scene": n_aircraft,
-        "seed": config.seed, "scenes": meta,
-    })
+        "seed": config.seed, "scenes": meta})
     return EXIT_OK
 
 
@@ -535,8 +438,7 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
 
     variables = {}
     for name in ("x_east", "y_north", "horizontal_speed", "closest_distance"):
-        a = vars_actual.as_dict()[name]
-        s = vars_synth.as_dict()[name]
+        a, s = vars_actual.as_dict()[name], vars_synth.as_dict()[name]
         if a.size == 0 or s.size == 0:
             variables[name] = None
             continue
@@ -550,7 +452,7 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
     sep = metrics.SeparationConfig()
     los_actual = metrics.loss_of_separation_count(actual, sep)
     los_synth = metrics.loss_of_separation_count(synthetic, sep)
-    _write_json(config.out_dir / "metrics_report.json", {
+    write_json(config.out_dir / "metrics_report.json", {
         "variables": variables,
         "separation": {
             "horizontal_min_nm": sep.horizontal_min_nm,
@@ -647,12 +549,10 @@ def run(argv: list[str] | None = None) -> int:
             keep = ([int(v) for v in args.keep.split(",")]
                     if args.keep is not None else None)
             return cmd_review_paths(config, args.k, keep, args.samples)
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_USAGE
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, OSError, ValueError, KeyError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -8,7 +8,6 @@ an east-north-up frame centered at the configured airport reference point.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -17,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassificationError, DataError
+from ._files import read_csv
+from .errors import ClassificationError
 from .units import FT_TO_M, NM_TO_M
 
 # WGS84 ellipsoid
@@ -54,24 +54,6 @@ class AirspaceConfig:
     @property
     def radius_m(self) -> float:
         return self.radius_nm * NM_TO_M
-
-
-def parse_keyvalue_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` text file into a string dict."""
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +143,12 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     header-less file raises DataError. Each flight's rows are sorted by time;
     of rows with equal timestamps the first in the file is kept.
     """
-    path = Path(path)
-    try:
-        handle = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read track file {path}: {exc}") from exc
-
     errors: list[str] = []
     rows_by_id: dict[str, array] = {}
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(_REQUIRED_COLUMNS) <= set(reader.fieldnames):
-            raise DataError(
-                f"{path}: header must contain columns {','.join(_REQUIRED_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                values = _parse_row(row)
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"{path}:{lineno}: {exc}")
-                continue
-            rows_by_id.setdefault(row["id"], array("d")).extend(values)
+    for flight_id, values in read_csv(path, "track file", (_REQUIRED_COLUMNS,),
+                                      _parse_row, optional=("gs", "vr"),
+                                      errors=errors):
+        rows_by_id.setdefault(flight_id, array("d")).extend(values)
 
     flights: list[Flight] = []
     for flight_id, values in rows_by_id.items():
@@ -196,23 +163,19 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     return flights, errors
 
 
-def _parse_row(row: dict[str, str]) -> tuple[float, float, float, float]:
-    """(time, lat, lon, alt) of a row; the optional gs and vr are checked only."""
-    time = float(row["time"])
-    lat = float(row["lat"])
-    lon = float(row["lon"])
-    alt = float(row["alt"])
+def _parse_row(fields: tuple[str, ...]) -> tuple[str, tuple[float, ...]]:
+    """(id, (time, lat, lon, alt)) of a row; the optional gs and vr are checked only."""
+    time, lat, lon, alt = map(float, fields[1:5])
     if not (-90.0 <= lat <= 90.0):
         raise ValueError(f"lat {lat} outside [-90, 90]")
     if not (-180.0 <= lon <= 180.0):
         raise ValueError(f"lon {lon} outside [-180, 180]")
     if not (math.isfinite(alt) and math.isfinite(time)):
         raise ValueError("time and alt must be finite")
-    for column in ("gs", "vr"):
-        value = row.get(column)
-        if value not in (None, ""):
+    for value in fields[5:]:
+        if value:
             float(value)
-    return time, lat, lon, alt
+    return fields[0], (time, lat, lon, alt)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from ._cluster import kmeans
-from ._files import atomic_path
+from ._files import read_json, write_text
 from .errors import DataError, NumericalError
 
 MODEL_FORMAT = "trafgen-mixture/1"
@@ -121,14 +121,13 @@ def _component_log_density(data: np.ndarray, mean: np.ndarray,
 
 
 def _log_densities(data: np.ndarray, weights, means,
-                   covariances) -> np.ndarray:
-    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, Sigma_j)."""
+                   chol_factors) -> np.ndarray:
+    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, L_j L_j^T)."""
     out = np.empty((data.shape[0], len(weights)))
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
-        for j, (mean, cov) in enumerate(zip(means, covariances)):
-            out[:, j] = log_weights[j] + _component_log_density(
-                data, mean, psd_jitter_cholesky(cov))
+        for j, (mean, chol) in enumerate(zip(means, chol_factors)):
+            out[:, j] = log_weights[j] + _component_log_density(data, mean, chol)
     return out
 
 
@@ -141,7 +140,7 @@ def log_likelihood(model: MixtureModel, data: np.ndarray) -> float:
     comps = model.components
     log_dens = _log_densities(data, [c.weight for c in comps],
                               [c.mean for c in comps],
-                              (c.covariance() for c in comps))
+                              (psd_jitter_cholesky(c.covariance()) for c in comps))
     return float(logsumexp(log_dens, axis=1).sum())
 
 
@@ -171,8 +170,8 @@ def em_fit(data: np.ndarray, n_components: int, *,
     if data.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     m, n = data.shape
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    if n_components < 1 or max_iter < 1:
+        raise ValueError("n_components and max_iter must be >= 1")
     if m < n_components:
         raise ValueError(f"need at least {n_components} rows, got {m}")
     if not np.all(np.isfinite(data)):
@@ -194,7 +193,8 @@ def em_fit(data: np.ndarray, n_components: int, *,
 
     history: list[float] = []
     for it in range(max_iter):
-        log_dens = _log_densities(data, weights, means, covs)
+        factors = [psd_jitter_cholesky(cov) for cov in covs]
+        log_dens = _log_densities(data, weights, means, factors)
         log_norm = logsumexp(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])
@@ -205,9 +205,10 @@ def em_fit(data: np.ndarray, n_components: int, *,
             # keep the returned parameters consistent with the last E-step
             weights, means, covs = _m_step(data, resp, reg)
 
+    # the last E-step's factors: psd_factor would repeat the same Cholesky
     components = [
         GaussianComponent(weight=float(weights[j]), mean=means[j],
-                          cov_factor=psd_factor(covs[j]), noise_var=0.0)
+                          cov_factor=factors[j], noise_var=0.0)
         for j in range(n_components)
     ]
     # weights can drift from 1 by accumulated rounding; renormalize exactly
@@ -507,48 +508,26 @@ def sample_many(model: MixtureModel, size: int,
 
 def model_to_dict(model: MixtureModel) -> dict:
     return {
-        "format": MODEL_FORMAT,
-        "segment_kind": model.segment_kind,
-        "n_components": len(model.components),
-        "dimension": model.dimension,
-        "components": [
-            {
-                "weight": comp.weight,
-                "mean": comp.mean.tolist(),
-                "cov_factor": comp.cov_factor.tolist(),
-                "noise_var": comp.noise_var,
-            }
-            for comp in model.components
-        ],
+        "format": MODEL_FORMAT, "segment_kind": model.segment_kind,
+        "n_components": len(model.components), "dimension": model.dimension,
+        "components": [{"weight": c.weight, "mean": c.mean.tolist(),
+                        "cov_factor": c.cov_factor.tolist(),
+                        "noise_var": c.noise_var} for c in model.components],
     }
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataError(f"unsupported model format {doc.get('format')!r}")
-    components = [
-        GaussianComponent(
-            weight=float(c["weight"]), mean=np.asarray(c["mean"], dtype=float),
-            cov_factor=np.asarray(c["cov_factor"], dtype=float),
-            noise_var=float(c["noise_var"]),
-        )
-        for c in doc["components"]
-    ]
+    components = [GaussianComponent(
+        weight=float(c["weight"]), mean=np.asarray(c["mean"], dtype=float),
+        cov_factor=np.asarray(c["cov_factor"], dtype=float),
+        noise_var=float(c["noise_var"])) for c in doc["components"]]
     return MixtureModel(components=components,
                         segment_kind=str(doc.get("segment_kind", "generic")))
 
 
 def save_model(model: MixtureModel, path: str | Path) -> None:
-    text = json.dumps(model_to_dict(model), sort_keys=True)
-    with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+    write_text(path, json.dumps(model_to_dict(model), sort_keys=True))
 
 
 def load_model(path: str | Path) -> MixtureModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return read_json(path, "model file", model_from_dict, tag=MODEL_FORMAT)

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from ._cluster import kmeans
-from ._files import atomic_path
+from ._files import read_yaml, write_text
 from .errors import DataError
 from .ingest import AirspaceConfig, enu_to_wgs84, wgs84_to_enu
 from .preprocess import path_length, pchip_resample
@@ -77,52 +77,36 @@ class ProceduralTrajectory:
 # Procedure files: a YAML stream with one document per procedure.
 
 def load_procedures(path: str | Path) -> list[Procedure]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read procedure file {path}: {exc}") from exc
-    procedures = []
-    for doc in yaml.safe_load_all(text):
-        if doc is None:
-            continue
-        try:
-            waypoints = [
-                (float(wp[0]), float(wp[1]),
-                 float(wp[2]) if len(wp) > 2 and wp[2] is not None else None)
-                for wp in doc["waypoints"]
-            ]
-            procedures.append(Procedure(
-                name=str(doc["name"]),
-                kind=ProcedureKind(doc["kind"]),
-                waypoints=waypoints,
-                frequency=float(doc.get("frequency", 1.0)),
-                duration_s=(float(doc["duration_s"])
-                            if doc.get("duration_s") is not None else None),
-            ))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise DataError(f"{path}: malformed procedure document: {exc}") from exc
+    return read_yaml(path, "procedure file", _procedures_from_documents)
+
+
+def _procedures_from_documents(docs: list) -> list[Procedure]:
+    procedures = [Procedure(
+        name=str(doc["name"]), kind=ProcedureKind(doc["kind"]),
+        waypoints=[(float(wp[0]), float(wp[1]),
+                    float(wp[2]) if len(wp) > 2 and wp[2] is not None else None)
+                   for wp in doc["waypoints"]],
+        frequency=float(doc.get("frequency", 1.0)),
+        duration_s=(float(doc["duration_s"])
+                    if doc.get("duration_s") is not None else None),
+    ) for doc in docs if doc is not None]
     if not procedures:
-        raise DataError(f"{path}: no procedures found")
+        raise ValueError("no procedures found")
     return procedures
 
 
 def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
-    docs = []
-    for proc in procedures:
-        docs.append({
-            "name": proc.name,
-            "kind": proc.kind.value,
-            "frequency": float(proc.frequency),
-            "duration_s": (float(proc.duration_s)
-                           if proc.duration_s is not None else None),
-            "waypoints": [
-                [wp[0], wp[1]] if wp[2] is None else [wp[0], wp[1], wp[2]]
-                for wp in proc.waypoints
-            ],
-        })
-    text = yaml.safe_dump_all(docs, sort_keys=True, default_flow_style=None)
-    with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+    docs = [{
+        "name": proc.name,
+        "kind": proc.kind.value,
+        "frequency": float(proc.frequency),
+        "duration_s": (float(proc.duration_s)
+                       if proc.duration_s is not None else None),
+        "waypoints": [list(wp[:2]) if wp[2] is None else list(wp)
+                      for wp in proc.waypoints],
+    } for proc in procedures]
+    write_text(path, yaml.safe_dump_all(docs, sort_keys=True,
+                                        default_flow_style=None))
 
 
 # ---------------------------------------------------------------------------

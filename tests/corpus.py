@@ -14,6 +14,7 @@ import numpy as np
 
 from trafgen.ingest import AirspaceConfig, enu_to_wgs84
 from trafgen.mixture import GaussianComponent, MixtureModel
+from trafgen.preprocess import path_length
 from trafgen.procedures import (Procedure, ProcedureKind,
                                 build_procedural_trajectory, save_procedures)
 from trafgen.single_model import (ProcedureSet, SingleModelConfig,
@@ -32,6 +33,9 @@ _IAP_WAYPOINTS_ENU = np.array([
     [4000.0, 4000.0, 225.0],
     [0.0, 0.0, 0.0],
 ])
+
+# mean altitude (m) of the radar-vector arcs at their start and their end
+_RV_DESCENT = (1800.0, 450.0)
 
 # radar-vector arc from the northwest; last waypoint is the IAP start
 _RV_A_WAYPOINTS_XY = np.array([
@@ -96,8 +100,26 @@ def _smooth_cov_factor(t_len, dim, scales, time_scale, dist_scale, seed):
     return factor
 
 
+def _overlap_path(procs, t_f, n_overlap):
+    """Mean path of a final-approach row under ingest's overlap rule.
+
+    Ingest opens each row with the n_overlap - 1 radar-vector samples before
+    the join (here the mean of the two arcs' tails at their mean altitude),
+    then resamples the approach itself to T_f - n_overlap + 1 samples.
+    """
+    t_v = procs.radar_vectors[0].points.shape[0]
+    lead = slice(t_v - n_overlap, t_v - 1)
+    tail = np.mean([rv.points[lead] for rv in procs.radar_vectors], axis=0)
+    u = np.linspace(0.0, 1.0, t_v)[lead]
+    tail[:, 2] += _RV_DESCENT[0] + (_RV_DESCENT[1] - _RV_DESCENT[0]) * u
+    approach = build_procedural_trajectory(gt_procedures()[2], t_f - n_overlap + 1,
+                                           AIRSPACE, default_speed_kts=140.0)
+    return np.vstack([tail, approach.points])
+
+
 def _gt_component(proc_traj, t_len, lane_offset, descent, transit_mean,
-                  scales, time_scale, dist_scale, weight, seed):
+                  scales, time_scale, dist_scale, weight, seed, path=None):
+    """A component around ``proc_traj``, or around ``path`` (same speed)."""
     dim = 3 * t_len + 2
     u = np.linspace(0.0, 1.0, t_len)
     mean = np.zeros(dim)
@@ -106,6 +128,10 @@ def _gt_component(proc_traj, t_len, lane_offset, descent, transit_mean,
     mean[2::3] = lane_offset * np.sin(np.pi * u)
     if descent is not None:
         mean[4::3] = descent[0] + (descent[1] - descent[0]) * u
+    if path is not None:
+        mean[1] = path_length(path)
+        mean[0] = transit_mean * mean[1] / proc_traj.total_distance
+        mean[2:] += (path - proc_traj.points).ravel()
     return GaussianComponent(weight=weight, mean=mean,
                              cov_factor=_smooth_cov_factor(
                                  t_len, dim, scales, time_scale, dist_scale,
@@ -117,16 +143,19 @@ def ground_truth_model(t_v=T_V, t_f=T_F,
                        n_overlap=N_OVERLAP) -> SingleTrajectoryModel:
     procs = gt_procedure_set(t_v, t_f)
     rv = MixtureModel(components=[
-        _gt_component(procs.radar_vectors[0], t_v, +350.0, (1800.0, 450.0),
+        _gt_component(procs.radar_vectors[0], t_v, +350.0, _RV_DESCENT,
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=11),
-        _gt_component(procs.radar_vectors[0], t_v, -350.0, (1800.0, 450.0),
+        _gt_component(procs.radar_vectors[0], t_v, -350.0, _RV_DESCENT,
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=12),
     ], segment_kind="radar_vector")
+    # final-approach rows follow ingest's overlap rule; at n_overlap = 1 that
+    # path is the IAP itself
+    path = _overlap_path(procs, t_f, n_overlap) if n_overlap > 1 else None
     fa = MixtureModel(components=[
         _gt_component(procs.iap, t_f, +450.0, None, 160.0, 40.0, 8.0, 100.0,
-                      0.5, seed=13),
+                      0.5, seed=13, path=path),
         _gt_component(procs.iap, t_f, -450.0, None, 160.0, 40.0, 8.0, 100.0,
-                      0.5, seed=14),
+                      0.5, seed=14, path=path),
     ], segment_kind="final_approach")
     return SingleTrajectoryModel(
         radar_vector_model=rv, final_approach_model=fa,

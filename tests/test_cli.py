@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trafgen import cli, preprocess, procedures
+from trafgen import _files, cli, preprocess, procedures
 from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
@@ -265,21 +265,14 @@ def test_paper_dimension_ingest_matches_per_pair_loop(tmp_path, monkeypatch):
     assert [row["procedure"] for row in meta["rows"]] == flown
 
 
-@pytest.mark.parametrize("n_overlap", [
-    1,
-    pytest.param(10, marks=pytest.mark.xfail(strict=True, reason=(
-        "generate conditions the final approach on the last n_overlap "
-        "radar-vector samples, but ingest's segments share only their join "
-        "sample: the observed overlap lies outside the trained "
-        "distribution, every retry draws a negative transit time, exit 3"))),
-])
+@pytest.mark.parametrize("n_overlap", [1, 10])
 def test_paper_dimension_pipeline_runs_through_evaluate(tmp_path, n_overlap):
     dims = {"t_v": 350, "t_f": 150, "n_overlap": n_overlap}
     # fixed k_* and rank_* in the config: train runs without select
     config_path = corpus.write_corpus(tmp_path, n_flights=24, seed=0,
                                       explicit_choice=True, **dims)
     actual = tmp_path / "actual.csv"
-    cli._write_trajectory_csv(actual, ["traj_id"], [
+    _files.write_trajectory_csv(actual, ["traj_id"], [
         ((i,), traj.times, traj.points)
         for i, traj in enumerate(corpus.generate_actual(10, 1, **dims))])
     out = tmp_path / "out"
@@ -291,6 +284,33 @@ def test_paper_dimension_pipeline_runs_through_evaluate(tmp_path, n_overlap):
     js = [entry["js_divergence"] for entry in report["variables"].values()
           if entry is not None]
     assert len(js) == 3 and np.all(np.isfinite(js))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_paper_overlap_generate_succeeds_on_every_corpus_seed(tmp_path, seed):
+    config_path = corpus.write_corpus(tmp_path, n_flights=24, seed=seed,
+                                      explicit_choice=True, t_v=350, t_f=150,
+                                      n_overlap=10)
+    for args in (["ingest"], ["train"], ["generate", "--count", "10"]):
+        assert run(["--config", str(config_path), *args]) == EXIT_OK, args
+
+
+def test_final_approach_rows_open_with_the_radar_vector_tail(tmp_path):
+    t_v, t_f, n_ov = 350, 150, 10
+    config_path = corpus.write_corpus(tmp_path, n_flights=6, seed=4, t_v=t_v,
+                                      t_f=t_f, n_overlap=n_ov)
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+    rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.csv")
+    fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.csv")
+    rv_trajs, _, iap = cli._load_procedural_trajectories(
+        RunConfig.from_file(config_path))
+    proc_points = {t.procedure: t.points for t in rv_trajs}
+    for rv_row, fa_row, row in zip(rv, fa, rv_meta["rows"]):
+        rv_points = rv_row[2:].reshape(t_v, 3) + proc_points[row["procedure"]]
+        fa_points = fa_row[2:].reshape(t_f, 3) + iap.points
+        # the last n_ov samples of the radar-vector part, the join included
+        np.testing.assert_allclose(fa_points[:n_ov], rv_points[-n_ov:],
+                                   rtol=0.0, atol=1e-6)
 
 
 def write_enu_flight(lines, flight_id, t0, enu):
@@ -373,14 +393,14 @@ def test_parse_errors_are_logged_once_and_reported_in_full(tmp_path, caplog):
 
 def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "trajectories.csv"
-    cli._write_trajectory_csv(path, ["traj_id"],
-                              [((0,), [0.0, 1.0], [(1.0, 2.0, 3.0)] * 2)])
+    _files.write_trajectory_csv(path, ["traj_id"],
+                                [((0,), [0.0, 1.0], [(1.0, 2.0, 3.0)] * 2)])
     good = path.read_bytes()
     # the second trajectory has 2-D points: the write fails after one row
     with pytest.raises(ValueError):
-        cli._write_trajectory_csv(path, ["traj_id"],
-                                  [((0,), [0.0], [(4.0, 5.0, 6.0)]),
-                                   ((1,), [0.0], [(7.0, 8.0)])])
+        _files.write_trajectory_csv(path, ["traj_id"],
+                                    [((0,), [0.0], [(4.0, 5.0, 6.0)]),
+                                     ((1,), [0.0], [(7.0, 8.0)])])
     assert path.read_bytes() == good
 
     data_path = tmp_path / "rv_dataset.csv"
@@ -391,7 +411,7 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     with pytest.raises((TypeError, ValueError)):
         cli.write_deviation_dataset(data_path, ragged, "radar_vector", 1, [])
     with pytest.raises(TypeError):
-        cli._write_json(data_path.with_suffix(".meta.json"), {"rows": object()})
+        _files.write_json(data_path.with_suffix(".meta.json"), {"rows": object()})
     assert data_path.read_bytes() == data
     assert data_path.with_suffix(".meta.json").read_bytes() == meta
 
@@ -447,6 +467,81 @@ def test_review_paths_writes_kept_subset(pipeline):
 
 # ---------------------------------------------------------------------------
 # exit codes and errors
+
+def write_small_datasets(out, n=20):
+    rng = np.random.default_rng(0)
+    rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
+             "arrival_time": 100.0 * i} for i in range(n)]
+    for name, kind, t_len in (("rv_dataset.csv", "radar_vector", corpus.T_V),
+                              ("fa_dataset.csv", "final_approach", corpus.T_F)):
+        cli.write_deviation_dataset(out / name,
+                                    rng.normal(size=(n, 3 * t_len + 2)),
+                                    kind, t_len, rows)
+
+
+def edit_json(path, edit):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def truncate(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+
+
+@pytest.mark.parametrize("target, damage, command", [
+    ("selection_report.json",
+     lambda path: path.write_text('{"radar_vector": ', encoding="utf-8"),
+     ["train"]),
+    ("rv_dataset.meta.json",
+     lambda path: edit_json(path, lambda doc: doc.pop("T")), ["select"]),
+    ("model_rv.json", truncate, ["generate", "--count", "1"]),
+    ("model_pairwise.json",
+     lambda path: path.write_text(json.dumps({
+         "format": "trafgen-pairwise/1", "segment": "final_approach",
+         "models": {}}), encoding="utf-8"),
+     ["generate-scenes", "--count", "1"]),
+], ids=["broken_json", "meta_without_T", "truncated_model", "fa_pairwise"])
+def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
+                                                     damage, command):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    write_small_datasets(out)
+    gt = corpus.ground_truth_model()
+    save_model(gt.radar_vector_model, out / "model_rv.json")
+    save_model(gt.final_approach_model, out / "model_fa.json")
+    damage(out / target)
+    assert run(["--config", str(config_path), *command]) == EXIT_DATA
+    assert str(out / target) in capsys.readouterr().err
+
+
+def test_dataset_rows_must_match_their_meta(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    write_small_datasets(out)
+    meta_path = out / "rv_dataset.meta.json"
+    # one meta row more than the data has
+    edit_json(meta_path, lambda doc: doc["rows"].append(doc["rows"][-1]))
+    assert run(["--config", str(config_path), "train-pairwise"]) == EXIT_DATA
+    assert "20 rows, but its meta lists 21" in capsys.readouterr().err
+    edit_json(meta_path, lambda doc: (doc["rows"].pop(),
+                                      doc["rows"][3].pop("procedure")))
+    assert run(["--config", str(config_path), "train-pairwise"]) == EXIT_DATA
+    assert "row 3 lacks procedure" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_reported_as_data_error(tmp_path,
+                                                          monkeypatch):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+
+    def broken(config):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_select", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["--config", str(config_path), "select"])
+
 
 def test_usage_error_exit_code():
     assert run(["--config"]) == EXIT_USAGE
@@ -547,11 +642,17 @@ def test_run_config_defaults_and_nonpositive_lengths(tmp_path, capsys):
     assert (cfg.segment_length_rv, cfg.segment_length_fa, cfg.n_overlap) == (
         350, 150, 10)
     assert cfg.component_grid == [2, 3, 4, 5, 6] and cfg.seed == 0
-    assert cfg.rank_rv is None and cfg.pairwise_segment == "radar_vector"
+    assert cfg.rank_rv is None and not hasattr(cfg, "pairwise_segment")
     path.write_text("origin_lat = 1\norigin_lon = 2\nn_overlap = 0\n",
                     encoding="utf-8")
     assert run(["--config", str(path), "ingest"]) == EXIT_DATA
     assert "n_overlap must be positive" in capsys.readouterr().err
+    # ingest opens final-approach rows with n_overlap - 1 radar-vector samples
+    path.write_text("origin_lat = 1\norigin_lon = 2\nt_f = 10\nn_overlap = 10\n",
+                    encoding="utf-8")
+    assert run(["--config", str(path), "ingest"]) == EXIT_DATA
+    assert f"{path}: malformed config file: n_overlap must be in [1, T_f)" in \
+        capsys.readouterr().err
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):

@@ -154,6 +154,22 @@ def test_parse_deduplicates_timestamps_keeping_first(tmp_path):
     assert flights[1].points[:, 1].tolist() == [40.7] * 8
 
 
+def test_parse_errors_give_the_file_line_and_the_missing_column(tmp_path):
+    path = write_csv(tmp_path, (
+        "id,time,lat,lon,alt\n"
+        "a,0,40.6,-73.7,1000\n"
+        "\n"
+        "\n"
+        "a,10,95,-73.71,1100\n"
+        "a,20,40.62,-73.72,1200\n"
+        "a,30,40.63,-73.73\n"
+    ))
+    flights, errors = parse_tracks(path)
+    assert errors == [f"{path}:5: lat 95.0 outside [-90, 90]",
+                      f"{path}:7: missing column 'alt'"]
+    assert flights[0].points[:, 0].tolist() == [0.0, 20.0]
+
+
 def test_parse_missing_file_is_fatal(tmp_path):
     with pytest.raises(DataError):
         parse_tracks(tmp_path / "nope.csv")

@@ -6,7 +6,7 @@ import pytest
 from trafgen.errors import DataError
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, condition, em_fit, load_model, log_likelihood,
-                             low_rank_approx, model_from_dict, model_to_dict,
+                             low_rank_approx, model_to_dict,
                              ppca_fit, sample, sample_many, save_model,
                              select_rank)
 
@@ -419,9 +419,11 @@ def test_model_serialization_round_trip(tmp_path):
         assert np.array_equal(c1.cov_factor, c2.cov_factor)
 
 
-def test_model_format_tag_checked():
-    with pytest.raises(DataError):
-        model_from_dict({"format": "other/9", "components": []})
+def test_model_format_tag_checked(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"format": "other/9", "components": []}', encoding="utf-8")
+    with pytest.raises(DataError, match="unsupported format 'other/9'"):
+        load_model(path)
 
 
 def test_mixture_weight_validation():
