@@ -93,16 +93,22 @@ def _reading(path, kind: str):
 
 
 def read_keyvalue(path: str | Path, kind: str, parse):
-    """``parse(values)`` of a flat ``key = value`` file; ``#`` starts a comment."""
+    """``parse(values)`` of a flat ``key = value`` file; ``#`` starts a comment.
+
+    A key given twice is an error, not a silent override.
+    """
     with _reading(path, kind):
         values = {}
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         for lineno, raw in enumerate(lines, start=1):
             key, sep, value = raw.split("#", 1)[0].partition("=")
-            if not sep and key.strip():
+            key = key.strip()
+            if not sep and key:
                 raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
             if sep:
-                values[key.strip()] = value.strip()
+                if key in values:
+                    raise ValueError(f"line {lineno}: duplicate key {key!r}")
+                values[key] = value.strip()
         return parse(values)
 
 

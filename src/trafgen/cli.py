@@ -490,6 +490,28 @@ def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None,
 # ---------------------------------------------------------------------------
 # Entry point
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _index_list(raw: str) -> list[int]:
+    """argparse type of ``--keep``: comma-separated nonnegative indices."""
+    items = raw.split(",")
+    if not all(item.strip().isdecimal() for item in items):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated indices >= 0, got {raw!r}")
+    return [int(item) for item in items]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trafgen", description=__doc__)
     parser.add_argument("--config", required=True, help="run config file")
@@ -501,17 +523,18 @@ def _build_parser() -> _Parser:
     sub.add_parser("train")
     sub.add_parser("train-pairwise")
     p_gen = sub.add_parser("generate")
-    p_gen.add_argument("--count", type=int, required=True)
+    p_gen.add_argument("--count", type=_int_at_least(0), required=True)
     p_scenes = sub.add_parser("generate-scenes")
-    p_scenes.add_argument("--count", type=int, required=True)
-    p_scenes.add_argument("--aircraft", type=int, default=3)
+    p_scenes.add_argument("--count", type=_int_at_least(0), required=True)
+    p_scenes.add_argument("--aircraft", type=_int_at_least(2), default=3)
     p_eval = sub.add_parser("evaluate")
     p_eval.add_argument("--actual", required=True)
     p_eval.add_argument("--synthetic", required=True)
     p_review = sub.add_parser("review-paths")
-    p_review.add_argument("--k", type=int, required=True)
-    p_review.add_argument("--keep", help="comma-separated path indices to keep")
-    p_review.add_argument("--samples", type=int, default=100)
+    p_review.add_argument("--k", type=_int_at_least(1), required=True)
+    p_review.add_argument("--keep", type=_index_list,
+                          help="comma-separated path indices to keep")
+    p_review.add_argument("--samples", type=_int_at_least(2), default=100)
     return parser
 
 
@@ -546,9 +569,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config, Path(args.actual), Path(args.synthetic))
         if args.command == "review-paths":
-            keep = ([int(v) for v in args.keep.split(",")]
-                    if args.keep is not None else None)
-            return cmd_review_paths(config, args.k, keep, args.samples)
+            return cmd_review_paths(config, args.k, args.keep, args.samples)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -238,7 +238,6 @@ def extract_variables(scenes: Sequence[Scene]) -> VariableSamples:
 class SeparationReport:
     count: int                    # violation events (or samples, per unit)
     scene_flags: list[bool]       # any violation per scene
-    unit: str                     # "events" | "samples"
 
 
 def loss_of_separation_count(scenes: Sequence[Scene],
@@ -282,4 +281,4 @@ def loss_of_separation_count(scenes: Sequence[Scene],
                     scene_count += int(starts.sum())
         total += scene_count
         flags.append(scene_count > 0)
-    return SeparationReport(count=total, scene_flags=flags, unit=unit)
+    return SeparationReport(count=total, scene_flags=flags)

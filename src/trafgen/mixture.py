@@ -25,6 +25,12 @@ MODEL_FORMAT = "trafgen-mixture/1"
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# EM stops on a relative log-likelihood gain below EM_TOL or after EM_MAX_ITER
+EM_MAX_ITER = 200
+EM_TOL = 1e-6
+# share of rows select_rank holds out for scoring
+HOLDOUT_FRACTION = 0.2
+
 
 @dataclass
 class GaussianComponent:
@@ -50,8 +56,10 @@ class GaussianComponent:
         return self.mean.shape[0]
 
     def covariance(self) -> np.ndarray:
-        n = self.dimension
-        return self.cov_factor @ self.cov_factor.T + self.noise_var * np.eye(n)
+        """``F F^T + noise_var I``, the noise added to the diagonal in place."""
+        cov = self.cov_factor @ self.cov_factor.T
+        cov[np.diag_indices_from(cov)] += self.noise_var
+        return cov
 
 
 @dataclass
@@ -88,13 +96,19 @@ def psd_jitter_cholesky(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, escalating diagonal jitter instead of inverting.
 
     Jitter scales with trace(cov)/n and escalates 1e-10 -> 1e-6; failure
-    past the largest jitter raises NumericalError.
+    past the largest jitter raises NumericalError. Each level refills one
+    Fortran-ordered work copy of ``cov``, adds the jitter to its diagonal and
+    factors it in place, so no n x n temporary beyond that copy is made.
     """
     n = cov.shape[0]
     scale = max(float(np.trace(cov)) / n, np.finfo(float).tiny)
+    work = np.empty_like(cov, dtype=float, order="F")
+    diag = np.diag_indices(n)
     for jitter in (0.0, 1e-10, 1e-8, 1e-6):
+        work[...] = cov
+        work[diag] += jitter * scale
         try:
-            return cholesky(cov + jitter * scale * np.eye(n), lower=True)
+            return cholesky(work, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError("covariance is not positive definite after max jitter")
@@ -131,32 +145,17 @@ def _log_densities(data: np.ndarray, weights, means,
     return out
 
 
-def log_likelihood(model: MixtureModel, data: np.ndarray) -> float:
-    """Total log-likelihood of the rows of ``data`` under the mixture."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] != model.dimension:
-        raise ValueError(
-            f"data has dimension {data.shape}, model expects (m, {model.dimension})")
-    comps = model.components
-    log_dens = _log_densities(data, [c.weight for c in comps],
-                              [c.mean for c in comps],
-                              (psd_jitter_cholesky(c.covariance()) for c in comps))
-    return float(logsumexp(log_dens, axis=1).sum())
-
-
 # ---------------------------------------------------------------------------
 # EM fitting
 
 @dataclass
 class EMFit:
     model: MixtureModel
-    responsibilities: np.ndarray  # (m, K)
     labels: np.ndarray            # (m,) argmax responsibility
     log_likelihoods: list[float]  # one entry per EM iteration
 
 
 def em_fit(data: np.ndarray, n_components: int, *,
-           max_iter: int = 200, tol: float = 1e-6,
            seed: int | np.random.Generator = 0,
            reg: float | None = None,
            segment_kind: str = "generic") -> EMFit:
@@ -164,14 +163,15 @@ def em_fit(data: np.ndarray, n_components: int, *,
 
     Initialization is k-means++ on the data; every M-step adds ``reg * I``
     (default 1e-6 times the mean data variance) to each covariance. Stops on
-    relative log-likelihood improvement below ``tol`` or after ``max_iter``.
+    relative log-likelihood improvement below ``EM_TOL`` or after
+    ``EM_MAX_ITER`` iterations.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     m, n = data.shape
-    if n_components < 1 or max_iter < 1:
-        raise ValueError("n_components and max_iter must be >= 1")
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
     if m < n_components:
         raise ValueError(f"need at least {n_components} rows, got {m}")
     if not np.all(np.isfinite(data)):
@@ -192,16 +192,16 @@ def em_fit(data: np.ndarray, n_components: int, *,
     weights, means, covs = _m_step(data, resp, reg)
 
     history: list[float] = []
-    for it in range(max_iter):
+    for it in range(EM_MAX_ITER):
         factors = [psd_jitter_cholesky(cov) for cov in covs]
         log_dens = _log_densities(data, weights, means, factors)
         log_norm = logsumexp(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])
         history.append(ll)
-        if len(history) > 1 and ll - history[-2] < tol * abs(history[-2]):
+        if len(history) > 1 and ll - history[-2] < EM_TOL * abs(history[-2]):
             break
-        if it < max_iter - 1:
+        if it < EM_MAX_ITER - 1:
             # keep the returned parameters consistent with the last E-step
             weights, means, covs = _m_step(data, resp, reg)
 
@@ -216,8 +216,8 @@ def em_fit(data: np.ndarray, n_components: int, *,
     for c in components:
         c.weight /= total
     model = MixtureModel(components=components, segment_kind=segment_kind)
-    return EMFit(model=model, responsibilities=resp,
-                 labels=resp.argmax(axis=1), log_likelihoods=history)
+    return EMFit(model=model, labels=resp.argmax(axis=1),
+                 log_likelihoods=history)
 
 
 def _m_step(data: np.ndarray, resp: np.ndarray, reg: float,
@@ -231,7 +231,9 @@ def _m_step(data: np.ndarray, resp: np.ndarray, reg: float,
     for j in range(resp.shape[1]):
         centered = data - means[j]
         cov = (centered * resp[:, j:j + 1]).T @ centered / counts[j]
-        covs[j] = (cov + cov.T) / 2.0 + reg * np.eye(n)
+        covs[j] = (cov + cov.T) / 2.0
+    diag = np.arange(n)
+    covs[:, diag, diag] += reg
     return weights, means, covs
 
 
@@ -260,7 +262,6 @@ class PPCAFit:
     mean: np.ndarray       # (n,)
     weights: np.ndarray    # W, (n, k)
     noise_var: float       # sigma^2
-    log_likelihood: float  # marginal log-likelihood of the training data
 
 
 def _ppca_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, rank: int,
@@ -278,6 +279,14 @@ def _ppca_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, rank: int,
     return w, noise_var
 
 
+def _sample_eigh(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row mean and the eigendecomposition of the (1/m) sample covariance."""
+    mean = data.mean(axis=0)
+    centered = data - mean
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / data.shape[0])
+    return mean, eigvals, eigvecs
+
+
 def ppca_fit(data: np.ndarray, rank: int) -> PPCAFit:
     """Closed-form maximum-likelihood probabilistic PCA.
 
@@ -291,24 +300,9 @@ def ppca_fit(data: np.ndarray, rank: int) -> PPCAFit:
         raise ValueError(f"rank must satisfy 1 <= rank < {n}, got {rank}")
     if m <= rank:
         raise ValueError(f"need more than rank={rank} rows, got {m}")
-    mean = data.mean(axis=0)
-    centered = data - mean
-    sample_cov = centered.T @ centered / m
-    eigvals, eigvecs = np.linalg.eigh(sample_cov)
+    mean, eigvals, eigvecs = _sample_eigh(data)
     w, noise_var = _ppca_from_eigh(eigvals, eigvecs, rank)
-
-    # model covariance shares the sample eigenbasis: eigenvalue i maps to
-    # max(lambda_i, sigma^2) for kept axes and sigma^2 for discarded ones
-    lam = np.clip(eigvals, 0.0, None)
-    model_eigs = np.concatenate([
-        np.full(n - rank, noise_var), np.maximum(lam[n - rank:], noise_var)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_det = np.sum(np.log(model_eigs))
-        trace_term = np.sum(np.where(model_eigs > 0, lam / model_eigs,
-                                     np.where(lam > 0, np.inf, 0.0)))
-    ll = -0.5 * m * (n * _LOG_2PI + log_det + trace_term)
-    return PPCAFit(mean=mean, weights=w, noise_var=noise_var,
-                   log_likelihood=float(ll))
+    return PPCAFit(mean=mean, weights=w, noise_var=noise_var)
 
 
 @dataclass
@@ -318,12 +312,12 @@ class RankSelection:
 
 
 def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
-                holdout_fraction: float = 0.2,
                 seed: int | np.random.Generator = 0) -> RankSelection:
     """Pick the PPCA rank maximizing held-out marginal log-likelihood.
 
-    The data is split (default 80/20, seeded); each grid rank is fitted on
-    the training part and scored on the held-out part. Ties break toward the
+    The data is split 80/20 (seeded). The training part's sample covariance
+    is decomposed once; each grid rank takes its PPCA fit from that
+    decomposition and is scored on the held-out part. Ties break toward the
     smaller rank. The full (rank, log-likelihood) curve is returned for
     reporting.
     """
@@ -336,17 +330,18 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
         raise ValueError(f"grid ranks must be in [1, {n - 1}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
-    n_holdout = int(round(m * holdout_fraction))
+    n_holdout = int(round(m * HOLDOUT_FRACTION))
     if n_holdout < 1 or m - n_holdout < 2 or m - n_holdout <= max(grid):
         raise DataError(f"degenerate split for m={m} rows")
     holdout, train = data[perm[:n_holdout]], data[perm[n_holdout:]]
 
+    mean, eigvals, eigvecs = _sample_eigh(train)
     curve = []
     for k in grid:
-        fit = ppca_fit(train, k)
-        cov = fit.weights @ fit.weights.T + fit.noise_var * np.eye(n)
+        w, noise_var = _ppca_from_eigh(eigvals, eigvecs, k)
+        cov = GaussianComponent(1.0, mean, w, noise_var).covariance()
         chol_l = psd_jitter_cholesky(cov)
-        ll = float(_component_log_density(holdout, fit.mean, chol_l).sum())
+        ll = float(_component_log_density(holdout, mean, chol_l).sum())
         curve.append((int(k), ll))
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return RankSelection(rank=curve[best][0], curve=curve)
@@ -455,19 +450,6 @@ class ConditionalMixture:
             for j, part in enumerate(self._parts)
         ]
         return MixtureModel(components=components, segment_kind=self.segment_kind)
-
-
-def condition(model: MixtureModel, observed_idx: Sequence[int],
-              observed_vals: Sequence[float]) -> MixtureModel:
-    """Condition the mixture on observed coordinates.
-
-    Returns a mixture over the remaining coordinates (in ascending index
-    order) with reweighted components; weights use log-sum-exp and each
-    Sigma_aa solve goes through a jittered Cholesky, never an explicit
-    inverse. To condition one model on many observations of the same
-    coordinates, build a :class:`ConditionalMixture` once instead.
-    """
-    return ConditionalMixture(model, observed_idx)(observed_vals)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

@@ -15,13 +15,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .mixture import MixtureModel, compress_model, em_fit, psd_factor
+from .mixture import (GaussianComponent, MixtureModel, compress_model, em_fit,
+                      psd_factor)
 from .preprocess import DeviationVector, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PAIRING_WINDOW_S = 180.0
+# a pairwise group is trained only with this many samples per component
+MIN_SAMPLES_PER_COMPONENT = 5
+# scene draws per generate_scene call before it gives up
+MAX_SCENE_DRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -115,22 +120,16 @@ def extract_pairs(records: Sequence[ArrivalRecord],
     return groups
 
 
-def stack_pairs(samples: Sequence[PairwiseSample]) -> np.ndarray:
-    return np.stack([s.to_array() for s in samples])
-
-
 def train_pairwise(groups: Mapping[tuple[str, str], Sequence[PairwiseSample]],
                    n_components: int, rank: int, *,
-                   min_samples: int | None = None,
                    seed: int = 0,
                    ) -> dict[tuple[str, str], MixtureModel]:
     """Fit one compressed pairwise mixture per procedure combination.
 
-    Groups with fewer than ``min_samples`` samples (default 5 per component)
-    are skipped with a warning.
+    Groups with fewer than ``MIN_SAMPLES_PER_COMPONENT`` samples per
+    component are skipped with a warning.
     """
-    if min_samples is None:
-        min_samples = 5 * n_components
+    min_samples = MIN_SAMPLES_PER_COMPONENT * n_components
     models: dict[tuple[str, str], MixtureModel] = {}
     for key in sorted(groups):
         samples = groups[key]
@@ -138,7 +137,7 @@ def train_pairwise(groups: Mapping[tuple[str, str], Sequence[PairwiseSample]],
             logger.warning("skipping pairwise group %s: %d samples < %d",
                            key, len(samples), min_samples)
             continue
-        data = stack_pairs(samples)
+        data = np.stack([s.to_array() for s in samples])
         fit = em_fit(data, n_components, seed=seed, segment_kind="pairwise")
         models[key] = compress_model(fit.model, rank)
     return models
@@ -164,11 +163,10 @@ def _pair_dim(models: Mapping[tuple[str, str], MixtureModel]) -> int:
     return (dim - 1) // 2
 
 
-def _gram(factor: np.ndarray, noise_var: float) -> np.ndarray:
-    """``factor factor^T + noise_var I``: a diagonal block from factor rows."""
-    out = factor @ factor.T
-    out[np.diag_indices_from(out)] += noise_var
-    return out
+def _marginal(comp: GaussianComponent, blk: slice) -> GaussianComponent:
+    """The component's marginal over one aircraft's block: its factor rows."""
+    return GaussianComponent(comp.weight, comp.mean[blk], comp.cov_factor[blk],
+                             comp.noise_var)
 
 
 def _set_block(cov: np.ndarray, rows, cols, value) -> None:
@@ -222,7 +220,7 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
         _set_block(cov, blk_k, blk_k1, f_a @ f_b.T)
         cov[q, q] = f_q @ f_q + comp.noise_var
         _set_block(cov, q, blk_k1, f_b @ f_q)
-        diag_blocks.append(_gram(f_b, comp.noise_var))
+        diag_blocks.append(_marginal(comp, b_blk).covariance())
         cov[blk_k1, blk_k1] = diag_blocks[-1]
         block_factors[k].append(f_a)
         block_factors[k + 1].append(f_b)
@@ -232,7 +230,7 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     j0 = int(rng.choice(len(model01.components), p=model01.weights))
     comp = model01.components[j0]
     mean[a_blk] = comp.mean[a_blk]
-    diag_blocks.append(_gram(comp.cov_factor[a_blk], comp.noise_var))
+    diag_blocks.append(_marginal(comp, a_blk).covariance())
     cov[a_blk, a_blk] = diag_blocks[0]
     place_adjacent(0, comp)
     provenance["pair_0_1"] = j0
@@ -240,8 +238,7 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     # step 2 repeated: adjacent pairs (k, k+1), matching the shared block
     for k in range(1, n - 1):
         model_k = _require_model(models, (procs[k], procs[k + 1]))
-        dists = [np.linalg.norm(_gram(c.cov_factor[a_blk], c.noise_var)
-                                - diag_blocks[k])
+        dists = [np.linalg.norm(_marginal(c, a_blk).covariance() - diag_blocks[k])
                  for c in model_k.components]
         jk = int(np.argmin(dists))
         place_adjacent(k, model_k.components[jk])
@@ -252,12 +249,9 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
         for i in range(0, k - 1):
             model_ik = _require_model(models, (procs[i], procs[k]))
             dists = [
-                np.linalg.norm(_gram(c.cov_factor[a_blk], c.noise_var)
-                               - diag_blocks[i])
-                + np.linalg.norm(_gram(c.cov_factor[b_blk], c.noise_var)
-                                 - diag_blocks[k])
-                for c in model_ik.components
-            ]
+                np.linalg.norm(_marginal(c, a_blk).covariance() - diag_blocks[i])
+                + np.linalg.norm(_marginal(c, b_blk).covariance() - diag_blocks[k])
+                for c in model_ik.components]
             jik = int(np.argmin(dists))
             f = model_ik.components[jik].cov_factor
             _set_block(cov, _block(i, d), _block(k, d), f[a_blk] @ f[b_blk].T)
@@ -338,15 +332,16 @@ def _repair_psd(cov: np.ndarray, blocks: Sequence[slice],
 
 def generate_scene(params: SceneParams,
                    procedures: Sequence[ProceduralTrajectory],
-                   rng: int | np.random.Generator | None = None, *,
-                   max_retries: int = 10) -> TrafficScene:
+                   rng: int | np.random.Generator | None = None,
+                   ) -> TrafficScene:
     """Sample one joint deviation vector and reconstruct the N trajectories.
 
-    The scene vector is redrawn (up to ``max_retries``) while any sampled
-    inter-arrival time is negative or a deviation block has nonpositive
-    transit time or distance. Trajectory timestamps are aligned so that
-    successive reconstructed arrival (final) times differ exactly by the
-    sampled inter-arrival times, with the first aircraft starting at 0.
+    The scene vector is redrawn (up to ``MAX_SCENE_DRAWS`` draws in all)
+    while any sampled inter-arrival time is negative or a deviation block
+    has nonpositive transit time or distance. Trajectory timestamps are
+    aligned so that successive reconstructed arrival (final) times differ
+    exactly by the sampled inter-arrival times, with the first aircraft
+    starting at 0.
     """
     rng = np.random.default_rng(rng)
     n, d = params.n_aircraft, params.per_aircraft_dim
@@ -354,7 +349,7 @@ def generate_scene(params: SceneParams,
         raise ValueError(f"need {n} procedural trajectories, got {len(procedures)}")
     factor = psd_factor(params.covariance)
 
-    for _ in range(max_retries):
+    for _ in range(MAX_SCENE_DRAWS):
         vec = params.mean + factor @ rng.standard_normal(params.mean.size)
         deltas = np.array([vec[_delta_index(i, d)] for i in range(n - 1)])
         if np.any(deltas < 0):
@@ -375,5 +370,5 @@ def generate_scene(params: SceneParams,
                 procedure_used=proc.procedure))
         return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)
     raise NumericalError(
-        f"scene sampling failed {max_retries} times (negative inter-arrival "
+        f"scene sampling failed {MAX_SCENE_DRAWS} times (negative inter-arrival "
         "times or degenerate deviation blocks)")

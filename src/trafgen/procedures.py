@@ -25,6 +25,9 @@ from .units import KT_TO_MPS, NM_TO_M
 # an ENU track (times (n,), positions (n, 3)), as flight_to_enu returns it
 EnuTrack = tuple[np.ndarray, np.ndarray]
 
+# k-means restarts when clustering nominal radar-vector paths
+KMEANS_RESTARTS = 20
+
 
 class ProcedureKind(Enum):
     IAP = "IAP"
@@ -92,6 +95,10 @@ def _procedures_from_documents(docs: list) -> list[Procedure]:
     ) for doc in docs if doc is not None]
     if not procedures:
         raise ValueError("no procedures found")
+    names = [proc.name for proc in procedures]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"duplicate procedure names: {repeated}")
     return procedures
 
 
@@ -116,14 +123,13 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
                           config: AirspaceConfig, *,
                           samples: int = 100,
                           waypoint_count: int = 25,
-                          restarts: int = 20,
                           rng: np.random.Generator | int | None = None,
                           ) -> list[Procedure]:
     """Cluster arrival tracks into ``k`` nominal radar-vector paths.
 
     Tracks are ENU ``(times, xyz)`` pairs as :func:`flight_to_enu` returns
     them. They are resampled to a common length and clustered with k-means
-    (k-means++ seeding, best of ``restarts``) on flattened horizontal
+    (k-means++ seeding, best of ``KMEANS_RESTARTS``) on flattened horizontal
     positions. Cluster means become waypoint lists; frequency is the cluster
     membership fraction. The caller curates which paths to keep.
     """
@@ -144,7 +150,7 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
     data = np.asarray(rows)
     durations = np.asarray(durations)
 
-    result = kmeans(data, k, rng, restarts=restarts)
+    result = kmeans(data, k, rng, restarts=KMEANS_RESTARTS)
     procedures = []
     for j in range(k):
         member = result.labels == j

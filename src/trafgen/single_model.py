@@ -19,6 +19,9 @@ from .mixture import (ConditionalMixture, MixtureModel, compress_model, em_fit,
 from .preprocess import DeviationVector, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
+# trajectory draws per generate call before it gives up
+MAX_DRAWS = 10
+
 
 @dataclass(frozen=True)
 class SingleModelConfig:
@@ -143,8 +146,8 @@ def _fit_segment(data: np.ndarray, segment: str, n_components: int, rank: int,
 
 
 def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
-             rng: int | np.random.Generator | None = None, *,
-             max_retries: int = 10) -> SyntheticTrajectory:
+             rng: int | np.random.Generator | None = None,
+             ) -> SyntheticTrajectory:
     """Generate one synthetic trajectory against test procedures.
 
     Picks a radar-vector procedure proportionally to frequency, samples and
@@ -152,7 +155,8 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
     mixture on the deviations of the segment's last ``n_overlap`` positions
     from the IAP head, and joins the reconstructed segments. The overlap is
     emitted once: final-approach samples before the one that retraces the
-    radar-vector end are dropped.
+    radar-vector end are dropped. A draw that fails is redrawn, up to
+    ``MAX_DRAWS`` draws in all.
     """
     rng = np.random.default_rng(rng)
     cfg = model.config
@@ -169,7 +173,7 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
     observed_idx = conditional_fa.observed_idx
 
     last_error: Exception | None = None
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         tau_rv, comp_rv = sample(model.radar_vector_model, rng)
         try:
             rv_dev = DeviationVector.from_array(tau_rv)
@@ -212,5 +216,5 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
             boundary=t_v,
         )
     raise NumericalError(
-        f"generation failed after {max_retries} attempts; last cause: "
+        f"generation failed after {MAX_DRAWS} attempts; last cause: "
         f"{last_error}")

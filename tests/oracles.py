@@ -6,14 +6,17 @@ the conditional-Gaussian oracle estimates posterior moments by kernel-weighted
 joint sampling (no use of the conditional formulas). Two references instead
 keep the plain dense computation that a structured fast path replaces: the
 per-call conditioning, which the fast path must match bit for bit, the
-PSD repair by a full eigendecomposition, and the row-by-row DTW double loop,
-which the batched wavefront must match bit for bit.
+PSD repair by a full eigendecomposition, the row-by-row DTW double loop,
+which the batched wavefront must match bit for bit, and the rank selection
+that refits PPCA for every grid rank and adds jitter through a dense
+identity, which the single-decomposition path must match bit for bit.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky
 from scipy.special import logsumexp
 
+from trafgen.errors import NumericalError
 from trafgen.mixture import (MixtureModel, _component_log_density, psd_factor,
                              psd_jitter_cholesky, sample_many)
 
@@ -173,3 +176,43 @@ def repair_psd_dense(cov, blocks):
         drift.append(float(np.linalg.norm(repaired[blk, blk] - before) / denom)
                      if denom > 0 else 0.0)
     return repaired, drift
+
+
+def jitter_cholesky_eye(cov):
+    """Jittered Cholesky that adds each jitter level as a dense scaled identity."""
+    n = cov.shape[0]
+    scale = max(float(np.trace(cov)) / n, np.finfo(float).tiny)
+    for jitter in (0.0, 1e-10, 1e-8, 1e-6):
+        try:
+            return cholesky(cov + jitter * scale * np.eye(n), lower=True)
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericalError("covariance is not positive definite after max jitter")
+
+
+def select_rank_per_rank(data, rank_grid, seed=0, holdout_fraction=0.2):
+    """Held-out PPCA rank selection that redoes the whole fit for every rank.
+
+    Each grid rank recomputes the training mean, sample covariance and its
+    eigendecomposition, builds W W^T + sigma^2 I with a dense identity and
+    factors it with :func:`jitter_cholesky_eye`. Returns (rank, curve).
+    """
+    data = np.asarray(data, dtype=float)
+    m, n = data.shape
+    perm = np.random.default_rng(seed).permutation(m)
+    n_holdout = int(round(m * holdout_fraction))
+    holdout, train = data[perm[:n_holdout]], data[perm[n_holdout:]]
+    curve = []
+    for k in rank_grid:
+        mean = train.mean(axis=0)
+        centered = train - mean
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / len(train))
+        eigvals = np.clip(eigvals, 0.0, None)
+        noise_var = float(np.mean(eigvals[:n - k]))
+        w = eigvecs[:, n - k:] * np.sqrt(
+            np.clip(eigvals[n - k:] - noise_var, 0.0, None))
+        chol = jitter_cholesky_eye(w @ w.T + noise_var * np.eye(n))
+        curve.append(
+            (int(k), float(_component_log_density(holdout, mean, chol).sum())))
+    best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
+    return curve[best][0], curve

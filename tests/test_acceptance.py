@@ -17,9 +17,10 @@ from trafgen.metrics import (SeparationConfig, extract_variables,
                              histogram_pair, js_divergence,
                              loss_of_separation_count, silhouette_score,
                              silhouette_sweep)
-from trafgen.mixture import (GaussianComponent, MixtureModel, compress_model,
-                             condition, em_fit, low_rank_approx, ppca_fit,
-                             sample_many, select_rank)
+from trafgen.mixture import (ConditionalMixture, GaussianComponent,
+                             MixtureModel, compress_model, em_fit,
+                             low_rank_approx, ppca_fit, sample_many,
+                             select_rank)
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, train_pairwise)
@@ -86,7 +87,7 @@ def test_criterion_02_conditional_matches_monte_carlo():
         anchor, _ = sample_many(model, 1, rng)
         observed_vals = anchor[0, observed_idx]
 
-        conditioned = condition(model, observed_idx, observed_vals)
+        conditioned = ConditionalMixture(model, observed_idx)(observed_vals)
         analytic_w = np.array([c.weight for c in conditioned.components])
         analytic_mean = sum(c.weight * c.mean for c in conditioned.components)
 

@@ -11,6 +11,7 @@ from trafgen import _files, cli, preprocess, procedures
 from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
+from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84
 from trafgen.mixture import save_model
 
@@ -546,6 +547,52 @@ def test_internal_key_error_is_not_reported_as_data_error(tmp_path,
 def test_usage_error_exit_code():
     assert run(["--config"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--count", "-3"],
+    ["generate-scenes", "--count", "-1"],
+    ["generate-scenes", "--count", "2", "--aircraft", "1"],
+    ["review-paths", "--k", "0"],
+    ["review-paths", "--k", "2", "--samples", "1"],
+    ["review-paths", "--k", "2", "--keep", "0,x"],
+    ["review-paths", "--k", "2", "--keep", "0,,1"],
+    ["review-paths", "--k", "2", "--keep", "-1"],
+], ids=["negative_count", "negative_scene_count", "one_aircraft", "zero_k",
+        "one_sample", "keep_not_integer", "keep_empty_item", "keep_negative"])
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, args):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    assert run(["--config", str(config_path), *args]) == EXIT_USAGE
+    assert "error: argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_config_key_is_data_error_naming_the_file(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    with config_path.open("a", encoding="utf-8") as handle:
+        handle.write("seed = 5\n")
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_DATA
+    assert f"{config_path}: malformed config file: " in capsys.readouterr().err
+    with pytest.raises(DataError, match="duplicate key 'seed'"):
+        RunConfig.from_file(config_path)
+
+
+def test_duplicate_procedure_name_is_data_error_naming_the_file(tmp_path,
+                                                               capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    gt = corpus.ground_truth_model()
+    save_model(gt.radar_vector_model, out / "model_rv.json")
+    save_model(gt.final_approach_model, out / "model_fa.json")
+    procs = procedures.load_procedures(tmp_path / "procedures.yaml")
+    procs[1].name = procs[0].name
+    procedures.save_procedures(procs, tmp_path / "procedures.yaml")
+    assert run(["--config", str(config_path), "generate",
+                "--count", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(tmp_path / "procedures.yaml") in err
+    assert f"duplicate procedure names: ['{procs[0].name}']" in err
+    assert not (out / "trajectories.csv").exists()
 
 
 def test_unknown_command_is_usage_error(pipeline):

@@ -1,16 +1,20 @@
 """Gaussian mixture core: EM, PPCA, low-rank approximation, conditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
-from trafgen.errors import DataError
+from trafgen import mixture
+from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
-                             MixtureModel, compress_model, condition, em_fit, load_model, log_likelihood,
-                             low_rank_approx, model_to_dict,
-                             ppca_fit, sample, sample_many, save_model,
-                             select_rank)
+                             MixtureModel, compress_model, em_fit, load_model,
+                             low_rank_approx, ppca_fit, psd_jitter_cholesky,
+                             sample, sample_many, save_model, select_rank)
 
-from oracles import condition_dense, mc_conditional_moments
+from oracles import (condition_dense, jitter_cholesky_eye,
+                     mc_conditional_moments, select_rank_per_rank)
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -98,39 +102,6 @@ def test_em_deterministic_for_fixed_seed():
 
 
 # ---------------------------------------------------------------------------
-# log_likelihood
-
-def test_log_likelihood_standard_normal_at_zero():
-    model = MixtureModel(components=[single_gaussian([0.0], [[1.0]])])
-    value = log_likelihood(model, np.array([[0.0]]))
-    assert value == pytest.approx(np.log(1.0 / np.sqrt(2.0 * np.pi)), abs=1e-12)
-
-
-def test_log_likelihood_additive_over_duplicated_data():
-    rng = np.random.default_rng(2)
-    model = two_component_model([0.0, 0.0], np.eye(2), [3.0, 1.0],
-                                [[2.0, 0.3], [0.3, 1.0]])
-    data = rng.normal(size=(40, 2))
-    single = log_likelihood(model, data)
-    doubled = log_likelihood(model, np.vstack([data, data]))
-    assert doubled == pytest.approx(2.0 * single, rel=1e-12)
-
-
-def test_log_likelihood_midpoint_matches_hand_sum():
-    model = two_component_model([-1.0], [[1.0]], [1.0], [[1.0]])
-    # x = 0 sits symmetrically between the two unit-variance components
-    density = 0.5 * (np.exp(-0.5) / np.sqrt(2 * np.pi)) * 2.0
-    value = log_likelihood(model, np.array([[0.0]]))
-    assert value == pytest.approx(np.log(density), abs=1e-12)
-
-
-def test_log_likelihood_dimension_mismatch():
-    model = MixtureModel(components=[single_gaussian([0.0], [[1.0]])])
-    with pytest.raises(ValueError):
-        log_likelihood(model, np.zeros((3, 2)))
-
-
-# ---------------------------------------------------------------------------
 # low_rank_approx
 
 def random_psd(rng, n, rank=None):
@@ -165,6 +136,46 @@ def test_low_rank_rejects_bad_rank_and_asymmetry():
         low_rank_approx(np.eye(3), 4)
     with pytest.raises(ValueError):
         low_rank_approx(np.array([[1.0, 0.5], [0.0, 1.0]]), 1)
+
+
+# ---------------------------------------------------------------------------
+# psd_jitter_cholesky
+
+@pytest.mark.parametrize("cov, needs_jitter", [
+    (random_psd(np.random.default_rng(30), 40) + np.eye(40), False),
+    (np.ones((30, 30)), True),  # rank one: every later pivot vanishes
+], ids=["positive_definite", "needs_jitter"])
+def test_psd_jitter_cholesky_matches_dense_identity_oracle_bitwise(
+        cov, needs_jitter):
+    if needs_jitter:
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(cov, lower=True)
+    before = cov.copy()
+    assert np.array_equal(psd_jitter_cholesky(cov), jitter_cholesky_eye(cov))
+    assert np.array_equal(cov, before)  # the input is left untouched
+
+
+def test_psd_jitter_cholesky_fails_every_level_like_oracle():
+    cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1 at trace / n = 1
+    for factor in (psd_jitter_cholesky, jitter_cholesky_eye):
+        with pytest.raises(NumericalError):
+            factor(cov)
+
+
+def test_psd_jitter_cholesky_allocates_one_work_copy():
+    n = 1500
+    rng = np.random.default_rng(31)
+    root = rng.normal(size=(n, 50))
+    for cov in (root @ root.T / 50 + np.eye(n),   # factors at once
+                root @ root.T / 50):              # rank 50: needs jitter
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            psd_jitter_cholesky(cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.5 * n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +262,51 @@ def test_select_rank_curve_rises_then_falls():
     assert lls[-1] < lls[peak]
 
 
+@pytest.mark.parametrize("deficient", [False, True],
+                         ids=["rank_5", "rank_deficient"])
+def test_select_rank_matches_per_rank_oracle_bitwise(deficient, monkeypatch):
+    rng = np.random.default_rng(32)
+    if deficient:  # rank 3 in 12 coordinates: ranks >= 3 leave sigma^2 ~ 0
+        data, grid = rng.normal(size=(60, 3)) @ rng.normal(size=(3, 12)), [1, 2, 3, 6]
+    else:
+        data, grid = rank5_data(rng, m=400), list(range(1, 12))
+    attempts = []
+    factor = mixture.cholesky
+
+    def counting_cholesky(*args, **kwargs):
+        attempts.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "cholesky", counting_cholesky)
+    result = select_rank(data, grid, seed=4)
+    rank, curve = select_rank_per_rank(data, grid, seed=4)
+    assert result.curve == curve
+    assert result.rank == rank
+    # the deficient case escalates the jitter at least once
+    assert (len(attempts) > len(grid)) == deficient
+
+
+def test_select_rank_decomposes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    data = rank5_data(np.random.default_rng(33), m=300)
+    select_rank(data, range(1, 12), seed=0)
+    assert calls == [(30, 30)]
+
+
 def test_select_rank_degenerate_split():
+    # two rows leave no held-out row at the 80/20 split
     with pytest.raises(DataError):
-        select_rank(np.zeros((4, 3)), [1], holdout_fraction=0.9)
+        select_rank(np.zeros((2, 3)), [1])
+    # four rows hold out one and leave three to train, too few for rank 3
+    with pytest.raises(DataError):
+        select_rank(np.zeros((4, 5)), [3])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +317,7 @@ def test_condition_block_diagonal_independence():
     cov[:2, :2] = [[2.0, 0.5], [0.5, 1.0]]
     cov[2:, 2:] = [[1.5, -0.2], [-0.2, 0.8]]
     model = MixtureModel(components=[single_gaussian([1.0, 2.0, 3.0, 4.0], cov)])
-    conditioned = condition(model, [0, 1], [10.0, -10.0])
+    conditioned = ConditionalMixture(model, [0, 1])([10.0, -10.0])
     comp = conditioned.components[0]
     assert np.allclose(comp.mean, [3.0, 4.0], atol=1e-9)
     assert np.allclose(comp.covariance(), cov[2:, 2:], atol=1e-9)
@@ -274,7 +327,7 @@ def test_condition_bivariate_normal():
     rho = 0.8
     model = MixtureModel(components=[
         single_gaussian([0.0, 0.0], [[1.0, rho], [rho, 1.0]])])
-    conditioned = condition(model, [0], [1.0])
+    conditioned = ConditionalMixture(model, [0])([1.0])
     comp = conditioned.components[0]
     assert comp.mean[0] == pytest.approx(rho, abs=1e-9)
     assert comp.covariance()[0, 0] == pytest.approx(1.0 - rho ** 2, abs=1e-9)
@@ -288,7 +341,7 @@ def test_condition_weights_sum_to_one_and_means_match_mc_oracle():
                                 [2.0, -1.0, 1.0, 0.5], cov1, w0=0.4)
     observed_idx = [0, 2]
     observed_vals = [0.8, -0.3]
-    conditioned = condition(model, observed_idx, observed_vals)
+    conditioned = ConditionalMixture(model, observed_idx)(observed_vals)
     assert sum(c.weight for c in conditioned.components) == pytest.approx(1.0)
 
     weights_mc, weight_se, mean_mc, mean_se = mc_conditional_moments(
@@ -305,13 +358,13 @@ def test_condition_weights_sum_to_one_and_means_match_mc_oracle():
 def test_condition_input_validation():
     model = MixtureModel(components=[single_gaussian([0.0, 0.0], np.eye(2))])
     with pytest.raises(ValueError):
-        condition(model, [], [])
+        ConditionalMixture(model, [])
     with pytest.raises(ValueError):
-        condition(model, [0, 0], [1.0, 2.0])
+        ConditionalMixture(model, [0, 0])
     with pytest.raises(ValueError):
-        condition(model, [0, 1], [1.0, 2.0])  # nothing left to sample
+        ConditionalMixture(model, [0, 1])  # nothing left to sample
     with pytest.raises(ValueError):
-        condition(model, [5], [1.0])
+        ConditionalMixture(model, [5])
 
 
 @pytest.mark.parametrize("n_overlap", [1, 10])
@@ -330,14 +383,13 @@ def test_conditional_mixture_matches_dense_conditioning_bitwise(n_overlap):
     for _ in range(3):
         vals = base[idx] + rng.normal(scale=10.0, size=idx.size)
         weights, means, factors = condition_dense(model, idx, vals)
-        for conditioned in (sampler(vals), condition(model, idx, vals)):
-            assert conditioned.dimension == n - idx.size
-            assert np.array_equal(conditioned.weights, weights)
-            for comp, mean, factor in zip(conditioned.components, means,
-                                          factors):
-                assert np.array_equal(comp.mean, mean)
-                assert np.array_equal(comp.cov_factor, factor)
-                assert comp.noise_var == 0.0
+        conditioned = sampler(vals)
+        assert conditioned.dimension == n - idx.size
+        assert np.array_equal(conditioned.weights, weights)
+        for comp, mean, factor in zip(conditioned.components, means, factors):
+            assert np.array_equal(comp.mean, mean)
+            assert np.array_equal(comp.cov_factor, factor)
+            assert comp.noise_var == 0.0
 
 
 def test_conditional_mixture_checks_value_count():

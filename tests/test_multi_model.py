@@ -10,7 +10,7 @@ from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.multi_model import (ArrivalRecord, PairwiseSample, SceneParams,
                                  assemble_scene_params, extract_pairs,
-                                 generate_scene, stack_pairs, train_pairwise,
+                                 generate_scene, train_pairwise,
                                  _block, _delta_index, _repair_psd)
 
 from conftest import make_proc_traj
@@ -118,7 +118,7 @@ def test_undersized_group_skipped_with_warning(caplog):
         ("P", "Q"): correlated_pair_samples(3, 0.5, seed=3),
     }
     with caplog.at_level(logging.WARNING):
-        models = train_pairwise(groups, 1, rank=4, min_samples=10, seed=0)
+        models = train_pairwise(groups, 1, rank=4, seed=0)
     assert set(models) == {("P", "P")}
     assert any("skipping" in message for message in caplog.messages)
 
@@ -426,4 +426,6 @@ def test_scene_generation_deterministic():
 
 def test_stack_pairs_shape():
     samples = correlated_pair_samples(5, 0.3)
-    assert stack_pairs(samples).shape == (5, PAIR_DIM)
+    stacked = np.stack([s.to_array() for s in samples])
+    assert stacked.shape == (5, PAIR_DIM)
+    assert np.array_equal(stacked[:, D], [s.delta12 for s in samples])

@@ -232,7 +232,7 @@ def test_retry_failure_names_its_cause():
     model = zero_cov_model()
     model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
     with pytest.raises(NumericalError, match="transit_time must be positive"):
-        generate(model, make_procs(), np.random.default_rng(19), max_retries=3)
+        generate(model, make_procs(), np.random.default_rng(19))
 
 
 def test_conditional_sampler_is_built_once(monkeypatch):
