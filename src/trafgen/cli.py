@@ -68,8 +68,6 @@ class RunConfig:
     rank_grid: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16])
     pairing_window_s: float = multi_model.DEFAULT_PAIRING_WINDOW_S
     segment_threshold_nm: float = 1.0
-    proximity_nm: float = 0.5
-    default_speed_kts: float = 140.0
     seed: int = 0
     n_components_rv: int | None = None
     n_components_fa: int | None = None
@@ -119,8 +117,6 @@ _CONFIG_KEYS = {
     "rank_grid": ("rank_grid", _int_list),
     "pairing_window_s": ("pairing_window_s", float),
     "segment_threshold_nm": ("segment_threshold_nm", float),
-    "proximity_nm": ("proximity_nm", float),
-    "default_speed_kts": ("default_speed_kts", float),
     "seed": ("seed", int),
     "k_rv": ("n_components_rv", int),
     "k_fa": ("n_components_fa", int),
@@ -134,8 +130,8 @@ _CONFIG_KEYS = {
 # ---------------------------------------------------------------------------
 # Commands
 
-def _load_procedural_trajectories(config: RunConfig, *, exemplars=()) -> tuple:
-    """Build (radar-vector trajectories, frequencies, IAP trajectory)."""
+def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSet:
+    """The radar-vector and IAP procedural trajectories at the config's lengths."""
     procs = procedures.load_procedures(config.procedures)
     rv_procs = [p for p in procs if p.kind is procedures.ProcedureKind.RADAR_VECTOR]
     iaps = [p for p in procs if p.kind is procedures.ProcedureKind.IAP]
@@ -144,17 +140,12 @@ def _load_procedural_trajectories(config: RunConfig, *, exemplars=()) -> tuple:
     if len(iaps) != 1:
         raise DataError(f"{config.procedures}: expected exactly 1 IAP, "
                         f"found {len(iaps)}")
-    rv_trajs = [
-        procedures.build_procedural_trajectory(
-            p, config.segment_length_rv, config.airspace,
-            default_speed_kts=config.default_speed_kts)
-        for p in rv_procs
-    ]
-    iap_traj = procedures.build_procedural_trajectory(
-        iaps[0], config.segment_length_fa, config.airspace,
-        exemplars=exemplars, proximity_nm=config.proximity_nm,
-        default_speed_kts=config.default_speed_kts)
-    return rv_trajs, [p.frequency for p in rv_procs], iap_traj
+    return single_model.ProcedureSet(
+        radar_vectors=[procedures.build_procedural_trajectory(
+            p, config.segment_length_rv, config.airspace) for p in rv_procs],
+        frequencies=[p.frequency for p in rv_procs],
+        iap=procedures.build_procedural_trajectory(
+            iaps[0], config.segment_length_fa, config.airspace))
 
 
 def _log_parse_errors(errors: list[str]) -> None:
@@ -199,8 +190,8 @@ def cmd_ingest(config: RunConfig) -> int:
     arrivals, exclusions = _classify_arrivals(flights, config.airspace)
     if not arrivals:
         raise DataError("no arrival flights after classification")
-    rv_trajs, _, iap_traj = _load_procedural_trajectories(
-        config, exemplars=[track for _, track in arrivals])
+    proc_set = _load_procedural_trajectories(config)
+    rv_trajs, iap_traj = proc_set.radar_vectors, proc_set.iap
     threshold_m = config.segment_threshold_nm * NM_TO_M
 
     # 1. split every arrival and resample both parts. The radar-vector part
@@ -371,13 +362,11 @@ def cmd_generate(config: RunConfig, count: int) -> int:
     model = single_model.SingleTrajectoryModel(
         radar_vector_model=rv_model, final_approach_model=fa_model,
         config=_model_config(config))
-    rv_trajs, freqs, iap_traj = _load_procedural_trajectories(config)
-    test_procs = single_model.ProcedureSet(
-        radar_vectors=rv_trajs, frequencies=freqs, iap=iap_traj)
+    proc_set = _load_procedural_trajectories(config)
     rng = substream(config.seed, "generate")
     rows, meta = [], []
     for i in range(count):
-        traj = single_model.generate(model, test_procs, rng)
+        traj = single_model.generate(model, proc_set, rng)
         rows.append(((i,), traj.times, traj.points))
         meta.append({"traj_id": i, "procedure": traj.procedure_used,
                      "components": list(traj.source_components)})
@@ -398,8 +387,8 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     """Generate correlated multi-aircraft scenes from the pairwise models."""
     models = read_json(config.out_dir / "model_pairwise.json", "pairwise model",
                        _pairwise_models, tag=PAIRWISE_FORMAT)
-    rv_trajs, freqs, _ = _load_procedural_trajectories(config)
-    probs = np.asarray(freqs) / np.sum(freqs)
+    proc_set = _load_procedural_trajectories(config)
+    rv_trajs, probs = proc_set.radar_vectors, proc_set.frequencies
 
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []

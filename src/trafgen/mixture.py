@@ -380,9 +380,9 @@ class ConditionalMixture:
     mu_b + G_j (x_a - mu_a). A Sigma_aa that stays indefinite after jitter
     raises NumericalError here, since no observed value can repair it.
 
-    The conditioned mixture covers the remaining coordinates in ascending
-    index order. Its components share their covariance factors with this
-    object; treat them as read-only.
+    The conditioned mixture covers the remaining coordinates, ``free_idx``,
+    in ascending index order. Its components share their covariance factors
+    with this object; treat them as read-only.
     """
 
     def __init__(self, model: MixtureModel, observed_idx: Sequence[int]):
@@ -402,6 +402,7 @@ class ConditionalMixture:
                 "conditioning on every coordinate leaves nothing to sample")
 
         self.observed_idx = idx_a
+        self.free_idx = idx_b
         self.segment_kind = model.segment_kind
         self._prior_weights = model.weights
         self._parts = []  # (log weight, mean_a, mean_b, chol_aa, gain, factor)

@@ -349,17 +349,19 @@ def generate_scene(params: SceneParams,
         raise ValueError(f"need {n} procedural trajectories, got {len(procedures)}")
     factor = psd_factor(params.covariance)
 
+    last_cause = None
     for _ in range(MAX_SCENE_DRAWS):
         vec = params.mean + factor @ rng.standard_normal(params.mean.size)
         deltas = np.array([vec[_delta_index(i, d)] for i in range(n - 1)])
         if np.any(deltas < 0):
+            last_cause = f"negative inter-arrival time {deltas.min():g} s"
             continue
-        taus = []
         try:
-            for i in range(n):
-                taus.append(DeviationVector.from_array(vec[_block(i, d)]))
-        except ValueError:
-            continue  # nonpositive transit time or distance: redraw
+            taus = [DeviationVector.from_array(vec[_block(i, d)])
+                    for i in range(n)]
+        except ValueError as exc:
+            last_cause = exc  # nonpositive transit time or distance
+            continue
         trajectories = []
         arrival = 0.0
         for i, (tau, proc) in enumerate(zip(taus, procedures)):
@@ -370,5 +372,5 @@ def generate_scene(params: SceneParams,
                 procedure_used=proc.procedure))
         return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)
     raise NumericalError(
-        f"scene sampling failed {MAX_SCENE_DRAWS} times (negative inter-arrival "
-        "times or degenerate deviation blocks)")
+        f"scene sampling failed after {MAX_SCENE_DRAWS} attempts; last cause: "
+        f"{last_cause}")

@@ -240,8 +240,7 @@ def build_deviation_vector(times: np.ndarray, points: np.ndarray,
     )
 
 
-def reconstruct_trajectory(tau: DeviationVector | np.ndarray,
-                           proc: "ProceduralTrajectory",
+def reconstruct_trajectory(tau: DeviationVector, proc: "ProceduralTrajectory",
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild a timed trajectory from a deviation vector and a procedure.
 
@@ -249,12 +248,8 @@ def reconstruct_trajectory(tau: DeviationVector | np.ndarray,
     rescaled to the procedure's length (t' = tau_1 / tau_2 * d') and
     timestamps are spread evenly over [0, t'].
     """
-    if not isinstance(tau, DeviationVector):
-        tau = DeviationVector.from_array(tau)
     if tau.deviations.shape[0] != proc.points.shape[0]:
         raise ValueError("deviation count does not match procedural length")
-    if tau.total_distance <= 0:
-        raise ValueError("total_distance must be positive")
     points = proc.points + tau.deviations
     transit = tau.transit_time / tau.total_distance * proc.total_distance
     times = np.linspace(0.0, transit, proc.points.shape[0])

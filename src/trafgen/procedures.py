@@ -1,4 +1,4 @@
-"""Flight procedures and their fixed-length, time-parameterized trajectories.
+"""Flight procedures and their fixed-length procedural trajectories.
 
 Published instrument approach procedures (IAPs) come from waypoint files;
 radar-vector "procedures" have no published path, so nominal paths are
@@ -20,7 +20,6 @@ from ._files import read_yaml, write_text
 from .errors import DataError
 from .ingest import AirspaceConfig, enu_to_wgs84, wgs84_to_enu
 from .preprocess import path_length, pchip_resample
-from .units import KT_TO_MPS, NM_TO_M
 
 # an ENU track (times (n,), positions (n, 3)), as flight_to_enu returns it
 EnuTrack = tuple[np.ndarray, np.ndarray]
@@ -38,16 +37,13 @@ class ProcedureKind(Enum):
 class Procedure:
     """A named waypoint path with a relative traffic frequency weight.
 
-    Waypoints are (lat deg, lon deg, alt ft or None). ``duration_s`` is the
-    mean transit duration of the source flights when the procedure was
-    extracted from data; it provides the timing for radar-vector procedures.
+    Waypoints are (lat deg, lon deg, alt ft or None).
     """
 
     name: str
     kind: ProcedureKind
     waypoints: list[tuple[float, float, float | None]]
     frequency: float = 1.0
-    duration_s: float | None = None
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
@@ -58,22 +54,16 @@ class Procedure:
 
 @dataclass
 class ProceduralTrajectory:
-    """Fixed-length resampling of a procedure: T timed ENU points."""
+    """Fixed-length resampling of a procedure: T ENU points."""
 
     procedure: str
-    times: np.ndarray   # (T,), strictly increasing from 0
     points: np.ndarray  # (T, 3) meters ENU
     total_distance: float
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError("points must have shape (T, 3)")
-        if self.times.shape[0] != self.points.shape[0]:
-            raise ValueError("times and points lengths differ")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must increase strictly from 0")
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +80,6 @@ def _procedures_from_documents(docs: list) -> list[Procedure]:
                     float(wp[2]) if len(wp) > 2 and wp[2] is not None else None)
                    for wp in doc["waypoints"]],
         frequency=float(doc.get("frequency", 1.0)),
-        duration_s=(float(doc["duration_s"])
-                    if doc.get("duration_s") is not None else None),
     ) for doc in docs if doc is not None]
     if not procedures:
         raise ValueError("no procedures found")
@@ -107,8 +95,6 @@ def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
         "name": proc.name,
         "kind": proc.kind.value,
         "frequency": float(proc.frequency),
-        "duration_s": (float(proc.duration_s)
-                       if proc.duration_s is not None else None),
         "waypoints": [list(wp[:2]) if wp[2] is None else list(wp)
                       for wp in proc.waypoints],
     } for proc in procedures]
@@ -140,15 +126,12 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
     rng = np.random.default_rng(rng)
 
     rows = []
-    durations = []
     for i, (times, xyz) in enumerate(tracks):
         if len(times) < 2:
             raise DataError(f"track {i} has no usable airspace points")
         _, resampled = pchip_resample(times, xyz[:, :2], samples)
         rows.append(resampled.ravel())
-        durations.append(times[-1] - times[0])
     data = np.asarray(rows)
-    durations = np.asarray(durations)
 
     result = kmeans(data, k, rng, restarts=KMEANS_RESTARTS)
     procedures = []
@@ -165,7 +148,6 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
             kind=ProcedureKind.RADAR_VECTOR,
             waypoints=[(float(la), float(lo), None) for la, lo in zip(lat, lon)],
             frequency=float(member.mean()),
-            duration_s=float(durations[member].mean()),
         ))
     return procedures
 
@@ -181,83 +163,19 @@ def waypoints_to_enu(proc: Procedure, config: AirspaceConfig) -> np.ndarray:
 
 
 def build_procedural_trajectory(proc: Procedure, count: int,
-                                config: AirspaceConfig, *,
-                                exemplars: Sequence[EnuTrack] = (),
-                                proximity_nm: float = 0.5,
-                                default_speed_kts: float = 140.0,
-                                ) -> ProceduralTrajectory:
-    """Resample a procedure's waypoint path into ``count`` timed ENU points.
+                                config: AirspaceConfig) -> ProceduralTrajectory:
+    """Resample a procedure's waypoint path into ``count`` ENU points.
 
-    The spatial path is a monotone cubic interpolation through the waypoints,
-    sampled at equal steps of the chord-length parameter. Timing comes from,
-    in order of preference: exemplar flights that pass within ``proximity_nm``
-    of every waypoint (IAPs), the procedure's recorded mean duration
-    (radar-vector nominal paths), or a constant-speed fallback. Exemplars are
-    ENU tracks ``(times, xyz)`` as :func:`flight_to_enu` returns them.
+    The path is a monotone cubic interpolation through the waypoints,
+    sampled at equal steps of the chord-length parameter.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     wps = waypoints_to_enu(proc, config)
-    if wps.shape[0] < 2:
-        raise ValueError("need >= 2 waypoints")
-
     seg_len = np.linalg.norm(np.diff(wps, axis=0), axis=1)
     if np.any(seg_len == 0):
         raise ValueError(f"procedure {proc.name!r} repeats a waypoint")
     chord = np.concatenate(([0.0], np.cumsum(seg_len)))
     _, points = pchip_resample(chord, wps, count)
-    total = path_length(points)
-
-    times = None
-    if exemplars:
-        times = _mean_exemplar_times(wps, points, exemplars,
-                                     proximity_nm * NM_TO_M)
-    if times is None and proc.duration_s is not None:
-        times = np.linspace(0.0, proc.duration_s, count)
-    if times is None:
-        times = np.linspace(0.0, total / (default_speed_kts * KT_TO_MPS), count)
-    return ProceduralTrajectory(procedure=proc.name, times=times, points=points,
-                                total_distance=total)
-
-
-def _mean_exemplar_times(waypoints_enu: np.ndarray, proc_points: np.ndarray,
-                         exemplars: Sequence[EnuTrack], proximity_m: float,
-                         ) -> np.ndarray | None:
-    """Mean arc-length-aligned exemplar timing, or None if none qualify.
-
-    An exemplar qualifies when it passes within ``proximity_m`` (horizontal)
-    of every waypoint. Its slice between the nearest approaches to the first
-    and last waypoints is aligned to the procedural path by fractional arc
-    length before averaging.
-    """
-    count = proc_points.shape[0]
-    proc_arc = np.concatenate(
-        ([0.0], np.cumsum(np.linalg.norm(np.diff(proc_points, axis=0), axis=1))))
-    fractions = proc_arc / proc_arc[-1]
-
-    aligned = []
-    for times, xyz in exemplars:
-        if len(times) < 2:
-            continue
-        dists_to_wps = np.linalg.norm(
-            xyz[:, None, :2] - waypoints_enu[None, :, :2], axis=2)  # (n, W)
-        if np.any(dists_to_wps.min(axis=0) > proximity_m):
-            continue
-        first = int(dists_to_wps[:, 0].argmin())
-        last = int(dists_to_wps[:, -1].argmin())
-        if last <= first:
-            continue
-        seg_times = times[first:last + 1] - times[first]
-        seg_xyz = xyz[first:last + 1]
-        arc = np.concatenate(
-            ([0.0], np.cumsum(np.linalg.norm(np.diff(seg_xyz, axis=0), axis=1))))
-        if arc[-1] <= 0 or np.any(np.diff(arc) <= 0):
-            continue
-        aligned.append(np.interp(fractions * arc[-1], arc, seg_times))
-    if not aligned:
-        return None
-    mean_times = np.mean(aligned, axis=0)
-    mean_times -= mean_times[0]
-    if np.any(np.diff(mean_times) <= 0):
-        return None  # degenerate exemplar timing: let the caller fall back
-    return mean_times
+    return ProceduralTrajectory(procedure=proc.name, points=points,
+                                total_distance=path_length(points))

@@ -170,7 +170,6 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
     if iap.points.shape[0] != t_f:
         raise ValueError("IAP procedural trajectory length != T_f")
     conditional_fa = model.final_approach_conditional
-    observed_idx = conditional_fa.observed_idx
 
     last_error: Exception | None = None
     for _ in range(MAX_DRAWS):
@@ -191,10 +190,8 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
             continue
         tau_b, comp_fa = sample(conditional, rng)
         tau_fa = np.empty(3 * t_f + 2)
-        tau_fa[observed_idx] = overlap_dev.ravel()
-        mask = np.ones(tau_fa.size, dtype=bool)
-        mask[observed_idx] = False
-        tau_fa[mask] = tau_b
+        tau_fa[conditional_fa.observed_idx] = overlap_dev.ravel()
+        tau_fa[conditional_fa.free_idx] = tau_b
         try:
             fa_dev = DeviationVector.from_array(tau_fa)
         except ValueError as exc:

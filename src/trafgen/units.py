@@ -8,6 +8,4 @@ NM_TO_M = 1852.0
 FT_TO_M = 0.3048
 KT_TO_MPS = NM_TO_M / 3600.0
 
-M_TO_NM = 1.0 / NM_TO_M
-M_TO_FT = 1.0 / FT_TO_M
 MPS_TO_KT = 1.0 / KT_TO_MPS

@@ -17,12 +17,9 @@ def make_flight(flight_id, times, lats, lons, alts):
     return Flight(id=flight_id, points=points)
 
 
-def make_proc_traj(points, name="PROC", duration=None):
+def make_proc_traj(points, name="PROC"):
     """ProceduralTrajectory straight from an ENU point array (test shortcut)."""
     points = np.asarray(points, dtype=float)
     length = float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
-    if duration is None:
-        duration = max(length / 70.0, 1.0)
-    times = np.linspace(0.0, duration, points.shape[0])
-    return ProceduralTrajectory(procedure=name, times=times, points=points,
+    return ProceduralTrajectory(procedure=name, points=points,
                                 total_distance=length)

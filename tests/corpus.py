@@ -48,8 +48,7 @@ _RV_A_WAYPOINTS_XY = np.array([
 ])
 
 
-def _enu_waypoints_to_procedure(name, kind, xy_or_xyz, frequency,
-                                duration_s=None):
+def _enu_waypoints_to_procedure(name, kind, xy_or_xyz, frequency):
     pts = np.asarray(xy_or_xyz, dtype=float)
     has_alt = pts.shape[1] == 3
     enu = pts if has_alt else np.column_stack([pts, np.zeros(len(pts))])
@@ -59,7 +58,7 @@ def _enu_waypoints_to_procedure(name, kind, xy_or_xyz, frequency,
         for la, lo, af in zip(lat, lon, alt_ft)
     ]
     return Procedure(name=name, kind=kind, waypoints=waypoints,
-                     frequency=frequency, duration_s=duration_s)
+                     frequency=frequency)
 
 
 def gt_procedures() -> list[Procedure]:
@@ -67,9 +66,9 @@ def gt_procedures() -> list[Procedure]:
     rv_b_xy = _RV_A_WAYPOINTS_XY[:, ::-1].copy()  # mirror across the IAP axis
     return [
         _enu_waypoints_to_procedure("RV_WEST", ProcedureKind.RADAR_VECTOR,
-                                    _RV_A_WAYPOINTS_XY, 0.65, duration_s=600.0),
+                                    _RV_A_WAYPOINTS_XY, 0.65),
         _enu_waypoints_to_procedure("RV_SOUTH", ProcedureKind.RADAR_VECTOR,
-                                    rv_b_xy, 0.35, duration_s=600.0),
+                                    rv_b_xy, 0.35),
         _enu_waypoints_to_procedure("IAP_MAIN", ProcedureKind.IAP,
                                     _IAP_WAYPOINTS_ENU, 1.0),
     ]
@@ -79,11 +78,9 @@ def gt_procedure_set(t_v=T_V, t_f=T_F) -> ProcedureSet:
     procs = gt_procedures()
     rv_trajs = [build_procedural_trajectory(p, t_v, AIRSPACE)
                 for p in procs[:2]]
-    iap = build_procedural_trajectory(procs[2], t_f, AIRSPACE,
-                                      default_speed_kts=140.0)
     return ProcedureSet(radar_vectors=rv_trajs,
                         frequencies=[p.frequency for p in procs[:2]],
-                        iap=iap)
+                        iap=build_procedural_trajectory(procs[2], t_f, AIRSPACE))
 
 
 def _smooth_cov_factor(t_len, dim, scales, time_scale, dist_scale, seed):
@@ -113,7 +110,7 @@ def _overlap_path(procs, t_f, n_overlap):
     u = np.linspace(0.0, 1.0, t_v)[lead]
     tail[:, 2] += _RV_DESCENT[0] + (_RV_DESCENT[1] - _RV_DESCENT[0]) * u
     approach = build_procedural_trajectory(gt_procedures()[2], t_f - n_overlap + 1,
-                                           AIRSPACE, default_speed_kts=140.0)
+                                           AIRSPACE)
     return np.vstack([tail, approach.points])
 
 
@@ -203,9 +200,8 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
         [-30000.0 * (1.0 - u), np.zeros(segment_samples),
          np.zeros(segment_samples)])
     length = 30000.0
-    times = np.linspace(0.0, transit_mean, segment_samples)
     from trafgen.procedures import ProceduralTrajectory
-    proc = ProceduralTrajectory(procedure="INTRAIL", times=times, points=points,
+    proc = ProceduralTrajectory(procedure="INTRAIL", points=points,
                                 total_distance=length)
 
     records = []

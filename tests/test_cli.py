@@ -303,12 +303,11 @@ def test_final_approach_rows_open_with_the_radar_vector_tail(tmp_path):
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
     rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.csv")
     fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.csv")
-    rv_trajs, _, iap = cli._load_procedural_trajectories(
-        RunConfig.from_file(config_path))
-    proc_points = {t.procedure: t.points for t in rv_trajs}
+    procs = cli._load_procedural_trajectories(RunConfig.from_file(config_path))
+    proc_points = {t.procedure: t.points for t in procs.radar_vectors}
     for rv_row, fa_row, row in zip(rv, fa, rv_meta["rows"]):
         rv_points = rv_row[2:].reshape(t_v, 3) + proc_points[row["procedure"]]
-        fa_points = fa_row[2:].reshape(t_f, 3) + iap.points
+        fa_points = fa_row[2:].reshape(t_f, 3) + procs.iap.points
         # the last n_ov samples of the radar-vector part, the join included
         np.testing.assert_allclose(fa_points[:n_ov], rv_points[-n_ov:],
                                    rtol=0.0, atol=1e-6)
@@ -714,10 +713,13 @@ def test_threads_is_neither_a_config_key_nor_a_flag(tmp_path, capsys):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     assert run(["--config", str(config_path), "--threads", "2",
                 "ingest"]) == EXIT_USAGE
-    with config_path.open("a", encoding="utf-8") as handle:
-        handle.write("threads = 2\n")
-    assert run(["--config", str(config_path), "ingest"]) == EXIT_DATA
-    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+    base = config_path.read_text(encoding="utf-8")
+    # nor are the procedure-timing keys, which nothing reads
+    for key, value in (("threads", "2"), ("proximity_nm", "0.5"),
+                       ("default_speed_kts", "140")):
+        config_path.write_text(f"{base}{key} = {value}\n", encoding="utf-8")
+        assert run(["--config", str(config_path), "ingest"]) == EXIT_DATA
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -405,7 +405,7 @@ def test_delta_moments_match_monte_carlo():
 def test_negative_delta_exhausts_retries():
     params = zero_cov_params(2)
     params.mean[_delta_index(0, D)] = -50.0  # deterministic negative gap
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="negative inter-arrival time -50"):
         generate_scene(params, scene_procedures(2), rng=0)
 
 

@@ -121,6 +121,10 @@ def test_dtw_distances_rejects_bad_shapes():
 # ---------------------------------------------------------------------------
 # assign_procedures
 
+# transit time (s) of a straight_proc flown at 70 m/s
+STRAIGHT_TRANSIT_S = 10000.0 / 70.0
+
+
 def straight_proc(offset_y, name="P", n=20):
     x = np.linspace(0.0, 10000.0, n)
     points = np.column_stack([x, np.full(n, offset_y), np.zeros(n)])
@@ -255,16 +259,18 @@ def test_pchip_rejects_duplicate_times():
 
 def test_deviation_zero_case():
     proc = straight_proc(0.0, n=10)
-    tau = build_deviation_vector(proc.times, proc.points, proc)
+    times = np.linspace(0.0, STRAIGHT_TRANSIT_S, 10)
+    tau = build_deviation_vector(times, proc.points, proc)
     assert np.allclose(tau.deviations, 0.0)
-    assert tau.transit_time == pytest.approx(proc.times[-1])
+    assert tau.transit_time == pytest.approx(STRAIGHT_TRANSIT_S)
     assert tau.total_distance == pytest.approx(proc.total_distance)
 
 
 def test_deviation_translation_shows_in_dx_only():
     proc = straight_proc(0.0, n=10)
     shifted = proc.points + np.array([100.0, 0.0, 0.0])
-    tau = build_deviation_vector(proc.times, shifted, proc)
+    tau = build_deviation_vector(np.linspace(0.0, STRAIGHT_TRANSIT_S, 10),
+                                 shifted, proc)
     assert np.allclose(tau.deviations[:, 0], 100.0)
     assert np.allclose(tau.deviations[:, 1:], 0.0)
 
@@ -272,7 +278,8 @@ def test_deviation_translation_shows_in_dx_only():
 def test_deviation_length_mismatch_rejected():
     proc = straight_proc(0.0, n=10)
     with pytest.raises(ValueError):
-        build_deviation_vector(proc.times[:5], proc.points[:5], proc)
+        build_deviation_vector(np.linspace(0.0, STRAIGHT_TRANSIT_S, 5),
+                               proc.points[:5], proc)
 
 
 def test_round_trip_is_exact_inverse():

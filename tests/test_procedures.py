@@ -11,7 +11,6 @@ from trafgen.procedures import (Procedure, ProcedureKind,
                                 build_procedural_trajectory,
                                 extract_nominal_paths, load_procedures,
                                 save_procedures, waypoints_to_enu)
-from trafgen.units import KT_TO_MPS
 
 from conftest import make_flight
 
@@ -44,7 +43,6 @@ def test_single_cluster_is_pointwise_mean(airspace):
     assert len(paths) == 1
     assert paths[0].kind is ProcedureKind.RADAR_VECTOR
     assert paths[0].frequency == pytest.approx(1.0)
-    assert paths[0].duration_s == pytest.approx(400.0)
 
     resampled = [pchip_resample(times, xyz[:, :2], samples)[1]
                  for times, xyz in tracks]
@@ -96,16 +94,12 @@ def two_waypoint_procedure(airspace):
     ])
 
 
-def test_two_waypoints_constant_speed_fallback(airspace):
+def test_two_waypoints_give_equally_spaced_points(airspace):
     proc = two_waypoint_procedure(airspace)
-    traj = build_procedural_trajectory(proc, 5, airspace,
-                                       default_speed_kts=140.0)
-    # collinear, equally spaced, uniform time steps
+    traj = build_procedural_trajectory(proc, 5, airspace)
+    # collinear and equally spaced
     deltas = np.diff(traj.points, axis=0)
     assert np.allclose(deltas, deltas[0], atol=1e-6)
-    assert np.allclose(np.diff(traj.times), np.diff(traj.times)[0])
-    assert traj.times[-1] == pytest.approx(
-        traj.total_distance / (140.0 * KT_TO_MPS))
 
 
 def test_monotone_waypoints_give_monotone_resampling(airspace):
@@ -118,36 +112,6 @@ def test_monotone_waypoints_give_monotone_resampling(airspace):
                                 for a, b, c in zip(lat, lon, alt)])
     traj = build_procedural_trajectory(proc, 100, airspace)
     assert np.all(np.diff(traj.points[:, 0]) > -1e-9)
-
-
-def test_exemplar_timing_matches_hand_average(airspace):
-    proc = two_waypoint_procedure(airspace)
-    durations = [300.0, 360.0, 420.0]
-    exemplars = []
-    n = 25
-    for i, dur in enumerate(durations):
-        x = np.linspace(-10000.0, 0.0, n)
-        enu = np.column_stack([x, np.zeros(n), np.zeros(n)])
-        flight = enu_track_flight(airspace, f"ex{i}",
-                                  np.linspace(0.0, dur, n), enu)
-        exemplars.append(flight_to_enu(flight, airspace))
-    traj = build_procedural_trajectory(proc, 5, airspace, exemplars=exemplars)
-    # constant-speed exemplars: mean timing is linear with the mean duration
-    assert traj.times[-1] == pytest.approx(np.mean(durations), rel=1e-6)
-    assert np.allclose(np.diff(traj.times), np.diff(traj.times)[0], rtol=1e-6)
-
-
-def test_exemplars_outside_proximity_fall_back(airspace):
-    proc = two_waypoint_procedure(airspace)
-    n = 25
-    x = np.linspace(-10000.0, 0.0, n)
-    enu = np.column_stack([x, np.full(n, 5000.0), np.zeros(n)])  # 2.7 NM away
-    far = enu_track_flight(airspace, "far", np.linspace(0.0, 300.0, n), enu)
-    traj = build_procedural_trajectory(proc, 5, airspace,
-                                       exemplars=[flight_to_enu(far, airspace)],
-                                       default_speed_kts=140.0)
-    assert traj.times[-1] == pytest.approx(
-        traj.total_distance / (140.0 * KT_TO_MPS))
 
 
 def test_waypoints_hit_within_a_meter(airspace):
@@ -194,7 +158,7 @@ def test_procedure_file_round_trip(tmp_path, airspace):
     procs = [
         Procedure(name="RV_A", kind=ProcedureKind.RADAR_VECTOR,
                   waypoints=[(40.7, -73.9, None), (40.65, -73.8, None)],
-                  frequency=0.7, duration_s=540.0),
+                  frequency=0.7),
         Procedure(name="IAP_B", kind=ProcedureKind.IAP,
                   waypoints=[(40.72, -73.82, 1800.0), (40.6413, -73.7781, 13.0)],
                   frequency=1.0),
@@ -204,9 +168,19 @@ def test_procedure_file_round_trip(tmp_path, airspace):
     again = load_procedures(path)
     assert [p.name for p in again] == ["RV_A", "IAP_B"]
     assert again[0].kind is ProcedureKind.RADAR_VECTOR
-    assert again[0].duration_s == 540.0
     assert again[1].waypoints[0][2] == 1800.0
     assert again[0].waypoints[0][2] is None
+
+
+def test_duration_key_does_not_change_the_trajectory(tmp_path, airspace):
+    plain, timed = tmp_path / "plain.yaml", tmp_path / "timed.yaml"
+    save_procedures([two_waypoint_procedure(airspace)], plain)
+    timed.write_text(plain.read_text(encoding="utf-8") + "duration_s: 540.0\n",
+                     encoding="utf-8")
+    trajs = [build_procedural_trajectory(load_procedures(path)[0], 20, airspace)
+             for path in (plain, timed)]
+    assert np.array_equal(trajs[0].points, trajs[1].points)
+    assert trajs[0].total_distance == trajs[1].total_distance
 
 
 def test_load_procedures_errors(tmp_path):

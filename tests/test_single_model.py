@@ -19,6 +19,8 @@ DIM_V, DIM_F = 3 * T_V + 2, 3 * T_F + 2
 ROWS = T_V + T_F - N_OV + 1  # the overlap is emitted once
 CONFIG = SingleModelConfig(segment_length_rv=T_V, segment_length_fa=T_F,
                            n_overlap=N_OV)
+# mean transit times (s) of the ground-truth segments
+IAP_TRANSIT_S, RV_TRANSIT_S = 120.0, 300.0
 
 
 def iap_procedure(t_f=T_F):
@@ -26,7 +28,7 @@ def iap_procedure(t_f=T_F):
     x = np.zeros(t_f)
     y = -8000.0 * u
     z = 450.0 * (1.0 - u)
-    return make_proc_traj(np.column_stack([x, y, z]), name="IAP", duration=120.0)
+    return make_proc_traj(np.column_stack([x, y, z]), name="IAP")
 
 
 def rv_procedure(name="RV0", length=20000.0, y0=15000.0, *,
@@ -39,7 +41,7 @@ def rv_procedure(name="RV0", length=20000.0, y0=15000.0, *,
     z = 1200.0 * (1.0 - u) + 450.0 * u
     points = np.vstack([np.column_stack([x, y, z]),
                         iap_procedure(t_f).points[:n_ov]])
-    return make_proc_traj(points, name=name, duration=300.0)
+    return make_proc_traj(points, name=name)
 
 
 def smooth_factor(dim, scale, seed):
@@ -57,11 +59,11 @@ def smooth_factor(dim, scale, seed):
     return factor
 
 
-def gt_component(proc, dim, lateral, scale, weight, seed):
+def gt_component(proc, transit, dim, lateral, scale, weight, seed):
     t_len = (dim - 2) // 3
     u = np.linspace(0.0, 1.0, t_len)
     mean = np.zeros(dim)
-    mean[0] = proc.times[-1]
+    mean[0] = transit
     mean[1] = proc.total_distance
     mean[2::3] = lateral * np.sin(np.pi * u)  # tapered east offset
     return GaussianComponent(weight=weight, mean=mean,
@@ -74,27 +76,29 @@ def ground_truth_model(config=CONFIG):
     rv_proc = rv_procedure(t_v=t_v, t_f=t_f, n_ov=config.n_overlap)
     dim_v, dim_f = 3 * t_v + 2, 3 * t_f + 2
     rv = MixtureModel(components=[
-        gt_component(rv_proc, dim_v, +400.0, 30.0, 0.6, seed=1),
-        gt_component(rv_proc, dim_v, -400.0, 30.0, 0.4, seed=2),
+        gt_component(rv_proc, RV_TRANSIT_S, dim_v, +400.0, 30.0, 0.6, seed=1),
+        gt_component(rv_proc, RV_TRANSIT_S, dim_v, -400.0, 30.0, 0.4, seed=2),
     ], segment_kind="radar_vector")
     fa = MixtureModel(components=[
-        gt_component(iap_procedure(t_f), dim_f, +120.0, 15.0, 0.5, seed=3),
-        gt_component(iap_procedure(t_f), dim_f, -120.0, 15.0, 0.5, seed=4),
+        gt_component(iap_procedure(t_f), IAP_TRANSIT_S, dim_f, +120.0, 15.0,
+                     0.5, seed=3),
+        gt_component(iap_procedure(t_f), IAP_TRANSIT_S, dim_f, -120.0, 15.0,
+                     0.5, seed=4),
     ], segment_kind="final_approach")
     return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
                                  config=config)
 
 
 def zero_cov_model():
-    def degenerate(proc, dim):
+    def degenerate(proc, transit, dim):
         mean = np.zeros(dim)
-        mean[0] = proc.times[-1]
+        mean[0] = transit
         mean[1] = proc.total_distance
         return MixtureModel(components=[GaussianComponent(
             weight=1.0, mean=mean, cov_factor=np.zeros((dim, 0)))])
     return SingleTrajectoryModel(
-        radar_vector_model=degenerate(rv_procedure(), DIM_V),
-        final_approach_model=degenerate(iap_procedure(), DIM_F),
+        radar_vector_model=degenerate(rv_procedure(), RV_TRANSIT_S, DIM_V),
+        final_approach_model=degenerate(iap_procedure(), IAP_TRANSIT_S, DIM_F),
         config=CONFIG)
 
 
@@ -180,10 +184,10 @@ def test_zero_covariance_reproduces_procedural_paths():
     assert np.allclose(traj.points[:T_V], rv_proc.points, atol=1e-9)
     assert np.allclose(traj.points[T_V:], iap.points[N_OV - 1:], atol=1e-9)
     # mean transit times: tau_2 equals the procedural distance, so t' = tau_1
-    assert traj.times[T_V - 1] == pytest.approx(rv_proc.times[-1], abs=1e-9)
+    assert traj.times[T_V - 1] == pytest.approx(RV_TRANSIT_S, abs=1e-9)
     span_fa = traj.times[-1] - traj.times[T_V]
-    assert span_fa == pytest.approx(iap.times[-1] - iap.times[N_OV - 1],
-                                    abs=1e-9)
+    assert span_fa == pytest.approx(
+        IAP_TRANSIT_S * (T_F - N_OV) / (T_F - 1), abs=1e-9)
 
 
 def test_generated_trajectory_shape_and_monotone_times():
