@@ -58,23 +58,16 @@ def kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
            restarts: int = 1, max_iter: int = 100) -> KMeansResult:
     """Best-of-``restarts`` k-means.
 
-    A run that converges with an empty cluster triggers a restart; if every
-    restart ends degenerate, the best degenerate run is returned with
-    ``has_empty_cluster`` set so the caller can drop empty clusters.
+    A run that converges with an empty cluster counts only when every
+    restart does: then the best degenerate run is returned with
+    ``has_empty_cluster`` set so the caller can drop empty clusters. Ties
+    keep the earliest run.
     """
     data = np.asarray(data, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
     if data.shape[0] < k:
         raise ValueError(f"need at least k={k} points, got {data.shape[0]}")
-    best: KMeansResult | None = None
-    best_degenerate: KMeansResult | None = None
-    for _ in range(max(restarts, 1)):
-        result = _lloyd(data, kmeans_pp_seed(data, k, rng), max_iter)
-        if result.has_empty_cluster:
-            if best_degenerate is None or result.inertia < best_degenerate.inertia:
-                best_degenerate = result
-            continue
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best if best is not None else best_degenerate
+    runs = [_lloyd(data, kmeans_pp_seed(data, k, rng), max_iter)
+            for _ in range(max(restarts, 1))]
+    return min(runs, key=lambda r: (r.has_empty_cluster, r.inertia))

@@ -140,12 +140,15 @@ def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSe
     if len(iaps) != 1:
         raise DataError(f"{config.procedures}: expected exactly 1 IAP, "
                         f"found {len(iaps)}")
-    return single_model.ProcedureSet(
-        radar_vectors=[procedures.build_procedural_trajectory(
-            p, config.segment_length_rv, config.airspace) for p in rv_procs],
-        frequencies=[p.frequency for p in rv_procs],
-        iap=procedures.build_procedural_trajectory(
-            iaps[0], config.segment_length_fa, config.airspace))
+    try:  # a repeated waypoint or all-zero frequencies
+        return single_model.ProcedureSet(
+            radar_vectors=[procedures.build_procedural_trajectory(
+                p, config.segment_length_rv, config.airspace) for p in rv_procs],
+            frequencies=[p.frequency for p in rv_procs],
+            iap=procedures.build_procedural_trajectory(
+                iaps[0], config.segment_length_fa, config.airspace))
+    except ValueError as exc:
+        raise DataError(f"{config.procedures}: {exc}") from exc
 
 
 def _log_parse_errors(errors: list[str]) -> None:
@@ -328,13 +331,9 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_train_pairwise(config: RunConfig) -> int:
     """Fit pairwise mixtures per radar-vector procedure combination."""
     data, meta = read_deviation_dataset(config.out_dir / "rv_dataset.csv")
-    records = [
-        multi_model.ArrivalRecord(
-            flight_id=row["flight_id"], procedure=row["procedure"],
-            arrival_time=float(row["arrival_time"]), tau=data[i])
-        for i, row in enumerate(meta["rows"])
-    ]
-    groups = multi_model.extract_pairs(records, config.pairing_window_s)
+    groups = multi_model.extract_pairs(
+        data, [row["procedure"] for row in meta["rows"]],
+        [row["arrival_time"] for row in meta["rows"]], config.pairing_window_s)
     if not groups:
         raise DataError("no arrival pairs inside the pairing window")
     rank = config.rank_pairwise
@@ -407,9 +406,9 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
         })
     write_trajectory_csv(
         config.out_dir / "scenes.csv", ["scene_id", "aircraft_idx"],
-        (((scene_id, idx), traj.times, traj.points)
+        (((scene_id, idx), times, points)
          for scene_id, scene in enumerate(scenes)
-         for idx, traj in enumerate(scene.trajectories)))
+         for idx, (times, points) in enumerate(scene.trajectories)))
     write_json(config.out_dir / "scenes.meta.json", {
         "count": count, "aircraft_per_scene": n_aircraft,
         "seed": config.seed, "scenes": meta})
@@ -426,8 +425,8 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
     vars_synth = metrics.extract_variables(synthetic)
 
     variables = {}
-    for name in ("x_east", "y_north", "horizontal_speed", "closest_distance"):
-        a, s = vars_actual.as_dict()[name], vars_synth.as_dict()[name]
+    for name, a in vars_actual.items():
+        s = vars_synth[name]
         if a.size == 0 or s.size == 0:
             variables[name] = None
             continue

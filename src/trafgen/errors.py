@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: DataError -> 2, NumericalError -> 3.
-Plain ValueError is reserved for caller contract violations.
+It maps OSError and plain ValueError to 2 and numpy's LinAlgError to 3 too,
+so a broken caller contract also reads as a data error (ROADMAP open item 6).
 """
 
 

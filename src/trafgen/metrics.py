@@ -166,32 +166,18 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
 # ---------------------------------------------------------------------------
 # Trajectory variables
 
-@dataclass
-class VariableSamples:
-    """Pooled per-variable samples extracted from scenes."""
-
-    x_east: np.ndarray            # meters
-    y_north: np.ndarray           # meters
-    horizontal_speed: np.ndarray  # knots
-    closest_distance: np.ndarray  # meters, empty for single-aircraft input
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "x_east": self.x_east,
-            "y_north": self.y_north,
-            "horizontal_speed": self.horizontal_speed,
-            "closest_distance": self.closest_distance,
-        }
-
-
 def _interp_position(times: np.ndarray, points: np.ndarray,
                      at: np.ndarray) -> np.ndarray:
     cols = [np.interp(at, times, points[:, i]) for i in range(points.shape[1])]
     return np.column_stack(cols)
 
 
-def extract_variables(scenes: Sequence[Scene]) -> VariableSamples:
+def extract_variables(scenes: Sequence[Scene]) -> dict[str, np.ndarray]:
     """Pool position, speed, and closest-aircraft-distance samples.
+
+    Returns ``x_east`` and ``y_north`` (meters), ``horizontal_speed``
+    (knots) and ``closest_distance`` (meters, empty for single-aircraft
+    input), in that order.
 
     Horizontal speed comes from finite differences of consecutive samples.
     The closest-aircraft distance evaluates, at each sample of a trajectory,
@@ -223,12 +209,10 @@ def extract_variables(scenes: Sequence[Scene]) -> VariableSamples:
             finite = np.isfinite(min_dist)
             if finite.any():
                 closest.append(min_dist[finite])
-    return VariableSamples(
-        x_east=np.concatenate(xs) if xs else np.empty(0),
-        y_north=np.concatenate(ys) if ys else np.empty(0),
-        horizontal_speed=np.concatenate(speeds) if speeds else np.empty(0),
-        closest_distance=np.concatenate(closest) if closest else np.empty(0),
-    )
+    pooled = {"x_east": xs, "y_north": ys, "horizontal_speed": speeds,
+              "closest_distance": closest}
+    return {name: np.concatenate(parts) if parts else np.empty(0)
+            for name, parts in pooled.items()}
 
 
 # ---------------------------------------------------------------------------

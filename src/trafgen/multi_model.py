@@ -29,32 +29,6 @@ MIN_SAMPLES_PER_COMPONENT = 5
 MAX_SCENE_DRAWS = 10
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
-    """One arrival's deviation vector with its arrival time and procedure."""
-
-    flight_id: str
-    procedure: str
-    arrival_time: float  # seconds, landing time in the source track's epoch
-    tau: np.ndarray      # (3T+2,)
-
-
-@dataclass(frozen=True)
-class PairwiseSample:
-    tau1: np.ndarray
-    delta12: float  # seconds between the two arrivals (tau1 lands first)
-    tau2: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.delta12 < 0:
-            raise ValueError("delta12 must be nonnegative")
-        if self.tau1.shape != self.tau2.shape:
-            raise ValueError("paired deviation vectors differ in dimension")
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.tau1, [self.delta12], self.tau2])
-
-
 @dataclass
 class SceneParams:
     """Mean and assembled covariance of a joint N-aircraft deviation vector."""
@@ -72,15 +46,8 @@ class SceneParams:
 
 
 @dataclass
-class SceneTrajectory:
-    times: np.ndarray
-    points: np.ndarray
-    procedure_used: str
-
-
-@dataclass
 class TrafficScene:
-    trajectories: list[SceneTrajectory]
+    trajectories: list[tuple[np.ndarray, np.ndarray]]  # (times, points) each
     inter_arrival_times: np.ndarray  # (N-1,), nonnegative
 
 
@@ -98,46 +65,50 @@ def _delta_index(i: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # Pair extraction and training
 
-def extract_pairs(records: Sequence[ArrivalRecord],
+def extract_pairs(taus: np.ndarray, procedures: Sequence[str],
+                  arrival_times: np.ndarray,
                   window: float = DEFAULT_PAIRING_WINDOW_S,
-                  ) -> dict[tuple[str, str], list[PairwiseSample]]:
+                  ) -> dict[tuple[str, str], np.ndarray]:
     """Successive-arrival pairs within the time window, grouped by procedures.
 
-    Records are ordered by arrival time; each consecutive pair whose gap is
-    at most ``window`` seconds becomes one sample keyed by (first aircraft's
-    procedure, second aircraft's procedure).
+    Row i of ``taus`` is one arrival's deviation vector, flown on
+    ``procedures[i]`` and landing at ``arrival_times[i]``. Rows are ordered by
+    arrival time (stable, so equal times keep their input order); each
+    consecutive pair whose gap is at most ``window`` seconds becomes one row
+    [tau1, delta12, tau2] of the matrix keyed by (first aircraft's procedure,
+    second aircraft's procedure).
     """
-    ordered = sorted(records, key=lambda r: r.arrival_time)
-    groups: dict[tuple[str, str], list[PairwiseSample]] = {}
-    for first, second in zip(ordered, ordered[1:]):
-        delta = second.arrival_time - first.arrival_time
-        if delta > window:
-            continue
-        key = (first.procedure, second.procedure)
-        groups.setdefault(key, []).append(PairwiseSample(
-            tau1=np.asarray(first.tau, dtype=float), delta12=float(delta),
-            tau2=np.asarray(second.tau, dtype=float)))
-    return groups
+    times = np.asarray(arrival_times, dtype=float)
+    order = np.argsort(times, kind="stable")
+    taus = np.asarray(taus, dtype=float)[order]
+    deltas = np.diff(times[order])
+    pairs = np.column_stack([taus[:-1], deltas, taus[1:]])
+    rows: dict[tuple[str, str], list[int]] = {}
+    for i in np.flatnonzero(deltas <= window):
+        rows.setdefault((procedures[order[i]], procedures[order[i + 1]]),
+                        []).append(i)
+    return {key: pairs[idx] for key, idx in rows.items()}
 
 
-def train_pairwise(groups: Mapping[tuple[str, str], Sequence[PairwiseSample]],
+def train_pairwise(groups: Mapping[tuple[str, str], np.ndarray],
                    n_components: int, rank: int, *,
                    seed: int = 0,
                    ) -> dict[tuple[str, str], MixtureModel]:
     """Fit one compressed pairwise mixture per procedure combination.
 
-    Groups with fewer than ``MIN_SAMPLES_PER_COMPONENT`` samples per
-    component are skipped with a warning.
+    Each group is an (m, 2d+1) matrix of pair rows, as from
+    :func:`extract_pairs`. Groups with fewer than
+    ``MIN_SAMPLES_PER_COMPONENT`` rows per component are skipped with a
+    warning.
     """
     min_samples = MIN_SAMPLES_PER_COMPONENT * n_components
     models: dict[tuple[str, str], MixtureModel] = {}
     for key in sorted(groups):
-        samples = groups[key]
-        if len(samples) < min_samples:
+        data = groups[key]
+        if len(data) < min_samples:
             logger.warning("skipping pairwise group %s: %d samples < %d",
-                           key, len(samples), min_samples)
+                           key, len(data), min_samples)
             continue
-        data = np.stack([s.to_array() for s in samples])
         fit = em_fit(data, n_components, seed=seed, segment_kind="pairwise")
         models[key] = compress_model(fit.model, rank)
     return models
@@ -204,9 +175,12 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     dim = n * d + (n - 1)
     mean = np.zeros(dim)
     cov = np.zeros((dim, dim))
-    diag_blocks: list[np.ndarray] = []
     block_factors: list[list[np.ndarray]] = [[] for _ in range(n)]
     provenance: dict[str, int] = {}
+
+    def placed(i: int) -> np.ndarray:
+        """Aircraft i's diagonal block: written once, never overwritten."""
+        return cov[_block(i, d), _block(i, d)]
 
     def place_adjacent(k: int, comp) -> None:
         """Pair (k, k+1): everything but aircraft k's diagonal block."""
@@ -220,8 +194,7 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
         _set_block(cov, blk_k, blk_k1, f_a @ f_b.T)
         cov[q, q] = f_q @ f_q + comp.noise_var
         _set_block(cov, q, blk_k1, f_b @ f_q)
-        diag_blocks.append(_marginal(comp, b_blk).covariance())
-        cov[blk_k1, blk_k1] = diag_blocks[-1]
+        cov[blk_k1, blk_k1] = _marginal(comp, b_blk).covariance()
         block_factors[k].append(f_a)
         block_factors[k + 1].append(f_b)
 
@@ -230,15 +203,14 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     j0 = int(rng.choice(len(model01.components), p=model01.weights))
     comp = model01.components[j0]
     mean[a_blk] = comp.mean[a_blk]
-    diag_blocks.append(_marginal(comp, a_blk).covariance())
-    cov[a_blk, a_blk] = diag_blocks[0]
+    cov[a_blk, a_blk] = _marginal(comp, a_blk).covariance()
     place_adjacent(0, comp)
     provenance["pair_0_1"] = j0
 
     # step 2 repeated: adjacent pairs (k, k+1), matching the shared block
     for k in range(1, n - 1):
         model_k = _require_model(models, (procs[k], procs[k + 1]))
-        dists = [np.linalg.norm(_marginal(c, a_blk).covariance() - diag_blocks[k])
+        dists = [np.linalg.norm(_marginal(c, a_blk).covariance() - placed(k))
                  for c in model_k.components]
         jk = int(np.argmin(dists))
         place_adjacent(k, model_k.components[jk])
@@ -249,8 +221,8 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
         for i in range(0, k - 1):
             model_ik = _require_model(models, (procs[i], procs[k]))
             dists = [
-                np.linalg.norm(_marginal(c, a_blk).covariance() - diag_blocks[i])
-                + np.linalg.norm(_marginal(c, b_blk).covariance() - diag_blocks[k])
+                np.linalg.norm(_marginal(c, a_blk).covariance() - placed(i))
+                + np.linalg.norm(_marginal(c, b_blk).covariance() - placed(k))
                 for c in model_ik.components]
             jik = int(np.argmin(dists))
             f = model_ik.components[jik].cov_factor
@@ -367,9 +339,7 @@ def generate_scene(params: SceneParams,
         for i, (tau, proc) in enumerate(zip(taus, procedures)):
             times, points = reconstruct_trajectory(tau, proc)
             arrival = times[-1] if i == 0 else arrival + deltas[i - 1]
-            trajectories.append(SceneTrajectory(
-                times=times + (arrival - times[-1]), points=points,
-                procedure_used=proc.procedure))
+            trajectories.append((times + (arrival - times[-1]), points))
         return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)
     raise NumericalError(
         f"scene sampling failed after {MAX_SCENE_DRAWS} attempts; last cause: "

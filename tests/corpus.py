@@ -190,10 +190,10 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
 
     All aircraft fly the same straight-in procedure at the same altitude;
     the only strong pair correlation is between transit times (a follower
-    holds the leader's speed). Returns (records, procedural trajectory).
+    holds the leader's speed). Returns the (n, 3T+2) deviation matrix, the
+    procedure name and the arrival time of each row, and the procedural
+    trajectory.
     """
-    from trafgen.multi_model import ArrivalRecord
-
     rng = np.random.default_rng(seed)
     u = np.linspace(0.0, 1.0, segment_samples)
     points = np.column_stack(
@@ -204,10 +204,10 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
     proc = ProceduralTrajectory(procedure="INTRAIL", points=points,
                                 total_distance=length)
 
-    records = []
+    taus, arrivals = [], []
     arrival = 0.0
     z_prev = rng.standard_normal()
-    for i in range(n):
+    for _ in range(n):
         z = rho * z_prev + np.sqrt(1.0 - rho ** 2) * rng.standard_normal()
         z_prev = z
         transit = transit_mean + transit_std * z
@@ -216,10 +216,9 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
         dev = rng.normal(scale=20.0, size=(segment_samples, 3))
         dev[:, 2] = rng.normal(scale=3.0, size=segment_samples)
         distance = length + rng.normal(scale=30.0)
-        tau = np.concatenate([[transit, distance], dev.ravel()])
-        records.append(ArrivalRecord(flight_id=f"T{i:04d}", procedure="INTRAIL",
-                                     arrival_time=arrival, tau=tau))
-    return records, proc
+        taus.append(np.concatenate([[transit, distance], dev.ravel()]))
+        arrivals.append(arrival)
+    return np.stack(taus), ["INTRAIL"] * n, np.array(arrivals), proc
 
 
 def write_corpus(base: Path, n_flights=300, seed=0, *,

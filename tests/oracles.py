@@ -10,6 +10,8 @@ PSD repair by a full eigendecomposition, the row-by-row DTW double loop,
 which the batched wavefront must match bit for bit, and the rank selection
 that refits PPCA for every grid rank and adds jitter through a dense
 identity, which the single-decomposition path must match bit for bit.
+Pair extraction keeps its record-based form: Python's stable ``sorted`` over
+(procedure, arrival time, deviation vector) records, one row per pair.
 """
 
 import numpy as np
@@ -216,3 +218,19 @@ def select_rank_per_rank(data, rank_grid, seed=0, holdout_fraction=0.2):
             (int(k), float(_component_log_density(holdout, mean, chol).sum())))
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return curve[best][0], curve
+
+
+def extract_pairs_sorted(records, window):
+    """Successive-arrival pair rows [tau1, delta12, tau2] by procedure pair.
+
+    ``records`` are (procedure, arrival time, deviation vector) tuples.
+    """
+    ordered = sorted(records, key=lambda r: r[1])
+    groups = {}
+    for (proc1, time1, tau1), (proc2, time2, tau2) in zip(ordered, ordered[1:]):
+        delta = time2 - time1
+        if delta > window:
+            continue
+        groups.setdefault((proc1, proc2), []).append(
+            np.concatenate([tau1, [delta], tau2]))
+    return {key: np.stack(rows) for key, rows in groups.items()}

@@ -270,8 +270,8 @@ def test_criterion_08_end_to_end_distributional_fidelity(pipeline):
     vars_synth = extract_variables(synthetic_scenes)
     divergences = {}
     for name in ("x_east", "y_north", "horizontal_speed"):
-        a = vars_actual.as_dict()[name]
-        s = vars_synth.as_dict()[name]
+        a = vars_actual[name]
+        s = vars_synth[name]
         ha, hs = histogram_pair(a, s)
         divergences[name] = js_divergence(ha, hs)
         assert divergences[name] <= 0.05, (name, divergences[name])
@@ -339,10 +339,8 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
     draws = np.empty((n_scenes, 2 * d + 1))
     for i in range(n_scenes):
         scene = generate_scene(params, [proc, proc], rng)
-        tau1 = build_deviation_vector(
-            scene.trajectories[0].times, scene.trajectories[0].points, proc)
-        tau2 = build_deviation_vector(
-            scene.trajectories[1].times, scene.trajectories[1].points, proc)
+        tau1 = build_deviation_vector(*scene.trajectories[0], proc)
+        tau2 = build_deviation_vector(*scene.trajectories[1], proc)
         draws[i] = np.concatenate([
             tau1.to_array(), scene.inter_arrival_times, tau2.to_array()])
     comp = k1_model.components[0]
@@ -424,8 +422,9 @@ def test_criterion_10_separation_semantics_and_model_comparison():
                 scenes, stricter, unit=unit).count >= base_count
 
     # correlated pairwise model vs independent single-trajectory baseline
-    records, proc = corpus.make_intrail_records(400, rho=0.95, seed=2024)
-    groups = extract_pairs(records, window=180.0)
+    taus, names, times, proc = corpus.make_intrail_records(400, rho=0.95,
+                                                           seed=2024)
+    groups = extract_pairs(taus, names, times, window=180.0)
     pairwise_models = train_pairwise(groups, 1, rank=8, seed=0)
     assert ("INTRAIL", "INTRAIL") in pairwise_models
 
@@ -436,11 +435,10 @@ def test_criterion_10_separation_semantics_and_model_comparison():
         params = assemble_scene_params(pairwise_models,
                                        ["INTRAIL"] * n_aircraft, rng)
         scene = generate_scene(params, [proc] * n_aircraft, rng)
-        multi_scenes.append([(t.times, t.points) for t in scene.trajectories])
+        multi_scenes.append(scene.trajectories)
 
     # independent baseline: single-trajectory mixture, deltas from the
     # pairwise delta marginal, no cross-aircraft covariance
-    taus = np.stack([r.tau for r in records])
     single_fit = em_fit(taus, 1, seed=0)
     single_model = compress_model(single_fit.model, 8)
     pair_comp = pairwise_models[("INTRAIL", "INTRAIL")].components[0]
@@ -466,7 +464,7 @@ def test_criterion_10_separation_semantics_and_model_comparison():
     single_scenes = []
     for _ in range(n_scenes):
         scene = generate_scene(independent_params, [proc] * n_aircraft, rng)
-        single_scenes.append([(t.times, t.points) for t in scene.trajectories])
+        single_scenes.append(scene.trajectories)
 
     multi_los = loss_of_separation_count(multi_scenes, sep).count
     single_los = loss_of_separation_count(single_scenes, sep).count

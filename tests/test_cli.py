@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +595,55 @@ def test_duplicate_procedure_name_is_data_error_naming_the_file(tmp_path,
     assert str(tmp_path / "procedures.yaml") in err
     assert f"duplicate procedure names: ['{procs[0].name}']" in err
     assert not (out / "trajectories.csv").exists()
+
+
+def _zero_frequencies(procs):
+    for proc in procs:
+        proc.frequency = 0.0
+    return "frequencies must have positive total"
+
+
+def _repeated_waypoint(procs):
+    procs[0].waypoints[1] = procs[0].waypoints[0]
+    return f"procedure {procs[0].name!r} repeats a waypoint"
+
+
+@pytest.mark.parametrize("defect", [_zero_frequencies, _repeated_waypoint],
+                         ids=["zero_frequencies", "repeated_waypoint"])
+@pytest.mark.parametrize("command", [["ingest"],
+                                     ["generate-scenes", "--count", "1"]],
+                         ids=["ingest", "generate_scenes"])
+def test_unusable_procedures_are_data_errors_naming_the_file(
+        tmp_path, capsys, pipeline, defect, command):
+    config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
+    out = tmp_path / "out"
+    out.mkdir()
+    model = pipeline[0] / "out" / "model_pairwise.json"
+    (out / model.name).write_bytes(model.read_bytes())
+    procs = procedures.load_procedures(tmp_path / "procedures.yaml")
+    reason = defect(procs)
+    procedures.save_procedures(procs, tmp_path / "procedures.yaml")
+    assert run(["--config", str(config_path), *command]) == EXIT_DATA
+    assert (f"data error: {tmp_path / 'procedures.yaml'}: {reason}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == [model.name]
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def trafgen(*args):
+        return subprocess.run([sys.executable, "-m", "trafgen", *args],
+                              env=env, capture_output=True, text=True)
+
+    bad = trafgen("--config", str(config_path), "generate", "--count", "-3")
+    assert bad.returncode == EXIT_USAGE
+    assert "error: argument --count" in bad.stderr
+    ok = trafgen("--config", str(config_path), "ingest")
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert (tmp_path / "out" / "rv_dataset.csv").exists()
 
 
 def test_unknown_command_is_usage_error(pipeline):

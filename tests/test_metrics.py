@@ -193,15 +193,15 @@ def test_parallel_tracks_constant_closest_distance():
     gap = 5.0 * NM_TO_M
     scene = [straight_traj(20, 80.0, y=0.0), straight_traj(20, 80.0, y=gap)]
     out = extract_variables([scene])
-    assert np.allclose(out.closest_distance, gap, atol=1e-9)
+    assert np.allclose(out["closest_distance"], gap, atol=1e-9)
 
 
 def test_stationary_trajectory_zero_speed():
     times = np.arange(10) * 5.0
     points = np.tile([1000.0, 2000.0, 300.0], (10, 1))
     out = extract_variables([[(times, points)]])
-    assert np.allclose(out.horizontal_speed, 0.0)
-    assert out.closest_distance.size == 0  # single aircraft
+    assert np.allclose(out["horizontal_speed"], 0.0)
+    assert out["closest_distance"].size == 0  # single aircraft
 
 
 def test_hand_built_speeds():
@@ -211,16 +211,18 @@ def test_hand_built_speeds():
     out = extract_variables([[(times, points)]])
     # 1000 m over 10 s, then 400 m over 20 s
     expected = np.array([100.0, 20.0]) / KT_TO_MPS
-    assert np.allclose(out.horizontal_speed, expected)
-    assert out.x_east.size == 3 and out.y_north.size == 3
+    assert np.allclose(out["horizontal_speed"], expected)
+    assert out["x_east"].size == 3 and out["y_north"].size == 3
 
 
 def test_extract_variables_pure():
     scene = [straight_traj(15, 70.0), straight_traj(15, 75.0, y=4000.0)]
     first = extract_variables([scene])
     second = extract_variables([scene])
-    for name, arr in first.as_dict().items():
-        assert np.array_equal(arr, second.as_dict()[name]), name
+    assert list(first) == ["x_east", "y_north", "horizontal_speed",
+                           "closest_distance"]
+    for name, arr in first.items():
+        assert np.array_equal(arr, second[name]), name
 
 
 # ---------------------------------------------------------------------------

@@ -8,89 +8,107 @@ import pytest
 from trafgen import multi_model
 from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import GaussianComponent, MixtureModel
-from trafgen.multi_model import (ArrivalRecord, PairwiseSample, SceneParams,
-                                 assemble_scene_params, extract_pairs,
-                                 generate_scene, train_pairwise,
+from trafgen.multi_model import (SceneParams, assemble_scene_params,
+                                 extract_pairs, generate_scene, train_pairwise,
                                  _block, _delta_index, _repair_psd)
 
 from conftest import make_proc_traj
-from oracles import repair_psd_dense
+from oracles import extract_pairs_sorted, repair_psd_dense
 
 T_SEG = 3
 D = 3 * T_SEG + 2  # per-aircraft deviation dimension
 PAIR_DIM = 2 * D + 1
 
 
-def record(flight_id, t_arrival, proc="P", seed=0):
+def arrivals(times, procs=None, seed=0):
+    """Deviation rows, procedure names and arrival times of a few arrivals."""
     rng = np.random.default_rng(seed)
-    tau = np.concatenate([[300.0, 9000.0], rng.normal(scale=50.0, size=3 * T_SEG)])
-    return ArrivalRecord(flight_id=flight_id, procedure=proc,
-                         arrival_time=t_arrival, tau=tau)
+    taus = np.column_stack([
+        np.full(len(times), 300.0), np.full(len(times), 9000.0),
+        rng.normal(scale=50.0, size=(len(times), 3 * T_SEG))])
+    return taus, procs or ["P"] * len(times), np.asarray(times, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # extract_pairs
 
 def test_window_filters_pairs():
-    records = [record("a", 0.0), record("b", 100.0), record("c", 400.0)]
-    groups = extract_pairs(records, window=180.0)
-    samples = groups[("P", "P")]
-    assert len(samples) == 1
-    assert samples[0].delta12 == 100.0
+    groups = extract_pairs(*arrivals([0.0, 100.0, 400.0]), window=180.0)
+    pairs = groups[("P", "P")]
+    assert pairs.shape == (1, PAIR_DIM)
+    assert pairs[0, D] == 100.0
 
 
 def test_successive_pairs_share_the_middle_flight():
-    records = [record("a", 0.0), record("b", 100.0), record("c", 200.0)]
-    groups = extract_pairs(records, window=180.0)
-    deltas = [s.delta12 for s in groups[("P", "P")]]
-    assert deltas == [100.0, 100.0]
+    taus, procs, times = arrivals([0.0, 100.0, 200.0])
+    pairs = extract_pairs(taus, procs, times, window=180.0)[("P", "P")]
+    assert pairs[:, D].tolist() == [100.0, 100.0]
+    assert np.array_equal(pairs[0, D + 1:], pairs[1, :D])
 
 
 def test_pair_count_matches_brute_force():
     rng = np.random.default_rng(1)
     times = np.sort(rng.uniform(0.0, 5000.0, size=50))
-    procs = rng.choice(["P", "Q"], size=50)
-    records = [record(f"f{i}", t, proc=p, seed=i)
-               for i, (t, p) in enumerate(zip(times, procs))]
+    procs = rng.choice(["P", "Q"], size=50).tolist()
     window = 180.0
-    groups = extract_pairs(records, window=window)
+    groups = extract_pairs(*arrivals(times, procs), window=window)
     total = sum(len(v) for v in groups.values())
     expected = sum(1 for i in range(49) if times[i + 1] - times[i] <= window)
     assert total == expected
     # grouping key is (first procedure, second procedure), first lands first
-    for (p1, p2), samples in groups.items():
+    for (p1, p2), pairs in groups.items():
         assert p1 in ("P", "Q") and p2 in ("P", "Q")
-        for s in samples:
-            assert 0.0 <= s.delta12 <= window
+        assert np.all((0.0 <= pairs[:, D]) & (pairs[:, D] <= window))
 
 
 def test_pairwise_sample_vector_layout():
-    s = PairwiseSample(tau1=np.arange(D, dtype=float), delta12=7.0,
-                       tau2=np.arange(D, dtype=float) + 100.0)
-    vec = s.to_array()
-    assert vec.shape == (PAIR_DIM,)
-    assert vec[D] == 7.0
-    assert np.array_equal(vec[:D], s.tau1)
-    assert np.array_equal(vec[D + 1:], s.tau2)
+    taus = np.stack([np.arange(D, dtype=float), np.arange(D, dtype=float) + 100.0])
+    # given out of arrival order: the later arrival's row comes second
+    pairs = extract_pairs(taus[::-1], ["P", "P"], [57.0, 50.0])[("P", "P")]
+    assert pairs.shape == (1, PAIR_DIM)
+    assert pairs[0, D] == 7.0
+    assert np.array_equal(pairs[0, :D], taus[0])
+    assert np.array_equal(pairs[0, D + 1:], taus[1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extract_pairs_matches_sorted_record_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, window = 80, 180.0
+    # whole-second gaps: many repeated arrival times, and the first gap is
+    # exactly the window, so it is kept
+    gaps = rng.choice([0.0, 60.0, 120.0, 240.0], size=n - 1)
+    gaps[0] = window
+    times = np.concatenate([[1000.0], 1000.0 + np.cumsum(gaps)])
+    order = rng.permutation(n)
+    taus, procs, times = arrivals(times[order],
+                                  rng.choice(["P", "Q"], size=n).tolist(), seed)
+    assert len(np.unique(times)) < n
+    groups = extract_pairs(taus, procs, times, window=window)
+    expected = extract_pairs_sorted(list(zip(procs, times.tolist(), taus)),
+                                    window=window)
+    assert list(groups) == list(expected)
+    for key, pairs in expected.items():
+        assert np.array_equal(groups[key], pairs), key
+    assert np.any(np.concatenate([g[:, D] for g in groups.values()]) == window)
 
 
 # ---------------------------------------------------------------------------
 # train_pairwise
 
 def correlated_pair_samples(n, rho, seed=0):
-    """Pairs whose transit times are correlated with coefficient rho."""
+    """Pair rows whose transit times are correlated with coefficient rho."""
     rng = np.random.default_rng(seed)
     base = np.concatenate([[300.0, 9000.0], np.zeros(3 * T_SEG)])
-    out = []
-    for _ in range(n):
+    out = np.empty((n, PAIR_DIM))
+    for row in out:
         a = rng.normal()
         b = rng.normal()
         tau1 = base + rng.normal(scale=5.0, size=D)
         tau2 = base + rng.normal(scale=5.0, size=D)
         tau1[0] = 300.0 + 30.0 * a
         tau2[0] = 300.0 + 30.0 * (rho * a + np.sqrt(1 - rho ** 2) * b)
-        out.append(PairwiseSample(tau1=tau1, delta12=float(rng.uniform(60, 160)),
-                                  tau2=tau2))
+        row[:] = np.concatenate([tau1, [rng.uniform(60, 160)], tau2])
     return out
 
 
@@ -277,6 +295,37 @@ def random_pair_models(rank, seed, n_components=3):
     return models
 
 
+def test_selection_matches_brute_force_at_four_aircraft():
+    sequence = ["P", "Q", "Q", "P"]
+    a_blk, b_blk = slice(0, D), slice(D + 1, 2 * D + 1)
+    chosen = set()
+    for seed in range(4):
+        models = random_pair_models(3, seed=20 + seed, n_components=3)
+        params = assemble_scene_params(models, sequence, rng=seed)
+        prov = params.provenance
+        covs = {key: [c.covariance() for c in model.components]
+                for key, model in models.items()}
+
+        # replicate the selection with explicit argmin loops; each aircraft's
+        # diagonal block comes from the adjacent pair that placed it
+        placed = [covs[("P", "Q")][prov["pair_0_1"]][a_blk, a_blk]]
+        for k in range(3):
+            key = (sequence[k], sequence[k + 1])
+            if k > 0:
+                dists = [np.linalg.norm(c[a_blk, a_blk] - placed[k])
+                         for c in covs[key]]
+                assert prov[f"pair_{k}_{k + 1}"] == int(np.argmin(dists))
+            placed.append(covs[key][prov[f"pair_{k}_{k + 1}"]][b_blk, b_blk])
+        for i, k in ((0, 2), (0, 3), (1, 3)):
+            dists = [np.linalg.norm(c[a_blk, a_blk] - placed[i])
+                     + np.linalg.norm(c[b_blk, b_blk] - placed[k])
+                     for c in covs[(sequence[i], sequence[k])]]
+            assert prov[f"cross_{i}_{k}"] == int(np.argmin(dists))
+        chosen.add(tuple(prov[name] for name in
+                         ("pair_2_3", "cross_0_2", "cross_0_3", "cross_1_3")))
+    assert len(chosen) > 1  # the fixtures do not always pick one component
+
+
 def capture_repair_inputs(monkeypatch):
     """Record the assembled covariance and blocks handed to the repair."""
     captured = []
@@ -362,10 +411,10 @@ def test_zero_covariance_scene_equals_mean_scene():
     scene = generate_scene(params, scene_procedures(3), rng=0)
     assert np.array_equal(scene.inter_arrival_times, [90.0, 90.0])
     proc = scene_procedures(1)[0]
-    for i, traj in enumerate(scene.trajectories):
-        assert np.allclose(traj.points, proc.points, atol=1e-9)
+    for i, (times, points) in enumerate(scene.trajectories):
+        assert np.allclose(points, proc.points, atol=1e-9)
         expected_transit = (300.0 + 10.0 * i) / 9000.0 * proc.total_distance
-        assert traj.times[-1] - traj.times[0] == pytest.approx(expected_transit)
+        assert times[-1] - times[0] == pytest.approx(expected_transit)
 
 
 def test_arrival_time_bookkeeping_is_exact():
@@ -376,10 +425,10 @@ def test_arrival_time_bookkeeping_is_exact():
     for _ in range(10):
         params = assemble_scene_params(models, ["P", "P", "P"], rng)
         scene = generate_scene(params, scene_procedures(3), rng)
-        ends = [traj.times[-1] for traj in scene.trajectories]
+        ends = [times[-1] for times, _ in scene.trajectories]
         gaps = np.diff(ends)
         assert np.allclose(gaps, scene.inter_arrival_times, atol=1e-9)
-        assert scene.trajectories[0].times[0] == 0.0
+        assert scene.trajectories[0][0][0] == 0.0
 
 
 def test_delta_moments_match_monte_carlo():
@@ -419,13 +468,17 @@ def test_scene_generation_deterministic():
         params = assemble_scene_params(models, ["P", "P", "P"], rng)
         scene = generate_scene(params, scene_procedures(3), rng)
         out.append(scene)
-    for t1, t2 in zip(out[0].trajectories, out[1].trajectories):
-        assert np.array_equal(t1.times, t2.times)
-        assert np.array_equal(t1.points, t2.points)
+    for (times1, points1), (times2, points2) in zip(out[0].trajectories,
+                                                    out[1].trajectories):
+        assert np.array_equal(times1, times2)
+        assert np.array_equal(points1, points2)
 
 
 def test_stack_pairs_shape():
-    samples = correlated_pair_samples(5, 0.3)
-    stacked = np.stack([s.to_array() for s in samples])
-    assert stacked.shape == (5, PAIR_DIM)
-    assert np.array_equal(stacked[:, D], [s.delta12 for s in samples])
+    taus, _, times = arrivals([0.0, 90.0, 150.0, 500.0, 560.0, 600.0])
+    procs = ["P", "Q", "P", "P", "Q", "Q"]
+    groups = extract_pairs(taus, procs, times, window=180.0)
+    assert {key: pairs.shape for key, pairs in groups.items()} == {
+        ("P", "Q"): (2, PAIR_DIM), ("Q", "P"): (1, PAIR_DIM),
+        ("Q", "Q"): (1, PAIR_DIM)}
+    assert groups[("P", "Q")][:, D].tolist() == [90.0, 60.0]
