@@ -350,6 +350,8 @@ def cmd_train_pairwise(config: RunConfig) -> int:
     write_json(config.out_dir / "train_pairwise_log.json", {
         "groups": {f"{a}|{b}": len(v) for (a, b), v in groups.items()},
         "trained": sorted(f"{a}|{b}" for a, b in models),
+        "skipped": {f"{a}|{b}": len(v) for (a, b), v in groups.items()
+                    if (a, b) not in models},
     })
     return EXIT_OK
 
@@ -388,6 +390,13 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
                        _pairwise_models, tag=PAIRWISE_FORMAT)
     proc_set = _load_procedural_trajectories(config)
     rv_trajs, probs = proc_set.radar_vectors, proc_set.frequencies
+    # assembly reaches every ordered pair of a scene's procedures, adjacent
+    # or not, so any two procedures that can be drawn need a model
+    drawn = [t.procedure for t, p in zip(rv_trajs, probs) if p > 0]
+    missing = [f"{a}|{b}" for a in drawn for b in drawn if (a, b) not in models]
+    if missing:
+        raise DataError(f"{config.out_dir / 'model_pairwise.json'}: no pairwise "
+                        f"model for procedure combinations {', '.join(missing)}")
 
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []

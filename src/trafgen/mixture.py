@@ -1,13 +1,17 @@
 """Gaussian mixture core: EM fitting, low-rank covariances, conditioning, sampling.
 
 Covariances are stored factored as ``F F^T + noise_var I`` so a trained model
-stays cheap to hold and sample after per-component rank compression. EM
-itself runs full covariance; compression is applied afterwards.
+stays cheap to hold and sample after per-component rank compression. EM fits
+full covariances, held in their data-span spectral form (an orthonormal
+basis of the weighted, centred rows and its eigenvalues, plus the
+regularisation on the rest), so no n x n matrix is formed when there are
+fewer rows than dimensions; compression is applied afterwards.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +24,8 @@ from scipy.special import logsumexp
 from ._cluster import kmeans
 from ._files import read_json, write_text
 from .errors import DataError, NumericalError
+
+logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "trafgen-mixture/1"
 
@@ -134,14 +140,61 @@ def _component_log_density(data: np.ndarray, mean: np.ndarray,
     return -0.5 * (n * _LOG_2PI + maha) - log_det
 
 
-def _log_densities(data: np.ndarray, weights, means,
-                   chol_factors) -> np.ndarray:
-    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, L_j L_j^T)."""
+def _spectrum(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal V (n, r) and s^2 (r,), descending, with Z^T Z = V diag(s^2) V^T.
+
+    Z is (m, n). With fewer rows than columns this is a thin SVD of Z
+    (r = m) and no n x n matrix is formed; otherwise it is eigh(Z^T Z), its
+    eigenvalues clipped at zero (r = n). Every column of V has its
+    largest-magnitude entry positive.
+    """
+    m, n = z.shape
+    if m < n:
+        _, sv, vt = np.linalg.svd(z, full_matrices=False)
+        vecs, sq = vt.T, sv ** 2
+    else:
+        eigvals, eigvecs = np.linalg.eigh(z.T @ z)
+        vecs, sq = eigvecs[:, ::-1], np.clip(eigvals[::-1], 0.0, None)
+    pivots = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(pivots < 0.0, -1.0, 1.0), sq
+
+
+def _project(centered: np.ndarray, vecs: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of centred rows in V, and the squared norms of their residuals.
+
+    The residual is formed as a vector, x - V V^T x, rather than as
+    ||x||^2 - ||V^T x||^2, which cancels when x lies near span(V).
+    """
+    proj = centered @ vecs
+    resid = centered - proj @ vecs.T
+    return proj, np.sum(resid ** 2, axis=1)
+
+
+def _spectral_log_density(proj: np.ndarray, resid_sq: np.ndarray,
+                          eigvals: np.ndarray, noise_var: float,
+                          n: int) -> np.ndarray:
+    """Gaussian log density of rows projected by :func:`_project`.
+
+    The covariance has eigenvalues ``eigvals`` along the columns of V and
+    ``noise_var`` on the n - r dimensions orthogonal to them.
+    """
+    with np.errstate(over="ignore"):
+        maha = np.sum(proj ** 2 / eigvals, axis=1) + resid_sq / noise_var
+    log_det = np.sum(np.log(eigvals)) + (n - eigvals.size) * np.log(noise_var)
+    return -0.5 * (n * _LOG_2PI + maha + log_det)
+
+
+def _log_densities(data: np.ndarray, weights, means, spectra,
+                   reg: float) -> np.ndarray:
+    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, V_j diag(s_j^2) V_j^T + reg I)."""
     out = np.empty((data.shape[0], len(weights)))
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
-        for j, (mean, chol) in enumerate(zip(means, chol_factors)):
-            out[:, j] = log_weights[j] + _component_log_density(data, mean, chol)
+    for j, (mean, (vecs, sq)) in enumerate(zip(means, spectra)):
+        proj, resid_sq = _project(data - mean, vecs)
+        out[:, j] = log_weights[j] + _spectral_log_density(
+            proj, resid_sq, sq + reg, reg, data.shape[1])
     return out
 
 
@@ -164,7 +217,12 @@ def em_fit(data: np.ndarray, n_components: int, *,
     Initialization is k-means++ on the data; every M-step adds ``reg * I``
     (default 1e-6 times the mean data variance) to each covariance. Stops on
     relative log-likelihood improvement below ``EM_TOL`` or after
-    ``EM_MAX_ITER`` iterations.
+    ``EM_MAX_ITER`` iterations, with a WARNING in the latter case.
+
+    Each covariance is Z_j^T Z_j + reg I, Z_j the m weighted, centred rows,
+    and is held in its data-span spectral form (see :func:`_spectrum`): the
+    returned components have ``cov_factor`` V_j diag(s_j) and ``noise_var``
+    reg, so no n x n matrix is formed when m < n.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -189,12 +247,11 @@ def em_fit(data: np.ndarray, n_components: int, *,
     if empty.any():
         resp[:, empty] = 1e-6
         resp /= resp.sum(axis=1, keepdims=True)
-    weights, means, covs = _m_step(data, resp, reg)
+    weights, means, spectra = _m_step(data, resp)
 
     history: list[float] = []
     for it in range(EM_MAX_ITER):
-        factors = [psd_jitter_cholesky(cov) for cov in covs]
-        log_dens = _log_densities(data, weights, means, factors)
+        log_dens = _log_densities(data, weights, means, spectra, reg)
         log_norm = logsumexp(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])
@@ -203,13 +260,18 @@ def em_fit(data: np.ndarray, n_components: int, *,
             break
         if it < EM_MAX_ITER - 1:
             # keep the returned parameters consistent with the last E-step
-            weights, means, covs = _m_step(data, resp, reg)
+            weights, means, spectra = _m_step(data, resp)
+    else:
+        gain = ((history[-1] - history[-2]) / abs(history[-2])
+                if len(history) > 1 else float("nan"))
+        logger.warning("EM stopped at the iteration cap %d without converging: "
+                       "last relative log-likelihood gain %.3g (tolerance %g)",
+                       EM_MAX_ITER, gain, EM_TOL)
 
-    # the last E-step's factors: psd_factor would repeat the same Cholesky
     components = [
         GaussianComponent(weight=float(weights[j]), mean=means[j],
-                          cov_factor=factors[j], noise_var=0.0)
-        for j in range(n_components)
+                          cov_factor=vecs * np.sqrt(sq), noise_var=reg)
+        for j, (vecs, sq) in enumerate(spectra)
     ]
     # weights can drift from 1 by accumulated rounding; renormalize exactly
     total = sum(c.weight for c in components)
@@ -220,21 +282,17 @@ def em_fit(data: np.ndarray, n_components: int, *,
                  log_likelihoods=history)
 
 
-def _m_step(data: np.ndarray, resp: np.ndarray, reg: float,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m, n = data.shape
+def _m_step(data: np.ndarray, resp: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray, list]:
+    """Weights, means and the spectrum of each component's Z_j^T Z_j."""
+    m = data.shape[0]
     counts = resp.sum(axis=0)
     counts = np.maximum(counts, 1e-300)
     weights = counts / m
     means = (resp.T @ data) / counts[:, None]
-    covs = np.empty((resp.shape[1], n, n))
-    for j in range(resp.shape[1]):
-        centered = data - means[j]
-        cov = (centered * resp[:, j:j + 1]).T @ centered / counts[j]
-        covs[j] = (cov + cov.T) / 2.0
-    diag = np.arange(n)
-    covs[:, diag, diag] += reg
-    return weights, means, covs
+    spectra = [_spectrum((data - means[j]) * np.sqrt(resp[:, j:j + 1] / counts[j]))
+               for j in range(resp.shape[1])]
+    return weights, means, spectra
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +322,22 @@ class PPCAFit:
     noise_var: float       # sigma^2
 
 
-def _ppca_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, rank: int,
-                    ) -> tuple[np.ndarray, float]:
-    """Closed-form PPCA factor from a covariance eigendecomposition.
+def _ppca(vecs: np.ndarray, eigvals: np.ndarray, rest: float, rank: int,
+          ) -> tuple[np.ndarray, float]:
+    """Closed-form PPCA factor W (n, rank) and sigma^2 from a spectrum.
 
-    ``eigvals`` ascending (as from eigh). W = U_k (L_k - sigma^2 I)^{1/2},
-    sigma^2 = mean of the discarded eigenvalues.
+    The covariance has the descending ``eigvals`` along the r orthonormal
+    columns of ``vecs`` and ``rest`` on the n - r dimensions orthogonal to
+    them. W = V_k (L_k - sigma^2 I)^{1/2} and sigma^2 is the mean of the
+    n - rank discarded eigenvalues (Tipping & Bishop 1999). A rank beyond r
+    keeps eigenvalues equal to ``rest``, which sigma^2 also equals, so W is
+    padded with zero columns.
     """
-    n = eigvals.shape[0]
-    eigvals = np.clip(eigvals, 0.0, None)
-    top = slice(n - rank, n)
-    noise_var = float(np.mean(eigvals[:n - rank])) if rank < n else 0.0
-    w = eigvecs[:, top] * np.sqrt(np.clip(eigvals[top] - noise_var, 0.0, None))
-    return w, noise_var
-
-
-def _sample_eigh(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row mean and the eigendecomposition of the (1/m) sample covariance."""
-    mean = data.mean(axis=0)
-    centered = data - mean
-    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / data.shape[0])
-    return mean, eigvals, eigvecs
+    n, r = vecs.shape
+    noise_var = float((np.sum(eigvals[rank:]) + (n - max(rank, r)) * rest)
+                      / (n - rank))
+    w = vecs[:, :rank] * np.sqrt(np.clip(eigvals[:rank] - noise_var, 0.0, None))
+    return np.pad(w, ((0, 0), (0, rank - w.shape[1]))), noise_var
 
 
 def ppca_fit(data: np.ndarray, rank: int) -> PPCAFit:
@@ -300,8 +353,9 @@ def ppca_fit(data: np.ndarray, rank: int) -> PPCAFit:
         raise ValueError(f"rank must satisfy 1 <= rank < {n}, got {rank}")
     if m <= rank:
         raise ValueError(f"need more than rank={rank} rows, got {m}")
-    mean, eigvals, eigvecs = _sample_eigh(data)
-    w, noise_var = _ppca_from_eigh(eigvals, eigvecs, rank)
+    mean = data.mean(axis=0)
+    vecs, sq = _spectrum((data - mean) / np.sqrt(m))
+    w, noise_var = _ppca(vecs, sq, 0.0, rank)
     return PPCAFit(mean=mean, weights=w, noise_var=noise_var)
 
 
@@ -316,10 +370,12 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
     """Pick the PPCA rank maximizing held-out marginal log-likelihood.
 
     The data is split 80/20 (seeded). The training part's sample covariance
-    is decomposed once; each grid rank takes its PPCA fit from that
-    decomposition and is scored on the held-out part. Ties break toward the
-    smaller rank. The full (rank, log-likelihood) curve is returned for
-    reporting.
+    is decomposed once; each grid rank takes its PPCA fit from that spectrum
+    and scores the held-out part in the same eigenbasis. sigma^2 is floored
+    at 1e-10 times trace / n of the sample covariance, so that data of rank
+    below the grid rank (sigma^2 ~ 0) still gives a finite score. Ties break
+    toward the smaller rank. The full (rank, log-likelihood) curve is
+    returned for reporting.
     """
     data = np.asarray(data, dtype=float)
     m, n = data.shape
@@ -335,28 +391,39 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
         raise DataError(f"degenerate split for m={m} rows")
     holdout, train = data[perm[:n_holdout]], data[perm[n_holdout:]]
 
-    mean, eigvals, eigvecs = _sample_eigh(train)
+    mean = train.mean(axis=0)
+    vecs, sq = _spectrum((train - mean) / np.sqrt(len(train)))
+    floor = 1e-10 * max(float(np.sum(sq)) / n, np.finfo(float).tiny)
+    proj, resid_sq = _project(holdout - mean, vecs)
     curve = []
     for k in grid:
-        w, noise_var = _ppca_from_eigh(eigvals, eigvecs, k)
-        cov = GaussianComponent(1.0, mean, w, noise_var).covariance()
-        chol_l = psd_jitter_cholesky(cov)
-        ll = float(_component_log_density(holdout, mean, chol_l).sum())
+        _, noise_var = _ppca(vecs, sq, 0.0, k)
+        noise_var = max(noise_var, floor)
+        # W W^T + sigma^2 I: max(lambda_i, sigma^2) on the kept directions
+        model_eigs = np.full(sq.size, noise_var)
+        model_eigs[:k] = np.maximum(sq[:k], noise_var)
+        ll = float(_spectral_log_density(proj, resid_sq, model_eigs, noise_var,
+                                         n).sum())
         curve.append((int(k), ll))
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return RankSelection(rank=curve[best][0], curve=curve)
 
 
 def compress_model(model: MixtureModel, rank: int) -> MixtureModel:
-    """Compress every component covariance to rank + isotropic noise (PPCA form)."""
+    """Compress every component covariance to rank + isotropic noise (PPCA form).
+
+    The spectrum of F F^T + noise_var I comes from :func:`_spectrum` of the
+    factor F, a thin SVD when F is narrower than n, so that no n x n matrix
+    is formed. A rank wider than F pads the compressed factor with zero
+    columns.
+    """
     compressed = []
     for comp in model.components:
-        cov = comp.covariance()
-        n = cov.shape[0]
+        n = comp.dimension
         if not 1 <= rank < n:
             raise ValueError(f"rank must satisfy 1 <= rank < {n}, got {rank}")
-        eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
-        w, noise_var = _ppca_from_eigh(eigvals, eigvecs, rank)
+        vecs, sq = _spectrum(comp.cov_factor.T)
+        w, noise_var = _ppca(vecs, sq + comp.noise_var, comp.noise_var, rank)
         compressed.append(GaussianComponent(
             weight=comp.weight, mean=comp.mean.copy(),
             cov_factor=w, noise_var=noise_var))

@@ -7,9 +7,11 @@ joint sampling (no use of the conditional formulas). Two references instead
 keep the plain dense computation that a structured fast path replaces: the
 per-call conditioning, which the fast path must match bit for bit, the
 PSD repair by a full eigendecomposition, the row-by-row DTW double loop,
-which the batched wavefront must match bit for bit, and the rank selection
+which the batched wavefront must match bit for bit, the rank selection
 that refits PPCA for every grid rank and adds jitter through a dense
-identity, which the single-decomposition path must match bit for bit.
+identity, and EM and PPCA compression on full n x n covariances with one
+Cholesky per component per E-step, which the spectral forms must match to
+rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
 """
@@ -18,8 +20,10 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.special import logsumexp
 
+from trafgen._cluster import kmeans
 from trafgen.errors import NumericalError
-from trafgen.mixture import (MixtureModel, _component_log_density, psd_factor,
+from trafgen.mixture import (EM_MAX_ITER, EM_TOL, EMFit, GaussianComponent,
+                             MixtureModel, _component_log_density, psd_factor,
                              psd_jitter_cholesky, sample_many)
 
 
@@ -218,6 +222,108 @@ def select_rank_per_rank(data, rank_grid, seed=0, holdout_fraction=0.2):
             (int(k), float(_component_log_density(holdout, mean, chol).sum())))
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return curve[best][0], curve
+
+
+def _log_densities_dense(data, weights, means, chol_factors):
+    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, L_j L_j^T)."""
+    out = np.empty((data.shape[0], len(weights)))
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+        for j, (mean, chol) in enumerate(zip(means, chol_factors)):
+            out[:, j] = log_weights[j] + _component_log_density(data, mean, chol)
+    return out
+
+
+def _m_step_dense(data, resp, reg):
+    m, n = data.shape
+    counts = resp.sum(axis=0)
+    counts = np.maximum(counts, 1e-300)
+    weights = counts / m
+    means = (resp.T @ data) / counts[:, None]
+    covs = np.empty((resp.shape[1], n, n))
+    for j in range(resp.shape[1]):
+        centered = data - means[j]
+        cov = (centered * resp[:, j:j + 1]).T @ centered / counts[j]
+        covs[j] = (cov + cov.T) / 2.0
+    diag = np.arange(n)
+    covs[:, diag, diag] += reg
+    return weights, means, covs
+
+
+def em_fit_dense(data, n_components, *, seed=0, reg=None,
+                 segment_kind="generic"):
+    """EM holding every covariance as an n x n matrix.
+
+    Each E-step factors every component covariance by Cholesky; the
+    returned components carry the last E-step's Cholesky factors.
+    """
+    data = np.asarray(data, dtype=float)
+    m, n = data.shape
+    rng = np.random.default_rng(seed)
+    if reg is None:
+        reg = 1e-6 * float(np.mean(np.var(data, axis=0)))
+    reg = max(reg, 1e-12)
+
+    km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
+    resp = np.zeros((m, n_components))
+    resp[np.arange(m), km.labels] = 1.0
+    empty = resp.sum(axis=0) == 0
+    if empty.any():
+        resp[:, empty] = 1e-6
+        resp /= resp.sum(axis=1, keepdims=True)
+    weights, means, covs = _m_step_dense(data, resp, reg)
+
+    history = []
+    for it in range(EM_MAX_ITER):
+        factors = [psd_jitter_cholesky(cov) for cov in covs]
+        log_dens = _log_densities_dense(data, weights, means, factors)
+        log_norm = logsumexp(log_dens, axis=1)
+        ll = float(log_norm.sum())
+        resp = np.exp(log_dens - log_norm[:, None])
+        history.append(ll)
+        if len(history) > 1 and ll - history[-2] < EM_TOL * abs(history[-2]):
+            break
+        if it < EM_MAX_ITER - 1:
+            weights, means, covs = _m_step_dense(data, resp, reg)
+
+    components = [
+        GaussianComponent(weight=float(weights[j]), mean=means[j],
+                          cov_factor=factors[j], noise_var=0.0)
+        for j in range(n_components)
+    ]
+    total = sum(c.weight for c in components)
+    for c in components:
+        c.weight /= total
+    model = MixtureModel(components=components, segment_kind=segment_kind)
+    return EMFit(model=model, labels=resp.argmax(axis=1),
+                 log_likelihoods=history)
+
+
+def _ppca_from_eigh(eigvals, eigvecs, rank):
+    """Closed-form PPCA factor from a covariance eigendecomposition.
+
+    ``eigvals`` ascending (as from eigh). W = U_k (L_k - sigma^2 I)^{1/2},
+    sigma^2 = mean of the discarded eigenvalues.
+    """
+    n = eigvals.shape[0]
+    eigvals = np.clip(eigvals, 0.0, None)
+    top = slice(n - rank, n)
+    noise_var = float(np.mean(eigvals[:n - rank])) if rank < n else 0.0
+    w = eigvecs[:, top] * np.sqrt(np.clip(eigvals[top] - noise_var, 0.0, None))
+    return w, noise_var
+
+
+def compress_model_dense(model, rank):
+    """PPCA compression from an eigendecomposition of each full covariance."""
+    compressed = []
+    for comp in model.components:
+        cov = comp.covariance()
+        eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        w, noise_var = _ppca_from_eigh(eigvals, eigvecs, rank)
+        compressed.append(GaussianComponent(
+            weight=comp.weight, mean=comp.mean.copy(),
+            cov_factor=w, noise_var=noise_var))
+    return MixtureModel(components=compressed, segment_kind=model.segment_kind)
 
 
 def extract_pairs_sorted(records, window):

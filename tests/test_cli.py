@@ -719,6 +719,26 @@ def test_numerical_failure_exit_code(tmp_path, pipeline):
     assert code == EXIT_NUMERICAL
 
 
+def test_untrained_pair_combinations_are_named_before_sampling(tmp_path, capsys):
+    # 20 flights leave three of the four procedure pairs under the minimum
+    config_path = corpus.write_corpus(tmp_path, n_flights=20, seed=0)
+    for args in (["ingest"], ["train-pairwise"]):
+        assert run(["--config", str(config_path), *args]) == EXIT_OK
+    out = tmp_path / "out"
+    log = json.loads((out / "train_pairwise_log.json").read_text())
+    assert log["trained"] == ["RV_WEST|RV_WEST"]
+    missing = ["RV_SOUTH|RV_SOUTH", "RV_SOUTH|RV_WEST", "RV_WEST|RV_SOUTH"]
+    assert log["skipped"] == {key: log["groups"][key] for key in missing}
+    capsys.readouterr()
+    code = run(["--config", str(config_path), "generate-scenes",
+                "--count", "20", "--aircraft", "2"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(out / "model_pairwise.json") in err
+    assert all(key in err for key in missing)
+    assert not (out / "scenes.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 

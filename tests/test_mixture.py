@@ -1,5 +1,6 @@
 """Gaussian mixture core: EM, PPCA, low-rank approximation, conditioning."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              low_rank_approx, ppca_fit, psd_jitter_cholesky,
                              sample, sample_many, save_model, select_rank)
 
-from oracles import (condition_dense, jitter_cholesky_eye,
-                     mc_conditional_moments, select_rank_per_rank)
+from oracles import (compress_model_dense, condition_dense, em_fit_dense,
+                     jitter_cholesky_eye, mc_conditional_moments,
+                     select_rank_per_rank)
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -99,6 +101,68 @@ def test_em_deterministic_for_fixed_seed():
         assert np.array_equal(c1.mean, c2.mean)
         assert np.array_equal(c1.cov_factor, c2.cov_factor)
         assert c1.weight == c2.weight
+
+
+@pytest.mark.parametrize("m, n, k, scale, ranks", [
+    (24, 200, 2, 3.0, (5, 30)),   # thin SVD of Z; rank 30 exceeds its 24 columns
+    (400, 12, 3, 0.6, (5, 11)),   # eigh of Z^T Z
+], ids=["rows_below_dim", "rows_above_dim"])
+def test_em_and_compression_match_dense_oracle(m, n, k, scale, ranks):
+    rng = np.random.default_rng(34)
+    centres = rng.normal(scale=scale, size=(k, n)) + 5.0
+    mixing = rng.normal(size=(n, n)) / np.sqrt(n)
+    data = centres[rng.integers(k, size=m)] + rng.normal(size=(m, n)) @ mixing
+    fit = em_fit(data, k, seed=3)
+    ref = em_fit_dense(data, k, seed=3)
+    assert len(fit.log_likelihoods) == len(ref.log_likelihoods)
+    assert np.array_equal(fit.labels, ref.labels)
+    assert np.allclose(fit.log_likelihoods, ref.log_likelihoods,
+                       rtol=1e-9, atol=0.0)
+    assert np.allclose(fit.model.means(), ref.model.means(), rtol=1e-12, atol=0.0)
+    for comp in fit.model.components:
+        assert comp.cov_factor.shape == (n, min(m, n))
+    for rank in ranks:
+        pairs = zip(compress_model(fit.model, rank).components,
+                    compress_model_dense(ref.model, rank).components)
+        for comp, oracle in pairs:
+            assert comp.cov_factor.shape == (n, rank)
+            expected = oracle.covariance()
+            assert (np.linalg.norm(comp.covariance() - expected)
+                    <= 1e-9 * np.linalg.norm(expected))
+
+
+def test_em_at_iteration_cap_warns_once(monkeypatch, caplog):
+    rng = np.random.default_rng(35)
+    data = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + 2.0])
+    with caplog.at_level(logging.WARNING, logger="trafgen.mixture"):
+        em_fit(data, 2, seed=0)
+    assert caplog.records == []  # a converging fit logs nothing
+
+    monkeypatch.setattr(mixture, "EM_MAX_ITER", 1)
+    with caplog.at_level(logging.WARNING, logger="trafgen.mixture"):
+        fit = em_fit(data, 2, seed=0)
+    assert len(fit.log_likelihoods) == 1
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "iteration cap 1 " in caplog.records[0].getMessage()
+    assert "relative log-likelihood gain nan" in caplog.records[0].getMessage()
+
+
+def test_em_and_rank_selection_form_no_n_by_n_matrix():
+    # the radar-vector shape at paper size: 24 flights, n = 3 * 350 + 2
+    m, n = 24, 1052
+    rng = np.random.default_rng(36)
+    data = rng.normal(size=(m, 8)) @ rng.normal(size=(8, n)) \
+        + 0.1 * rng.normal(size=(m, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit = em_fit(data, 2, seed=0)
+        select_rank(data, [1, 2, 4, 8, 16], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fit.model.components) == 2
+    assert peak - base < n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +286,22 @@ def test_ppca_marginal_covariance_keeps_top_eigenvalues():
     assert np.allclose(model_eigs[-3:], sample_eigs[-3:], atol=1e-8)
 
 
+def test_ppca_fewer_rows_than_dimensions_matches_dense_oracle():
+    m, n, rank = 15, 60, 4
+    rng = np.random.default_rng(37)
+    data = rng.normal(size=(m, 6)) @ rng.normal(size=(6, n)) \
+        + 0.2 * rng.normal(size=(m, n))
+    fit = ppca_fit(data, rank)
+    centered = data - data.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / m)
+    assert abs(fit.noise_var - np.mean(eigvals[:n - rank])) <= 1e-9 * eigvals[-1]
+    top = eigvecs[:, n - rank:]
+    expected = (top * (eigvals[n - rank:] - fit.noise_var)) @ top.T \
+        + fit.noise_var * np.eye(n)
+    model_cov = fit.weights @ fit.weights.T + fit.noise_var * np.eye(n)
+    assert np.linalg.norm(model_cov - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 def test_ppca_rejects_full_rank_request():
     with pytest.raises(ValueError):
         ppca_fit(np.zeros((10, 3)), 3)
@@ -264,26 +344,42 @@ def test_select_rank_curve_rises_then_falls():
 
 @pytest.mark.parametrize("deficient", [False, True],
                          ids=["rank_5", "rank_deficient"])
-def test_select_rank_matches_per_rank_oracle_bitwise(deficient, monkeypatch):
+def test_select_rank_matches_per_rank_oracle(deficient, monkeypatch):
     rng = np.random.default_rng(32)
     if deficient:  # rank 3 in 12 coordinates: ranks >= 3 leave sigma^2 ~ 0
         data, grid = rng.normal(size=(60, 3)) @ rng.normal(size=(3, 12)), [1, 2, 3, 6]
     else:
         data, grid = rank5_data(rng, m=400), list(range(1, 12))
-    attempts = []
+    attempts, noise_vars = [], []
     factor = mixture.cholesky
+    log_density = mixture._spectral_log_density
 
     def counting_cholesky(*args, **kwargs):
         attempts.append(1)
         return factor(*args, **kwargs)
 
+    def recording_log_density(proj, resid_sq, eigvals, noise_var, n):
+        noise_vars.append(noise_var)
+        return log_density(proj, resid_sq, eigvals, noise_var, n)
+
     monkeypatch.setattr(mixture, "cholesky", counting_cholesky)
+    monkeypatch.setattr(mixture, "_spectral_log_density", recording_log_density)
     result = select_rank(data, grid, seed=4)
     rank, curve = select_rank_per_rank(data, grid, seed=4)
-    assert result.curve == curve
     assert result.rank == rank
-    # the deficient case escalates the jitter at least once
-    assert (len(attempts) > len(grid)) == deficient
+    assert [k for k, _ in result.curve] == grid
+    assert np.allclose([ll for _, ll in result.curve], [ll for _, ll in curve],
+                       rtol=1e-6 if deficient else 1e-9, atol=0.0)
+    assert attempts == []  # scored in the eigenbasis, no Cholesky
+    # sigma^2 is floored at 1e-10 trace / n of the training sample covariance
+    perm = np.random.default_rng(4).permutation(len(data))
+    train = data[perm[round(0.2 * len(data)):]]
+    centered = train - train.mean(axis=0)
+    floor = 1e-10 * np.sum(centered ** 2) / len(train) / data.shape[1]
+    floored = [k for k, noise in zip(grid, noise_vars)
+               if noise == pytest.approx(floor, rel=1e-9)]
+    assert floored == ([3, 6] if deficient else [])
+    assert min(noise_vars) >= floor * (1 - 1e-9)
 
 
 def test_select_rank_decomposes_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Pairwise extraction/training and multi-aircraft scene assembly."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ def test_undersized_group_skipped_with_warning(caplog):
         models = train_pairwise(groups, 1, rank=4, seed=0)
     assert set(models) == {("P", "P")}
     assert any("skipping" in message for message in caplog.messages)
+
+
+def test_train_pairwise_forms_no_n_by_n_matrix():
+    # one pair group at paper size: 6 rows of 2 * (3 * 350 + 2) + 1 = 2105
+    d = 1052
+    n = 2 * d + 1
+    rng = np.random.default_rng(38)
+    data = 100.0 + rng.normal(size=(6, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        models = train_pairwise({("P", "P"): data}, 1, rank=8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six rows give a factor six wide: rank 8 pads it with two zero columns
+    factor = models[("P", "P")].components[0].cov_factor
+    assert factor.shape == (n, 8)
+    assert np.all(factor[:, 6:] == 0.0)
+    assert peak - base < n * n * 8
 
 
 # ---------------------------------------------------------------------------
