@@ -397,6 +397,11 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     if missing:
         raise DataError(f"{config.out_dir / 'model_pairwise.json'}: no pairwise "
                         f"model for procedure combinations {', '.join(missing)}")
+    expected = 2 * (3 * config.segment_length_rv + 2) + 1
+    found = sorted({model.dimension for model in models.values()})
+    if found != [expected]:
+        raise DataError(f"{config.out_dir / 'model_pairwise.json'}: pairwise "
+                        f"model dimensions {found} != 2*(3*T_v+2)+1 = {expected}")
 
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []

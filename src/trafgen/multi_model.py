@@ -3,7 +3,10 @@
 A pairwise sample stacks two co-arriving aircraft's deviation vectors around
 their inter-arrival time, [tau1, delta12, tau2]. Scene generation assembles a
 joint Gaussian over [tau1, d12, tau2, d23, tau3, ...] by matching covariance
-sub-blocks across the trained pairwise mixtures, then samples it once.
+sub-blocks across the trained pairwise mixtures. The scene covariance is held
+as a small matrix over the span of the placed factor rows plus per-block
+isotropic noise; the matrix's negative eigenvalues are clipped, and the scene
+is sampled from that factor.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .mixture import (GaussianComponent, MixtureModel, compress_model, em_fit,
-                      psd_factor)
+from .mixture import MixtureModel, compress_model, em_fit
 from .preprocess import DeviationVector, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
@@ -31,18 +33,32 @@ MAX_SCENE_DRAWS = 10
 
 @dataclass
 class SceneParams:
-    """Mean and assembled covariance of a joint N-aircraft deviation vector."""
+    """Mean and factored covariance of a joint N-aircraft deviation vector.
+
+    The scene vector is a sequence of parts: aircraft block 0, inter-arrival
+    gap 0, aircraft block 1, and so on. Part p has an orthonormal basis
+    ``bases[p]`` (``[[1]]`` for a gap) and a noise level ``noise[p]`` (0 for
+    a gap); with Q = diag(bases) the covariance is
+    Q factor factor^T Q^T + sum_p noise[p] (I_p - Q_p Q_p^T).
+
+    This is exact for an assembled scene C. Each block of C factors through
+    the factor rows placed in the blocks it touches, plus s_i I on aircraft
+    i's diagonal block, and Q spans those rows. A vector v orthogonal to Q
+    has no gap part and, in every block, is orthogonal to every factor placed
+    there, so C v = s_i v blockwise. The complement of span(Q) is thus
+    invariant under C with eigenvalues s_i >= 0, and by symmetry so is
+    span(Q): C = Q M Q^T + sum_i s_i (I_i - Q_i Q_i^T) with M = Q^T C Q small
+    (at most N(N-1)r + N-1 columns). Every negative eigenvalue of C is one of
+    M's, and ``factor`` is V sqrt(lambda_+) of M with those clipped.
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
-    per_aircraft_dim: int
+    bases: list[np.ndarray]
+    factor: np.ndarray
+    noise: list[float]
     procedure_sequence: list[str]
     provenance: dict[str, int]      # source component index per assembled block
     block_drift: list[float] = field(default_factory=list)  # PSD-repair drift
-
-    @property
-    def n_aircraft(self) -> int:
-        return len(self.procedure_sequence)
 
 
 @dataclass
@@ -134,35 +150,23 @@ def _pair_dim(models: Mapping[tuple[str, str], MixtureModel]) -> int:
     return (dim - 1) // 2
 
 
-def _marginal(comp: GaussianComponent, blk: slice) -> GaussianComponent:
-    """The component's marginal over one aircraft's block: its factor rows."""
-    return GaussianComponent(comp.weight, comp.mean[blk], comp.cov_factor[blk],
-                             comp.noise_var)
-
-
-def _set_block(cov: np.ndarray, rows, cols, value) -> None:
-    """Write a covariance block and its transpose."""
-    cov[rows, cols] = value
-    cov[cols, rows] = np.transpose(value)
-
-
 def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
                           procedure_sequence: Sequence[str],
                           rng: int | np.random.Generator | None = None,
                           ) -> SceneParams:
-    """Assemble the joint mean and covariance for an N-aircraft scene.
+    """Assemble the joint mean and factored covariance of an N-aircraft scene.
 
     Step 1 samples a component from the first pair's model. Each further
     adjacent pair picks the component whose leading diagonal block is closest
     (Frobenius) to the block already placed for the shared aircraft; each
     non-adjacent pair picks the component whose two diagonal blocks are
     jointly closest and contributes only its cross block. Inter-arrival
-    covariances that no pairwise model observes stay zero. The result is
-    repaired to PSD by eigenvalue clipping.
+    covariances that no pairwise model observes stay zero.
 
-    Every block is built from the components' factor rows, never from a
-    full pairwise covariance, and the factor rows placed in each aircraft's
-    block are kept for the low-rank repair in :func:`_repair_psd`.
+    Each block is recorded as a pair of factor rows and projected straight
+    into the small matrix M of :class:`SceneParams`. M's negative eigenvalues
+    are clipped; ``block_drift`` is how far that moved each aircraft's
+    diagonal block, relative to its Frobenius norm.
     """
     rng = np.random.default_rng(rng)
     procs = list(procedure_sequence)
@@ -172,45 +176,54 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     d = _pair_dim(models)
     a_blk, b_blk = slice(0, d), slice(d + 1, 2 * d + 1)
 
-    dim = n * d + (n - 1)
-    mean = np.zeros(dim)
-    cov = np.zeros((dim, dim))
+    mean = np.zeros(n * d + n - 1)
+    # parts: aircraft i is part 2i and the gap after it part 2i+1. Part p's
+    # diagonal block is F F^T + s I for diagonal[p] = (F, s); each
+    # (p, q, F_p, F_q) in crosses places the block F_p F_q^T.
+    diagonal: dict[int, tuple[np.ndarray, float]] = {}
+    crosses: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     block_factors: list[list[np.ndarray]] = [[] for _ in range(n)]
     provenance: dict[str, int] = {}
-
-    def placed(i: int) -> np.ndarray:
-        """Aircraft i's diagonal block: written once, never overwritten."""
-        return cov[_block(i, d), _block(i, d)]
 
     def place_adjacent(k: int, comp) -> None:
         """Pair (k, k+1): everything but aircraft k's diagonal block."""
         f = comp.cov_factor
-        f_a, f_q, f_b = f[a_blk], f[d], f[b_blk]
-        q = _delta_index(k, d)
-        blk_k, blk_k1 = _block(k, d), _block(k + 1, d)
-        mean[q] = comp.mean[d]
-        mean[blk_k1] = comp.mean[b_blk]
-        _set_block(cov, blk_k, q, f_a @ f_q)
-        _set_block(cov, blk_k, blk_k1, f_a @ f_b.T)
-        cov[q, q] = f_q @ f_q + comp.noise_var
-        _set_block(cov, q, blk_k1, f_b @ f_q)
-        cov[blk_k1, blk_k1] = _marginal(comp, b_blk).covariance()
+        f_a, f_q, f_b = f[a_blk], f[d:d + 1], f[b_blk]
+        mean[_delta_index(k, d)] = comp.mean[d]
+        mean[_block(k + 1, d)] = comp.mean[b_blk]
+        p = 2 * k
+        crosses.extend([(p, p + 1, f_a, f_q), (p, p + 2, f_a, f_b),
+                        (p + 1, p + 2, f_q, f_b)])
+        diagonal[p + 1] = (f_q, comp.noise_var)
+        diagonal[p + 2] = (f_b, comp.noise_var)
         block_factors[k].append(f_a)
         block_factors[k + 1].append(f_b)
+
+    def distance(f: np.ndarray, s: float, i: int) -> float:
+        """Frobenius distance of F F^T + s I from aircraft i's G G^T + t I.
+
+        The two differ on U = span[F G], and by (s - t) I outside it.
+        """
+        g, t = diagonal[2 * i]
+        u = np.linalg.qr(np.hstack([f, g]))[0]
+        c_f, c_g = u.T @ f, u.T @ g
+        inside = c_f @ c_f.T - c_g @ c_g.T + (s - t) * np.eye(u.shape[1])
+        return np.hypot(np.linalg.norm(inside),
+                        np.sqrt(d - u.shape[1]) * abs(s - t))
 
     # step 1: sample a component from the first pair's model
     model01 = _require_model(models, (procs[0], procs[1]))
     j0 = int(rng.choice(len(model01.components), p=model01.weights))
     comp = model01.components[j0]
     mean[a_blk] = comp.mean[a_blk]
-    cov[a_blk, a_blk] = _marginal(comp, a_blk).covariance()
+    diagonal[0] = (comp.cov_factor[a_blk], comp.noise_var)
     place_adjacent(0, comp)
     provenance["pair_0_1"] = j0
 
     # step 2 repeated: adjacent pairs (k, k+1), matching the shared block
     for k in range(1, n - 1):
         model_k = _require_model(models, (procs[k], procs[k + 1]))
-        dists = [np.linalg.norm(_marginal(c, a_blk).covariance() - placed(k))
+        dists = [distance(c.cov_factor[a_blk], c.noise_var, k)
                  for c in model_k.components]
         jk = int(np.argmin(dists))
         place_adjacent(k, model_k.components[jk])
@@ -220,87 +233,68 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     for k in range(2, n):
         for i in range(0, k - 1):
             model_ik = _require_model(models, (procs[i], procs[k]))
-            dists = [
-                np.linalg.norm(_marginal(c, a_blk).covariance() - placed(i))
-                + np.linalg.norm(_marginal(c, b_blk).covariance() - placed(k))
-                for c in model_ik.components]
+            dists = [distance(c.cov_factor[a_blk], c.noise_var, i)
+                     + distance(c.cov_factor[b_blk], c.noise_var, k)
+                     for c in model_ik.components]
             jik = int(np.argmin(dists))
             f = model_ik.components[jik].cov_factor
-            _set_block(cov, _block(i, d), _block(k, d), f[a_blk] @ f[b_blk].T)
+            crosses.append((2 * i, 2 * k, f[a_blk], f[b_blk]))
             block_factors[i].append(f[a_blk])
             block_factors[k].append(f[b_blk])
             provenance[f"cross_{i}_{k}"] = jik
 
-    repaired, drift = _repair_psd(cov, [_block(i, d) for i in range(n)],
-                                  block_factors)
-    for i, value in enumerate(drift):
-        if value > 0.05:
+    bases = [np.ones((1, 1))] * (2 * n - 1)
+    bases[::2] = [np.linalg.qr(np.hstack(f))[0] for f in block_factors]
+    ends = np.cumsum([basis.shape[1] for basis in bases])
+    span = [slice(end - basis.shape[1], end) for basis, end in zip(bases, ends)]
+    m = np.zeros((ends[-1], ends[-1]))
+    for p, (g, s) in diagonal.items():
+        c = bases[p].T @ g
+        m[span[p], span[p]] = c @ c.T + s * np.eye(len(c))
+    for p, q, f_p, f_q in crosses:
+        m[span[p], span[q]] = (bases[p].T @ f_p) @ (bases[q].T @ f_q).T
+        m[span[q], span[p]] = m[span[p], span[q]].T
+    noise = [diagonal[p][1] if p % 2 == 0 else 0.0 for p in range(2 * n - 1)]
+
+    eigvals, eigvecs = np.linalg.eigh(m)
+    negative = eigvals < 0.0
+    # clipping adds W W^T to M, with W = V_neg sqrt(-lambda_neg)
+    lift = eigvecs[:, negative] * np.sqrt(-eigvals[negative])
+    drift = []
+    for i, p in enumerate(range(0, 2 * n, 2)):
+        w = lift[span[p]]
+        size = np.hypot(np.linalg.norm(m[span[p], span[p]]),
+                        np.sqrt(d - bases[p].shape[1]) * noise[p])
+        drift.append(float(np.linalg.norm(w.T @ w) / size) if size > 0 else 0.0)
+        if drift[i] > 0.05:
             logger.warning(
                 "PSD repair moved aircraft %d's diagonal block by %.1f%% "
-                "(incompatible component selection)", i, 100 * value)
-    return SceneParams(mean=mean, covariance=repaired, per_aircraft_dim=d,
-                       procedure_sequence=procs, provenance=provenance,
-                       block_drift=drift)
-
-
-def _repair_psd(cov: np.ndarray, blocks: Sequence[slice],
-                block_factors: Sequence[Sequence[np.ndarray]],
-                ) -> tuple[np.ndarray, list[float]]:
-    """Clip negative eigenvalues to zero; report per-block Frobenius drift.
-
-    ``cov`` is a symmetric scene covariance. ``block_factors[i]`` holds the
-    factor rows (d x r each) of every component placed in ``blocks[i]``;
-    the coordinates outside the blocks are the inter-arrival times. Each
-    diagonal block is ``G G^T + s_i I`` with G among its factor rows and
-    s_i >= 0; each off-diagonal block and each inter-arrival row factors
-    through the factor rows of the blocks it touches.
-
-    Let Q be an orthonormal basis of the factor columns, each embedded in
-    its block, together with the unit vectors of the inter-arrival
-    coordinates. A vector v orthogonal to Q has no inter-arrival part and,
-    in every block, is orthogonal to every factor placed there; so every
-    off-diagonal block and inter-arrival row maps it to zero, and
-    cov v = s_i v blockwise. The complement of span(Q) is thus invariant
-    under cov with eigenvalues s_i >= 0, and by symmetry so is span(Q).
-    Every negative eigenvalue of cov is therefore one of the small matrix
-    Q^T cov Q (at most N(N-1)r + N-1 columns for N aircraft), and clipping
-    it subtracts U diag(lambda_neg) U^T with U = Q V_neg. An input that is
-    already PSD is returned as is.
-    """
-    dim = cov.shape[0]
-    columns = []
-    covered = np.zeros(dim, dtype=bool)
-    for blk, factors in zip(blocks, block_factors):
-        width = blk.stop - blk.start
-        q_blk = np.linalg.qr(np.hstack([np.empty((width, 0)), *factors]))[0]
-        embedded = np.zeros((dim, q_blk.shape[1]))
-        embedded[blk] = q_blk
-        columns.append(embedded)
-        covered[blk] = True
-    rest = np.flatnonzero(~covered)
-    units = np.zeros((dim, rest.size))
-    units[rest, np.arange(rest.size)] = 1.0
-    basis = np.hstack(columns + [units])
-
-    eigvals, eigvecs = np.linalg.eigh(basis.T @ (cov @ basis))
-    if eigvals[0] >= 0.0:
-        return cov, [0.0] * len(blocks)
-    negative = eigvals < 0.0
-    # cov - U diag(lambda_neg) U^T = cov + W W^T, W = U sqrt(-lambda_neg)
-    lift = (basis @ eigvecs[:, negative]) * np.sqrt(-eigvals[negative])
-    repaired = lift @ lift.T
-    repaired += cov
-    drift = []
-    for blk in blocks:
-        before = cov[blk, blk]
-        denom = np.linalg.norm(before)
-        delta = np.linalg.norm(repaired[blk, blk] - before)
-        drift.append(float(delta / denom) if denom > 0 else 0.0)
-    return repaired, drift
+                "(incompatible component selection)", i, 100 * drift[i])
+    return SceneParams(
+        mean=mean, bases=bases,
+        factor=eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)), noise=noise,
+        procedure_sequence=procs, provenance=provenance, block_drift=drift)
 
 
 # ---------------------------------------------------------------------------
 # Scene generation
+
+def _scene_parts(params: SceneParams, z: np.ndarray) -> list[np.ndarray]:
+    """The parts of mean + Q L Q^T z + sqrt(s) (z - Q Q^T z), L = ``factor``.
+
+    A standard-normal z of the scene's size gives a draw of the scene; z may
+    also hold one such draw per row.
+    """
+    cuts = np.cumsum([len(q) for q in params.bases])[:-1]
+    z_parts = np.split(z, cuts, axis=-1)
+    y = [z_p @ q for q, z_p in zip(params.bases, z_parts)]
+    ly = np.split(np.concatenate(y, axis=-1) @ params.factor.T,
+                  np.cumsum([q.shape[1] for q in params.bases])[:-1], axis=-1)
+    return [mu + (l_p - np.sqrt(s) * y_p) @ q.T + np.sqrt(s) * z_p
+            for q, s, mu, z_p, y_p, l_p in zip(
+                params.bases, params.noise, np.split(params.mean, cuts),
+                z_parts, y, ly)]
+
 
 def generate_scene(params: SceneParams,
                    procedures: Sequence[ProceduralTrajectory],
@@ -316,21 +310,19 @@ def generate_scene(params: SceneParams,
     starting at 0.
     """
     rng = np.random.default_rng(rng)
-    n, d = params.n_aircraft, params.per_aircraft_dim
+    n = len(params.procedure_sequence)
     if len(procedures) != n:
         raise ValueError(f"need {n} procedural trajectories, got {len(procedures)}")
-    factor = psd_factor(params.covariance)
 
     last_cause = None
     for _ in range(MAX_SCENE_DRAWS):
-        vec = params.mean + factor @ rng.standard_normal(params.mean.size)
-        deltas = np.array([vec[_delta_index(i, d)] for i in range(n - 1)])
+        parts = _scene_parts(params, rng.standard_normal(params.mean.size))
+        deltas = np.concatenate(parts[1::2])
         if np.any(deltas < 0):
             last_cause = f"negative inter-arrival time {deltas.min():g} s"
             continue
         try:
-            taus = [DeviationVector.from_array(vec[_block(i, d)])
-                    for i in range(n)]
+            taus = [DeviationVector.from_array(part) for part in parts[::2]]
         except ValueError as exc:
             last_cause = exc  # nonpositive transit time or distance
             continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,16 @@ def make_proc_traj(points, name="PROC"):
     length = float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
     return ProceduralTrajectory(procedure=name, points=points,
                                 total_distance=length)
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes that Python allocation rises above its start level while
+    ``fn()`` runs, and ``fn()``'s result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base, result

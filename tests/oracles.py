@@ -9,15 +9,18 @@ per-call conditioning, which the fast path must match bit for bit, the
 PSD repair by a full eigendecomposition, the row-by-row DTW double loop,
 which the batched wavefront must match bit for bit, the rank selection
 that refits PPCA for every grid rank and adds jitter through a dense
-identity, and EM and PPCA compression on full n x n covariances with one
+identity, EM and PPCA compression on full n x n covariances with one
 Cholesky per component per E-step, which the spectral forms must match to
-rounding.
+rounding, and scene assembly into one dense covariance with its low-rank
+repair, which the factored scene must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
 """
 
+from typing import Mapping, NamedTuple, Sequence
+
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import block_diag, cho_solve, cholesky
 from scipy.special import logsumexp
 
 from trafgen._cluster import kmeans
@@ -25,6 +28,8 @@ from trafgen.errors import NumericalError
 from trafgen.mixture import (EM_MAX_ITER, EM_TOL, EMFit, GaussianComponent,
                              MixtureModel, _component_log_density, psd_factor,
                              psd_jitter_cholesky, sample_many)
+from trafgen.multi_model import (_block, _delta_index, _pair_dim,
+                                 _require_model)
 
 
 def dtw_brute_force(a, b):
@@ -182,6 +187,187 @@ def repair_psd_dense(cov, blocks):
         drift.append(float(np.linalg.norm(repaired[blk, blk] - before) / denom)
                      if denom > 0 else 0.0)
     return repaired, drift
+
+
+class DenseScene(NamedTuple):
+    """A scene assembled into one dense (N d + N - 1)^2 covariance."""
+
+    mean: np.ndarray
+    assembled: np.ndarray           # before the PSD repair
+    blocks: list                    # slice of each aircraft's block
+    covariance: np.ndarray          # after it
+    provenance: dict
+    block_drift: list
+
+
+def _marginal(comp: GaussianComponent, blk: slice) -> GaussianComponent:
+    """The component's marginal over one aircraft's block: its factor rows."""
+    return GaussianComponent(comp.weight, comp.mean[blk], comp.cov_factor[blk],
+                             comp.noise_var)
+
+
+def _set_block(cov: np.ndarray, rows, cols, value) -> None:
+    """Write a covariance block and its transpose."""
+    cov[rows, cols] = value
+    cov[cols, rows] = np.transpose(value)
+
+
+def assemble_scene_dense(models: Mapping[tuple[str, str], MixtureModel],
+                         procedure_sequence: Sequence[str],
+                         rng: int | np.random.Generator | None = None,
+                         ) -> DenseScene:
+    """Scene assembly into one dense covariance, repaired by ``_repair_psd``.
+
+    Step 1 samples a component from the first pair's model. Each further
+    adjacent pair picks the component whose leading diagonal block is closest
+    (Frobenius) to the block already placed for the shared aircraft; each
+    non-adjacent pair picks the component whose two diagonal blocks are
+    jointly closest and contributes only its cross block. Inter-arrival
+    covariances that no pairwise model observes stay zero. The result is
+    repaired to PSD by eigenvalue clipping.
+
+    Every block is built from the components' factor rows, never from a
+    full pairwise covariance, and the factor rows placed in each aircraft's
+    block are kept for the low-rank repair in :func:`_repair_psd`.
+    """
+    rng = np.random.default_rng(rng)
+    procs = list(procedure_sequence)
+    n = len(procs)
+    if n < 2:
+        raise ValueError("a scene needs at least 2 aircraft")
+    d = _pair_dim(models)
+    a_blk, b_blk = slice(0, d), slice(d + 1, 2 * d + 1)
+
+    dim = n * d + (n - 1)
+    mean = np.zeros(dim)
+    cov = np.zeros((dim, dim))
+    block_factors: list[list[np.ndarray]] = [[] for _ in range(n)]
+    provenance: dict[str, int] = {}
+
+    def placed(i: int) -> np.ndarray:
+        """Aircraft i's diagonal block: written once, never overwritten."""
+        return cov[_block(i, d), _block(i, d)]
+
+    def place_adjacent(k: int, comp) -> None:
+        """Pair (k, k+1): everything but aircraft k's diagonal block."""
+        f = comp.cov_factor
+        f_a, f_q, f_b = f[a_blk], f[d], f[b_blk]
+        q = _delta_index(k, d)
+        blk_k, blk_k1 = _block(k, d), _block(k + 1, d)
+        mean[q] = comp.mean[d]
+        mean[blk_k1] = comp.mean[b_blk]
+        _set_block(cov, blk_k, q, f_a @ f_q)
+        _set_block(cov, blk_k, blk_k1, f_a @ f_b.T)
+        cov[q, q] = f_q @ f_q + comp.noise_var
+        _set_block(cov, q, blk_k1, f_b @ f_q)
+        cov[blk_k1, blk_k1] = _marginal(comp, b_blk).covariance()
+        block_factors[k].append(f_a)
+        block_factors[k + 1].append(f_b)
+
+    # step 1: sample a component from the first pair's model
+    model01 = _require_model(models, (procs[0], procs[1]))
+    j0 = int(rng.choice(len(model01.components), p=model01.weights))
+    comp = model01.components[j0]
+    mean[a_blk] = comp.mean[a_blk]
+    cov[a_blk, a_blk] = _marginal(comp, a_blk).covariance()
+    place_adjacent(0, comp)
+    provenance["pair_0_1"] = j0
+
+    # step 2 repeated: adjacent pairs (k, k+1), matching the shared block
+    for k in range(1, n - 1):
+        model_k = _require_model(models, (procs[k], procs[k + 1]))
+        dists = [np.linalg.norm(_marginal(c, a_blk).covariance() - placed(k))
+                 for c in model_k.components]
+        jk = int(np.argmin(dists))
+        place_adjacent(k, model_k.components[jk])
+        provenance[f"pair_{k}_{k + 1}"] = jk
+
+    # step 3 repeated: non-adjacent cross blocks; own delta row is discarded
+    for k in range(2, n):
+        for i in range(0, k - 1):
+            model_ik = _require_model(models, (procs[i], procs[k]))
+            dists = [
+                np.linalg.norm(_marginal(c, a_blk).covariance() - placed(i))
+                + np.linalg.norm(_marginal(c, b_blk).covariance() - placed(k))
+                for c in model_ik.components]
+            jik = int(np.argmin(dists))
+            f = model_ik.components[jik].cov_factor
+            _set_block(cov, _block(i, d), _block(k, d), f[a_blk] @ f[b_blk].T)
+            block_factors[i].append(f[a_blk])
+            block_factors[k].append(f[b_blk])
+            provenance[f"cross_{i}_{k}"] = jik
+
+    blocks = [_block(i, d) for i in range(n)]
+    repaired, drift = _repair_psd(cov, blocks, block_factors)
+    return DenseScene(mean=mean, assembled=cov, blocks=blocks,
+                      covariance=repaired, provenance=provenance,
+                      block_drift=drift)
+
+
+def _repair_psd(cov: np.ndarray, blocks: Sequence[slice],
+                block_factors: Sequence[Sequence[np.ndarray]],
+                ) -> tuple[np.ndarray, list[float]]:
+    """Clip negative eigenvalues to zero; report per-block Frobenius drift.
+
+    ``cov`` is a symmetric scene covariance. ``block_factors[i]`` holds the
+    factor rows (d x r each) of every component placed in ``blocks[i]``;
+    the coordinates outside the blocks are the inter-arrival times. Each
+    diagonal block is ``G G^T + s_i I`` with G among its factor rows and
+    s_i >= 0; each off-diagonal block and each inter-arrival row factors
+    through the factor rows of the blocks it touches.
+
+    Let Q be an orthonormal basis of the factor columns, each embedded in
+    its block, together with the unit vectors of the inter-arrival
+    coordinates. A vector v orthogonal to Q has no inter-arrival part and,
+    in every block, is orthogonal to every factor placed there; so every
+    off-diagonal block and inter-arrival row maps it to zero, and
+    cov v = s_i v blockwise. The complement of span(Q) is thus invariant
+    under cov with eigenvalues s_i >= 0, and by symmetry so is span(Q).
+    Every negative eigenvalue of cov is therefore one of the small matrix
+    Q^T cov Q (at most N(N-1)r + N-1 columns for N aircraft), and clipping
+    it subtracts U diag(lambda_neg) U^T with U = Q V_neg. An input that is
+    already PSD is returned as is.
+    """
+    dim = cov.shape[0]
+    columns = []
+    covered = np.zeros(dim, dtype=bool)
+    for blk, factors in zip(blocks, block_factors):
+        width = blk.stop - blk.start
+        q_blk = np.linalg.qr(np.hstack([np.empty((width, 0)), *factors]))[0]
+        embedded = np.zeros((dim, q_blk.shape[1]))
+        embedded[blk] = q_blk
+        columns.append(embedded)
+        covered[blk] = True
+    rest = np.flatnonzero(~covered)
+    units = np.zeros((dim, rest.size))
+    units[rest, np.arange(rest.size)] = 1.0
+    basis = np.hstack(columns + [units])
+
+    eigvals, eigvecs = np.linalg.eigh(basis.T @ (cov @ basis))
+    if eigvals[0] >= 0.0:
+        return cov, [0.0] * len(blocks)
+    negative = eigvals < 0.0
+    # cov - U diag(lambda_neg) U^T = cov + W W^T, W = U sqrt(-lambda_neg)
+    lift = (basis @ eigvecs[:, negative]) * np.sqrt(-eigvals[negative])
+    repaired = lift @ lift.T
+    repaired += cov
+    drift = []
+    for blk in blocks:
+        before = cov[blk, blk]
+        denom = np.linalg.norm(before)
+        delta = np.linalg.norm(repaired[blk, blk] - before)
+        drift.append(float(delta / denom) if denom > 0 else 0.0)
+    return repaired, drift
+
+
+def scene_covariance(params):
+    """Dense covariance of a factored scene:
+    Q L L^T Q^T + sum_p s_p (I_p - Q_p Q_p^T), with Q = diag(bases).
+    """
+    q_l = block_diag(*params.bases) @ params.factor
+    rest = block_diag(*[s * (np.eye(len(q)) - q @ q.T)
+                        for q, s in zip(params.bases, params.noise)])
+    return q_l @ q_l.T + rest
 
 
 def jitter_cholesky_eye(cov):

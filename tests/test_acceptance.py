@@ -19,8 +19,8 @@ from trafgen.metrics import (SeparationConfig, extract_variables,
                              silhouette_sweep)
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit,
-                             low_rank_approx, ppca_fit, sample_many,
-                             select_rank)
+                             low_rank_approx, ppca_fit, psd_factor,
+                             sample_many, select_rank)
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, train_pairwise)
@@ -31,7 +31,7 @@ from trafgen.units import FT_TO_M, NM_TO_M
 import corpus
 from conftest import make_proc_traj
 from oracles import dtw_brute_force, mc_conditional_moments, \
-    silhouette_brute_force
+    scene_covariance, silhouette_brute_force
 
 
 def report(criterion, text):
@@ -322,7 +322,7 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
     models = {("P", "P"): model}
     for seed in range(3):
         params = assemble_scene_params(models, ["P", "P", "P"], rng=seed)
-        eigs = np.linalg.eigvalsh(params.covariance)
+        eigs = np.linalg.eigvalsh(scene_covariance(params))
         assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)
         assert all(drift <= 0.05 for drift in params.block_drift)
 
@@ -457,8 +457,10 @@ def test_criterion_10_separation_semantics_and_model_comparison():
         q = _delta_index(i, d)
         mean[q] = delta_mean
         cov[q, q] = delta_var
+    # the same distribution in factored form: identity bases, no noise
     independent_params = SceneParams(
-        mean=mean, covariance=cov, per_aircraft_dim=d,
+        mean=mean, bases=[np.eye(d), np.eye(1)] * (n_aircraft - 1) + [np.eye(d)],
+        factor=psd_factor(cov), noise=[0.0] * (2 * n_aircraft - 1),
         procedure_sequence=["INTRAIL"] * n_aircraft, provenance={})
     rng = np.random.default_rng(32)
     single_scenes = []

@@ -739,6 +739,26 @@ def test_untrained_pair_combinations_are_named_before_sampling(tmp_path, capsys)
     assert not (out / "scenes.csv").exists()
 
 
+def test_pairwise_model_of_another_t_v_fails_before_any_draw(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=60, seed=0)
+    for args in (["ingest"], ["train-pairwise"]):
+        assert run(["--config", str(config_path), *args]) == EXIT_OK
+    text = config_path.read_text(encoding="utf-8")
+    t_v = corpus.T_V + 10
+    config_path.write_text(text.replace(f"t_v = {corpus.T_V}\n", f"t_v = {t_v}\n"),
+                           encoding="utf-8")
+    capsys.readouterr()
+    code = run(["--config", str(config_path), "generate-scenes",
+                "--count", "5", "--aircraft", "3"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    out = tmp_path / "out"
+    assert str(out / "model_pairwise.json") in err
+    assert f"[{2 * (3 * corpus.T_V + 2) + 1}]" in err
+    assert f"2*(3*T_v+2)+1 = {2 * (3 * t_v + 2) + 1}" in err
+    assert not (out / "scenes.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 

@@ -1,7 +1,6 @@
 """Gaussian mixture core: EM, PPCA, low-rank approximation, conditioning."""
 
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              low_rank_approx, ppca_fit, psd_jitter_cholesky,
                              sample, sample_many, save_model, select_rank)
 
+from conftest import peak_traced_bytes
 from oracles import (compress_model_dense, condition_dense, em_fit_dense,
                      jitter_cholesky_eye, mc_conditional_moments,
                      select_rank_per_rank)
@@ -153,16 +153,15 @@ def test_em_and_rank_selection_form_no_n_by_n_matrix():
     rng = np.random.default_rng(36)
     data = rng.normal(size=(m, 8)) @ rng.normal(size=(8, n)) \
         + 0.1 * rng.normal(size=(m, n))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+
+    def learn():
         fit = em_fit(data, 2, seed=0)
         select_rank(data, [1, 2, 4, 8, 16], seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return fit
+
+    peak, fit = peak_traced_bytes(learn)
     assert len(fit.model.components) == 2
-    assert peak - base < n * n * 8
+    assert peak < n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +231,8 @@ def test_psd_jitter_cholesky_allocates_one_work_copy():
     root = rng.normal(size=(n, 50))
     for cov in (root @ root.T / 50 + np.eye(n),   # factors at once
                 root @ root.T / 50):              # rank 50: needs jitter
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            psd_jitter_cholesky(cov)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 1.5 * n * n * 8
+        peak, _ = peak_traced_bytes(lambda: psd_jitter_cholesky(cov))
+        assert peak <= 1.5 * n * n * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Pairwise extraction/training and multi-aircraft scene assembly."""
 
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from trafgen import multi_model
 from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.multi_model import (SceneParams, assemble_scene_params,
                                  extract_pairs, generate_scene, train_pairwise,
-                                 _block, _delta_index, _repair_psd)
+                                 _block, _delta_index, _scene_parts)
 
-from conftest import make_proc_traj
-from oracles import extract_pairs_sorted, repair_psd_dense
+from conftest import make_proc_traj, peak_traced_bytes
+from oracles import (assemble_scene_dense, extract_pairs_sorted,
+                     repair_psd_dense, scene_covariance)
 
 T_SEG = 3
 D = 3 * T_SEG + 2  # per-aircraft deviation dimension
@@ -148,18 +147,13 @@ def test_train_pairwise_forms_no_n_by_n_matrix():
     n = 2 * d + 1
     rng = np.random.default_rng(38)
     data = 100.0 + rng.normal(size=(6, n))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        models = train_pairwise({("P", "P"): data}, 1, rank=8, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, models = peak_traced_bytes(
+        lambda: train_pairwise({("P", "P"): data}, 1, rank=8, seed=0))
     # six rows give a factor six wide: rank 8 pads it with two zero columns
     factor = models[("P", "P")].components[0].cov_factor
     assert factor.shape == (n, 8)
     assert np.all(factor[:, 6:] == 0.0)
-    assert peak - base < n * n * 8
+    assert peak < n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +207,19 @@ def test_k1_assembly_blocks_equal_component_blocks():
     comp_cov = models[("P", "P")].components[0].covariance()
     comp_mean = models[("P", "P")].components[0].mean
     params = assemble_scene_params(models, ["P", "P", "P"], rng=0)
+    cov = scene_covariance(params)
     a_blk = slice(0, D)
     b_blk = slice(D + 1, 2 * D + 1)
     assert params.mean.shape == (3 * D + 2,)
     # aircraft 1 keeps the step-1 values for mean and diagonal block
     assert np.allclose(params.mean[:2 * D + 1], comp_mean, atol=1e-9)
     assert np.allclose(params.mean[_block(2, D)], comp_mean[b_blk], atol=1e-9)
-    assert np.allclose(params.covariance[:D, :D], comp_cov[a_blk, a_blk],
+    assert np.allclose(cov[:D, :D], comp_cov[a_blk, a_blk], atol=1e-8)
+    assert np.allclose(cov[_block(2, D), _block(2, D)], comp_cov[b_blk, b_blk],
                        atol=1e-8)
-    assert np.allclose(
-        params.covariance[_block(2, D), _block(2, D)],
-        comp_cov[b_blk, b_blk], atol=1e-8)
     # cross block between aircraft 0 and 2 comes from the step-3 component
-    assert np.allclose(
-        params.covariance[_block(0, D), _block(2, D)],
-        comp_cov[a_blk, b_blk], atol=1e-8)
+    assert np.allclose(cov[_block(0, D), _block(2, D)], comp_cov[a_blk, b_blk],
+                       atol=1e-8)
     assert params.provenance == {"pair_0_1": 0, "pair_1_2": 0, "cross_0_2": 0}
 
 
@@ -236,17 +228,18 @@ def test_n2_scene_is_just_a_sampled_component():
     comp = models[("P", "P")].components[0]
     params = assemble_scene_params(models, ["P", "P"], rng=1)
     assert np.allclose(params.mean, comp.mean, atol=1e-12)
-    assert np.allclose(params.covariance, comp.covariance(), atol=1e-8)
+    assert np.allclose(scene_covariance(params), comp.covariance(), atol=1e-8)
 
 
 def test_unobservable_delta_cross_covariances_are_zero():
-    params = assemble_scene_params(k1_models(), ["P", "P", "P"], rng=0)
+    cov = scene_covariance(
+        assemble_scene_params(k1_models(), ["P", "P", "P"], rng=0))
     d12 = _delta_index(0, D)
     d23 = _delta_index(1, D)
     blk3 = _block(2, D)
-    assert np.allclose(params.covariance[d12, blk3], 0.0)
-    assert params.covariance[d12, d23] == 0.0
-    assert np.allclose(params.covariance[_block(0, D), d23], 0.0)
+    assert np.allclose(cov[d12, blk3], 0.0)
+    assert np.allclose(cov[d12, d23], 0.0)
+    assert np.allclose(cov[_block(0, D), d23], 0.0)
 
 
 def test_selection_matches_brute_force_on_two_component_models():
@@ -282,9 +275,10 @@ def test_assembled_covariance_is_psd_with_bounded_block_drift():
                                        segment_kind="pairwise")}
     for seed in range(5):
         params = assemble_scene_params(models, ["P", "P", "P"], rng=seed)
-        eigs = np.linalg.eigvalsh(params.covariance)
+        cov = scene_covariance(params)
+        eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)
-        assert np.allclose(params.covariance, params.covariance.T)
+        assert np.allclose(cov, cov.T)
         assert all(d <= 0.05 for d in params.block_drift)
 
 
@@ -295,7 +289,7 @@ def test_incompatible_components_repair_and_report(caplog):
                                        segment_kind="pairwise")}
     with caplog.at_level(logging.WARNING):
         params = assemble_scene_params(models, ["P", "P", "P"], rng=1)
-    eigs = np.linalg.eigvalsh(params.covariance)
+    eigs = np.linalg.eigvalsh(scene_covariance(params))
     assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)
     if any(d > 0.05 for d in params.block_drift):
         assert any("PSD repair" in message for message in caplog.messages)
@@ -347,53 +341,102 @@ def test_selection_matches_brute_force_at_four_aircraft():
     assert len(chosen) > 1  # the fixtures do not always pick one component
 
 
-def capture_repair_inputs(monkeypatch):
-    """Record the assembled covariance and blocks handed to the repair."""
-    captured = []
-
-    def spy(cov, blocks, block_factors):
-        captured.append((cov.copy(), list(blocks)))
-        return _repair_psd(cov, blocks, block_factors)
-
-    monkeypatch.setattr(multi_model, "_repair_psd", spy)
-    return captured
-
-
 # (N, rank): rank 12 >= D, and (4, 6) places 3 x 6 >= D factor columns in
 # each inner aircraft's block, so there the basis spans the whole block
 @pytest.mark.parametrize("n_aircraft, rank",
                          [(2, 3), (3, 3), (3, 12), (4, 3), (4, 6)])
-def test_low_rank_repair_matches_dense_eigh(monkeypatch, n_aircraft, rank):
+def test_low_rank_repair_matches_dense_eigh(n_aircraft, rank):
     models = random_pair_models(rank, seed=10 * n_aircraft + rank)
-    captured = capture_repair_inputs(monkeypatch)
     repaired_any = False
     for seed in range(4):
         sequence = ["P", "Q", "Q", "P"][:n_aircraft]
         params = assemble_scene_params(models, sequence, rng=seed)
-        cov, blocks = captured[-1]
-        assert np.array_equal(cov, cov.T)
-        expected, drift = repair_psd_dense(cov, blocks)
-        assert np.allclose(params.covariance, expected, rtol=1e-10)
+        dense = assemble_scene_dense(models, sequence, rng=seed)
+        assert np.array_equal(dense.assembled, dense.assembled.T)
+        expected, drift = repair_psd_dense(dense.assembled, dense.blocks)
+        assert np.allclose(scene_covariance(params), expected, rtol=1e-10)
         assert np.allclose(params.block_drift, drift, rtol=1e-10)
         repaired_any |= max(drift) > 0
     # a scene of two aircraft is one component's covariance, already PSD
     assert repaired_any == (n_aircraft > 2)
 
 
-def test_low_rank_repair_returns_psd_input_unchanged(monkeypatch):
-    rng = np.random.default_rng(3)
-    factor = rng.normal(size=(PAIR_DIM, 3))
-    cov = factor @ factor.T + 0.5 * np.eye(PAIR_DIM)
-    blocks = [_block(0, D), _block(1, D)]
-    repaired, drift = _repair_psd(cov, blocks, [[factor[:D]], [factor[D + 1:]]])
-    assert repaired is cov
-    assert drift == [0.0, 0.0]
-
-    captured = capture_repair_inputs(monkeypatch)
-    for n_aircraft in (3, 4):
+def test_low_rank_repair_returns_psd_input_unchanged():
+    for n_aircraft in (2, 3, 4):
         params = assemble_scene_params(k1_models(), ["P"] * n_aircraft, rng=0)
-        assert np.array_equal(params.covariance, captured[-1][0])
+        dense = assemble_scene_dense(k1_models(), ["P"] * n_aircraft, rng=0)
         assert params.block_drift == [0.0] * n_aircraft
+        assert dense.covariance is dense.assembled
+        assert np.allclose(scene_covariance(params), dense.assembled,
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_factored_scene_matches_dense_assembly():
+    rng = np.random.default_rng(40)
+    worst_cov = worst_drift = 0.0
+    clipped = 0
+    for trial in range(120):
+        n_components = 1 + trial % 3
+        models = random_pair_models((3, 6, 12)[trial // 3 % 3],
+                                    seed=100 + trial, n_components=n_components)
+        sequence = rng.choice(["P", "Q"], size=2 + trial % 4).tolist()
+        params = assemble_scene_params(models, sequence, rng=trial)
+        dense = assemble_scene_dense(models, sequence, rng=trial)
+        assert params.provenance == dense.provenance
+        worst_cov = max(worst_cov,
+                        np.linalg.norm(scene_covariance(params) - dense.covariance)
+                        / np.linalg.norm(dense.covariance))
+        worst_drift = max(worst_drift, np.max(np.abs(
+            np.subtract(params.block_drift, dense.block_drift))))
+        if max(dense.block_drift) > 0:
+            clipped += 1
+        else:  # a PSD assembly reads exactly zero
+            assert params.block_drift == [0.0] * len(sequence)
+    assert worst_cov <= 1e-10
+    assert worst_drift <= 1e-12
+    assert clipped > 60  # most of these unrelated random scenes are clipped
+
+
+def test_scene_draws_match_oracle_moments():
+    models = random_pair_models(3, seed=41, n_components=2)
+    sequence = ["P", "Q", "Q"]
+    params = assemble_scene_params(models, sequence, rng=2)
+    dense = assemble_scene_dense(models, sequence, rng=2)
+    assert max(params.block_drift) > 0.05  # the repair fired
+    n = 200_000
+    z = np.random.default_rng(42).standard_normal((n, params.mean.size))
+    draws = np.concatenate(_scene_parts(params, z), axis=1)
+    cov = dense.covariance
+    var = np.diag(cov)
+    assert np.all(np.abs(draws.mean(axis=0) - dense.mean)
+                  <= 3.0 * np.sqrt(var / n))
+    se_cov = np.sqrt((np.outer(var, var) + cov ** 2) / n)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) <= 5.0 * se_cov)
+
+
+def test_scene_assembly_forms_no_dense_scene_matrix():
+    # a K = 1, rank-8 pair model at paper size: d = 3 * 350 + 2
+    d, n_aircraft = 1052, 4
+    rng = np.random.default_rng(43)
+    mean = np.zeros(2 * d + 1)
+    mean[[0, 1, d, d + 1, d + 2]] = 300.0, 9000.0, 120.0, 300.0, 9000.0
+    comp = GaussianComponent(weight=1.0, mean=mean,
+                             cov_factor=rng.normal(size=(2 * d + 1, 8)),
+                             noise_var=0.5)
+    models = {("P", "P"): MixtureModel(components=[comp],
+                                       segment_kind="pairwise")}
+    u = np.linspace(0.0, 1.0, 350)
+    proc = make_proc_traj(np.column_stack([-9000.0 * (1.0 - u), np.zeros(350),
+                                           400.0 * (1.0 - u)]), name="P")
+
+    def scene():
+        params = assemble_scene_params(models, ["P"] * n_aircraft, rng=0)
+        return generate_scene(params, [proc] * n_aircraft, rng=1)
+
+    peak, drawn = peak_traced_bytes(scene)
+    assert len(drawn.trajectories) == n_aircraft
+    dim = n_aircraft * d + n_aircraft - 1
+    assert peak < dim * dim * 8 / 10
 
 
 def test_missing_combination_is_named():
@@ -422,8 +465,10 @@ def zero_cov_params(n_aircraft):
         mean[blk.start + 1] = 9000.0           # distance
     for i in range(n_aircraft - 1):
         mean[_delta_index(i, d)] = 90.0
-    return SceneParams(mean=mean, covariance=np.zeros((dim, dim)),
-                       per_aircraft_dim=d,
+    # empty bases and zero noise: the covariance is zero
+    sizes = [d, 1] * (n_aircraft - 1) + [d]
+    return SceneParams(mean=mean, bases=[np.zeros((s, 0)) for s in sizes],
+                       factor=np.zeros((0, 0)), noise=[0.0] * len(sizes),
                        procedure_sequence=["P"] * n_aircraft, provenance={})
 
 
@@ -459,7 +504,7 @@ def test_delta_moments_match_monte_carlo():
     params = assemble_scene_params(models, ["P", "P"], rng=0)
     d12 = _delta_index(0, D)
     mean_true = params.mean[d12]
-    var_true = params.covariance[d12, d12]
+    var_true = scene_covariance(params)[d12, d12]
     rng = np.random.default_rng(13)
     n = 10_000
     draws = np.array([
