@@ -307,10 +307,23 @@ def _model_config(config: RunConfig) -> single_model.SingleModelConfig:
         config.segment_length_rv, config.segment_length_fa, config.n_overlap)
 
 
+def _check_width(path: Path, what: str, found: int, length: int,
+                 symbol: str) -> None:
+    """DataError naming ``path`` unless ``found`` is 3T+2 for the config's T."""
+    if found != 3 * length + 2:
+        raise DataError(f"{path}: {what} {found} != 3*{symbol}+2 = {3 * length + 2}")
+
+
 def cmd_train(config: RunConfig) -> int:
     """Fit the per-segment mixtures and write model files plus training logs."""
-    rv_data, _ = read_deviation_dataset(config.out_dir / "rv_dataset.csv")
-    fa_data, _ = read_deviation_dataset(config.out_dir / "fa_dataset.csv")
+    rv_path = config.out_dir / "rv_dataset.csv"
+    fa_path = config.out_dir / "fa_dataset.csv"
+    rv_data, _ = read_deviation_dataset(rv_path)
+    fa_data, _ = read_deviation_dataset(fa_path)
+    _check_width(rv_path, "dataset width", rv_data.shape[1],
+                 config.segment_length_rv, "T_v")
+    _check_width(fa_path, "dataset width", fa_data.shape[1],
+                 config.segment_length_fa, "T_f")
     k_rv, rank_rv = _chosen(config, "radar_vector")
     k_fa, rank_fa = _chosen(config, "final_approach")
     model, report = single_model.train(
@@ -358,8 +371,14 @@ def cmd_train_pairwise(config: RunConfig) -> int:
 
 def cmd_generate(config: RunConfig, count: int) -> int:
     """Generate single trajectories from the trained per-segment models."""
-    rv_model = load_model(config.out_dir / "model_rv.json")
-    fa_model = load_model(config.out_dir / "model_fa.json")
+    rv_path = config.out_dir / "model_rv.json"
+    fa_path = config.out_dir / "model_fa.json"
+    rv_model = load_model(rv_path)
+    fa_model = load_model(fa_path)
+    _check_width(rv_path, "model dimension", rv_model.dimension,
+                 config.segment_length_rv, "T_v")
+    _check_width(fa_path, "model dimension", fa_model.dimension,
+                 config.segment_length_fa, "T_f")
     model = single_model.SingleTrajectoryModel(
         radar_vector_model=rv_model, final_approach_model=fa_model,
         config=_model_config(config))

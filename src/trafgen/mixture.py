@@ -6,6 +6,8 @@ full covariances, held in their data-span spectral form (an orthonormal
 basis of the weighted, centred rows and its eigenvalues, plus the
 regularisation on the rest), so no n x n matrix is formed when there are
 fewer rows than dimensions; compression is applied afterwards.
+Conditioning keeps that form: a rank-k component with noise s conditions to
+a rank-k factor plus the same s and forms no n x n matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from ._cluster import kmeans
@@ -98,48 +99,6 @@ class MixtureModel:
 # ---------------------------------------------------------------------------
 # Linear-algebra helpers
 
-def psd_jitter_cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter instead of inverting.
-
-    Jitter scales with trace(cov)/n and escalates 1e-10 -> 1e-6; failure
-    past the largest jitter raises NumericalError. Each level refills one
-    Fortran-ordered work copy of ``cov``, adds the jitter to its diagonal and
-    factors it in place, so no n x n temporary beyond that copy is made.
-    """
-    n = cov.shape[0]
-    scale = max(float(np.trace(cov)) / n, np.finfo(float).tiny)
-    work = np.empty_like(cov, dtype=float, order="F")
-    diag = np.diag_indices(n)
-    for jitter in (0.0, 1e-10, 1e-8, 1e-6):
-        work[...] = cov
-        work[diag] += jitter * scale
-        try:
-            return cholesky(work, lower=True, overwrite_a=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError("covariance is not positive definite after max jitter")
-
-
-def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Any F with F F^T = cov (PSD projection): Cholesky, else eigh with clipping."""
-    try:
-        return psd_jitter_cholesky(cov)
-    except NumericalError:
-        eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
-def _component_log_density(data: np.ndarray, mean: np.ndarray,
-                           chol_lower: np.ndarray) -> np.ndarray:
-    """Gaussian log density of each row given a precomputed Cholesky factor."""
-    solved = solve_triangular(chol_lower, (data - mean).T, lower=True)
-    log_det = np.sum(np.log(np.diag(chol_lower)))
-    n = mean.shape[0]
-    with np.errstate(over="ignore"):
-        maha = np.sum(solved ** 2, axis=0)
-    return -0.5 * (n * _LOG_2PI + maha) - log_det
-
-
 def _spectrum(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal V (n, r) and s^2 (r,), descending, with Z^T Z = V diag(s^2) V^T.
 
@@ -185,16 +144,21 @@ def _spectral_log_density(proj: np.ndarray, resid_sq: np.ndarray,
     return -0.5 * (n * _LOG_2PI + maha + log_det)
 
 
+def _noise_floor(trace: float, n: int) -> float:
+    """Smallest isotropic noise a scored covariance keeps: 1e-10 trace / n."""
+    return 1e-10 * max(trace / n, np.finfo(float).tiny)
+
+
 def _log_densities(data: np.ndarray, weights, means, spectra,
-                   reg: float) -> np.ndarray:
-    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, V_j diag(s_j^2) V_j^T + reg I)."""
+                   noise) -> np.ndarray:
+    """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, V_j diag(s_j^2) V_j^T + noise_j I)."""
     out = np.empty((data.shape[0], len(weights)))
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
-    for j, (mean, (vecs, sq)) in enumerate(zip(means, spectra)):
+    for j, (mean, (vecs, sq), s) in enumerate(zip(means, spectra, noise)):
         proj, resid_sq = _project(data - mean, vecs)
         out[:, j] = log_weights[j] + _spectral_log_density(
-            proj, resid_sq, sq + reg, reg, data.shape[1])
+            proj, resid_sq, sq + s, s, data.shape[1])
     return out
 
 
@@ -223,6 +187,11 @@ def em_fit(data: np.ndarray, n_components: int, *,
     and is held in its data-span spectral form (see :func:`_spectrum`): the
     returned components have ``cov_factor`` V_j diag(s_j) and ``noise_var``
     reg, so no n x n matrix is formed when m < n.
+
+    With fewer rows than dimensions (every fit at paper scale) a row outside
+    a component's data span scores ||residual||^2 / reg against it, so the
+    first E-step's responsibilities are already hard: EM returns the k-means
+    labels, with their clusters' weights and means.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -251,7 +220,8 @@ def em_fit(data: np.ndarray, n_components: int, *,
 
     history: list[float] = []
     for it in range(EM_MAX_ITER):
-        log_dens = _log_densities(data, weights, means, spectra, reg)
+        log_dens = _log_densities(data, weights, means, spectra,
+                                  [reg] * n_components)
         log_norm = logsumexp(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])
@@ -393,7 +363,7 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
 
     mean = train.mean(axis=0)
     vecs, sq = _spectrum((train - mean) / np.sqrt(len(train)))
-    floor = 1e-10 * max(float(np.sum(sq)) / n, np.finfo(float).tiny)
+    floor = _noise_floor(float(np.sum(sq)), n)
     proj, resid_sq = _project(holdout - mean, vecs)
     curve = []
     for k in grid:
@@ -436,20 +406,22 @@ def compress_model(model: MixtureModel, rank: int) -> MixtureModel:
 class ConditionalMixture:
     """A mixture conditioned on a fixed set of observed coordinates.
 
-    Gaussian conditioning (Bishop, *PRML* section 2.3.1) splits into a part
-    that depends only on the model and the observed index set ``a`` and a
-    part that depends on the observed values x_a. Per component j the first
-    part is the Cholesky factor L_j of Sigma_aa, the gain
-    G_j = Sigma_ba Sigma_aa^-1 and a factor of the conditional covariance
-    Sigma_bb - G_j Sigma_ab; it is computed once, here. Calling the object
-    with x_a computes only the second part: the log-weights
-    log pi_j + log N(x_a | mu_a, L_j L_j^T) and the means
-    mu_b + G_j (x_a - mu_a). A Sigma_aa that stays indefinite after jitter
-    raises NumericalError here, since no observed value can repair it.
+    Gaussian conditioning (Bishop, *PRML* section 2.3.1) is split: what
+    depends only on the model and the observed index set ``a`` is computed
+    once, here; a call with x_a computes only the log-weights
+    log pi_j + log N(x_a | mu_a, Sigma_aa) and the means mu_b + G (x_a - mu_a).
 
-    The conditioned mixture covers the remaining coordinates, ``free_idx``,
-    in ascending index order. Its components share their covariance factors
-    with this object; treat them as read-only.
+    Components keep the model's form. Split a component's factor into
+    observed rows F_a and free rows F_b, with noise s; x_a is scored under
+    F_a F_a^T + s_a I, s_a = max(s, 1e-10 trace / n_a) (one WARNING names
+    the components whose s the floor raises). With V, sigma^2 the spectrum
+    of F_a F_a^T, lambda = sigma^2 + s_a and B = F_a^T V (so B^T B =
+    diag(sigma^2)), G = F_b B diag(1/lambda) V^T and the conditional
+    covariance is F_b R R^T F_b^T + s I with the k x k
+    R = I - B diag(1 / (lambda (1 + sqrt(s_a / lambda)))) B^T. No n x n
+    matrix is formed. The conditioned mixture covers the coordinates
+    ``free_idx``, ascending; its components share their factors with this
+    object, so treat them as read-only.
     """
 
     def __init__(self, model: MixtureModel, observed_idx: Sequence[int]):
@@ -472,35 +444,37 @@ class ConditionalMixture:
         self.free_idx = idx_b
         self.segment_kind = model.segment_kind
         self._prior_weights = model.weights
-        self._parts = []  # (log weight, mean_a, mean_b, chol_aa, gain, factor)
-        for comp in model.components:
-            cov = comp.covariance()
-            sigma_aa = cov[np.ix_(idx_a, idx_a)]
-            sigma_ba = cov[np.ix_(idx_b, idx_a)]
-            sigma_bb = cov[np.ix_(idx_b, idx_b)]
-            chol_aa = psd_jitter_cholesky(sigma_aa)
-            gain = cho_solve((chol_aa, True), sigma_ba.T).T  # Sigma_ba Sigma_aa^-1
-            cond_cov = sigma_bb - gain @ sigma_ba.T
-            with np.errstate(divide="ignore"):
-                log_weight = np.log(comp.weight)
-            self._parts.append((log_weight, comp.mean[idx_a], comp.mean[idx_b],
-                                chol_aa, gain,
-                                psd_factor((cond_cov + cond_cov.T) / 2.0)))
+        self._observed = []  # (mu_a, (V, sigma^2), s_a): the marginal of x_a
+        self._free = []      # (mu_b, G, F_b R, s)
+        floored = []
+        for j, comp in enumerate(model.components):
+            f_a, f_b = comp.cov_factor[idx_a], comp.cov_factor[idx_b]
+            vecs, sq = _spectrum(f_a.T)
+            noise_a = max(comp.noise_var, _noise_floor(
+                float(np.sum(sq)) + idx_a.size * comp.noise_var, idx_a.size))
+            if noise_a > comp.noise_var:
+                floored.append(j)
+            eigvals = sq + noise_a
+            b = f_a.T @ vecs
+            fb_b = f_b @ b  # F_b B
+            factor = f_b - (fb_b / (eigvals * (1.0 + np.sqrt(noise_a / eigvals)))
+                            ) @ b.T
+            self._observed.append((comp.mean[idx_a], (vecs, sq), noise_a))
+            self._free.append((comp.mean[idx_b], (fb_b / eigvals) @ vecs.T,
+                               factor, comp.noise_var))
+        if floored:
+            logger.warning("conditioning: components %s have noise_var below "
+                           "1e-10 trace / n_a of their observed block; it is "
+                           "raised to that floor", floored)
 
     def __call__(self, observed_vals: Sequence[float]) -> MixtureModel:
         """The mixture over the unobserved coordinates given x_a."""
         vals = np.asarray(observed_vals, dtype=float)
         if vals.size != self.observed_idx.size:
             raise ValueError("observed indices and values differ in length")
-        log_w = np.empty(len(self._parts))
-        cond_means = []
-        for j, (log_weight, mean_a, mean_b, chol_aa, gain, _) in enumerate(
-                self._parts):
-            delta = vals - mean_a
-            log_w[j] = log_weight + _component_log_density(
-                delta[None, :], np.zeros_like(delta), chol_aa)[0]
-            cond_means.append(mean_b + gain @ delta)
-
+        means_a, spectra, noise_a = zip(*self._observed)
+        log_w = _log_densities(vals[None, :], self._prior_weights, means_a,
+                               spectra, noise_a)[0]
         norm = logsumexp(log_w)
         if np.isneginf(norm):
             # every component assigns zero density to the observation
@@ -513,9 +487,10 @@ class ConditionalMixture:
             new_weights = np.exp(log_w - norm)
             new_weights /= new_weights.sum()
         components = [
-            GaussianComponent(weight=float(new_weights[j]), mean=cond_means[j],
-                              cov_factor=part[5], noise_var=0.0)
-            for j, part in enumerate(self._parts)
+            GaussianComponent(weight=float(w), mean=mean_b + gain @ (vals - mean_a),
+                              cov_factor=factor, noise_var=noise_var)
+            for w, mean_a, (mean_b, gain, factor, noise_var)
+            in zip(new_weights, means_a, self._free)
         ]
         return MixtureModel(components=components, segment_kind=self.segment_kind)
 

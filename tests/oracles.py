@@ -3,10 +3,11 @@
 These deliberately avoid the library's own computational paths: the DTW
 oracle enumerates warping paths, the silhouette oracle is O(m^2) loops, and
 the conditional-Gaussian oracle estimates posterior moments by kernel-weighted
-joint sampling (no use of the conditional formulas). Two references instead
+joint sampling (no use of the conditional formulas). Other references
 keep the plain dense computation that a structured fast path replaces: the
-per-call conditioning, which the fast path must match bit for bit, the
-PSD repair by a full eigendecomposition, the row-by-row DTW double loop,
+per-call conditioning on dense n x n covariances, which the factored
+conditional must match to rounding, the PSD repair by a full
+eigendecomposition, the row-by-row DTW double loop,
 which the batched wavefront must match bit for bit, the rank selection
 that refits PPCA for every grid rank and adds jitter through a dense
 identity, EM and PPCA compression on full n x n covariances with one
@@ -15,21 +16,66 @@ rounding, and scene assembly into one dense covariance with its low-rank
 repair, which the factored scene must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
+The dense helpers these references share live here, not in the library:
+``psd_jitter_cholesky`` (Cholesky with escalating diagonal jitter),
+``psd_factor`` (that, else eigh with clipping) and ``_component_log_density``
+(a Gaussian log density from a Cholesky factor).
 """
 
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, cholesky
+from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from trafgen._cluster import kmeans
 from trafgen.errors import NumericalError
-from trafgen.mixture import (EM_MAX_ITER, EM_TOL, EMFit, GaussianComponent,
-                             MixtureModel, _component_log_density, psd_factor,
-                             psd_jitter_cholesky, sample_many)
+from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, EMFit,
+                             GaussianComponent, MixtureModel, sample_many)
 from trafgen.multi_model import (_block, _delta_index, _pair_dim,
                                  _require_model)
+
+
+def psd_jitter_cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, escalating diagonal jitter instead of inverting.
+
+    Jitter scales with trace(cov)/n and escalates 1e-10 -> 1e-6; failure
+    past the largest jitter raises NumericalError. Each level refills one
+    Fortran-ordered work copy of ``cov``, adds the jitter to its diagonal and
+    factors it in place, so no n x n temporary beyond that copy is made.
+    """
+    n = cov.shape[0]
+    scale = max(float(np.trace(cov)) / n, np.finfo(float).tiny)
+    work = np.empty_like(cov, dtype=float, order="F")
+    diag = np.diag_indices(n)
+    for jitter in (0.0, 1e-10, 1e-8, 1e-6):
+        work[...] = cov
+        work[diag] += jitter * scale
+        try:
+            return cholesky(work, lower=True, overwrite_a=True)
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericalError("covariance is not positive definite after max jitter")
+
+
+def psd_factor(cov: np.ndarray) -> np.ndarray:
+    """Any F with F F^T = cov (PSD projection): Cholesky, else eigh with clipping."""
+    try:
+        return psd_jitter_cholesky(cov)
+    except NumericalError:
+        eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def _component_log_density(data: np.ndarray, mean: np.ndarray,
+                           chol_lower: np.ndarray) -> np.ndarray:
+    """Gaussian log density of each row given a precomputed Cholesky factor."""
+    solved = solve_triangular(chol_lower, (data - mean).T, lower=True)
+    log_det = np.sum(np.log(np.diag(chol_lower)))
+    n = mean.shape[0]
+    with np.errstate(over="ignore"):
+        maha = np.sum(solved ** 2, axis=0)
+    return -0.5 * (n * _LOG_2PI + maha) - log_det
 
 
 def dtw_brute_force(a, b):

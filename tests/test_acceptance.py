@@ -19,8 +19,8 @@ from trafgen.metrics import (SeparationConfig, extract_variables,
                              silhouette_sweep)
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit,
-                             low_rank_approx, ppca_fit, psd_factor,
-                             sample_many, select_rank)
+                             low_rank_approx, ppca_fit, sample_many,
+                             select_rank)
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, train_pairwise)
@@ -30,7 +30,7 @@ from trafgen.units import FT_TO_M, NM_TO_M
 
 import corpus
 from conftest import make_proc_traj
-from oracles import dtw_brute_force, mc_conditional_moments, \
+from oracles import dtw_brute_force, mc_conditional_moments, psd_factor, \
     scene_covariance, silhouette_brute_force
 
 

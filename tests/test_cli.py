@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trafgen import _files, cli, preprocess, procedures
+from trafgen import _files, cli, multi_model, preprocess, procedures
 from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
 from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84
-from trafgen.mixture import save_model
+from trafgen.mixture import GaussianComponent, MixtureModel, save_model
 
 import corpus
 from oracles import dtw_loop
@@ -132,9 +132,57 @@ def test_train_rejects_dataset_of_another_length(tmp_path, capsys):
                                 rng.normal(size=(20, 3 * corpus.T_F + 2)),
                                 "final_approach", corpus.T_F, rows)
     assert run(["--config", str(config_path), "train"]) == EXIT_DATA
-    assert "3*T_v+2" in capsys.readouterr().err
+    width = 3 * (corpus.T_V - 1) + 2
+    assert (f"data error: {out / 'rv_dataset.csv'}: dataset width {width} != "
+            f"3*T_v+2 = {3 * corpus.T_V + 2}") in capsys.readouterr().err
     for name in ("model_rv.json", "model_fa.json", "train_log.json"):
         assert not (out / name).exists(), name
+
+
+def test_train_names_final_approach_dataset_of_another_length(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0,
+                                      explicit_choice=True)
+    out = tmp_path / "out"
+    rng = np.random.default_rng(0)
+    rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
+             "arrival_time": 100.0 * i} for i in range(20)]
+    cli.write_deviation_dataset(out / "rv_dataset.csv",
+                                rng.normal(size=(20, 3 * corpus.T_V + 2)),
+                                "radar_vector", corpus.T_V, rows)
+    # ingested at a longer t_f than the config now names
+    t_f = corpus.T_F + 10
+    cli.write_deviation_dataset(out / "fa_dataset.csv",
+                                rng.normal(size=(20, 3 * t_f + 2)),
+                                "final_approach", t_f, rows)
+    before = sorted(p.name for p in out.iterdir())
+    assert run(["--config", str(config_path), "train"]) == EXIT_DATA
+    assert (f"data error: {out / 'fa_dataset.csv'}: dataset width "
+            f"{3 * t_f + 2} != 3*T_f+2 = {3 * corpus.T_F + 2}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("segment", ["rv", "fa"])
+def test_generate_rejects_model_of_another_length(tmp_path, capsys, segment):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    lengths = {"rv": corpus.T_V, "fa": corpus.T_F}
+    lengths[segment] += 1  # trained at one sample more than the config names
+    for name, length in lengths.items():
+        dim = 3 * length + 2
+        save_model(MixtureModel(components=[GaussianComponent(
+            weight=1.0, mean=np.ones(dim), cov_factor=np.zeros((dim, 1)),
+            noise_var=1.0)]), out / f"model_{name}.json")
+    before = sorted(p.name for p in out.iterdir())
+    assert run(["--config", str(config_path), "generate",
+                "--count", "3"]) == EXIT_DATA
+    symbol = {"rv": "T_v", "fa": "T_f"}[segment]
+    expected = 3 * (lengths[segment] - 1) + 2
+    assert (f"data error: {out / f'model_{segment}.json'}: model dimension "
+            f"{expected + 3} != 3*{symbol}+2 = {expected}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_generated_trajectories_file(pipeline):
@@ -720,15 +768,18 @@ def test_numerical_failure_exit_code(tmp_path, pipeline):
 
 
 def test_untrained_pair_combinations_are_named_before_sampling(tmp_path, capsys):
-    # 20 flights leave three of the four procedure pairs under the minimum
+    # 20 flights leave some of the four procedure pairs under the minimum
     config_path = corpus.write_corpus(tmp_path, n_flights=20, seed=0)
     for args in (["ingest"], ["train-pairwise"]):
         assert run(["--config", str(config_path), *args]) == EXIT_OK
     out = tmp_path / "out"
     log = json.loads((out / "train_pairwise_log.json").read_text())
-    assert log["trained"] == ["RV_WEST|RV_WEST"]
-    missing = ["RV_SOUTH|RV_SOUTH", "RV_SOUTH|RV_WEST", "RV_WEST|RV_SOUTH"]
+    missing = sorted(set(log["groups"]) - set(log["trained"]))
+    assert missing and log["trained"]
     assert log["skipped"] == {key: log["groups"][key] for key in missing}
+    # k_pairwise = 1 in the test corpus
+    assert all(log["groups"][key] < multi_model.MIN_SAMPLES_PER_COMPONENT
+               for key in missing)
     capsys.readouterr()
     code = run(["--config", str(config_path), "generate-scenes",
                 "--count", "20", "--aircraft", "2"])

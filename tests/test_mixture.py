@@ -1,22 +1,24 @@
 """Gaussian mixture core: EM, PPCA, low-rank approximation, conditioning."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
 
 from trafgen import mixture
-from trafgen.errors import DataError, NumericalError
+from trafgen.errors import DataError
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit, load_model,
-                             low_rank_approx, ppca_fit, psd_jitter_cholesky,
-                             sample, sample_many, save_model, select_rank)
+                             low_rank_approx, ppca_fit, sample, sample_many,
+                             save_model, select_rank)
 
 from conftest import peak_traced_bytes
 from oracles import (compress_model_dense, condition_dense, em_fit_dense,
-                     jitter_cholesky_eye, mc_conditional_moments,
-                     select_rank_per_rank)
+                     mc_conditional_moments, select_rank_per_rank)
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -202,40 +204,6 @@ def test_low_rank_rejects_bad_rank_and_asymmetry():
 
 
 # ---------------------------------------------------------------------------
-# psd_jitter_cholesky
-
-@pytest.mark.parametrize("cov, needs_jitter", [
-    (random_psd(np.random.default_rng(30), 40) + np.eye(40), False),
-    (np.ones((30, 30)), True),  # rank one: every later pivot vanishes
-], ids=["positive_definite", "needs_jitter"])
-def test_psd_jitter_cholesky_matches_dense_identity_oracle_bitwise(
-        cov, needs_jitter):
-    if needs_jitter:
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky(cov, lower=True)
-    before = cov.copy()
-    assert np.array_equal(psd_jitter_cholesky(cov), jitter_cholesky_eye(cov))
-    assert np.array_equal(cov, before)  # the input is left untouched
-
-
-def test_psd_jitter_cholesky_fails_every_level_like_oracle():
-    cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1 at trace / n = 1
-    for factor in (psd_jitter_cholesky, jitter_cholesky_eye):
-        with pytest.raises(NumericalError):
-            factor(cov)
-
-
-def test_psd_jitter_cholesky_allocates_one_work_copy():
-    n = 1500
-    rng = np.random.default_rng(31)
-    root = rng.normal(size=(n, 50))
-    for cov in (root @ root.T / 50 + np.eye(n),   # factors at once
-                root @ root.T / 50):              # rank 50: needs jitter
-        peak, _ = peak_traced_bytes(lambda: psd_jitter_cholesky(cov))
-        assert peak <= 1.5 * n * n * 8
-
-
-# ---------------------------------------------------------------------------
 # ppca_fit
 
 def test_ppca_noise_free_subspace():
@@ -344,7 +312,7 @@ def test_select_rank_matches_per_rank_oracle(deficient, monkeypatch):
     else:
         data, grid = rank5_data(rng, m=400), list(range(1, 12))
     attempts, noise_vars = [], []
-    factor = mixture.cholesky
+    factor = np.linalg.cholesky
     log_density = mixture._spectral_log_density
 
     def counting_cholesky(*args, **kwargs):
@@ -355,7 +323,7 @@ def test_select_rank_matches_per_rank_oracle(deficient, monkeypatch):
         noise_vars.append(noise_var)
         return log_density(proj, resid_sq, eigvals, noise_var, n)
 
-    monkeypatch.setattr(mixture, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(mixture, "_spectral_log_density", recording_log_density)
     result = select_rank(data, grid, seed=4)
     rank, curve = select_rank_per_rank(data, grid, seed=4)
@@ -456,17 +424,24 @@ def test_condition_input_validation():
         ConditionalMixture(model, [5])
 
 
-@pytest.mark.parametrize("n_overlap", [1, 10])
-def test_conditional_mixture_matches_dense_conditioning_bitwise(n_overlap):
-    # final-approach shape at paper size: n = 3 * 150 + 2, K = 3, PPCA rank 16
-    rng = np.random.default_rng(n_overlap)
+def paper_final_approach_model(seed):
+    """Final-approach shape at paper size: n = 3 * 150 + 2, K = 3, PPCA rank 16."""
+    rng = np.random.default_rng(seed)
     n = 452
     base = rng.normal(scale=50.0, size=n)
-    model = MixtureModel(components=[
+    return base, MixtureModel(components=[
         GaussianComponent(weight=w, mean=base + rng.normal(scale=5.0, size=n),
                           cov_factor=rng.normal(scale=10.0, size=(n, 16)),
                           noise_var=4.0)
         for w in (0.5, 0.3, 0.2)])
+
+
+@pytest.mark.parametrize("n_overlap", [1, 10])
+def test_conditional_mixture_matches_dense_conditioning_bitwise(n_overlap):
+    # the factored conditional agrees with the dense one to rounding
+    base, model = paper_final_approach_model(n_overlap)
+    rng = np.random.default_rng(100 + n_overlap)
+    n = model.dimension
     idx = np.arange(2, 2 + 3 * n_overlap)
     sampler = ConditionalMixture(model, idx)
     for _ in range(3):
@@ -474,11 +449,84 @@ def test_conditional_mixture_matches_dense_conditioning_bitwise(n_overlap):
         weights, means, factors = condition_dense(model, idx, vals)
         conditioned = sampler(vals)
         assert conditioned.dimension == n - idx.size
-        assert np.array_equal(conditioned.weights, weights)
-        for comp, mean, factor in zip(conditioned.components, means, factors):
-            assert np.array_equal(comp.mean, mean)
-            assert np.array_equal(comp.cov_factor, factor)
-            assert comp.noise_var == 0.0
+        assert np.allclose(conditioned.weights, weights, rtol=0.0, atol=1e-12)
+        for comp, model_comp, mean, factor in zip(
+                conditioned.components, model.components, means, factors):
+            assert (np.linalg.norm(comp.mean - mean)
+                    <= 1e-10 * np.linalg.norm(mean))
+            dense = factor @ factor.T
+            assert (np.linalg.norm(comp.covariance() - dense)
+                    <= 1e-10 * np.linalg.norm(dense))
+            assert comp.noise_var == model_comp.noise_var
+            assert comp.cov_factor.shape == (n - idx.size, 16)
+
+
+def test_conditional_mixture_draws_match_dense_moments():
+    base, model = paper_final_approach_model(7)
+    idx = np.arange(2, 5)
+    vals = base[idx] + 5.0
+    weights, means, factors = condition_dense(model, idx, vals)
+    mean = sum(w * m for w, m in zip(weights, means))
+    cov = sum(w * (f @ f.T + np.outer(m - mean, m - mean))
+              for w, m, f in zip(weights, means, factors))
+    size = 100_000
+    draws, _ = sample_many(ConditionalMixture(model, idx)(vals), size,
+                           np.random.default_rng(8))
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3.0 * sd / np.sqrt(size))
+    # SE of a sample covariance entry under normality: sqrt((c_ij^2 + c_ii c_jj) / N)
+    cols = np.arange(0, model.dimension - idx.size, 37)
+    sub = cov[np.ix_(cols, cols)]
+    sample_cov = np.cov(draws[:, cols], rowvar=False)
+    se = np.sqrt((sub ** 2 + np.outer(np.diag(sub), np.diag(sub))) / size)
+    assert np.all(np.abs(sample_cov - sub) <= 5.0 * se)
+
+
+def test_conditional_mixture_forms_no_dense_matrix():
+    base, model = paper_final_approach_model(9)
+    n = model.dimension
+    idx = np.arange(2, 5)
+
+    def build_and_call():
+        return ConditionalMixture(model, idx)(base[idx])
+
+    peak, _ = peak_traced_bytes(build_and_call)
+    assert peak < n * n * 8
+
+
+def test_conditional_mixture_warns_when_noise_is_floored(caplog):
+    rng = np.random.default_rng(10)
+    factor = rng.normal(size=(6, 2))
+    model = MixtureModel(components=[
+        GaussianComponent(weight=0.5, mean=np.zeros(6), cov_factor=factor,
+                          noise_var=1.0),
+        GaussianComponent(weight=0.5, mean=np.ones(6), cov_factor=factor,
+                          noise_var=0.0)])
+    with caplog.at_level(logging.WARNING, logger="trafgen.mixture"):
+        sampler = ConditionalMixture(model, [0, 1, 2])
+    floored = [r for r in caplog.records if "floor" in r.getMessage()]
+    assert len(floored) == 1 and "[1]" in floored[0].getMessage()
+    conditioned = sampler([0.5, 0.5, 0.5])
+    # the free block keeps each component's own noise
+    assert [c.noise_var for c in conditioned.components] == [1.0, 0.0]
+    assert np.all(np.isfinite(conditioned.weights))
+
+    caplog.clear()
+    unfloored = MixtureModel(components=[
+        GaussianComponent(weight=1.0, mean=np.zeros(6), cov_factor=factor,
+                          noise_var=1.0)])
+    with caplog.at_level(logging.WARNING, logger="trafgen.mixture"):
+        ConditionalMixture(unfloored, [0, 1, 2])
+    assert caplog.records == []
+
+
+def test_mixture_import_loads_no_dense_linear_algebra():
+    code = ("import sys, trafgen.mixture; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mixture.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_conditional_mixture_checks_value_count():
