@@ -269,12 +269,30 @@ def cmd_ingest(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_width(path: Path, what: str, found: int, length: int,
+                 symbol: str) -> None:
+    """DataError naming ``path`` unless ``found`` is 3T+2 for the config's T."""
+    if found != 3 * length + 2:
+        raise DataError(f"{path}: {what} {found} != 3*{symbol}+2 = {3 * length + 2}")
+
+
+def _read_dataset(config: RunConfig, segment: str) -> tuple[np.ndarray, dict]:
+    """A segment's deviation dataset and meta; its width must be 3T+2."""
+    filename, length, symbol = (
+        ("rv_dataset.csv", config.segment_length_rv, "T_v")
+        if segment == "radar_vector"
+        else ("fa_dataset.csv", config.segment_length_fa, "T_f"))
+    path = config.out_dir / filename
+    data, meta = read_deviation_dataset(path)
+    _check_width(path, "dataset width", data.shape[1], length, symbol)
+    return data, meta
+
+
 def cmd_select(config: RunConfig) -> int:
     """Run the silhouette and rank sweeps; write the model-selection report."""
     report = {}
-    for segment, filename in (("radar_vector", "rv_dataset.csv"),
-                              ("final_approach", "fa_dataset.csv")):
-        data, _ = read_deviation_dataset(config.out_dir / filename)
+    for segment in ("radar_vector", "final_approach"):
+        data, _ = _read_dataset(config, segment)
         seed = int(substream(config.seed, f"select-{segment}").integers(2 ** 31))
         sweep = metrics.silhouette_sweep(data, config.component_grid, seed=seed)
         ranks = select_rank(data, config.rank_grid, seed=seed)
@@ -307,23 +325,10 @@ def _model_config(config: RunConfig) -> single_model.SingleModelConfig:
         config.segment_length_rv, config.segment_length_fa, config.n_overlap)
 
 
-def _check_width(path: Path, what: str, found: int, length: int,
-                 symbol: str) -> None:
-    """DataError naming ``path`` unless ``found`` is 3T+2 for the config's T."""
-    if found != 3 * length + 2:
-        raise DataError(f"{path}: {what} {found} != 3*{symbol}+2 = {3 * length + 2}")
-
-
 def cmd_train(config: RunConfig) -> int:
     """Fit the per-segment mixtures and write model files plus training logs."""
-    rv_path = config.out_dir / "rv_dataset.csv"
-    fa_path = config.out_dir / "fa_dataset.csv"
-    rv_data, _ = read_deviation_dataset(rv_path)
-    fa_data, _ = read_deviation_dataset(fa_path)
-    _check_width(rv_path, "dataset width", rv_data.shape[1],
-                 config.segment_length_rv, "T_v")
-    _check_width(fa_path, "dataset width", fa_data.shape[1],
-                 config.segment_length_fa, "T_f")
+    rv_data, _ = _read_dataset(config, "radar_vector")
+    fa_data, _ = _read_dataset(config, "final_approach")
     k_rv, rank_rv = _chosen(config, "radar_vector")
     k_fa, rank_fa = _chosen(config, "final_approach")
     model, report = single_model.train(
@@ -343,7 +348,7 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_train_pairwise(config: RunConfig) -> int:
     """Fit pairwise mixtures per radar-vector procedure combination."""
-    data, meta = read_deviation_dataset(config.out_dir / "rv_dataset.csv")
+    data, meta = _read_dataset(config, "radar_vector")
     groups = multi_model.extract_pairs(
         data, [row["procedure"] for row in meta["rows"]],
         [row["arrival_time"] for row in meta["rows"]], config.pairing_window_s)
@@ -525,12 +530,15 @@ def _int_at_least(low: int):
 
 
 def _index_list(raw: str) -> list[int]:
-    """argparse type of ``--keep``: comma-separated nonnegative indices."""
+    """argparse type of ``--keep``: comma-separated distinct indices >= 0."""
     items = raw.split(",")
     if not all(item.strip().isdecimal() for item in items):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated indices >= 0, got {raw!r}")
-    return [int(item) for item in items]
+    indices = [int(item) for item in items]
+    if len(set(indices)) != len(indices):
+        raise argparse.ArgumentTypeError(f"repeated index in {raw!r}")
+    return indices
 
 
 def _build_parser() -> _Parser:

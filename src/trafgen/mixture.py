@@ -62,12 +62,6 @@ class GaussianComponent:
     def dimension(self) -> int:
         return self.mean.shape[0]
 
-    def covariance(self) -> np.ndarray:
-        """``F F^T + noise_var I``, the noise added to the diagonal in place."""
-        cov = self.cov_factor @ self.cov_factor.T
-        cov[np.diag_indices_from(cov)] += self.noise_var
-        return cov
-
 
 @dataclass
 class MixtureModel:
@@ -174,14 +168,14 @@ class EMFit:
 
 def em_fit(data: np.ndarray, n_components: int, *,
            seed: int | np.random.Generator = 0,
-           reg: float | None = None,
            segment_kind: str = "generic") -> EMFit:
     """Fit a full-covariance Gaussian mixture with EM.
 
     Initialization is k-means++ on the data; every M-step adds ``reg * I``
-    (default 1e-6 times the mean data variance) to each covariance. Stops on
-    relative log-likelihood improvement below ``EM_TOL`` or after
-    ``EM_MAX_ITER`` iterations, with a WARNING in the latter case.
+    to each covariance, where reg is 1e-6 times the mean data variance, and
+    at least 1e-12. Stops on relative log-likelihood improvement below
+    ``EM_TOL`` or after ``EM_MAX_ITER`` iterations, with a WARNING in the
+    latter case.
 
     Each covariance is Z_j^T Z_j + reg I, Z_j the m weighted, centred rows,
     and is held in its data-span spectral form (see :func:`_spectrum`): the
@@ -204,9 +198,7 @@ def em_fit(data: np.ndarray, n_components: int, *,
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values")
     rng = np.random.default_rng(seed)
-    if reg is None:
-        reg = 1e-6 * float(np.mean(np.var(data, axis=0)))
-    reg = max(reg, 1e-12)
+    reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
 
     km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
     resp = np.zeros((m, n_components))
@@ -266,31 +258,7 @@ def _m_step(data: np.ndarray, resp: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Low-rank covariance approximation and PPCA
-
-def low_rank_approx(cov: np.ndarray, rank: int) -> np.ndarray:
-    """Best rank-``rank`` factor of a symmetric PSD matrix (Eckart-Young).
-
-    Returns F of shape (n, rank) with F F^T the truncated eigendecomposition;
-    eigenvalues are clipped at zero.
-    """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0]
-    if rank > n or rank < 1:
-        raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    if not np.allclose(cov, cov.T, atol=1e-9, rtol=1e-9):
-        raise ValueError("matrix is not symmetric within 1e-9")
-    eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    top = slice(n - rank, n)
-    return eigvecs[:, top] * np.sqrt(np.clip(eigvals[top], 0.0, None))
-
-
-@dataclass
-class PPCAFit:
-    mean: np.ndarray       # (n,)
-    weights: np.ndarray    # W, (n, k)
-    noise_var: float       # sigma^2
-
+# PPCA: rank selection and compression
 
 def _ppca(vecs: np.ndarray, eigvals: np.ndarray, rest: float, rank: int,
           ) -> tuple[np.ndarray, float]:
@@ -308,25 +276,6 @@ def _ppca(vecs: np.ndarray, eigvals: np.ndarray, rest: float, rank: int,
                       / (n - rank))
     w = vecs[:, :rank] * np.sqrt(np.clip(eigvals[:rank] - noise_var, 0.0, None))
     return np.pad(w, ((0, 0), (0, rank - w.shape[1]))), noise_var
-
-
-def ppca_fit(data: np.ndarray, rank: int) -> PPCAFit:
-    """Closed-form maximum-likelihood probabilistic PCA.
-
-    The fitted marginal covariance W W^T + sigma^2 I keeps the sample
-    covariance's top-``rank`` eigenvalues; sigma^2 is the mean of the
-    discarded ones.
-    """
-    data = np.asarray(data, dtype=float)
-    m, n = data.shape
-    if not 1 <= rank < n:
-        raise ValueError(f"rank must satisfy 1 <= rank < {n}, got {rank}")
-    if m <= rank:
-        raise ValueError(f"need more than rank={rank} rows, got {m}")
-    mean = data.mean(axis=0)
-    vecs, sq = _spectrum((data - mean) / np.sqrt(m))
-    w, noise_var = _ppca(vecs, sq, 0.0, rank)
-    return PPCAFit(mean=mean, weights=w, noise_var=noise_var)
 
 
 @dataclass

@@ -37,10 +37,6 @@ class DeviationVector:
             raise ValueError("deviations must have shape (T, 3)")
         object.__setattr__(self, "deviations", dev)
 
-    @property
-    def dimension(self) -> int:
-        return 3 * self.deviations.shape[0] + 2
-
     def to_array(self) -> np.ndarray:
         return np.concatenate(([self.transit_time, self.total_distance],
                                self.deviations.ravel()))
@@ -138,17 +134,6 @@ def _dtw_wavefront(a: np.ndarray, b: np.ndarray,
             cur[..., k] = col0[..., k - 1]
         older, prev, cur = prev, cur, older
     return prev[..., m - 1]
-
-
-def dtw_distance(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> float:
-    """Dynamic-time-warping distance with Euclidean local cost.
-
-    Accepts 1-D sequences or (n, d) point arrays. O(mn) time; no warping
-    band is applied.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float).T).T
-    b = np.atleast_2d(np.asarray(b, dtype=float).T).T
-    return float(dtw_distances(a[None], b[None])[0, 0])
 
 
 def assign_procedures(points: np.ndarray,

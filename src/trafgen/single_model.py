@@ -73,14 +73,13 @@ class SyntheticTrajectory:
     """A stitched trajectory of T_v + T_f - n_overlap + 1 samples.
 
     The overlap is emitted once: the first final-approach sample, at index
-    ``boundary``, is the one that retraces the last radar-vector position.
+    T_v, is the one that retraces the last radar-vector position.
     """
 
     times: np.ndarray    # (T_v + T_f - n_overlap + 1,), strictly increasing
     points: np.ndarray   # (T_v + T_f - n_overlap + 1, 3)
     procedure_used: str
     source_components: tuple[int, int]  # (radar-vector, final-approach)
-    boundary: int        # first final-approach sample index
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
@@ -119,14 +118,10 @@ def train(rv_data: np.ndarray, fa_data: np.ndarray, config: SingleModelConfig, *
     """Fit and compress one mixture per segment from deviation datasets.
 
     Each segment's EM run is seeded from the substream ``train-<segment>``
-    of ``seed``, so the two fits draw independent initialisations.
+    of ``seed``, so the two fits draw independent initialisations. A
+    dataset whose width is not 3T+2 for the config fails the model's
+    dimension check, after the fit.
     """
-    rv_data = np.asarray(rv_data, dtype=float)
-    fa_data = np.asarray(fa_data, dtype=float)
-    if rv_data.shape[1] != 3 * config.segment_length_rv + 2:
-        raise ValueError("radar-vector dataset width is not 3*T_v+2")
-    if fa_data.shape[1] != 3 * config.segment_length_fa + 2:
-        raise ValueError("final-approach dataset width is not 3*T_f+2")
     rv_model, lls_rv = _fit_segment(rv_data, "radar_vector", n_components_rv,
                                     rank_rv, seed)
     fa_model, lls_fa = _fit_segment(fa_data, "final_approach", n_components_fa,
@@ -210,7 +205,6 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
             points=np.vstack([rv_points, fa_points[join:]]),
             procedure_used=rv_proc.procedure,
             source_components=(int(comp_rv), int(comp_fa)),
-            boundary=t_v,
         )
     raise NumericalError(
         f"generation failed after {MAX_DRAWS} attempts; last cause: "

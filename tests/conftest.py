@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trafgen.ingest import AirspaceConfig, Flight
+from trafgen.mixture import GaussianComponent, MixtureModel, compress_model
 from trafgen.procedures import ProceduralTrajectory
 
 
@@ -38,3 +39,13 @@ def peak_traced_bytes(fn):
     finally:
         tracemalloc.stop()
     return peak - base, result
+
+
+def ppca(data, rank):
+    """PPCA of the rows of ``data`` (Tipping & Bishop 1999) through
+    ``compress_model``: the compressed component of a one-component model
+    whose covariance is the sample covariance, with factor
+    ((X - mean) / sqrt(m))^T and no noise."""
+    mean = data.mean(axis=0)
+    comp = GaussianComponent(1.0, mean, ((data - mean) / np.sqrt(len(data))).T)
+    return compress_model(MixtureModel(components=[comp]), rank).components[0]

@@ -17,6 +17,7 @@ repair, which the factored scene must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
 The dense helpers these references share live here, not in the library:
+``dense_covariance`` (a component's F F^T + noise_var I as one matrix),
 ``psd_jitter_cholesky`` (Cholesky with escalating diagonal jitter),
 ``psd_factor`` (that, else eigh with clipping) and ``_component_log_density``
 (a Gaussian log density from a Cholesky factor).
@@ -34,6 +35,13 @@ from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, EMFit,
                              GaussianComponent, MixtureModel, sample_many)
 from trafgen.multi_model import (_block, _delta_index, _pair_dim,
                                  _require_model)
+
+
+def dense_covariance(comp: GaussianComponent) -> np.ndarray:
+    """A component's ``F F^T + noise_var I`` as one n x n matrix."""
+    cov = comp.cov_factor @ comp.cov_factor.T
+    cov[np.diag_indices_from(cov)] += comp.noise_var
+    return cov
 
 
 def psd_jitter_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -201,7 +209,7 @@ def condition_dense(model: MixtureModel, observed_idx, observed_vals):
     log_w = np.empty(len(model.components))
     means, factors = [], []
     for j, comp in enumerate(model.components):
-        cov = comp.covariance()
+        cov = dense_covariance(comp)
         sigma_aa = cov[np.ix_(idx_a, idx_a)]
         sigma_ba = cov[np.ix_(idx_b, idx_a)]
         sigma_bb = cov[np.ix_(idx_b, idx_b)]
@@ -306,7 +314,7 @@ def assemble_scene_dense(models: Mapping[tuple[str, str], MixtureModel],
         _set_block(cov, blk_k, blk_k1, f_a @ f_b.T)
         cov[q, q] = f_q @ f_q + comp.noise_var
         _set_block(cov, q, blk_k1, f_b @ f_q)
-        cov[blk_k1, blk_k1] = _marginal(comp, b_blk).covariance()
+        cov[blk_k1, blk_k1] = dense_covariance(_marginal(comp, b_blk))
         block_factors[k].append(f_a)
         block_factors[k + 1].append(f_b)
 
@@ -315,15 +323,15 @@ def assemble_scene_dense(models: Mapping[tuple[str, str], MixtureModel],
     j0 = int(rng.choice(len(model01.components), p=model01.weights))
     comp = model01.components[j0]
     mean[a_blk] = comp.mean[a_blk]
-    cov[a_blk, a_blk] = _marginal(comp, a_blk).covariance()
+    cov[a_blk, a_blk] = dense_covariance(_marginal(comp, a_blk))
     place_adjacent(0, comp)
     provenance["pair_0_1"] = j0
 
     # step 2 repeated: adjacent pairs (k, k+1), matching the shared block
     for k in range(1, n - 1):
         model_k = _require_model(models, (procs[k], procs[k + 1]))
-        dists = [np.linalg.norm(_marginal(c, a_blk).covariance() - placed(k))
-                 for c in model_k.components]
+        dists = [np.linalg.norm(dense_covariance(_marginal(c, a_blk))
+                                - placed(k)) for c in model_k.components]
         jk = int(np.argmin(dists))
         place_adjacent(k, model_k.components[jk])
         provenance[f"pair_{k}_{k + 1}"] = jk
@@ -333,8 +341,10 @@ def assemble_scene_dense(models: Mapping[tuple[str, str], MixtureModel],
         for i in range(0, k - 1):
             model_ik = _require_model(models, (procs[i], procs[k]))
             dists = [
-                np.linalg.norm(_marginal(c, a_blk).covariance() - placed(i))
-                + np.linalg.norm(_marginal(c, b_blk).covariance() - placed(k))
+                np.linalg.norm(dense_covariance(_marginal(c, a_blk))
+                               - placed(i))
+                + np.linalg.norm(dense_covariance(_marginal(c, b_blk))
+                                 - placed(k))
                 for c in model_ik.components]
             jik = int(np.argmin(dists))
             f = model_ik.components[jik].cov_factor
@@ -482,8 +492,7 @@ def _m_step_dense(data, resp, reg):
     return weights, means, covs
 
 
-def em_fit_dense(data, n_components, *, seed=0, reg=None,
-                 segment_kind="generic"):
+def em_fit_dense(data, n_components, *, seed=0, segment_kind="generic"):
     """EM holding every covariance as an n x n matrix.
 
     Each E-step factors every component covariance by Cholesky; the
@@ -492,9 +501,7 @@ def em_fit_dense(data, n_components, *, seed=0, reg=None,
     data = np.asarray(data, dtype=float)
     m, n = data.shape
     rng = np.random.default_rng(seed)
-    if reg is None:
-        reg = 1e-6 * float(np.mean(np.var(data, axis=0)))
-    reg = max(reg, 1e-12)
+    reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
 
     km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
     resp = np.zeros((m, n_components))
@@ -549,7 +556,7 @@ def compress_model_dense(model, rank):
     """PPCA compression from an eigendecomposition of each full covariance."""
     compressed = []
     for comp in model.components:
-        cov = comp.covariance()
+        cov = dense_covariance(comp)
         eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
         w, noise_var = _ppca_from_eigh(eigvals, eigvecs, rank)
         compressed.append(GaussianComponent(

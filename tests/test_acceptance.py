@@ -18,20 +18,19 @@ from trafgen.metrics import (SeparationConfig, extract_variables,
                              loss_of_separation_count, silhouette_score,
                              silhouette_sweep)
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
-                             MixtureModel, compress_model, em_fit,
-                             low_rank_approx, ppca_fit, sample_many,
+                             MixtureModel, compress_model, em_fit, sample_many,
                              select_rank)
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, train_pairwise)
 from trafgen.preprocess import (DeviationVector, build_deviation_vector,
-                                dtw_distance, reconstruct_trajectory)
+                                dtw_distances, reconstruct_trajectory)
 from trafgen.units import FT_TO_M, NM_TO_M
 
 import corpus
-from conftest import make_proc_traj
-from oracles import dtw_brute_force, mc_conditional_moments, psd_factor, \
-    scene_covariance, silhouette_brute_force
+from conftest import make_proc_traj, ppca
+from oracles import dense_covariance, dtw_brute_force, mc_conditional_moments, \
+    psd_factor, scene_covariance, silhouette_brute_force
 
 
 def report(criterion, text):
@@ -49,8 +48,8 @@ def test_criterion_01_dtw_matches_exhaustive_enumeration():
         dims = int(rng.integers(1, 4))
         a = rng.normal(scale=rng.uniform(0.5, 20.0), size=(m, dims))
         b = rng.normal(scale=rng.uniform(0.5, 20.0), size=(n, dims))
-        assert dtw_distance(a, b) == pytest.approx(dtw_brute_force(a, b),
-                                                   rel=1e-12, abs=1e-12)
+        assert dtw_distances(a[None], b[None])[0, 0] == pytest.approx(
+            dtw_brute_force(a, b), rel=1e-12, abs=1e-12)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     report(1, f"dtw equals exhaustive enumeration on 1000 pairs "
@@ -144,21 +143,20 @@ def test_criterion_04_ppca_closed_form_and_eckart_young():
         m = n + int(rng.integers(10, 200))
         data = rng.normal(size=(m, n)) @ rng.normal(size=(n, n))
         rank = int(rng.integers(1, n))
-        fit = ppca_fit(data, rank)
+        fit = ppca(data, rank)  # compress_model of the sample covariance
         centered = data - data.mean(axis=0)
-        eigvals = np.sort(np.linalg.eigvalsh(centered.T @ centered / m))
-        assert fit.noise_var == pytest.approx(
-            float(np.mean(eigvals[:n - rank])), abs=1e-9)
-
-        root = rng.normal(size=(n, n))
-        cov = root @ root.T
+        cov = centered.T @ centered / m
         lam = np.sort(np.linalg.eigvalsh(cov))[::-1]
-        factor = low_rank_approx(cov, rank)
-        frob = np.linalg.norm(factor @ factor.T - cov)
-        assert frob == pytest.approx(np.sqrt(np.sum(lam[rank:] ** 2)),
-                                     abs=1e-9)
-    report(4, "sigma^2 equals the mean discarded eigenvalue and rank-k error "
-              "matches Eckart-Young on 50 random matrices")
+        assert fit.noise_var == pytest.approx(float(np.mean(lam[rank:])),
+                                              abs=1e-9)
+        # W W^T + sigma^2 I keeps the top-k eigenvalues of C and replaces
+        # the rest by sigma^2: the Eckart-Young truncation plus the noise
+        frob = np.linalg.norm(dense_covariance(fit) - cov)
+        assert frob == pytest.approx(
+            np.sqrt(np.sum((lam[rank:] - fit.noise_var) ** 2)), abs=1e-9)
+    report(4, "sigma^2 equals the mean discarded eigenvalue and the rank-k "
+              "error ||W W^T + sigma^2 I - C|| matches the discarded spectrum "
+              "on 50 random matrices")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
         draws[i] = np.concatenate([
             tau1.to_array(), scene.inter_arrival_times, tau2.to_array()])
     comp = k1_model.components[0]
-    variances = np.diag(comp.covariance())
+    variances = np.diag(dense_covariance(comp))
     se = np.sqrt(variances / n_scenes)
     mean_err = np.abs(draws.mean(axis=0) - comp.mean)
     # transit times are rescaled by sampled tau_2/d', a ~0.3% effect;
@@ -359,7 +357,7 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
     two, d2 = consistent_pairwise_model(seed=13, weights=(0.6, 0.4))
     models = {("P", "P"): two}
     params = assemble_scene_params(models, ["P", "P", "P"], rng=5)
-    covs = [c.covariance() for c in two.components]
+    covs = [dense_covariance(c) for c in two.components]
     a_blk, b_blk = slice(0, d2), slice(d2 + 1, 2 * d2 + 1)
     j0 = params.provenance["pair_0_1"]
     d_adj = [np.linalg.norm(c[a_blk, a_blk] - covs[j0][b_blk, b_blk])
@@ -444,7 +442,7 @@ def test_criterion_10_separation_semantics_and_model_comparison():
     pair_comp = pairwise_models[("INTRAIL", "INTRAIL")].components[0]
     d = taus.shape[1]
     delta_mean = pair_comp.mean[d]
-    delta_var = pair_comp.covariance()[d, d]
+    delta_var = dense_covariance(pair_comp)[d, d]
     dim = n_aircraft * d + n_aircraft - 1
     mean = np.zeros(dim)
     cov = np.zeros((dim, dim))
@@ -452,7 +450,7 @@ def test_criterion_10_separation_semantics_and_model_comparison():
     for i in range(n_aircraft):
         blk = _block(i, d)
         mean[blk] = comp.mean
-        cov[blk, blk] = comp.covariance()
+        cov[blk, blk] = dense_covariance(comp)
     for i in range(n_aircraft - 1):
         q = _delta_index(i, d)
         mean[q] = delta_mean

@@ -1,8 +1,10 @@
 """CLI pipeline: commands, file formats, determinism, and exit codes."""
 
+import ast
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,7 +119,13 @@ def test_train_rerun_identical_models(pipeline):
     assert read_bytes(out / "model_rv.json") == before
 
 
-def test_train_rejects_dataset_of_another_length(tmp_path, capsys):
+@pytest.mark.parametrize("command, outputs", [
+    ("select", ["selection_report.json"]),
+    ("train", ["model_rv.json", "model_fa.json", "train_log.json"]),
+    ("train-pairwise", ["model_pairwise.json", "train_pairwise_log.json"]),
+], ids=["select", "train", "train_pairwise"])
+def test_train_rejects_dataset_of_another_length(tmp_path, capsys, command,
+                                                 outputs):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0,
                                       explicit_choice=True)
     out = tmp_path / "out"
@@ -131,11 +139,11 @@ def test_train_rejects_dataset_of_another_length(tmp_path, capsys):
     cli.write_deviation_dataset(out / "fa_dataset.csv",
                                 rng.normal(size=(20, 3 * corpus.T_F + 2)),
                                 "final_approach", corpus.T_F, rows)
-    assert run(["--config", str(config_path), "train"]) == EXIT_DATA
+    assert run(["--config", str(config_path), command]) == EXIT_DATA
     width = 3 * (corpus.T_V - 1) + 2
     assert (f"data error: {out / 'rv_dataset.csv'}: dataset width {width} != "
             f"3*T_v+2 = {3 * corpus.T_V + 2}") in capsys.readouterr().err
-    for name in ("model_rv.json", "model_fa.json", "train_log.json"):
+    for name in outputs:
         assert not (out / name).exists(), name
 
 
@@ -608,8 +616,10 @@ def test_usage_error_exit_code():
     ["review-paths", "--k", "2", "--keep", "0,x"],
     ["review-paths", "--k", "2", "--keep", "0,,1"],
     ["review-paths", "--k", "2", "--keep", "-1"],
+    ["review-paths", "--k", "2", "--keep", "0,0"],
 ], ids=["negative_count", "negative_scene_count", "one_aircraft", "zero_k",
-        "one_sample", "keep_not_integer", "keep_empty_item", "keep_negative"])
+        "one_sample", "keep_not_integer", "keep_empty_item", "keep_negative",
+        "keep_repeated"])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, args):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     assert run(["--config", str(config_path), *args]) == EXIT_USAGE
@@ -872,3 +882,27 @@ def test_substreams_are_stable_and_distinct():
     b = substream(7, "generate").standard_normal(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def test_every_public_definition_is_used_or_documented():
+    # a public module-level def or class that no other code in the package
+    # names, and that README.md does not document, is dead API
+    package = Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    readme = Path(__file__).parents[1] / "README.md"
+    named |= set(re.findall(r"\w+", readme.read_text(encoding="utf-8")))
+    unused = [f"{module}:{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in named]
+    assert unused == []

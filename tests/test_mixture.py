@@ -1,4 +1,4 @@
-"""Gaussian mixture core: EM, PPCA, low-rank approximation, conditioning."""
+"""Gaussian mixture core: EM, PPCA compression, conditioning."""
 
 import logging
 import os
@@ -13,12 +13,11 @@ from trafgen import mixture
 from trafgen.errors import DataError
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit, load_model,
-                             low_rank_approx, ppca_fit, sample, sample_many,
-                             save_model, select_rank)
+                             sample, sample_many, save_model, select_rank)
 
-from conftest import peak_traced_bytes
-from oracles import (compress_model_dense, condition_dense, em_fit_dense,
-                     mc_conditional_moments, select_rank_per_rank)
+from conftest import peak_traced_bytes, ppca
+from oracles import (compress_model_dense, condition_dense, dense_covariance,
+                     em_fit_dense, mc_conditional_moments, select_rank_per_rank)
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -42,23 +41,28 @@ def two_component_model(mu0, cov0, mu1, cov1, w0=0.5, kind="generic"):
 def test_em_single_component_is_sample_mle():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(500, 3)) @ np.diag([1.0, 2.0, 0.5]) + [1.0, -2.0, 0.3]
-    fit = em_fit(data, 1, seed=0, reg=0.0)
+    fit = em_fit(data, 1, seed=0)
     comp = fit.model.components[0]
     assert np.allclose(comp.mean, data.mean(axis=0), atol=1e-9)
     centered = data - data.mean(axis=0)
     expected_cov = centered.T @ centered / len(data)
-    assert np.allclose(comp.covariance(), expected_cov, atol=1e-8)
+    assert np.allclose(comp.cov_factor @ comp.cov_factor.T, expected_cov,
+                       atol=1e-8)
     assert comp.weight == 1.0
 
 
 def test_em_regularization_appears_in_covariance():
+    # reg = 1e-6 times the mean data variance, and at least 1e-12
     rng = np.random.default_rng(1)
-    data = rng.normal(size=(200, 2))
-    reg = 0.5
-    fit = em_fit(data, 1, seed=0, reg=reg)
+    data = 1e3 * rng.normal(size=(200, 2))
+    reg = 1e-6 * float(np.mean(np.var(data, axis=0)))
+    comp = em_fit(data, 1, seed=0).model.components[0]
+    assert comp.noise_var == reg
     centered = data - data.mean(axis=0)
     expected = centered.T @ centered / len(data) + reg * np.eye(2)
-    assert np.allclose(fit.model.components[0].covariance(), expected, atol=1e-8)
+    assert (np.linalg.norm(dense_covariance(comp) - expected)
+            <= 1e-12 * np.linalg.norm(expected))
+    assert em_fit(1e-7 * data, 1, seed=0).model.components[0].noise_var == 1e-12
 
 
 def test_em_recovers_well_separated_components():
@@ -128,8 +132,8 @@ def test_em_and_compression_match_dense_oracle(m, n, k, scale, ranks):
                     compress_model_dense(ref.model, rank).components)
         for comp, oracle in pairs:
             assert comp.cov_factor.shape == (n, rank)
-            expected = oracle.covariance()
-            assert (np.linalg.norm(comp.covariance() - expected)
+            expected = dense_covariance(oracle)
+            assert (np.linalg.norm(dense_covariance(comp) - expected)
                     <= 1e-9 * np.linalg.norm(expected))
 
 
@@ -167,7 +171,7 @@ def test_em_and_rank_selection_form_no_n_by_n_matrix():
 
 
 # ---------------------------------------------------------------------------
-# low_rank_approx
+# PPCA compression of one covariance
 
 def random_psd(rng, n, rank=None):
     rank = rank or n
@@ -175,53 +179,58 @@ def random_psd(rng, n, rank=None):
     return root @ root.T
 
 
+def compress_one(cov, rank):
+    """The compressed component of a one-component, zero-mean model of ``cov``."""
+    model = MixtureModel(components=[single_gaussian(np.zeros(len(cov)), cov)])
+    return compress_model(model, rank).components[0]
+
+
 def test_low_rank_full_rank_reproduces_input():
+    # a rank at least the covariance's own reproduces it
     rng = np.random.default_rng(4)
-    cov = random_psd(rng, 6)
-    factor = low_rank_approx(cov, 6)
-    assert np.linalg.norm(factor @ factor.T - cov) < 1e-9
+    cov = random_psd(rng, 6, rank=5)
+    comp = compress_one(cov, 5)
+    assert np.linalg.norm(dense_covariance(comp) - cov) < 1e-9
 
 
 def test_low_rank_axis_aligned():
-    factor = low_rank_approx(np.diag([4.0, 1.0]), 1)
-    assert np.allclose(factor @ factor.T, np.diag([4.0, 0.0]), atol=1e-12)
+    comp = compress_one(np.diag([4.0, 1.0]), 1)
+    assert np.allclose(comp.cov_factor @ comp.cov_factor.T, np.diag([3.0, 0.0]),
+                       atol=1e-12)
+    assert comp.noise_var == pytest.approx(1.0, abs=1e-12)
 
 
 def test_low_rank_error_matches_eckart_young():
+    # W W^T + sigma^2 I keeps the top eigenvalues and puts sigma^2, the mean
+    # of the rest, in their place
     rng = np.random.default_rng(5)
     cov = random_psd(rng, 5)
     eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
-    factor = low_rank_approx(cov, 3)
-    frob = np.linalg.norm(factor @ factor.T - cov)
-    assert frob == pytest.approx(np.sqrt(np.sum(eigvals[3:] ** 2)), abs=1e-9)
-
-
-def test_low_rank_rejects_bad_rank_and_asymmetry():
-    with pytest.raises(ValueError):
-        low_rank_approx(np.eye(3), 4)
-    with pytest.raises(ValueError):
-        low_rank_approx(np.array([[1.0, 0.5], [0.0, 1.0]]), 1)
+    comp = compress_one(cov, 3)
+    frob = np.linalg.norm(dense_covariance(comp) - cov)
+    assert frob == pytest.approx(
+        np.sqrt(np.sum((eigvals[3:] - comp.noise_var) ** 2)), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# ppca_fit
+# PPCA of data rows
 
 def test_ppca_noise_free_subspace():
     rng = np.random.default_rng(6)
     latent = rng.normal(size=(400, 2))
     mixing = rng.normal(size=(5, 2))
     data = latent @ mixing.T + np.array([1.0, 0.0, -2.0, 3.0, 0.5])
-    fit = ppca_fit(data, 2)
+    fit = ppca(data, 2)
     assert fit.noise_var < 1e-9
     centered = data - data.mean(axis=0)
     sample_cov = centered.T @ centered / len(data)
-    assert np.linalg.norm(fit.weights @ fit.weights.T - sample_cov) < 1e-6
+    assert np.linalg.norm(fit.cov_factor @ fit.cov_factor.T - sample_cov) < 1e-6
 
 
 def test_ppca_noise_var_is_mean_discarded_eigenvalue():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(300, 6)) @ np.diag([3.0, 2.0, 1.5, 1.0, 0.5, 0.2])
-    fit = ppca_fit(data, 2)
+    fit = ppca(data, 2)
     centered = data - data.mean(axis=0)
     eigvals = np.sort(np.linalg.eigvalsh(centered.T @ centered / len(data)))
     assert fit.noise_var == pytest.approx(np.mean(eigvals[:4]), abs=1e-9)
@@ -230,7 +239,7 @@ def test_ppca_noise_var_is_mean_discarded_eigenvalue():
 def test_ppca_two_dim_discards_smaller_eigenvalue():
     rng = np.random.default_rng(8)
     data = rng.normal(size=(500, 2)) @ np.array([[2.0, 0.0], [0.0, 0.7]])
-    fit = ppca_fit(data, 1)
+    fit = ppca(data, 1)
     centered = data - data.mean(axis=0)
     eigvals = np.sort(np.linalg.eigvalsh(centered.T @ centered / len(data)))
     assert fit.noise_var == pytest.approx(eigvals[0], abs=1e-12)
@@ -239,11 +248,10 @@ def test_ppca_two_dim_discards_smaller_eigenvalue():
 def test_ppca_marginal_covariance_keeps_top_eigenvalues():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(400, 7)) @ rng.normal(size=(7, 7))
-    fit = ppca_fit(data, 3)
+    fit = ppca(data, 3)
     centered = data - data.mean(axis=0)
     sample_eigs = np.sort(np.linalg.eigvalsh(centered.T @ centered / len(data)))
-    model_cov = fit.weights @ fit.weights.T + fit.noise_var * np.eye(7)
-    model_eigs = np.sort(np.linalg.eigvalsh(model_cov))
+    model_eigs = np.sort(np.linalg.eigvalsh(dense_covariance(fit)))
     assert np.allclose(model_eigs[-3:], sample_eigs[-3:], atol=1e-8)
 
 
@@ -252,20 +260,27 @@ def test_ppca_fewer_rows_than_dimensions_matches_dense_oracle():
     rng = np.random.default_rng(37)
     data = rng.normal(size=(m, 6)) @ rng.normal(size=(6, n)) \
         + 0.2 * rng.normal(size=(m, n))
-    fit = ppca_fit(data, rank)
+    fit = ppca(data, rank)
     centered = data - data.mean(axis=0)
-    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / m)
+    sample_cov = centered.T @ centered / m
+    eigvals, eigvecs = np.linalg.eigh(sample_cov)
     assert abs(fit.noise_var - np.mean(eigvals[:n - rank])) <= 1e-9 * eigvals[-1]
     top = eigvecs[:, n - rank:]
     expected = (top * (eigvals[n - rank:] - fit.noise_var)) @ top.T \
         + fit.noise_var * np.eye(n)
-    model_cov = fit.weights @ fit.weights.T + fit.noise_var * np.eye(n)
+    model_cov = dense_covariance(fit)
     assert np.linalg.norm(model_cov - expected) <= 1e-9 * np.linalg.norm(expected)
+    # a rank beyond the m rows pads W with zero columns and keeps no noise
+    wide = ppca(data, 20)
+    assert wide.cov_factor.shape == (n, 20)
+    assert not wide.cov_factor[:, m:].any() and wide.noise_var == 0.0
+    assert (np.linalg.norm(dense_covariance(wide) - sample_cov)
+            <= 1e-12 * np.linalg.norm(sample_cov))
 
 
 def test_ppca_rejects_full_rank_request():
     with pytest.raises(ValueError):
-        ppca_fit(np.zeros((10, 3)), 3)
+        ppca(np.zeros((10, 3)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +392,7 @@ def test_condition_block_diagonal_independence():
     conditioned = ConditionalMixture(model, [0, 1])([10.0, -10.0])
     comp = conditioned.components[0]
     assert np.allclose(comp.mean, [3.0, 4.0], atol=1e-9)
-    assert np.allclose(comp.covariance(), cov[2:, 2:], atol=1e-9)
+    assert np.allclose(dense_covariance(comp), cov[2:, 2:], atol=1e-9)
 
 
 def test_condition_bivariate_normal():
@@ -387,7 +402,7 @@ def test_condition_bivariate_normal():
     conditioned = ConditionalMixture(model, [0])([1.0])
     comp = conditioned.components[0]
     assert comp.mean[0] == pytest.approx(rho, abs=1e-9)
-    assert comp.covariance()[0, 0] == pytest.approx(1.0 - rho ** 2, abs=1e-9)
+    assert dense_covariance(comp)[0, 0] == pytest.approx(1.0 - rho ** 2, abs=1e-9)
 
 
 def test_condition_weights_sum_to_one_and_means_match_mc_oracle():
@@ -455,7 +470,7 @@ def test_conditional_mixture_matches_dense_conditioning_bitwise(n_overlap):
             assert (np.linalg.norm(comp.mean - mean)
                     <= 1e-10 * np.linalg.norm(mean))
             dense = factor @ factor.T
-            assert (np.linalg.norm(comp.covariance() - dense)
+            assert (np.linalg.norm(dense_covariance(comp) - dense)
                     <= 1e-10 * np.linalg.norm(dense))
             assert comp.noise_var == model_comp.noise_var
             assert comp.cov_factor.shape == (n - idx.size, 16)
@@ -583,11 +598,9 @@ def test_sample_noise_var_contributes():
 def test_compress_model_keeps_top_eigenvalues():
     rng = np.random.default_rng(14)
     cov = random_psd(rng, 6) + 0.1 * np.eye(6)
-    model = MixtureModel(components=[single_gaussian(np.zeros(6), cov)])
-    compressed = compress_model(model, 2)
-    comp = compressed.components[0]
+    comp = compress_one(cov, 2)
     orig_eigs = np.sort(np.linalg.eigvalsh(cov))
-    new_eigs = np.sort(np.linalg.eigvalsh(comp.covariance()))
+    new_eigs = np.sort(np.linalg.eigvalsh(dense_covariance(comp)))
     assert np.allclose(new_eigs[-2:], orig_eigs[-2:], atol=1e-9)
     assert comp.noise_var == pytest.approx(np.mean(orig_eigs[:-2]), abs=1e-9)
     assert comp.cov_factor.shape == (6, 2)
@@ -628,5 +641,5 @@ def test_effective_covariance_psd():
     for _ in range(10):
         cov = random_psd(rng, 5)
         comp = single_gaussian(np.zeros(5), cov)
-        eigs = np.linalg.eigvalsh(comp.covariance())
+        eigs = np.linalg.eigvalsh(dense_covariance(comp))
         assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)

@@ -12,8 +12,8 @@ from trafgen.multi_model import (SceneParams, assemble_scene_params,
                                  _block, _delta_index, _scene_parts)
 
 from conftest import make_proc_traj, peak_traced_bytes
-from oracles import (assemble_scene_dense, extract_pairs_sorted,
-                     repair_psd_dense, scene_covariance)
+from oracles import (assemble_scene_dense, dense_covariance,
+                     extract_pairs_sorted, repair_psd_dense, scene_covariance)
 
 T_SEG = 3
 D = 3 * T_SEG + 2  # per-aircraft deviation dimension
@@ -124,7 +124,7 @@ def test_cross_correlation_recovered():
     rho = 0.6
     groups = {("P", "P"): correlated_pair_samples(3000, rho, seed=2)}
     models = train_pairwise(groups, 1, rank=6, seed=0)
-    cov = models[("P", "P")].components[0].covariance()
+    cov = dense_covariance(models[("P", "P")].components[0])
     i, j = 0, D + 1  # transit-time coordinates of the two aircraft
     fitted_rho = cov[i, j] / np.sqrt(cov[i, i] * cov[j, j])
     assert abs(fitted_rho - rho) < 0.1
@@ -204,7 +204,7 @@ def k1_models(scale=2.0, seed=0):
 
 def test_k1_assembly_blocks_equal_component_blocks():
     models = k1_models()
-    comp_cov = models[("P", "P")].components[0].covariance()
+    comp_cov = dense_covariance(models[("P", "P")].components[0])
     comp_mean = models[("P", "P")].components[0].mean
     params = assemble_scene_params(models, ["P", "P", "P"], rng=0)
     cov = scene_covariance(params)
@@ -228,7 +228,7 @@ def test_n2_scene_is_just_a_sampled_component():
     comp = models[("P", "P")].components[0]
     params = assemble_scene_params(models, ["P", "P"], rng=1)
     assert np.allclose(params.mean, comp.mean, atol=1e-12)
-    assert np.allclose(scene_covariance(params), comp.covariance(), atol=1e-8)
+    assert np.allclose(scene_covariance(params), dense_covariance(comp), atol=1e-8)
 
 
 def test_unobservable_delta_cross_covariances_are_zero():
@@ -253,7 +253,7 @@ def test_selection_matches_brute_force_on_two_component_models():
     a_blk = slice(0, D)
     b_blk = slice(D + 1, 2 * D + 1)
     j0 = params.provenance["pair_0_1"]
-    covs = [c.covariance() for c in comps]
+    covs = [dense_covariance(c) for c in comps]
     target22 = covs[j0][b_blk, b_blk]
     d2 = [np.linalg.norm(c[a_blk, a_blk] - target22) for c in covs]
     expected_j2 = int(np.argmin(d2))
@@ -318,7 +318,7 @@ def test_selection_matches_brute_force_at_four_aircraft():
         models = random_pair_models(3, seed=20 + seed, n_components=3)
         params = assemble_scene_params(models, sequence, rng=seed)
         prov = params.provenance
-        covs = {key: [c.covariance() for c in model.components]
+        covs = {key: [dense_covariance(c) for c in model.components]
                 for key, model in models.items()}
 
         # replicate the selection with explicit argmin loops; each aircraft's

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from trafgen import preprocess
 from trafgen.errors import SegmentationError
 from trafgen.preprocess import (DeviationVector, assign_procedures,
-                                build_deviation_vector, dtw_distance,
-                                dtw_distances, path_length, pchip_resample,
+                                build_deviation_vector, dtw_distances,
+                                path_length, pchip_resample,
                                 point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
@@ -17,23 +17,30 @@ from conftest import make_proc_traj
 from oracles import dtw_brute_force, dtw_loop
 
 
+def dtw(a, b):
+    """DTW of one pair through the batched kernel; a 1-D sequence is a
+    column of 1-D points."""
+    a, b = (np.reshape(np.asarray(x, dtype=float), (len(x), -1)) for x in (a, b))
+    return dtw_distances(a[None], b[None])[0, 0]
+
+
 def test_dtw_identical_sequences_is_zero():
-    assert dtw_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+    assert dtw([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
 
 def test_dtw_constant_sequences_warp_freely():
-    assert dtw_distance([0.0], [0.0, 0.0, 0.0]) == 0.0
+    assert dtw([0.0], [0.0, 0.0, 0.0]) == 0.0
 
 
 def test_dtw_simple_pair_matches_enumeration():
     a, b = [0.0, 1.0], [0.0, 2.0]
-    assert dtw_distance(a, b) == pytest.approx(1.0)
+    assert dtw(a, b) == pytest.approx(1.0)
     assert dtw_brute_force(a, b) == pytest.approx(1.0)
 
 
 def test_dtw_empty_sequence_rejected():
     with pytest.raises(ValueError):
-        dtw_distance([], [1.0])
+        dtw_distances(np.zeros((1, 0, 1)), np.ones((1, 1, 1)))
 
 
 def test_dtw_matches_brute_force_on_random_pairs():
@@ -42,18 +49,18 @@ def test_dtw_matches_brute_force_on_random_pairs():
         m, n = rng.integers(1, 7, size=2)
         a = rng.normal(size=(m, 2))
         b = rng.normal(size=(n, 2))
-        assert dtw_distance(a, b) == pytest.approx(dtw_brute_force(a, b), abs=1e-12)
+        assert dtw(a, b) == pytest.approx(dtw_brute_force(a, b), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
        st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_dtw_symmetry_and_nonnegativity(a, b):
-    d_ab = dtw_distance(a, b)
-    d_ba = dtw_distance(b, a)
+    d_ab = dtw(a, b)
+    d_ba = dtw(b, a)
     assert d_ab == pytest.approx(d_ba, rel=1e-12, abs=1e-12)
     assert d_ab >= 0.0
-    assert dtw_distance(a, a) == 0.0
+    assert dtw(a, a) == 0.0
 
 
 def random_walks(rng, count, length, dim=2):
@@ -102,13 +109,6 @@ def test_dtw_distances_chunks_flights_under_the_byte_budget(monkeypatch):
     assert np.array_equal(table, loop_table(a, b))
 
 
-def test_dtw_distance_wraps_the_batched_kernel():
-    rng = np.random.default_rng(8)
-    a, b = random_walks(rng, 2, 30)
-    assert dtw_distance(a, b) == dtw_distances(a[None], b[None])[0, 0]
-    assert dtw_distance(a, b) == dtw_loop(a, b)
-
-
 def test_dtw_distances_rejects_bad_shapes():
     with pytest.raises(ValueError):
         dtw_distances(np.zeros((2, 5)), np.zeros((1, 5, 2)))
@@ -135,7 +135,7 @@ def test_assign_exact_match_selects_that_procedure():
     procs = [straight_proc(0.0, "P0"), straight_proc(4000.0, "P1"),
              straight_proc(8000.0, "P2")]
     assert assign_procedures(procs[2].points[None], procs)[0] == 2
-    assert dtw_distance(procs[2].points[:, :2], procs[2].points[:, :2]) == 0.0
+    assert dtw(procs[2].points[:, :2], procs[2].points[:, :2]) == 0.0
 
 
 def test_assign_single_candidate_defaults_to_zero():
@@ -148,7 +148,7 @@ def test_assign_matches_full_distance_table():
     rng = np.random.default_rng(11)
     procs = [straight_proc(0.0), straight_proc(3000.0), straight_proc(6_000.0)]
     traj = straight_proc(2000.0).points + rng.normal(scale=50.0, size=(20, 3))
-    table = [dtw_distance(traj[:, :2], p.points[:, :2]) for p in procs]
+    table = [dtw(traj[:, :2], p.points[:, :2]) for p in procs]
     assert assign_procedures(traj[None], procs)[0] == int(np.argmin(table))
 
 
@@ -324,7 +324,7 @@ def test_deviation_vector_array_round_trip():
     assert again.transit_time == tau.transit_time
     assert again.total_distance == tau.total_distance
     assert np.array_equal(again.deviations, tau.deviations)
-    assert tau.dimension == 3 * 7 + 2
+    assert tau.to_array().size == 3 * 7 + 2
 
 
 def test_path_length_is_polyline_sum():
