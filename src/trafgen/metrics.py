@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError
 from .mixture import em_fit
@@ -119,6 +118,8 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
     unique = np.unique(labels)
     if unique.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
+    # scipy is imported here only: no other stage needs it at start-up
+    from scipy.spatial.distance import cdist
     dist = cdist(data, data)
     m = data.shape[0]
     cluster_sizes = {c: int(np.sum(labels == c)) for c in unique}

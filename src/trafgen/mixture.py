@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._cluster import kmeans
 from ._files import read_json, write_text
@@ -156,6 +155,30 @@ def _log_densities(data: np.ndarray, weights, means, spectra,
     return out
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """log(sum(exp(a))) over ``axis``, bitwise equal to scipy's ``logsumexp``.
+
+    The m tied maxima are taken out of the shifted sum s, giving
+    log1p(s / m) + log(m) + max; where that is not finite (all -inf, an
+    inf or a nan) the direct log of the sum stands instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        top = np.max(a, axis=axis, keepdims=True)
+        tied = a == top
+        # a copy in a's memory order, as scipy's: the sums add in its order
+        rest = np.array(a, copy=True)
+        rest[tied] = -np.inf
+        m = np.sum(tied.astype(float), axis=axis, keepdims=True)
+        s = np.sum(np.exp(rest - top), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # EM fitting
 
@@ -214,7 +237,7 @@ def em_fit(data: np.ndarray, n_components: int, *,
     for it in range(EM_MAX_ITER):
         log_dens = _log_densities(data, weights, means, spectra,
                                   [reg] * n_components)
-        log_norm = logsumexp(log_dens, axis=1)
+        log_norm = _logsumexp(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])
         history.append(ll)
@@ -424,7 +447,7 @@ class ConditionalMixture:
         means_a, spectra, noise_a = zip(*self._observed)
         log_w = _log_densities(vals[None, :], self._prior_weights, means_a,
                                spectra, noise_a)[0]
-        norm = logsumexp(log_w)
+        norm = _logsumexp(log_w)
         if np.isneginf(norm):
             # every component assigns zero density to the observation
             # (degenerate covariances): no evidence to reweight on, keep the

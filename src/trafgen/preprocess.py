@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import SegmentationError
 
@@ -187,13 +186,41 @@ def segment_trajectory(points: np.ndarray, iap: "ProceduralTrajectory",
     return int(np.argmax(suffix_ok))
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end derivative, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Knot derivatives from interval widths h (n-1, 1) and secants m (n-1, c).
+
+    Interior knots take the weighted harmonic mean of the adjacent secants
+    (Fritsch & Carlson), or 0 where they differ in sign or one is 0.
+    """
+    if m.shape[0] == 1:
+        return np.concatenate([m, m])
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    return np.concatenate([_pchip_end_slope(h[0], h[1], m[0], m[1])[None],
+                           inner,
+                           _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]])
+
+
 def pchip_resample(times: np.ndarray, values: np.ndarray, count: int,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Resample a timed sequence to ``count`` equally spaced times.
 
     Each coordinate is interpolated independently as a monotone piecewise
     cubic Hermite function of time, so resampled coordinates never overshoot
-    the data on monotone intervals.
+    the data on monotone intervals. The operations and their order are
+    those of scipy's ``PchipInterpolator``, so the result is bitwise equal.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -201,11 +228,31 @@ def pchip_resample(times: np.ndarray, values: np.ndarray, count: int,
         raise ValueError("count must be >= 2")
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least 2 samples")
-    if np.any(np.diff(times) <= 0):
+    h = np.diff(times)[:, None]
+    if np.any(h <= 0):
         raise ValueError("times must be strictly increasing")
-    interp = PchipInterpolator(times, values, axis=0, extrapolate=False)
+    # scipy's checks and messages, which ingest reports per excluded flight
+    if values.shape[:1] != times.shape:
+        raise ValueError("The length of `y` along `axis`=0 doesn't match "
+                         "the length of `x`")
+    if not np.isfinite(times).all():
+        raise ValueError("`x` must contain only finite values.")
+    if not np.isfinite(values).all():
+        raise ValueError("`y` must contain only finite values.")
+    y = values.reshape(times.size, -1)
+    slope = np.diff(y, axis=0) / h
+    d = _pchip_slopes(h, slope)
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    cubic, square = t / h, (slope - d[:-1]) / h - t
     new_times = np.linspace(times[0], times[-1], count)
-    return new_times, interp(new_times)
+    i = np.clip(np.searchsorted(times, new_times, "right") - 1, 0, times.size - 2)
+    s = (new_times - times[i])[:, None]
+    # PPoly's evaluation order, from a zero accumulator (so -0.0 reads 0.0)
+    res = 0.0 + y[i]
+    res += d[i] * s
+    res += square[i] * (s * s)
+    res += cubic[i] * ((s * s) * s)
+    return new_times, res.reshape((count,) + values.shape[1:])
 
 
 def build_deviation_vector(times: np.ndarray, points: np.ndarray,

@@ -28,6 +28,13 @@ def make_proc_traj(points, name="PROC"):
                                 total_distance=length)
 
 
+def assert_bitwise(got, want):
+    """Same type, same values (nan equal to nan) and same sign bits."""
+    assert type(got) is type(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def peak_traced_bytes(fn):
     """Peak bytes that Python allocation rises above its start level while
     ``fn()`` runs, and ``fn()``'s result."""

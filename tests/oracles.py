@@ -16,6 +16,8 @@ rounding, and scene assembly into one dense covariance with its low-rank
 repair, which the factored scene must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
+scipy's ``PchipInterpolator`` and ``logsumexp`` are the references that
+the library's numpy PCHIP and ``_logsumexp`` must match bit for bit.
 The dense helpers these references share live here, not in the library:
 ``dense_covariance`` (a component's F F^T + noise_var I as one matrix),
 ``psd_jitter_cholesky`` (Cholesky with escalating diagonal jitter),
@@ -26,6 +28,7 @@ The dense helpers these references share live here, not in the library:
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
@@ -130,6 +133,13 @@ def dtw_loop(a, b):
         for j in range(1, n):
             row[j] = cost[i, j] + min(prev[j], prev[j - 1], row[j - 1])
     return float(acc[m - 1, n - 1])
+
+
+def pchip_resample_scipy(times, values, count):
+    """``pchip_resample`` through scipy's ``PchipInterpolator``."""
+    interp = PchipInterpolator(times, values, axis=0, extrapolate=False)
+    new_times = np.linspace(times[0], times[-1], count)
+    return new_times, interp(new_times)
 
 
 def silhouette_brute_force(data, labels):

@@ -687,6 +687,53 @@ def test_unusable_procedures_are_data_errors_naming_the_file(
     assert sorted(p.name for p in out.iterdir()) == [model.name]
 
 
+def scipy_modules_after(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; it prints JSON, which is returned."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+LOADED_SCIPY = ("sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_cli_import_loads_no_scipy():
+    code = f"import json, sys, trafgen.cli; print(json.dumps({LOADED_SCIPY}))"
+    assert scipy_modules_after(code) == []
+
+
+def test_only_select_loads_scipy(tmp_path):
+    config_path = corpus.write_corpus(tmp_path, n_flights=60, seed=0,
+                                      explicit_choice=True)
+    out = tmp_path / "out"
+    stages = [["ingest"], ["review-paths", "--k", "2", "--samples", "20"],
+              ["train"], ["train-pairwise"], ["generate", "--count", "5"],
+              ["generate-scenes", "--count", "2", "--aircraft", "2"]]
+    for name in ("trajectories.csv", "scenes.csv"):
+        synthetic = str(out / name)
+        stages.append(["evaluate", "--actual", synthetic,
+                       "--synthetic", synthetic])
+    stages.append(["select"])
+    code = (
+        "import json, sys\n"
+        "from trafgen.cli import run\n"
+        "loaded = []\n"
+        f"for args in {stages!r}:\n"
+        f"    code = run(['--config', {str(config_path)!r}, *args])\n"
+        f"    loaded.append([args[0], code, {LOADED_SCIPY}])\n"
+        "print(json.dumps(loaded))\n")
+    *others, (_, code, select) = scipy_modules_after(code)
+    assert [entry[1:] for entry in others] == [[EXIT_OK, []]] * len(others)
+    assert code == EXIT_OK
+    spatial = scipy_modules_after(
+        f"import json, sys, scipy.spatial; print(json.dumps({LOADED_SCIPY}))")
+    assert "scipy.spatial.distance" in select
+    assert set(select) <= set(spatial)
+
+
 def test_module_entry_point_exit_codes(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
     src = Path(__file__).resolve().parents[1] / "src"

@@ -1,5 +1,7 @@
 """DTW, segmentation, PCHIP resampling, and deviation-vector round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from trafgen.preprocess import (DeviationVector, assign_procedures,
                                 point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
-from conftest import make_proc_traj
-from oracles import dtw_brute_force, dtw_loop
+from conftest import assert_bitwise, make_proc_traj
+from oracles import dtw_brute_force, dtw_loop, pchip_resample_scipy
 
 
 def dtw(a, b):
@@ -247,6 +249,76 @@ def test_pchip_stays_inside_knot_range_on_monotone_data():
         _, resampled = pchip_resample(times, x[:, None], 64)
         assert resampled.min() >= x.min() - 1e-9
         assert resampled.max() <= x.max() + 1e-9
+
+
+def assert_same_resampling(times, values, count):
+    got_times, got = pchip_resample(times, values, count)
+    want_times, want = pchip_resample_scipy(times, values, count)
+    assert np.array_equal(got_times, want_times)
+    assert_bitwise(got, want)
+
+
+def test_pchip_matches_scipy_bitwise_on_random_tracks():
+    rng = np.random.default_rng(11)
+    for case in range(1200):
+        n = int(rng.integers(2, 61))
+        cols = (1, 3)[case % 2]
+        times = np.cumsum(rng.exponential(1.0, n) + 1e-3) * 10.0 ** rng.uniform(-1, 3)
+        values = rng.normal(size=(n, cols)) * 10.0 ** rng.uniform(-2, 5)
+        kind = case // 2 % 4
+        if kind == 1:  # monotone
+            values = np.cumsum(np.abs(values), axis=0)
+        elif kind == 2:  # flat runs
+            values = np.round(values / np.abs(values).max() * 2.0)
+        elif kind == 3:  # zero crossings and exact zeros
+            values[rng.random(n) < 0.3] = 0.0
+        assert_same_resampling(times, values, int(rng.integers(2, 401)))
+
+
+@pytest.mark.parametrize("times,values", [
+    ([0.0, 2.5], [[1.0, -3.0, 0.0], [2.0, 4.0, 0.0]]),    # 2 knots: secant
+    ([0.0, 1.0, 4.0], [[0.0], [2.0], [1.0]]),              # 3 knots
+    ([0.0, 1.0, 2.0, 3.0], [[5.0, 5.0, -0.0]] * 4),        # all flat
+    # end derivative's sign differs from the first secant's: set to 0
+    ([0.0, 1.0, 1.5, 4.0], [[0.0], [1.0], [5.0], [6.0]]),
+    # |d| > 3 |m0| with m0 and m1 of opposite sign: set to 3 m0
+    ([0.0, 3.0, 3.5, 5.0], [[0.0], [1.0], [0.0], [0.5]]),
+])
+def test_pchip_matches_scipy_on_named_cases(times, values):
+    times = np.array(times)
+    values = np.array(values, dtype=float).reshape(len(times), -1)
+    for count in (2, 7, 50):
+        assert_same_resampling(times, values, count)
+
+
+def test_pchip_end_derivative_branches():
+    # the named cases above reach both branches of the end-point rule
+    h, m = np.array([1.0, 0.5, 2.5]), np.array([1.0, 8.0, 0.4])
+    d = preprocess._pchip_end_slope(h[0], h[1], m[0], m[1])
+    assert d == 0.0 and ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) < 0
+    h, m = np.array([3.0, 0.5]), np.array([1.0 / 3.0, -2.0])
+    assert preprocess._pchip_end_slope(h[0], h[1], m[0], m[1]) == 3.0 * m[0]
+
+
+def test_pchip_keeps_one_dimensional_values():
+    times = np.array([0.0, 1.0, 3.0])
+    _, flat = pchip_resample(times, np.array([0.0, 1.0, 0.5]), 6)
+    _, column = pchip_resample(times, np.array([[0.0], [1.0], [0.5]]), 6)
+    assert flat.shape == (6,) and np.array_equal(flat, column[:, 0])
+
+
+@pytest.mark.parametrize("times,values", [
+    ([0.0, 1.0, 2.0], [[0.0], [np.nan], [1.0]]),
+    ([0.0, 1.0, np.inf], [[0.0], [1.0], [2.0]]),
+    ([0.0, 1.0, 2.0], [[0.0], [1.0]]),
+])
+def test_pchip_rejects_bad_input_with_scipys_message(times, values):
+    # ingest reports the message for each flight it excludes
+    times, values = np.array(times), np.array(values)
+    with pytest.raises(ValueError) as want:
+        pchip_resample_scipy(times, values, 5)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        pchip_resample(times, values, 5)
 
 
 def test_pchip_rejects_duplicate_times():
