@@ -190,11 +190,18 @@ def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]
     """A trajectory or scene CSV as a list of scenes of (times, points).
 
     Trajectory files yield one single-aircraft scene per trajectory; scene
-    files group aircraft by scene id.
+    files group aircraft by scene id. Every aircraft's times must strictly
+    increase.
     """
     scenes: dict[str, dict[tuple, list]] = {}
     for key, sample in read_csv(path, "trajectory file", _TRAJECTORY_LAYOUTS,
                                 lambda f: (f[:-4], tuple(map(float, f[-4:])))):
         scenes.setdefault(key[0], {}).setdefault(key, []).append(sample)
-    return [[(arr[:, 0], arr[:, 1:4]) for arr in map(np.asarray, aircraft.values())]
+    for aircraft in scenes.values():
+        for key, samples in aircraft.items():
+            arr = aircraft[key] = np.asarray(samples)
+            if np.any(np.diff(arr[:, 0]) <= 0):
+                raise DataError(f"{path}: times of aircraft {'/'.join(key)} "
+                                "do not strictly increase")
+    return [[(arr[:, 0], arr[:, 1:4]) for arr in aircraft.values()]
             for aircraft in scenes.values()]

@@ -20,7 +20,7 @@ from . import metrics, multi_model, preprocess, procedures, single_model
 from ._files import (read_deviation_dataset, read_json, read_keyvalue,
                      read_trajectory_file, write_deviation_dataset, write_json,
                      write_trajectory_csv)
-from .errors import DataError, NumericalError, TrafgenError
+from .errors import DataError, NumericalError
 from .ingest import AirspaceConfig, FlightClass, classify_flight, flight_to_enu, \
     parse_tracks
 from .mixture import (load_model, model_from_dict, model_to_dict, save_model,
@@ -95,9 +95,9 @@ class RunConfig:
         cfg = cls(airspace=airspace, **kwargs)
         for name in ("tracks", "procedures", "out_dir"):
             setattr(cfg, name, path.parent / getattr(cfg, name))
-        if min(cfg.segment_length_rv, cfg.segment_length_fa, cfg.n_overlap) < 1:
-            raise DataError(f"{path}: segment lengths and n_overlap must be positive")
-        _model_config(cfg)  # n_overlap against the segment lengths
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {cfg.seed}")
+        _model_config(cfg)  # the segment lengths and n_overlap
         return cfg
 
 
@@ -170,7 +170,7 @@ def _classify_arrivals(flights: list, airspace: AirspaceConfig,
         track = flight_to_enu(flight, airspace)
         try:
             kind = classify_flight(flight, airspace, track)
-        except TrafgenError as exc:
+        except DataError as exc:
             exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
         if kind is not FlightClass.ARRIVAL:
@@ -224,7 +224,7 @@ def cmd_ingest(config: RunConfig) -> int:
                     fa_points = np.concatenate([rv[1][-n_lead - 1:-1], fa_points])
                 fa = preprocess.build_deviation_vector(
                     fa_times, fa_points, iap_traj).to_array()
-        except (TrafgenError, ValueError) as exc:
+        except (DataError, ValueError) as exc:
             exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
         retained += 1
@@ -499,8 +499,6 @@ def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None,
     _log_parse_errors(parse_errors)
     tracks = [track for _, track in
               _classify_arrivals(flights, config.airspace)[0]]
-    if len(tracks) < k:
-        raise DataError(f"only {len(tracks)} arrivals for k={k} nominal paths")
     rng = substream(config.seed, "review-paths")
     paths = procedures.extract_nominal_paths(
         tracks, k, config.airspace, samples=samples, rng=rng)
@@ -544,7 +542,8 @@ def _index_list(raw: str) -> list[int]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trafgen", description=__doc__)
     parser.add_argument("--config", required=True, help="run config file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=_int_at_least(0),
+                        help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest")
@@ -602,7 +601,7 @@ def run(argv: list[str] | None = None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

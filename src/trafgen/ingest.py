@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import read_csv
-from .errors import ClassificationError
+from .errors import DataError
 from .units import FT_TO_M, NM_TO_M
 
 # WGS84 ellipsoid
@@ -204,10 +204,11 @@ def classify_flight(flight: Flight, config: AirspaceConfig,
     landing ceiling within the landing radius; a departure is the mirror
     image; anything else is an overflight. ``track`` is the flight's
     :func:`flight_to_enu` result, so only the in-airspace portion is used.
+    Raises DataError when fewer than 2 points lie inside the airspace.
     """
     times, xyz = track
     if len(times) < 2:
-        raise ClassificationError(
+        raise DataError(
             f"flight {flight.id!r}: fewer than 2 points inside the airspace"
         )
     ranges = np.hypot(xyz[:, 0], xyz[:, 1])

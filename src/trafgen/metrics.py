@@ -109,7 +109,7 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
 
     a(i) is the mean Euclidean distance to the other points of i's cluster,
     b(i) the mean distance to the nearest other cluster. Singleton-cluster
-    points score 0.
+    points score 0. Raises DataError for fewer than 2 clusters.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(labels)
@@ -117,7 +117,7 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
         data = data[:, None]
     unique = np.unique(labels)
     if unique.size < 2:
-        raise ValueError("silhouette needs at least 2 clusters")
+        raise DataError("silhouette needs at least 2 clusters")
     # scipy is imported here only: no other stage needs it at start-up
     from scipy.spatial.distance import cdist
     dist = cdist(data, data)
@@ -150,12 +150,13 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
     """Fit a mixture per grid value and score its hard labels.
 
     Returns the argmax K (ties toward the smaller K) with the full curve.
+    Raises DataError for an empty grid or a grid K below 2.
     """
     grid = list(component_grid)
     if not grid:
-        raise ValueError("component grid is empty")
+        raise DataError("component grid is empty")
     if any(k < 2 for k in grid):
-        raise ValueError("silhouette sweep needs K >= 2")
+        raise DataError("silhouette sweep needs K >= 2")
     curve = []
     for k in grid:
         fit = em_fit(data, k, seed=seed)

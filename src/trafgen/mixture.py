@@ -209,17 +209,19 @@ def em_fit(data: np.ndarray, n_components: int, *,
     a component's data span scores ||residual||^2 / reg against it, so the
     first E-step's responsibilities are already hard: EM returns the k-means
     labels, with their clusters' weights and means.
+
+    Raises DataError if n_components < 1 or > m, or if data is not finite.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     m, n = data.shape
     if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+        raise DataError("n_components must be >= 1")
     if m < n_components:
-        raise ValueError(f"need at least {n_components} rows, got {m}")
+        raise DataError(f"need at least {n_components} rows, got {m}")
     if not np.all(np.isfinite(data)):
-        raise ValueError("data contains non-finite values")
+        raise DataError("data contains non-finite values")
     rng = np.random.default_rng(seed)
     reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
 
@@ -317,15 +319,16 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
     at 1e-10 times trace / n of the sample covariance, so that data of rank
     below the grid rank (sigma^2 ~ 0) still gives a finite score. Ties break
     toward the smaller rank. The full (rank, log-likelihood) curve is
-    returned for reporting.
+    returned for reporting. Raises DataError when the grid is empty, when a
+    grid rank is outside [1, n), or when the rows are too few to split.
     """
     data = np.asarray(data, dtype=float)
     m, n = data.shape
     grid = list(rank_grid)
     if not grid:
-        raise ValueError("rank grid is empty")
+        raise DataError("rank grid is empty")
     if any(not 1 <= k < n for k in grid):
-        raise ValueError(f"grid ranks must be in [1, {n - 1}]")
+        raise DataError(f"grid ranks must be in [1, {n - 1}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     n_holdout = int(round(m * HOLDOUT_FRACTION))
@@ -357,13 +360,13 @@ def compress_model(model: MixtureModel, rank: int) -> MixtureModel:
     The spectrum of F F^T + noise_var I comes from :func:`_spectrum` of the
     factor F, a thin SVD when F is narrower than n, so that no n x n matrix
     is formed. A rank wider than F pads the compressed factor with zero
-    columns.
+    columns. Raises DataError unless 1 <= rank < n.
     """
     compressed = []
     for comp in model.components:
         n = comp.dimension
         if not 1 <= rank < n:
-            raise ValueError(f"rank must satisfy 1 <= rank < {n}, got {rank}")
+            raise DataError(f"rank must satisfy 1 <= rank < {n}, got {rank}")
         vecs, sq = _spectrum(comp.cov_factor.T)
         w, noise_var = _ppca(vecs, sq + comp.noise_var, comp.noise_var, rank)
         compressed.append(GaussianComponent(
@@ -518,6 +521,9 @@ def model_from_dict(doc: dict) -> MixtureModel:
         weight=float(c["weight"]), mean=np.asarray(c["mean"], dtype=float),
         cov_factor=np.asarray(c["cov_factor"], dtype=float),
         noise_var=float(c["noise_var"])) for c in doc["components"]]
+    for i, c in enumerate(components):
+        if not all(np.isfinite(v).all() for v in (c.mean, c.cov_factor, c.noise_var)):
+            raise ValueError(f"component {i} holds a non-finite value")
     return MixtureModel(components=components,
                         segment_kind=str(doc.get("segment_kind", "generic")))
 

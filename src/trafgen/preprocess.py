@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import SegmentationError
+from .errors import DataError
 
 if TYPE_CHECKING:
     from .procedures import ProceduralTrajectory
@@ -172,14 +172,14 @@ def segment_trajectory(points: np.ndarray, iap: "ProceduralTrajectory",
 
     The boundary is the first index from which the horizontal distance to the
     IAP polyline stays below ``threshold`` (meters) for the rest of the
-    flight. Raises SegmentationError when the flight never joins the IAP.
+    flight. Raises DataError when the flight never joins the IAP.
     """
     dist = point_to_polyline_distance(np.asarray(points, dtype=float), iap.points)
     below = dist < threshold
     # first index where every later sample is also below the threshold
     suffix_ok = np.logical_and.accumulate(below[::-1])[::-1]
     if not suffix_ok[-1]:
-        raise SegmentationError(
+        raise DataError(
             f"trajectory never joins the final approach (last distance "
             f"{dist[-1]:.0f} m >= {threshold:.0f} m)"
         )

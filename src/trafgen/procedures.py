@@ -117,12 +117,13 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
     them. They are resampled to a common length and clustered with k-means
     (k-means++ seeding, best of ``KMEANS_RESTARTS``) on flattened horizontal
     positions. Cluster means become waypoint lists; frequency is the cluster
-    membership fraction. The caller curates which paths to keep.
+    membership fraction. The caller curates which paths to keep. Raises
+    DataError when there are fewer than ``k`` tracks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(tracks) < k:
-        raise ValueError(f"need at least k={k} tracks, got {len(tracks)}")
+        raise DataError(f"only {len(tracks)} arrivals for k={k} nominal paths")
     rng = np.random.default_rng(rng)
 
     rows = []

@@ -101,8 +101,6 @@ class ProcedureSet:
     iap: ProceduralTrajectory
 
     def __post_init__(self) -> None:
-        if not self.radar_vectors:
-            raise ValueError("need at least one radar-vector procedure")
         if len(self.frequencies) != len(self.radar_vectors):
             raise ValueError("one frequency per radar-vector procedure")
         total = float(sum(self.frequencies))
@@ -160,10 +158,6 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
                               p=procedures.frequencies))
     rv_proc = procedures.radar_vectors[proc_idx]
     iap = procedures.iap
-    if rv_proc.points.shape[0] != t_v:
-        raise ValueError("radar-vector procedural trajectory length != T_v")
-    if iap.points.shape[0] != t_f:
-        raise ValueError("IAP procedural trajectory length != T_f")
     conditional_fa = model.final_approach_conditional
 
     last_error: Exception | None = None

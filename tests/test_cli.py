@@ -264,6 +264,22 @@ def test_evaluate_non_finite_speed_is_data_error(tmp_path, pipeline):
     assert not (tmp_path / "metrics_report.json").exists()
 
 
+def test_evaluate_rejects_times_that_do_not_increase(tmp_path, capsys,
+                                                    pipeline):
+    base, config_path = pipeline
+    bad = tmp_path / "bad.csv"
+    bad.write_text("traj_id,t,x,y,z\n7,2.0,0.0,0.0,300.0\n"
+                   "7,1.0,500.0,0.0,300.0\n7,3.0,900.0,0.0,300.0\n",
+                   encoding="utf-8")
+    code = run(["--config", str(config_path), "--out", str(tmp_path),
+                "evaluate", "--actual", str(base / "out" / "trajectories.csv"),
+                "--synthetic", str(bad)])
+    assert code == EXIT_DATA
+    assert (f"data error: {bad}: times of aircraft 7 do not strictly increase"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "metrics_report.json").exists()
+
+
 def test_evaluate_self_comparison_is_zero(pipeline):
     base, config_path = pipeline
     traj_file = base / "out" / "trajectories.csv"
@@ -575,6 +591,34 @@ def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
     assert str(out / target) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, edit, command, output", [
+    ("model_fa.json",
+     lambda doc: doc["components"][0]["cov_factor"][0].__setitem__(0, np.nan),
+     ["generate", "--count", "3"], "trajectories.csv"),
+    ("model_rv.json",
+     lambda doc: doc["components"][-1].__setitem__("noise_var", np.inf),
+     ["generate", "--count", "3"], "trajectories.csv"),
+    ("model_pairwise.json",
+     lambda doc: next(iter(doc["models"].values()))["components"][0]["mean"]
+     .__setitem__(0, np.nan),
+     ["generate-scenes", "--count", "3"], "scenes.csv"),
+], ids=["fa_factor_nan", "rv_noise_inf", "pairwise_mean_nan"])
+def test_non_finite_model_values_are_data_errors(tmp_path, capsys, pipeline,
+                                                 target, edit, command, output):
+    base, _ = pipeline
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("model_rv.json", "model_fa.json", "model_pairwise.json"):
+        (out / name).write_bytes((base / "out" / name).read_bytes())
+    edit_json(out / target, edit)
+    assert run(["--config", str(config_path), *command]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {out / target}: malformed " in err
+    assert "holds a non-finite value" in err
+    assert not (out / output).exists()
+
+
 def test_dataset_rows_must_match_their_meta(tmp_path, capsys):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     out = tmp_path / "out"
@@ -590,15 +634,97 @@ def test_dataset_rows_must_match_their_meta(tmp_path, capsys):
     assert "row 3 lacks procedure" in capsys.readouterr().err
 
 
-def test_internal_key_error_is_not_reported_as_data_error(tmp_path,
-                                                          monkeypatch):
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """The deviation datasets of a 40-flight corpus, for input-fault cases."""
+    base = tmp_path_factory.mktemp("ingested")
+    config_path = corpus.write_corpus(base, n_flights=40, seed=0)
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+    return base / "out"
+
+
+def set_config_keys(config_path, **values):
+    """Give each key its value, replacing the line that sets it, if any."""
+    lines = [line for line in config_path.read_text(encoding="utf-8").splitlines()
+             if line.partition("=")[0].strip() not in values]
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def nan_in_rv_dataset(out):
+    path = out / "rv_dataset.csv"
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    data[len(data) // 2, 5] = np.nan
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+
+
+def identical_rv_rows(out):
+    path = out / "rv_dataset.csv"
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    np.savetxt(path, np.repeat(data[:1], len(data), axis=0), delimiter=",",
+               fmt="%.17g")
+
+
+RV_DIM = 3 * corpus.T_V + 2
+CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
+
+
+@pytest.mark.parametrize("command, keys, damage, message", [
+    ("select", {"k_grid": "1,2"}, None, "silhouette sweep needs K >= 2"),
+    ("select", {"k_grid": ""}, None, "component grid is empty"),
+    ("select", {"k_grid": "2,100"}, None, "need at least 100 rows, got "),
+    ("select", {"rank_grid": "1,500"}, None,
+     f"grid ranks must be in [1, {RV_DIM - 1}]"),
+    ("select", {"rank_grid": ""}, None, "rank grid is empty"),
+    ("select", {}, nan_in_rv_dataset, "data contains non-finite values"),
+    ("select", {}, identical_rv_rows, "silhouette needs at least 2 clusters"),
+    ("train", {**CHOSEN, "k_rv": 0}, None, "n_components must be >= 1"),
+    ("train", {**CHOSEN, "k_rv": 100}, None, "need at least 100 rows, got "),
+    ("train", {**CHOSEN, "rank_rv": 0}, None,
+     f"rank must satisfy 1 <= rank < {RV_DIM}, got 0"),
+    ("train", {**CHOSEN, "rank_rv": 9999}, None,
+     f"rank must satisfy 1 <= rank < {RV_DIM}, got 9999"),
+    ("train", CHOSEN, nan_in_rv_dataset, "data contains non-finite values"),
+    ("train-pairwise", {"k_pairwise": 0}, None, "n_components must be >= 1"),
+    ("train-pairwise", {"rank_pairwise": 0}, None,
+     f"rank must satisfy 1 <= rank < {2 * RV_DIM + 1}, got 0"),
+    ("train-pairwise", {"rank_pairwise": 99999}, None,
+     f"rank must satisfy 1 <= rank < {2 * RV_DIM + 1}, got 99999"),
+    ("train-pairwise", {}, nan_in_rv_dataset, "data contains non-finite values"),
+    ("select", {"seed": -3}, None,
+     "{cfg}: malformed config file: seed must be at least 0, got -3"),
+], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
+        "select_rank_empty", "select_nan", "select_identical_rows",
+        "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
+        "train_nan", "pairwise_k_0", "pairwise_rank_0", "pairwise_rank_99999",
+        "pairwise_nan", "negative_config_seed"])
+def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
+                                      keys, damage, message):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    set_config_keys(config_path, **keys)
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in ingested.glob("*_dataset.*"):
+        (out / path.name).write_bytes(path.read_bytes())
+    if damage is not None:
+        damage(out)
+    before = sorted(p.name for p in out.iterdir())
+    assert run(["--config", str(config_path), command]) == EXIT_DATA
+    assert (f"data error: {message.format(cfg=config_path)}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_error_is_not_reported_as_data_error(tmp_path, monkeypatch,
+                                                      error):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
 
     def broken(config):
-        raise KeyError("internal")
+        raise error("internal")
 
     monkeypatch.setattr(cli, "cmd_select", broken)
-    with pytest.raises(KeyError, match="internal"):
+    with pytest.raises(error, match="internal"):
         run(["--config", str(config_path), "select"])
 
 
@@ -617,9 +743,10 @@ def test_usage_error_exit_code():
     ["review-paths", "--k", "2", "--keep", "0,,1"],
     ["review-paths", "--k", "2", "--keep", "-1"],
     ["review-paths", "--k", "2", "--keep", "0,0"],
+    ["--seed", "-1", "ingest"],
 ], ids=["negative_count", "negative_scene_count", "one_aircraft", "zero_k",
         "one_sample", "keep_not_integer", "keep_empty_item", "keep_negative",
-        "keep_repeated"])
+        "keep_repeated", "negative_seed"])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, args):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     assert run(["--config", str(config_path), *args]) == EXIT_USAGE
@@ -892,7 +1019,8 @@ def test_run_config_defaults_and_nonpositive_lengths(tmp_path, capsys):
     path.write_text("origin_lat = 1\norigin_lon = 2\nn_overlap = 0\n",
                     encoding="utf-8")
     assert run(["--config", str(path), "ingest"]) == EXIT_DATA
-    assert "n_overlap must be positive" in capsys.readouterr().err
+    assert f"{path}: malformed config file: n_overlap must be in [1, T_f)" in \
+        capsys.readouterr().err
     # ingest opens final-approach rows with n_overlap - 1 radar-vector samples
     path.write_text("origin_lat = 1\norigin_lon = 2\nt_f = 10\nn_overlap = 10\n",
                     encoding="utf-8")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafgen.cli import RunConfig
-from trafgen.errors import ClassificationError, DataError
+from trafgen.errors import DataError
 from trafgen.ingest import (AirspaceConfig, FlightClass, classify_flight,
                             enu_to_wgs84, flight_to_enu, parse_tracks,
                             wgs84_to_enu)
@@ -312,7 +312,7 @@ def test_too_few_points_inside_airspace(airspace):
     # both points far outside the 25 NM radius
     flight = make_flight("far", [0.0, 10.0], [45.0, 45.01], [-70.0, -70.01],
                          [30000.0, 30000.0])
-    with pytest.raises(ClassificationError):
+    with pytest.raises(DataError, match="fewer than 2 points"):
         classify(flight, airspace)
 
 

@@ -64,7 +64,7 @@ def test_silhouette_singleton_scores_zero():
 
 
 def test_silhouette_single_cluster_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         silhouette_score(np.zeros((5, 2)), np.zeros(5, dtype=int))
 
 
@@ -86,7 +86,7 @@ def test_silhouette_sweep_singleton_grid():
 
 
 def test_silhouette_sweep_rejects_k_below_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         silhouette_sweep(np.zeros((10, 2)), [1, 2])
 
 

@@ -128,10 +128,10 @@ def test_em_log_likelihood_monotone():
 
 def test_em_rejects_bad_input():
     data = np.zeros((3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         em_fit(data, 4)
     data = np.full((10, 2), np.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         em_fit(data, 1)
 
 
@@ -316,7 +316,7 @@ def test_ppca_fewer_rows_than_dimensions_matches_dense_oracle():
 
 
 def test_ppca_rejects_full_rank_request():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         ppca(np.zeros((10, 3)), 3)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafgen import preprocess
-from trafgen.errors import SegmentationError
+from trafgen.errors import DataError
 from trafgen.preprocess import (DeviationVector, assign_procedures,
                                 build_deviation_vector, dtw_distances,
                                 path_length, pchip_resample,
@@ -210,7 +210,7 @@ def test_segment_dogleg_boundary_matches_brute_force_scan():
 def test_segment_error_when_never_joining():
     iap = straight_proc(0.0, "IAP")
     far = straight_proc(50000.0).points
-    with pytest.raises(SegmentationError):
+    with pytest.raises(DataError, match="never joins"):
         segment_trajectory(far, iap, threshold=1852.0)
 
 

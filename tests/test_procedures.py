@@ -78,7 +78,7 @@ def test_identical_flights_collapse_to_common_path(airspace):
 
 def test_more_clusters_than_flights_rejected(airspace):
     tracks = [bundle_track(airspace, 0.0, 400.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="only 1 arrivals for k=2"):
         extract_nominal_paths(tracks, 2, airspace)
 
 
