@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import os
+import warnings
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,8 +49,9 @@ def atomic_path(path: str | Path):
 
 
 def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, its line ends untranslated."""
     with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
 
 
 def write_json(path: str | Path, doc: dict) -> None:
@@ -66,16 +68,28 @@ def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,
         "T": segment_length, "rows": rows})
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it: quoted when it holds a comma,
+    a quote or a line break, with quotes doubled."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
-    """Write (keys, times, points) rows as one CSV line per sample."""
-    with atomic_path(path) as tmp, \
-            tmp.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*key_columns, "t", "x", "y", "z"])
-        for keys, times, points in rows:
-            for t, (x, y, z) in zip(times, points):
-                writer.writerow([*keys, repr(float(t)), repr(float(x)),
-                                 repr(float(y)), repr(float(z))])
+    """Write (keys, times, points) rows as one CSV line per sample.
+
+    The bytes are those of ``csv.writer``: CRLF line ends, floats as
+    ``repr``, and keys quoted where it would quote them.
+    """
+    lines = [",".join([*key_columns, "t", "x", "y", "z"]) + "\r\n"]
+    for keys, times, points in rows:
+        prefix = "".join(_csv_field(key) + "," for key in keys)
+        lines += [f"{prefix}{t!r},{x!r},{y!r},{z!r}\r\n" for t, (x, y, z)
+                  in zip(np.asarray(times, dtype=float).tolist(),
+                         np.asarray(points, dtype=float).tolist())]
+    write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +188,14 @@ def _dataset_meta(doc: dict) -> tuple[dict, int]:
 
 def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
     """A deviation dataset's (m, 3T+2) matrix and its checked meta."""
-    with _reading(path, "deviation dataset"):
+    with _reading(path, "deviation dataset"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data: raised below
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not len(data):
+        raise DataError(f"{path}: dataset has no rows")
     meta, width = read_json(path.with_suffix(".meta.json"), "dataset meta",
                             _dataset_meta, tag=DEVIATION_FORMAT)
-    if data.size and data.shape[1] != width:
+    if data.shape[1] != width:
         raise DataError(f"{path}: expected {width} columns, found {data.shape[1]}")
     if len(data) != len(meta["rows"]):
         raise DataError(f"{path}: {len(data)} rows, but its meta lists "

@@ -181,11 +181,40 @@ def _classify_arrivals(flights: list, airspace: AirspaceConfig,
     return arrivals, exclusions
 
 
+def _resample_parts(parts: dict, count: int, failed: dict) -> dict:
+    """``pchip_resample`` of every arrival's part, one call per knot count.
+
+    ``parts`` maps an arrival's index to its (times, positions). When the
+    kernel rejects a batch, its parts are resampled one by one, and each
+    rejected arrival gets the kernel's message in ``failed`` unless it
+    already has a reason there.
+    """
+    by_knots: dict[int, list[int]] = {}
+    for a, (times, _) in parts.items():
+        by_knots.setdefault(len(times), []).append(a)
+    done = {}
+    for group in by_knots.values():
+        try:
+            times, values = preprocess.pchip_resample(
+                np.stack([parts[a][0] for a in group]),
+                np.stack([parts[a][1] for a in group]), count)
+        except ValueError:
+            for a in group:
+                try:
+                    done[a] = preprocess.pchip_resample(*parts[a], count)
+                except ValueError as exc:
+                    failed.setdefault(a, str(exc))
+            continue
+        done.update(zip(group, zip(times, values)))
+    return done
+
+
 def cmd_ingest(config: RunConfig) -> int:
     """Parse tracks, classify arrivals, segment, and write deviation datasets.
 
-    Each arrival is split where it joins the IAP and both parts are
-    resampled; every radar-vector part is then assigned its procedure in one
+    Each arrival is split where it joins the IAP. All radar-vector parts,
+    then all final-approach parts, are resampled in one call per distinct
+    knot count, and every radar-vector part is assigned its procedure in one
     batched DTW call.
     """
     flights, parse_errors = parse_tracks(config.tracks)
@@ -197,35 +226,46 @@ def cmd_ingest(config: RunConfig) -> int:
     rv_trajs, iap_traj = proc_set.radar_vectors, proc_set.iap
     threshold_m = config.segment_threshold_nm * NM_TO_M
 
-    # 1. split every arrival and resample both parts. The radar-vector part
-    # runs up TO the handoff point; a final-approach row opens with the
-    # n_overlap - 1 radar-vector samples before it and resamples the track
-    # FROM it, so its first n_overlap samples are the tail generate
-    # conditions on. Every check that can reject an arrival runs here, so
-    # failures are listed in arrival order. Step 3 cannot fail: a
-    # radar-vector part runs from outside the threshold to inside it
+    # 1. split every arrival. The radar-vector part runs up TO the handoff
+    # point; a final-approach row opens with the n_overlap - 1 radar-vector
+    # samples before it and resamples the track FROM it, so its first
+    # n_overlap samples are the tail generate conditions on
     n_lead = config.n_overlap - 1
-    retained = 0
-    rv_parts, rv_keys, fa_rows, fa_meta, too_short = [], [], [], [], []
-    for flight, (times, xyz) in arrivals:
+    failed, rv_raw, fa_raw = {}, {}, {}
+    for a, (flight, (times, xyz)) in enumerate(arrivals):
         try:
             boundary = preprocess.segment_trajectory(xyz, iap_traj, threshold_m)
-            rv = fa = None
-            if boundary >= 1:
-                rv = preprocess.pchip_resample(times[:boundary + 1],
-                                               xyz[:boundary + 1],
-                                               config.segment_length_rv)
-            if len(times) - boundary >= 2 and (rv is not None or not n_lead):
-                fa_times, fa_points = preprocess.pchip_resample(
-                    times[boundary:], xyz[boundary:],
-                    config.segment_length_fa - n_lead)
-                if n_lead:
-                    fa_times = np.concatenate([rv[0][-n_lead - 1:-1], fa_times])
-                    fa_points = np.concatenate([rv[1][-n_lead - 1:-1], fa_points])
+        except DataError as exc:
+            failed[a] = str(exc)
+            continue
+        if boundary >= 1:
+            rv_raw[a] = (times[:boundary + 1], xyz[:boundary + 1])
+        if len(times) - boundary >= 2 and (boundary >= 1 or not n_lead):
+            fa_raw[a] = (times[boundary:], xyz[boundary:])
+
+    # 2. resample both parts; an arrival keeps its first failure
+    rv_done = _resample_parts(rv_raw, config.segment_length_rv, failed)
+    fa_done = _resample_parts(fa_raw, config.segment_length_fa - n_lead, failed)
+
+    # 3. final-approach rows, and every exclusion in arrival order. Step 5
+    # cannot fail: a radar-vector part runs from outside the threshold to
+    # inside it
+    retained = 0
+    rv_parts, rv_keys, fa_rows, fa_meta, too_short = [], [], [], [], []
+    for a, (flight, _) in enumerate(arrivals):
+        rv, fa = rv_done.get(a), fa_done.get(a)
+        if a not in failed and fa is not None:
+            fa_times, fa_points = fa
+            if n_lead:
+                fa_times = np.concatenate([rv[0][-n_lead - 1:-1], fa_times])
+                fa_points = np.concatenate([rv[1][-n_lead - 1:-1], fa_points])
+            try:
                 fa = preprocess.build_deviation_vector(
                     fa_times, fa_points, iap_traj).to_array()
-        except (DataError, ValueError) as exc:
-            exclusions.append({"flight": flight.id, "reason": str(exc)})
+            except ValueError as exc:
+                failed[a] = str(exc)
+        if a in failed:
+            exclusions.append({"flight": flight.id, "reason": failed[a]})
             continue
         retained += 1
         key = {"flight_id": flight.id,
@@ -246,11 +286,11 @@ def cmd_ingest(config: RunConfig) -> int:
     if not rv_parts or not fa_rows:
         raise DataError("ingest produced an empty deviation dataset")
 
-    # 2. nearest radar-vector procedure of every part, in one call
+    # 4. nearest radar-vector procedure of every part, in one call
     assigned = preprocess.assign_procedures(
         np.stack([points for _, points in rv_parts]), rv_trajs)
 
-    # 3. radar-vector deviations from the assigned procedures
+    # 5. radar-vector deviations from the assigned procedures
     procs = [rv_trajs[j] for j in assigned]
     rv_rows = [preprocess.build_deviation_vector(*rv, proc).to_array()
                for rv, proc in zip(rv_parts, procs)]

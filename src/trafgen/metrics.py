@@ -104,24 +104,19 @@ def js_divergence(p: Histogram, q: Histogram) -> float:
 # ---------------------------------------------------------------------------
 # Silhouette
 
-def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
+def silhouette_score(dist: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient (b - a) / max(a, b) over all points.
 
-    a(i) is the mean Euclidean distance to the other points of i's cluster,
-    b(i) the mean distance to the nearest other cluster. Singleton-cluster
-    points score 0. Raises DataError for fewer than 2 clusters.
+    ``dist`` is the (m, m) Euclidean distance matrix of the points. a(i) is
+    the mean distance to the other points of i's cluster, b(i) the mean
+    distance to the nearest other cluster. Singleton-cluster points score 0.
+    Raises DataError for fewer than 2 clusters.
     """
-    data = np.asarray(data, dtype=float)
     labels = np.asarray(labels)
-    if data.ndim == 1:
-        data = data[:, None]
     unique = np.unique(labels)
     if unique.size < 2:
         raise DataError("silhouette needs at least 2 clusters")
-    # scipy is imported here only: no other stage needs it at start-up
-    from scipy.spatial.distance import cdist
-    dist = cdist(data, data)
-    m = data.shape[0]
+    m = dist.shape[0]
     cluster_sizes = {c: int(np.sum(labels == c)) for c in unique}
     # mean distance from every point to every cluster
     mean_to_cluster = np.column_stack([
@@ -149,6 +144,7 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
                      seed: int = 0) -> SilhouetteSweep:
     """Fit a mixture per grid value and score its hard labels.
 
+    The rows' distance matrix is computed once, for all grid values.
     Returns the argmax K (ties toward the smaller K) with the full curve.
     Raises DataError for an empty grid or a grid K below 2.
     """
@@ -157,10 +153,13 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
         raise DataError("component grid is empty")
     if any(k < 2 for k in grid):
         raise DataError("silhouette sweep needs K >= 2")
-    curve = []
-    for k in grid:
-        fit = em_fit(data, k, seed=seed)
-        curve.append((int(k), silhouette_score(data, fit.labels)))
+    labels = [em_fit(data, k, seed=seed).labels for k in grid]
+    # one distance matrix for every K, made once the fits are done; scipy is
+    # imported here only: no other stage needs it at start-up
+    from scipy.spatial.distance import cdist
+    dist = cdist(data, data)
+    curve = [(int(k), silhouette_score(dist, fit_labels))
+             for k, fit_labels in zip(grid, labels)]
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return SilhouetteSweep(n_components=curve[best][0], curve=curve)
 

@@ -195,7 +195,8 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 
 def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Knot derivatives from interval widths h (n-1, 1) and secants m (n-1, c).
+    """Knot derivatives from interval widths h (n-1, B, 1) and secants
+    m (n-1, B, c).
 
     Interior knots take the weighted harmonic mean of the adjacent secants
     (Fritsch & Carlson), or 0 where they differ in sign or one is 0.
@@ -215,44 +216,74 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def pchip_resample(times: np.ndarray, values: np.ndarray, count: int,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Resample a timed sequence to ``count`` equally spaced times.
+    """Resample timed sequences to ``count`` equally spaced times each.
 
-    Each coordinate is interpolated independently as a monotone piecewise
-    cubic Hermite function of time, so resampled coordinates never overshoot
-    the data on monotone intervals. The operations and their order are
-    those of scipy's ``PchipInterpolator``, so the result is bitwise equal.
+    ``times`` (n,) with ``values`` (n, ...) is one sequence of n knots, and
+    gives (count,) times with (count, ...) values. ``times`` (B, n) with
+    ``values`` (B, n, ...) is a batch of B sequences of n knots each, and
+    gives (B, count) times with (B, count, ...) values; one sequence is the
+    batch of one. Each coordinate is interpolated independently as a
+    monotone piecewise cubic Hermite function of time, so resampled
+    coordinates never overshoot the data on monotone intervals. Every row
+    goes through the operations of scipy's ``PchipInterpolator`` in their
+    order, so each is bitwise equal to scipy on that row alone. A row that
+    fails a check rejects the whole batch.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if count < 2:
         raise ValueError("count must be >= 2")
-    if times.ndim != 1 or times.size < 2:
+    single = times.ndim == 1
+    if single:
+        times, values = times[None], values[None]
+    if times.ndim != 2 or times.shape[1] < 2:
         raise ValueError("need at least 2 samples")
-    h = np.diff(times)[:, None]
+    # knots lead every working array: h (n-1, B, 1), y (n, B, c)
+    h = np.diff(times).T[..., None]
     if np.any(h <= 0):
         raise ValueError("times must be strictly increasing")
     # scipy's checks and messages, which ingest reports per excluded flight
-    if values.shape[:1] != times.shape:
+    if values.shape[:2] != times.shape:
         raise ValueError("The length of `y` along `axis`=0 doesn't match "
                          "the length of `x`")
     if not np.isfinite(times).all():
         raise ValueError("`x` must contain only finite values.")
     if not np.isfinite(values).all():
         raise ValueError("`y` must contain only finite values.")
-    y = values.reshape(times.size, -1)
+    batch, knots = times.shape
+    y = values.reshape(batch, knots, -1).swapaxes(0, 1)
     slope = np.diff(y, axis=0) / h
     d = _pchip_slopes(h, slope)
     t = (d[:-1] + d[1:] - 2 * slope) / h
     cubic, square = t / h, (slope - d[:-1]) / h - t
-    new_times = np.linspace(times[0], times[-1], count)
-    i = np.clip(np.searchsorted(times, new_times, "right") - 1, 0, times.size - 2)
-    s = (new_times - times[i])[:, None]
+    new_times = _linspace_rows(times[:, 0], times[:, -1], count)
+    # searchsorted has no row-wise form; this loop costs about what a
+    # stable merge sort of every row would
+    i = np.clip(np.stack([np.searchsorted(k, x, "right")
+                          for k, x in zip(times, new_times)]) - 1, 0, knots - 2)
+    row = np.arange(batch)[:, None]
+    s = (new_times - times[row, i])[..., None]
     # PPoly's evaluation order, from a zero accumulator (so -0.0 reads 0.0)
-    res = 0.0 + y[i]
-    res += d[i] * s
-    res += square[i] * (s * s)
-    res += cubic[i] * ((s * s) * s)
-    return new_times, res.reshape((count,) + values.shape[1:])
+    res = 0.0 + y[i, row]
+    res += d[i, row] * s
+    res += square[i, row] * (s * s)
+    res += cubic[i, row] * ((s * s) * s)
+    res = res.reshape((batch, count) + values.shape[2:])
+    return (new_times[0], res[0]) if single else (new_times, res)
+
+
+def _linspace_rows(start: np.ndarray, stop: np.ndarray, count: int) -> np.ndarray:
+    """``np.linspace(start[r], stop[r], count)`` of every row r, as (B, count).
+
+    Each row takes numpy's own arithmetic, including its branch for a step
+    that underflows to 0, so one row never changes another's result.
+    """
+    delta = (stop - start)[:, None]
+    k = np.arange(count, dtype=float)
+    step = delta / (count - 1)
+    out = np.where(step == 0, k / (count - 1) * delta, k * step) + start[:, None]
+    out[:, -1] = stop
+    return out
 
 
 def build_deviation_vector(times: np.ndarray, points: np.ndarray,

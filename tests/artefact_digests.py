@@ -1,0 +1,102 @@
+"""Print a sha256 for every artefact of one pipeline run on a test corpus.
+
+    python tests/artefact_digests.py [--root CHECKOUT] [--flights 300]
+        [--seed 0] [--t-v 40] [--t-f 20] [--n-overlap 1]
+        [--count 200] [--scenes 20] [--aircraft 3]
+
+Writes a ``tests/corpus.py`` corpus and a held-out ground-truth set into a
+temporary directory, then runs the trafgen found under ``CHECKOUT/src``
+(default: this checkout) on it: ingest, select, train, train-pairwise,
+generate, generate-scenes, evaluate on the trajectories, and evaluate on the
+scenes. It prints each command's exit code with a digest of its standard
+error, then one ``<sha256>  <path>`` line per output file. Every path is
+relative to the run directory, so the output depends only on the program
+and the arguments. Running the script against two checkouts with the same
+arguments and diffing the output shows whether a change keeps every
+artefact byte-identical. Needs only the standard library and numpy, besides
+trafgen's own dependencies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_truth(path: Path, trajectories) -> None:
+    """The held-out set, written with the csv module, not trafgen's writer."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["traj_id", "t", "x", "y", "z"])
+        for i, traj in enumerate(trajectories):
+            for t, (x, y, z) in zip(traj.times.tolist(), traj.points.tolist()):
+                writer.writerow([i, repr(t), repr(x), repr(y), repr(z)])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", type=Path, default=HERE.parent,
+                        help="checkout whose src/trafgen runs")
+    parser.add_argument("--flights", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=0, help="corpus seed")
+    parser.add_argument("--t-v", type=int, default=40)
+    parser.add_argument("--t-f", type=int, default=20)
+    parser.add_argument("--n-overlap", type=int, default=1)
+    parser.add_argument("--count", type=int, default=200,
+                        help="trajectories to generate, and held-out ones")
+    parser.add_argument("--scenes", type=int, default=20)
+    parser.add_argument("--aircraft", type=int, default=3)
+    args = parser.parse_args()
+
+    sys.path[:0] = [str(args.root.resolve() / "src"), str(HERE)]
+    import corpus  # noqa: E402 -- imports trafgen from the chosen checkout
+    from trafgen.cli import run  # noqa: E402
+
+    dims = {"t_v": args.t_v, "t_f": args.t_f, "n_overlap": args.n_overlap}
+    commands = [
+        ["ingest"], ["select"], ["train"], ["train-pairwise"],
+        ["generate", "--count", str(args.count)],
+        ["generate-scenes", "--count", str(args.scenes),
+         "--aircraft", str(args.aircraft)],
+        ["evaluate", "--actual", "truth.csv",
+         "--synthetic", "out/trajectories.csv"],
+        ["--out", "eval_scenes", "evaluate", "--actual", "truth.csv",
+         "--synthetic", "out/scenes.csv"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        corpus.write_corpus(base, n_flights=args.flights, seed=args.seed, **dims)
+        _write_truth(base / "truth.csv", corpus.generate_actual(
+            args.count, args.seed + 1000, **dims))
+        inputs = set(base.rglob("*"))
+        cwd = os.getcwd()
+        os.chdir(base)
+        try:
+            for command in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run(["--config", "run.cfg", *command])
+                print(f"exit {code}  stderr {_sha256(err.getvalue().encode())[:16]}"
+                      f"  {' '.join(command)}")
+        finally:
+            os.chdir(cwd)
+        for path in sorted(p for p in base.rglob("*")
+                           if p.is_file() and p not in inputs):
+            print(f"{_sha256(path.read_bytes())}  {path.relative_to(base)}")
+
+
+if __name__ == "__main__":
+    main()

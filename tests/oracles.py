@@ -17,7 +17,9 @@ repair, which the factored scene must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
 scipy's ``PchipInterpolator`` and ``logsumexp`` are the references that
-the library's numpy PCHIP and ``_logsumexp`` must match bit for bit.
+the library's numpy PCHIP and ``_logsumexp`` must match bit for bit, and
+``csv.writer``, one row at a time, is the reference for the bytes of the
+bulk trajectory writer.
 The dense helpers these references share live here, not in the library:
 ``dense_covariance`` (a component's F F^T + noise_var I as one matrix),
 ``psd_jitter_cholesky`` (Cholesky with escalating diagonal jitter),
@@ -25,6 +27,8 @@ The dense helpers these references share live here, not in the library:
 (a Gaussian log density from a Cholesky factor).
 """
 
+import csv
+from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -140,6 +144,17 @@ def pchip_resample_scipy(times, values, count):
     interp = PchipInterpolator(times, values, axis=0, extrapolate=False)
     new_times = np.linspace(times[0], times[-1], count)
     return new_times, interp(new_times)
+
+
+def write_trajectory_csv_rows(path: Path, key_columns, rows) -> None:
+    """``write_trajectory_csv`` through ``csv.writer``, one row per sample."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*key_columns, "t", "x", "y", "z"])
+        for keys, times, points in rows:
+            for t, (x, y, z) in zip(times, points):
+                writer.writerow([*keys, repr(float(t)), repr(float(x)),
+                                 repr(float(y)), repr(float(z))])
 
 
 def silhouette_brute_force(data, labels):

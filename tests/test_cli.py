@@ -21,7 +21,7 @@ from trafgen.ingest import enu_to_wgs84
 from trafgen.mixture import GaussianComponent, MixtureModel, save_model
 
 import corpus
-from oracles import dtw_loop
+from oracles import dtw_loop, write_trajectory_csv_rows
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +408,16 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
         [8000.0, 8000.0, 450.0], [0.0, 0.0, 3.0]))
     write_enu_flight(lines, "Z2", 9500.0, straight_track(
         [-40000.0, 0.0, 3000.0], [40000.0, 0.0, 3000.0]))
+    # first sample dated 1e19 s early: rebased to it, the later times round
+    # to one value, so resampling rejects this flight and no other
+    write_enu_flight(lines, "Z7", 9600.0, straight_track(
+        [16000.0, 16000.0, 900.0], [0.0, 0.0, 3.0]))
+    flight_id, _, rest = lines[-30].split(",", 2)
+    lines[-30] = f"{flight_id},-1e19,{rest}"
+    # jumps onto the field from 2 km west and sits there: its final-approach
+    # part has path length 0, which only the row built after resampling finds
+    write_enu_flight(lines, "Z6", 9750.0, np.vstack([straight_track(
+        [-20000.0, 0.0, 2000.0], [-2000.0, 0.0, 100.0]), [[0.0, 0.0, 3.0]] * 5]))
     # lands 1.9 NM southeast of the field, never on the approach path
     write_enu_flight(lines, "Z3", 10000.0, straight_track(
         [-30000.0, -20000.0, 2000.0], [2500.0, -2500.0, 3.0]))
@@ -422,13 +432,29 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
     report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
     flights = [e["flight"] for e in report["exclusions"]]
     reasons = [e["reason"] for e in report["exclusions"]]
-    assert flights == ["Z2", "Z4", "Z3", "Z1", "Z5"]
+    assert flights == ["Z2", "Z4", "Z7", "Z6", "Z3", "Z1", "Z5"]
     assert reasons[:2] == ["classified as overflight"] * 2
-    assert "never joins the final approach" in reasons[2]
-    assert reasons[3] == "radar-vector segment too short"
-    assert reasons[4] == "final-approach segment too short"
+    assert reasons[2] == "times must be strictly increasing"
+    assert reasons[3] == "total_distance must be positive"
+    assert "never joins the final approach" in reasons[4]
+    assert reasons[5] == "radar-vector segment too short"
+    assert reasons[6] == "final-approach segment too short"
     assert report["arrivals_retained"] == 5 and report["rv_rows"] == 4
     assert report["fa_rows"] == 4
+
+
+def test_resampling_rejects_only_the_faulty_parts():
+    good = (np.arange(5.0), np.arange(15.0).reshape(5, 3))
+    bad = (np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.zeros((5, 3)))
+    failed = {1: "rejected before resampling"}
+    done = cli._resample_parts({0: good, 1: bad, 2: bad, 3: good}, 7, failed)
+    assert failed == {1: "rejected before resampling",
+                      2: "times must be strictly increasing"}
+    assert sorted(done) == [0, 3]
+    want = preprocess.pchip_resample(*good, 7)
+    for a in (0, 3):
+        for got, expected in zip(done[a], want):
+            assert np.array_equal(got, expected)
 
 
 def test_ingest_converts_each_flight_to_enu_once(tmp_path, monkeypatch):
@@ -464,6 +490,28 @@ def test_parse_errors_are_logged_once_and_reported_in_full(tmp_path, caplog):
     assert "7 records rejected" in message
     assert all(e in message for e in errors[:5])
     assert not any(e in message for e in errors[5:])
+
+
+@pytest.mark.parametrize("key_columns, keys", [
+    (["traj_id"], [(0,), (17,)]),
+    (["scene_id", "aircraft_idx"], [(0, 0), (0, 1), (3, 2)]),
+    # keys that csv.writer quotes: a comma, a quote, line breaks
+    (["traj_id"], [("a,b",), ('say "hi"',), ("two\nlines",), ("cr\r",)]),
+], ids=["one_key", "two_keys", "quoted_keys"])
+def test_trajectory_writer_matches_csv_writer_bytes(tmp_path, key_columns, keys):
+    special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, 3.0, -120.0, 0.1, 1e-7]
+    rows = []
+    for n, key in enumerate(keys):
+        values = np.roll(special, n)
+        rows.append((key, np.arange(len(special)) * 2.0 + n,
+                     np.column_stack([values, -values, np.roll(values, 1)])))
+    got, want = tmp_path / "bulk.csv", tmp_path / "rows.csv"
+    _files.write_trajectory_csv(got, key_columns, rows)
+    write_trajectory_csv_rows(want, key_columns, rows)
+    assert got.read_bytes() == want.read_bytes()
+    text = want.read_bytes()
+    assert text.endswith(b"\r\n")
+    assert all(v in text for v in (b",-0.0,", b",5e-324,", b",1e+300,", b",-inf,"))
 
 
 def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
@@ -665,6 +713,12 @@ def identical_rv_rows(out):
                fmt="%.17g")
 
 
+def empty_rv_dataset(out):
+    path = out / "rv_dataset.csv"
+    path.write_text("", encoding="utf-8")
+    edit_json(path.with_suffix(".meta.json"), lambda doc: doc["rows"].clear())
+
+
 RV_DIM = 3 * corpus.T_V + 2
 CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
 
@@ -678,6 +732,7 @@ CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
     ("select", {"rank_grid": ""}, None, "rank grid is empty"),
     ("select", {}, nan_in_rv_dataset, "data contains non-finite values"),
     ("select", {}, identical_rv_rows, "silhouette needs at least 2 clusters"),
+    ("select", {}, empty_rv_dataset, "{out}/rv_dataset.csv: dataset has no rows"),
     ("train", {**CHOSEN, "k_rv": 0}, None, "n_components must be >= 1"),
     ("train", {**CHOSEN, "k_rv": 100}, None, "need at least 100 rows, got "),
     ("train", {**CHOSEN, "rank_rv": 0}, None,
@@ -691,13 +746,15 @@ CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
     ("train-pairwise", {"rank_pairwise": 99999}, None,
      f"rank must satisfy 1 <= rank < {2 * RV_DIM + 1}, got 99999"),
     ("train-pairwise", {}, nan_in_rv_dataset, "data contains non-finite values"),
+    ("train-pairwise", {}, empty_rv_dataset,
+     "{out}/rv_dataset.csv: dataset has no rows"),
     ("select", {"seed": -3}, None,
      "{cfg}: malformed config file: seed must be at least 0, got -3"),
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
         "select_rank_empty", "select_nan", "select_identical_rows",
-        "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
+        "select_empty", "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
         "train_nan", "pairwise_k_0", "pairwise_rank_0", "pairwise_rank_99999",
-        "pairwise_nan", "negative_config_seed"])
+        "pairwise_nan", "pairwise_empty", "negative_config_seed"])
 def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
                                       keys, damage, message):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -710,7 +767,7 @@ def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
         damage(out)
     before = sorted(p.name for p in out.iterdir())
     assert run(["--config", str(config_path), command]) == EXIT_DATA
-    assert (f"data error: {message.format(cfg=config_path)}"
+    assert (f"data error: {message.format(cfg=config_path, out=out)}"
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
 

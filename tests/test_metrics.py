@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from trafgen.errors import DataError
 from trafgen.metrics import (MAX_BINS, Histogram, SeparationConfig, extract_variables,
@@ -19,18 +20,18 @@ from oracles import silhouette_brute_force
 # silhouette
 
 def test_silhouette_two_tight_pairs():
-    data = np.array([0.0, 0.1, 10.0, 10.1])
+    data = np.array([[0.0], [0.1], [10.0], [10.1]])
     labels = np.array([0, 0, 1, 1])
-    score = silhouette_score(data, labels)
+    score = silhouette_score(cdist(data, data), labels)
     # brute force: a = 0.1 everywhere, b in {9.95, 10.05}
     assert score == pytest.approx(silhouette_brute_force(data, labels), abs=1e-12)
     assert score == pytest.approx(0.9899997499937498, abs=1e-12)
 
 
 def test_silhouette_swapped_labels_negative():
-    data = np.array([0.0, 0.1, 10.0, 10.1])
+    data = np.array([[0.0], [0.1], [10.0], [10.1]])
     labels = np.array([0, 1, 0, 1])
-    assert silhouette_score(data, labels) < 0.0
+    assert silhouette_score(cdist(data, data), labels) < 0.0
 
 
 def test_silhouette_bounds_on_random_data():
@@ -40,7 +41,7 @@ def test_silhouette_bounds_on_random_data():
         labels = rng.integers(0, 4, size=40)
         if len(np.unique(labels)) < 2:
             continue
-        score = silhouette_score(data, labels)
+        score = silhouette_score(cdist(data, data), labels)
         assert -1.0 <= score <= 1.0
 
 
@@ -52,7 +53,7 @@ def test_silhouette_matches_brute_force():
         labels = rng.integers(0, 3, size=m)
         if len(np.unique(labels)) < 2:
             continue
-        assert silhouette_score(data, labels) == pytest.approx(
+        assert silhouette_score(cdist(data, data), labels) == pytest.approx(
             silhouette_brute_force(data, labels), abs=1e-10)
 
 
@@ -60,12 +61,14 @@ def test_silhouette_singleton_scores_zero():
     data = np.array([[0.0], [0.1], [50.0]])
     labels = np.array([0, 0, 1])
     expected = silhouette_brute_force(data, labels)
-    assert silhouette_score(data, labels) == pytest.approx(expected, abs=1e-12)
+    assert silhouette_score(cdist(data, data), labels) == pytest.approx(
+        expected, abs=1e-12)
 
 
 def test_silhouette_single_cluster_rejected():
     with pytest.raises(DataError):
-        silhouette_score(np.zeros((5, 2)), np.zeros(5, dtype=int))
+        silhouette_score(cdist(np.zeros((5, 2)), np.zeros((5, 2))),
+                         np.zeros(5, dtype=int))
 
 
 def test_silhouette_sweep_recovers_three_clusters():
@@ -83,6 +86,22 @@ def test_silhouette_sweep_singleton_grid():
     sweep = silhouette_sweep(data, [2], seed=0)
     assert sweep.n_components == 2
     assert len(sweep.curve) == 1
+
+
+def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
+    import scipy.spatial.distance
+    calls = []
+    original = scipy.spatial.distance.cdist
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", counting)
+    data = np.random.default_rng(4).normal(size=(50, 2))
+    sweep = silhouette_sweep(data, [2, 3, 4], seed=0)
+    assert calls == [(50, 2)]
+    assert [k for k, _ in sweep.curve] == [2, 3, 4]
 
 
 def test_silhouette_sweep_rejects_k_below_two():

@@ -1,5 +1,6 @@
 """DTW, segmentation, PCHIP resampling, and deviation-vector round trips."""
 
+import itertools
 import re
 
 import numpy as np
@@ -258,7 +259,9 @@ def assert_same_resampling(times, values, count):
     assert_bitwise(got, want)
 
 
-def test_pchip_matches_scipy_bitwise_on_random_tracks():
+def random_pchip_cases():
+    """1,200 seeded (times, values, count) cases: random, monotone, flat-run
+    and zero-crossing tracks of 2 to 60 knots and 1 or 3 coordinates."""
     rng = np.random.default_rng(11)
     for case in range(1200):
         n = int(rng.integers(2, 61))
@@ -272,7 +275,46 @@ def test_pchip_matches_scipy_bitwise_on_random_tracks():
             values = np.round(values / np.abs(values).max() * 2.0)
         elif kind == 3:  # zero crossings and exact zeros
             values[rng.random(n) < 0.3] = 0.0
-        assert_same_resampling(times, values, int(rng.integers(2, 401)))
+        yield times, values, int(rng.integers(2, 401))
+
+
+def test_pchip_matches_scipy_bitwise_on_random_tracks():
+    for times, values, count in random_pchip_cases():
+        assert_same_resampling(times, values, count)
+
+
+def test_pchip_batches_match_scipy_bitwise_row_by_row():
+    groups = {}
+    for times, values, count in random_pchip_cases():
+        groups.setdefault(values.shape, []).append((times, values, count))
+    assert max(len(g) for g in groups.values()) > 1
+    for cases in groups.values():
+        times = np.stack([c[0] for c in cases])
+        values = np.stack([c[1] for c in cases])
+        count = cases[0][2]  # the first case's count, for its whole batch
+        got_times, got = pchip_resample(times, values, count)
+        assert got_times.shape == (len(cases), count)
+        assert got.shape == (len(cases), count) + values.shape[2:]
+        for row in range(len(cases)):
+            want_times, want = pchip_resample_scipy(times[row], values[row], count)
+            assert_bitwise(got_times[row], want_times)
+            assert_bitwise(got[row], want)
+
+
+def test_pchip_single_sequence_is_the_batch_of_one():
+    for times, values, count in itertools.islice(random_pchip_cases(), 40):
+        single = pchip_resample(times, values, count)
+        batch = pchip_resample(times[None], values[None], count)
+        for got, want in zip(single, batch):
+            assert_bitwise(got, want[0])
+
+
+def test_pchip_resample_times_match_linspace_row_by_row():
+    # a step that underflows to 0 takes numpy's other branch in its row only
+    start, stop = np.array([0.0, -3.0, 1.0]), np.array([1e-322, 7.0, 2.0])
+    rows = preprocess._linspace_rows(start, stop, 350)
+    for r in range(3):
+        assert_bitwise(rows[r], np.linspace(start[r], stop[r], 350))
 
 
 @pytest.mark.parametrize("times,values", [
