@@ -49,9 +49,8 @@ def atomic_path(path: str | Path):
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8, its line ends untranslated."""
     with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        tmp.write_text(text, encoding="utf-8")
 
 
 def write_json(path: str | Path, doc: dict) -> None:
@@ -83,13 +82,16 @@ def write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
     The bytes are those of ``csv.writer``: CRLF line ends, floats as
     ``repr``, and keys quoted where it would quote them.
     """
-    lines = [",".join([*key_columns, "t", "x", "y", "z"]) + "\r\n"]
-    for keys, times, points in rows:
-        prefix = "".join(_csv_field(key) + "," for key in keys)
-        lines += [f"{prefix}{t!r},{x!r},{y!r},{z!r}\r\n" for t, (x, y, z)
-                  in zip(np.asarray(times, dtype=float).tolist(),
-                         np.asarray(points, dtype=float).tolist())]
-    write_text(path, "".join(lines))
+    with atomic_path(path) as tmp, \
+            tmp.open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join([*key_columns, "t", "x", "y", "z"]) + "\r\n")
+        # one write per trajectory, so memory stays bounded by one of them
+        for keys, times, points in rows:
+            prefix = "".join(_csv_field(key) + "," for key in keys)
+            handle.write("".join([
+                f"{prefix}{t!r},{x!r},{y!r},{z!r}\r\n" for t, (x, y, z)
+                in zip(np.asarray(times, dtype=float).tolist(),
+                       np.asarray(points, dtype=float).tolist())]))
 
 
 # ---------------------------------------------------------------------------

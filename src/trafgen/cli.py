@@ -33,6 +33,8 @@ PAIRWISE_FORMAT = "trafgen-pairwise/1"
 
 # rejected track records quoted in the parse WARNING; the report lists all
 MAX_LOGGED_PARSE_ERRORS = 5
+# knots per resampling call, which bounds its working arrays to about 10 MB
+RESAMPLE_BATCH_KNOTS = 1 << 15
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,30 +184,38 @@ def _classify_arrivals(flights: list, airspace: AirspaceConfig,
 
 
 def _resample_parts(parts: dict, count: int, failed: dict) -> dict:
-    """``pchip_resample`` of every arrival's part, one call per knot count.
+    """``pchip_resample`` of every arrival's part, in batches of up to
+    ``RESAMPLE_BATCH_KNOTS`` knots.
 
-    ``parts`` maps an arrival's index to its (times, positions). When the
-    kernel rejects a batch, its parts are resampled one by one, and each
-    rejected arrival gets the kernel's message in ``failed`` unless it
+    ``parts`` maps an arrival's index to its (times, positions). A batch
+    that the kernel rejects is split in halves until each rejected part is
+    alone; its arrival gets the kernel's message in ``failed`` unless it
     already has a reason there.
     """
-    by_knots: dict[int, list[int]] = {}
-    for a, (times, _) in parts.items():
-        by_knots.setdefault(len(times), []).append(a)
     done = {}
-    for group in by_knots.values():
+
+    def resample(group: list[int]) -> None:
         try:
             times, values = preprocess.pchip_resample(
-                np.stack([parts[a][0] for a in group]),
-                np.stack([parts[a][1] for a in group]), count)
-        except ValueError:
-            for a in group:
-                try:
-                    done[a] = preprocess.pchip_resample(*parts[a], count)
-                except ValueError as exc:
-                    failed.setdefault(a, str(exc))
-            continue
+                [parts[a][0] for a in group], [parts[a][1] for a in group], count)
+        except ValueError as exc:
+            if len(group) == 1:
+                failed.setdefault(group[0], str(exc))
+                return
+            resample(group[:len(group) // 2])
+            resample(group[len(group) // 2:])
+            return
         done.update(zip(group, zip(times, values)))
+
+    group, knots = [], 0
+    for a, (times, _) in parts.items():
+        if group and knots + len(times) > RESAMPLE_BATCH_KNOTS:
+            resample(group)
+            group, knots = [], 0
+        group.append(a)
+        knots += len(times)
+    if group:
+        resample(group)
     return done
 
 
@@ -213,8 +223,8 @@ def cmd_ingest(config: RunConfig) -> int:
     """Parse tracks, classify arrivals, segment, and write deviation datasets.
 
     Each arrival is split where it joins the IAP. All radar-vector parts,
-    then all final-approach parts, are resampled in one call per distinct
-    knot count, and every radar-vector part is assigned its procedure in one
+    then all final-approach parts, are resampled in batches of any knot
+    counts, and every radar-vector part is assigned its procedure in one
     batched DTW call.
     """
     flights, parse_errors = parse_tracks(config.tracks)

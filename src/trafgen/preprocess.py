@@ -194,81 +194,98 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, d))
 
 
-def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Knot derivatives from interval widths h (n-1, B, 1) and secants
-    m (n-1, B, c).
+def _pchip_slopes(h: np.ndarray, m: np.ndarray, left: np.ndarray,
+                  first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Knot derivatives of a batch, one row after another, from its interval
+    widths h (I, 1) and secants m (I, c). Interval j runs from knot
+    ``left[j]``; row r's intervals run from ``first[r]`` to ``last[r]``.
 
     Interior knots take the weighted harmonic mean of the adjacent secants
-    (Fritsch & Carlson), or 0 where they differ in sign or one is 0.
+    (Fritsch & Carlson), or 0 where they differ in sign or one is 0. A
+    row's end knots take the one-sided end derivative, or the secant itself
+    when the row has one interval.
     """
-    if m.shape[0] == 1:
-        return np.concatenate([m, m])
     sign = np.sign(m)
     flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    return np.concatenate([_pchip_end_slope(h[0], h[1], m[0], m[1])[None],
-                           inner,
-                           _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]])
+    d = np.empty((left[-1] + 2, m.shape[1]))
+    # a pair of intervals that straddles two rows lands on the earlier
+    # row's last knot, which its end derivative overwrites below
+    d[left[:-1] + 1] = inner
+    # both ends of every row in one pass: the end interval and its neighbour
+    end = np.concatenate([first, last])
+    one = np.concatenate([first == last] * 2)
+    inside = np.where(one, end, np.concatenate([first + 1, last - 1]))
+    d[np.concatenate([left[first], left[last] + 1])] = np.where(
+        one[:, None], m[end], _pchip_end_slope(h[end], h[inside], m[end], m[inside]))
+    return d
 
 
-def pchip_resample(times: np.ndarray, values: np.ndarray, count: int,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def pchip_resample(times, values, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Resample timed sequences to ``count`` equally spaced times each.
 
     ``times`` (n,) with ``values`` (n, ...) is one sequence of n knots, and
-    gives (count,) times with (count, ...) values. ``times`` (B, n) with
-    ``values`` (B, n, ...) is a batch of B sequences of n knots each, and
-    gives (B, count) times with (B, count, ...) values; one sequence is the
-    batch of one. Each coordinate is interpolated independently as a
-    monotone piecewise cubic Hermite function of time, so resampled
-    coordinates never overshoot the data on monotone intervals. Every row
-    goes through the operations of scipy's ``PchipInterpolator`` in their
-    order, so each is bitwise equal to scipy on that row alone. A row that
-    fails a check rejects the whole batch.
+    gives (count,) times with (count, ...) values. A batch is B sequences:
+    ``times`` a list of B arrays (or a (B, n) array) and ``values`` the list
+    of their values, of any knot counts but one trailing shape; it gives
+    (B, count) times with (B, count, ...) values. One sequence is the batch
+    of one. Each coordinate is interpolated independently as a monotone
+    piecewise cubic Hermite function of time, so resampled coordinates never
+    overshoot the data on monotone intervals. Every row goes through the
+    operations of scipy's ``PchipInterpolator`` in their order, so each is
+    bitwise equal to scipy on that row alone. A row that fails a check
+    rejects the whole batch.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if count < 2:
         raise ValueError("count must be >= 2")
-    single = times.ndim == 1
+    single = len(times) == 0 or np.ndim(times[0]) == 0
     if single:
-        times, values = times[None], values[None]
-    if times.ndim != 2 or times.shape[1] < 2:
+        times, values = [times], [values]
+    knots = np.array([len(row) for row in times])
+    if not knots.size or knots.min() < 2:
         raise ValueError("need at least 2 samples")
-    # knots lead every working array: h (n-1, B, 1), y (n, B, c)
-    h = np.diff(times).T[..., None]
+    # the rows' knots one after another; interval j runs from knot left[j],
+    # and row r's intervals run from first[r] to last[r]
+    x = np.concatenate(times, dtype=float)
+    rows = len(knots)
+    left = np.arange(len(x) - rows) + np.repeat(np.arange(rows), knots - 1)
+    first = np.cumsum(knots - 1) - (knots - 1)
+    last = first + knots - 2
+    h = (x[left + 1] - x[left])[:, None]
     if np.any(h <= 0):
         raise ValueError("times must be strictly increasing")
     # scipy's checks and messages, which ingest reports per excluded flight
-    if values.shape[:2] != times.shape:
+    if [len(row) for row in values] != knots.tolist():
         raise ValueError("The length of `y` along `axis`=0 doesn't match "
                          "the length of `x`")
-    if not np.isfinite(times).all():
+    if not np.isfinite(x).all():
         raise ValueError("`x` must contain only finite values.")
+    values = np.concatenate(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("`y` must contain only finite values.")
-    batch, knots = times.shape
-    y = values.reshape(batch, knots, -1).swapaxes(0, 1)
-    slope = np.diff(y, axis=0) / h
-    d = _pchip_slopes(h, slope)
-    t = (d[:-1] + d[1:] - 2 * slope) / h
-    cubic, square = t / h, (slope - d[:-1]) / h - t
-    new_times = _linspace_rows(times[:, 0], times[:, -1], count)
+    y = values.reshape(len(x), -1)
+    slope = (y[left + 1] - y[left]) / h
+    d = _pchip_slopes(h, slope, left, first, last)
+    t = (d[left] + d[left + 1] - 2 * slope) / h
+    cubic, square = t / h, (slope - d[left]) / h - t
+    starts = left[first]
+    new_times = _linspace_rows(x[starts], x[starts + knots - 1], count)
     # searchsorted has no row-wise form; this loop costs about what a
     # stable merge sort of every row would
-    i = np.clip(np.stack([np.searchsorted(k, x, "right")
-                          for k, x in zip(times, new_times)]) - 1, 0, knots - 2)
-    row = np.arange(batch)[:, None]
-    s = (new_times - times[row, i])[..., None]
+    i = np.stack([np.searchsorted(x[a:a + n], row, "right")
+                  for a, n, row in zip(starts, knots, new_times)]) - 1
+    i = np.clip(i, 0, knots[:, None] - 2)
+    knot, interval = starts[:, None] + i, first[:, None] + i
+    s = (new_times - x[knot])[..., None]
     # PPoly's evaluation order, from a zero accumulator (so -0.0 reads 0.0)
-    res = 0.0 + y[i, row]
-    res += d[i, row] * s
-    res += square[i, row] * (s * s)
-    res += cubic[i, row] * ((s * s) * s)
-    res = res.reshape((batch, count) + values.shape[2:])
+    res = 0.0 + y[knot]
+    res += d[knot] * s
+    res += square[interval] * (s * s)
+    res += cubic[interval] * ((s * s) * s)
+    res = res.reshape((rows, count) + values.shape[1:])
     return (new_times[0], res[0]) if single else (new_times, res)
 
 

@@ -21,6 +21,7 @@ from trafgen.ingest import enu_to_wgs84
 from trafgen.mixture import GaussianComponent, MixtureModel, save_model
 
 import corpus
+from conftest import assert_bitwise
 from oracles import dtw_loop, write_trajectory_csv_rows
 
 
@@ -443,18 +444,30 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
     assert report["fa_rows"] == 4
 
 
-def test_resampling_rejects_only_the_faulty_parts():
-    good = (np.arange(5.0), np.arange(15.0).reshape(5, 3))
-    bad = (np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.zeros((5, 3)))
-    failed = {1: "rejected before resampling"}
-    done = cli._resample_parts({0: good, 1: bad, 2: bad, 3: good}, 7, failed)
-    assert failed == {1: "rejected before resampling",
-                      2: "times must be strictly increasing"}
-    assert sorted(done) == [0, 3]
-    want = preprocess.pchip_resample(*good, 7)
-    for a in (0, 3):
-        for got, expected in zip(done[a], want):
-            assert np.array_equal(got, expected)
+def test_resampling_rejects_only_the_faulty_parts(monkeypatch):
+    parts = {a: (np.arange(n, dtype=float), np.arange(3.0 * n).reshape(n, 3))
+             for a, n in enumerate([5, 9, 2, 5, 7, 4, 6, 3])}
+    parts[2] = (np.array([0.0, 0.0]), np.zeros((2, 3)))
+    parts[5] = (np.arange(4.0), np.full((4, 3), np.nan))
+    failed = {2: "rejected before resampling"}
+    calls = []
+    original = preprocess.pchip_resample
+
+    def counting(times, values, count):
+        calls.append(len(times))
+        return original(times, values, count)
+
+    monkeypatch.setattr(preprocess, "pchip_resample", counting)
+    monkeypatch.setattr(cli, "RESAMPLE_BATCH_KNOTS", 30)
+    done = cli._resample_parts(parts, 7, failed)
+    assert failed == {2: "rejected before resampling",
+                      5: "`y` must contain only finite values."}
+    assert sorted(done) == [0, 1, 3, 4, 6, 7]
+    # batches of at most 30 knots, each rejected one split in halves
+    assert calls == [5, 2, 3, 1, 2, 3, 1, 2]
+    for a in done:
+        for got, want in zip(done[a], original(*parts[a], 7)):
+            assert_bitwise(got, want)
 
 
 def test_ingest_converts_each_flight_to_enu_once(tmp_path, monkeypatch):

@@ -284,21 +284,22 @@ def test_pchip_matches_scipy_bitwise_on_random_tracks():
 
 
 def test_pchip_batches_match_scipy_bitwise_row_by_row():
-    groups = {}
-    for times, values, count in random_pchip_cases():
-        groups.setdefault(values.shape, []).append((times, values, count))
-    assert max(len(g) for g in groups.values()) > 1
-    for cases in groups.values():
-        times = np.stack([c[0] for c in cases])
-        values = np.stack([c[1] for c in cases])
-        count = cases[0][2]  # the first case's count, for its whole batch
-        got_times, got = pchip_resample(times, values, count)
-        assert got_times.shape == (len(cases), count)
-        assert got.shape == (len(cases), count) + values.shape[2:]
-        for row in range(len(cases)):
-            want_times, want = pchip_resample_scipy(times[row], values[row], count)
-            assert_bitwise(got_times[row], want_times)
-            assert_bitwise(got[row], want)
+    # batches of rows of mixed knot counts, 2 to 60, one width each
+    cases = list(random_pchip_cases())
+    for width in (1, 3):
+        rows = [c for c in cases if c[1].shape[1] == width]
+        for batch in (rows[b:b + 150] for b in range(0, len(rows), 150)):
+            times, values = [c[0] for c in batch], [c[1] for c in batch]
+            assert len({len(t) for t in times}) > 1
+            count = batch[0][2]  # the first case's count, for its whole batch
+            got_times, got = pchip_resample(times, values, count)
+            assert got_times.shape == (len(batch), count)
+            assert got.shape == (len(batch), count, width)
+            for row in range(len(batch)):
+                want_times, want = pchip_resample_scipy(times[row], values[row],
+                                                        count)
+                assert_bitwise(got_times[row], want_times)
+                assert_bitwise(got[row], want)
 
 
 def test_pchip_single_sequence_is_the_batch_of_one():
