@@ -283,23 +283,37 @@ def test_pchip_matches_scipy_bitwise_on_random_tracks():
         assert_same_resampling(times, values, count)
 
 
-def test_pchip_batches_match_scipy_bitwise_row_by_row():
-    # batches of rows of mixed knot counts, 2 to 60, one width each
-    cases = list(random_pchip_cases())
-    for width in (1, 3):
-        rows = [c for c in cases if c[1].shape[1] == width]
-        for batch in (rows[b:b + 150] for b in range(0, len(rows), 150)):
+def _pchip_batches(cases, mixed):
+    """Lists of up to 150 rows of one width and, unless ``mixed``, one knot
+    count; the equal-count batches are stacked into (B, n) arrays."""
+    groups = {}
+    for case in cases:
+        key = case[1].shape[1:] if mixed else case[1].shape
+        groups.setdefault(key, []).append(case)
+    for rows in groups.values():
+        for b in range(0, len(rows), 150):
+            batch = rows[b:b + 150]
             times, values = [c[0] for c in batch], [c[1] for c in batch]
-            assert len({len(t) for t in times}) > 1
-            count = batch[0][2]  # the first case's count, for its whole batch
-            got_times, got = pchip_resample(times, values, count)
-            assert got_times.shape == (len(batch), count)
-            assert got.shape == (len(batch), count, width)
-            for row in range(len(batch)):
-                want_times, want = pchip_resample_scipy(times[row], values[row],
-                                                        count)
-                assert_bitwise(got_times[row], want_times)
-                assert_bitwise(got[row], want)
+            # the first case's count, for its whole batch
+            yield ((times, values) if mixed
+                   else (np.stack(times), np.stack(values))), batch[0][2]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal_knots", "mixed_knots"])
+def test_pchip_batches_match_scipy_bitwise_row_by_row(mixed):
+    batches = list(_pchip_batches(random_pchip_cases(), mixed))
+    assert max(len(times) for (times, _), _ in batches) > 1
+    assert mixed == any(len({len(t) for t in times}) > 1
+                        for (times, _), _ in batches)
+    for (times, values), count in batches:
+        got_times, got = pchip_resample(times, values, count)
+        assert got_times.shape == (len(times), count)
+        assert got.shape == (len(times), count) + values[0].shape[1:]
+        for row in range(len(times)):
+            want_times, want = pchip_resample_scipy(times[row], values[row],
+                                                    count)
+            assert_bitwise(got_times[row], want_times)
+            assert_bitwise(got[row], want)
 
 
 def test_pchip_single_sequence_is_the_batch_of_one():
