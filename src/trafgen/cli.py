@@ -23,8 +23,8 @@ from ._files import (read_deviation_dataset, read_json, read_keyvalue,
 from .errors import DataError, NumericalError
 from .ingest import AirspaceConfig, FlightClass, classify_flight, flight_to_enu, \
     parse_tracks
-from .mixture import (load_model, model_from_dict, model_to_dict, save_model,
-                      select_rank, substream)
+from .mixture import (compress_model, em_fit, load_model, model_from_dict,
+                      model_to_dict, save_model, select_rank, substream)
 from .units import NM_TO_M
 
 logger = logging.getLogger(__name__)
@@ -127,6 +127,36 @@ _CONFIG_KEYS = {
     "k_pairwise": ("n_components_pairwise", int),
     "rank_pairwise": ("rank_pairwise", int),
 }
+
+
+# ---------------------------------------------------------------------------
+# Segments
+
+@dataclass(frozen=True)
+class _Segment:
+    """One segment as the commands handle it: the kind its files and reports
+    record, its files in the output directory, its length T with the symbol
+    that messages use for it, and the config's component-count and rank
+    overrides (None: read from ``selection_report.json``)."""
+
+    kind: str
+    dataset: Path
+    model: Path
+    length: int
+    symbol: str
+    n_components: int | None
+    rank: int | None
+
+
+def _segments(config: RunConfig) -> tuple[_Segment, _Segment]:
+    """The radar-vector and the final-approach segment of ``config``."""
+    out = config.out_dir
+    return (_Segment("radar_vector", out / "rv_dataset.csv", out / "model_rv.json",
+                     config.segment_length_rv, "T_v", config.n_components_rv,
+                     config.rank_rv),
+            _Segment("final_approach", out / "fa_dataset.csv",
+                     out / "model_fa.json", config.segment_length_fa, "T_f",
+                     config.n_components_fa, config.rank_fa))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +301,7 @@ def cmd_ingest(config: RunConfig) -> int:
                 fa_points = np.concatenate([rv[1][-n_lead - 1:-1], fa_points])
             try:
                 fa = preprocess.build_deviation_vector(
-                    fa_times, fa_points, iap_traj).to_array()
+                    fa_times, fa_points, iap_traj)
             except ValueError as exc:
                 failed[a] = str(exc)
         if a in failed:
@@ -302,51 +332,51 @@ def cmd_ingest(config: RunConfig) -> int:
 
     # 5. radar-vector deviations from the assigned procedures
     procs = [rv_trajs[j] for j in assigned]
-    rv_rows = [preprocess.build_deviation_vector(*rv, proc).to_array()
+    rv_rows = [preprocess.build_deviation_vector(*rv, proc)
                for rv, proc in zip(rv_parts, procs)]
     rv_meta = [{**key, "procedure": proc.procedure}
                for key, proc in zip(rv_keys, procs)]
 
-    out = config.out_dir
-    write_deviation_dataset(out / "rv_dataset.csv", np.stack(rv_rows),
-                            "radar_vector", config.segment_length_rv, rv_meta)
-    write_deviation_dataset(out / "fa_dataset.csv", np.stack(fa_rows),
-                            "final_approach", config.segment_length_fa, fa_meta)
-    write_json(out / "ingest_report.json", {
+    for segment, rows, meta in zip(_segments(config), (rv_rows, fa_rows),
+                                   (rv_meta, fa_meta)):
+        write_deviation_dataset(segment.dataset, np.stack(rows), segment.kind,
+                                segment.length, meta)
+    write_json(config.out_dir / "ingest_report.json", {
         "flights_parsed": len(flights), "parse_errors": parse_errors,
         "arrivals_retained": retained, "rv_rows": len(rv_rows),
         "fa_rows": len(fa_rows), "exclusions": exclusions})
     return EXIT_OK
 
 
-def _check_width(path: Path, what: str, found: int, length: int,
-                 symbol: str) -> None:
-    """DataError naming ``path`` unless ``found`` is 3T+2 for the config's T."""
-    if found != 3 * length + 2:
-        raise DataError(f"{path}: {what} {found} != 3*{symbol}+2 = {3 * length + 2}")
+def _check_width(path: Path, what: str, found: int, segment: _Segment) -> None:
+    """DataError naming ``path`` unless ``found`` is the segment's 3T+2."""
+    expected = 3 * segment.length + 2
+    if found != expected:
+        raise DataError(
+            f"{path}: {what} {found} != 3*{segment.symbol}+2 = {expected}")
 
 
-def _read_dataset(config: RunConfig, segment: str) -> tuple[np.ndarray, dict]:
+def _seed(config: RunConfig, name: str) -> int:
+    """An EM or sweep seed, drawn from the substream ``name`` of the config seed."""
+    return int(substream(config.seed, name).integers(2 ** 31))
+
+
+def _read_dataset(segment: _Segment) -> tuple[np.ndarray, dict]:
     """A segment's deviation dataset and meta; its width must be 3T+2."""
-    filename, length, symbol = (
-        ("rv_dataset.csv", config.segment_length_rv, "T_v")
-        if segment == "radar_vector"
-        else ("fa_dataset.csv", config.segment_length_fa, "T_f"))
-    path = config.out_dir / filename
-    data, meta = read_deviation_dataset(path)
-    _check_width(path, "dataset width", data.shape[1], length, symbol)
+    data, meta = read_deviation_dataset(segment.dataset)
+    _check_width(segment.dataset, "dataset width", data.shape[1], segment)
     return data, meta
 
 
 def cmd_select(config: RunConfig) -> int:
     """Run the silhouette and rank sweeps; write the model-selection report."""
     report = {}
-    for segment in ("radar_vector", "final_approach"):
-        data, _ = _read_dataset(config, segment)
-        seed = int(substream(config.seed, f"select-{segment}").integers(2 ** 31))
+    for segment in _segments(config):
+        data, _ = _read_dataset(segment)
+        seed = _seed(config, f"select-{segment.kind}")
         sweep = metrics.silhouette_sweep(data, config.component_grid, seed=seed)
         ranks = select_rank(data, config.rank_grid, seed=seed)
-        report[segment] = {
+        report[segment.kind] = {
             "n_components": sweep.n_components,
             "silhouette_curve": [[k, s] for k, s in sweep.curve],
             "rank": ranks.rank,
@@ -356,17 +386,15 @@ def cmd_select(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _chosen(config: RunConfig, segment: str) -> tuple[int, int]:
-    """(n_components, rank) for a segment from config flags or the report."""
-    explicit = ((config.n_components_rv, config.rank_rv)
-                if segment == "radar_vector"
-                else (config.n_components_fa, config.rank_fa))
+def _chosen(config: RunConfig, segment: _Segment) -> tuple[int, int]:
+    """(n_components, rank) for a segment from the config or the report."""
+    explicit = (segment.n_components, segment.rank)
     if None not in explicit:
         return explicit
     reported = read_json(
         config.out_dir / "selection_report.json", "selection report",
-        lambda report: (int(report[segment]["n_components"]),
-                        int(report[segment]["rank"])))
+        lambda report: (int(report[segment.kind]["n_components"]),
+                        int(report[segment.kind]["rank"])))
     return tuple(r if e is None else e for e, r in zip(explicit, reported))
 
 
@@ -376,29 +404,32 @@ def _model_config(config: RunConfig) -> single_model.SingleModelConfig:
 
 
 def cmd_train(config: RunConfig) -> int:
-    """Fit the per-segment mixtures and write model files plus training logs."""
-    rv_data, _ = _read_dataset(config, "radar_vector")
-    fa_data, _ = _read_dataset(config, "final_approach")
-    k_rv, rank_rv = _chosen(config, "radar_vector")
-    k_fa, rank_fa = _chosen(config, "final_approach")
-    model, report = single_model.train(
-        rv_data, fa_data, _model_config(config), n_components_rv=k_rv,
-        n_components_fa=k_fa, rank_rv=rank_rv, rank_fa=rank_fa,
-        seed=config.seed)
-    save_model(model.radar_vector_model, config.out_dir / "model_rv.json")
-    save_model(model.final_approach_model, config.out_dir / "model_fa.json")
-    write_json(config.out_dir / "train_log.json", {
-        "radar_vector": {"n_components": k_rv, "rank": rank_rv,
-                         "log_likelihoods": report.log_likelihoods_rv},
-        "final_approach": {"n_components": k_fa, "rank": rank_fa,
-                           "log_likelihoods": report.log_likelihoods_fa},
-    })
+    """Fit the per-segment mixtures and write model files plus training logs.
+
+    Both segments are read, checked, chosen, fitted and compressed before
+    anything is written, so a fault in either leaves every file as it was.
+    Each segment's EM run is seeded from the substream ``train-<kind>`` of
+    the config seed.
+    """
+    segments = _segments(config)
+    data = [_read_dataset(segment)[0] for segment in segments]
+    chosen = [_chosen(config, segment) for segment in segments]
+    models, log = [], {}
+    for segment, rows, (k, rank) in zip(segments, data, chosen):
+        seed = _seed(config, f"train-{segment.kind}")
+        fit = em_fit(rows, k, seed=seed, segment_kind=segment.kind)
+        models.append(compress_model(fit.model, rank))
+        log[segment.kind] = {"n_components": k, "rank": rank,
+                             "log_likelihoods": fit.log_likelihoods}
+    for segment, model in zip(segments, models):
+        save_model(model, segment.model)
+    write_json(config.out_dir / "train_log.json", log)
     return EXIT_OK
 
 
 def cmd_train_pairwise(config: RunConfig) -> int:
     """Fit pairwise mixtures per radar-vector procedure combination."""
-    data, meta = _read_dataset(config, "radar_vector")
+    data, meta = _read_dataset(_segments(config)[0])
     groups = multi_model.extract_pairs(
         data, [row["procedure"] for row in meta["rows"]],
         [row["arrival_time"] for row in meta["rows"]], config.pairing_window_s)
@@ -407,7 +438,7 @@ def cmd_train_pairwise(config: RunConfig) -> int:
     rank = config.rank_pairwise
     if rank is None:  # one below the pair dimension 2 (3T+2) + 1, at most 8
         rank = min(8, 2 * data.shape[1])
-    seed = int(substream(config.seed, "train-pairwise").integers(2 ** 31))
+    seed = _seed(config, "train-pairwise")
     models = multi_model.train_pairwise(
         groups, config.n_components_pairwise, rank, seed=seed)
     if not models:
@@ -426,17 +457,11 @@ def cmd_train_pairwise(config: RunConfig) -> int:
 
 def cmd_generate(config: RunConfig, count: int) -> int:
     """Generate single trajectories from the trained per-segment models."""
-    rv_path = config.out_dir / "model_rv.json"
-    fa_path = config.out_dir / "model_fa.json"
-    rv_model = load_model(rv_path)
-    fa_model = load_model(fa_path)
-    _check_width(rv_path, "model dimension", rv_model.dimension,
-                 config.segment_length_rv, "T_v")
-    _check_width(fa_path, "model dimension", fa_model.dimension,
-                 config.segment_length_fa, "T_f")
-    model = single_model.SingleTrajectoryModel(
-        radar_vector_model=rv_model, final_approach_model=fa_model,
-        config=_model_config(config))
+    segments = _segments(config)
+    models = [load_model(segment.model) for segment in segments]
+    for segment, loaded in zip(segments, models):
+        _check_width(segment.model, "model dimension", loaded.dimension, segment)
+    model = single_model.SingleTrajectoryModel(*models, _model_config(config))
     proc_set = _load_procedural_trajectories(config)
     rng = substream(config.seed, "generate")
     rows, meta = [], []

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .mixture import MixtureModel, compress_model, em_fit
-from .preprocess import DeviationVector, reconstruct_trajectory
+from .preprocess import reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
 logger = logging.getLogger(__name__)
@@ -322,14 +322,14 @@ def generate_scene(params: SceneParams,
             last_cause = f"negative inter-arrival time {deltas.min():g} s"
             continue
         try:
-            taus = [DeviationVector.from_array(part) for part in parts[::2]]
+            rebuilt = [reconstruct_trajectory(part, proc)
+                       for part, proc in zip(parts[::2], procedures)]
         except ValueError as exc:
             last_cause = exc  # nonpositive transit time or distance
             continue
         trajectories = []
         arrival = 0.0
-        for i, (tau, proc) in enumerate(zip(taus, procedures)):
-            times, points = reconstruct_trajectory(tau, proc)
+        for i, (times, points) in enumerate(rebuilt):
             arrival = times[-1] if i == 0 else arrival + deltas[i - 1]
             trajectories.append((times + (arrival - times[-1]), points))
         return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)

@@ -1,13 +1,13 @@
 """Trajectory preprocessing: DTW assignment, segmentation, resampling, deviations.
 
 A deviation vector packs a trajectory's transit time, path length, and its
-per-step 3-D offsets from a procedural trajectory into a single flat vector
-of dimension 3T + 2, the training representation used by the mixture models.
+per-step 3-D offsets from a procedural trajectory into one flat array,
+``[transit time, total distance, dx1, dy1, dz1, ..., dxT, dyT, dzT]`` of
+length 3T + 2: the training representation used by the mixture models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -16,37 +16,6 @@ from .errors import DataError
 
 if TYPE_CHECKING:
     from .procedures import ProceduralTrajectory
-
-
-@dataclass(frozen=True)
-class DeviationVector:
-    """Transit time, total distance, and T per-step ENU deviations (meters)."""
-
-    transit_time: float
-    total_distance: float
-    deviations: np.ndarray  # (T, 3)
-
-    def __post_init__(self) -> None:
-        if self.transit_time <= 0:
-            raise ValueError("transit_time must be positive")
-        if self.total_distance <= 0:
-            raise ValueError("total_distance must be positive")
-        dev = np.asarray(self.deviations, dtype=float)
-        if dev.ndim != 2 or dev.shape[1] != 3:
-            raise ValueError("deviations must have shape (T, 3)")
-        object.__setattr__(self, "deviations", dev)
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate(([self.transit_time, self.total_distance],
-                               self.deviations.ravel()))
-
-    @classmethod
-    def from_array(cls, tau: np.ndarray) -> "DeviationVector":
-        tau = np.asarray(tau, dtype=float)
-        if tau.ndim != 1 or (tau.size - 2) % 3 != 0 or tau.size < 5:
-            raise ValueError(f"deviation vector length {tau.size} is not 3T+2")
-        return cls(transit_time=float(tau[0]), total_distance=float(tau[1]),
-                   deviations=tau[2:].reshape(-1, 3))
 
 
 def path_length(points: np.ndarray) -> float:
@@ -303,9 +272,19 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, count: int) -> np.ndarra
     return out
 
 
+def _check_positive(tau: np.ndarray) -> None:
+    """ValueError unless the deviation vector's transit time and total
+    distance are positive."""
+    if tau[0] <= 0:
+        raise ValueError("transit_time must be positive")
+    if tau[1] <= 0:
+        raise ValueError("total_distance must be positive")
+
+
 def build_deviation_vector(times: np.ndarray, points: np.ndarray,
-                           proc: "ProceduralTrajectory") -> DeviationVector:
-    """Deviation vector of a resampled trajectory against a procedural one."""
+                           proc: "ProceduralTrajectory") -> np.ndarray:
+    """Deviation vector (3T + 2,) of a resampled trajectory against a
+    procedural one."""
     points = np.asarray(points, dtype=float)
     if points.shape != proc.points.shape:
         raise ValueError(
@@ -313,14 +292,13 @@ def build_deviation_vector(times: np.ndarray, points: np.ndarray,
             f"trajectory shape {proc.points.shape}"
         )
     times = np.asarray(times, dtype=float)
-    return DeviationVector(
-        transit_time=float(times[-1] - times[0]),
-        total_distance=path_length(points),
-        deviations=points - proc.points,
-    )
+    tau = np.concatenate(([times[-1] - times[0], path_length(points)],
+                          (points - proc.points).ravel()))
+    _check_positive(tau)
+    return tau
 
 
-def reconstruct_trajectory(tau: DeviationVector, proc: "ProceduralTrajectory",
+def reconstruct_trajectory(tau: np.ndarray, proc: "ProceduralTrajectory",
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild a timed trajectory from a deviation vector and a procedure.
 
@@ -328,9 +306,12 @@ def reconstruct_trajectory(tau: DeviationVector, proc: "ProceduralTrajectory",
     rescaled to the procedure's length (t' = tau_1 / tau_2 * d') and
     timestamps are spread evenly over [0, t'].
     """
-    if tau.deviations.shape[0] != proc.points.shape[0]:
+    tau = np.asarray(tau, dtype=float)
+    count = proc.points.shape[0]
+    if tau.shape != (3 * count + 2,):
         raise ValueError("deviation count does not match procedural length")
-    points = proc.points + tau.deviations
-    transit = tau.transit_time / tau.total_distance * proc.total_distance
-    times = np.linspace(0.0, transit, proc.points.shape[0])
+    _check_positive(tau)
+    points = proc.points + tau[2:].reshape(count, 3)
+    transit = tau[0] / tau[1] * proc.total_distance
+    times = np.linspace(0.0, transit, count)
     return times, points

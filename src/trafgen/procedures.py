@@ -26,6 +26,8 @@ EnuTrack = tuple[np.ndarray, np.ndarray]
 
 # k-means restarts when clustering nominal radar-vector paths
 KMEANS_RESTARTS = 20
+# waypoints per extracted nominal path, spread evenly over its samples
+WAYPOINT_COUNT = 25
 
 
 class ProcedureKind(Enum):
@@ -108,7 +110,6 @@ def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
 def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
                           config: AirspaceConfig, *,
                           samples: int = 100,
-                          waypoint_count: int = 25,
                           rng: np.random.Generator | int | None = None,
                           ) -> list[Procedure]:
     """Cluster arrival tracks into ``k`` nominal radar-vector paths.
@@ -116,9 +117,10 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
     Tracks are ENU ``(times, xyz)`` pairs as :func:`flight_to_enu` returns
     them. They are resampled to a common length and clustered with k-means
     (k-means++ seeding, best of ``KMEANS_RESTARTS``) on flattened horizontal
-    positions. Cluster means become waypoint lists; frequency is the cluster
-    membership fraction. The caller curates which paths to keep. Raises
-    DataError when there are fewer than ``k`` tracks.
+    positions. Cluster means become waypoint lists of ``WAYPOINT_COUNT``
+    evenly spread points (all ``samples`` points when there are fewer);
+    frequency is the cluster membership fraction. The caller curates which
+    paths to keep. Raises DataError when there are fewer than ``k`` tracks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,7 +143,7 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
         if not member.any():
             continue  # empty cluster survived every restart: drop it
         mean_path = result.centers[j].reshape(samples, 2)
-        wp_idx = np.unique(np.linspace(0, samples - 1, waypoint_count).astype(int))
+        wp_idx = np.unique(np.linspace(0, samples - 1, WAYPOINT_COUNT).astype(int))
         enu_wps = np.column_stack([mean_path[wp_idx], np.zeros(len(wp_idx))])
         lat, lon, _ = enu_to_wgs84(enu_wps, config)
         procedures.append(Procedure(

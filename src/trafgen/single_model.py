@@ -1,5 +1,7 @@
-"""Single-aircraft model: per-segment mixtures and stitched trajectory generation.
+"""Single-aircraft model: stitched trajectory generation from per-segment mixtures.
 
+The two mixtures, one per segment, are fitted by ``trafgen train`` with
+:func:`~trafgen.mixture.em_fit` and :func:`~trafgen.mixture.compress_model`.
 Generation samples a radar-vector deviation vector, reconstructs it against a
 test procedure, then conditions the final-approach mixture on the deviations
 implied by the tail of the radar-vector trajectory so the two segments join
@@ -14,9 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError
-from .mixture import (ConditionalMixture, MixtureModel, compress_model, em_fit,
-                      sample, substream)
-from .preprocess import DeviationVector, reconstruct_trajectory
+from .mixture import ConditionalMixture, MixtureModel, sample
+from .preprocess import reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
 # trajectory draws per generate call before it gives up
@@ -87,12 +88,6 @@ class SyntheticTrajectory:
 
 
 @dataclass
-class TrainingReport:
-    log_likelihoods_rv: list[float]
-    log_likelihoods_fa: list[float]
-
-
-@dataclass
 class ProcedureSet:
     """Procedural trajectories to generate against, with RV frequencies."""
 
@@ -107,35 +102,6 @@ class ProcedureSet:
         if total <= 0:
             raise ValueError("frequencies must have positive total")
         self.frequencies = [f / total for f in self.frequencies]
-
-
-def train(rv_data: np.ndarray, fa_data: np.ndarray, config: SingleModelConfig, *,
-          n_components_rv: int, n_components_fa: int,
-          rank_rv: int, rank_fa: int, seed: int = 0,
-          ) -> tuple[SingleTrajectoryModel, TrainingReport]:
-    """Fit and compress one mixture per segment from deviation datasets.
-
-    Each segment's EM run is seeded from the substream ``train-<segment>``
-    of ``seed``, so the two fits draw independent initialisations. A
-    dataset whose width is not 3T+2 for the config fails the model's
-    dimension check, after the fit.
-    """
-    rv_model, lls_rv = _fit_segment(rv_data, "radar_vector", n_components_rv,
-                                    rank_rv, seed)
-    fa_model, lls_fa = _fit_segment(fa_data, "final_approach", n_components_fa,
-                                    rank_fa, seed)
-    model = SingleTrajectoryModel(radar_vector_model=rv_model,
-                                  final_approach_model=fa_model, config=config)
-    return model, TrainingReport(log_likelihoods_rv=lls_rv,
-                                 log_likelihoods_fa=lls_fa)
-
-
-def _fit_segment(data: np.ndarray, segment: str, n_components: int, rank: int,
-                 seed: int) -> tuple[MixtureModel, list[float]]:
-    """EM fit compressed to ``rank``, and the EM log-likelihood history."""
-    segment_seed = int(substream(seed, f"train-{segment}").integers(2 ** 31))
-    fit = em_fit(data, n_components, seed=segment_seed, segment_kind=segment)
-    return compress_model(fit.model, rank), fit.log_likelihoods
 
 
 def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
@@ -164,11 +130,10 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
     for _ in range(MAX_DRAWS):
         tau_rv, comp_rv = sample(model.radar_vector_model, rng)
         try:
-            rv_dev = DeviationVector.from_array(tau_rv)
+            rv_times, rv_points = reconstruct_trajectory(tau_rv, rv_proc)
         except ValueError as exc:
             last_error = exc
             continue  # nonpositive sampled time/distance: resample
-        rv_times, rv_points = reconstruct_trajectory(rv_dev, rv_proc)
 
         # deviations of the trajectory tail from the IAP head (tau_a block)
         overlap_dev = rv_points[t_v - n_ov:] - iap.points[:n_ov]
@@ -182,11 +147,10 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
         tau_fa[conditional_fa.observed_idx] = overlap_dev.ravel()
         tau_fa[conditional_fa.free_idx] = tau_b
         try:
-            fa_dev = DeviationVector.from_array(tau_fa)
+            fa_times, fa_points = reconstruct_trajectory(tau_fa, iap)
         except ValueError as exc:
             last_error = exc
             continue
-        fa_times, fa_points = reconstruct_trajectory(fa_dev, iap)
 
         # Final-approach sample n_ov-1 retraces the radar-vector end, so the
         # physical time gap at the join is zero; a vanishing offset keeps

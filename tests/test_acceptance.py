@@ -24,8 +24,8 @@ from trafgen.mixture import (ConditionalMixture, GaussianComponent,
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, train_pairwise)
-from trafgen.preprocess import (DeviationVector, build_deviation_vector,
-                                dtw_distances, reconstruct_trajectory)
+from trafgen.preprocess import (build_deviation_vector, dtw_distances,
+                                reconstruct_trajectory)
 from trafgen.units import FT_TO_M, NM_TO_M
 
 import corpus
@@ -215,14 +215,14 @@ def test_criterion_07_round_trip_exactness():
         times += np.arange(t_len) * 1e-3
         points = base + rng.normal(scale=400.0, size=(t_len, 3))
         tau = build_deviation_vector(times, points, proc)
-        proc.total_distance = tau.total_distance  # d' = tau_2
+        proc.total_distance = tau[1]  # d' = tau_2
         rec_times, rec_points = reconstruct_trajectory(tau, proc)
         assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
-        assert rec_times[-1] == pytest.approx(tau.transit_time, abs=1e-9)
+        assert rec_times[-1] == pytest.approx(tau[0], abs=1e-9)
         # explicit rescaling check against the formula
-        proc.total_distance = 2.5 * tau.total_distance
+        proc.total_distance = 2.5 * tau[1]
         scaled_times, _ = reconstruct_trajectory(tau, proc)
-        expected = tau.transit_time / tau.total_distance * proc.total_distance
+        expected = tau[0] / tau[1] * proc.total_distance
         assert scaled_times[-1] == pytest.approx(expected, abs=1e-9)
     report(7, "build/reconstruct is an exact inverse at d' = tau_2 for 1000 "
               "random trajectories; transit rescaling matches the formula")
@@ -340,8 +340,7 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
         scene = generate_scene(params, [proc, proc], rng)
         tau1 = build_deviation_vector(*scene.trajectories[0], proc)
         tau2 = build_deviation_vector(*scene.trajectories[1], proc)
-        draws[i] = np.concatenate([
-            tau1.to_array(), scene.inter_arrival_times, tau2.to_array()])
+        draws[i] = np.concatenate([tau1, scene.inter_arrival_times, tau2])
     comp = k1_model.components[0]
     variances = np.diag(dense_covariance(comp))
     se = np.sqrt(variances / n_scenes)

@@ -1,6 +1,7 @@
 """CLI pipeline: commands, file formats, determinism, and exit codes."""
 
 import ast
+import dataclasses
 import json
 import logging
 import os
@@ -733,6 +734,7 @@ def empty_rv_dataset(out):
 
 
 RV_DIM = 3 * corpus.T_V + 2
+FA_DIM = 3 * corpus.T_F + 2
 CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
 
 
@@ -753,6 +755,9 @@ CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
     ("train", {**CHOSEN, "rank_rv": 9999}, None,
      f"rank must satisfy 1 <= rank < {RV_DIM}, got 9999"),
     ("train", CHOSEN, nan_in_rv_dataset, "data contains non-finite values"),
+    ("train", {**CHOSEN, "k_fa": 100}, None, "need at least 100 rows, got "),
+    ("train", {**CHOSEN, "rank_fa": 0}, None,
+     f"rank must satisfy 1 <= rank < {FA_DIM}, got 0"),
     ("train-pairwise", {"k_pairwise": 0}, None, "n_components must be >= 1"),
     ("train-pairwise", {"rank_pairwise": 0}, None,
      f"rank must satisfy 1 <= rank < {2 * RV_DIM + 1}, got 0"),
@@ -766,8 +771,9 @@ CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
         "select_rank_empty", "select_nan", "select_identical_rows",
         "select_empty", "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
-        "train_nan", "pairwise_k_0", "pairwise_rank_0", "pairwise_rank_99999",
-        "pairwise_nan", "pairwise_empty", "negative_config_seed"])
+        "train_nan", "train_k_fa_100", "train_rank_fa_0", "pairwise_k_0",
+        "pairwise_rank_0", "pairwise_rank_99999", "pairwise_nan", "pairwise_empty",
+        "negative_config_seed"])
 def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
                                       keys, damage, message):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -1151,3 +1157,38 @@ def test_every_public_definition_is_used_or_documented():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in named]
     assert unused == []
+
+
+def test_every_config_key_is_documented():
+    # the README's config reference names every key RunConfig.from_file reads
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = [*cli._CONFIG_KEYS,
+            *(f.name for f in dataclasses.fields(cli.AirspaceConfig))]
+    assert [key for key in keys if f"`{key}`" not in readme] == []
+
+
+DIGESTED = ["eval_scenes/metrics_report.json", *(f"out/{name}" for name in (
+    "fa_dataset.csv", "fa_dataset.meta.json", "ingest_report.json",
+    "metrics_report.json", "model_fa.json", "model_pairwise.json",
+    "model_rv.json", "rv_dataset.csv", "rv_dataset.meta.json", "scenes.csv",
+    "scenes.meta.json", "selection_report.json", "train_log.json",
+    "train_pairwise_log.json", "trajectories.csv", "trajectories.meta.json"))]
+
+
+def test_artefact_digests_tool_runs_every_command():
+    script = Path(__file__).resolve().parent / "artefact_digests.py"
+
+    def digests():
+        return subprocess.run(
+            [sys.executable, str(script), "--flights", "40", "--count", "20",
+             "--scenes", "2"], check=True, capture_output=True, text=True).stdout
+
+    first = digests()
+    lines = first.splitlines()
+    commands = [line for line in lines if line.startswith("exit ")]
+    assert len(commands) == 8
+    assert all(line.startswith("exit 0 ") for line in commands), commands
+    digested = [line.split("  ", 1) for line in lines[len(commands):]]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in digested)
+    assert [path for _, path in digested] == DIGESTED
+    assert digests() == first

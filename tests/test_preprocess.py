@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from trafgen import preprocess
 from trafgen.errors import DataError
-from trafgen.preprocess import (DeviationVector, assign_procedures,
-                                build_deviation_vector, dtw_distances,
-                                path_length, pchip_resample,
+from trafgen.preprocess import (assign_procedures, build_deviation_vector,
+                                dtw_distances, path_length, pchip_resample,
                                 point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
@@ -390,9 +389,9 @@ def test_deviation_zero_case():
     proc = straight_proc(0.0, n=10)
     times = np.linspace(0.0, STRAIGHT_TRANSIT_S, 10)
     tau = build_deviation_vector(times, proc.points, proc)
-    assert np.allclose(tau.deviations, 0.0)
-    assert tau.transit_time == pytest.approx(STRAIGHT_TRANSIT_S)
-    assert tau.total_distance == pytest.approx(proc.total_distance)
+    assert np.allclose(tau[2:], 0.0)
+    assert tau[0] == pytest.approx(STRAIGHT_TRANSIT_S)
+    assert tau[1] == pytest.approx(proc.total_distance)
 
 
 def test_deviation_translation_shows_in_dx_only():
@@ -400,8 +399,9 @@ def test_deviation_translation_shows_in_dx_only():
     shifted = proc.points + np.array([100.0, 0.0, 0.0])
     tau = build_deviation_vector(np.linspace(0.0, STRAIGHT_TRANSIT_S, 10),
                                  shifted, proc)
-    assert np.allclose(tau.deviations[:, 0], 100.0)
-    assert np.allclose(tau.deviations[:, 1:], 0.0)
+    deviations = tau[2:].reshape(10, 3)
+    assert np.allclose(deviations[:, 0], 100.0)
+    assert np.allclose(deviations[:, 1:], 0.0)
 
 
 def test_deviation_length_mismatch_rejected():
@@ -419,10 +419,10 @@ def test_round_trip_is_exact_inverse():
     tau = build_deviation_vector(times, points, proc)
     # round trip is exact when the procedural distance equals tau_2
     proc_same_length = make_proc_traj(proc.points, name="SAME")
-    proc_same_length.total_distance = tau.total_distance
+    proc_same_length.total_distance = tau[1]
     rec_times, rec_points = reconstruct_trajectory(tau, proc_same_length)
     assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
-    assert rec_times[-1] == pytest.approx(tau.transit_time, abs=1e-9)
+    assert rec_times[-1] == pytest.approx(tau[0], abs=1e-9)
 
 
 def test_reconstruct_transit_time_formula():
@@ -430,8 +430,7 @@ def test_reconstruct_transit_time_formula():
     proc_points = np.column_stack([np.linspace(0.0, 55560.0, 8),
                                    np.zeros(8), np.zeros(8)])
     proc = make_proc_traj(proc_points, name="LONG")
-    tau = DeviationVector(transit_time=600.0, total_distance=37040.0,
-                          deviations=np.zeros((8, 3)))
+    tau = np.concatenate([[600.0, 37040.0], np.zeros(3 * 8)])
     times, _ = reconstruct_trajectory(tau, proc)
     assert times[-1] == pytest.approx(900.0, abs=1e-9)
     assert np.allclose(np.diff(times), times[1] - times[0])
@@ -439,21 +438,48 @@ def test_reconstruct_transit_time_formula():
 
 def test_reconstruct_zero_deviations_returns_procedure():
     proc = straight_proc(0.0, n=10)
-    tau = DeviationVector(transit_time=300.0, total_distance=proc.total_distance,
-                          deviations=np.zeros((10, 3)))
+    tau = np.concatenate([[300.0, proc.total_distance], np.zeros(3 * 10)])
     _, points = reconstruct_trajectory(tau, proc)
     assert np.array_equal(points, proc.points)
 
 
 def test_deviation_vector_array_round_trip():
+    # the (3T + 2,) array reads back as transit time, distance, deviations
     rng = np.random.default_rng(4)
-    tau = DeviationVector(transit_time=432.0, total_distance=18000.0,
-                          deviations=rng.normal(size=(7, 3)))
-    again = DeviationVector.from_array(tau.to_array())
-    assert again.transit_time == tau.transit_time
-    assert again.total_distance == tau.total_distance
-    assert np.array_equal(again.deviations, tau.deviations)
-    assert tau.to_array().size == 3 * 7 + 2
+    proc = straight_proc(0.0, n=7)
+    points = proc.points + rng.normal(size=(7, 3))
+    tau = build_deviation_vector(np.linspace(0.0, 432.0, 7), points, proc)
+    assert tau[0] == 432.0
+    assert tau[1] == path_length(points)
+    assert np.array_equal(tau[2:].reshape(7, 3), points - proc.points)
+    assert tau.size == 3 * 7 + 2
+
+
+def test_build_rejects_nonpositive_transit_and_distance():
+    proc = straight_proc(0.0, n=10)
+    with pytest.raises(ValueError, match="^transit_time must be positive$"):
+        build_deviation_vector(np.zeros(10), proc.points, proc)
+    with pytest.raises(ValueError, match="^total_distance must be positive$"):
+        build_deviation_vector(np.linspace(0.0, 300.0, 10), np.zeros((10, 3)),
+                               proc)
+
+
+COUNT_MISMATCH = "deviation count does not match procedural length"
+
+
+@pytest.mark.parametrize("head, size, message", [
+    ([300.0, 9000.0], 3 * 10 + 1, COUNT_MISMATCH),
+    ([300.0, 9000.0], 3 * 11 + 2, COUNT_MISMATCH),
+    ([0.0, 9000.0], 3 * 10 + 2, "transit_time must be positive"),
+    ([-5.0, 9000.0], 3 * 10 + 2, "transit_time must be positive"),
+    ([300.0, 0.0], 3 * 10 + 2, "total_distance must be positive"),
+    ([300.0, -1.0], 3 * 10 + 2, "total_distance must be positive"),
+], ids=["short", "long", "zero_transit", "negative_transit", "zero_distance",
+        "negative_distance"])
+def test_reconstruct_rejects_malformed_vectors(head, size, message):
+    tau = np.concatenate([head, np.zeros(size - 2)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reconstruct_trajectory(tau, straight_proc(0.0, n=10))
 
 
 def test_path_length_is_polyline_sum():

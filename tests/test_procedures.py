@@ -7,7 +7,7 @@ from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84, flight_to_enu, wgs84_to_enu
 from trafgen.preprocess import path_length, pchip_resample, \
     point_to_polyline_distance
-from trafgen.procedures import (Procedure, ProcedureKind,
+from trafgen.procedures import (WAYPOINT_COUNT, Procedure, ProcedureKind,
                                 build_procedural_trajectory,
                                 extract_nominal_paths, load_procedures,
                                 save_procedures, waypoints_to_enu)
@@ -37,9 +37,8 @@ def bundle_track(airspace, y_offset, duration, n=40, noise=0.0, seed=0):
 
 def test_single_cluster_is_pointwise_mean(airspace):
     tracks = [bundle_track(airspace, y, 400.0) for y in [-1000.0, 0.0, 1000.0]]
-    samples = 30
-    paths = extract_nominal_paths(tracks, 1, airspace, samples=samples,
-                                  waypoint_count=samples, rng=0)
+    samples = WAYPOINT_COUNT  # every resampled point is a waypoint
+    paths = extract_nominal_paths(tracks, 1, airspace, samples=samples, rng=0)
     assert len(paths) == 1
     assert paths[0].kind is ProcedureKind.RADAR_VECTOR
     assert paths[0].frequency == pytest.approx(1.0)

@@ -5,10 +5,10 @@ import pytest
 
 from trafgen.errors import NumericalError
 from trafgen.metrics import histogram_pair, js_divergence, silhouette_sweep
-from trafgen.mixture import GaussianComponent, MixtureModel, model_to_dict, \
-    sample_many
+from trafgen.mixture import GaussianComponent, MixtureModel, compress_model, \
+    em_fit, model_to_dict, sample_many, substream
 from trafgen.single_model import (SingleModelConfig, SingleTrajectoryModel,
-                                  ProcedureSet, generate, train)
+                                  ProcedureSet, generate)
 
 from conftest import make_proc_traj
 from oracles import dense_covariance
@@ -110,24 +110,26 @@ def make_procs():
 # ---------------------------------------------------------------------------
 # train
 
+def fit_segment(data, segment, n_components, rank, seed):
+    """A segment's compressed mixture and EM log-likelihoods, seeded from the
+    substream ``train-<segment>`` of ``seed`` as ``trafgen train`` seeds it."""
+    segment_seed = int(substream(seed, f"train-{segment}").integers(2 ** 31))
+    fit = em_fit(data, n_components, seed=segment_seed, segment_kind=segment)
+    return compress_model(fit.model, rank), fit.log_likelihoods
+
+
 def test_train_recovers_single_component_mean():
     gt = ground_truth_model().radar_vector_model.components[0]
     gt_single = MixtureModel(components=[GaussianComponent(
         weight=1.0, mean=gt.mean, cov_factor=gt.cov_factor,
         noise_var=gt.noise_var)])
     data, _ = sample_many(gt_single, 4000, np.random.default_rng(0))
-    fa_comp = ground_truth_model().final_approach_model.components[0]
-    fa_single = MixtureModel(components=[GaussianComponent(
-        weight=1.0, mean=fa_comp.mean, cov_factor=fa_comp.cov_factor,
-        noise_var=fa_comp.noise_var)])
-    fa_data, _ = sample_many(fa_single, 4000, np.random.default_rng(1))
 
-    model, report = train(data, fa_data, CONFIG, n_components_rv=1,
-                          n_components_fa=1, rank_rv=3, rank_fa=3, seed=0)
-    recovered = model.radar_vector_model.components[0]
+    model, log_likelihoods = fit_segment(data, "radar_vector", 1, 3, seed=0)
+    recovered = model.components[0]
     sigma = np.sqrt(np.diag(dense_covariance(gt)))
     assert np.all(np.abs(recovered.mean - gt.mean) <= 0.05 * sigma + 1e-9)
-    assert len(report.log_likelihoods_rv) >= 1
+    assert len(log_likelihoods) >= 1
 
 
 def test_silhouette_sweep_finds_generating_component_count():
@@ -147,20 +149,11 @@ def test_train_is_bit_identical_for_fixed_seed():
     rv_data, _ = sample_many(ground_truth_model().radar_vector_model, 600, rng)
     fa_data, _ = sample_many(ground_truth_model().final_approach_model, 600,
                              np.random.default_rng(7))
-    kwargs = dict(n_components_rv=2, n_components_fa=2, rank_rv=3, rank_fa=3,
-                  seed=123)
-    model1, _ = train(rv_data, fa_data, CONFIG, **kwargs)
-    model2, _ = train(rv_data, fa_data, CONFIG, **kwargs)
-    assert (model_to_dict(model1.radar_vector_model)
-            == model_to_dict(model2.radar_vector_model))
-    assert (model_to_dict(model1.final_approach_model)
-            == model_to_dict(model2.final_approach_model))
-
-
-def test_train_validates_dataset_width():
-    with pytest.raises(ValueError):
-        train(np.zeros((10, DIM_V + 1)), np.zeros((10, DIM_F)), CONFIG,
-              n_components_rv=1, n_components_fa=1, rank_rv=2, rank_fa=2)
+    for data, segment in ((rv_data, "radar_vector"),
+                          (fa_data, "final_approach")):
+        model1, _ = fit_segment(data, segment, 2, 3, seed=123)
+        model2, _ = fit_segment(data, segment, 2, 3, seed=123)
+        assert model_to_dict(model1) == model_to_dict(model2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +275,11 @@ def test_end_to_end_distribution_matches_ground_truth():
                              np.random.default_rng(15))
     fa_data, _ = sample_many(gt.final_approach_model, 2000,
                              np.random.default_rng(16))
-    model, _ = train(rv_data, fa_data, CONFIG, n_components_rv=2,
-                     n_components_fa=2, rank_rv=4, rank_fa=4, seed=1)
+    model = SingleTrajectoryModel(
+        radar_vector_model=fit_segment(rv_data, "radar_vector", 2, 4, seed=1)[0],
+        final_approach_model=fit_segment(fa_data, "final_approach", 2, 4,
+                                         seed=1)[0],
+        config=CONFIG)
     rng = np.random.default_rng(17)
     synthetic = [generate(model, procs, rng) for _ in range(1000)]
 
