@@ -59,23 +59,26 @@ class _UsageError(Exception):
 
 @dataclass
 class RunConfig:
+    """A run's settings; every field but ``airspace`` is the config key of
+    that name, and ``airspace`` holds the keys of :class:`AirspaceConfig`."""
+
     airspace: AirspaceConfig
     tracks: Path = Path("tracks.csv")
     procedures: Path = Path("procedures.yaml")
     out_dir: Path = Path("out")
-    segment_length_rv: int = 350
-    segment_length_fa: int = 150
+    t_v: int = 350
+    t_f: int = 150
     n_overlap: int = 10
-    component_grid: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
+    k_grid: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
     rank_grid: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16])
     pairing_window_s: float = multi_model.DEFAULT_PAIRING_WINDOW_S
     segment_threshold_nm: float = 1.0
     seed: int = 0
-    n_components_rv: int | None = None
-    n_components_fa: int | None = None
+    k_rv: int | None = None
+    k_fa: int | None = None
     rank_rv: int | None = None
     rank_fa: int | None = None
-    n_components_pairwise: int = 1
+    k_pairwise: int = 1
     rank_pairwise: int | None = None
 
     @classmethod
@@ -86,12 +89,11 @@ class RunConfig:
 
     @classmethod
     def _from_values(cls, values: dict[str, str], path: Path) -> "RunConfig":
-        airspace_keys = {f.name for f in dataclass_fields(AirspaceConfig)}
+        # airspace keys are parsed in file order, the others in field order;
         # a missing origin_lat or origin_lon is a TypeError here
-        airspace = AirspaceConfig(**{k: float(values.pop(k))
-                                     for k in list(values) if k in airspace_keys})
-        kwargs = {name: cast(values.pop(key))
-                  for key, (name, cast) in _CONFIG_KEYS.items() if key in values}
+        airspace = AirspaceConfig(
+            **_pop_fields(AirspaceConfig, values, list(values)))
+        kwargs = _pop_fields(cls, values, [f.name for f in dataclass_fields(cls)])
         if values:
             raise DataError(f"{path}: unknown config keys: {sorted(values)}")
         cfg = cls(airspace=airspace, **kwargs)
@@ -99,34 +101,21 @@ class RunConfig:
             setattr(cfg, name, path.parent / getattr(cfg, name))
         if cfg.seed < 0:
             raise ValueError(f"seed must be at least 0, got {cfg.seed}")
-        _model_config(cfg)  # the segment lengths and n_overlap
+        single_model.check_segment_lengths(cfg.t_v, cfg.t_f, cfg.n_overlap)
         return cfg
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(v) for v in raw.split(",") if v.strip()]
+# the parser of a config value, by the annotation of the field it sets
+_PARSERS = {"Path": Path, "int": int, "int | None": int, "float": float,
+            "list[int]": lambda raw: [int(v) for v in raw.split(",") if v.strip()]}
 
 
-# config file key -> (RunConfig field, parser of the value)
-_CONFIG_KEYS = {
-    "tracks": ("tracks", Path),
-    "procedures": ("procedures", Path),
-    "out_dir": ("out_dir", Path),
-    "t_v": ("segment_length_rv", int),
-    "t_f": ("segment_length_fa", int),
-    "n_overlap": ("n_overlap", int),
-    "k_grid": ("component_grid", _int_list),
-    "rank_grid": ("rank_grid", _int_list),
-    "pairing_window_s": ("pairing_window_s", float),
-    "segment_threshold_nm": ("segment_threshold_nm", float),
-    "seed": ("seed", int),
-    "k_rv": ("n_components_rv", int),
-    "k_fa": ("n_components_fa", int),
-    "rank_rv": ("rank_rv", int),
-    "rank_fa": ("rank_fa", int),
-    "k_pairwise": ("n_components_pairwise", int),
-    "rank_pairwise": ("rank_pairwise", int),
-}
+def _pop_fields(cls, values: dict[str, str], keys: list[str]) -> dict:
+    """Each of ``keys`` that is in ``values`` and names a field of ``cls``
+    with a parser, taken out of ``values`` and parsed, in the order given."""
+    types = {f.name: f.type for f in dataclass_fields(cls)}
+    return {key: _PARSERS[types[key]](values.pop(key)) for key in keys
+            if key in values and types.get(key) in _PARSERS}
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +141,10 @@ def _segments(config: RunConfig) -> tuple[_Segment, _Segment]:
     """The radar-vector and the final-approach segment of ``config``."""
     out = config.out_dir
     return (_Segment("radar_vector", out / "rv_dataset.csv", out / "model_rv.json",
-                     config.segment_length_rv, "T_v", config.n_components_rv,
-                     config.rank_rv),
+                     config.t_v, "T_v", config.k_rv, config.rank_rv),
             _Segment("final_approach", out / "fa_dataset.csv",
-                     out / "model_fa.json", config.segment_length_fa, "T_f",
-                     config.n_components_fa, config.rank_fa))
+                     out / "model_fa.json", config.t_f, "T_f", config.k_fa,
+                     config.rank_fa))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +163,10 @@ def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSe
     try:  # a repeated waypoint or all-zero frequencies
         return single_model.ProcedureSet(
             radar_vectors=[procedures.build_procedural_trajectory(
-                p, config.segment_length_rv, config.airspace) for p in rv_procs],
+                p, config.t_v, config.airspace) for p in rv_procs],
             frequencies=[p.frequency for p in rv_procs],
             iap=procedures.build_procedural_trajectory(
-                iaps[0], config.segment_length_fa, config.airspace))
+                iaps[0], config.t_f, config.airspace))
     except ValueError as exc:
         raise DataError(f"{config.procedures}: {exc}") from exc
 
@@ -284,8 +272,8 @@ def cmd_ingest(config: RunConfig) -> int:
             fa_raw[a] = (times[boundary:], xyz[boundary:])
 
     # 2. resample both parts; an arrival keeps its first failure
-    rv_done = _resample_parts(rv_raw, config.segment_length_rv, failed)
-    fa_done = _resample_parts(fa_raw, config.segment_length_fa - n_lead, failed)
+    rv_done = _resample_parts(rv_raw, config.t_v, failed)
+    fa_done = _resample_parts(fa_raw, config.t_f - n_lead, failed)
 
     # 3. final-approach rows, and every exclusion in arrival order. Step 5
     # cannot fail: a radar-vector part runs from outside the threshold to
@@ -374,7 +362,7 @@ def cmd_select(config: RunConfig) -> int:
     for segment in _segments(config):
         data, _ = _read_dataset(segment)
         seed = _seed(config, f"select-{segment.kind}")
-        sweep = metrics.silhouette_sweep(data, config.component_grid, seed=seed)
+        sweep = metrics.silhouette_sweep(data, config.k_grid, seed=seed)
         ranks = select_rank(data, config.rank_grid, seed=seed)
         report[segment.kind] = {
             "n_components": sweep.n_components,
@@ -396,11 +384,6 @@ def _chosen(config: RunConfig, segment: _Segment) -> tuple[int, int]:
         lambda report: (int(report[segment.kind]["n_components"]),
                         int(report[segment.kind]["rank"])))
     return tuple(r if e is None else e for e, r in zip(explicit, reported))
-
-
-def _model_config(config: RunConfig) -> single_model.SingleModelConfig:
-    return single_model.SingleModelConfig(
-        config.segment_length_rv, config.segment_length_fa, config.n_overlap)
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -440,7 +423,7 @@ def cmd_train_pairwise(config: RunConfig) -> int:
         rank = min(8, 2 * data.shape[1])
     seed = _seed(config, "train-pairwise")
     models = multi_model.train_pairwise(
-        groups, config.n_components_pairwise, rank, seed=seed)
+        groups, config.k_pairwise, rank, seed=seed)
     if not models:
         raise DataError("every pairwise group was under the sample minimum")
     write_json(config.out_dir / "model_pairwise.json", {
@@ -461,7 +444,7 @@ def cmd_generate(config: RunConfig, count: int) -> int:
     models = [load_model(segment.model) for segment in segments]
     for segment, loaded in zip(segments, models):
         _check_width(segment.model, "model dimension", loaded.dimension, segment)
-    model = single_model.SingleTrajectoryModel(*models, _model_config(config))
+    model = single_model.SingleTrajectoryModel(*models, config.n_overlap)
     proc_set = _load_procedural_trajectories(config)
     rng = substream(config.seed, "generate")
     rows, meta = [], []
@@ -496,7 +479,7 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     if missing:
         raise DataError(f"{config.out_dir / 'model_pairwise.json'}: no pairwise "
                         f"model for procedure combinations {', '.join(missing)}")
-    expected = 2 * (3 * config.segment_length_rv + 2) + 1
+    expected = 2 * (3 * config.t_v + 2) + 1
     found = sorted({model.dimension for model in models.values()})
     if found != [expected]:
         raise DataError(f"{config.out_dir / 'model_pairwise.json'}: pairwise "

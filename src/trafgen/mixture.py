@@ -17,7 +17,7 @@ import logging
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +36,8 @@ EM_MAX_ITER = 200
 EM_TOL = 1e-6
 # share of rows select_rank holds out for scoring
 HOLDOUT_FRACTION = 0.2
+# draws a redraw call makes before it gives up
+MAX_DRAWS = 10
 
 
 @dataclass
@@ -84,9 +86,6 @@ class MixtureModel:
     @property
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
-
-    def means(self) -> np.ndarray:
-        return np.stack([c.mean for c in self.components])
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +473,19 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Deterministic named RNG substream derived from a run seed."""
     return np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
+
+
+def redraw(draw: Callable, what: str):
+    """``draw()``, called again while it raises a ValueError or a
+    NumericalError, up to ``MAX_DRAWS`` calls in all; after the last one a
+    NumericalError names ``what`` and the last cause."""
+    for _ in range(MAX_DRAWS):
+        try:
+            return draw()
+        except (ValueError, NumericalError) as exc:
+            cause = exc
+    raise NumericalError(
+        f"{what} failed after {MAX_DRAWS} attempts; last cause: {cause}")
 
 
 def sample(model: MixtureModel, rng: int | np.random.Generator | None = None,

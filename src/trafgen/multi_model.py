@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .mixture import MixtureModel, compress_model, em_fit
+from .errors import DataError
+from .mixture import MixtureModel, compress_model, em_fit, redraw
 from .preprocess import reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
@@ -27,8 +27,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_PAIRING_WINDOW_S = 180.0
 # a pairwise group is trained only with this many samples per component
 MIN_SAMPLES_PER_COMPONENT = 5
-# scene draws per generate_scene call before it gives up
-MAX_SCENE_DRAWS = 10
 
 
 @dataclass
@@ -302,37 +300,29 @@ def generate_scene(params: SceneParams,
                    ) -> TrafficScene:
     """Sample one joint deviation vector and reconstruct the N trajectories.
 
-    The scene vector is redrawn (up to ``MAX_SCENE_DRAWS`` draws in all)
-    while any sampled inter-arrival time is negative or a deviation block
-    has nonpositive transit time or distance. Trajectory timestamps are
-    aligned so that successive reconstructed arrival (final) times differ
-    exactly by the sampled inter-arrival times, with the first aircraft
-    starting at 0.
+    The scene vector is redrawn by :func:`~trafgen.mixture.redraw` while
+    any sampled inter-arrival time is negative or a deviation block has
+    nonpositive transit time or distance. Trajectory timestamps are aligned
+    so that successive reconstructed arrival (final) times differ exactly by
+    the sampled inter-arrival times, with the first aircraft starting at 0.
     """
     rng = np.random.default_rng(rng)
     n = len(params.procedure_sequence)
     if len(procedures) != n:
         raise ValueError(f"need {n} procedural trajectories, got {len(procedures)}")
 
-    last_cause = None
-    for _ in range(MAX_SCENE_DRAWS):
+    def draw():
         parts = _scene_parts(params, rng.standard_normal(params.mean.size))
         deltas = np.concatenate(parts[1::2])
         if np.any(deltas < 0):
-            last_cause = f"negative inter-arrival time {deltas.min():g} s"
-            continue
-        try:
-            rebuilt = [reconstruct_trajectory(part, proc)
-                       for part, proc in zip(parts[::2], procedures)]
-        except ValueError as exc:
-            last_cause = exc  # nonpositive transit time or distance
-            continue
-        trajectories = []
-        arrival = 0.0
-        for i, (times, points) in enumerate(rebuilt):
-            arrival = times[-1] if i == 0 else arrival + deltas[i - 1]
-            trajectories.append((times + (arrival - times[-1]), points))
-        return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)
-    raise NumericalError(
-        f"scene sampling failed after {MAX_SCENE_DRAWS} attempts; last cause: "
-        f"{last_cause}")
+            raise ValueError(f"negative inter-arrival time {deltas.min():g} s")
+        return deltas, [reconstruct_trajectory(part, proc)
+                        for part, proc in zip(parts[::2], procedures)]
+
+    deltas, rebuilt = redraw(draw, "scene sampling")
+    trajectories = []
+    arrival = 0.0
+    for i, (times, points) in enumerate(rebuilt):
+        arrival = times[-1] if i == 0 else arrival + deltas[i - 1]
+        trajectories.append((times + (arrival - times[-1]), points))
+    return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)

@@ -21,8 +21,6 @@ if TYPE_CHECKING:
 def path_length(points: np.ndarray) -> float:
     """Total polyline length (sum of consecutive segment lengths)."""
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 

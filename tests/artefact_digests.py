@@ -4,14 +4,16 @@
         [--seed 0] [--t-v 40] [--t-f 20] [--n-overlap 1]
         [--count 200] [--scenes 20] [--aircraft 3]
 
-Writes a ``tests/corpus.py`` corpus and a held-out ground-truth set into a
-temporary directory, then runs the trafgen found under ``CHECKOUT/src``
-(default: this checkout) on it: ingest, select, train, train-pairwise,
-generate, generate-scenes, evaluate on the trajectories, and evaluate on the
-scenes. It prints each command's exit code with a digest of its standard
-error, then one ``<sha256>  <path>`` line per output file. Every path is
-relative to the run directory, so the output depends only on the program
-and the arguments. Running the script against two checkouts with the same
+Writes a corpus and a held-out ground-truth set into a temporary directory,
+then runs the trafgen found under ``CHECKOUT/src`` (default: this checkout)
+on it: ingest, select, train, train-pairwise, generate, generate-scenes,
+evaluate on the trajectories, evaluate on the scenes, and review-paths
+``--k 3``. The corpus is built by ``CHECKOUT/tests/corpus.py``, so each
+checkout builds it with its own code and the script works across changes of
+trafgen's library API. It prints each command's exit code with a digest of
+its standard error, then one ``<sha256>  <path>`` line per output file.
+Every path is relative to the run directory, so the output depends only on
+the program and the arguments. Running the script against two checkouts with the same
 arguments and diffing the output shows whether a change keeps every
 artefact byte-identical. Needs only the standard library and numpy, besides
 trafgen's own dependencies.
@@ -61,8 +63,9 @@ def main() -> None:
     parser.add_argument("--aircraft", type=int, default=3)
     args = parser.parse_args()
 
-    sys.path[:0] = [str(args.root.resolve() / "src"), str(HERE)]
-    import corpus  # noqa: E402 -- imports trafgen from the chosen checkout
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    import corpus  # noqa: E402 -- the chosen checkout's, on its own trafgen
     from trafgen.cli import run  # noqa: E402
 
     dims = {"t_v": args.t_v, "t_f": args.t_f, "n_overlap": args.n_overlap}
@@ -75,6 +78,7 @@ def main() -> None:
          "--synthetic", "out/trajectories.csv"],
         ["--out", "eval_scenes", "evaluate", "--actual", "truth.csv",
          "--synthetic", "out/scenes.csv"],
+        ["review-paths", "--k", "3"],
     ]
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)

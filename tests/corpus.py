@@ -17,8 +17,7 @@ from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.preprocess import path_length
 from trafgen.procedures import (Procedure, ProcedureKind,
                                 build_procedural_trajectory, save_procedures)
-from trafgen.single_model import (ProcedureSet, SingleModelConfig,
-                                  SingleTrajectoryModel, generate)
+from trafgen.single_model import ProcedureSet, SingleTrajectoryModel, generate
 
 # default segment lengths and overlap of the test corpus; the paper's are
 # T_v = 350, T_f = 150 and n_overlap = 10
@@ -154,10 +153,8 @@ def ground_truth_model(t_v=T_V, t_f=T_F,
         _gt_component(procs.iap, t_f, -450.0, None, 160.0, 40.0, 8.0, 100.0,
                       0.5, seed=14, path=path),
     ], segment_kind="final_approach")
-    return SingleTrajectoryModel(
-        radar_vector_model=rv, final_approach_model=fa,
-        config=SingleModelConfig(segment_length_rv=t_v, segment_length_fa=t_f,
-                                 n_overlap=n_overlap))
+    return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
+                                 n_overlap=n_overlap)
 
 
 def generate_actual(n, seed, t_v=T_V, t_f=T_F, n_overlap=N_OVERLAP):

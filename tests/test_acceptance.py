@@ -119,7 +119,7 @@ def test_criterion_03_em_monotone_and_recovers_means():
                       rng.normal(size=(1000, 3)) + mu_b])
     fit = em_fit(data, 2, seed=42)
     assert np.all(np.diff(fit.log_likelihoods) >= -1e-9)
-    means = fit.model.means()
+    means = np.stack([c.mean for c in fit.model.components])
     order = np.argsort(means[:, 0])
     assert np.linalg.norm(means[order[0]] - mu_a) < 0.1
     assert np.linalg.norm(means[order[1]] - mu_b) < 0.1

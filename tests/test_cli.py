@@ -600,6 +600,7 @@ def test_review_paths_writes_kept_subset(pipeline):
     kept = load_procedures(base / "out" / "nominal_paths.yaml")
     assert len(kept) == 1
     assert kept[0].kind.value == "radar_vector"
+    assert len(kept[0].waypoints) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -1076,10 +1077,62 @@ def test_pairwise_model_of_another_t_v_fails_before_any_draw(tmp_path, capsys):
 def test_run_config_round_trip(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     cfg = RunConfig.from_file(config_path)
-    assert cfg.segment_length_rv == corpus.T_V
-    assert cfg.component_grid == [2, 3, 4]
+    assert cfg.t_v == corpus.T_V
+    assert cfg.k_grid == [2, 3, 4]
     assert cfg.airspace.radius_nm == 25.0
     assert cfg.pairing_window_s == 180.0
+
+
+# a value other than its default for every RunConfig field but airspace, in
+# field order, and the value each is read as
+NON_DEFAULT = {
+    "tracks": ("in/t.csv", Path("in/t.csv")),
+    "procedures": ("p.yaml", Path("p.yaml")),
+    "out_dir": ("o", Path("o")), "t_v": ("12", 12), "t_f": ("7", 7),
+    "n_overlap": ("3", 3), "k_grid": ("2, 5,", [2, 5]),
+    "rank_grid": ("3,1", [3, 1]), "pairing_window_s": ("90.5", 90.5),
+    "segment_threshold_nm": ("0.25", 0.25), "seed": ("4", 4),
+    "k_rv": ("3", 3), "k_fa": ("5", 5), "rank_rv": ("2", 2),
+    "rank_fa": ("6", 6), "k_pairwise": ("2", 2), "rank_pairwise": ("7", 7)}
+
+
+def test_every_config_field_round_trips(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("origin_lat = 1\norigin_lon = 2\n" + "".join(
+        f"{key} = {raw}\n" for key, (raw, _) in NON_DEFAULT.items()),
+        encoding="utf-8")
+    cfg = RunConfig.from_file(path)
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "airspace", *NON_DEFAULT]
+    read = {key: getattr(cfg, key) for key in NON_DEFAULT}
+    expected = {key: value for key, (_, value) in NON_DEFAULT.items()}
+    for key in ("tracks", "procedures", "out_dir"):
+        expected[key] = tmp_path / expected[key]
+    assert read == expected
+    assert [type(v) for v in read.values()] == [type(v) for v in expected.values()]
+    default = RunConfig(airspace=cfg.airspace)
+    assert [key for key in NON_DEFAULT
+            if getattr(default, key) == expected[key]] == []
+
+
+@pytest.mark.parametrize("keys, reason", [
+    ({"t_v": "1.5"}, "invalid literal for int() with base 10: '1.5'"),
+    ({"k_rv": "two"}, "invalid literal for int() with base 10: 'two'"),
+    ({"pairing_window_s": "fast"}, "could not convert string to float: 'fast'"),
+    ({"k_grid": "2,x"}, "invalid literal for int() with base 10: 'x'"),
+    ({"radius_nm": "far"}, "could not convert string to float: 'far'"),
+    ({"t_f": "late", "t_v": "early"},
+     "invalid literal for int() with base 10: 'early'"),
+], ids=["int", "optional_int", "float", "int_list", "airspace_float",
+        "first_bad_field"])
+def test_bad_config_values_are_data_errors(tmp_path, capsys, keys, reason):
+    # Path fields take any string, so they have no bad value; two bad
+    # values report the one whose field comes first
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    set_config_keys(config_path, **keys)
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_DATA
+    assert (f"data error: {config_path}: malformed config file: {reason}\n"
+            == capsys.readouterr().err)
 
 
 def test_run_config_defaults_and_nonpositive_lengths(tmp_path, capsys):
@@ -1088,9 +1141,8 @@ def test_run_config_defaults_and_nonpositive_lengths(tmp_path, capsys):
     cfg = RunConfig.from_file(path)
     assert (cfg.tracks, cfg.procedures, cfg.out_dir) == (
         tmp_path / "tracks.csv", tmp_path / "procedures.yaml", tmp_path / "out")
-    assert (cfg.segment_length_rv, cfg.segment_length_fa, cfg.n_overlap) == (
-        350, 150, 10)
-    assert cfg.component_grid == [2, 3, 4, 5, 6] and cfg.seed == 0
+    assert (cfg.t_v, cfg.t_f, cfg.n_overlap) == (350, 150, 10)
+    assert cfg.k_grid == [2, 3, 4, 5, 6] and cfg.seed == 0
     assert cfg.rank_rv is None and not hasattr(cfg, "pairwise_segment")
     path.write_text("origin_lat = 1\norigin_lon = 2\nn_overlap = 0\n",
                     encoding="utf-8")
@@ -1118,9 +1170,10 @@ def test_threads_is_neither_a_config_key_nor_a_flag(tmp_path, capsys):
     assert run(["--config", str(config_path), "--threads", "2",
                 "ingest"]) == EXIT_USAGE
     base = config_path.read_text(encoding="utf-8")
-    # nor are the procedure-timing keys, which nothing reads
+    # nor are the procedure-timing keys, which nothing reads, nor the field
+    # that holds the airspace keys
     for key, value in (("threads", "2"), ("proximity_nm", "0.5"),
-                       ("default_speed_kts", "140")):
+                       ("default_speed_kts", "140"), ("airspace", "1")):
         config_path.write_text(f"{base}{key} = {value}\n", encoding="utf-8")
         assert run(["--config", str(config_path), "ingest"]) == EXIT_DATA
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -1162,17 +1215,18 @@ def test_every_public_definition_is_used_or_documented():
 def test_every_config_key_is_documented():
     # the README's config reference names every key RunConfig.from_file reads
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    keys = [*cli._CONFIG_KEYS,
-            *(f.name for f in dataclasses.fields(cli.AirspaceConfig))]
+    keys = [f.name for config in (RunConfig, cli.AirspaceConfig)
+            for f in dataclasses.fields(config) if f.name != "airspace"]
     assert [key for key in keys if f"`{key}`" not in readme] == []
 
 
 DIGESTED = ["eval_scenes/metrics_report.json", *(f"out/{name}" for name in (
     "fa_dataset.csv", "fa_dataset.meta.json", "ingest_report.json",
     "metrics_report.json", "model_fa.json", "model_pairwise.json",
-    "model_rv.json", "rv_dataset.csv", "rv_dataset.meta.json", "scenes.csv",
-    "scenes.meta.json", "selection_report.json", "train_log.json",
-    "train_pairwise_log.json", "trajectories.csv", "trajectories.meta.json"))]
+    "model_rv.json", "nominal_paths.yaml", "rv_dataset.csv",
+    "rv_dataset.meta.json", "scenes.csv", "scenes.meta.json",
+    "selection_report.json", "train_log.json", "train_pairwise_log.json",
+    "trajectories.csv", "trajectories.meta.json"))]
 
 
 def test_artefact_digests_tool_runs_every_command():
@@ -1186,7 +1240,7 @@ def test_artefact_digests_tool_runs_every_command():
     first = digests()
     lines = first.splitlines()
     commands = [line for line in lines if line.startswith("exit ")]
-    assert len(commands) == 8
+    assert len(commands) == 9
     assert all(line.startswith("exit 0 ") for line in commands), commands
     digested = [line.split("  ", 1) for line in lines[len(commands):]]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in digested)

@@ -110,7 +110,7 @@ def test_em_recovers_well_separated_components():
         rng.normal(size=(1000, 3)) + mu_b,
     ])
     fit = em_fit(data, 2, seed=7)
-    means = fit.model.means()
+    means = np.stack([c.mean for c in fit.model.components])
     order = np.argsort(means[:, 0])
     assert np.linalg.norm(means[order[0]] - mu_a) < 0.1
     assert np.linalg.norm(means[order[1]] - mu_b) < 0.1
@@ -161,7 +161,9 @@ def test_em_and_compression_match_dense_oracle(m, n, k, scale, ranks):
     assert np.array_equal(fit.labels, ref.labels)
     assert np.allclose(fit.log_likelihoods, ref.log_likelihoods,
                        rtol=1e-9, atol=0.0)
-    assert np.allclose(fit.model.means(), ref.model.means(), rtol=1e-12, atol=0.0)
+    assert np.allclose(np.stack([c.mean for c in fit.model.components]),
+                       np.stack([c.mean for c in ref.model.components]),
+                       rtol=1e-12, atol=0.0)
     for comp in fit.model.components:
         assert comp.cov_factor.shape == (n, min(m, n))
     for rank in ranks:

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from trafgen import mixture, multi_model
 from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.multi_model import (SceneParams, assemble_scene_params,
@@ -520,8 +521,27 @@ def test_delta_moments_match_monte_carlo():
 def test_negative_delta_exhausts_retries():
     params = zero_cov_params(2)
     params.mean[_delta_index(0, D)] = -50.0  # deterministic negative gap
-    with pytest.raises(NumericalError, match="negative inter-arrival time -50"):
+    with pytest.raises(NumericalError) as err:
         generate_scene(params, scene_procedures(2), rng=0)
+    assert str(err.value) == ("scene sampling failed after 10 attempts; last "
+                              "cause: negative inter-arrival time -50 s")
+
+
+def test_scene_generation_stops_after_max_draws(monkeypatch):
+    params = zero_cov_params(2)
+    params.mean[_delta_index(0, D)] = -50.0  # deterministic negative gap
+    draws = []
+
+    def counted(params, z):
+        draws.append(z)
+        return _scene_parts(params, z)
+
+    monkeypatch.setattr(mixture, "MAX_DRAWS", 3)
+    monkeypatch.setattr(multi_model, "_scene_parts", counted)
+    with pytest.raises(NumericalError,
+                       match="scene sampling failed after 3 attempts"):
+        generate_scene(params, scene_procedures(2), rng=0)
+    assert len(draws) == 3
 
 
 def test_scene_generation_deterministic():

@@ -5,10 +5,11 @@ import pytest
 
 from trafgen.errors import NumericalError
 from trafgen.metrics import histogram_pair, js_divergence, silhouette_sweep
+from trafgen.preprocess import reconstruct_trajectory
 from trafgen.mixture import GaussianComponent, MixtureModel, compress_model, \
     em_fit, model_to_dict, sample_many, substream
-from trafgen.single_model import (SingleModelConfig, SingleTrajectoryModel,
-                                  ProcedureSet, generate)
+from trafgen import mixture, single_model
+from trafgen.single_model import SingleTrajectoryModel, ProcedureSet, generate
 
 from conftest import make_proc_traj
 from oracles import dense_covariance
@@ -17,8 +18,6 @@ from oracles import dense_covariance
 T_V, T_F, N_OV = 10, 6, 2
 DIM_V, DIM_F = 3 * T_V + 2, 3 * T_F + 2
 ROWS = T_V + T_F - N_OV + 1  # the overlap is emitted once
-CONFIG = SingleModelConfig(segment_length_rv=T_V, segment_length_fa=T_F,
-                           n_overlap=N_OV)
 # mean transit times (s) of the ground-truth segments
 IAP_TRANSIT_S, RV_TRANSIT_S = 120.0, 300.0
 
@@ -71,9 +70,8 @@ def gt_component(proc, transit, dim, lateral, scale, weight, seed):
                              noise_var=4.0)
 
 
-def ground_truth_model(config=CONFIG):
-    t_v, t_f = config.segment_length_rv, config.segment_length_fa
-    rv_proc = rv_procedure(t_v=t_v, t_f=t_f, n_ov=config.n_overlap)
+def ground_truth_model(t_v=T_V, t_f=T_F, n_ov=N_OV):
+    rv_proc = rv_procedure(t_v=t_v, t_f=t_f, n_ov=n_ov)
     dim_v, dim_f = 3 * t_v + 2, 3 * t_f + 2
     rv = MixtureModel(components=[
         gt_component(rv_proc, RV_TRANSIT_S, dim_v, +400.0, 30.0, 0.6, seed=1),
@@ -86,7 +84,7 @@ def ground_truth_model(config=CONFIG):
                      0.5, seed=4),
     ], segment_kind="final_approach")
     return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
-                                 config=config)
+                                 n_overlap=n_ov)
 
 
 def zero_cov_model():
@@ -99,7 +97,7 @@ def zero_cov_model():
     return SingleTrajectoryModel(
         radar_vector_model=degenerate(rv_procedure(), RV_TRANSIT_S, DIM_V),
         final_approach_model=degenerate(iap_procedure(), IAP_TRANSIT_S, DIM_F),
-        config=CONFIG)
+        n_overlap=N_OV)
 
 
 def make_procs():
@@ -207,9 +205,7 @@ def test_conditioning_consistency_of_overlap():
 def test_stitch_is_continuous_at_paper_overlap():
     # n_overlap = 10 as in the paper: the join must not step back over the
     # overlap, so its step speed stays within that of the other steps
-    config = SingleModelConfig(segment_length_rv=40, segment_length_fa=20,
-                               n_overlap=10)
-    model = ground_truth_model(config)
+    model = ground_truth_model(t_v=40, t_f=20, n_ov=10)
     procs = ProcedureSet(
         radar_vectors=[rv_procedure(t_v=40, t_f=20, n_ov=10)], frequencies=[1.0],
         iap=iap_procedure(20))
@@ -220,15 +216,33 @@ def test_stitch_is_continuous_at_paper_overlap():
         dt = np.diff(traj.times)
         assert np.all(dt > 0)
         speed = np.linalg.norm(np.diff(traj.points[:, :2], axis=0), axis=1) / dt
-        join = config.segment_length_rv - 1
+        join = 40 - 1
         assert speed[join] <= np.delete(speed, join).max()
 
 
 def test_retry_failure_names_its_cause():
     model = zero_cov_model()
     model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
-    with pytest.raises(NumericalError, match="transit_time must be positive"):
+    with pytest.raises(NumericalError) as err:
         generate(model, make_procs(), np.random.default_rng(19))
+    assert str(err.value) == ("generation failed after 10 attempts; last cause: "
+                              "transit_time must be positive")
+
+
+def test_generate_stops_after_max_draws(monkeypatch):
+    model = zero_cov_model()
+    model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
+    draws = []
+
+    def counted(tau, proc):
+        draws.append(tau)
+        return reconstruct_trajectory(tau, proc)
+
+    monkeypatch.setattr(mixture, "MAX_DRAWS", 3)
+    monkeypatch.setattr(single_model, "reconstruct_trajectory", counted)
+    with pytest.raises(NumericalError, match="generation failed after 3 attempts"):
+        generate(model, make_procs(), np.random.default_rng(19))
+    assert len(draws) == 3
 
 
 def test_conditional_sampler_is_built_once():
@@ -279,7 +293,7 @@ def test_end_to_end_distribution_matches_ground_truth():
         radar_vector_model=fit_segment(rv_data, "radar_vector", 2, 4, seed=1)[0],
         final_approach_model=fit_segment(fa_data, "final_approach", 2, 4,
                                          seed=1)[0],
-        config=CONFIG)
+        n_overlap=N_OV)
     rng = np.random.default_rng(17)
     synthetic = [generate(model, procs, rng) for _ in range(1000)]
 
@@ -291,8 +305,22 @@ def test_end_to_end_distribution_matches_ground_truth():
 
 
 def test_model_dimension_validation():
-    with pytest.raises(ValueError):
-        SingleTrajectoryModel(
-            radar_vector_model=zero_cov_model().final_approach_model,
-            final_approach_model=zero_cov_model().final_approach_model,
-            config=CONFIG)
+    model = zero_cov_model()
+    rv, fa = model.radar_vector_model, model.final_approach_model
+    # a dimension that is not 3T+2
+    short = MixtureModel(components=[GaussianComponent(
+        weight=1.0, mean=np.zeros(DIM_F - 1),
+        cov_factor=np.zeros((DIM_F - 1, 0)))])
+    with pytest.raises(ValueError, match=f"final-approach model dimension "
+                       f"{DIM_F - 1} is not 3\\*T_f\\+2"):
+        SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=short,
+                              n_overlap=N_OV)
+    # n_overlap out of range for the T read from the dimensions
+    with pytest.raises(ValueError, match=r"n_overlap must be in \[1, T_f\)"):
+        SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
+                              n_overlap=T_F)
+    with pytest.raises(ValueError, match="n_overlap cannot exceed T_v"):
+        SingleTrajectoryModel(radar_vector_model=fa, final_approach_model=rv,
+                              n_overlap=T_F + 1)
+    assert SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
+                                 n_overlap=T_F - 1).n_overlap == T_F - 1
