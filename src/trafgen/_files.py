@@ -14,6 +14,8 @@ import csv
 import json
 import os
 import warnings
+from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -25,8 +27,13 @@ from .errors import DataError
 DEVIATION_FORMAT = "trafgen-deviations/1"
 
 # trajectory and scene CSV columns; the leading ones key each aircraft
-_TRAJECTORY_LAYOUTS = (("scene_id", "aircraft_idx", "t", "x", "y", "z"),
-                       ("traj_id", "t", "x", "y", "z"))
+_TRAJECTORY_LAYOUTS = ((("scene_id", "aircraft_idx"), ("t", "x", "y", "z")),
+                       (("traj_id",), ("t", "x", "y", "z")))
+
+# lines per block of read_csv, which bounds its working memory
+CSV_BLOCK_LINES = 4096
+# the lines csv reads as empty rows
+_BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, csv.Error,
               yaml.YAMLError)
@@ -143,40 +150,156 @@ def read_yaml(path: str | Path, kind: str, parse):
         return parse(list(yaml.safe_load_all(Path(path).read_text(encoding="utf-8"))))
 
 
-def read_csv(path: str | Path, kind: str, layouts, parse, *,
+def read_csv(path: str | Path, kind: str, layouts, parse, *, check=None,
              optional=(), errors: list[str] | None = None):
-    """Yield ``parse(fields)`` for every non-blank data row of a CSV file.
+    """Yield ``(key, values)`` for every run of data rows with one key.
 
-    The header must name every column of one of ``layouts`` (the first that
-    fits is used); ``fields`` holds a row's values of those columns, then of
-    the ``optional`` ones the header and the row have. A row that lacks a
-    column, or that ``parse`` rejects with ValueError or TypeError, gives
-    ``path:line: reason``: appended to ``errors`` and skipped when a list is
-    given, raised as DataError otherwise.
+    ``layouts`` are (key columns, value columns) pairs. The header must name
+    every column of one of them (the first that fits is used); a row's
+    ``fields`` are its values of those columns, then of the ``optional``
+    ones the header and the row have, and ``parse(fields)`` gives its values
+    as floats. ``key`` is the tuple of a run's key fields and ``values`` the
+    (n, v) float64 array of its rows' values, in file order. A row that
+    lacks a column, or that ``parse`` rejects with ValueError or TypeError,
+    gives ``path:line: reason``: appended to ``errors`` and skipped when a
+    list is given, raised as DataError otherwise.
+
+    The file is read in blocks of ``CSV_BLOCK_LINES`` lines, in array
+    passes. numpy's C parser reads a block's key and optional fields as
+    strings and its value fields as float64; it reads a subset of what
+    float() reads, to the same values. When it rejects a value, float()
+    reads each of the block's value fields instead. So ``parse`` must give
+    float() of the value fields, and reject a row exactly when a value field
+    or a nonempty optional field is not a number or when ``check(values)``,
+    a row mask, flags it: only the rows that fail one of these checks go
+    through ``parse``, which gives their message. A block holding a quote, a
+    line longer than csv's field limit, or a row the tokenizer rejects (a
+    short one) is read by csv, row by row, so every result and message is
+    csv's.
     """
     with _reading(path, kind), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        columns = next((c for c in layouts if set(c) <= set(header)), None)
-        if columns is None:
+        layout = next((l for l in layouts if set(l[0] + l[1]) <= set(header)), None)
+        if layout is None:
             raise DataError(f"{path}: header must contain columns "
-                            + " or ".join(",".join(c) for c in layouts))
+                            + " or ".join(",".join(k + v) for k, v in layouts))
+        n_keys, columns = len(layout[0]), layout[0] + layout[1]
         index = [header.index(c) for c in columns]
         extra = [header.index(c) for c in optional if c in header]
         pick, width = itemgetter(*index), max(index) + 1
-        for row in filter(None, reader):
+
+        def parse_row(line_no: int, row: list[str]):
+            """A csv row's (key, values), or None once its error is reported."""
             try:
                 if len(row) < width:
                     missing = next(c for c, i in zip(columns, index) if i >= len(row))
                     raise ValueError(f"missing column {missing!r}")
                 fields = pick(row) + tuple(row[i] for i in extra if i < len(row))
-                record = parse(fields)
+                return fields[:n_keys], parse(fields)
             except (ValueError, TypeError) as exc:
                 if errors is None:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-                errors.append(f"{path}:{reader.line_num}: {exc}")
-                continue
-            yield record
+                    raise DataError(f"{path}:{line_no}: {exc}") from exc
+                errors.append(f"{path}:{line_no}: {exc}")
+                return None
+
+        # a row's key and optional fields as strings, its values as float64
+        record = np.dtype([("keys", object, (n_keys,)),
+                           ("values", float, (len(columns) - n_keys,)),
+                           ("optional", object, (len(extra),))])
+
+        def array_pass(block: list[str], before: int):
+            """(keys, values, lines read) of a block read in array passes, or
+            None when csv must read it; ``before`` lines precede the block."""
+            rows = (range(len(block)) if _BLANK_LINES.isdisjoint(block) else
+                    [i for i, line in enumerate(block) if line not in _BLANK_LINES])
+            if (not rows or '"' in "".join(block)
+                    or max(map(len, block)) > csv.field_size_limit()):
+                return None
+            lines = block if len(rows) == len(block) else [block[i] for i in rows]
+            load = partial(np.loadtxt, lines, delimiter=",", comments=None,
+                           usecols=index + extra)
+            try:  # the numbers by numpy's C parser
+                parsed = load(dtype=record, ndmin=1)
+                keys, values = parsed["keys"], parsed["values"]
+                present, flagged = parsed["optional"], np.zeros(len(rows), dtype=bool)
+            except ValueError:  # by float(), which reads more of them
+                try:
+                    fields = load(dtype=object, ndmin=2)
+                except ValueError:
+                    return None
+                keys, present = fields[:, :n_keys], fields[:, len(columns):]
+                values, flagged = _floats(fields[:, n_keys:len(columns)])
+            if len(keys) != len(rows):
+                return None
+            if present.size:  # optional fields may be empty
+                flagged |= _floats(np.where(present == "", "0", present))[1]
+            if check is not None:
+                flagged |= check(values)
+            keep = ~flagged
+            for j in np.flatnonzero(flagged).tolist():
+                parsed_row = parse_row(before + rows[j] + 1,
+                                       lines[j].rstrip("\r\n").split(","))
+                if parsed_row is not None:
+                    keep[j] = True
+                    values[j] = parsed_row[1]
+            return keys[keep], values[keep], len(block)
+
+        def csv_pass(block: list[str], before: int):
+            """(keys, values, lines read) of a block read by csv; a quoted
+            field may run on into the lines after the block."""
+            rows = csv.reader(chain(block, handle))
+            keys, values = [], []
+            while rows.line_num < len(block):
+                row = next(rows)
+                parsed = parse_row(before + rows.line_num, row) if row else None
+                if parsed is not None:
+                    keys.append(parsed[0])
+                    values.append(parsed[1])
+            return (np.array(keys, dtype=object).reshape(-1, n_keys),
+                    np.array(values, dtype=float).reshape(-1, len(layout[1])),
+                    rows.line_num)
+
+        before = reader.line_num
+        while True:
+            block, failure = [], None
+            try:
+                block.extend(islice(handle, CSV_BLOCK_LINES))
+            except UnicodeDecodeError as exc:  # the rows before it count first
+                failure = exc
+            keys, values, read = array_pass(block, before) or csv_pass(block, before)
+            before += read
+            yield from _runs(keys, values)
+            if failure is not None:
+                raise failure
+            if len(block) < CSV_BLOCK_LINES:
+                return
+
+
+def _floats(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every field of an (n, c) object array of strings, with NaN
+    for a field float() rejects, and the mask of rows that hold one."""
+    numbers = _FLOAT_OR_NONE(fields)
+    return numbers.astype(float), np.equal(numbers, None).any(axis=1)
+
+
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+_FLOAT_OR_NONE = np.frompyfunc(_float_or_none, 1, 1)
+
+
+def _runs(keys: np.ndarray, values: np.ndarray):
+    """(key tuple, values) of each run of rows with equal keys."""
+    if len(keys):
+        bounds = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
+                  .tolist(), len(keys)]
+        for start, end in zip(bounds, bounds[1:]):
+            yield tuple(keys[start]), values[start:end]
 
 
 def _dataset_meta(doc: dict) -> tuple[dict, int]:
@@ -213,12 +336,12 @@ def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]
     increase.
     """
     scenes: dict[str, dict[tuple, list]] = {}
-    for key, sample in read_csv(path, "trajectory file", _TRAJECTORY_LAYOUTS,
-                                lambda f: (f[:-4], tuple(map(float, f[-4:])))):
-        scenes.setdefault(key[0], {}).setdefault(key, []).append(sample)
+    for key, values in read_csv(path, "trajectory file", _TRAJECTORY_LAYOUTS,
+                                lambda f: tuple(map(float, f[-4:]))):
+        scenes.setdefault(key[0], {}).setdefault(key, []).append(values)
     for aircraft in scenes.values():
-        for key, samples in aircraft.items():
-            arr = aircraft[key] = np.asarray(samples)
+        for key, runs in aircraft.items():
+            arr = aircraft[key] = np.concatenate(runs)
             if np.any(np.diff(arr[:, 0]) <= 0):
                 raise DataError(f"{path}: times of aircraft {'/'.join(key)} "
                                 "do not strictly increase")

@@ -240,10 +240,10 @@ def _resample_parts(parts: dict, count: int, failed: dict) -> dict:
 def cmd_ingest(config: RunConfig) -> int:
     """Parse tracks, classify arrivals, segment, and write deviation datasets.
 
-    Each arrival is split where it joins the IAP. All radar-vector parts,
-    then all final-approach parts, are resampled in batches of any knot
-    counts, and every radar-vector part is assigned its procedure in one
-    batched DTW call.
+    Every arrival is split where it joins the IAP, in one segmentation
+    pass over all of them. All radar-vector parts, then all final-approach
+    parts, are resampled in batches of any knot counts, and every
+    radar-vector part is assigned its procedure in one batched DTW call.
     """
     flights, parse_errors = parse_tracks(config.tracks)
     _log_parse_errors(parse_errors)
@@ -260,11 +260,11 @@ def cmd_ingest(config: RunConfig) -> int:
     # n_overlap samples are the tail generate conditions on
     n_lead = config.n_overlap - 1
     failed, rv_raw, fa_raw = {}, {}, {}
-    for a, (flight, (times, xyz)) in enumerate(arrivals):
-        try:
-            boundary = preprocess.segment_trajectory(xyz, iap_traj, threshold_m)
-        except DataError as exc:
-            failed[a] = str(exc)
+    boundaries = preprocess.segment_trajectory(
+        [xyz for _, (_, xyz) in arrivals], iap_traj, threshold_m)
+    for a, ((_, (times, xyz)), boundary) in enumerate(zip(arrivals, boundaries)):
+        if isinstance(boundary, str):
+            failed[a] = boundary
             continue
         if boundary >= 1:
             rv_raw[a] = (times[:boundary + 1], xyz[:boundary + 1])

@@ -9,7 +9,6 @@ an east-north-up frame centered at the configured airport reference point.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -132,7 +131,7 @@ def enu_to_wgs84(enu, config: AirspaceConfig):
 # ---------------------------------------------------------------------------
 # Track file parsing
 
-_REQUIRED_COLUMNS = ("id", "time", "lat", "lon", "alt")
+_COLUMNS = (("id",), ("time", "lat", "lon", "alt"))
 
 
 def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
@@ -144,15 +143,15 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     of rows with equal timestamps the first in the file is kept.
     """
     errors: list[str] = []
-    rows_by_id: dict[str, array] = {}
-    for flight_id, values in read_csv(path, "track file", (_REQUIRED_COLUMNS,),
-                                      _parse_row, optional=("gs", "vr"),
-                                      errors=errors):
-        rows_by_id.setdefault(flight_id, array("d")).extend(values)
+    runs_by_id: dict[str, list[np.ndarray]] = {}
+    for (flight_id,), values in read_csv(path, "track file", (_COLUMNS,), _parse_row,
+                                         check=_rejected, optional=("gs", "vr"),
+                                         errors=errors):
+        runs_by_id.setdefault(flight_id, []).append(values)
 
     flights: list[Flight] = []
-    for flight_id, values in rows_by_id.items():
-        points = np.frombuffer(values).reshape(-1, 4)
+    for flight_id, runs in runs_by_id.items():
+        points = np.concatenate(runs)
         points = points[np.argsort(points[:, 0], kind="stable")]
         times = points[:, 0]
         points = points[np.concatenate(([True], times[1:] != times[:-1]))]
@@ -163,8 +162,8 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     return flights, errors
 
 
-def _parse_row(fields: tuple[str, ...]) -> tuple[str, tuple[float, ...]]:
-    """(id, (time, lat, lon, alt)) of a row; the optional gs and vr are checked only."""
+def _parse_row(fields: tuple[str, ...]) -> tuple[float, ...]:
+    """(time, lat, lon, alt) of a row; the optional gs and vr are checked only."""
     time, lat, lon, alt = map(float, fields[1:5])
     if not (-90.0 <= lat <= 90.0):
         raise ValueError(f"lat {lat} outside [-90, 90]")
@@ -175,7 +174,15 @@ def _parse_row(fields: tuple[str, ...]) -> tuple[str, tuple[float, ...]]:
     for value in fields[5:]:
         if value:
             float(value)
-    return fields[0], (time, lat, lon, alt)
+    return time, lat, lon, alt
+
+
+def _rejected(values: np.ndarray) -> np.ndarray:
+    """The rows of (time, lat, lon, alt) numbers that :func:`_parse_row`
+    rejects: lat or lon out of range, or time or alt not finite."""
+    time, lat, lon, alt = values.T
+    return ~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+             & np.isfinite(alt) & np.isfinite(time))
 
 
 # ---------------------------------------------------------------------------

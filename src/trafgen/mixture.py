@@ -23,7 +23,7 @@ import numpy as np
 
 from ._cluster import kmeans
 from ._files import read_json, write_text
-from .errors import DataError, NumericalError
+from .errors import DataError, InvalidDeviation, NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -476,13 +476,14 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 def redraw(draw: Callable, what: str):
-    """``draw()``, called again while it raises a ValueError or a
+    """``draw()``, called again while it raises an InvalidDeviation or a
     NumericalError, up to ``MAX_DRAWS`` calls in all; after the last one a
-    NumericalError names ``what`` and the last cause."""
+    NumericalError names ``what`` and the last cause. Any other exception
+    is a defect and passes through."""
     for _ in range(MAX_DRAWS):
         try:
             return draw()
-        except (ValueError, NumericalError) as exc:
+        except (InvalidDeviation, NumericalError) as exc:
             cause = exc
     raise NumericalError(
         f"{what} failed after {MAX_DRAWS} attempts; last cause: {cause}")

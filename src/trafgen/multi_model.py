@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InvalidDeviation
 from .mixture import MixtureModel, compress_model, em_fit, redraw
 from .preprocess import reconstruct_trajectory
 from .procedures import ProceduralTrajectory
@@ -315,7 +315,7 @@ def generate_scene(params: SceneParams,
         parts = _scene_parts(params, rng.standard_normal(params.mean.size))
         deltas = np.concatenate(parts[1::2])
         if np.any(deltas < 0):
-            raise ValueError(f"negative inter-arrival time {deltas.min():g} s")
+            raise InvalidDeviation(f"negative inter-arrival time {deltas.min():g} s")
         return deltas, [reconstruct_trajectory(part, proc)
                         for part, proc in zip(parts[::2], procedures)]
 

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import InvalidDeviation
 
 if TYPE_CHECKING:
     from .procedures import ProceduralTrajectory
@@ -24,7 +24,8 @@ def path_length(points: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
-# Upper bound on the working arrays of one dtw_distances chunk, in bytes.
+# Upper bound on the working arrays of one chunk of dtw_distances or
+# segment_trajectory, in bytes.
 DTW_CHUNK_BYTES = 1 << 20
 
 
@@ -54,29 +55,39 @@ def dtw_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # table, the boundary rows, and the running minimum
     bytes_per_flight = 8 * n_procs * (m * (d + 7) + 2 * n * (d + 1))
     step = max(1, DTW_CHUNK_BYTES // max(bytes_per_flight, 1))
-    b_reversed = np.ascontiguousarray(b[:, ::-1])
+    # coordinate planes: (d, F, 1, m) and (d, 1, R, n)
+    a_planes = np.moveaxis(a, 2, 0)[:, :, None]
+    b_planes = np.ascontiguousarray(np.moveaxis(b, 2, 0)[:, None])
+    b_reversed = np.ascontiguousarray(b_planes[..., ::-1])
     out = np.empty((n_flights, n_procs))
     for start in range(0, n_flights, step):
         out[start:start + step] = _dtw_wavefront(
-            a[start:start + step, None], b[None], b_reversed[None])
+            np.ascontiguousarray(a_planes[:, start:start + step]), b_planes,
+            b_reversed)
     return out
 
 
 def _local_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distance between broadcast point arrays (last axis = d)."""
+    """Euclidean distance between broadcast point arrays whose first axis
+    holds the d coordinate planes.
+
+    The squared differences are added plane by plane in coordinate order,
+    the order in which numpy sums a short last axis, so each cost equals
+    that of the same points laid out as (..., d) bit for bit.
+    """
     diff = x - y
     np.square(diff, out=diff)
-    return np.sqrt(diff.sum(axis=-1))
+    return np.sqrt(np.add.reduce(diff, axis=0))
 
 
 def _dtw_wavefront(a: np.ndarray, b: np.ndarray,
                    b_reversed: np.ndarray) -> np.ndarray:
-    """Anti-diagonal DTW sweep; a (F, 1, m, d), b and b_reversed (1, R, n, d)."""
-    m, n = a.shape[2], b.shape[2]
-    shape = np.broadcast_shapes(a.shape[:2], b.shape[:2])
+    """Anti-diagonal DTW sweep; a (d, F, 1, m), b and b_reversed (d, 1, R, n)."""
+    m, n = a.shape[-1], b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[1:3], b.shape[1:3])
     # boundary row and column: running sums, as the textbook loop seeds them
-    first_row = _local_cost(a[:, :, :1], b)
-    first_col = _local_cost(a, b[:, :, :1])
+    first_row = _local_cost(a[..., :1], b)
+    first_col = _local_cost(a, b[..., :1])
     origin = first_row[..., :1]
     row0 = first_row[..., 1:].cumsum(axis=-1) + origin
     col0 = first_col[..., 1:].cumsum(axis=-1) + origin
@@ -87,8 +98,8 @@ def _dtw_wavefront(a: np.ndarray, b: np.ndarray,
         lo, hi = max(1, k - n + 1), min(m - 1, k - 1)
         if lo <= hi:
             # cells (i, k - i), i = lo..hi; b_reversed[n - 1 - j] is b[j]
-            cost = _local_cost(a[:, :, lo:hi + 1],
-                               b_reversed[:, :, n - 1 - k + lo:n - k + hi])
+            cost = _local_cost(a[..., lo:hi + 1],
+                               b_reversed[..., n - 1 - k + lo:n - k + hi])
             up, diag, left = (prev[..., lo - 1:hi], older[..., lo - 1:hi],
                               prev[..., lo:hi + 1])
             best = np.minimum(up, diag)
@@ -117,40 +128,62 @@ def assign_procedures(points: np.ndarray,
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
-    """Distance from each point to a polyline (both 2-D), vectorized."""
-    points = np.asarray(points, dtype=float)[:, :2]
+    """Distance from each point to a polyline (both 2-D), vectorized.
+
+    x and y are kept as separate (P, S) planes. Each distance is the same
+    floating-point expression as with (P, S, 2) arrays reduced over their
+    last axis, so it equals that form bit for bit.
+    """
+    px, py = np.asarray(points, dtype=float)[:, :2].T[:, :, None]
     poly = np.asarray(polyline, dtype=float)[:, :2]
-    starts, ends = poly[:-1], poly[1:]
-    seg = ends - starts                                   # (S, 2)
-    seg_len_sq = (seg ** 2).sum(axis=1)                   # (S,)
-    rel = points[:, None, :] - starts[None, :, :]         # (P, S, 2)
-    t = (rel * seg[None, :, :]).sum(axis=2)
+    sx, sy = poly[:-1].T                                  # (S,)
+    dx, dy = (poly[1:] - poly[:-1]).T
+    seg_len_sq = dx * dx + dy * dy
+    rel_x, rel_y = px - sx, py - sy                       # (P, S)
+    t = rel_x * dx
+    t += rel_y * dy
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.where(seg_len_sq > 0, t / seg_len_sq, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    nearest = starts[None, :, :] + t[:, :, None] * seg[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - nearest, axis=2)
-    return dist.min(axis=1)
+    np.clip(t, 0.0, 1.0, out=t)
+    # the squared offsets from the nearest point of each segment; a square
+    # root is monotone, so the root of the least is the least of the roots
+    rel_x = px - (sx + t * dx)
+    rel_y = py - (sy + t * dy)
+    rel_x *= rel_x
+    rel_y *= rel_y
+    rel_x += rel_y
+    return np.sqrt(rel_x.min(axis=1))
 
 
-def segment_trajectory(points: np.ndarray, iap: "ProceduralTrajectory",
-                       threshold: float) -> int:
-    """Boundary index splitting radar-vector from final-approach points.
+def segment_trajectory(tracks: Sequence[np.ndarray], iap: "ProceduralTrajectory",
+                       threshold: float) -> list[int | str]:
+    """Boundary index of every track, splitting radar-vector from
+    final-approach points, or the reason a track has none.
 
-    The boundary is the first index from which the horizontal distance to the
-    IAP polyline stays below ``threshold`` (meters) for the rest of the
-    flight. Raises DataError when the flight never joins the IAP.
+    A track's boundary is the first index from which its horizontal
+    distance to the IAP polyline stays below ``threshold`` (meters) for the
+    rest of the track. A track whose last point is not below it never joins
+    the IAP, and gets that message instead. The points of all tracks are
+    measured in one pass, in chunks whose working arrays stay under
+    ``DTW_CHUNK_BYTES``.
     """
-    dist = point_to_polyline_distance(np.asarray(points, dtype=float), iap.points)
-    below = dist < threshold
-    # first index where every later sample is also below the threshold
-    suffix_ok = np.logical_and.accumulate(below[::-1])[::-1]
-    if not suffix_ok[-1]:
-        raise DataError(
-            f"trajectory never joins the final approach (last distance "
-            f"{dist[-1]:.0f} m >= {threshold:.0f} m)"
-        )
-    return int(np.argmax(suffix_ok))
+    counts = np.array([len(track) for track in tracks])
+    if not counts.size or counts.min() < 1:
+        raise ValueError("segment_trajectory needs one or more nonempty tracks")
+    xy = np.concatenate([np.asarray(track, dtype=float)[:, :2] for track in tracks])
+    # point_to_polyline_distance holds up to six (P, S) arrays at once
+    step = max(1, DTW_CHUNK_BYTES // (8 * 6 * max(len(iap.points) - 1, 1)))
+    dist = np.concatenate([point_to_polyline_distance(xy[i:i + step], iap.points)
+                           for i in range(0, len(xy), step)])
+    beyond = ~(dist < threshold)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # the last index beyond the threshold in each track, or the one before it
+    last = np.maximum.reduceat(np.where(beyond, np.arange(len(dist)), -1), starts)
+    boundaries = np.maximum(last, starts - 1) - starts + 1
+    return [f"trajectory never joins the final approach (last distance "
+            f"{dist[end - 1]:.0f} m >= {threshold:.0f} m)" if beyond[end - 1]
+            else boundary for boundary, end in zip(boundaries.tolist(), ends)]
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -271,12 +304,12 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, count: int) -> np.ndarra
 
 
 def _check_positive(tau: np.ndarray) -> None:
-    """ValueError unless the deviation vector's transit time and total
+    """InvalidDeviation unless the deviation vector's transit time and total
     distance are positive."""
     if tau[0] <= 0:
-        raise ValueError("transit_time must be positive")
+        raise InvalidDeviation("transit_time must be positive")
     if tau[1] <= 0:
-        raise ValueError("total_distance must be positive")
+        raise InvalidDeviation("total_distance must be positive")
 
 
 def build_deviation_vector(times: np.ndarray, points: np.ndarray,

@@ -5,12 +5,14 @@
         [--count 200] [--scenes 20] [--aircraft 3]
 
 Writes a corpus and a held-out ground-truth set into a temporary directory,
-then runs the trafgen found under ``CHECKOUT/src`` (default: this checkout)
-on it: ingest, select, train, train-pairwise, generate, generate-scenes,
-evaluate on the trajectories, evaluate on the scenes, and review-paths
-``--k 3``. The corpus is built by ``CHECKOUT/tests/corpus.py``, so each
-checkout builds it with its own code and the script works across changes of
-trafgen's library API. It prints each command's exit code with a digest of
+appends to the corpus's ``tracks.csv`` a fixed set of rows that the track
+parser rejects or drops (so ``ingest_report.json`` records their messages
+and line numbers), then runs the trafgen found under ``CHECKOUT/src``
+(default: this checkout) on it: ingest, select, train, train-pairwise,
+generate, generate-scenes, evaluate on the trajectories, evaluate on the
+scenes, and review-paths ``--k 3``. The corpus is built by
+``CHECKOUT/tests/corpus.py``, so each checkout builds it with its own code
+and the script works across changes of trafgen's library API. It prints each command's exit code with a digest of
 its standard error, then one ``<sha256>  <path>`` line per output file.
 Every path is relative to the run directory, so the output depends only on
 the program and the arguments. Running the script against two checkouts with the same
@@ -48,6 +50,21 @@ def _write_truth(path: Path, trajectories) -> None:
                 writer.writerow([i, repr(t), repr(x), repr(y), repr(z)])
 
 
+def _append_bad_rows(path: Path) -> None:
+    """Append rows that the track parser rejects or drops."""
+    with open(path, encoding="utf-8") as handle:
+        handle.readline()
+        first_id, first_time = handle.readline().split(",")[:2]
+    with open(path, "a", newline="", encoding="utf-8") as handle:
+        handle.write(
+            "BAD1,0.0,95.0,-73.7,1000\n"                  # latitude out of range
+            "BAD1,1.0,40.6,-73.7\n"                       # no alt
+            "BAD1,2.0,40.6,-73.7,1O00\n"                  # not a number
+            "\n"                                          # blank
+            f"{first_id},{first_time},40.0,-73.0,999\n"   # a repeated timestamp
+            "BAD2,3.0,40.6,-73.7,1000\r\n")               # CRLF; one point only
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=HERE.parent,
@@ -83,6 +100,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         corpus.write_corpus(base, n_flights=args.flights, seed=args.seed, **dims)
+        _append_bad_rows(base / "tracks.csv")
         _write_truth(base / "truth.csv", corpus.generate_actual(
             args.count, args.seed + 1000, **dims))
         inputs = set(base.rglob("*"))

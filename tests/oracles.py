@@ -19,7 +19,10 @@ Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 scipy's ``PchipInterpolator`` and ``logsumexp`` are the references that
 the library's numpy PCHIP and ``_logsumexp`` must match bit for bit, and
 ``csv.writer``, one row at a time, is the reference for the bytes of the
-bulk trajectory writer.
+bulk trajectory writer, and ``csv.reader``, one row at a time, for what the
+block readers of track and trajectory files return and report. The
+polyline distance and the DTW local cost keep their (..., 2) form, which
+the coordinate-plane kernels must match bit for bit.
 The dense helpers these references share live here, not in the library:
 ``dense_covariance`` (a component's F F^T + noise_var I as one matrix),
 ``psd_jitter_cholesky`` (Cholesky with escalating diagonal jitter),
@@ -28,6 +31,9 @@ The dense helpers these references share live here, not in the library:
 """
 
 import csv
+import math
+from array import array
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -37,7 +43,9 @@ from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from trafgen._cluster import kmeans
-from trafgen.errors import NumericalError
+from trafgen._files import _reading
+from trafgen.errors import DataError, NumericalError
+from trafgen.ingest import Flight
 from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, EMFit,
                              GaussianComponent, MixtureModel, sample_many)
 from trafgen.multi_model import (_block, _delta_index, _pair_dim,
@@ -604,3 +612,120 @@ def extract_pairs_sorted(records, window):
         groups.setdefault((proc1, proc2), []).append(
             np.concatenate([tau1, [delta], tau2]))
     return {key: np.stack(rows) for key, rows in groups.items()}
+
+
+def point_to_polyline_distance_stacked(points, polyline):
+    """Distance from each point to a polyline through (P, S, 2) arrays."""
+    points = np.asarray(points, dtype=float)[:, :2]
+    poly = np.asarray(polyline, dtype=float)[:, :2]
+    starts, ends = poly[:-1], poly[1:]
+    seg = ends - starts                                   # (S, 2)
+    seg_len_sq = (seg ** 2).sum(axis=1)                   # (S,)
+    rel = points[:, None, :] - starts[None, :, :]         # (P, S, 2)
+    t = (rel * seg[None, :, :]).sum(axis=2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(seg_len_sq > 0, t / seg_len_sq, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    nearest = starts[None, :, :] + t[:, :, None] * seg[None, :, :]
+    dist = np.linalg.norm(points[:, None, :] - nearest, axis=2)
+    return dist.min(axis=1)
+
+
+def local_cost_stacked(x, y):
+    """Euclidean distance between broadcast point arrays (last axis = d)."""
+    diff = x - y
+    np.square(diff, out=diff)
+    return np.sqrt(diff.sum(axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# Track and trajectory files through csv.reader, one row at a time
+
+def read_csv_rows(path, kind, layouts, parse, *, optional=(), errors=None):
+    """Yield ``parse(fields)`` for every non-blank data row of a CSV file.
+
+    The header must name every column of one of ``layouts`` (the first that
+    fits is used); ``fields`` holds a row's values of those columns, then of
+    the ``optional`` ones the header and the row have. A row that lacks a
+    column, or that ``parse`` rejects with ValueError or TypeError, gives
+    ``path:line: reason``: appended to ``errors`` and skipped when a list is
+    given, raised as DataError otherwise.
+    """
+    with _reading(path, kind), open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        columns = next((c for c in layouts if set(c) <= set(header)), None)
+        if columns is None:
+            raise DataError(f"{path}: header must contain columns "
+                            + " or ".join(",".join(c) for c in layouts))
+        index = [header.index(c) for c in columns]
+        extra = [header.index(c) for c in optional if c in header]
+        pick, width = itemgetter(*index), max(index) + 1
+        for row in filter(None, reader):
+            try:
+                if len(row) < width:
+                    missing = next(c for c, i in zip(columns, index) if i >= len(row))
+                    raise ValueError(f"missing column {missing!r}")
+                fields = pick(row) + tuple(row[i] for i in extra if i < len(row))
+                record = parse(fields)
+            except (ValueError, TypeError) as exc:
+                if errors is None:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+                errors.append(f"{path}:{reader.line_num}: {exc}")
+                continue
+            yield record
+
+
+def _parse_track_row(fields):
+    """(id, (time, lat, lon, alt)) of a row; the optional gs and vr are checked only."""
+    time, lat, lon, alt = map(float, fields[1:5])
+    if not (-90.0 <= lat <= 90.0):
+        raise ValueError(f"lat {lat} outside [-90, 90]")
+    if not (-180.0 <= lon <= 180.0):
+        raise ValueError(f"lon {lon} outside [-180, 180]")
+    if not (math.isfinite(alt) and math.isfinite(time)):
+        raise ValueError("time and alt must be finite")
+    for value in fields[5:]:
+        if value:
+            float(value)
+    return fields[0], (time, lat, lon, alt)
+
+
+def parse_tracks_rows(path):
+    """``parse_tracks`` through :func:`read_csv_rows`."""
+    errors = []
+    rows_by_id = {}
+    for flight_id, values in read_csv_rows(
+            path, "track file", (("id", "time", "lat", "lon", "alt"),),
+            _parse_track_row, optional=("gs", "vr"), errors=errors):
+        rows_by_id.setdefault(flight_id, array("d")).extend(values)
+
+    flights = []
+    for flight_id, values in rows_by_id.items():
+        points = np.frombuffer(values).reshape(-1, 4)
+        points = points[np.argsort(points[:, 0], kind="stable")]
+        times = points[:, 0]
+        points = points[np.concatenate(([True], times[1:] != times[:-1]))]
+        if len(points) < 2:
+            errors.append(f"{path}: flight {flight_id!r} has fewer than 2 usable points")
+            continue
+        flights.append(Flight(id=flight_id, points=points))
+    return flights, errors
+
+
+def read_trajectory_file_rows(path):
+    """``read_trajectory_file`` through :func:`read_csv_rows`."""
+    scenes = {}
+    for key, sample in read_csv_rows(
+            path, "trajectory file", (("scene_id", "aircraft_idx", "t", "x", "y", "z"),
+                                      ("traj_id", "t", "x", "y", "z")),
+            lambda f: (f[:-4], tuple(map(float, f[-4:])))):
+        scenes.setdefault(key[0], {}).setdefault(key, []).append(sample)
+    for aircraft in scenes.values():
+        for key, samples in aircraft.items():
+            arr = aircraft[key] = np.asarray(samples)
+            if np.any(np.diff(arr[:, 0]) <= 0):
+                raise DataError(f"{path}: times of aircraft {'/'.join(key)} "
+                                "do not strictly increase")
+    return [[(arr[:, 0], arr[:, 1:4]) for arr in aircraft.values()]
+            for aircraft in scenes.values()]

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trafgen import _files, cli, multi_model, preprocess, procedures
+from trafgen import (_files, cli, multi_model, preprocess, procedures,
+                     single_model)
 from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
@@ -803,6 +804,18 @@ def test_internal_error_is_not_reported_as_data_error(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "cmd_select", broken)
     with pytest.raises(error, match="internal"):
         run(["--config", str(config_path), "select"])
+
+
+def test_a_defect_inside_a_draw_is_a_traceback_not_exit_3(monkeypatch,
+                                                          pipeline):
+    _, config_path = pipeline
+
+    def broken(model, rng):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(single_model, "sample", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        run(["--config", str(config_path), "generate", "--count", "3"])
 
 
 def test_usage_error_exit_code():

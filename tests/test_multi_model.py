@@ -544,6 +544,19 @@ def test_scene_generation_stops_after_max_draws(monkeypatch):
     assert len(draws) == 3
 
 
+def test_a_plain_value_error_in_a_scene_draw_is_not_redrawn(monkeypatch):
+    calls = []
+
+    def broken(params, z):
+        calls.append(z)
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(multi_model, "_scene_parts", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        generate_scene(zero_cov_params(2), scene_procedures(2), rng=0)
+    assert len(calls) == 1
+
+
 def test_scene_generation_deterministic():
     comps = [pair_component(1.0, 2.0, seed=14)]
     models = {("P", "P"): MixtureModel(components=comps,

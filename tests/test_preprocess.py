@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafgen import preprocess
-from trafgen.errors import DataError
 from trafgen.preprocess import (assign_procedures, build_deviation_vector,
                                 dtw_distances, path_length, pchip_resample,
                                 point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
 from conftest import assert_bitwise, make_proc_traj
-from oracles import dtw_brute_force, dtw_loop, pchip_resample_scipy
+from oracles import (dtw_brute_force, dtw_loop, local_cost_stacked,
+                     pchip_resample_scipy, point_to_polyline_distance_stacked)
 
 
 def dtw(a, b):
@@ -97,7 +97,7 @@ def test_dtw_distances_chunks_flights_under_the_byte_budget(monkeypatch):
     wavefront = preprocess._dtw_wavefront
 
     def recording(a, b, b_reversed):
-        chunks.append(a.shape[0])
+        chunks.append(a.shape[1])  # a holds (d, F, 1, m) coordinate planes
         return wavefront(a, b, b_reversed)
 
     monkeypatch.setattr(preprocess, "_dtw_wavefront", recording)
@@ -185,33 +185,104 @@ def test_assign_procedures_matches_per_pair_loop():
 
 def test_segment_identical_to_iap_gives_boundary_zero():
     iap = straight_proc(0.0, "IAP")
-    assert segment_trajectory(iap.points, iap, threshold=1852.0) == 0
+    assert segment_trajectory([iap.points], iap, threshold=1852.0) == [0]
 
 
-def test_segment_dogleg_boundary_matches_brute_force_scan():
-    iap = straight_proc(0.0, "IAP", n=50)
-    # dog-leg: approach from the north, join the IAP at its midpoint
-    join = 25
+def brute_force_boundary(track, iap, threshold):
+    """The first index from which every distance is below the threshold, by
+    a scan of the (P, S, 2) distances, or the never-joins message."""
+    dists = point_to_polyline_distance_stacked(track, iap.points)
+    if not dists[-1] < threshold:
+        return (f"trajectory never joins the final approach (last distance "
+                f"{dists[-1]:.0f} m >= {threshold:.0f} m)")
+    return min(i for i in range(len(track))
+               if all(d < threshold for d in dists[i:]))
+
+
+def segmented_in_chunks(monkeypatch, tracks, iap, threshold):
+    """segment_trajectory under a chunk bound of a few points, and the
+    point count of every chunk it measured."""
+    chunks = []
+    measure = preprocess.point_to_polyline_distance
+
+    def recording(points, polyline):
+        chunks.append(len(points))
+        return measure(points, polyline)
+
+    monkeypatch.setattr(preprocess, "point_to_polyline_distance", recording)
+    monkeypatch.setattr(preprocess, "DTW_CHUNK_BYTES",
+                        8 * 6 * (len(iap.points) - 1) * 7)
+    return segment_trajectory(tracks, iap, threshold), chunks
+
+
+def dogleg(iap, join, start_y=20000.0):
+    """Approach from the north, then fly the IAP from sample ``join``."""
     approach = np.column_stack([
         np.full(30, iap.points[join, 0]),
-        np.linspace(20000.0, iap.points[join, 1], 30, endpoint=False),
+        np.linspace(start_y, iap.points[join, 1], 30, endpoint=False),
         np.zeros(30),
     ])
-    traj = np.vstack([approach, iap.points[join:]])
+    return np.vstack([approach, iap.points[join:]])
+
+
+def test_segment_dogleg_boundary_matches_brute_force_scan(monkeypatch):
+    iap = straight_proc(0.0, "IAP", n=50)
     threshold = 1852.0
-    boundary = segment_trajectory(traj, iap, threshold)
-    dists = point_to_polyline_distance(traj, iap.points)
-    expected = min(i for i in range(len(traj))
-                   if all(d < threshold for d in dists[i:]))
-    assert boundary == expected
-    assert boundary > 0
+    # flights that join at several points, one that never joins, and ones
+    # whose boundary is 0, one of them a single point
+    tracks = [dogleg(iap, 25), dogleg(iap, 3, 5000.0), straight_proc(50000.0).points,
+              iap.points[10:], dogleg(iap, 40)[::-1][:12], iap.points[:1],
+              dogleg(iap, 25)[::2]]
+    boundaries, chunks = segmented_in_chunks(monkeypatch, tracks, iap, threshold)
+    assert boundaries == [brute_force_boundary(t, iap, threshold) for t in tracks]
+    assert boundaries[0] > 0 and boundaries[1] > 0
+    assert boundaries[3] == boundaries[5] == 0
+    # one pass over every point, in chunks that cross flight edges
+    assert sum(chunks) == sum(len(t) for t in tracks)
+    assert set(chunks[:-1]) == {7}
 
 
-def test_segment_error_when_never_joining():
+def test_segment_error_when_never_joining(monkeypatch):
     iap = straight_proc(0.0, "IAP")
     far = straight_proc(50000.0).points
-    with pytest.raises(DataError, match="never joins"):
-        segment_trajectory(far, iap, threshold=1852.0)
+    boundaries, chunks = segmented_in_chunks(
+        monkeypatch, [iap.points, far, dogleg(iap, 5), far[:3]], iap, 1852.0)
+    assert boundaries[0] == 0 and boundaries[2] > 0
+    for message in (boundaries[1], boundaries[3]):
+        assert re.fullmatch(r"trajectory never joins the final approach "
+                            r"\(last distance 50000 m >= 1852 m\)", message)
+    assert len(chunks) > 1
+
+
+def test_segment_rejects_an_empty_track():
+    iap = straight_proc(0.0, "IAP")
+    with pytest.raises(ValueError, match="nonempty"):
+        segment_trajectory([iap.points, iap.points[:0]], iap, 1852.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polyline_distance_equals_the_stacked_form_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    poly = rng.normal(scale=5000.0, size=(30, 3)).cumsum(axis=0)
+    poly[7] = poly[6]          # a zero-length segment
+    poly[20:23] = poly[19]     # several in a row
+    points = np.vstack([
+        rng.normal(scale=8000.0, size=(300, 3)) + poly.mean(axis=0),
+        poly,                           # on the vertices
+        (poly[:-1] + poly[1:]) / 2,     # on the segments
+        poly[::4] * (1 + 1e-15),
+    ])
+    assert_bitwise(point_to_polyline_distance(points, poly),
+                   point_to_polyline_distance_stacked(points, poly))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dtw_local_cost_equals_the_stacked_form_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    x, y = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+            for shape in ((5, 1, 9, dim), (1, 4, 9, dim)))
+    planes = preprocess._local_cost(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
+    assert_bitwise(planes, local_cost_stacked(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,22 @@ def test_generate_stops_after_max_draws(monkeypatch):
     assert len(draws) == 3
 
 
+def test_a_plain_value_error_in_a_draw_is_not_redrawn(monkeypatch):
+    # only an InvalidDeviation or a NumericalError is drawn again; any other
+    # exception is a defect and passes through on the first draw
+    calls = []
+
+    def broken(model, rng):
+        calls.append(model)
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(single_model, "sample", broken)
+    with pytest.raises(ValueError, match="a defect") as err:
+        generate(ground_truth_model(), make_procs(), np.random.default_rng(20))
+    assert type(err.value) is ValueError
+    assert len(calls) == 1
+
+
 def test_conditional_sampler_is_built_once():
     model = ground_truth_model()
     sampler = model.final_approach_conditional
