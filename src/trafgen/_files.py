@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import warnings
 from functools import partial
@@ -23,6 +24,7 @@ import numpy as np
 import yaml
 
 from .errors import DataError
+from .preprocess import deviation_length
 
 DEVIATION_FORMAT = "trafgen-deviations/1"
 
@@ -303,12 +305,12 @@ def _runs(keys: np.ndarray, values: np.ndarray):
 
 
 def _dataset_meta(doc: dict) -> tuple[dict, int]:
-    """The meta sidecar, every row's keys checked, and the row width."""
+    """The meta sidecar, every row's keys checked, and its T."""
     for i, row in enumerate(doc["rows"]):
         missing = [k for k in ("flight_id", "procedure", "arrival_time") if k not in row]
         if missing:
             raise ValueError(f"row {i} lacks {', '.join(missing)}")
-    return doc, 3 * int(doc["T"]) + 2
+    return doc, int(doc["T"])
 
 
 def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
@@ -318,26 +320,34 @@ def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     if not len(data):
         raise DataError(f"{path}: dataset has no rows")
-    meta, width = read_json(path.with_suffix(".meta.json"), "dataset meta",
+    meta, t_len = read_json(path.with_suffix(".meta.json"), "dataset meta",
                             _dataset_meta, tag=DEVIATION_FORMAT)
-    if data.shape[1] != width:
-        raise DataError(f"{path}: expected {width} columns, found {data.shape[1]}")
+    deviation_length(data.shape[1], "dataset width", expected=t_len, path=path)
     if len(data) != len(meta["rows"]):
         raise DataError(f"{path}: {len(data)} rows, but its meta lists "
                         f"{len(meta['rows'])}")
     return data, meta
 
 
+def _trajectory_row(fields: tuple[str, ...]) -> tuple[float, ...]:
+    """(t, x, y, z) of a trajectory or scene row; each must be finite."""
+    values = tuple(map(float, fields[-4:]))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("t, x, y and z must be finite")
+    return values
+
+
 def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """A trajectory or scene CSV as a list of scenes of (times, points).
 
     Trajectory files yield one single-aircraft scene per trajectory; scene
-    files group aircraft by scene id. Every aircraft's times must strictly
-    increase.
+    files group aircraft by scene id. Every value must be finite, and every
+    aircraft's times must strictly increase.
     """
     scenes: dict[str, dict[tuple, list]] = {}
     for key, values in read_csv(path, "trajectory file", _TRAJECTORY_LAYOUTS,
-                                lambda f: tuple(map(float, f[-4:]))):
+                                _trajectory_row,
+                                check=lambda v: ~np.isfinite(v).all(axis=1)):
         scenes.setdefault(key[0], {}).setdefault(key, []).append(values)
     for aircraft in scenes.values():
         for key, runs in aircraft.items():

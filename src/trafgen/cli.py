@@ -79,7 +79,7 @@ class RunConfig:
     rank_rv: int | None = None
     rank_fa: int | None = None
     k_pairwise: int = 1
-    rank_pairwise: int | None = None
+    rank_pairwise: int = 8
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -336,14 +336,6 @@ def cmd_ingest(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_width(path: Path, what: str, found: int, segment: _Segment) -> None:
-    """DataError naming ``path`` unless ``found`` is the segment's 3T+2."""
-    expected = 3 * segment.length + 2
-    if found != expected:
-        raise DataError(
-            f"{path}: {what} {found} != 3*{segment.symbol}+2 = {expected}")
-
-
 def _seed(config: RunConfig, name: str) -> int:
     """An EM or sweep seed, drawn from the substream ``name`` of the config seed."""
     return int(substream(config.seed, name).integers(2 ** 31))
@@ -352,7 +344,8 @@ def _seed(config: RunConfig, name: str) -> int:
 def _read_dataset(segment: _Segment) -> tuple[np.ndarray, dict]:
     """A segment's deviation dataset and meta; its width must be 3T+2."""
     data, meta = read_deviation_dataset(segment.dataset)
-    _check_width(segment.dataset, "dataset width", data.shape[1], segment)
+    preprocess.deviation_length(data.shape[1], "dataset width", segment.symbol,
+                                expected=segment.length, path=segment.dataset)
     return data, meta
 
 
@@ -418,12 +411,9 @@ def cmd_train_pairwise(config: RunConfig) -> int:
         [row["arrival_time"] for row in meta["rows"]], config.pairing_window_s)
     if not groups:
         raise DataError("no arrival pairs inside the pairing window")
-    rank = config.rank_pairwise
-    if rank is None:  # one below the pair dimension 2 (3T+2) + 1, at most 8
-        rank = min(8, 2 * data.shape[1])
     seed = _seed(config, "train-pairwise")
     models = multi_model.train_pairwise(
-        groups, config.k_pairwise, rank, seed=seed)
+        groups, config.k_pairwise, config.rank_pairwise, seed=seed)
     if not models:
         raise DataError("every pairwise group was under the sample minimum")
     write_json(config.out_dir / "model_pairwise.json", {
@@ -442,8 +432,9 @@ def cmd_generate(config: RunConfig, count: int) -> int:
     """Generate single trajectories from the trained per-segment models."""
     segments = _segments(config)
     models = [load_model(segment.model) for segment in segments]
-    for segment, loaded in zip(segments, models):
-        _check_width(segment.model, "model dimension", loaded.dimension, segment)
+    for segment, m in zip(segments, models):
+        preprocess.deviation_length(m.dimension, "model dimension", segment.symbol,
+                                    expected=segment.length, path=segment.model)
     model = single_model.SingleTrajectoryModel(*models, config.n_overlap)
     proc_set = _load_procedural_trajectories(config)
     rng = substream(config.seed, "generate")
@@ -479,11 +470,10 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     if missing:
         raise DataError(f"{config.out_dir / 'model_pairwise.json'}: no pairwise "
                         f"model for procedure combinations {', '.join(missing)}")
-    expected = 2 * (3 * config.t_v + 2) + 1
-    found = sorted({model.dimension for model in models.values()})
-    if found != [expected]:
-        raise DataError(f"{config.out_dir / 'model_pairwise.json'}: pairwise "
-                        f"model dimensions {found} != 2*(3*T_v+2)+1 = {expected}")
+    preprocess.deviation_length(
+        sorted({model.dimension for model in models.values()}),
+        "pairwise model dimensions", "T_v", pair=True, expected=config.t_v,
+        path=config.out_dir / "model_pairwise.json")
 
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []
@@ -604,23 +594,31 @@ def _build_parser() -> _Parser:
                         help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest")
-    sub.add_parser("select")
-    sub.add_parser("train")
-    sub.add_parser("train-pairwise")
+    sub.add_parser("ingest").set_defaults(call=lambda cfg, a: cmd_ingest(cfg))
+    sub.add_parser("select").set_defaults(call=lambda cfg, a: cmd_select(cfg))
+    sub.add_parser("train").set_defaults(call=lambda cfg, a: cmd_train(cfg))
+    sub.add_parser("train-pairwise").set_defaults(
+        call=lambda cfg, a: cmd_train_pairwise(cfg))
     p_gen = sub.add_parser("generate")
     p_gen.add_argument("--count", type=_int_at_least(0), required=True)
+    p_gen.set_defaults(call=lambda cfg, a: cmd_generate(cfg, a.count))
     p_scenes = sub.add_parser("generate-scenes")
     p_scenes.add_argument("--count", type=_int_at_least(0), required=True)
     p_scenes.add_argument("--aircraft", type=_int_at_least(2), default=3)
+    p_scenes.set_defaults(
+        call=lambda cfg, a: cmd_generate_scenes(cfg, a.count, a.aircraft))
     p_eval = sub.add_parser("evaluate")
     p_eval.add_argument("--actual", required=True)
     p_eval.add_argument("--synthetic", required=True)
+    p_eval.set_defaults(call=lambda cfg, a: cmd_evaluate(
+        cfg, Path(a.actual), Path(a.synthetic)))
     p_review = sub.add_parser("review-paths")
     p_review.add_argument("--k", type=_int_at_least(1), required=True)
     p_review.add_argument("--keep", type=_index_list,
                           help="comma-separated path indices to keep")
     p_review.add_argument("--samples", type=_int_at_least(2), default=100)
+    p_review.set_defaults(
+        call=lambda cfg, a: cmd_review_paths(cfg, a.k, a.keep, a.samples))
     return parser
 
 
@@ -639,23 +637,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.out is not None:
             config.out_dir = Path(args.out)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "select":
-            return cmd_select(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "train-pairwise":
-            return cmd_train_pairwise(config)
-        if args.command == "generate":
-            return cmd_generate(config, args.count)
-        if args.command == "generate-scenes":
-            return cmd_generate_scenes(config, args.count, args.aircraft)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, Path(args.actual), Path(args.synthetic))
-        if args.command == "review-paths":
-            return cmd_review_paths(config, args.k, args.keep, args.samples)
+        return args.call(config, args)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -9,6 +9,7 @@ bounded by [0, 1]), and loss-of-separation counting under the standard
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -221,22 +222,19 @@ def extract_variables(scenes: Sequence[Scene]) -> dict[str, np.ndarray]:
 
 @dataclass
 class SeparationReport:
-    count: int                    # violation events (or samples, per unit)
+    count: int                    # violation events
     scene_flags: list[bool]       # any violation per scene
 
 
 def loss_of_separation_count(scenes: Sequence[Scene],
-                             sep: SeparationConfig = SeparationConfig(), *,
-                             unit: str = "events") -> SeparationReport:
-    """Count separation violations across scenes.
+                             sep: SeparationConfig = SeparationConfig(),
+                             ) -> SeparationReport:
+    """Count separation violation events across scenes.
 
     A sample violates when a pair is simultaneously below BOTH the horizontal
-    and the vertical minimum. With ``unit="events"`` (default) each maximal
-    contiguous run of violating samples for a pair counts once; with
-    ``unit="samples"`` every violating time sample counts.
+    and the vertical minimum. Each maximal contiguous run of violating
+    samples for a pair counts once.
     """
-    if unit not in ("events", "samples"):
-        raise ValueError(f"unknown counting unit {unit!r}")
     h_min = sep.horizontal_min_nm * NM_TO_M
     v_min = sep.vertical_min_ft * FT_TO_M
     total = 0
@@ -245,25 +243,19 @@ def loss_of_separation_count(scenes: Sequence[Scene],
         trajectories = [(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
                         for t, p in scene]
         scene_count = 0
-        for i in range(len(trajectories)):
-            for j in range(i + 1, len(trajectories)):
-                ti, pi = trajectories[i]
-                tj, pj = trajectories[j]
-                lo, hi = max(ti[0], tj[0]), min(ti[-1], tj[-1])
-                grid = np.union1d(ti, tj)
-                grid = grid[(grid >= lo) & (grid <= hi)]
-                if grid.size == 0:
-                    continue
-                pos_i = _interp_position(ti, pi, grid)
-                pos_j = _interp_position(tj, pj, grid)
-                horiz = np.linalg.norm(pos_i[:, :2] - pos_j[:, :2], axis=1)
-                vert = np.abs(pos_i[:, 2] - pos_j[:, 2])
-                violating = (horiz < h_min) & (vert < v_min)
-                if unit == "samples":
-                    scene_count += int(violating.sum())
-                else:
-                    starts = violating & ~np.concatenate(([False], violating[:-1]))
-                    scene_count += int(starts.sum())
+        for (ti, pi), (tj, pj) in combinations(trajectories, 2):
+            lo, hi = max(ti[0], tj[0]), min(ti[-1], tj[-1])
+            grid = np.union1d(ti, tj)
+            grid = grid[(grid >= lo) & (grid <= hi)]
+            if grid.size == 0:
+                continue
+            pos_i = _interp_position(ti, pi, grid)
+            pos_j = _interp_position(tj, pj, grid)
+            horiz = np.linalg.norm(pos_i[:, :2] - pos_j[:, :2], axis=1)
+            vert = np.abs(pos_i[:, 2] - pos_j[:, 2])
+            violating = (horiz < h_min) & (vert < v_min)
+            starts = violating & ~np.concatenate(([False], violating[:-1]))
+            scene_count += int(starts.sum())
         total += scene_count
         flags.append(scene_count > 0)
     return SeparationReport(count=total, scene_flags=flags)

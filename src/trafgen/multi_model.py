@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, InvalidDeviation
 from .mixture import MixtureModel, compress_model, em_fit, redraw
-from .preprocess import reconstruct_trajectory
+from .preprocess import deviation_length, deviation_width, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
 logger = logging.getLogger(__name__)
@@ -138,16 +138,6 @@ def _require_model(models: Mapping[tuple[str, str], MixtureModel],
     return models[key]
 
 
-def _pair_dim(models: Mapping[tuple[str, str], MixtureModel]) -> int:
-    dims = {model.dimension for model in models.values()}
-    if len(dims) != 1:
-        raise ValueError(f"pairwise models disagree on dimension: {sorted(dims)}")
-    dim = dims.pop()
-    if (dim - 1) % 2 != 0:
-        raise ValueError(f"pairwise dimension {dim} is not 2*(3T+2)+1")
-    return (dim - 1) // 2
-
-
 def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
                           procedure_sequence: Sequence[str],
                           rng: int | np.random.Generator | None = None,
@@ -171,7 +161,9 @@ def assemble_scene_params(models: Mapping[tuple[str, str], MixtureModel],
     n = len(procs)
     if n < 2:
         raise ValueError("a scene needs at least 2 aircraft")
-    d = _pair_dim(models)
+    d = deviation_width(deviation_length(
+        sorted({model.dimension for model in models.values()}),
+        "pairwise model dimensions", pair=True))
     a_blk, b_blk = slice(0, d), slice(d + 1, 2 * d + 1)
 
     mean = np.zeros(n * d + n - 1)

@@ -3,16 +3,18 @@
 A deviation vector packs a trajectory's transit time, path length, and its
 per-step 3-D offsets from a procedural trajectory into one flat array,
 ``[transit time, total distance, dx1, dy1, dz1, ..., dxT, dyT, dzT]`` of
-length 3T + 2: the training representation used by the mixture models.
+length 3T + 2: the training representation used by the mixture models. Every
+width check calls :func:`deviation_length`, the inverse of :func:`deviation_width`.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidDeviation
+from .errors import DataError, InvalidDeviation
 
 if TYPE_CHECKING:
     from .procedures import ProceduralTrajectory
@@ -312,6 +314,33 @@ def _check_positive(tau: np.ndarray) -> None:
         raise InvalidDeviation("total_distance must be positive")
 
 
+def deviation_width(t_len: int, *, pair: bool = False) -> int:
+    """Width 3T + 2 of a T-sample trajectory's deviation vector, or with
+    ``pair`` 2 (3T + 2) + 1 of a pairwise vector [tau1, delta12, tau2]."""
+    return 2 * (3 * t_len + 2) + 1 if pair else 3 * t_len + 2
+
+
+def deviation_length(width: int | list[int], what: str, symbol: str = "T", *,
+                     pair: bool = False, expected: int | None = None,
+                     path: Path | None = None) -> int:
+    """The T whose :func:`deviation_width` is ``width``, which may also list
+    the distinct widths of several vectors (they must then be one); that T
+    must be ``expected`` when one is given. Otherwise a ValueError, or with
+    ``path`` a DataError prefixed ``<path>: ``, says ``<what> <width> !=
+    3*<symbol>+2 = <expected's width>`` (``2*(3*<symbol>+2)+1`` for a pair;
+    ending ``for any <symbol>`` when no T is expected)."""
+    widths = width if isinstance(width, list) else [width]
+    w = min(widths, default=0)  # the T below is the only one that can fit
+    t_len = (((w - 1) // 2 if pair else w) - 2) // 3 if expected is None else expected
+    want = deviation_width(t_len, pair=pair)
+    if widths != [want]:
+        rule = f"2*(3*{symbol}+2)+1" if pair else f"3*{symbol}+2"
+        end = f"for any {symbol}" if expected is None else f"= {want}"
+        message = f"{what} {width} != {rule} {end}"
+        raise ValueError(message) if path is None else DataError(f"{path}: {message}")
+    return t_len
+
+
 def build_deviation_vector(times: np.ndarray, points: np.ndarray,
                            proc: "ProceduralTrajectory") -> np.ndarray:
     """Deviation vector (3T + 2,) of a resampled trajectory against a
@@ -339,7 +368,7 @@ def reconstruct_trajectory(tau: np.ndarray, proc: "ProceduralTrajectory",
     """
     tau = np.asarray(tau, dtype=float)
     count = proc.points.shape[0]
-    if tau.shape != (3 * count + 2,):
+    if tau.shape != (deviation_width(count),):
         raise ValueError("deviation count does not match procedural length")
     _check_positive(tau)
     points = proc.points + tau[2:].reshape(count, 3)

@@ -6,7 +6,8 @@ Generation samples a radar-vector deviation vector, reconstructs it against a
 test procedure, then conditions the final-approach mixture on the deviations
 implied by the tail of the radar-vector trajectory so the two segments join
 smoothly. A model states only that overlap, n_overlap: the segment lengths
-T_v and T_f follow from the mixtures' dimensions, 3T+2 each.
+T_v and T_f follow from the mixtures' dimensions, 3T+2 each, by
+:func:`~trafgen.preprocess.deviation_length`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .mixture import ConditionalMixture, MixtureModel, redraw, sample
-from .preprocess import reconstruct_trajectory
+from .preprocess import deviation_length, reconstruct_trajectory
 from .procedures import ProceduralTrajectory
 
 
@@ -31,15 +32,6 @@ def check_segment_lengths(t_v: int, t_f: int, n_overlap: int) -> None:
         raise ValueError("n_overlap cannot exceed T_v")
 
 
-def _segment_length(model: MixtureModel, what: str, symbol: str) -> int:
-    """T of a segment mixture of dimension 3T+2."""
-    t_len, rest = divmod(model.dimension - 2, 3)
-    if rest:
-        raise ValueError(f"{what} model dimension {model.dimension} is not "
-                         f"3*{symbol}+2")
-    return t_len
-
-
 @dataclass
 class SingleTrajectoryModel:
     radar_vector_model: MixtureModel
@@ -48,8 +40,10 @@ class SingleTrajectoryModel:
 
     def __post_init__(self) -> None:
         check_segment_lengths(
-            _segment_length(self.radar_vector_model, "radar-vector", "T_v"),
-            _segment_length(self.final_approach_model, "final-approach", "T_f"),
+            deviation_length(self.radar_vector_model.dimension,
+                             "radar-vector model dimension", "T_v"),
+            deviation_length(self.final_approach_model.dimension,
+                             "final-approach model dimension", "T_f"),
             self.n_overlap)
 
     @cached_property

@@ -48,8 +48,7 @@ from trafgen.errors import DataError, NumericalError
 from trafgen.ingest import Flight
 from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, EMFit,
                              GaussianComponent, MixtureModel, sample_many)
-from trafgen.multi_model import (_block, _delta_index, _pair_dim,
-                                 _require_model)
+from trafgen.multi_model import _block, _delta_index, _require_model
 
 
 def dense_covariance(comp: GaussianComponent) -> np.ndarray:
@@ -322,7 +321,7 @@ def assemble_scene_dense(models: Mapping[tuple[str, str], MixtureModel],
     n = len(procs)
     if n < 2:
         raise ValueError("a scene needs at least 2 aircraft")
-    d = _pair_dim(models)
+    d = (next(iter(models.values())).dimension - 1) // 2
     a_blk, b_blk = slice(0, d), slice(d + 1, 2 * d + 1)
 
     dim = n * d + (n - 1)
@@ -713,13 +712,21 @@ def parse_tracks_rows(path):
     return flights, errors
 
 
+def _parse_trajectory_row(fields):
+    """(key, (t, x, y, z)) of a row; each value must be finite."""
+    sample = tuple(map(float, fields[-4:]))
+    if not all(math.isfinite(v) for v in sample):
+        raise ValueError("t, x, y and z must be finite")
+    return fields[:-4], sample
+
+
 def read_trajectory_file_rows(path):
     """``read_trajectory_file`` through :func:`read_csv_rows`."""
     scenes = {}
     for key, sample in read_csv_rows(
             path, "trajectory file", (("scene_id", "aircraft_idx", "t", "x", "y", "z"),
                                       ("traj_id", "t", "x", "y", "z")),
-            lambda f: (f[:-4], tuple(map(float, f[-4:])))):
+            _parse_trajectory_row):
         scenes.setdefault(key[0], {}).setdefault(key, []).append(sample)
     for aircraft in scenes.values():
         for key, samples in aircraft.items():

@@ -394,10 +394,10 @@ def test_criterion_10_separation_semantics_and_model_comparison():
     assert loss_of_separation_count([parallel_pair_scene(3.5, 500.0)],
                                     sep).count == 0
 
-    # monotone in both minima: single-dip geometry for the events unit
-    # (merging of runs cannot occur), any geometry for the samples unit
+    # monotone in both minima on single-dip geometry, where runs of
+    # violating samples cannot merge
     rng = np.random.default_rng(1001)
-    dip_scenes, random_scenes = [], []
+    dip_scenes = []
     for _ in range(20):
         n = 30
         times = np.arange(n) * 10.0
@@ -406,18 +406,12 @@ def test_criterion_10_separation_semantics_and_model_comparison():
         b = (times, np.column_stack([np.zeros(n), gap,
                                      np.full(n, rng.uniform(0, 250.0))]))
         dip_scenes.append([a, b])
-        c = (times, np.column_stack([np.zeros(n),
-                                     rng.uniform(0, 12000.0, size=n),
-                                     rng.uniform(0, 800.0, size=n)]))
-        random_scenes.append([a, c])
-    for unit, scenes in (("events", dip_scenes), ("samples", random_scenes)):
-        base_count = loss_of_separation_count(
-            scenes, SeparationConfig(3.0, 1000.0), unit=unit).count
-        for stricter in (SeparationConfig(4.0, 1000.0),
-                         SeparationConfig(3.0, 2000.0),
-                         SeparationConfig(4.5, 2500.0)):
-            assert loss_of_separation_count(
-                scenes, stricter, unit=unit).count >= base_count
+    base_count = loss_of_separation_count(
+        dip_scenes, SeparationConfig(3.0, 1000.0)).count
+    for stricter in (SeparationConfig(4.0, 1000.0),
+                     SeparationConfig(3.0, 2000.0),
+                     SeparationConfig(4.5, 2500.0)):
+        assert loss_of_separation_count(dip_scenes, stricter).count >= base_count
 
     # correlated pairwise model vs independent single-trajectory baseline
     taus, names, times, proc = corpus.make_intrail_records(400, rho=0.95,

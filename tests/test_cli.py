@@ -20,7 +20,8 @@ from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          read_trajectory_file, run, substream)
 from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84
-from trafgen.mixture import GaussianComponent, MixtureModel, save_model
+from trafgen.mixture import (GaussianComponent, MixtureModel, model_to_dict,
+                             save_model)
 
 import corpus
 from conftest import assert_bitwise
@@ -171,6 +172,16 @@ def test_train_names_final_approach_dataset_of_another_length(tmp_path, capsys):
             f"{3 * t_f + 2} != 3*T_f+2 = {3 * corpus.T_F + 2}"
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
+    # a meta whose T disagrees with the dataset's own columns
+    meta_path = out / "fa_dataset.meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["T"] = corpus.T_F
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    assert run(["--config", str(config_path), "train"]) == EXIT_DATA
+    assert (f"data error: {out / 'fa_dataset.csv'}: dataset width "
+            f"{3 * t_f + 2} != 3*T+2 = {3 * corpus.T_F + 2}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 @pytest.mark.parametrize("segment", ["rv", "fa"])
@@ -193,6 +204,16 @@ def test_generate_rejects_model_of_another_length(tmp_path, capsys, segment):
     assert (f"data error: {out / f'model_{segment}.json'}: model dimension "
             f"{expected + 3} != 3*{symbol}+2 = {expected}"
             in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
+    # a dimension that is 3T+2 for no T
+    dim = expected + 1
+    save_model(MixtureModel(components=[GaussianComponent(
+        weight=1.0, mean=np.ones(dim), cov_factor=np.zeros((dim, 1)),
+        noise_var=1.0)]), out / f"model_{segment}.json")
+    assert run(["--config", str(config_path), "generate",
+                "--count", "3"]) == EXIT_DATA
+    assert (f"data error: {out / f'model_{segment}.json'}: model dimension "
+            f"{dim} != 3*{symbol}+2 = {expected}" in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
 
 
@@ -279,6 +300,26 @@ def test_evaluate_rejects_times_that_do_not_increase(tmp_path, capsys,
                 "--synthetic", str(bad)])
     assert code == EXIT_DATA
     assert (f"data error: {bad}: times of aircraft 7 do not strictly increase"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "metrics_report.json").exists()
+
+
+@pytest.mark.parametrize("bad_row, line", [("7,nan,500.0,0.0,300.0", 3),
+                                           ("7,2.0,inf,0.0,300.0", 4)],
+                         ids=["nan_time", "inf_x"])
+def test_evaluate_rejects_non_finite_values(tmp_path, capsys, pipeline,
+                                            bad_row, line):
+    base, config_path = pipeline
+    rows = ["7,0.0,0.0,0.0,300.0", "7,1.0,400.0,0.0,300.0",
+            "7,3.0,900.0,0.0,300.0"]
+    rows.insert(line - 2, bad_row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("traj_id,t,x,y,z\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code = run(["--config", str(config_path), "--out", str(tmp_path),
+                "evaluate", "--actual", str(base / "out" / "trajectories.csv"),
+                "--synthetic", str(bad)])
+    assert code == EXIT_DATA
+    assert (f"data error: {bad}:{line}: t, x, y and z must be finite"
             in capsys.readouterr().err)
     assert not (tmp_path / "metrics_report.json").exists()
 
@@ -1081,6 +1122,22 @@ def test_pairwise_model_of_another_t_v_fails_before_any_draw(tmp_path, capsys):
     assert str(out / "model_pairwise.json") in err
     assert f"[{2 * (3 * corpus.T_V + 2) + 1}]" in err
     assert f"2*(3*T_v+2)+1 = {2 * (3 * t_v + 2) + 1}" in err
+    assert not (out / "scenes.csv").exists()
+    # an odd dimension that is 2(3T+2)+1 for no T: the CLI names the file,
+    # and the library refuses to assemble from it
+    doc = json.loads((out / "model_pairwise.json").read_text(encoding="utf-8"))
+    odd = MixtureModel(components=[GaussianComponent(
+        weight=1.0, mean=np.ones(9), cov_factor=np.zeros((9, 1)), noise_var=1.0)])
+    doc["models"] = {key: model_to_dict(odd) for key in doc["models"]}
+    (out / "model_pairwise.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["--config", str(config_path), "generate-scenes",
+                "--count", "5", "--aircraft", "3"]) == EXIT_DATA
+    assert (f"data error: {out / 'model_pairwise.json'}: pairwise model "
+            f"dimensions [9] != 2*(3*T_v+2)+1 = {2 * (3 * t_v + 2) + 1}"
+            in capsys.readouterr().err)
+    with pytest.raises(ValueError, match=re.escape(
+            "pairwise model dimensions [9] != 2*(3*T+2)+1 for any T")):
+        multi_model.assemble_scene_params({("A", "A"): odd}, ["A", "A"], 0)
     assert not (out / "scenes.csv").exists()
 
 

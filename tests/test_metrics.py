@@ -272,32 +272,6 @@ def test_separation_event_counting_runs():
     b = (times, np.column_stack([np.zeros(9), gaps_nm * NM_TO_M, np.zeros(9)]))
     report = loss_of_separation_count([[a, b]])
     assert report.count == 2
-    samples = loss_of_separation_count([[a, b]], unit="samples")
-    assert samples.count == 4
-
-
-def test_separation_monotone_in_minima():
-    rng = np.random.default_rng(6)
-    scenes = []
-    for _ in range(5):
-        n = 15
-        times = np.arange(n) * 10.0
-        a = (times, np.column_stack([
-            rng.normal(scale=2000.0, size=n).cumsum(),
-            np.zeros(n), np.zeros(n)]))
-        b = (times, np.column_stack([
-            rng.normal(scale=2000.0, size=n).cumsum(),
-            rng.uniform(1000.0, 9000.0, size=n),
-            rng.uniform(0.0, 500.0, size=n)]))
-        scenes.append([a, b])
-    base = loss_of_separation_count(scenes, SeparationConfig(3.0, 1000.0),
-                                    unit="samples").count
-    wider_h = loss_of_separation_count(scenes, SeparationConfig(4.0, 1000.0),
-                                       unit="samples").count
-    wider_v = loss_of_separation_count(scenes, SeparationConfig(3.0, 2000.0),
-                                       unit="samples").count
-    assert wider_h >= base
-    assert wider_v >= base
 
 
 def test_separation_requires_time_overlap():

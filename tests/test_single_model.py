@@ -1,5 +1,7 @@
 """Per-segment training and stitched single-trajectory generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -327,9 +329,15 @@ def test_model_dimension_validation():
     short = MixtureModel(components=[GaussianComponent(
         weight=1.0, mean=np.zeros(DIM_F - 1),
         cov_factor=np.zeros((DIM_F - 1, 0)))])
-    with pytest.raises(ValueError, match=f"final-approach model dimension "
-                       f"{DIM_F - 1} is not 3\\*T_f\\+2"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"final-approach model dimension {DIM_F - 1} != 3*T_f+2 for any T_f")):
         SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=short,
+                              n_overlap=N_OV)
+    tiny = MixtureModel(components=[GaussianComponent(
+        weight=1.0, mean=np.zeros(1), cov_factor=np.zeros((1, 0)))])
+    with pytest.raises(ValueError, match=re.escape(
+            "radar-vector model dimension 1 != 3*T_v+2 for any T_v")):
+        SingleTrajectoryModel(radar_vector_model=tiny, final_approach_model=fa,
                               n_overlap=N_OV)
     # n_overlap out of range for the T read from the dimensions
     with pytest.raises(ValueError, match=r"n_overlap must be in \[1, T_f\)"):
