@@ -12,10 +12,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
 import warnings
-from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -76,27 +74,18 @@ def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,
         "T": segment_length, "rows": rows})
 
 
-def _csv_field(value) -> str:
-    """``value`` as ``csv.writer`` writes it: quoted when it holds a comma,
-    a quote or a line break, with quotes doubled."""
-    text = str(value)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
     """Write (keys, times, points) rows as one CSV line per sample.
 
     The bytes are those of ``csv.writer``: CRLF line ends, floats as
-    ``repr``, and keys quoted where it would quote them.
+    ``repr``, and the keys, integers, as ``str``.
     """
     with atomic_path(path) as tmp, \
             tmp.open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join([*key_columns, "t", "x", "y", "z"]) + "\r\n")
         # one write per trajectory, so memory stays bounded by one of them
         for keys, times, points in rows:
-            prefix = "".join(_csv_field(key) + "," for key in keys)
+            prefix = "".join(f"{key}," for key in keys)
             handle.write("".join([
                 f"{prefix}{t!r},{x!r},{y!r},{z!r}\r\n" for t, (x, y, z)
                 in zip(np.asarray(times, dtype=float).tolist(),
@@ -152,32 +141,31 @@ def read_yaml(path: str | Path, kind: str, parse):
         return parse(list(yaml.safe_load_all(Path(path).read_text(encoding="utf-8"))))
 
 
-def read_csv(path: str | Path, kind: str, layouts, parse, *, check=None,
-             optional=(), errors: list[str] | None = None):
+def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
+             errors: list[str] | None = None):
     """Yield ``(key, values)`` for every run of data rows with one key.
 
     ``layouts`` are (key columns, value columns) pairs. The header must name
-    every column of one of them (the first that fits is used); a row's
-    ``fields`` are its values of those columns, then of the ``optional``
-    ones the header and the row have, and ``parse(fields)`` gives its values
-    as floats. ``key`` is the tuple of a run's key fields and ``values`` the
-    (n, v) float64 array of its rows' values, in file order. A row that
-    lacks a column, or that ``parse`` rejects with ValueError or TypeError,
-    gives ``path:line: reason``: appended to ``errors`` and skipped when a
-    list is given, raised as DataError otherwise.
+    every column of one of them (the first that fits is used); the
+    ``optional`` columns the header has are read too. ``key`` is the tuple of
+    a run's key fields and ``values`` the (n, v) float64 array of its rows'
+    values, in file order. A row is rejected for the first of these that
+    holds, in this order: it lacks a column; a value field is not a number
+    to float() (float()'s message); one of ``rules`` flags it; a nonempty
+    optional field is not a number to float() (float()'s message). A rule
+    is a ``(mask, message)`` pair: ``mask(values)`` flags rows of a block's
+    (n, v) values, and ``message.format(*row)`` gives the reason, the row's
+    values as Python floats. A rejected row gives ``path:line: reason``:
+    appended to ``errors`` and skipped when a list is given, raised as
+    DataError otherwise; either way rows are reported in line order.
 
-    The file is read in blocks of ``CSV_BLOCK_LINES`` lines, in array
-    passes. numpy's C parser reads a block's key and optional fields as
-    strings and its value fields as float64; it reads a subset of what
-    float() reads, to the same values. When it rejects a value, float()
-    reads each of the block's value fields instead. So ``parse`` must give
-    float() of the value fields, and reject a row exactly when a value field
-    or a nonempty optional field is not a number or when ``check(values)``,
-    a row mask, flags it: only the rows that fail one of these checks go
-    through ``parse``, which gives their message. A block holding a quote, a
-    line longer than csv's field limit, or a row the tokenizer rejects (a
-    short one) is read by csv, row by row, so every result and message is
-    csv's.
+    The file is read in blocks of ``CSV_BLOCK_LINES`` lines. numpy's C
+    parser reads a block's value fields as float64, a subset of what float()
+    reads, to the same values. A block holding a blank line, a quote, a line
+    longer than csv's field limit, or a field the parser rejects (a short
+    row, or a value only float() reads) is read by csv, and float() converts
+    its value fields in one pass, so every result and message is csv's and
+    float()'s.
     """
     with _reading(path, kind), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -189,78 +177,73 @@ def read_csv(path: str | Path, kind: str, layouts, parse, *, check=None,
         n_keys, columns = len(layout[0]), layout[0] + layout[1]
         index = [header.index(c) for c in columns]
         extra = [header.index(c) for c in optional if c in header]
-        pick, width = itemgetter(*index), max(index) + 1
-
-        def parse_row(line_no: int, row: list[str]):
-            """A csv row's (key, values), or None once its error is reported."""
-            try:
-                if len(row) < width:
-                    missing = next(c for c, i in zip(columns, index) if i >= len(row))
-                    raise ValueError(f"missing column {missing!r}")
-                fields = pick(row) + tuple(row[i] for i in extra if i < len(row))
-                return fields[:n_keys], parse(fields)
-            except (ValueError, TypeError) as exc:
-                if errors is None:
-                    raise DataError(f"{path}:{line_no}: {exc}") from exc
-                errors.append(f"{path}:{line_no}: {exc}")
-                return None
-
+        pick, width = itemgetter(*index, *extra), max(index) + 1
         # a row's key and optional fields as strings, its values as float64
         record = np.dtype([("keys", object, (n_keys,)),
                            ("values", float, (len(columns) - n_keys,)),
                            ("optional", object, (len(extra),))])
 
-        def array_pass(block: list[str], before: int):
-            """(keys, values, lines read) of a block read in array passes, or
-            None when csv must read it; ``before`` lines precede the block."""
-            rows = (range(len(block)) if _BLANK_LINES.isdisjoint(block) else
-                    [i for i, line in enumerate(block) if line not in _BLANK_LINES])
-            if (not rows or '"' in "".join(block)
+        def screen(lines, keys, values, present, reasons):
+            """Report each rejected row in line order, and give the (keys,
+            values) of the rest; ``reasons`` holds those found so far."""
+            for mask, message in rules:
+                for j in np.flatnonzero(mask(values)).tolist():
+                    reasons.setdefault(j, message.format(*values[j].tolist()))
+            if present.size:  # optional fields may be empty
+                _convert(np.where(present == "", "0", present), reasons)
+            for j in sorted(reasons):
+                message = f"{path}:{lines[j]}: {reasons[j]}"
+                if errors is None:
+                    raise DataError(message)
+                errors.append(message)
+            keep = np.ones(len(values), dtype=bool)
+            keep[list(reasons)] = False
+            return keys[keep], values[keep]
+
+        def numpy_pass(block: list[str], before: int):
+            """(keys, values, lines read) of a block read by numpy's C
+            parser, or None when csv must read it; ``before`` lines precede
+            the block."""
+            if (not block or not _BLANK_LINES.isdisjoint(block)
+                    or '"' in "".join(block)
                     or max(map(len, block)) > csv.field_size_limit()):
                 return None
-            lines = block if len(rows) == len(block) else [block[i] for i in rows]
-            load = partial(np.loadtxt, lines, delimiter=",", comments=None,
-                           usecols=index + extra)
-            try:  # the numbers by numpy's C parser
-                parsed = load(dtype=record, ndmin=1)
-                keys, values = parsed["keys"], parsed["values"]
-                present, flagged = parsed["optional"], np.zeros(len(rows), dtype=bool)
-            except ValueError:  # by float(), which reads more of them
-                try:
-                    fields = load(dtype=object, ndmin=2)
-                except ValueError:
-                    return None
-                keys, present = fields[:, :n_keys], fields[:, len(columns):]
-                values, flagged = _floats(fields[:, n_keys:len(columns)])
-            if len(keys) != len(rows):
+            try:
+                parsed = np.loadtxt(block, delimiter=",", comments=None,
+                                    usecols=index + extra, dtype=record, ndmin=1)
+            except ValueError:
                 return None
-            if present.size:  # optional fields may be empty
-                flagged |= _floats(np.where(present == "", "0", present))[1]
-            if check is not None:
-                flagged |= check(values)
-            keep = ~flagged
-            for j in np.flatnonzero(flagged).tolist():
-                parsed_row = parse_row(before + rows[j] + 1,
-                                       lines[j].rstrip("\r\n").split(","))
-                if parsed_row is not None:
-                    keep[j] = True
-                    values[j] = parsed_row[1]
-            return keys[keep], values[keep], len(block)
+            return (*screen(range(before + 1, before + len(block) + 1),
+                            parsed["keys"], parsed["values"], parsed["optional"], {}),
+                    len(block))
 
         def csv_pass(block: list[str], before: int):
-            """(keys, values, lines read) of a block read by csv; a quoted
-            field may run on into the lines after the block."""
+            """(keys, values, lines read) of a block read by csv. A quoted
+            field may run on into the lines after the block; the rows before
+            a csv or decoding error are reported before it."""
             rows = csv.reader(chain(block, handle))
-            keys, values = [], []
-            while rows.line_num < len(block):
-                row = next(rows)
-                parsed = parse_row(before + rows.line_num, row) if row else None
-                if parsed is not None:
-                    keys.append(parsed[0])
-                    values.append(parsed[1])
-            return (np.array(keys, dtype=object).reshape(-1, n_keys),
-                    np.array(values, dtype=float).reshape(-1, len(layout[1])),
-                    rows.line_num)
+            lines, fields, reasons, failure = [], [], {}, None
+            try:
+                while rows.line_num < len(block):
+                    row = next(rows)
+                    if row:
+                        if len(row) < width:
+                            missing = next(c for c, i in zip(columns, index)
+                                           if i >= len(row))
+                            reasons[len(lines)] = f"missing column {missing!r}"
+                        lines.append(before + rows.line_num)
+                        # a field the row lacks reads as empty
+                        fields.append(pick(row + [""] * len(header)))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                failure = exc
+            fields = np.array(fields, dtype=object).reshape(
+                len(lines), len(columns) + len(extra))
+            values = _convert(fields[:, n_keys:len(columns)], reasons)
+            kept = screen(lines, fields[:, :n_keys], values,
+                          fields[:, len(columns):], reasons)
+            if failure is not None:
+                raise failure
+            return (*kept, rows.line_num)
 
         before = reader.line_num
         while True:
@@ -269,7 +252,7 @@ def read_csv(path: str | Path, kind: str, layouts, parse, *, check=None,
                 block.extend(islice(handle, CSV_BLOCK_LINES))
             except UnicodeDecodeError as exc:  # the rows before it count first
                 failure = exc
-            keys, values, read = array_pass(block, before) or csv_pass(block, before)
+            keys, values, read = numpy_pass(block, before) or csv_pass(block, before)
             before += read
             yield from _runs(keys, values)
             if failure is not None:
@@ -278,11 +261,17 @@ def read_csv(path: str | Path, kind: str, layouts, parse, *, check=None,
                 return
 
 
-def _floats(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float() of every field of an (n, c) object array of strings, with NaN
-    for a field float() rejects, and the mask of rows that hold one."""
+def _convert(fields: np.ndarray, reasons: dict[int, str]) -> np.ndarray:
+    """float() of each field of an (n, c) object array of strings, NaN where
+    it fails; a row that holds such a field and has no reason in ``reasons``
+    gets float()'s message for the first."""
     numbers = _FLOAT_OR_NONE(fields)
-    return numbers.astype(float), np.equal(numbers, None).any(axis=1)
+    for j in np.flatnonzero(np.equal(numbers, None).any(axis=1)).tolist():
+        try:
+            list(map(float, fields[j]))
+        except ValueError as exc:
+            reasons.setdefault(j, str(exc))
+    return numbers.astype(float)
 
 
 def _float_or_none(text: str) -> float | None:
@@ -314,10 +303,19 @@ def _dataset_meta(doc: dict) -> tuple[dict, int]:
 
 
 def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
-    """A deviation dataset's (m, 3T+2) matrix and its checked meta."""
+    """A deviation dataset's (m, 3T+2) matrix of finite values and its
+    checked meta."""
     with _reading(path, "deviation dataset"), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data: raised below
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if len(bad):
+            # np.loadtxt skips the lines that are empty once a comment is cut
+            with open(path, encoding="utf-8") as handle:
+                lines = (n for n, line in enumerate(handle, start=1)
+                         if line.partition("#")[0].rstrip("\n"))
+                line = next(islice(lines, int(bad[0]), None))
+            raise DataError(f"{path}:{line}: deviation values must be finite")
     if not len(data):
         raise DataError(f"{path}: dataset has no rows")
     meta, t_len = read_json(path.with_suffix(".meta.json"), "dataset meta",
@@ -329,12 +327,8 @@ def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
     return data, meta
 
 
-def _trajectory_row(fields: tuple[str, ...]) -> tuple[float, ...]:
-    """(t, x, y, z) of a trajectory or scene row; each must be finite."""
-    values = tuple(map(float, fields[-4:]))
-    if not all(map(math.isfinite, values)):
-        raise ValueError("t, x, y and z must be finite")
-    return values
+_FINITE = ((lambda values: ~np.isfinite(values).all(axis=1),
+            "t, x, y and z must be finite"),)
 
 
 def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -346,8 +340,7 @@ def read_trajectory_file(path: Path) -> list[list[tuple[np.ndarray, np.ndarray]]
     """
     scenes: dict[str, dict[tuple, list]] = {}
     for key, values in read_csv(path, "trajectory file", _TRAJECTORY_LAYOUTS,
-                                _trajectory_row,
-                                check=lambda v: ~np.isfinite(v).all(axis=1)):
+                                _FINITE):
         scenes.setdefault(key[0], {}).setdefault(key, []).append(values)
     for aircraft in scenes.values():
         for key, runs in aircraft.items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ class AirspaceConfig:
     @property
     def radius_m(self) -> float:
         return self.radius_nm * NM_TO_M
+
+    @cached_property
+    def enu_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """The origin's ECEF position (m) and the ECEF-to-ENU rotation."""
+        origin = geodetic_to_ecef(self.origin_lat, self.origin_lon,
+                                  self.origin_alt_ft * FT_TO_M)
+        return origin, _enu_rotation(self.origin_lat, self.origin_lon)
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +117,14 @@ def wgs84_to_enu(lat_deg, lon_deg, alt_ft, config: AirspaceConfig) -> np.ndarray
 
     Scalar inputs give a shape (3,) array; length-n inputs give (n, 3).
     """
-    origin_ecef = geodetic_to_ecef(
-        config.origin_lat, config.origin_lon, config.origin_alt_ft * FT_TO_M
-    )
-    rot = _enu_rotation(config.origin_lat, config.origin_lon)
+    origin_ecef, rot = config.enu_frame
     ecef = geodetic_to_ecef(lat_deg, lon_deg, np.asarray(alt_ft, dtype=float) * FT_TO_M)
     return (ecef - origin_ecef) @ rot.T
 
 
 def enu_to_wgs84(enu, config: AirspaceConfig):
     """Convert ENU meters back to (lat deg, lon deg, alt ft)."""
-    origin_ecef = geodetic_to_ecef(
-        config.origin_lat, config.origin_lon, config.origin_alt_ft * FT_TO_M
-    )
-    rot = _enu_rotation(config.origin_lat, config.origin_lon)
+    origin_ecef, rot = config.enu_frame
     ecef = np.asarray(enu, dtype=float) @ rot + origin_ecef
     lat, lon, alt_m = ecef_to_geodetic(ecef)
     return lat, lon, alt_m / FT_TO_M
@@ -132,6 +134,15 @@ def enu_to_wgs84(enu, config: AirspaceConfig):
 # Track file parsing
 
 _COLUMNS = (("id",), ("time", "lat", "lon", "alt"))
+# the reasons a row of (time, lat, lon, alt) is rejected, in the order tried
+_RULES = (
+    (lambda v: ~((-90.0 <= v[:, 1]) & (v[:, 1] <= 90.0)),
+     "lat {1} outside [-90, 90]"),
+    (lambda v: ~((-180.0 <= v[:, 2]) & (v[:, 2] <= 180.0)),
+     "lon {2} outside [-180, 180]"),
+    (lambda v: ~np.isfinite(v[:, [0, 3]]).all(axis=1),
+     "time and alt must be finite"),
+)
 
 
 def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
@@ -144,9 +155,8 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     """
     errors: list[str] = []
     runs_by_id: dict[str, list[np.ndarray]] = {}
-    for (flight_id,), values in read_csv(path, "track file", (_COLUMNS,), _parse_row,
-                                         check=_rejected, optional=("gs", "vr"),
-                                         errors=errors):
+    for (flight_id,), values in read_csv(path, "track file", (_COLUMNS,), _RULES,
+                                         optional=("gs", "vr"), errors=errors):
         runs_by_id.setdefault(flight_id, []).append(values)
 
     flights: list[Flight] = []
@@ -160,29 +170,6 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
             continue
         flights.append(Flight(id=flight_id, points=points))
     return flights, errors
-
-
-def _parse_row(fields: tuple[str, ...]) -> tuple[float, ...]:
-    """(time, lat, lon, alt) of a row; the optional gs and vr are checked only."""
-    time, lat, lon, alt = map(float, fields[1:5])
-    if not (-90.0 <= lat <= 90.0):
-        raise ValueError(f"lat {lat} outside [-90, 90]")
-    if not (-180.0 <= lon <= 180.0):
-        raise ValueError(f"lon {lon} outside [-180, 180]")
-    if not (math.isfinite(alt) and math.isfinite(time)):
-        raise ValueError("time and alt must be finite")
-    for value in fields[5:]:
-        if value:
-            float(value)
-    return time, lat, lon, alt
-
-
-def _rejected(values: np.ndarray) -> np.ndarray:
-    """The rows of (time, lat, lon, alt) numbers that :func:`_parse_row`
-    rejects: lat or lon out of range, or time or alt not finite."""
-    time, lat, lon, alt = values.T
-    return ~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
-             & np.isfinite(alt) & np.isfinite(time))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@
 Writes a corpus and a held-out ground-truth set into a temporary directory,
 appends to the corpus's ``tracks.csv`` a fixed set of rows that the track
 parser rejects or drops (so ``ingest_report.json`` records their messages
-and line numbers), then runs the trafgen found under ``CHECKOUT/src``
-(default: this checkout) on it: ingest, select, train, train-pairwise,
-generate, generate-scenes, evaluate on the trajectories, evaluate on the
-scenes, and review-paths ``--k 3``. The corpus is built by
+and line numbers), writes ``bad_truth.csv``, the ground truth plus a row
+whose ``t`` is not a number, then runs the trafgen found under
+``CHECKOUT/src`` (default: this checkout) on it: ingest, select, train,
+train-pairwise, generate, generate-scenes, evaluate on the trajectories,
+evaluate on the scenes, review-paths ``--k 3``, and evaluate on
+``bad_truth.csv``, which exits 2 with the bad row's message. The corpus is built by
 ``CHECKOUT/tests/corpus.py``, so each checkout builds it with its own code
 and the script works across changes of trafgen's library API. It prints each command's exit code with a digest of
 its standard error, then one ``<sha256>  <path>`` line per output file.
@@ -96,6 +98,8 @@ def main() -> None:
         ["--out", "eval_scenes", "evaluate", "--actual", "truth.csv",
          "--synthetic", "out/scenes.csv"],
         ["review-paths", "--k", "3"],
+        ["evaluate", "--actual", "bad_truth.csv",
+         "--synthetic", "out/trajectories.csv"],
     ]
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
@@ -103,6 +107,8 @@ def main() -> None:
         _append_bad_rows(base / "tracks.csv")
         _write_truth(base / "truth.csv", corpus.generate_actual(
             args.count, args.seed + 1000, **dims))
+        (base / "bad_truth.csv").write_bytes(
+            (base / "truth.csv").read_bytes() + b"0,abc,0.0,0.0,0.0\r\n")
         inputs = set(base.rglob("*"))
         cwd = os.getcwd()
         os.chdir(base)

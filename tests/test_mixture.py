@@ -131,7 +131,7 @@ def test_em_rejects_bad_input():
     with pytest.raises(DataError):
         em_fit(data, 4)
     data = np.full((10, 2), np.nan)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="data contains non-finite values"):
         em_fit(data, 1)
 
 

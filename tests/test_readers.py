@@ -153,14 +153,9 @@ def test_read_trajectory_file_matches_the_row_reader(tmp_path_factory, data):
     assert_same_scenes(got, outcome(read_trajectory_file_rows, path))
 
 
-def test_clean_blocks_are_not_read_by_csv(tmp_path, monkeypatch):
-    # rows out of range, rows float() alone reads and empty optional fields
-    # are all read in array passes; only the short row's block needs csv
-    rows = ["a,0,40.6,-73.7,1000,250,", "a,1,95,-73.7,1000,,-800",
-            "a,2,40.6,-73.7,1_0,,", "b,3,40.6,-73.7,abc,fast,",
-            "b,4,40.6,-73.7"]
-    path = tmp_path / "tracks.csv"
-    path.write_text("id,time,lat,lon,alt,gs,vr\n" + "\n".join(rows) + "\n")
+@pytest.fixture
+def csv_readers(monkeypatch):
+    """The inputs of every csv.reader the readers make."""
     readers = []
     real = csv.reader
 
@@ -168,16 +163,51 @@ def test_clean_blocks_are_not_read_by_csv(tmp_path, monkeypatch):
         readers.append(lines)
         return real(lines, *args, **kwargs)
 
-    monkeypatch.setattr(_files, "CSV_BLOCK_LINES", 2)
     monkeypatch.setattr(_files.csv, "reader", counting)
+    return readers
+
+
+def test_clean_blocks_are_not_read_by_csv(tmp_path, monkeypatch, csv_readers):
+    # blocks of 2 lines: rows out of range and empty optional fields are
+    # read by numpy; a value only float() reads, one it rejects and a short
+    # row each need csv
+    rows = ["a,0,40.6,-73.7,1000,250,", "a,1,95,-73.7,1000,,-800",
+            "a,2,40.6,-73.7,1_0,,", "b,3,40.6,-73.7,abc,fast,",
+            "b,4,40.6,-73.7"]
+    path = tmp_path / "tracks.csv"
+    path.write_text("id,time,lat,lon,alt,gs,vr\n" + "\n".join(rows) + "\n")
+    monkeypatch.setattr(_files, "CSV_BLOCK_LINES", 2)
     flights, errors = parse_tracks(path)
-    # the header's reader and the last block's
-    assert len(readers) == 2
+    # the header's reader and those of the last two blocks
+    assert len(csv_readers) == 3
     assert errors == [f"{path}:3: lat 95.0 outside [-90, 90]",
                       f"{path}:5: could not convert string to float: 'abc'",
                       f"{path}:6: missing column 'alt'"]
     assert flights[0].points[:, 0].tolist() == [0.0, 2.0]
     assert flights[0].points[1, 3] == 10.0
+
+
+@pytest.mark.parametrize("bad_value", [False, True], ids=["numpy", "csv"])
+def test_a_row_gives_the_first_reason_it_breaks(tmp_path, csv_readers, bad_value):
+    # a bad value before a rule, the first rule before the second, a rule
+    # before a bad optional field; a bad value sends the block to csv
+    rows = ["a,-1,-1,1", "a,1,-1,y", "a,1,1,z", "a,2,2,"]
+    rows += ["b,-1,x,w"] if bad_value else []
+    path = tmp_path / "rows.csv"
+    path.write_text("k,v,w,o\n" + "\n".join(rows) + "\n")
+    rules = ((lambda values: values[:, 0] < 0, "v {0} negative"),
+             (lambda values: values[:, 1] < 0, "w {1} negative"))
+    errors = []
+    runs = list(_files.read_csv(path, "test file", ((("k",), ("v", "w")),),
+                                rules, optional=("o",), errors=errors))
+    assert len(csv_readers) == 1 + bad_value
+    assert [(key, values.tolist()) for key, values in runs] == [
+        (("a",), [[2.0, 2.0]])]
+    assert errors == [f"{path}:2: v -1.0 negative",
+                      f"{path}:3: w -1.0 negative",
+                      f"{path}:4: could not convert string to float: 'z'",
+                      *([f"{path}:6: could not convert string to float: 'x'"]
+                        if bad_value else [])]
 
 
 @pytest.mark.parametrize("bad_row", [True, False])
@@ -197,30 +227,17 @@ def test_an_undecodable_byte_counts_after_the_rows_before_it(tmp_path, bad_row):
 def test_a_field_over_the_csv_limit_is_csv_error(tmp_path):
     path = tmp_path / "tracks.csv"
     path.write_text("id,time,lat,lon,alt\n" + "a" * 200 + ",0,40.6,-73.7,1000\n")
+    # in the same block, a bad row before the long field is reported first
+    bad_first = tmp_path / "trajectories.csv"
+    bad_first.write_text("traj_id,t,x,y,z\n0,0.0,abc,2.0,3.0\n"
+                         + "0" * 200 + ",1.0,1.0,2.0,3.0\n")
     limit = csv.field_size_limit(100)
     try:
         got = outcome(parse_tracks, path)
         assert got == outcome(parse_tracks_rows, path)
+        bad = outcome(read_trajectory_file, bad_first)
+        assert bad == outcome(read_trajectory_file_rows, bad_first)
     finally:
         csv.field_size_limit(limit)
     assert "field larger than field limit" in got
-
-
-def test_parse_decides_the_rows_a_check_flags(tmp_path):
-    # a check only nominates rows: parse reads each of them, keeps the ones
-    # it accepts and gives the message of the others
-    path = tmp_path / "rows.csv"
-    path.write_text("k,v\na,1\na,2\nb,-3\n")
-    errors = []
-
-    def parse(fields):
-        if float(fields[1]) < 0:
-            raise ValueError("negative")
-        return (float(fields[1]) * 10,)
-
-    runs = list(_files.read_csv(path, "test file", ((("k",), ("v",)),), parse,
-                                check=lambda values: values[:, 0] != 1.0,
-                                errors=errors))
-    assert [(key, values.tolist()) for key, values in runs] == [
-        (("a",), [[1.0], [20.0]])]
-    assert errors == [f"{path}:4: negative"]
+    assert bad.endswith(":2: could not convert string to float: 'abc'")
