@@ -5,6 +5,9 @@ raise DataError naming the file and its kind for an OSError, and for any
 KeyError, TypeError, ValueError or IndexError (or YAML or CSV syntax error)
 raised while its contents are interpreted. The ``parse`` callbacks run
 inside that boundary; they report a content problem by raising ValueError.
+``read_csv`` checks each row itself, so there only an OSError, a CSV syntax
+error or a decoding error becomes a DataError; any other exception is a
+defect and propagates.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, csv.Error,
               yaml.YAMLError)
+# what read_csv's own parsing raises for a malformed file
+_MALFORMED_CSV = (csv.Error, UnicodeDecodeError)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +101,12 @@ def write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
 # Reads
 
 @contextlib.contextmanager
-def _reading(path, kind: str):
+def _reading(path, kind: str, malformed=_MALFORMED):
     try:
         yield
     except OSError as exc:
         raise DataError(f"cannot read {kind} {path}: {exc.strerror or exc}") from exc
-    except _MALFORMED as exc:
+    except malformed as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise DataError(f"{path}: malformed {kind}: {reason}") from exc
 
@@ -167,7 +172,8 @@ def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
     its value fields in one pass, so every result and message is csv's and
     float()'s.
     """
-    with _reading(path, kind), open(path, newline="", encoding="utf-8") as handle:
+    with (_reading(path, kind, _MALFORMED_CSV),
+          open(path, newline="", encoding="utf-8") as handle):
         reader = csv.reader(handle)
         header = next(reader, [])
         layout = next((l for l in layouts if set(l[0] + l[1]) <= set(header)), None)

@@ -105,27 +105,54 @@ def js_divergence(p: Histogram, q: Histogram) -> float:
 # ---------------------------------------------------------------------------
 # Silhouette
 
-def silhouette_score(dist: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient (b - a) / max(a, b) over all points.
+# bytes of one row block of silhouette distances, which bounds the working
+# memory of silhouette_scores
+SILHOUETTE_BLOCK_BYTES = 1 << 21
 
-    ``dist`` is the (m, m) Euclidean distance matrix of the points. a(i) is
-    the mean distance to the other points of i's cluster, b(i) the mean
-    distance to the nearest other cluster. Singleton-cluster points score 0.
-    Raises DataError for fewer than 2 clusters.
+
+def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list[float]:
+    """Mean silhouette coefficient (b - a) / max(a, b) of each labeling of
+    the rows of ``data``.
+
+    a(i) is the mean Euclidean distance from row i to the other rows of its
+    cluster, b(i) the mean distance to the nearest other cluster.
+    Singleton-cluster rows score 0. One pass computes the distances a block
+    of rows at a time, about ``SILHOUETTE_BLOCK_BYTES`` (two rows at least),
+    and sums each block row over every cluster of every labeling. So memory
+    grows with the m rows times the clusters, not with m², and each row's
+    sums are those of the full (m, m) distance matrix, bit for bit.
+    Raises DataError for a labeling with fewer than 2 clusters.
     """
-    labels = np.asarray(labels)
-    unique = np.unique(labels)
-    if unique.size < 2:
-        raise DataError("silhouette needs at least 2 clusters")
-    m = dist.shape[0]
-    cluster_sizes = {c: int(np.sum(labels == c)) for c in unique}
-    # mean distance from every point to every cluster
-    mean_to_cluster = np.column_stack([
-        dist[:, labels == c].sum(axis=1) / cluster_sizes[c] for c in unique])
-    scores = np.zeros(m)
-    for pos, c in enumerate(unique):
-        member = labels == c
-        size = cluster_sizes[c]
+    members = []
+    for labels in labelings:
+        labels = np.asarray(labels)
+        unique = np.unique(labels)
+        if unique.size < 2:
+            raise DataError("silhouette needs at least 2 clusters")
+        members.append([labels == c for c in unique])
+    # scipy is imported here only: no other stage needs it at start-up
+    from scipy.spatial.distance import cdist
+    m = len(data)
+    sums = [np.empty((m, len(masks))) for masks in members]
+    # numpy sums the masked columns of two or more rows column by column, as
+    # for the full matrix, but one row pairwise; so no block has one row
+    step = max(2, SILHOUETTE_BLOCK_BYTES // (8 * m))
+    for start in range(0, m - 1, step):
+        stop = m if m - start <= step + 1 else start + step
+        dist = cdist(data[start:stop], data)
+        for total, masks in zip(sums, members):
+            for pos, member in enumerate(masks):
+                total[start:stop, pos] = dist[:, member].sum(axis=1)
+    return [_mean_silhouette(total, masks) for total, masks in zip(sums, members)]
+
+
+def _mean_silhouette(sums: np.ndarray, members: list[np.ndarray]) -> float:
+    """The mean silhouette from every row's (m, K) distance sums to each
+    cluster, whose member masks are ``members``."""
+    sizes = [int(np.sum(member)) for member in members]
+    mean_to_cluster = sums / sizes
+    scores = np.zeros(len(sums))
+    for pos, (member, size) in enumerate(zip(members, sizes)):
         if size == 1:
             continue  # singleton: score 0
         a = mean_to_cluster[member, pos] * size / (size - 1)  # exclude self
@@ -145,7 +172,9 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
                      seed: int = 0) -> SilhouetteSweep:
     """Fit a mixture per grid value and score its hard labels.
 
-    The rows' distance matrix is computed once, for all grid values.
+    One blocked distance pass scores every grid value's labels
+    (``silhouette_scores``), so memory is bounded by a row block and the
+    per-cluster sums, not by the (m, m) distance matrix.
     Returns the argmax K (ties toward the smaller K) with the full curve.
     Raises DataError for an empty grid or a grid K below 2.
     """
@@ -155,12 +184,7 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
     if any(k < 2 for k in grid):
         raise DataError("silhouette sweep needs K >= 2")
     labels = [em_fit(data, k, seed=seed).labels for k in grid]
-    # one distance matrix for every K, made once the fits are done; scipy is
-    # imported here only: no other stage needs it at start-up
-    from scipy.spatial.distance import cdist
-    dist = cdist(data, data)
-    curve = [(int(k), silhouette_score(dist, fit_labels))
-             for k, fit_labels in zip(grid, labels)]
+    curve = [(int(k), score) for k, score in zip(grid, silhouette_scores(data, labels))]
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
     return SilhouetteSweep(n_components=curve[best][0], curve=curve)
 

@@ -5,6 +5,8 @@ oracle enumerates warping paths, the silhouette oracle is O(m^2) loops, and
 the conditional-Gaussian oracle estimates posterior moments by kernel-weighted
 joint sampling (no use of the conditional formulas). Other references
 keep the plain dense computation that a structured fast path replaces: the
+silhouette from the full m x m distance matrix, which the row-blocked one
+must match bit for bit, the
 per-call conditioning on dense n x n covariances, which the factored
 conditional must match to rounding, the PSD repair by a full
 eigendecomposition, the row-by-row DTW double loop,
@@ -186,6 +188,32 @@ def silhouette_brute_force(data, labels):
         )
         scores.append((b - a) / max(a, b))
     return float(np.mean(scores))
+
+
+def silhouette_score(dist, labels):
+    """Mean silhouette coefficient from the full (m, m) distance matrix
+    ``dist``, one cluster's columns at a time: the reference that the
+    row-blocked ``silhouette_scores`` must match bit for bit."""
+    labels = np.asarray(labels)
+    unique = np.unique(labels)
+    if unique.size < 2:
+        raise DataError("silhouette needs at least 2 clusters")
+    m = dist.shape[0]
+    cluster_sizes = {c: int(np.sum(labels == c)) for c in unique}
+    # mean distance from every point to every cluster
+    mean_to_cluster = np.column_stack([
+        dist[:, labels == c].sum(axis=1) / cluster_sizes[c] for c in unique])
+    scores = np.zeros(m)
+    for pos, c in enumerate(unique):
+        member = labels == c
+        size = cluster_sizes[c]
+        if size == 1:
+            continue  # singleton: score 0
+        a = mean_to_cluster[member, pos] * size / (size - 1)  # exclude self
+        others = np.delete(mean_to_cluster[member], pos, axis=1)
+        b = others.min(axis=1)
+        scores[member] = (b - a) / np.maximum(a, b)
+    return float(scores.mean())
 
 
 def mc_conditional_moments(model: MixtureModel, observed_idx, observed_vals,

@@ -11,12 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from trafgen.cli import run as cli_run
 from trafgen.metrics import (SeparationConfig, extract_variables,
                              histogram_pair, js_divergence,
-                             loss_of_separation_count, silhouette_score,
+                             loss_of_separation_count, silhouette_scores,
                              silhouette_sweep)
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit, sample_many,
@@ -195,7 +194,7 @@ def test_criterion_06_silhouette_sweep_and_brute_force():
         r = np.random.default_rng(seed)
         data = r.normal(size=(500, 3))
         labels = r.integers(0, 4, size=500)
-        assert silhouette_score(cdist(data, data), labels) == pytest.approx(
+        assert silhouette_scores(data, [labels])[0] == pytest.approx(
             silhouette_brute_force(data, labels), abs=1e-10)
     report(6, "sweep recovers K in {2, 6}; silhouette equals O(m^2) brute "
               "force at m = 500")

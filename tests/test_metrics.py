@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from trafgen import metrics
 from trafgen.errors import DataError
 from trafgen.metrics import (MAX_BINS, Histogram, SeparationConfig, extract_variables,
                              histogram_pair, js_divergence,
                              loss_of_separation_count, shared_fd_edges,
-                             silhouette_score, silhouette_sweep)
+                             silhouette_scores, silhouette_sweep)
 from trafgen.units import FT_TO_M, KT_TO_MPS, NM_TO_M
 
-from oracles import silhouette_brute_force
+from conftest import assert_bitwise, peak_traced_bytes
+from oracles import silhouette_brute_force, silhouette_score
+
+
+def silhouette(data, labels):
+    return silhouette_scores(data, [labels])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +28,7 @@ from oracles import silhouette_brute_force
 def test_silhouette_two_tight_pairs():
     data = np.array([[0.0], [0.1], [10.0], [10.1]])
     labels = np.array([0, 0, 1, 1])
-    score = silhouette_score(cdist(data, data), labels)
+    score = silhouette(data, labels)
     # brute force: a = 0.1 everywhere, b in {9.95, 10.05}
     assert score == pytest.approx(silhouette_brute_force(data, labels), abs=1e-12)
     assert score == pytest.approx(0.9899997499937498, abs=1e-12)
@@ -31,7 +37,7 @@ def test_silhouette_two_tight_pairs():
 def test_silhouette_swapped_labels_negative():
     data = np.array([[0.0], [0.1], [10.0], [10.1]])
     labels = np.array([0, 1, 0, 1])
-    assert silhouette_score(cdist(data, data), labels) < 0.0
+    assert silhouette(data, labels) < 0.0
 
 
 def test_silhouette_bounds_on_random_data():
@@ -41,7 +47,7 @@ def test_silhouette_bounds_on_random_data():
         labels = rng.integers(0, 4, size=40)
         if len(np.unique(labels)) < 2:
             continue
-        score = silhouette_score(cdist(data, data), labels)
+        score = silhouette(data, labels)
         assert -1.0 <= score <= 1.0
 
 
@@ -53,7 +59,7 @@ def test_silhouette_matches_brute_force():
         labels = rng.integers(0, 3, size=m)
         if len(np.unique(labels)) < 2:
             continue
-        assert silhouette_score(cdist(data, data), labels) == pytest.approx(
+        assert silhouette(data, labels) == pytest.approx(
             silhouette_brute_force(data, labels), abs=1e-10)
 
 
@@ -61,14 +67,13 @@ def test_silhouette_singleton_scores_zero():
     data = np.array([[0.0], [0.1], [50.0]])
     labels = np.array([0, 0, 1])
     expected = silhouette_brute_force(data, labels)
-    assert silhouette_score(cdist(data, data), labels) == pytest.approx(
+    assert silhouette(data, labels) == pytest.approx(
         expected, abs=1e-12)
 
 
 def test_silhouette_single_cluster_rejected():
     with pytest.raises(DataError):
-        silhouette_score(cdist(np.zeros((5, 2)), np.zeros((5, 2))),
-                         np.zeros(5, dtype=int))
+        silhouette(np.zeros((5, 2)), np.zeros(5, dtype=int))
 
 
 def test_silhouette_sweep_recovers_three_clusters():
@@ -89,19 +94,50 @@ def test_silhouette_sweep_singleton_grid():
 
 
 def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
+    # one pass of row blocks covers the rows once, for every grid K
     import scipy.spatial.distance
     calls = []
     original = scipy.spatial.distance.cdist
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].shape, args[1].shape))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scipy.spatial.distance, "cdist", counting)
+    monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_BYTES", 8 * 50 * 20)
     data = np.random.default_rng(4).normal(size=(50, 2))
     sweep = silhouette_sweep(data, [2, 3, 4], seed=0)
-    assert calls == [(50, 2)]
+    assert calls == [((20, 2), (50, 2)), ((20, 2), (50, 2)), ((10, 2), (50, 2))]
     assert [k for k, _ in sweep.curve] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("m, rows", [(23, 5), (21, 5), (23, 1), (23, 40), (24, 6)],
+                         ids=["partial-last-block", "lone-last-row-joins",
+                              "smallest-blocks", "one-block", "whole-blocks"])
+def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
+    # several labelings in one pass: a singleton cluster, labels {0, 2}
+    # with a gap, and four clusters
+    monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_BYTES", 8 * m * rows)
+    rng = np.random.default_rng(m + rows)
+    data = rng.normal(size=(m, 3))
+    singleton = np.r_[0, np.ones(m - 1, dtype=int)]
+    gap = 2 * rng.integers(0, 2, size=m)
+    gap[:2] = 0, 2
+    four = rng.integers(0, 4, size=m)
+    four[:4] = 0, 1, 2, 3
+    labelings = [singleton, gap, four]
+    got = silhouette_scores(data, labelings)
+    dist = cdist(data, data)
+    for score, labels in zip(got, labelings):
+        assert_bitwise(score, silhouette_score(dist, labels))
+
+
+def test_silhouette_sweep_memory_is_bounded():
+    # the full distance matrix alone would take 8 m^2 = 288 MB
+    data = np.random.default_rng(5).normal(size=(6000, 8))
+    peak, sweep = peak_traced_bytes(lambda: silhouette_sweep(data, [2, 3], seed=0))
+    assert [k for k, _ in sweep.curve] == [2, 3]
+    assert peak < 16 * 2**20
 
 
 def test_silhouette_sweep_rejects_k_below_two():

@@ -241,3 +241,18 @@ def test_a_field_over_the_csv_limit_is_csv_error(tmp_path):
         csv.field_size_limit(limit)
     assert "field larger than field limit" in got
     assert bad.endswith(":2: could not convert string to float: 'abc'")
+
+
+def test_a_reader_defect_is_not_a_data_error(tmp_path, monkeypatch):
+    # only OSError, csv's errors and decoding errors are the file's fault;
+    # a ValueError from the reader's own code propagates as it is
+    path = tmp_path / "trajectories.csv"
+    path.write_text("traj_id,t,x,y,z\n0,0.0,1.0,2.0,3.0\n")
+
+    def defect(keys, values):
+        raise ValueError("defect inside the reader")
+
+    monkeypatch.setattr(_files, "_runs", defect)
+    with pytest.raises(ValueError, match="defect inside the reader") as info:
+        read_trajectory_file(path)
+    assert not isinstance(info.value, DataError)
