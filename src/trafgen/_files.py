@@ -5,9 +5,9 @@ raise DataError naming the file and its kind for an OSError, and for any
 KeyError, TypeError, ValueError or IndexError (or YAML or CSV syntax error)
 raised while its contents are interpreted. The ``parse`` callbacks run
 inside that boundary; they report a content problem by raising ValueError.
-``read_csv`` checks each row itself, so there only an OSError, a CSV syntax
-error or a decoding error becomes a DataError; any other exception is a
-defect and propagates.
+``read_csv`` and ``read_deviation_dataset`` check their data themselves: there
+only an OSError or their parser's error for a malformed file is a DataError,
+and any other exception is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import contextlib
 import csv
 import json
 import os
-import warnings
+import tokenize
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -27,7 +27,7 @@ import yaml
 from .errors import DataError
 from .preprocess import deviation_length
 
-DEVIATION_FORMAT = "trafgen-deviations/1"
+DEVIATION_FORMAT = "trafgen-deviations/2"
 
 # trajectory and scene CSV columns; the leading ones key each aircraft
 _TRAJECTORY_LAYOUTS = ((("scene_id", "aircraft_idx"), ("t", "x", "y", "z")),
@@ -42,6 +42,8 @@ _MALFORMED = (KeyError, TypeError, ValueError, IndexError, csv.Error,
               yaml.YAMLError)
 # what read_csv's own parsing raises for a malformed file
 _MALFORMED_CSV = (csv.Error, UnicodeDecodeError)
+# what numpy's .npy reader raises for a malformed file, its header included
+_MALFORMED_NPY = (ValueError, TypeError, tokenize.TokenError)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +74,9 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,
                             segment_length: int, rows: list[dict]) -> None:
-    with atomic_path(path) as tmp:
-        np.savetxt(tmp, data, delimiter=",", fmt="%.17g")
+    """The float64 matrix as ``.npy`` (``np.save``'s bytes), then its meta."""
+    with atomic_path(path) as tmp, tmp.open("wb") as handle:
+        np.lib.format.write_array(handle, data, allow_pickle=False)
     write_json(path.with_suffix(".meta.json"), {
         "format": DEVIATION_FORMAT, "segment_kind": segment_kind,
         "T": segment_length, "rows": rows})
@@ -309,23 +312,20 @@ def _dataset_meta(doc: dict) -> tuple[dict, int]:
 
 
 def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
-    """A deviation dataset's (m, 3T+2) matrix of finite values and its
-    checked meta."""
-    with _reading(path, "deviation dataset"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data: raised below
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-        if len(bad):
-            # np.loadtxt skips the lines that are empty once a comment is cut
-            with open(path, encoding="utf-8") as handle:
-                lines = (n for n, line in enumerate(handle, start=1)
-                         if line.partition("#")[0].rstrip("\n"))
-                line = next(islice(lines, int(bad[0]), None))
-            raise DataError(f"{path}:{line}: deviation values must be finite")
-    if not len(data):
-        raise DataError(f"{path}: dataset has no rows")
+    """A dataset's (m, 3T+2) float64 matrix of finite values, and its meta."""
     meta, t_len = read_json(path.with_suffix(".meta.json"), "dataset meta",
                             _dataset_meta, tag=DEVIATION_FORMAT)
+    with _reading(path, "deviation dataset", _MALFORMED_NPY), \
+            open(path, "rb") as handle:
+        data = np.lib.format.read_array(handle, allow_pickle=False)
+    if data.ndim != 2 or data.dtype != np.float64:
+        raise DataError(f"{path}: expected a 2-D float64 array, got "
+                        f"{data.ndim}-D {data.dtype}")
+    if not len(data):
+        raise DataError(f"{path}: dataset has no rows")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}: row {bad[0]}: deviation values must be finite")
     deviation_length(data.shape[1], "dataset width", expected=t_len, path=path)
     if len(data) != len(meta["rows"]):
         raise DataError(f"{path}: {len(data)} rows, but its meta lists "

@@ -140,9 +140,9 @@ class _Segment:
 def _segments(config: RunConfig) -> tuple[_Segment, _Segment]:
     """The radar-vector and the final-approach segment of ``config``."""
     out = config.out_dir
-    return (_Segment("radar_vector", out / "rv_dataset.csv", out / "model_rv.json",
+    return (_Segment("radar_vector", out / "rv_dataset.npy", out / "model_rv.json",
                      config.t_v, "T_v", config.k_rv, config.rank_rv),
-            _Segment("final_approach", out / "fa_dataset.csv",
+            _Segment("final_approach", out / "fa_dataset.npy",
                      out / "model_fa.json", config.t_f, "T_f", config.k_fa,
                      config.rank_fa))
 

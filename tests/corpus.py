@@ -7,7 +7,6 @@ are written as geodetic CSV so the full ingest -> train -> generate pipeline
 can try to recover the generating distribution.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -5,9 +5,7 @@ lines. The end-to-end criteria drive the real CLI commands on a synthetic
 ground-truth corpus.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +229,7 @@ def test_criterion_07_round_trip_exactness():
 # 8 + 11. End-to-end pipeline fidelity and CLI determinism
 
 PIPELINE_OUTPUTS = (
-    "rv_dataset.csv", "fa_dataset.csv", "rv_dataset.meta.json",
+    "rv_dataset.npy", "fa_dataset.npy", "rv_dataset.meta.json",
     "fa_dataset.meta.json", "ingest_report.json", "selection_report.json",
     "model_rv.json", "model_fa.json", "train_log.json",
     "model_pairwise.json", "trajectories.csv", "trajectories.meta.json",

@@ -51,8 +51,8 @@ def read_bytes(path: Path) -> bytes:
 def test_ingest_outputs(pipeline):
     base, _ = pipeline
     out = base / "out"
-    rv, rv_meta = read_deviation_dataset(out / "rv_dataset.csv")
-    fa, fa_meta = read_deviation_dataset(out / "fa_dataset.csv")
+    rv, rv_meta = read_deviation_dataset(out / "rv_dataset.npy")
+    fa, fa_meta = read_deviation_dataset(out / "fa_dataset.npy")
     assert rv.shape == (60, 3 * corpus.T_V + 2)
     assert fa.shape == (60, 3 * corpus.T_F + 2)
     assert len(rv_meta["rows"]) == 60
@@ -66,7 +66,7 @@ def test_ingest_rerun_is_byte_identical(pipeline):
     base, config_path = pipeline
     out = base / "out"
     before = {name: read_bytes(out / name)
-              for name in ("rv_dataset.csv", "fa_dataset.csv",
+              for name in ("rv_dataset.npy", "fa_dataset.npy",
                            "rv_dataset.meta.json", "ingest_report.json")}
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
     for name, blob in before.items():
@@ -93,8 +93,8 @@ def test_selection_picks_generating_component_count(tmp_path):
     gt = corpus.ground_truth_model()
     out = tmp_path / "out"
     for model, name, t_len in (
-            (gt.radar_vector_model, "rv_dataset.csv", corpus.T_V),
-            (gt.final_approach_model, "fa_dataset.csv", corpus.T_F)):
+            (gt.radar_vector_model, "rv_dataset.npy", corpus.T_V),
+            (gt.final_approach_model, "fa_dataset.npy", corpus.T_F)):
         data, _ = sample_many(model, 400, np.random.default_rng(1))
         rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
                  "arrival_time": 100.0 * i} for i in range(len(data))]
@@ -137,15 +137,15 @@ def test_train_rejects_dataset_of_another_length(tmp_path, capsys, command,
     rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
              "arrival_time": 100.0 * i} for i in range(20)]
     # T_v one sample short of the config's t_v; T_f as configured
-    cli.write_deviation_dataset(out / "rv_dataset.csv",
+    cli.write_deviation_dataset(out / "rv_dataset.npy",
                                 rng.normal(size=(20, 3 * (corpus.T_V - 1) + 2)),
                                 "radar_vector", corpus.T_V - 1, rows)
-    cli.write_deviation_dataset(out / "fa_dataset.csv",
+    cli.write_deviation_dataset(out / "fa_dataset.npy",
                                 rng.normal(size=(20, 3 * corpus.T_F + 2)),
                                 "final_approach", corpus.T_F, rows)
     assert run(["--config", str(config_path), command]) == EXIT_DATA
     width = 3 * (corpus.T_V - 1) + 2
-    assert (f"data error: {out / 'rv_dataset.csv'}: dataset width {width} != "
+    assert (f"data error: {out / 'rv_dataset.npy'}: dataset width {width} != "
             f"3*T_v+2 = {3 * corpus.T_V + 2}") in capsys.readouterr().err
     for name in outputs:
         assert not (out / name).exists(), name
@@ -158,17 +158,17 @@ def test_train_names_final_approach_dataset_of_another_length(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
              "arrival_time": 100.0 * i} for i in range(20)]
-    cli.write_deviation_dataset(out / "rv_dataset.csv",
+    cli.write_deviation_dataset(out / "rv_dataset.npy",
                                 rng.normal(size=(20, 3 * corpus.T_V + 2)),
                                 "radar_vector", corpus.T_V, rows)
     # ingested at a longer t_f than the config now names
     t_f = corpus.T_F + 10
-    cli.write_deviation_dataset(out / "fa_dataset.csv",
+    cli.write_deviation_dataset(out / "fa_dataset.npy",
                                 rng.normal(size=(20, 3 * t_f + 2)),
                                 "final_approach", t_f, rows)
     before = sorted(p.name for p in out.iterdir())
     assert run(["--config", str(config_path), "train"]) == EXIT_DATA
-    assert (f"data error: {out / 'fa_dataset.csv'}: dataset width "
+    assert (f"data error: {out / 'fa_dataset.npy'}: dataset width "
             f"{3 * t_f + 2} != 3*T_f+2 = {3 * corpus.T_F + 2}"
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
@@ -178,7 +178,7 @@ def test_train_names_final_approach_dataset_of_another_length(tmp_path, capsys):
     meta["T"] = corpus.T_F
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert run(["--config", str(config_path), "train"]) == EXIT_DATA
-    assert (f"data error: {out / 'fa_dataset.csv'}: dataset width "
+    assert (f"data error: {out / 'fa_dataset.npy'}: dataset width "
             f"{3 * t_f + 2} != 3*T+2 = {3 * corpus.T_F + 2}"
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
@@ -357,7 +357,7 @@ def test_evaluate_disjoint_supports_near_one(tmp_path, pipeline):
     assert report["variables"]["x_east"]["js_divergence"] > 0.99
 
 
-INGEST_OUTPUTS = ("rv_dataset.csv", "fa_dataset.csv", "rv_dataset.meta.json",
+INGEST_OUTPUTS = ("rv_dataset.npy", "fa_dataset.npy", "rv_dataset.meta.json",
                   "fa_dataset.meta.json", "ingest_report.json")
 
 
@@ -379,7 +379,7 @@ def test_paper_dimension_ingest_matches_per_pair_loop(tmp_path, monkeypatch):
                 "ingest"]) == EXIT_OK
     for name in INGEST_OUTPUTS:
         assert (batched / name).read_bytes() == (looped / name).read_bytes(), name
-    rv, meta = read_deviation_dataset(batched / "rv_dataset.csv")
+    rv, meta = read_deviation_dataset(batched / "rv_dataset.npy")
     assert rv.shape == (6, 3 * 350 + 2)
     flown = [t.procedure_used for t in corpus.generate_actual(6, 4, **dims)]
     assert [row["procedure"] for row in meta["rows"]] == flown
@@ -420,8 +420,8 @@ def test_final_approach_rows_open_with_the_radar_vector_tail(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=6, seed=4, t_v=t_v,
                                       t_f=t_f, n_overlap=n_ov)
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
-    rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.csv")
-    fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.csv")
+    rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.npy")
+    fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.npy")
     procs = cli._load_procedural_trajectories(RunConfig.from_file(config_path))
     proc_points = {t.procedure: t.points for t in procs.radar_vectors}
     for rv_row, fa_row, row in zip(rv, fa, rv_meta["rows"]):
@@ -580,7 +580,7 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
                                      ((1,), [0.0], [(7.0, 8.0)])])
     assert path.read_bytes() == good
 
-    data_path = tmp_path / "rv_dataset.csv"
+    data_path = tmp_path / "rv_dataset.npy"
     cli.write_deviation_dataset(data_path, np.ones((2, 5)), "radar_vector", 1,
                                 [{"flight_id": "a"}, {"flight_id": "b"}])
     data, meta = data_path.read_bytes(), data_path.with_suffix(".meta.json").read_bytes()
@@ -616,8 +616,8 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     for target, blob in saved.items():
         assert target.read_bytes() == blob, target.name
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "model_rv.json", "nominal_paths.yaml", "rv_dataset.csv",
-        "rv_dataset.meta.json", "trajectories.csv"]
+        "model_rv.json", "nominal_paths.yaml", "rv_dataset.meta.json",
+        "rv_dataset.npy", "trajectories.csv"]
 
 
 def test_evaluate_scene_file_has_closest_distance(pipeline):
@@ -650,8 +650,8 @@ def write_small_datasets(out, n=20):
     rng = np.random.default_rng(0)
     rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
              "arrival_time": 100.0 * i} for i in range(n)]
-    for name, kind, t_len in (("rv_dataset.csv", "radar_vector", corpus.T_V),
-                              ("fa_dataset.csv", "final_approach", corpus.T_F)):
+    for name, kind, t_len in (("rv_dataset.npy", "radar_vector", corpus.T_V),
+                              ("fa_dataset.npy", "final_approach", corpus.T_F)):
         cli.write_deviation_dataset(out / name,
                                     rng.normal(size=(n, 3 * t_len + 2)),
                                     kind, t_len, rows)
@@ -754,39 +754,59 @@ def set_config_keys(config_path, **values):
     config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def edit_rv_dataset(out, edit, **save):
+    """Save ``edit(data)`` in place of the radar-vector dataset ``data``."""
+    path = out / "rv_dataset.npy"
+    np.save(path, edit(np.load(path)), **save)
+
+
+def edit_rv_bytes(out, edit):
+    """Replace the radar-vector dataset's bytes ``blob`` by ``edit(blob)``."""
+    path = out / "rv_dataset.npy"
+    path.write_bytes(edit(path.read_bytes()))
+
+
 def nan_in_rv_dataset(out):
-    path = out / "rv_dataset.csv"
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    path = out / "rv_dataset.npy"
+    data = np.load(path)
     data[2, 5] = np.nan
-    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    np.save(path, data)
 
 
 def inf_in_rv_dataset(out):
-    # a comment line and a blank line, which np.loadtxt skips, open the file
-    path = out / "rv_dataset.csv"
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    path = out / "rv_dataset.npy"
+    data = np.load(path)
     data[6, 0] = -np.inf
-    np.savetxt(path, data, delimiter=",", fmt="%.17g")
-    path.write_text("# edited\n\n" + path.read_text())
+    np.save(path, data)
 
 
 def identical_rv_rows(out):
-    path = out / "rv_dataset.csv"
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    np.savetxt(path, np.repeat(data[:1], len(data), axis=0), delimiter=",",
-               fmt="%.17g")
+    edit_rv_dataset(out, lambda data: np.repeat(data[:1], len(data), axis=0))
 
 
 def empty_rv_dataset(out):
-    path = out / "rv_dataset.csv"
-    path.write_text("", encoding="utf-8")
-    edit_json(path.with_suffix(".meta.json"), lambda doc: doc["rows"].clear())
+    edit_rv_dataset(out, lambda data: data[:0])
+    edit_json(out / "rv_dataset.meta.json", lambda doc: doc["rows"].clear())
+
+
+def csv_rv_dataset(out):
+    # the form of trafgen-deviations/1, under the .npy name
+    path = out / "rv_dataset.npy"
+    np.savetxt(path, np.load(path), delimiter=",", fmt="%.17g")
+
+
+def npz_rv_dataset(out):
+    path = out / "rv_dataset.npy"
+    data = np.load(path)
+    with open(path, "wb") as handle:
+        np.savez(handle, data)
 
 
 RV_DIM = 3 * corpus.T_V + 2
 FA_DIM = 3 * corpus.T_F + 2
 CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
-NAN_AT_LINE_3 = "{out}/rv_dataset.csv:3: deviation values must be finite"
+NAN_AT_ROW_2 = "{out}/rv_dataset.npy: row 2: deviation values must be finite"
+MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
 
 
 @pytest.mark.parametrize("command, keys, damage, message", [
@@ -796,18 +816,45 @@ NAN_AT_LINE_3 = "{out}/rv_dataset.csv:3: deviation values must be finite"
     ("select", {"rank_grid": "1,500"}, None,
      f"grid ranks must be in [1, {RV_DIM - 1}]"),
     ("select", {"rank_grid": ""}, None, "rank grid is empty"),
-    ("select", {}, nan_in_rv_dataset, NAN_AT_LINE_3),
+    ("select", {}, nan_in_rv_dataset, NAN_AT_ROW_2),
     ("select", {}, inf_in_rv_dataset,
-     "{out}/rv_dataset.csv:9: deviation values must be finite"),
+     "{out}/rv_dataset.npy: row 6: deviation values must be finite"),
     ("select", {}, identical_rv_rows, "silhouette needs at least 2 clusters"),
-    ("select", {}, empty_rv_dataset, "{out}/rv_dataset.csv: dataset has no rows"),
+    ("select", {}, empty_rv_dataset, "{out}/rv_dataset.npy: dataset has no rows"),
+    ("select", {}, lambda out: edit_rv_bytes(out, lambda blob: b""),
+     MALFORMED_RV),
+    ("select", {}, csv_rv_dataset, MALFORMED_RV),
+    ("select", {}, lambda out: edit_rv_bytes(out, lambda blob: blob[:-8]),
+     MALFORMED_RV),
+    ("select", {}, npz_rv_dataset, MALFORMED_RV),
+    # a corrupt header: numpy raises a tokenizer error, then a TypeError
+    ("select", {}, lambda out: edit_rv_bytes(
+        out, lambda blob: blob.replace(b"{'descr'", b"3'descr'", 1)),
+     MALFORMED_RV),
+    ("select", {}, lambda out: edit_rv_bytes(
+        out, lambda blob: blob.replace(b" 'shape'", b"b'shape'", 1)),
+     MALFORMED_RV),
+    ("select", {}, lambda out: edit_rv_dataset(out, np.ravel),
+     "{out}/rv_dataset.npy: expected a 2-D float64 array, got 1-D float64"),
+    ("select", {},
+     lambda out: edit_rv_dataset(out, lambda data: data.astype(np.int64)),
+     "{out}/rv_dataset.npy: expected a 2-D float64 array, got 2-D int64"),
+    ("select", {},
+     lambda out: edit_rv_dataset(out, lambda data: data.astype(object),
+                                 allow_pickle=True),
+     MALFORMED_RV + "Object arrays cannot be loaded"),
+    ("select", {},
+     lambda out: edit_json(out / "rv_dataset.meta.json", lambda doc: doc.update(
+         format="trafgen-deviations/1")),
+     "{out}/rv_dataset.meta.json: malformed dataset meta: "
+     "unsupported format 'trafgen-deviations/1'"),
     ("train", {**CHOSEN, "k_rv": 0}, None, "n_components must be >= 1"),
     ("train", {**CHOSEN, "k_rv": 100}, None, "need at least 100 rows, got "),
     ("train", {**CHOSEN, "rank_rv": 0}, None,
      f"rank must satisfy 1 <= rank < {RV_DIM}, got 0"),
     ("train", {**CHOSEN, "rank_rv": 9999}, None,
      f"rank must satisfy 1 <= rank < {RV_DIM}, got 9999"),
-    ("train", CHOSEN, nan_in_rv_dataset, NAN_AT_LINE_3),
+    ("train", CHOSEN, nan_in_rv_dataset, NAN_AT_ROW_2),
     ("train", {**CHOSEN, "k_fa": 100}, None, "need at least 100 rows, got "),
     ("train", {**CHOSEN, "rank_fa": 0}, None,
      f"rank must satisfy 1 <= rank < {FA_DIM}, got 0"),
@@ -816,14 +863,17 @@ NAN_AT_LINE_3 = "{out}/rv_dataset.csv:3: deviation values must be finite"
      f"rank must satisfy 1 <= rank < {2 * RV_DIM + 1}, got 0"),
     ("train-pairwise", {"rank_pairwise": 99999}, None,
      f"rank must satisfy 1 <= rank < {2 * RV_DIM + 1}, got 99999"),
-    ("train-pairwise", {}, nan_in_rv_dataset, NAN_AT_LINE_3),
+    ("train-pairwise", {}, nan_in_rv_dataset, NAN_AT_ROW_2),
     ("train-pairwise", {}, empty_rv_dataset,
-     "{out}/rv_dataset.csv: dataset has no rows"),
+     "{out}/rv_dataset.npy: dataset has no rows"),
     ("select", {"seed": -3}, None,
      "{cfg}: malformed config file: seed must be at least 0, got -3"),
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
         "select_rank_empty", "select_nan", "select_inf", "select_identical_rows",
-        "select_empty", "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
+        "select_empty", "select_empty_file", "select_csv_text", "select_truncated",
+        "select_npz", "select_header_syntax", "select_header_bytes_key",
+        "select_1d", "select_int64", "select_object", "select_meta_format_1",
+        "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
         "train_nan", "train_k_fa_100", "train_rank_fa_0", "pairwise_k_0",
         "pairwise_rank_0", "pairwise_rank_99999", "pairwise_nan", "pairwise_empty",
         "negative_config_seed"])
@@ -1016,7 +1066,7 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert "error: argument --count" in bad.stderr
     ok = trafgen("--config", str(config_path), "ingest")
     assert ok.returncode == EXIT_OK, ok.stderr
-    assert (tmp_path / "out" / "rv_dataset.csv").exists()
+    assert (tmp_path / "out" / "rv_dataset.npy").exists()
 
 
 def test_unknown_command_is_usage_error(pipeline):
@@ -1026,10 +1076,10 @@ def test_unknown_command_is_usage_error(pipeline):
 
 def test_missing_dataset_exit_code_names_path(tmp_path, capsys):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
-    # no ingest ran: select must fail with the dataset path in the message
+    # no ingest ran: select must fail naming the dataset's meta, read first
     code = run(["--config", str(config_path), "select"])
     assert code == EXIT_DATA
-    assert "rv_dataset.csv" in capsys.readouterr().err
+    assert "rv_dataset.meta.json" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_data_error(tmp_path):
@@ -1301,10 +1351,10 @@ def test_every_config_key_is_documented():
 
 
 DIGESTED = ["eval_scenes/metrics_report.json", *(f"out/{name}" for name in (
-    "fa_dataset.csv", "fa_dataset.meta.json", "ingest_report.json",
+    "fa_dataset.meta.json", "fa_dataset.npy", "ingest_report.json",
     "metrics_report.json", "model_fa.json", "model_pairwise.json",
-    "model_rv.json", "nominal_paths.yaml", "rv_dataset.csv",
-    "rv_dataset.meta.json", "scenes.csv", "scenes.meta.json",
+    "model_rv.json", "nominal_paths.yaml", "rv_dataset.meta.json",
+    "rv_dataset.npy", "scenes.csv", "scenes.meta.json",
     "selection_report.json", "train_log.json", "train_pairwise_log.json",
     "trajectories.csv", "trajectories.meta.json"))]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trafgen.errors import DataError
-from trafgen.ingest import enu_to_wgs84, flight_to_enu, wgs84_to_enu
+from trafgen.ingest import enu_to_wgs84, flight_to_enu
 from trafgen.preprocess import path_length, pchip_resample, \
     point_to_polyline_distance
 from trafgen.procedures import (WAYPOINT_COUNT, Procedure, ProcedureKind,

@@ -1,4 +1,5 @@
-"""The block readers of track and trajectory files against csv.reader.
+"""The block readers of track and trajectory files against csv.reader, and
+the deviation dataset's ``.npy`` round trip.
 
 Every file is read twice: by ``parse_tracks`` / ``read_trajectory_file``,
 in blocks of a few lines so that odd rows straddle block edges, and by the
@@ -7,15 +8,19 @@ equal bit for bit, and so must the error lists and every DataError text.
 """
 
 import csv
+import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trafgen import _files
-from trafgen._files import read_trajectory_file
+from trafgen._files import (read_deviation_dataset, read_trajectory_file,
+                            write_deviation_dataset)
 from trafgen.errors import DataError
 from trafgen.ingest import parse_tracks
 
+from conftest import assert_bitwise
 from oracles import parse_tracks_rows, read_trajectory_file_rows
 
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
@@ -243,16 +248,48 @@ def test_a_field_over_the_csv_limit_is_csv_error(tmp_path):
     assert bad.endswith(":2: could not convert string to float: 'abc'")
 
 
+def dataset_rows(n):
+    return [{"flight_id": f"F{i}", "procedure": "RV_WEST", "arrival_time": 0.0}
+            for i in range(n)]
+
+
 def test_a_reader_defect_is_not_a_data_error(tmp_path, monkeypatch):
     # only OSError, csv's errors and decoding errors are the file's fault;
     # a ValueError from the reader's own code propagates as it is
     path = tmp_path / "trajectories.csv"
     path.write_text("traj_id,t,x,y,z\n0,0.0,1.0,2.0,3.0\n")
 
-    def defect(keys, values):
+    def defect(*args):
         raise ValueError("defect inside the reader")
 
     monkeypatch.setattr(_files, "_runs", defect)
     with pytest.raises(ValueError, match="defect inside the reader") as info:
         read_trajectory_file(path)
     assert not isinstance(info.value, DataError)
+
+    # the dataset reader: only opening the file and numpy's .npy parse are
+    # the file's fault; a defect in a later check propagates
+    path = tmp_path / "rv_dataset.npy"
+    write_deviation_dataset(path, np.ones((2, 5)), "radar_vector", 1,
+                            dataset_rows(2))
+    monkeypatch.setattr(np, "isfinite", defect)
+    with pytest.raises(ValueError, match="defect inside the reader") as info:
+        read_deviation_dataset(path)
+    assert not isinstance(info.value, DataError)
+
+
+def test_a_deviation_dataset_round_trips_bit_for_bit(tmp_path):
+    top = 1.7976931348623157e308
+    rng = np.random.default_rng(0)
+    data = np.vstack([
+        [-0.0, 5e-324, top, -top, 0.0],
+        rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))])
+    path = tmp_path / "rv_dataset.npy"
+    write_deviation_dataset(path, data, "radar_vector", 1, dataset_rows(7))
+    got, meta = read_deviation_dataset(path)
+    assert_bitwise(got, data)
+    assert meta["rows"] == dataset_rows(7)
+    # the bytes of np.save, so the file is deterministic
+    saved = io.BytesIO()
+    np.save(saved, data)
+    assert path.read_bytes() == saved.getvalue()
