@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import tokenize
 from itertools import chain, islice
@@ -317,6 +318,7 @@ def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
                             _dataset_meta, tag=DEVIATION_FORMAT)
     with _reading(path, "deviation dataset", _MALFORMED_NPY), \
             open(path, "rb") as handle:
+        _check_npy_size(handle)
         data = np.lib.format.read_array(handle, allow_pickle=False)
     if data.ndim != 2 or data.dtype != np.float64:
         raise DataError(f"{path}: expected a 2-D float64 array, got "
@@ -331,6 +333,23 @@ def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
         raise DataError(f"{path}: {len(data)} rows, but its meta lists "
                         f"{len(meta['rows'])}")
     return data, meta
+
+
+def _check_npy_size(handle) -> None:
+    """Raise ValueError if the .npy header of ``handle`` claims more data
+    bytes than follow it: ``read_array`` allocates the claimed array before
+    it reads. Leaves ``handle`` at its start."""
+    version = np.lib.format.read_magic(handle)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, _, dtype = read_header(handle)
+    claimed = math.prod(shape) * dtype.itemsize
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    # an object array holds pickles, which read_array refuses
+    if claimed > left and not dtype.hasobject:
+        raise ValueError(f"its header claims shape {shape} of {dtype}, "
+                         f"{claimed} bytes, but {left} follow it")
+    handle.seek(0)
 
 
 _FINITE = ((lambda values: ~np.isfinite(values).all(axis=1),

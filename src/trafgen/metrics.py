@@ -108,6 +108,13 @@ def js_divergence(p: Histogram, q: Histogram) -> float:
 # bytes of one row block of silhouette distances, which bounds the working
 # memory of silhouette_scores
 SILHOUETTE_BLOCK_BYTES = 1 << 21
+# pair-coordinates m * m * n of a silhouette pass from which scipy's cdist
+# fills its distances; below it a numpy kernel does, and select never imports
+# scipy. Timed in fresh processes on a 2-core VM (numpy 2.4, scipy 1.17) at
+# n = 122 and n = 1,052, the numpy pass costs as much as the cdist pass with
+# its import at 1.7e8 pair-coordinates (0.49-0.52 s); at 1e8 it takes 0.25 s
+# against 0.42-0.48 s
+SILHOUETTE_CDIST_WORK = 10**8
 
 
 def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list[float]:
@@ -121,6 +128,13 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
     and sums each block row over every cluster of every labeling. So memory
     grows with the m rows times the clusters, not with m², and each row's
     sums are those of the full (m, m) distance matrix, bit for bit.
+
+    A pass over m rows of n values fills its blocks with scipy's ``cdist``
+    when its work m * m * n is at least ``SILHOUETTE_CDIST_WORK``, and with
+    ``_euclidean_distances`` below it, which spares the import of
+    ``scipy.spatial`` and needs one more block-sized buffer (and a
+    transposed copy of the data). The two are equal bit for bit, so the
+    scores do not depend on which one ran.
     Raises DataError for a labeling with fewer than 2 clusters.
     """
     members = []
@@ -130,20 +144,38 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
         if unique.size < 2:
             raise DataError("silhouette needs at least 2 clusters")
         members.append([labels == c for c in unique])
-    # scipy is imported here only: no other stage needs it at start-up
-    from scipy.spatial.distance import cdist
     m = len(data)
+    if m * m * data.shape[1] < SILHOUETTE_CDIST_WORK:
+        distances = _euclidean_distances
+    else:
+        # scipy is imported here only: no other stage needs it at start-up
+        from scipy.spatial.distance import cdist as distances
     sums = [np.empty((m, len(masks))) for masks in members]
     # numpy sums the masked columns of two or more rows column by column, as
     # for the full matrix, but one row pairwise; so no block has one row
     step = max(2, SILHOUETTE_BLOCK_BYTES // (8 * m))
     for start in range(0, m - 1, step):
         stop = m if m - start <= step + 1 else start + step
-        dist = cdist(data[start:stop], data)
+        dist = distances(data[start:stop], data)
         for total, masks in zip(sums, members):
             for pos, member in enumerate(masks):
                 total[start:stop, pos] = dist[:, member].sum(axis=1)
     return [_mean_silhouette(total, masks) for total, masks in zip(sums, members)]
+
+
+def _euclidean_distances(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The (len(rows), len(data)) Euclidean distances, equal bit for bit to
+    scipy's ``cdist(rows, data)``: like scipy's kernel, it adds the squared
+    coordinate differences one coordinate at a time, from the first, then
+    takes the root. (A scipy built to fuse the multiply and add would round
+    differently.)"""
+    total = np.zeros((len(rows), len(data)))
+    square = np.empty_like(total)
+    for row_values, values in zip(rows.T, np.ascontiguousarray(data.T)):
+        np.subtract(row_values[:, None], values, out=square)
+        np.multiply(square, square, out=square)
+        total += square
+    return np.sqrt(total, out=total)
 
 
 def _mean_silhouette(sums: np.ndarray, members: list[np.ndarray]) -> float:

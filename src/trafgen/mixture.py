@@ -209,6 +209,14 @@ def em_fit(data: np.ndarray, n_components: int, *,
     first E-step's responsibilities are already hard: EM returns the k-means
     labels, with their clusters' weights and means.
 
+    An E-step that returns, bit for bit, the responsibilities the current
+    parameters came from skips its M-step, and the next iteration records
+    the same log-likelihood without an E-step: both steps would repeat
+    their last results. So a hard fit makes one M-step and records two
+    equal log-likelihoods, as the full loop does. That the result equals
+    the full loop's bit for bit relies on BLAS returning the same bits for
+    the same inputs.
+
     Raises DataError if n_components < 1 or > m, or if data is not finite.
     """
     data = np.asarray(data, dtype=float)
@@ -232,21 +240,26 @@ def em_fit(data: np.ndarray, n_components: int, *,
     if empty.any():
         resp[:, empty] = 1e-6
         resp /= resp.sum(axis=1, keepdims=True)
-    weights, means, spectra = _m_step(data, resp)
+    fitted = resp  # the responsibilities the parameters come from
+    weights, means, spectra = _m_step(data, fitted)
 
     history: list[float] = []
+    repeated = False
     for it in range(EM_MAX_ITER):
-        log_dens = _log_densities(data, weights, means, spectra,
-                                  [reg] * n_components)
-        log_norm = _logsumexp(log_dens, axis=1)
-        ll = float(log_norm.sum())
-        resp = np.exp(log_dens - log_norm[:, None])
+        if not repeated:
+            log_dens = _log_densities(data, weights, means, spectra,
+                                      [reg] * n_components)
+            log_norm = _logsumexp(log_dens, axis=1)
+            ll = float(log_norm.sum())
+            resp = np.exp(log_dens - log_norm[:, None])
+            repeated = resp.tobytes() == fitted.tobytes()
         history.append(ll)
         if len(history) > 1 and ll - history[-2] < EM_TOL * abs(history[-2]):
             break
-        if it < EM_MAX_ITER - 1:
+        if it < EM_MAX_ITER - 1 and not repeated:
             # keep the returned parameters consistent with the last E-step
-            weights, means, spectra = _m_step(data, resp)
+            fitted = resp
+            weights, means, spectra = _m_step(data, fitted)
     else:
         gain = ((history[-1] - history[-2]) / abs(history[-2])
                 if len(history) > 1 else float("nan"))

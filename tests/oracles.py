@@ -14,8 +14,10 @@ which the batched wavefront must match bit for bit, the rank selection
 that refits PPCA for every grid rank and adds jitter through a dense
 identity, EM and PPCA compression on full n x n covariances with one
 Cholesky per component per E-step, which the spectral forms must match to
-rounding, and scene assembly into one dense covariance with its low-rank
-repair, which the factored scene must match to rounding.
+rounding, EM with both of its steps in every iteration, which the skip of
+repeated responsibilities must match bit for bit, and scene assembly into
+one dense covariance with its low-rank repair, which the factored scene
+must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
 scipy's ``PchipInterpolator`` and ``logsumexp`` are the references that
@@ -49,7 +51,8 @@ from trafgen._files import _reading
 from trafgen.errors import DataError, NumericalError
 from trafgen.ingest import Flight
 from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, EMFit,
-                             GaussianComponent, MixtureModel, sample_many)
+                             GaussianComponent, MixtureModel, _log_densities,
+                             _logsumexp, _m_step, sample_many)
 from trafgen.multi_model import _block, _delta_index, _require_model
 
 
@@ -596,6 +599,49 @@ def em_fit_dense(data, n_components, *, seed=0, segment_kind="generic"):
     model = MixtureModel(components=components, segment_kind=segment_kind)
     return EMFit(model=model, labels=resp.argmax(axis=1),
                  log_likelihoods=history)
+
+
+def em_fit_full_loop(data, n_components, *, seed=0):
+    """``em_fit`` with an E-step and, but for the last, an M-step in every
+    iteration, also when an E-step repeats the responsibilities that the
+    parameters came from."""
+    data = np.asarray(data, dtype=float)
+    m = data.shape[0]
+    rng = np.random.default_rng(seed)
+    reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
+
+    km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
+    resp = np.zeros((m, n_components))
+    resp[np.arange(m), km.labels] = 1.0
+    empty = resp.sum(axis=0) == 0
+    if empty.any():
+        resp[:, empty] = 1e-6
+        resp /= resp.sum(axis=1, keepdims=True)
+    weights, means, spectra = _m_step(data, resp)
+
+    history = []
+    for it in range(EM_MAX_ITER):
+        log_dens = _log_densities(data, weights, means, spectra,
+                                  [reg] * n_components)
+        log_norm = _logsumexp(log_dens, axis=1)
+        ll = float(log_norm.sum())
+        resp = np.exp(log_dens - log_norm[:, None])
+        history.append(ll)
+        if len(history) > 1 and ll - history[-2] < EM_TOL * abs(history[-2]):
+            break
+        if it < EM_MAX_ITER - 1:
+            weights, means, spectra = _m_step(data, resp)
+
+    components = [
+        GaussianComponent(weight=float(weights[j]), mean=means[j],
+                          cov_factor=vecs * np.sqrt(sq), noise_var=reg)
+        for j, (vecs, sq) in enumerate(spectra)
+    ]
+    total = sum(c.weight for c in components)
+    for c in components:
+        c.weight /= total
+    return EMFit(model=MixtureModel(components=components),
+                 labels=resp.argmax(axis=1), log_likelihoods=history)
 
 
 def _ppca_from_eigh(eigvals, eigvecs, rank):

@@ -795,6 +795,14 @@ def csv_rv_dataset(out):
     np.savetxt(path, np.load(path), delimiter=",", fmt="%.17g")
 
 
+def huge_rv_header(out):
+    # 400 GB claimed by a file of a few hundred bytes
+    with open(out / "rv_dataset.npy", "wb") as handle:
+        np.lib.format.write_array_header_1_0(handle, {
+            "descr": "<f8", "fortran_order": False, "shape": (9999999999, 5)})
+        handle.write(bytes(8))
+
+
 def npz_rv_dataset(out):
     path = out / "rv_dataset.npy"
     data = np.load(path)
@@ -827,6 +835,8 @@ MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
     ("select", {}, lambda out: edit_rv_bytes(out, lambda blob: blob[:-8]),
      MALFORMED_RV),
     ("select", {}, npz_rv_dataset, MALFORMED_RV),
+    ("select", {}, huge_rv_header, MALFORMED_RV + "its header claims shape "
+     "(9999999999, 5) of float64, 399999999960 bytes, but 8 follow it"),
     # a corrupt header: numpy raises a tokenizer error, then a TypeError
     ("select", {}, lambda out: edit_rv_bytes(
         out, lambda blob: blob.replace(b"{'descr'", b"3'descr'", 1)),
@@ -871,7 +881,8 @@ MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
         "select_rank_empty", "select_nan", "select_inf", "select_identical_rows",
         "select_empty", "select_empty_file", "select_csv_text", "select_truncated",
-        "select_npz", "select_header_syntax", "select_header_bytes_key",
+        "select_npz", "select_huge_header", "select_header_syntax",
+        "select_header_bytes_key",
         "select_1d", "select_int64", "select_object", "select_meta_format_1",
         "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
         "train_nan", "train_k_fa_100", "train_rank_fa_0", "pairwise_k_0",
@@ -1024,6 +1035,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_only_select_loads_scipy(tmp_path):
+    # select imports scipy.spatial only for a silhouette pass of at least
+    # SILHOUETTE_CDIST_WORK, which this 60-flight corpus stays below
     config_path = corpus.write_corpus(tmp_path, n_flights=60, seed=0,
                                       explicit_choice=True)
     out = tmp_path / "out"
@@ -1043,8 +1056,17 @@ def test_only_select_loads_scipy(tmp_path):
         f"    code = run(['--config', {str(config_path)!r}, *args])\n"
         f"    loaded.append([args[0], code, {LOADED_SCIPY}])\n"
         "print(json.dumps(loaded))\n")
-    *others, (_, code, select) = scipy_modules_after(code)
-    assert [entry[1:] for entry in others] == [[EXIT_OK, []]] * len(others)
+    loaded = scipy_modules_after(code)
+    assert [entry[0] for entry in loaded] == [args[0] for args in stages]
+    assert [entry[1:] for entry in loaded] == [[EXIT_OK, []]] * len(stages)
+
+    code, select = scipy_modules_after(
+        "import json, sys\n"
+        "from trafgen import metrics\n"
+        "from trafgen.cli import run\n"
+        "metrics.SILHOUETTE_CDIST_WORK = 0\n"
+        f"code = run(['--config', {str(config_path)!r}, 'select'])\n"
+        f"print(json.dumps([code, {LOADED_SCIPY}]))\n")
     assert code == EXIT_OK
     spatial = scipy_modules_after(
         f"import json, sys, scipy.spatial; print(json.dumps({LOADED_SCIPY}))")

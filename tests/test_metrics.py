@@ -93,22 +93,35 @@ def test_silhouette_sweep_singleton_grid():
     assert len(sweep.curve) == 1
 
 
+# SILHOUETTE_CDIST_WORK values that send a silhouette pass to the numpy
+# kernel and to scipy's cdist
+BOTH_KERNELS = (10**18, 0)
+
+
 def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
-    # one pass of row blocks covers the rows once, for every grid K
+    # one pass of row blocks covers the rows once, for every grid K, through
+    # one of the two kernels
     import scipy.spatial.distance
     calls = []
-    original = scipy.spatial.distance.cdist
 
-    def counting(*args, **kwargs):
-        calls.append((args[0].shape, args[1].shape))
-        return original(*args, **kwargs)
+    def counting(original):
+        def count(*args, **kwargs):
+            calls.append((args[0].shape, args[1].shape))
+            return original(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(scipy.spatial.distance, "cdist", counting)
+    monkeypatch.setattr(scipy.spatial.distance, "cdist",
+                        counting(scipy.spatial.distance.cdist))
+    monkeypatch.setattr(metrics, "_euclidean_distances",
+                        counting(metrics._euclidean_distances))
     monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_BYTES", 8 * 50 * 20)
     data = np.random.default_rng(4).normal(size=(50, 2))
-    sweep = silhouette_sweep(data, [2, 3, 4], seed=0)
-    assert calls == [((20, 2), (50, 2)), ((20, 2), (50, 2)), ((10, 2), (50, 2))]
-    assert [k for k, _ in sweep.curve] == [2, 3, 4]
+    for cdist_work in BOTH_KERNELS:
+        monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
+        calls.clear()
+        sweep = silhouette_sweep(data, [2, 3, 4], seed=0)
+        assert calls == [((20, 2), (50, 2)), ((20, 2), (50, 2)), ((10, 2), (50, 2))]
+        assert [k for k, _ in sweep.curve] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("m, rows", [(23, 5), (21, 5), (23, 1), (23, 40), (24, 6)],
@@ -116,7 +129,7 @@ def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
                               "smallest-blocks", "one-block", "whole-blocks"])
 def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
     # several labelings in one pass: a singleton cluster, labels {0, 2}
-    # with a gap, and four clusters
+    # with a gap, and four clusters; by either kernel
     monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_BYTES", 8 * m * rows)
     rng = np.random.default_rng(m + rows)
     data = rng.normal(size=(m, 3))
@@ -126,10 +139,23 @@ def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
     four = rng.integers(0, 4, size=m)
     four[:4] = 0, 1, 2, 3
     labelings = [singleton, gap, four]
-    got = silhouette_scores(data, labelings)
     dist = cdist(data, data)
-    for score, labels in zip(got, labelings):
-        assert_bitwise(score, silhouette_score(dist, labels))
+    for cdist_work in BOTH_KERNELS:
+        monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
+        got = silhouette_scores(data, labelings)
+        for score, labels in zip(got, labelings):
+            assert_bitwise(score, silhouette_score(dist, labels))
+
+
+@pytest.mark.parametrize("m, n", [(24, 1052), (24, 452), (60, 122), (9, 5)])
+def test_euclidean_distances_equal_cdist_bitwise(m, n):
+    # coordinates near 1e4 on scales from 0.1 to 100, so that every
+    # difference and square rounds; blocks of 2 rows, a lone last row and
+    # all rows
+    rng = np.random.default_rng(m * n)
+    data = 1e4 + rng.normal(size=(m, n)) * rng.uniform(0.1, 100.0, size=n)
+    for rows in (data[:2], data[2:4], data[-1:], data):
+        assert_bitwise(metrics._euclidean_distances(rows, data), cdist(rows, data))
 
 
 def test_silhouette_sweep_memory_is_bounded():

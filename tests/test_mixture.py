@@ -13,8 +13,8 @@ from trafgen.mixture import (ConditionalMixture, GaussianComponent,
 
 from conftest import assert_bitwise, peak_traced_bytes, ppca
 from oracles import (compress_model_dense, condition_dense, dense_covariance,
-                     em_fit_dense, logsumexp, mc_conditional_moments,
-                     select_rank_per_rank)
+                     em_fit_dense, em_fit_full_loop, logsumexp,
+                     mc_conditional_moments, select_rank_per_rank)
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -146,15 +146,18 @@ def test_em_deterministic_for_fixed_seed():
         assert c1.weight == c2.weight
 
 
+def mixed_rows(rng, m, n, k, scale):
+    centres = rng.normal(scale=scale, size=(k, n)) + 5.0
+    mixing = rng.normal(size=(n, n)) / np.sqrt(n)
+    return centres[rng.integers(k, size=m)] + rng.normal(size=(m, n)) @ mixing
+
+
 @pytest.mark.parametrize("m, n, k, scale, ranks", [
     (24, 200, 2, 3.0, (5, 30)),   # thin SVD of Z; rank 30 exceeds its 24 columns
     (400, 12, 3, 0.6, (5, 11)),   # eigh of Z^T Z
 ], ids=["rows_below_dim", "rows_above_dim"])
 def test_em_and_compression_match_dense_oracle(m, n, k, scale, ranks):
-    rng = np.random.default_rng(34)
-    centres = rng.normal(scale=scale, size=(k, n)) + 5.0
-    mixing = rng.normal(size=(n, n)) / np.sqrt(n)
-    data = centres[rng.integers(k, size=m)] + rng.normal(size=(m, n)) @ mixing
+    data = mixed_rows(np.random.default_rng(34), m, n, k, scale)
     fit = em_fit(data, k, seed=3)
     ref = em_fit_dense(data, k, seed=3)
     assert len(fit.log_likelihoods) == len(ref.log_likelihoods)
@@ -174,6 +177,36 @@ def test_em_and_compression_match_dense_oracle(m, n, k, scale, ranks):
             expected = dense_covariance(oracle)
             assert (np.linalg.norm(dense_covariance(comp) - expected)
                     <= 1e-9 * np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("shape", ["hard", "soft", "sliver"])
+def test_em_skips_the_m_step_of_repeated_responsibilities(monkeypatch, shape):
+    rng = np.random.default_rng(37)
+    if shape == "hard":  # rows < dims: the first E-step repeats k-means
+        data = mixed_rows(rng, 24, 200, 3, 3.0)
+    elif shape == "soft":
+        data = mixed_rows(rng, 400, 12, 3, 0.6)
+    else:  # two distinct rows and three clusters: an empty k-means cluster
+        data = rng.normal(size=(2, 200))[np.arange(24) % 2]
+    calls = []
+    m_step = mixture._m_step
+    monkeypatch.setattr(mixture, "_m_step",
+                        lambda *args: calls.append(1) or m_step(*args))
+    fit = em_fit(data, 3, seed=3)
+    ref = em_fit_full_loop(data, 3, seed=3)
+
+    history = fit.log_likelihoods
+    if shape == "hard":
+        assert len(calls) == 1
+        assert len(history) == 2 and history[0] == history[1]
+    else:  # the initial M-step and one after every E-step but the last
+        assert len(calls) == len(history) > 1
+    assert_bitwise(fit.labels, ref.labels)
+    assert_bitwise(np.array(history), np.array(ref.log_likelihoods))
+    assert len(fit.model.components) == len(ref.model.components)
+    for comp, want in zip(fit.model.components, ref.model.components):
+        for name in ("weight", "mean", "cov_factor", "noise_var"):
+            assert_bitwise(getattr(comp, name), getattr(want, name))
 
 
 def test_em_at_iteration_cap_warns_once(monkeypatch, caplog):
