@@ -21,6 +21,7 @@ import tokenize
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 import yaml
@@ -63,14 +64,42 @@ def atomic_path(path: str | Path):
         tmp.unlink(missing_ok=True)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` as UTF-8, one chunk at a time."""
+    with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
+
+
+def json_chunks(value) -> Iterator[str]:
+    """The text of ``json.dumps(value, sort_keys=True, allow_nan=False)``
+    in pieces, where ``value``'s dict keys are strings and its leaves may
+    be arrays: each array is dumped from its own ``tolist()``, so no more
+    than one is held as Python lists or as text. A value that is not finite
+    raises json's ValueError."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from json_chunks(value[key])
+        yield "}"
+    elif isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from json_chunks(item)
+        yield "]"
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        yield json.dumps(value, allow_nan=False)
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    """A report or sidecar: sorted keys, indent 1, trailing newline."""
-    write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    """A report or sidecar: sorted keys, indent 1, trailing newline.
+
+    Model files are written by ``mixture.write_models``, not here."""
+    write_text(path, (json.dumps(doc, sort_keys=True, indent=1), "\n"))
 
 
 def write_deviation_dataset(path: Path, data: np.ndarray, segment_kind: str,

@@ -23,8 +23,9 @@ from ._files import (read_deviation_dataset, read_json, read_keyvalue,
 from .errors import DataError, NumericalError
 from .ingest import AirspaceConfig, FlightClass, classify_flight, flight_to_enu, \
     parse_tracks
-from .mixture import (compress_model, em_fit, load_model, model_from_dict,
-                      model_to_dict, save_model, select_rank, substream)
+from .mixture import (check_finite, compress_model, em_fit, load_model,
+                      model_document, model_from_dict, save_model,
+                      select_rank, substream, write_models)
 from .units import NM_TO_M
 
 logger = logging.getLogger(__name__)
@@ -382,8 +383,9 @@ def _chosen(config: RunConfig, segment: _Segment) -> tuple[int, int]:
 def cmd_train(config: RunConfig) -> int:
     """Fit the per-segment mixtures and write model files plus training logs.
 
-    Both segments are read, checked, chosen, fitted and compressed before
-    anything is written, so a fault in either leaves every file as it was.
+    Both segments are read, checked, chosen, fitted, compressed and checked
+    to be finite before anything is written, so a fault in either leaves
+    every file as it was.
     Each segment's EM run is seeded from the substream ``train-<kind>`` of
     the config seed.
     """
@@ -397,6 +399,12 @@ def cmd_train(config: RunConfig) -> int:
         models.append(compress_model(fit.model, rank))
         log[segment.kind] = {"n_components": k, "rank": rank,
                              "log_likelihoods": fit.log_likelihoods}
+    for segment, model in zip(segments, models):
+        try:
+            check_finite(model.components)
+        except ValueError as exc:
+            raise NumericalError(
+                f"{segment.model}: cannot write the model: {exc}") from exc
     for segment, model in zip(segments, models):
         save_model(model, segment.model)
     write_json(config.out_dir / "train_log.json", log)
@@ -416,9 +424,9 @@ def cmd_train_pairwise(config: RunConfig) -> int:
         groups, config.k_pairwise, config.rank_pairwise, seed=seed)
     if not models:
         raise DataError("every pairwise group was under the sample minimum")
-    write_json(config.out_dir / "model_pairwise.json", {
+    write_models(config.out_dir / "model_pairwise.json", {
         "format": PAIRWISE_FORMAT, "segment": "radar_vector",
-        "models": {f"{a}|{b}": model_to_dict(m) for (a, b), m in models.items()}})
+        "models": {f"{a}|{b}": model_document(m) for (a, b), m in models.items()}})
     write_json(config.out_dir / "train_pairwise_log.json", {
         "groups": {f"{a}|{b}": len(v) for (a, b), v in groups.items()},
         "trained": sorted(f"{a}|{b}" for a, b in models),

@@ -12,7 +12,6 @@ a rank-k factor plus the same s and forms no n x n matrix.
 
 from __future__ import annotations
 
-import json
 import logging
 import zlib
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._cluster import kmeans
-from ._files import read_json, write_text
+from ._files import json_chunks, read_json, write_text
 from .errors import DataError, InvalidDeviation, NumericalError
 
 logger = logging.getLogger(__name__)
@@ -532,14 +531,24 @@ def sample_many(model: MixtureModel, size: int,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def model_to_dict(model: MixtureModel) -> dict:
+def model_document(model: MixtureModel) -> dict:
+    """The model's JSON document, its arrays kept as arrays for
+    ``write_models``."""
     return {
         "format": MODEL_FORMAT, "segment_kind": model.segment_kind,
         "n_components": len(model.components), "dimension": model.dimension,
-        "components": [{"weight": c.weight, "mean": c.mean.tolist(),
-                        "cov_factor": c.cov_factor.tolist(),
+        "components": [{"weight": c.weight, "mean": c.mean,
+                        "cov_factor": c.cov_factor,
                         "noise_var": c.noise_var} for c in model.components],
     }
+
+
+def check_finite(components: Sequence[GaussianComponent]) -> None:
+    """Raise ValueError naming the first component that holds a value that
+    is not finite."""
+    for i, c in enumerate(components):
+        if not all(np.isfinite(v).all() for v in (c.mean, c.cov_factor, c.noise_var)):
+            raise ValueError(f"component {i} holds a non-finite value")
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
@@ -547,15 +556,23 @@ def model_from_dict(doc: dict) -> MixtureModel:
         weight=float(c["weight"]), mean=np.asarray(c["mean"], dtype=float),
         cov_factor=np.asarray(c["cov_factor"], dtype=float),
         noise_var=float(c["noise_var"])) for c in doc["components"]]
-    for i, c in enumerate(components):
-        if not all(np.isfinite(v).all() for v in (c.mean, c.cov_factor, c.noise_var)):
-            raise ValueError(f"component {i} holds a non-finite value")
+    check_finite(components)
     return MixtureModel(components=components,
                         segment_kind=str(doc.get("segment_kind", "generic")))
 
 
+def write_models(path: str | Path, doc: dict) -> None:
+    """Write ``doc``, which holds model documents, as compact sorted-key
+    JSON, one array at a time. A value that is not finite is a
+    NumericalError naming the file, and the previous file stays."""
+    try:
+        write_text(path, json_chunks(doc))
+    except ValueError as exc:  # json's refusal of a NaN or infinity
+        raise NumericalError(f"{path}: cannot write the model: {exc}") from exc
+
+
 def save_model(model: MixtureModel, path: str | Path) -> None:
-    write_text(path, json.dumps(model_to_dict(model), sort_keys=True))
+    write_models(path, model_document(model))
 
 
 def load_model(path: str | Path) -> MixtureModel:

@@ -100,8 +100,8 @@ def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
         "waypoints": [list(wp[:2]) if wp[2] is None else list(wp)
                       for wp in proc.waypoints],
     } for proc in procedures]
-    write_text(path, yaml.safe_dump_all(docs, sort_keys=True,
-                                        default_flow_style=None))
+    write_text(path, [yaml.safe_dump_all(docs, sort_keys=True,
+                                         default_flow_style=None)])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 scipy's ``PchipInterpolator`` and ``logsumexp`` are the references that
 the library's numpy PCHIP and ``_logsumexp`` must match bit for bit, and
 ``csv.writer``, one row at a time, is the reference for the bytes of the
-bulk trajectory writer, and ``csv.reader``, one row at a time, for what the
+bulk trajectory writer, ``json.dumps`` of the whole ``model_to_dict``
+document for the bytes of the model writer, which writes one array at a
+time, and ``csv.reader``, one row at a time, for what the
 block readers of track and trajectory files return and report. The
 polyline distance and the DTW local cost keep their (..., 2) form, which
 the coordinate-plane kernels must match bit for bit.
@@ -50,9 +52,9 @@ from trafgen._cluster import kmeans
 from trafgen._files import _reading
 from trafgen.errors import DataError, NumericalError
 from trafgen.ingest import Flight
-from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, EMFit,
-                             GaussianComponent, MixtureModel, _log_densities,
-                             _logsumexp, _m_step, sample_many)
+from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, MODEL_FORMAT,
+                             EMFit, GaussianComponent, MixtureModel,
+                             _log_densities, _logsumexp, _m_step, sample_many)
 from trafgen.multi_model import _block, _delta_index, _require_model
 
 
@@ -167,6 +169,19 @@ def write_trajectory_csv_rows(path: Path, key_columns, rows) -> None:
             for t, (x, y, z) in zip(times, points):
                 writer.writerow([*keys, repr(float(t)), repr(float(x)),
                                  repr(float(y)), repr(float(z))])
+
+
+def model_to_dict(model: MixtureModel) -> dict:
+    """The model's JSON document as Python lists: ``json.dumps(...,
+    sort_keys=True)`` of it is the text ``save_model`` must write byte for
+    byte, one array at a time."""
+    return {
+        "format": MODEL_FORMAT, "segment_kind": model.segment_kind,
+        "n_components": len(model.components), "dimension": model.dimension,
+        "components": [{"weight": c.weight, "mean": c.mean.tolist(),
+                        "cov_factor": c.cov_factor.tolist(),
+                        "noise_var": c.noise_var} for c in model.components],
+    }
 
 
 def silhouette_brute_force(data, labels):

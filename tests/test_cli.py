@@ -13,19 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trafgen import (_files, cli, multi_model, preprocess, procedures,
-                     single_model)
+from trafgen import (_files, cli, mixture, multi_model, preprocess,
+                     procedures, single_model)
 from trafgen.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, read_deviation_dataset,
                          read_trajectory_file, run, substream)
 from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84
-from trafgen.mixture import (GaussianComponent, MixtureModel, model_to_dict,
-                             save_model)
+from trafgen.mixture import GaussianComponent, MixtureModel, save_model
 
 import corpus
 from conftest import assert_bitwise
-from oracles import dtw_loop, write_trajectory_csv_rows
+from oracles import dtw_loop, model_to_dict, write_trajectory_csv_rows
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +112,13 @@ def test_training_log_monotone_log_likelihood(pipeline):
         lls = log[segment]["log_likelihoods"]
         assert len(lls) >= 2
         assert np.all(np.diff(lls) >= -1e-9)
+
+
+def test_model_files_are_compact_sorted_key_json(pipeline):
+    base, _ = pipeline
+    for name in ("model_rv.json", "model_fa.json", "model_pairwise.json"):
+        text = (base / "out" / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True), name
 
 
 def test_train_rerun_identical_models(pipeline):
@@ -592,21 +598,23 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     assert data_path.read_bytes() == data
     assert data_path.with_suffix(".meta.json").read_bytes() == meta
 
-    # model and procedure files are serialised first, then written in one
-    # call: an interrupted write (a full disk) must not truncate the old file
+    # model and procedure files are written chunk by chunk: a write that
+    # fails after its first chunk (a full disk) must not truncate the old file
     model_path = tmp_path / "model_rv.json"
     save_model(corpus.ground_truth_model().radar_vector_model, model_path)
     procedure_path = tmp_path / "nominal_paths.yaml"
     procedures.save_procedures(corpus.gt_procedures(), procedure_path)
     saved = {p: p.read_bytes() for p in (model_path, procedure_path)}
 
-    def write_half_then_fail(self, text, *args, **kwargs):
-        with open(self, "w", encoding="utf-8") as handle:
-            handle.write(text[:len(text) // 2])
-        raise OSError("no space left on device")
+    def fail_after_first_chunk(path, chunks):
+        def first_then_fault():
+            yield next(iter(chunks))
+            raise OSError("no space left on device")
+        _files.write_text(path, first_then_fault())
 
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", write_half_then_fail)
+        for module in (mixture, procedures):
+            patch.setattr(module, "write_text", fail_after_first_chunk)
         with pytest.raises(OSError):
             save_model(corpus.ground_truth_model().final_approach_model,
                        model_path)
@@ -720,6 +728,39 @@ def test_non_finite_model_values_are_data_errors(tmp_path, capsys, pipeline,
     assert f"data error: {out / target}: malformed " in err
     assert "holds a non-finite value" in err
     assert not (out / output).exists()
+
+
+@pytest.mark.parametrize("command, targets, module, fit", [
+    ("train", ["model_rv.json", "model_fa.json"], cli, "compress_model"),
+    ("train-pairwise", ["model_pairwise.json"], multi_model, "train_pairwise"),
+], ids=["train", "pairwise"])
+def test_non_finite_model_value_fails_before_a_file_is_replaced(
+        tmp_path, capsys, monkeypatch, command, targets, module, fit):
+    # a NaN fails the command, not the next read; the final-approach model,
+    # which train writes second, and every pairwise model get one
+    real_fit = getattr(module, fit)
+
+    def fit_with_nan(*args, **kwargs):
+        fitted = real_fit(*args, **kwargs)
+        for model in fitted.values() if isinstance(fitted, dict) else [fitted]:
+            if model.segment_kind != "radar_vector":
+                model.components[0].mean[0] = np.nan
+        return fitted
+
+    monkeypatch.setattr(module, fit, fit_with_nan)
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0,
+                                      explicit_choice=True)
+    out = tmp_path / "out"
+    write_small_datasets(out)
+    for target in targets:
+        (out / target).write_text('{"previous": true}', encoding="utf-8")
+    before = sorted(p.name for p in out.iterdir())
+    assert run(["--config", str(config_path), command]) == EXIT_NUMERICAL
+    assert (f"numerical failure: {out / targets[-1]}: cannot write the model: "
+            in capsys.readouterr().err)
+    for target in targets:
+        assert (out / target).read_text(encoding="utf-8") == '{"previous": true}'
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_dataset_rows_must_match_their_meta(tmp_path, capsys):

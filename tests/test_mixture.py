@@ -1,12 +1,13 @@
 """Gaussian mixture core: EM, PPCA compression, conditioning."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
 
 from trafgen import mixture
-from trafgen.errors import DataError
+from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit, load_model,
                              sample, sample_many, save_model, select_rank)
@@ -14,7 +15,8 @@ from trafgen.mixture import (ConditionalMixture, GaussianComponent,
 from conftest import assert_bitwise, peak_traced_bytes, ppca
 from oracles import (compress_model_dense, condition_dense, dense_covariance,
                      em_fit_dense, em_fit_full_loop, logsumexp,
-                     mc_conditional_moments, select_rank_per_rank)
+                     mc_conditional_moments, model_to_dict,
+                     select_rank_per_rank)
 
 
 def single_gaussian(mean, cov, weight=1.0, kind="generic"):
@@ -682,6 +684,56 @@ def test_model_serialization_round_trip(tmp_path):
         assert c1.weight == c2.weight
         assert np.array_equal(c1.mean, c2.mean)
         assert np.array_equal(c1.cov_factor, c2.cov_factor)
+
+
+@pytest.mark.parametrize("rank", [0, 16])
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+def test_model_file_is_the_whole_document_dumps(tmp_path, n_components, rank):
+    rng = np.random.default_rng(10 * n_components + rank)
+    n = 24
+    edge = [-0.0, 5e-324, 1e308, 2.0, -7.0]
+    components = []
+    # the weights are np.float64, every noise_var an integral float
+    for i, weight in enumerate(rng.dirichlet(np.ones(n_components))):
+        mean = rng.normal(size=n)
+        mean[:len(edge)] = edge
+        factor = rng.normal(size=(n, rank))
+        factor[:len(edge)] = np.array(edge)[:, None]
+        components.append(GaussianComponent(weight, mean, factor,
+                                            noise_var=float(i) + 0.25 * rank))
+    model = MixtureModel(components=components, segment_kind="radar_vector")
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert path.read_bytes() == json.dumps(model_to_dict(model),
+                                           sort_keys=True).encode()
+
+
+def test_non_finite_model_value_fails_the_write(tmp_path):
+    path = tmp_path / "model_rv.json"
+    model = MixtureModel(components=[single_gaussian([0.0, 1.0], np.eye(2))],
+                         segment_kind="radar_vector")
+    save_model(model, path)
+    saved = path.read_bytes()
+    model.components[0].noise_var = np.inf
+    with pytest.raises(NumericalError, match=f"{path}: cannot write the model"):
+        save_model(model, path)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["model_rv.json"]
+
+
+def test_model_writer_holds_one_array_at_a_time(tmp_path):
+    # a paper-size radar-vector model: K = 2, n = 3*350 + 2, rank 16
+    rng = np.random.default_rng(16)
+    n, rank = 1052, 16
+    model = MixtureModel(components=[GaussianComponent(
+        0.5, rng.normal(size=n), rng.normal(size=(n, rank)), 0.1)
+        for _ in range(2)])
+    whole, text = peak_traced_bytes(
+        lambda: json.dumps(model_to_dict(model), sort_keys=True))
+    path = tmp_path / "model.json"
+    chunked, _ = peak_traced_bytes(lambda: save_model(model, path))
+    assert path.read_text(encoding="utf-8") == text
+    assert chunked < 0.6 * whole, (chunked, whole)
 
 
 def test_model_format_tag_checked(tmp_path):

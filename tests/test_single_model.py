@@ -9,12 +9,12 @@ from trafgen.errors import NumericalError
 from trafgen.metrics import histogram_pair, js_divergence, silhouette_sweep
 from trafgen.preprocess import reconstruct_trajectory
 from trafgen.mixture import GaussianComponent, MixtureModel, compress_model, \
-    em_fit, model_to_dict, sample_many, substream
+    em_fit, sample_many, substream
 from trafgen import mixture, single_model
 from trafgen.single_model import SingleTrajectoryModel, ProcedureSet, generate
 
 from conftest import make_proc_traj
-from oracles import dense_covariance
+from oracles import dense_covariance, model_to_dict
 
 
 T_V, T_F, N_OV = 10, 6, 2
