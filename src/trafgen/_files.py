@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
-import yaml
 
 from .errors import DataError
 from .preprocess import deviation_length
@@ -40,8 +39,7 @@ CSV_BLOCK_LINES = 4096
 # the lines csv reads as empty rows
 _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
-_MALFORMED = (KeyError, TypeError, ValueError, IndexError, csv.Error,
-              yaml.YAMLError)
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, csv.Error)
 # what read_csv's own parsing raises for a malformed file
 _MALFORMED_CSV = (csv.Error, UnicodeDecodeError)
 # what numpy's .npy reader raises for a malformed file, its header included
@@ -175,7 +173,8 @@ def read_json(path: str | Path, kind: str, parse, *, tag: str | None = None):
 
 def read_yaml(path: str | Path, kind: str, parse):
     """``parse(documents)`` of a YAML stream."""
-    with _reading(path, kind):
+    import yaml  # only the commands that read procedure files load it
+    with _reading(path, kind, _MALFORMED + (yaml.YAMLError,)):
         return parse(list(yaml.safe_load_all(Path(path).read_text(encoding="utf-8"))))
 
 

@@ -34,8 +34,7 @@ PAIRWISE_FORMAT = "trafgen-pairwise/1"
 
 # rejected track records quoted in the parse WARNING; the report lists all
 MAX_LOGGED_PARSE_ERRORS = 5
-# knots per resampling call, which bounds its working arrays to about 10 MB
-RESAMPLE_BATCH_KNOTS = 1 << 15
+_EMPTY_DATASET = "ingest produced an empty deviation dataset"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,25 +171,22 @@ def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSe
         raise DataError(f"{config.procedures}: {exc}") from exc
 
 
-def _log_parse_errors(errors: list[str]) -> None:
-    """One WARNING for all rejected records: the count and the first few."""
+def _read_arrivals(config: RunConfig) -> tuple[list, list[str], list, list[dict]]:
+    """The flights of the config's track file and its rejected records (one
+    WARNING gives their count and the first few), the arrivals as (flight,
+    ENU track), and an exclusion for every other flight.
+
+    All flights are converted to ENU in one call; the tracks are reused.
+    """
+    flights, errors = parse_tracks(config.tracks)
     if errors:
         shown = errors[:MAX_LOGGED_PARSE_ERRORS]
         logger.warning("parse: %d records rejected; first %d: %s",
                        len(errors), len(shown), "; ".join(shown))
-
-
-def _classify_arrivals(flights: list, airspace: AirspaceConfig,
-                       ) -> tuple[list[tuple], list[dict]]:
-    """Arrivals as (flight, ENU track), and an exclusion for every other flight.
-
-    Each flight is converted to ENU once; the track is reused downstream.
-    """
     arrivals, exclusions = [], []
-    for flight in flights:
-        track = flight_to_enu(flight, airspace)
+    for flight, track in zip(flights, flight_to_enu(flights, config.airspace)):
         try:
-            kind = classify_flight(flight, airspace, track)
+            kind = classify_flight(flight, config.airspace, track)
         except DataError as exc:
             exclusions.append({"flight": flight.id, "reason": str(exc)})
             continue
@@ -199,56 +195,18 @@ def _classify_arrivals(flights: list, airspace: AirspaceConfig,
                                "reason": f"classified as {kind.value}"})
             continue
         arrivals.append((flight, track))
-    return arrivals, exclusions
-
-
-def _resample_parts(parts: dict, count: int, failed: dict) -> dict:
-    """``pchip_resample`` of every arrival's part, in batches of up to
-    ``RESAMPLE_BATCH_KNOTS`` knots.
-
-    ``parts`` maps an arrival's index to its (times, positions). A batch
-    that the kernel rejects is split in halves until each rejected part is
-    alone; its arrival gets the kernel's message in ``failed`` unless it
-    already has a reason there.
-    """
-    done = {}
-
-    def resample(group: list[int]) -> None:
-        try:
-            times, values = preprocess.pchip_resample(
-                [parts[a][0] for a in group], [parts[a][1] for a in group], count)
-        except ValueError as exc:
-            if len(group) == 1:
-                failed.setdefault(group[0], str(exc))
-                return
-            resample(group[:len(group) // 2])
-            resample(group[len(group) // 2:])
-            return
-        done.update(zip(group, zip(times, values)))
-
-    group, knots = [], 0
-    for a, (times, _) in parts.items():
-        if group and knots + len(times) > RESAMPLE_BATCH_KNOTS:
-            resample(group)
-            group, knots = [], 0
-        group.append(a)
-        knots += len(times)
-    if group:
-        resample(group)
-    return done
+    return flights, errors, arrivals, exclusions
 
 
 def cmd_ingest(config: RunConfig) -> int:
     """Parse tracks, classify arrivals, segment, and write deviation datasets.
 
-    Every arrival is split where it joins the IAP, in one segmentation
-    pass over all of them. All radar-vector parts, then all final-approach
-    parts, are resampled in batches of any knot counts, and every
-    radar-vector part is assigned its procedure in one batched DTW call.
+    Each step is one kernel call over all arrivals, or over all parts of
+    one segment: segmentation, resampling, procedure assignment (DTW) and
+    deviation vectors. An arrival is excluded with the reason a kernel
+    gives for the first of its rows that it rejects.
     """
-    flights, parse_errors = parse_tracks(config.tracks)
-    _log_parse_errors(parse_errors)
-    arrivals, exclusions = _classify_arrivals(flights, config.airspace)
+    flights, parse_errors, arrivals, exclusions = _read_arrivals(config)
     if not arrivals:
         raise DataError("no arrival flights after classification")
     proc_set = _load_procedural_trajectories(config)
@@ -271,69 +229,68 @@ def cmd_ingest(config: RunConfig) -> int:
             rv_raw[a] = (times[:boundary + 1], xyz[:boundary + 1])
         if len(times) - boundary >= 2 and (boundary >= 1 or not n_lead):
             fa_raw[a] = (times[boundary:], xyz[boundary:])
+    if not rv_raw or not fa_raw:
+        raise DataError(_EMPTY_DATASET)
 
-    # 2. resample both parts; an arrival keeps its first failure
-    rv_done = _resample_parts(rv_raw, config.t_v, failed)
-    fa_done = _resample_parts(fa_raw, config.t_f - n_lead, failed)
+    # 2. resample each segment's parts in one call
+    rv_times, rv_points, rv_rejected = preprocess.pchip_resample(
+        *zip(*rv_raw.values()), config.t_v)
+    fa_times, fa_points, fa_rejected = preprocess.pchip_resample(
+        *zip(*fa_raw.values()), config.t_f - n_lead)
+    rv_row, fa_row = ({a: row for row, a in enumerate(raw)} for raw in (rv_raw, fa_raw))
 
-    # 3. final-approach rows, and every exclusion in arrival order. Step 5
-    # cannot fail: a radar-vector part runs from outside the threshold to
-    # inside it
-    retained = 0
-    rv_parts, rv_keys, fa_rows, fa_meta, too_short = [], [], [], [], []
-    for a, (flight, _) in enumerate(arrivals):
-        rv, fa = rv_done.get(a), fa_done.get(a)
-        if a not in failed and fa is not None:
-            fa_times, fa_points = fa
-            if n_lead:
-                fa_times = np.concatenate([rv[0][-n_lead - 1:-1], fa_times])
-                fa_points = np.concatenate([rv[1][-n_lead - 1:-1], fa_points])
-            try:
-                fa = preprocess.build_deviation_vector(
-                    fa_times, fa_points, iap_traj)
-            except ValueError as exc:
-                failed[a] = str(exc)
-        if a in failed:
-            exclusions.append({"flight": flight.id, "reason": failed[a]})
-            continue
-        retained += 1
-        key = {"flight_id": flight.id,
-               "arrival_time": float(flight.points[-1, 0])}
-        if rv is None:
-            too_short.append({"flight": flight.id,
-                              "reason": "radar-vector segment too short"})
-        else:
-            rv_parts.append(rv)
-            rv_keys.append(key)
-        if fa is None:
-            too_short.append({"flight": flight.id,
-                              "reason": "final-approach segment too short"})
-        else:
-            fa_rows.append(fa)
-            fa_meta.append({**key, "procedure": iap_traj.procedure})
-    exclusions += too_short
-    if not rv_parts or not fa_rows:
-        raise DataError("ingest produced an empty deviation dataset")
+    # 3. final-approach rows of every part
+    if n_lead:
+        lead = [rv_row[a] for a in fa_raw]
+        fa_times = np.concatenate([rv_times[lead, -n_lead - 1:-1], fa_times], axis=1)
+        fa_points = np.concatenate([rv_points[lead, -n_lead - 1:-1], fa_points],
+                                   axis=1)
+    fa_rows, fa_invalid = preprocess.build_deviation_vector(
+        fa_times, fa_points, iap_traj.points)
+    # an arrival keeps its first failure
+    for raw, rejected in ((rv_raw, rv_rejected), (fa_raw, fa_rejected),
+                          (fa_raw, fa_invalid)):
+        arrivals_of = list(raw)
+        for row, message in rejected.items():
+            failed.setdefault(arrivals_of[row], message)
+
+    # every exclusion in arrival order, then each part too short to resample
+    kept = [a for a in range(len(arrivals)) if a not in failed]
+    exclusions += [{"flight": arrivals[a][0].id, "reason": failed[a]}
+                   for a in sorted(failed)]
+    exclusions += [{"flight": arrivals[a][0].id, "reason": f"{part} segment too short"}
+                   for a in kept for part, rows in (("radar-vector", rv_row),
+                                                    ("final-approach", fa_row))
+                   if a not in rows]
+    rv_ids, fa_ids = ([a for a in kept if a in rows] for rows in (rv_row, fa_row))
+    if not rv_ids or not fa_ids:
+        raise DataError(_EMPTY_DATASET)
+    keys = {a: {"flight_id": arrivals[a][0].id,
+                "arrival_time": float(arrivals[a][0].points[-1, 0])} for a in kept}
 
     # 4. nearest radar-vector procedure of every part, in one call
-    assigned = preprocess.assign_procedures(
-        np.stack([points for _, points in rv_parts]), rv_trajs)
+    take = [rv_row[a] for a in rv_ids]
+    rv_times, rv_points = rv_times[take], rv_points[take]
+    procs = [rv_trajs[j] for j in preprocess.assign_procedures(rv_points, rv_trajs)]
 
-    # 5. radar-vector deviations from the assigned procedures
-    procs = [rv_trajs[j] for j in assigned]
-    rv_rows = [preprocess.build_deviation_vector(*rv, proc)
-               for rv, proc in zip(rv_parts, procs)]
-    rv_meta = [{**key, "procedure": proc.procedure}
-               for key, proc in zip(rv_keys, procs)]
-
-    for segment, rows, meta in zip(_segments(config), (rv_rows, fa_rows),
-                                   (rv_meta, fa_meta)):
-        write_deviation_dataset(segment.dataset, np.stack(rows), segment.kind,
+    # 5. radar-vector deviations from the assigned procedures. Each part
+    # runs from beyond the threshold to inside it, so none is rejected
+    rv_rows, rejected = preprocess.build_deviation_vector(
+        rv_times, rv_points, np.stack([proc.points for proc in procs]))
+    if rejected:
+        raise ValueError(f"radar-vector rows rejected: {rejected}")
+    rv_meta = [{**keys[a], "procedure": proc.procedure}
+               for a, proc in zip(rv_ids, procs)]
+    fa_meta = [{**keys[a], "procedure": iap_traj.procedure} for a in fa_ids]
+    for segment, rows, meta in zip(
+            _segments(config), (rv_rows, fa_rows[[fa_row[a] for a in fa_ids]]),
+            (rv_meta, fa_meta)):
+        write_deviation_dataset(segment.dataset, rows, segment.kind,
                                 segment.length, meta)
     write_json(config.out_dir / "ingest_report.json", {
         "flights_parsed": len(flights), "parse_errors": parse_errors,
-        "arrivals_retained": retained, "rv_rows": len(rv_rows),
-        "fa_rows": len(fa_rows), "exclusions": exclusions})
+        "arrivals_retained": len(kept), "rv_rows": len(rv_ids),
+        "fa_rows": len(fa_ids), "exclusions": exclusions})
     return EXIT_OK
 
 
@@ -551,13 +508,15 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
 def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None,
                      samples: int) -> int:
     """Extract nominal radar-vector paths and write the curated subset."""
-    flights, parse_errors = parse_tracks(config.tracks)
-    _log_parse_errors(parse_errors)
-    tracks = [track for _, track in
-              _classify_arrivals(flights, config.airspace)[0]]
+    arrivals = _read_arrivals(config)[2]
     rng = substream(config.seed, "review-paths")
-    paths = procedures.extract_nominal_paths(
-        tracks, k, config.airspace, samples=samples, rng=rng)
+    paths, dropped = procedures.extract_nominal_paths(
+        [track for _, track in arrivals], k, config.airspace, samples=samples,
+        rng=rng)
+    if dropped:
+        logger.warning("review-paths: %d arrivals dropped: %s", len(dropped),
+                       "; ".join(f"{arrivals[i][0].id}: {reason}"
+                                 for i, reason in dropped.items()))
     if keep is not None:
         missing = [i for i in keep if not 0 <= i < len(paths)]
         if missing:

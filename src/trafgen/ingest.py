@@ -175,19 +175,21 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
 # ---------------------------------------------------------------------------
 # ENU trajectories and classification
 
-def flight_to_enu(flight: Flight, config: AirspaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """ENU trajectory of a flight as (times, positions (n, 3)).
-
-    Only points within the configured horizontal radius are kept and times
-    are rebased to the first kept point.
+def flight_to_enu(flights: list[Flight], config: AirspaceConfig,
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """ENU trajectory of every flight as (times, positions (n, 3)), from one
+    conversion of all their points. Only points within the configured
+    horizontal radius are kept and times are rebased to the first kept point.
     """
-    times, lats, lons, alts = flight.points.T
-    xyz = wgs84_to_enu(lats, lons, alts, config)
+    points = np.concatenate([f.points for f in flights] or [np.empty((0, 4))])
+    xyz = wgs84_to_enu(*points[:, 1:].T, config)
     inside = np.hypot(xyz[:, 0], xyz[:, 1]) <= config.radius_m
-    xyz, times = xyz[inside], times[inside]
-    if len(times):
-        times = times - times[0]
-    return times, xyz
+    ends = np.cumsum([len(f.points) for f in flights], dtype=int).tolist()
+    tracks = []
+    for start, end in zip([0] + ends, ends):
+        times = points[start:end, 0][inside[start:end]]
+        tracks.append((times - times[:1], xyz[start:end][inside[start:end]]))
+    return tracks
 
 
 def classify_flight(flight: Flight, config: AirspaceConfig,
@@ -197,7 +199,7 @@ def classify_flight(flight: Flight, config: AirspaceConfig,
     An arrival shows a net-decreasing range to the origin and ends below the
     landing ceiling within the landing radius; a departure is the mirror
     image; anything else is an overflight. ``track`` is the flight's
-    :func:`flight_to_enu` result, so only the in-airspace portion is used.
+    entry of :func:`flight_to_enu`, so only the in-airspace portion is used.
     Raises DataError when fewer than 2 points lie inside the airspace.
     """
     times, xyz = track

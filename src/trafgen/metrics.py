@@ -140,8 +140,8 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
     members = []
     for labels in labelings:
         labels = np.asarray(labels)
-        unique = np.unique(labels)
-        if unique.size < 2:
+        unique = sorted(set(labels.tolist()))
+        if len(unique) < 2:
             raise DataError("silhouette needs at least 2 clusters")
         members.append([labels == c for c in unique])
     m = len(data)

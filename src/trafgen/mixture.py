@@ -415,7 +415,7 @@ class ConditionalMixture:
         n = model.dimension
         if idx_a.size == 0:
             raise ValueError("observed index set is empty")
-        if len(np.unique(idx_a)) != idx_a.size:
+        if len(set(idx_a.tolist())) != idx_a.size:
             raise ValueError("observed indices repeat")
         if idx_a.min() < 0 or idx_a.max() >= n:
             raise ValueError("observed index out of range")

@@ -9,6 +9,7 @@ width check calls :func:`deviation_length`, the inverse of :func:`deviation_widt
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -20,10 +21,10 @@ if TYPE_CHECKING:
     from .procedures import ProceduralTrajectory
 
 
-def path_length(points: np.ndarray) -> float:
-    """Total polyline length (sum of consecutive segment lengths)."""
+def path_length(points: np.ndarray):
+    """Total length of a (T, d) polyline, or of each polyline in (..., T, d)."""
     points = np.asarray(points, dtype=float)
-    return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
+    return np.linalg.norm(np.diff(points, axis=-2), axis=-1).sum(axis=-1)
 
 
 # Upper bound on the working arrays of one chunk of dtw_distances or
@@ -226,49 +227,96 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray, left: np.ndarray,
     return d
 
 
-def pchip_resample(times, values, count: int) -> tuple[np.ndarray, np.ndarray]:
+# knots per resampling chunk, which bounds its working arrays to about 10 MB
+RESAMPLE_BATCH_KNOTS = 1 << 15
+
+
+def _first_failures(checks) -> dict[int, str]:
+    """Each row that a ``(rows, message)`` check names, mapped to the
+    message of the first check that names it."""
+    rejected: dict[int, str] = {}
+    for rows, message in checks:
+        for row in rows.tolist():
+            rejected.setdefault(row, message)
+    return rejected
+
+
+def pchip_resample(times, values, count: int):
     """Resample timed sequences to ``count`` equally spaced times each.
 
-    ``times`` (n,) with ``values`` (n, ...) is one sequence of n knots, and
-    gives (count,) times with (count, ...) values. A batch is B sequences:
-    ``times`` a list of B arrays (or a (B, n) array) and ``values`` the list
-    of their values, of any knot counts but one trailing shape; it gives
-    (B, count) times with (B, count, ...) values. One sequence is the batch
-    of one. Each coordinate is interpolated independently as a monotone
+    A batch is B sequences: ``times`` a list of B arrays (or a (B, n) array)
+    and ``values`` the list of their values, of any knot counts but one
+    trailing shape. It gives (B, count) times, (B, count, ...) values and
+    ``rejected``, which maps each row that fails a check (fewer than 2
+    knots, times not strictly increasing, then scipy's, with scipy's
+    messages) to its message; that row's outputs are NaN. One sequence,
+    ``times`` (n,) with ``values`` (n, ...), is the batch of one: it gives
+    (count,) times with (count, ...) values, or raises ValueError with the
+    message. Each coordinate is interpolated independently as a monotone
     piecewise cubic Hermite function of time, so resampled coordinates never
     overshoot the data on monotone intervals. Every row goes through the
     operations of scipy's ``PchipInterpolator`` in their order, so each is
-    bitwise equal to scipy on that row alone. A row that fails a check
-    rejects the whole batch.
+    bitwise equal to scipy on that row alone, in whichever chunk of up to
+    ``RESAMPLE_BATCH_KNOTS`` knots (or one longer row) it is resampled.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    single = len(times) == 0 or np.ndim(times[0]) == 0
+    single = np.ndim(times[0]) == 0 if len(times) else isinstance(times, np.ndarray)
     if single:
         times, values = [times], [values]
-    knots = np.array([len(row) for row in times])
-    if not knots.size or knots.min() < 2:
-        raise ValueError("need at least 2 samples")
-    # the rows' knots one after another; interval j runs from knot left[j],
-    # and row r's intervals run from first[r] to last[r]
-    x = np.concatenate(times, dtype=float)
+    knots = np.array([len(row) for row in times], dtype=int)
+    lengths = np.array([len(row) for row in values], dtype=int)
+    trailing = np.shape(values[0])[1:] if len(knots) else ()
+    new_times = np.full((len(knots), count), np.nan)
+    res = np.full((len(knots), count) + trailing, np.nan)
+    rejected: dict[int, str] = {}
+    keep, rows = np.ones(len(knots), dtype=bool), np.arange(len(knots))
+    ends, start = np.cumsum(knots), 0
+    while start < len(knots):
+        # the rows from start that fit in one chunk, or the row alone
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - knots[start] + RESAMPLE_BATCH_KNOTS, "right")))
+        part = slice(start, stop)
+        x = np.concatenate(times[part], dtype=float)
+        y = np.concatenate(values[part], dtype=float)
+        y = y.reshape(len(y), math.prod(y.shape[1:]))
+        # the row of each knot and of each value; knots i and i + 1 of a row
+        row, value_row = (np.repeat(rows[part], n[part]) for n in (knots, lengths))
+        pair = np.flatnonzero(row[1:] == row[:-1])
+        found = _first_failures((
+            (rows[part][knots[part] < 2], "need at least 2 samples"),
+            (row[pair[x[pair + 1] - x[pair] <= 0]], "times must be strictly increasing"),
+            (rows[part][lengths[part] != knots[part]],
+             "The length of `y` along `axis`=0 doesn't match the length of `x`"),
+            (row[~np.isfinite(x)], "`x` must contain only finite values."),
+            (value_row[~np.isfinite(y).all(axis=1)],
+             "`y` must contain only finite values.")))
+        rejected.update(found)
+        keep[list(found)] = False
+        kept = rows[part][keep[part]]
+        if kept.size:
+            new_times[kept], kept_values = _pchip_rows(
+                x[keep[row]], y[keep[value_row]], knots[kept], count)
+            res[kept] = kept_values.reshape((-1, count) + trailing)
+        start = stop
+    if not single:
+        return new_times, res, rejected
+    if rejected:
+        raise ValueError(rejected[0])
+    return new_times[0], res[0]
+
+
+def _pchip_rows(x: np.ndarray, y: np.ndarray, knots: np.ndarray,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, count) times and (B, count, c) values of B rows that pass every
+    check, their knots end to end in ``x`` with their values ``y`` (n, c)."""
+    # interval j runs from knot left[j], and row r's intervals run from
+    # first[r] to last[r]
     rows = len(knots)
     left = np.arange(len(x) - rows) + np.repeat(np.arange(rows), knots - 1)
     first = np.cumsum(knots - 1) - (knots - 1)
     last = first + knots - 2
     h = (x[left + 1] - x[left])[:, None]
-    if np.any(h <= 0):
-        raise ValueError("times must be strictly increasing")
-    # scipy's checks and messages, which ingest reports per excluded flight
-    if [len(row) for row in values] != knots.tolist():
-        raise ValueError("The length of `y` along `axis`=0 doesn't match "
-                         "the length of `x`")
-    if not np.isfinite(x).all():
-        raise ValueError("`x` must contain only finite values.")
-    values = np.concatenate(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("`y` must contain only finite values.")
-    y = values.reshape(len(x), -1)
     slope = (y[left + 1] - y[left]) / h
     d = _pchip_slopes(h, slope, left, first, last)
     t = (d[left] + d[left + 1] - 2 * slope) / h
@@ -287,8 +335,7 @@ def pchip_resample(times, values, count: int) -> tuple[np.ndarray, np.ndarray]:
     res += d[knot] * s
     res += square[interval] * (s * s)
     res += cubic[interval] * ((s * s) * s)
-    res = res.reshape((rows, count) + values.shape[1:])
-    return (new_times[0], res[0]) if single else (new_times, res)
+    return new_times, res
 
 
 def _linspace_rows(start: np.ndarray, stop: np.ndarray, count: int) -> np.ndarray:
@@ -305,13 +352,12 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, count: int) -> np.ndarra
     return out
 
 
-def _check_positive(tau: np.ndarray) -> None:
-    """InvalidDeviation unless the deviation vector's transit time and total
-    distance are positive."""
-    if tau[0] <= 0:
-        raise InvalidDeviation("transit_time must be positive")
-    if tau[1] <= 0:
-        raise InvalidDeviation("total_distance must be positive")
+def _deviation_rejects(rows: np.ndarray) -> dict[int, str]:
+    """:func:`_first_failures` of deviation vectors (B, 3T + 2): a transit
+    time, then a total distance, that is not positive."""
+    return _first_failures(
+        ((np.flatnonzero(rows[:, 0] <= 0), "transit_time must be positive"),
+         (np.flatnonzero(rows[:, 1] <= 0), "total_distance must be positive")))
 
 
 def deviation_width(t_len: int, *, pair: bool = False) -> int:
@@ -342,20 +388,19 @@ def deviation_length(width: int | list[int], what: str, symbol: str = "T", *,
 
 
 def build_deviation_vector(times: np.ndarray, points: np.ndarray,
-                           proc: "ProceduralTrajectory") -> np.ndarray:
-    """Deviation vector (3T + 2,) of a resampled trajectory against a
-    procedural one."""
-    points = np.asarray(points, dtype=float)
-    if points.shape != proc.points.shape:
-        raise ValueError(
-            f"trajectory shape {points.shape} does not match procedural "
-            f"trajectory shape {proc.points.shape}"
-        )
-    times = np.asarray(times, dtype=float)
-    tau = np.concatenate(([times[-1] - times[0], path_length(points)],
-                          (points - proc.points).ravel()))
-    _check_positive(tau)
-    return tau
+                           proc_points: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Deviation vectors (B, 3T + 2) of resampled trajectories, times (B, T)
+    with points (B, T, 3), against procedural points (T, 3) or (B, T, 3),
+    and ``rejected``, which maps each row whose transit time or total
+    distance is not positive to that message."""
+    times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=float)
+    if points.shape[-2:] != np.shape(proc_points)[-2:]:
+        raise ValueError(f"trajectory shape {points.shape} does not match "
+                         f"procedural trajectory shape {np.shape(proc_points)}")
+    offsets = points - proc_points
+    rows = np.column_stack([times[:, -1] - times[:, 0], path_length(points),
+                            offsets.reshape(len(offsets), math.prod(offsets.shape[1:]))])
+    return rows, _deviation_rejects(rows)
 
 
 def reconstruct_trajectory(tau: np.ndarray, proc: "ProceduralTrajectory",
@@ -370,7 +415,8 @@ def reconstruct_trajectory(tau: np.ndarray, proc: "ProceduralTrajectory",
     count = proc.points.shape[0]
     if tau.shape != (deviation_width(count),):
         raise ValueError("deviation count does not match procedural length")
-    _check_positive(tau)
+    if rejected := _deviation_rejects(tau[None]):
+        raise InvalidDeviation(rejected[0])
     points = proc.points + tau[2:].reshape(count, 3)
     transit = tau[0] / tau[1] * proc.total_distance
     times = np.linspace(0.0, transit, count)

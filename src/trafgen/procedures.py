@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from ._cluster import kmeans
 from ._files import read_yaml, write_text
@@ -93,6 +92,7 @@ def _procedures_from_documents(docs: list) -> list[Procedure]:
 
 
 def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
+    import yaml  # only the commands that write procedure files load it
     docs = [{
         "name": proc.name,
         "kind": proc.kind.value,
@@ -111,30 +111,28 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
                           config: AirspaceConfig, *,
                           samples: int = 100,
                           rng: np.random.Generator | int | None = None,
-                          ) -> list[Procedure]:
+                          ) -> tuple[list[Procedure], dict[int, str]]:
     """Cluster arrival tracks into ``k`` nominal radar-vector paths.
 
     Tracks are ENU ``(times, xyz)`` pairs as :func:`flight_to_enu` returns
-    them. They are resampled to a common length and clustered with k-means
-    (k-means++ seeding, best of ``KMEANS_RESTARTS``) on flattened horizontal
-    positions. Cluster means become waypoint lists of ``WAYPOINT_COUNT``
-    evenly spread points (all ``samples`` points when there are fewer);
-    frequency is the cluster membership fraction. The caller curates which
-    paths to keep. Raises DataError when there are fewer than ``k`` tracks.
+    them. They are resampled to a common length in one call and clustered
+    with k-means (k-means++ seeding, best of ``KMEANS_RESTARTS``) on
+    flattened horizontal positions. Cluster means become waypoint lists of
+    ``WAYPOINT_COUNT`` evenly spread points (all ``samples`` points when
+    there are fewer); frequency is the cluster membership fraction. Returns
+    the paths, and the tracks resampling rejects as ``pchip_resample`` maps
+    them; those are dropped. The caller curates which paths to keep. Raises
+    DataError when fewer than ``k`` tracks remain.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(tracks) < k:
-        raise DataError(f"only {len(tracks)} arrivals for k={k} nominal paths")
+    _, resampled, dropped = pchip_resample(
+        [times for times, _ in tracks], [xyz[:, :2] for _, xyz in tracks], samples)
+    kept = [i for i in range(len(tracks)) if i not in dropped]
+    if len(kept) < k:
+        raise DataError(f"only {len(kept)} arrivals for k={k} nominal paths")
     rng = np.random.default_rng(rng)
-
-    rows = []
-    for i, (times, xyz) in enumerate(tracks):
-        if len(times) < 2:
-            raise DataError(f"track {i} has no usable airspace points")
-        _, resampled = pchip_resample(times, xyz[:, :2], samples)
-        rows.append(resampled.ravel())
-    data = np.asarray(rows)
+    data = resampled[kept].reshape(len(kept), -1)
 
     result = kmeans(data, k, rng, restarts=KMEANS_RESTARTS)
     procedures = []
@@ -152,7 +150,7 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
             waypoints=[(float(la), float(lo), None) for la, lo in zip(lat, lon)],
             frequency=float(member.mean()),
         ))
-    return procedures
+    return procedures, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +170,6 @@ def build_procedural_trajectory(proc: Procedure, count: int,
     The path is a monotone cubic interpolation through the waypoints,
     sampled at equal steps of the chord-length parameter.
     """
-    if count < 2:
-        raise ValueError("count must be >= 2")
     wps = waypoints_to_enu(proc, config)
     seg_len = np.linalg.norm(np.diff(wps, axis=0), axis=1)
     if np.any(seg_len == 0):

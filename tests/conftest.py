@@ -5,6 +5,7 @@ import pytest
 
 from trafgen.ingest import AirspaceConfig, Flight
 from trafgen.mixture import GaussianComponent, MixtureModel, compress_model
+from trafgen.preprocess import build_deviation_vector
 from trafgen.procedures import ProceduralTrajectory
 
 
@@ -18,6 +19,14 @@ def airspace():
 def make_flight(flight_id, times, lats, lons, alts):
     points = np.column_stack([times, lats, lons, alts]).astype(float)
     return Flight(id=flight_id, points=points)
+
+
+def one_deviation(times, points, proc_points):
+    """The deviation vector of one trajectory, which must not be rejected."""
+    rows, rejected = build_deviation_vector(
+        np.asarray(times)[None], np.asarray(points)[None], proc_points)
+    assert rejected == {}
+    return rows[0]
 
 
 def make_proc_traj(points, name="PROC"):

@@ -26,7 +26,7 @@ from trafgen.preprocess import (build_deviation_vector, dtw_distances,
 from trafgen.units import FT_TO_M, NM_TO_M
 
 import corpus
-from conftest import make_proc_traj, ppca
+from conftest import make_proc_traj, one_deviation, ppca
 from oracles import dense_covariance, dtw_brute_force, mc_conditional_moments, \
     psd_factor, scene_covariance, silhouette_brute_force
 
@@ -211,7 +211,7 @@ def test_criterion_07_round_trip_exactness():
         times[0] = 0.0
         times += np.arange(t_len) * 1e-3
         points = base + rng.normal(scale=400.0, size=(t_len, 3))
-        tau = build_deviation_vector(times, points, proc)
+        tau = one_deviation(times, points, proc.points)
         proc.total_distance = tau[1]  # d' = tau_2
         rec_times, rec_points = reconstruct_trajectory(tau, proc)
         assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
@@ -335,8 +335,9 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
     draws = np.empty((n_scenes, 2 * d + 1))
     for i in range(n_scenes):
         scene = generate_scene(params, [proc, proc], rng)
-        tau1 = build_deviation_vector(*scene.trajectories[0], proc)
-        tau2 = build_deviation_vector(*scene.trajectories[1], proc)
+        (tau1, tau2), rejected = build_deviation_vector(
+            *map(np.stack, zip(*scene.trajectories)), proc.points)
+        assert rejected == {}
         draws[i] = np.concatenate([tau1, scene.inter_arrival_times, tau2])
     comp = k1_model.components[0]
     variances = np.diag(dense_covariance(comp))

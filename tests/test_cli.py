@@ -494,29 +494,36 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
 
 
 def test_resampling_rejects_only_the_faulty_parts(monkeypatch):
-    parts = {a: (np.arange(n, dtype=float), np.arange(3.0 * n).reshape(n, 3))
-             for a, n in enumerate([5, 9, 2, 5, 7, 4, 6, 3])}
+    parts = [(np.arange(n, dtype=float), np.arange(3.0 * n).reshape(n, 3))
+             for n in [5, 9, 2, 5, 7, 4, 6, 3, 1, 3]]
     parts[2] = (np.array([0.0, 0.0]), np.zeros((2, 3)))
     parts[5] = (np.arange(4.0), np.full((4, 3), np.nan))
-    failed = {2: "rejected before resampling"}
-    calls = []
-    original = preprocess.pchip_resample
-
-    def counting(times, values, count):
-        calls.append(len(times))
-        return original(times, values, count)
-
-    monkeypatch.setattr(preprocess, "pchip_resample", counting)
-    monkeypatch.setattr(cli, "RESAMPLE_BATCH_KNOTS", 30)
-    done = cli._resample_parts(parts, 7, failed)
-    assert failed == {2: "rejected before resampling",
-                      5: "`y` must contain only finite values."}
-    assert sorted(done) == [0, 1, 3, 4, 6, 7]
-    # batches of at most 30 knots, each rejected one split in halves
-    assert calls == [5, 2, 3, 1, 2, 3, 1, 2]
-    for a in done:
-        for got, want in zip(done[a], original(*parts[a], 7)):
-            assert_bitwise(got, want)
+    parts[8] = (np.array([0.0]), np.zeros((1, 3)))
+    parts[9] = (np.arange(3.0), np.zeros((2, 3)))
+    times, values = [t for t, _ in parts], [v for _, v in parts]
+    got_times, got, rejected = preprocess.pchip_resample(times, values, 7)
+    assert rejected == {2: "times must be strictly increasing",
+                        5: "`y` must contain only finite values.",
+                        8: "need at least 2 samples",
+                        9: "The length of `y` along `axis`=0 doesn't match "
+                           "the length of `x`"}
+    # each rejection is the message its row raises alone
+    for row, message in rejected.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            preprocess.pchip_resample(*parts[row], 7)
+    assert np.isnan(got_times[list(rejected)]).all()
+    assert np.isnan(got[list(rejected)]).all()
+    kept = [row for row in range(len(parts)) if row not in rejected]
+    for row in kept:
+        for out, want in zip((got_times[row], got[row]),
+                             preprocess.pchip_resample(*parts[row], 7)):
+            assert_bitwise(out, want)
+    # chunks of at most 12 knots give the rows of one chunk, bit for bit
+    monkeypatch.setattr(preprocess, "RESAMPLE_BATCH_KNOTS", 12)
+    chunked = preprocess.pchip_resample(times, values, 7)
+    assert chunked[2] == rejected
+    for out, want in zip(chunked[:2], (got_times, got)):
+        assert_bitwise(out, want)
 
 
 def test_ingest_converts_each_flight_to_enu_once(tmp_path, monkeypatch):
@@ -525,14 +532,14 @@ def test_ingest_converts_each_flight_to_enu_once(tmp_path, monkeypatch):
     calls = []
     original = ingest.flight_to_enu
 
-    def counting(flight, config, *args, **kwargs):
-        calls.append(flight.id)
-        return original(flight, config, *args, **kwargs)
+    def counting(flights, config):
+        calls.append([flight.id for flight in flights])
+        return original(flights, config)
 
     for module in (ingest, cli):
         monkeypatch.setattr(module, "flight_to_enu", counting)
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
-    assert sorted(calls) == [f"AC{i:05d}" for i in range(8)]
+    assert calls == [[f"AC{i:05d}" for i in range(8)]]
 
 
 def test_parse_errors_are_logged_once_and_reported_in_full(tmp_path, caplog):
@@ -649,6 +656,39 @@ def test_review_paths_writes_kept_subset(pipeline):
     assert len(kept) == 1
     assert kept[0].kind.value == "radar_vector"
     assert len(kept[0].waypoints) == 25
+
+
+def test_review_paths_drops_the_tracks_ingest_excludes(tmp_path, caplog):
+    # Z7 as in test_ingest_exclusions_keep_flight_order: its first sample
+    # dated 1e19 s early leaves times that resampling rejects
+    runs = {}
+    for name in ("with_z7", "without_z7"):
+        config_path = corpus.write_corpus(tmp_path / name, n_flights=12, seed=0)
+        if name == "with_z7":
+            tracks = tmp_path / name / "tracks.csv"
+            lines = tracks.read_text(encoding="utf-8").splitlines()
+            write_enu_flight(lines, "Z7", 9600.0, straight_track(
+                [16000.0, 16000.0, 900.0], [0.0, 0.0, 3.0]))
+            flight_id, _, rest = lines[-30].split(",", 2)
+            lines[-30] = f"{flight_id},-1e19,{rest}"
+            tracks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="trafgen.cli"):
+            assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+            assert run(["--config", str(config_path), "review-paths",
+                        "--k", "2"]) == EXIT_OK
+        runs[name] = [r.getMessage() for r in caplog.records
+                      if r.levelno == logging.WARNING]
+    report = json.loads(
+        (tmp_path / "with_z7" / "out" / "ingest_report.json").read_text())
+    assert {"flight": "Z7", "reason": "times must be strictly increasing"} \
+        in report["exclusions"]
+    assert runs == {"with_z7": ["review-paths: 1 arrivals dropped: Z7: times "
+                                "must be strictly increasing"],
+                    "without_z7": []}
+    paths = [(tmp_path / name / "out" / "nominal_paths.yaml").read_bytes()
+             for name in runs]
+    assert paths[0] == paths[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1113,6 +1153,33 @@ def test_only_select_loads_scipy(tmp_path):
         f"import json, sys, scipy.spatial; print(json.dumps({LOADED_SCIPY}))")
     assert "scipy.spatial.distance" in select
     assert set(select) <= set(spatial)
+
+
+def test_only_procedure_commands_load_yaml(tmp_path):
+    # nor does a command that learns load numpy.ma (np.unique imports it),
+    # where importing numpy does not load it already
+    config_path = corpus.write_corpus(tmp_path, n_flights=60, seed=0,
+                                      explicit_choice=True)
+    for args in (["ingest"], ["train"], ["generate", "--count", "5"]):
+        assert run(["--config", str(config_path), *args]) == EXIT_OK
+    synthetic = str(tmp_path / "out" / "trajectories.csv")
+    stages = [["select"], ["train"], ["train-pairwise"],
+              ["evaluate", "--actual", synthetic, "--synthetic", synthetic]]
+    loaded = "['yaml' in sys.modules, 'numpy.ma' in sys.modules]"
+    code = (
+        "import json, sys, numpy\n"
+        "numpy_ma = 'numpy.ma' in sys.modules\n"
+        "from trafgen.cli import run\n"
+        f"loaded = [['import', 0, {loaded}]]\n"
+        f"for args in {stages!r}:\n"
+        f"    code = run(['--config', {str(config_path)!r}, *args])\n"
+        f"    loaded.append([args[0], code, {loaded}])\n"
+        "print(json.dumps([numpy_ma, loaded]))\n")
+    numpy_ma, loaded = scipy_modules_after(code)
+    assert [entry[:2] for entry in loaded] == [["import", 0]] + [
+        [args[0], EXIT_OK] for args in stages]
+    assert [yaml for _, _, (yaml, _) in loaded] == [False] * 5
+    assert [ma for _, _, (_, ma) in loaded[:4]] == [numpy_ma] * 4
 
 
 def test_module_entry_point_exit_codes(tmp_path):

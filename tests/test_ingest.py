@@ -14,7 +14,8 @@ from trafgen.ingest import (AirspaceConfig, FlightClass, classify_flight,
                             wgs84_to_enu)
 from trafgen.units import FT_TO_M, NM_TO_M
 
-from conftest import make_flight
+import corpus
+from conftest import assert_bitwise, make_flight
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def reverse_flight(flight):
 
 
 def classify(flight, airspace):
-    return classify_flight(flight, airspace, flight_to_enu(flight, airspace))
+    return classify_flight(flight, airspace, flight_to_enu([flight], airspace)[0])
 
 
 def test_spiral_in_is_arrival(airspace):
@@ -345,6 +346,21 @@ def test_airspace_config_rejects_nonpositive_radius():
         AirspaceConfig(origin_lat=0.0, origin_lon=0.0, radius_nm=-1.0)
 
 
+def test_flight_to_enu_of_a_corpus_equals_per_flight_conversion(tmp_path):
+    corpus.write_corpus(tmp_path, n_flights=200, seed=3)
+    flights, _ = parse_tracks(tmp_path / "tracks.csv")
+    tracks = flight_to_enu(flights, corpus.AIRSPACE)
+    assert len(tracks) == len(flights) == 200
+    for flight, (times, xyz) in zip(flights, tracks):
+        # the flight converted alone, clipped to the airspace and rebased
+        want_times, lats, lons, alts = flight.points.T
+        want_xyz = wgs84_to_enu(lats, lons, alts, corpus.AIRSPACE)
+        inside = np.hypot(want_xyz[:, 0], want_xyz[:, 1]) <= corpus.AIRSPACE.radius_m
+        assert_bitwise(times, want_times[inside] - want_times[inside][0])
+        assert_bitwise(xyz, want_xyz[inside])
+    assert flight_to_enu([], corpus.AIRSPACE) == []
+
+
 def test_flight_to_enu_clips_and_rebases(airspace):
     n = 30
     x = np.linspace(-30.0, 0.0, n) * NM_TO_M  # starts outside 25 NM
@@ -352,7 +368,7 @@ def test_flight_to_enu_clips_and_rebases(airspace):
     z = np.full(n, 3000.0 * FT_TO_M)
     lat, lon, alt = enu_to_wgs84(np.column_stack([x, y, z]), airspace)
     flight = make_flight("clip", np.arange(n) * 10.0, lat, lon, alt)
-    times, xyz = flight_to_enu(flight, airspace)
+    (times, xyz), = flight_to_enu([flight], airspace)
     assert len(times) < n
     assert times[0] == 0.0
     assert np.all(np.hypot(xyz[:, 0], xyz[:, 1]) <= airspace.radius_m + 1e-6)

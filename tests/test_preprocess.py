@@ -14,7 +14,7 @@ from trafgen.preprocess import (assign_procedures, build_deviation_vector,
                                 point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
-from conftest import assert_bitwise, make_proc_traj
+from conftest import assert_bitwise, make_proc_traj, one_deviation
 from oracles import (dtw_brute_force, dtw_loop, local_cost_stacked,
                      pchip_resample_scipy, point_to_polyline_distance_stacked)
 
@@ -376,7 +376,8 @@ def test_pchip_batches_match_scipy_bitwise_row_by_row(mixed):
     assert mixed == any(len({len(t) for t in times}) > 1
                         for (times, _), _ in batches)
     for (times, values), count in batches:
-        got_times, got = pchip_resample(times, values, count)
+        got_times, got, rejected = pchip_resample(times, values, count)
+        assert rejected == {}
         assert got_times.shape == (len(times), count)
         assert got.shape == (len(times), count) + values[0].shape[1:]
         for row in range(len(times)):
@@ -459,7 +460,7 @@ def test_pchip_rejects_duplicate_times():
 def test_deviation_zero_case():
     proc = straight_proc(0.0, n=10)
     times = np.linspace(0.0, STRAIGHT_TRANSIT_S, 10)
-    tau = build_deviation_vector(times, proc.points, proc)
+    tau = one_deviation(times, proc.points, proc.points)
     assert np.allclose(tau[2:], 0.0)
     assert tau[0] == pytest.approx(STRAIGHT_TRANSIT_S)
     assert tau[1] == pytest.approx(proc.total_distance)
@@ -468,8 +469,8 @@ def test_deviation_zero_case():
 def test_deviation_translation_shows_in_dx_only():
     proc = straight_proc(0.0, n=10)
     shifted = proc.points + np.array([100.0, 0.0, 0.0])
-    tau = build_deviation_vector(np.linspace(0.0, STRAIGHT_TRANSIT_S, 10),
-                                 shifted, proc)
+    tau = one_deviation(np.linspace(0.0, STRAIGHT_TRANSIT_S, 10), shifted,
+                        proc.points)
     deviations = tau[2:].reshape(10, 3)
     assert np.allclose(deviations[:, 0], 100.0)
     assert np.allclose(deviations[:, 1:], 0.0)
@@ -478,8 +479,8 @@ def test_deviation_translation_shows_in_dx_only():
 def test_deviation_length_mismatch_rejected():
     proc = straight_proc(0.0, n=10)
     with pytest.raises(ValueError):
-        build_deviation_vector(np.linspace(0.0, STRAIGHT_TRANSIT_S, 5),
-                               proc.points[:5], proc)
+        build_deviation_vector(np.linspace(0.0, STRAIGHT_TRANSIT_S, 5)[None],
+                               proc.points[None, :5], proc.points)
 
 
 def test_round_trip_is_exact_inverse():
@@ -487,7 +488,7 @@ def test_round_trip_is_exact_inverse():
     proc = straight_proc(0.0, n=12)
     times = np.linspace(0.0, 600.0, 12)
     points = proc.points + rng.normal(scale=300.0, size=(12, 3))
-    tau = build_deviation_vector(times, points, proc)
+    tau = one_deviation(times, points, proc.points)
     # round trip is exact when the procedural distance equals tau_2
     proc_same_length = make_proc_traj(proc.points, name="SAME")
     proc_same_length.total_distance = tau[1]
@@ -519,20 +520,45 @@ def test_deviation_vector_array_round_trip():
     rng = np.random.default_rng(4)
     proc = straight_proc(0.0, n=7)
     points = proc.points + rng.normal(size=(7, 3))
-    tau = build_deviation_vector(np.linspace(0.0, 432.0, 7), points, proc)
+    tau = one_deviation(np.linspace(0.0, 432.0, 7), points, proc.points)
     assert tau[0] == 432.0
     assert tau[1] == path_length(points)
     assert np.array_equal(tau[2:].reshape(7, 3), points - proc.points)
     assert tau.size == 3 * 7 + 2
 
 
+@pytest.mark.parametrize("t_len", [40, 350])
+def test_batched_deviation_vectors_equal_row_by_row(t_len):
+    rng = np.random.default_rng(t_len)
+    rows = 9
+    times = np.sort(rng.uniform(0.0, 900.0, size=(rows, t_len)), axis=1)
+    points = rng.normal(scale=3000.0, size=(rows, t_len, 3)).cumsum(axis=1)
+    procs = rng.normal(scale=3000.0, size=(rows, t_len, 3)).cumsum(axis=1)
+    times[3] = 5.0                       # no transit time
+    points[5] = points[5, :1]            # no distance
+    times[7], points[7] = 0.0, 0.0       # neither: the transit time counts
+    for proc_points in (procs, procs[2]):
+        got, rejected = build_deviation_vector(times, points, proc_points)
+        assert got.shape == (rows, 3 * t_len + 2)
+        assert rejected == {3: "transit_time must be positive",
+                            5: "total_distance must be positive",
+                            7: "transit_time must be positive"}
+        for row in range(rows):
+            own = proc_points if proc_points.ndim == 2 else proc_points[row]
+            # the per-row vector as one trajectory's polyline sum gives it
+            length = np.linalg.norm(np.diff(points[row], axis=0), axis=1).sum()
+            assert_bitwise(got[row], np.concatenate((
+                [times[row, -1] - times[row, 0], length],
+                (points[row] - own).ravel())))
+
+
 def test_build_rejects_nonpositive_transit_and_distance():
     proc = straight_proc(0.0, n=10)
-    with pytest.raises(ValueError, match="^transit_time must be positive$"):
-        build_deviation_vector(np.zeros(10), proc.points, proc)
-    with pytest.raises(ValueError, match="^total_distance must be positive$"):
-        build_deviation_vector(np.linspace(0.0, 300.0, 10), np.zeros((10, 3)),
-                               proc)
+    times = np.stack([np.zeros(10), np.linspace(0.0, 300.0, 10)])
+    points = np.stack([proc.points, np.zeros((10, 3))])
+    _, rejected = build_deviation_vector(times, points, proc.points)
+    assert rejected == {0: "transit_time must be positive",
+                        1: "total_distance must be positive"}
 
 
 COUNT_MISMATCH = "deviation count does not match procedural length"

@@ -29,7 +29,7 @@ def bundle_track(airspace, y_offset, duration, n=40, noise=0.0, seed=0):
     times = np.linspace(0.0, duration, n)
     flight = enu_track_flight(airspace, "bundle", times,
                               np.column_stack([x, y, z]))
-    return flight_to_enu(flight, airspace)
+    return flight_to_enu([flight], airspace)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,9 @@ def bundle_track(airspace, y_offset, duration, n=40, noise=0.0, seed=0):
 def test_single_cluster_is_pointwise_mean(airspace):
     tracks = [bundle_track(airspace, y, 400.0) for y in [-1000.0, 0.0, 1000.0]]
     samples = WAYPOINT_COUNT  # every resampled point is a waypoint
-    paths = extract_nominal_paths(tracks, 1, airspace, samples=samples, rng=0)
+    paths, dropped = extract_nominal_paths(tracks, 1, airspace, samples=samples,
+                                           rng=0)
+    assert dropped == {}
     assert len(paths) == 1
     assert paths[0].kind is ProcedureKind.RADAR_VECTOR
     assert paths[0].frequency == pytest.approx(1.0)
@@ -59,7 +61,7 @@ def test_two_bundles_recovered_within_envelopes(airspace):
     for i in range(8):
         tracks.append(bundle_track(airspace, 6000.0, 440.0, noise=150.0,
                                    seed=200 + i))
-    paths = extract_nominal_paths(tracks, 2, airspace, samples=30, rng=rng_seed)
+    paths, _ = extract_nominal_paths(tracks, 2, airspace, samples=30, rng=rng_seed)
     assert len(paths) == 2
     mean_ys = sorted(np.mean(waypoints_to_enu(p, airspace)[:, 1]) for p in paths)
     assert abs(mean_ys[0] - (-6000.0)) < 500.0
@@ -69,7 +71,7 @@ def test_two_bundles_recovered_within_envelopes(airspace):
 
 def test_identical_flights_collapse_to_common_path(airspace):
     tracks = [bundle_track(airspace, 0.0, 400.0) for _ in range(5)]
-    paths = extract_nominal_paths(tracks, 2, airspace, samples=20, rng=1)
+    paths, _ = extract_nominal_paths(tracks, 2, airspace, samples=20, rng=1)
     # every restart leaves one cluster empty; output keeps the common path
     assert len(paths) == 1
     assert paths[0].frequency == pytest.approx(1.0)
