@@ -162,11 +162,11 @@ def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSe
                         f"found {len(iaps)}")
     try:  # a repeated waypoint or all-zero frequencies
         return single_model.ProcedureSet(
-            radar_vectors=[procedures.build_procedural_trajectory(
-                p, config.t_v, config.airspace) for p in rv_procs],
+            radar_vectors=procedures.build_procedural_trajectory(
+                rv_procs, config.t_v, config.airspace),
             frequencies=[p.frequency for p in rv_procs],
             iap=procedures.build_procedural_trajectory(
-                iaps[0], config.t_f, config.airspace))
+                iaps, config.t_f, config.airspace)[0])
     except ValueError as exc:
         raise DataError(f"{config.procedures}: {exc}") from exc
 
@@ -218,14 +218,12 @@ def cmd_ingest(config: RunConfig) -> int:
     # samples before it and resamples the track FROM it, so its first
     # n_overlap samples are the tail generate conditions on
     n_lead = config.n_overlap - 1
-    failed, rv_raw, fa_raw = {}, {}, {}
-    boundaries = preprocess.segment_trajectory(
+    rv_raw, fa_raw = {}, {}
+    boundaries, failed = preprocess.segment_trajectory(
         [xyz for _, (_, xyz) in arrivals], iap_traj, threshold_m)
+    # a track that never joins has its length as boundary: no final approach
     for a, ((_, (times, xyz)), boundary) in enumerate(zip(arrivals, boundaries)):
-        if isinstance(boundary, str):
-            failed[a] = boundary
-            continue
-        if boundary >= 1:
+        if boundary >= 1 and a not in failed:
             rv_raw[a] = (times[:boundary + 1], xyz[:boundary + 1])
         if len(times) - boundary >= 2 and (boundary >= 1 or not n_lead):
             fa_raw[a] = (times[boundary:], xyz[boundary:])
@@ -443,8 +441,8 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []
     for i in range(count):
-        chosen = [rv_trajs[int(rng.choice(len(rv_trajs), p=probs))]
-                  for _ in range(n_aircraft)]
+        chosen = [rv_trajs[j]
+                  for j in rng.choice(len(rv_trajs), size=n_aircraft, p=probs)]
         sequence = [t.procedure for t in chosen]
         params = multi_model.assemble_scene_params(models, sequence, rng)
         scene = multi_model.generate_scene(params, chosen, rng)

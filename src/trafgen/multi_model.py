@@ -302,19 +302,19 @@ def generate_scene(params: SceneParams,
     n = len(params.procedure_sequence)
     if len(procedures) != n:
         raise ValueError(f"need {n} procedural trajectories, got {len(procedures)}")
+    proc_points = np.stack([proc.points for proc in procedures])
+    distances = np.array([proc.total_distance for proc in procedures])
 
     def draw():
         parts = _scene_parts(params, rng.standard_normal(params.mean.size))
         deltas = np.concatenate(parts[1::2])
         if np.any(deltas < 0):
             raise InvalidDeviation(f"negative inter-arrival time {deltas.min():g} s")
-        return deltas, [reconstruct_trajectory(part, proc)
-                        for part, proc in zip(parts[::2], procedures)]
+        return deltas, reconstruct_trajectory(np.stack(parts[::2]), proc_points,
+                                              distances)
 
-    deltas, rebuilt = redraw(draw, "scene sampling")
-    trajectories = []
-    arrival = 0.0
-    for i, (times, points) in enumerate(rebuilt):
-        arrival = times[-1] if i == 0 else arrival + deltas[i - 1]
-        trajectories.append((times + (arrival - times[-1]), points))
-    return TrafficScene(trajectories=trajectories, inter_arrival_times=deltas)
+    deltas, (times, points) = redraw(draw, "scene sampling")
+    arrivals = np.cumsum(np.concatenate([times[:1, -1], deltas]))
+    return TrafficScene(
+        trajectories=list(zip(times + (arrivals - times[:, -1])[:, None], points)),
+        inter_arrival_times=deltas)

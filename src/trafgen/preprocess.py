@@ -159,16 +159,16 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
 
 
 def segment_trajectory(tracks: Sequence[np.ndarray], iap: "ProceduralTrajectory",
-                       threshold: float) -> list[int | str]:
+                       threshold: float) -> tuple[np.ndarray, dict[int, str]]:
     """Boundary index of every track, splitting radar-vector from
-    final-approach points, or the reason a track has none.
+    final-approach points, and ``rejected``, which maps each track that
+    never joins the IAP to that message.
 
-    A track's boundary is the first index from which its horizontal
-    distance to the IAP polyline stays below ``threshold`` (meters) for the
-    rest of the track. A track whose last point is not below it never joins
-    the IAP, and gets that message instead. The points of all tracks are
-    measured in one pass, in chunks whose working arrays stay under
-    ``DTW_CHUNK_BYTES``.
+    A boundary is the first index from which the track's horizontal
+    distance to the IAP polyline stays below ``threshold`` (meters); a track
+    whose last point is not below it never joins, and its boundary is its
+    length. All points are measured in one pass, in chunks whose working
+    arrays stay under ``DTW_CHUNK_BYTES``.
     """
     counts = np.array([len(track) for track in tracks])
     if not counts.size or counts.min() < 1:
@@ -183,10 +183,10 @@ def segment_trajectory(tracks: Sequence[np.ndarray], iap: "ProceduralTrajectory"
     starts = ends - counts
     # the last index beyond the threshold in each track, or the one before it
     last = np.maximum.reduceat(np.where(beyond, np.arange(len(dist)), -1), starts)
-    boundaries = np.maximum(last, starts - 1) - starts + 1
-    return [f"trajectory never joins the final approach (last distance "
-            f"{dist[end - 1]:.0f} m >= {threshold:.0f} m)" if beyond[end - 1]
-            else boundary for boundary, end in zip(boundaries.tolist(), ends)]
+    return np.maximum(last, starts - 1) - starts + 1, {
+        row: f"trajectory never joins the final approach (last distance "
+             f"{dist[end - 1]:.0f} m >= {threshold:.0f} m)"
+        for row, end in enumerate(ends) if beyond[end - 1]}
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -242,31 +242,26 @@ def _first_failures(checks) -> dict[int, str]:
 
 
 def pchip_resample(times, values, count: int):
-    """Resample timed sequences to ``count`` equally spaced times each.
+    """Resample B timed sequences to ``count`` equally spaced times each.
 
-    A batch is B sequences: ``times`` a list of B arrays (or a (B, n) array)
-    and ``values`` the list of their values, of any knot counts but one
-    trailing shape. It gives (B, count) times, (B, count, ...) values and
-    ``rejected``, which maps each row that fails a check (fewer than 2
-    knots, times not strictly increasing, then scipy's, with scipy's
-    messages) to its message; that row's outputs are NaN. One sequence,
-    ``times`` (n,) with ``values`` (n, ...), is the batch of one: it gives
-    (count,) times with (count, ...) values, or raises ValueError with the
-    message. Each coordinate is interpolated independently as a monotone
-    piecewise cubic Hermite function of time, so resampled coordinates never
-    overshoot the data on monotone intervals. Every row goes through the
-    operations of scipy's ``PchipInterpolator`` in their order, so each is
-    bitwise equal to scipy on that row alone, in whichever chunk of up to
-    ``RESAMPLE_BATCH_KNOTS`` knots (or one longer row) it is resampled.
+    ``times`` is a list of B arrays (or a (B, n) array) and ``values`` the
+    list of their values, of any knot counts but one trailing shape. Gives
+    (B, count) times, (B, count, ...) values and ``rejected``, which maps
+    each row that fails a check (fewer than 2 knots, times not strictly
+    increasing, then scipy's, with scipy's messages) to its message; that
+    row's outputs are NaN. Each coordinate is interpolated independently as
+    a monotone piecewise cubic Hermite function of time, so resampled
+    coordinates never overshoot the data on monotone intervals. Every row
+    goes through the operations of scipy's ``PchipInterpolator`` in their
+    order, so each is bitwise equal to scipy on that row alone, in whichever
+    chunk of up to ``RESAMPLE_BATCH_KNOTS`` knots (or one longer row) it is
+    resampled.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    single = np.ndim(times[0]) == 0 if len(times) else isinstance(times, np.ndarray)
-    if single:
-        times, values = [times], [values]
     knots = np.array([len(row) for row in times], dtype=int)
     lengths = np.array([len(row) for row in values], dtype=int)
-    trailing = np.shape(values[0])[1:] if len(knots) else ()
+    trailing = np.shape(values[0])[1:] if len(knots) else np.shape(values)[2:]
     new_times = np.full((len(knots), count), np.nan)
     res = np.full((len(knots), count) + trailing, np.nan)
     rejected: dict[int, str] = {}
@@ -299,11 +294,7 @@ def pchip_resample(times, values, count: int):
                 x[keep[row]], y[keep[value_row]], knots[kept], count)
             res[kept] = kept_values.reshape((-1, count) + trailing)
         start = stop
-    if not single:
-        return new_times, res, rejected
-    if rejected:
-        raise ValueError(rejected[0])
-    return new_times[0], res[0]
+    return new_times, res, rejected
 
 
 def _pchip_rows(x: np.ndarray, y: np.ndarray, knots: np.ndarray,
@@ -403,21 +394,24 @@ def build_deviation_vector(times: np.ndarray, points: np.ndarray,
     return rows, _deviation_rejects(rows)
 
 
-def reconstruct_trajectory(tau: np.ndarray, proc: "ProceduralTrajectory",
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild a timed trajectory from a deviation vector and a procedure.
+def reconstruct_trajectory(rows: np.ndarray, proc_points: np.ndarray,
+                           total_distance) -> tuple[np.ndarray, np.ndarray]:
+    """Times (B, T) and points (B, T, 3) of deviation vectors (B, 3T + 2)
+    against procedural points (T, 3) or (B, T, 3) of total distance d' (a
+    scalar or (B,)): the inverse of :func:`build_deviation_vector`.
 
-    Positions are the procedural points plus deviations. The transit time is
-    rescaled to the procedure's length (t' = tau_1 / tau_2 * d') and
-    timestamps are spread evenly over [0, t'].
+    Points are the procedural points plus the deviations. Each row's times
+    are spread evenly over [0, t'], its transit time rescaled to the
+    procedure's length, t' = tau_1 / tau_2 * d'. A row whose transit time or
+    total distance is not positive raises InvalidDeviation with the message
+    of the first such row.
     """
-    tau = np.asarray(tau, dtype=float)
-    count = proc.points.shape[0]
-    if tau.shape != (deviation_width(count),):
+    rows = np.asarray(rows, dtype=float)
+    count = np.shape(proc_points)[-2]
+    if rows.ndim != 2 or rows.shape[1] != deviation_width(count):
         raise ValueError("deviation count does not match procedural length")
-    if rejected := _deviation_rejects(tau[None]):
-        raise InvalidDeviation(rejected[0])
-    points = proc.points + tau[2:].reshape(count, 3)
-    transit = tau[0] / tau[1] * proc.total_distance
-    times = np.linspace(0.0, transit, count)
-    return times, points
+    if rejected := _deviation_rejects(rows):
+        raise InvalidDeviation(rejected[min(rejected)])
+    points = proc_points + rows[:, 2:].reshape(len(rows), count, 3)
+    transit = rows[:, 0] / rows[:, 1] * total_distance
+    return _linspace_rows(np.zeros(len(rows)), transit, count), points

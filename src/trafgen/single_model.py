@@ -116,17 +116,18 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
 
     def draw():
         tau_rv, comp_rv = sample(model.radar_vector_model, rng)
-        rv_times, rv_points = reconstruct_trajectory(tau_rv, rv_proc)
+        (rv_times,), (rv_points,) = reconstruct_trajectory(
+            tau_rv[None], rv_proc.points, rv_proc.total_distance)
         # deviations of the trajectory tail from the IAP head (tau_a block)
         overlap_dev = (rv_points[-n_ov:] - iap.points[:n_ov]).ravel()
         tau_b, comp_fa = sample(conditional_fa(overlap_dev), rng)
         tau_fa = np.empty(model.final_approach_model.dimension)
         tau_fa[conditional_fa.observed_idx] = overlap_dev
         tau_fa[conditional_fa.free_idx] = tau_b
-        return (rv_times, rv_points, *reconstruct_trajectory(tau_fa, iap),
-                (int(comp_rv), int(comp_fa)))
+        return (rv_times, rv_points, *reconstruct_trajectory(
+            tau_fa[None], iap.points, iap.total_distance), (int(comp_rv), int(comp_fa)))
 
-    rv_times, rv_points, fa_times, fa_points, components = redraw(
+    rv_times, rv_points, (fa_times,), (fa_points,), components = redraw(
         draw, "generation")
     # Final-approach sample n_ov-1 retraces the radar-vector end, so the
     # physical time gap at the join is zero; a vanishing offset keeps

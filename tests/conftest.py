@@ -5,7 +5,8 @@ import pytest
 
 from trafgen.ingest import AirspaceConfig, Flight
 from trafgen.mixture import GaussianComponent, MixtureModel, compress_model
-from trafgen.preprocess import build_deviation_vector
+from trafgen.preprocess import (build_deviation_vector, pchip_resample,
+                                reconstruct_trajectory)
 from trafgen.procedures import ProceduralTrajectory
 
 
@@ -27,6 +28,22 @@ def one_deviation(times, points, proc_points):
         np.asarray(times)[None], np.asarray(points)[None], proc_points)
     assert rejected == {}
     return rows[0]
+
+
+def resample_one(times, values, count):
+    """One sequence through ``pchip_resample`` as the batch of one, which
+    must not be rejected: (count,) times and (count, ...) values."""
+    new_times, new_values, rejected = pchip_resample([times], [values], count)
+    assert rejected == {}
+    return new_times[0], new_values[0]
+
+
+def rebuild_one(tau, proc):
+    """The (T,) times and (T, 3) points of one deviation vector against the
+    procedural trajectory ``proc``."""
+    times, points = reconstruct_trajectory(np.asarray(tau)[None], proc.points,
+                                           proc.total_distance)
+    return times[0], points[0]
 
 
 def make_proc_traj(points, name="PROC"):

@@ -21,12 +21,11 @@ from trafgen.mixture import (ConditionalMixture, GaussianComponent,
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
                                  generate_scene, train_pairwise)
-from trafgen.preprocess import (build_deviation_vector, dtw_distances,
-                                reconstruct_trajectory)
+from trafgen.preprocess import build_deviation_vector, dtw_distances
 from trafgen.units import FT_TO_M, NM_TO_M
 
 import corpus
-from conftest import make_proc_traj, one_deviation, ppca
+from conftest import make_proc_traj, one_deviation, ppca, rebuild_one
 from oracles import dense_covariance, dtw_brute_force, mc_conditional_moments, \
     psd_factor, scene_covariance, silhouette_brute_force
 
@@ -213,12 +212,12 @@ def test_criterion_07_round_trip_exactness():
         points = base + rng.normal(scale=400.0, size=(t_len, 3))
         tau = one_deviation(times, points, proc.points)
         proc.total_distance = tau[1]  # d' = tau_2
-        rec_times, rec_points = reconstruct_trajectory(tau, proc)
+        rec_times, rec_points = rebuild_one(tau, proc)
         assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
         assert rec_times[-1] == pytest.approx(tau[0], abs=1e-9)
         # explicit rescaling check against the formula
         proc.total_distance = 2.5 * tau[1]
-        scaled_times, _ = reconstruct_trajectory(tau, proc)
+        scaled_times, _ = rebuild_one(tau, proc)
         expected = tau[0] / tau[1] * proc.total_distance
         assert scaled_times[-1] == pytest.approx(expected, abs=1e-9)
     report(7, "build/reconstruct is an exact inverse at d' = tau_2 for 1000 "

@@ -527,6 +527,16 @@ def test_negative_delta_exhausts_retries():
                               "cause: negative inter-arrival time -50 s")
 
 
+def test_scene_rejection_names_the_first_invalid_aircraft():
+    params = zero_cov_params(3)
+    params.mean[_block(1, D).start + 1] = 0.0   # aircraft 1: no distance
+    params.mean[_block(2, D).start] = -1.0      # aircraft 2: negative transit
+    with pytest.raises(NumericalError) as err:
+        generate_scene(params, scene_procedures(3), rng=0)
+    assert str(err.value) == ("scene sampling failed after 10 attempts; last "
+                              "cause: total_distance must be positive")
+
+
 def test_scene_generation_stops_after_max_draws(monkeypatch):
     params = zero_cov_params(2)
     params.mean[_delta_index(0, D)] = -50.0  # deterministic negative gap

@@ -1,6 +1,5 @@
 """DTW, segmentation, PCHIP resampling, and deviation-vector round trips."""
 
-import itertools
 import re
 
 import numpy as np
@@ -9,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafgen import preprocess
+from trafgen.errors import InvalidDeviation
 from trafgen.preprocess import (assign_procedures, build_deviation_vector,
                                 dtw_distances, path_length, pchip_resample,
                                 point_to_polyline_distance,
                                 reconstruct_trajectory, segment_trajectory)
 
-from conftest import assert_bitwise, make_proc_traj, one_deviation
+from conftest import (assert_bitwise, make_proc_traj, one_deviation,
+                      rebuild_one, resample_one)
 from oracles import (dtw_brute_force, dtw_loop, local_cost_stacked,
                      pchip_resample_scipy, point_to_polyline_distance_stacked)
 
@@ -185,7 +186,8 @@ def test_assign_procedures_matches_per_pair_loop():
 
 def test_segment_identical_to_iap_gives_boundary_zero():
     iap = straight_proc(0.0, "IAP")
-    assert segment_trajectory([iap.points], iap, threshold=1852.0) == [0]
+    boundaries, rejected = segment_trajectory([iap.points], iap, threshold=1852.0)
+    assert boundaries.tolist() == [0] and rejected == {}
 
 
 def brute_force_boundary(track, iap, threshold):
@@ -200,8 +202,10 @@ def brute_force_boundary(track, iap, threshold):
 
 
 def segmented_in_chunks(monkeypatch, tracks, iap, threshold):
-    """segment_trajectory under a chunk bound of a few points, and the
-    point count of every chunk it measured."""
+    """segment_trajectory under a chunk bound of a few points, each
+    boundary replaced by its message where it is rejected, as
+    :func:`brute_force_boundary` gives them, and the point count of every
+    chunk it measured."""
     chunks = []
     measure = preprocess.point_to_polyline_distance
 
@@ -212,7 +216,11 @@ def segmented_in_chunks(monkeypatch, tracks, iap, threshold):
     monkeypatch.setattr(preprocess, "point_to_polyline_distance", recording)
     monkeypatch.setattr(preprocess, "DTW_CHUNK_BYTES",
                         8 * 6 * (len(iap.points) - 1) * 7)
-    return segment_trajectory(tracks, iap, threshold), chunks
+    boundaries, rejected = segment_trajectory(tracks, iap, threshold)
+    # a track that never joins has no point from which it stays joined
+    for row in rejected:
+        assert boundaries[row] == len(tracks[row])
+    return [rejected.get(row, int(b)) for row, b in enumerate(boundaries)], chunks
 
 
 def dogleg(iap, join, start_y=20000.0):
@@ -291,7 +299,7 @@ def test_dtw_local_cost_equals_the_stacked_form_bitwise(dim):
 def test_pchip_reproduces_linear_data():
     times = np.array([0.0, 1.0, 3.0, 6.0])
     values = np.column_stack([2.0 * times + 1.0, -0.5 * times])
-    new_times, resampled = pchip_resample(times, values, 9)
+    new_times, resampled = resample_one(times, values, 9)
     assert np.allclose(resampled[:, 0], 2.0 * new_times + 1.0, atol=1e-12)
     assert np.allclose(resampled[:, 1], -0.5 * new_times, atol=1e-12)
 
@@ -299,7 +307,7 @@ def test_pchip_reproduces_linear_data():
 def test_pchip_hits_original_knots():
     times = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     values = np.array([0.0, 3.0, 1.0, 4.0, 2.0])[:, None]
-    new_times, resampled = pchip_resample(times, values, 5)
+    new_times, resampled = resample_one(times, values, 5)
     assert np.allclose(new_times, times)
     assert np.allclose(resampled[:, 0], values[:, 0], atol=1e-12)
 
@@ -307,7 +315,7 @@ def test_pchip_hits_original_knots():
 def test_pchip_preserves_monotonicity():
     times = np.array([0.0, 1.0, 2.0, 5.0, 6.0])
     x = np.array([0.0, 0.5, 4.0, 4.5, 10.0])
-    _, resampled = pchip_resample(times, x[:, None], 200)
+    _, resampled = resample_one(times, x[:, None], 200)
     assert np.all(np.diff(resampled[:, 0]) >= -1e-12)
 
 
@@ -317,13 +325,13 @@ def test_pchip_stays_inside_knot_range_on_monotone_data():
         times = np.sort(rng.uniform(0.0, 10.0, size=6))
         times += np.arange(6) * 1e-3  # enforce strict increase
         x = np.cumsum(rng.uniform(0.1, 2.0, size=6))
-        _, resampled = pchip_resample(times, x[:, None], 64)
+        _, resampled = resample_one(times, x[:, None], 64)
         assert resampled.min() >= x.min() - 1e-9
         assert resampled.max() <= x.max() + 1e-9
 
 
 def assert_same_resampling(times, values, count):
-    got_times, got = pchip_resample(times, values, count)
+    got_times, got = resample_one(times, values, count)
     want_times, want = pchip_resample_scipy(times, values, count)
     assert np.array_equal(got_times, want_times)
     assert_bitwise(got, want)
@@ -387,12 +395,10 @@ def test_pchip_batches_match_scipy_bitwise_row_by_row(mixed):
             assert_bitwise(got[row], want)
 
 
-def test_pchip_single_sequence_is_the_batch_of_one():
-    for times, values, count in itertools.islice(random_pchip_cases(), 40):
-        single = pchip_resample(times, values, count)
-        batch = pchip_resample(times[None], values[None], count)
-        for got, want in zip(single, batch):
-            assert_bitwise(got, want[0])
+def test_pchip_resample_of_an_empty_batch():
+    times, values, rejected = pchip_resample(np.empty((0, 4)), np.empty((0, 4, 3)), 5)
+    assert times.shape == (0, 5) and values.shape == (0, 5, 3)
+    assert rejected == {}
 
 
 def test_pchip_resample_times_match_linspace_row_by_row():
@@ -430,8 +436,8 @@ def test_pchip_end_derivative_branches():
 
 def test_pchip_keeps_one_dimensional_values():
     times = np.array([0.0, 1.0, 3.0])
-    _, flat = pchip_resample(times, np.array([0.0, 1.0, 0.5]), 6)
-    _, column = pchip_resample(times, np.array([[0.0], [1.0], [0.5]]), 6)
+    _, flat = resample_one(times, np.array([0.0, 1.0, 0.5]), 6)
+    _, column = resample_one(times, np.array([[0.0], [1.0], [0.5]]), 6)
     assert flat.shape == (6,) and np.array_equal(flat, column[:, 0])
 
 
@@ -445,13 +451,12 @@ def test_pchip_rejects_bad_input_with_scipys_message(times, values):
     times, values = np.array(times), np.array(values)
     with pytest.raises(ValueError) as want:
         pchip_resample_scipy(times, values, 5)
-    with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        pchip_resample(times, values, 5)
+    assert pchip_resample([times], [values], 5)[2] == {0: str(want.value)}
 
 
 def test_pchip_rejects_duplicate_times():
-    with pytest.raises(ValueError):
-        pchip_resample(np.array([0.0, 1.0, 1.0]), np.zeros((3, 1)), 5)
+    rejected = pchip_resample([np.array([0.0, 1.0, 1.0])], [np.zeros((3, 1))], 5)[2]
+    assert rejected == {0: "times must be strictly increasing"}
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +497,7 @@ def test_round_trip_is_exact_inverse():
     # round trip is exact when the procedural distance equals tau_2
     proc_same_length = make_proc_traj(proc.points, name="SAME")
     proc_same_length.total_distance = tau[1]
-    rec_times, rec_points = reconstruct_trajectory(tau, proc_same_length)
+    rec_times, rec_points = rebuild_one(tau, proc_same_length)
     assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
     assert rec_times[-1] == pytest.approx(tau[0], abs=1e-9)
 
@@ -503,7 +508,7 @@ def test_reconstruct_transit_time_formula():
                                    np.zeros(8), np.zeros(8)])
     proc = make_proc_traj(proc_points, name="LONG")
     tau = np.concatenate([[600.0, 37040.0], np.zeros(3 * 8)])
-    times, _ = reconstruct_trajectory(tau, proc)
+    times, _ = rebuild_one(tau, proc)
     assert times[-1] == pytest.approx(900.0, abs=1e-9)
     assert np.allclose(np.diff(times), times[1] - times[0])
 
@@ -511,7 +516,7 @@ def test_reconstruct_transit_time_formula():
 def test_reconstruct_zero_deviations_returns_procedure():
     proc = straight_proc(0.0, n=10)
     tau = np.concatenate([[300.0, proc.total_distance], np.zeros(3 * 10)])
-    _, points = reconstruct_trajectory(tau, proc)
+    _, points = rebuild_one(tau, proc)
     assert np.array_equal(points, proc.points)
 
 
@@ -576,7 +581,39 @@ COUNT_MISMATCH = "deviation count does not match procedural length"
 def test_reconstruct_rejects_malformed_vectors(head, size, message):
     tau = np.concatenate([head, np.zeros(size - 2)])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        reconstruct_trajectory(tau, straight_proc(0.0, n=10))
+        rebuild_one(tau, straight_proc(0.0, n=10))
+
+
+@pytest.mark.parametrize("t_len", [40, 350])
+def test_batched_reconstruction_equals_row_by_row(t_len):
+    rng = np.random.default_rng(t_len)
+    rows = 9
+    tau = np.column_stack([rng.uniform(60.0, 900.0, rows),
+                           rng.uniform(1e4, 6e4, rows),
+                           rng.normal(scale=300.0, size=(rows, 3 * t_len))])
+    procs = rng.normal(scale=3000.0, size=(rows, t_len, 3)).cumsum(axis=1)
+    dists = path_length(procs)
+    for proc_points, dist in ((procs, dists), (procs[2], dists[2])):
+        times, points = reconstruct_trajectory(tau, proc_points, dist)
+        assert times.shape == (rows, t_len) and points.shape == (rows, t_len, 3)
+        for row in range(rows):
+            own, d = ((proc_points, dist) if proc_points.ndim == 2
+                      else (proc_points[row], dist[row]))
+            # the one-trajectory formula
+            assert_bitwise(times[row],
+                           np.linspace(0.0, tau[row, 0] / tau[row, 1] * d, t_len))
+            assert_bitwise(points[row], own + tau[row, 2:].reshape(t_len, 3))
+
+
+def test_reconstruct_raises_for_the_first_rejected_row():
+    proc = straight_proc(0.0, n=10)
+    tau = np.tile(np.concatenate([[300.0, 9000.0], np.zeros(30)]), (5, 1))
+    tau[2, 1] = 0.0
+    tau[4, 0] = -1.0
+    with pytest.raises(InvalidDeviation, match="^total_distance must be positive$"):
+        reconstruct_trajectory(tau, proc.points, proc.total_distance)
+    with pytest.raises(ValueError, match="^deviation count does not match"):
+        reconstruct_trajectory(tau[:, :-1], proc.points, proc.total_distance)
 
 
 def test_path_length_is_polyline_sum():

@@ -236,9 +236,9 @@ def test_generate_stops_after_max_draws(monkeypatch):
     model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
     draws = []
 
-    def counted(tau, proc):
-        draws.append(tau)
-        return reconstruct_trajectory(tau, proc)
+    def counted(rows, proc_points, total_distance):
+        draws.append(rows)
+        return reconstruct_trajectory(rows, proc_points, total_distance)
 
     monkeypatch.setattr(mixture, "MAX_DRAWS", 3)
     monkeypatch.setattr(single_model, "reconstruct_trajectory", counted)
