@@ -162,11 +162,11 @@ def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSe
                         f"found {len(iaps)}")
     try:  # a repeated waypoint or all-zero frequencies
         return single_model.ProcedureSet(
-            radar_vectors=procedures.build_procedural_trajectory(
-                rv_procs, config.t_v, config.airspace),
+            radar_vectors=[procedures.build_procedural_trajectory(
+                p, config.t_v, config.airspace) for p in rv_procs],
             frequencies=[p.frequency for p in rv_procs],
             iap=procedures.build_procedural_trajectory(
-                iaps, config.t_f, config.airspace)[0])
+                iaps[0], config.t_f, config.airspace))
     except ValueError as exc:
         raise DataError(f"{config.procedures}: {exc}") from exc
 
@@ -221,9 +221,10 @@ def cmd_ingest(config: RunConfig) -> int:
     rv_raw, fa_raw = {}, {}
     boundaries, failed = preprocess.segment_trajectory(
         [xyz for _, (_, xyz) in arrivals], iap_traj, threshold_m)
-    # a track that never joins has its length as boundary: no final approach
     for a, ((_, (times, xyz)), boundary) in enumerate(zip(arrivals, boundaries)):
-        if boundary >= 1 and a not in failed:
+        if a in failed:
+            continue
+        if boundary >= 1:
             rv_raw[a] = (times[:boundary + 1], xyz[:boundary + 1])
         if len(times) - boundary >= 2 and (boundary >= 1 or not n_lead):
             fa_raw[a] = (times[boundary:], xyz[boundary:])

@@ -335,10 +335,14 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, count: int) -> np.ndarra
     Each row takes numpy's own arithmetic, including its branch for a step
     that underflows to 0, so one row never changes another's result.
     """
-    delta = (stop - start)[:, None]
-    k = np.arange(count, dtype=float)
+    delta = stop - start
     step = delta / (count - 1)
-    out = np.where(step == 0, k / (count - 1) * delta, k * step) + start[:, None]
+    k = np.arange(count, dtype=float)
+    out = k * step[:, None]
+    if not step.all():  # numpy's branch, on the rows whose step underflows
+        under = step == 0
+        out[under] = k / (count - 1) * delta[under, None]
+    out += start[:, None]
     out[:, -1] = stop
     return out
 

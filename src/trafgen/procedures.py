@@ -156,31 +156,26 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
 # ---------------------------------------------------------------------------
 # Procedural trajectories
 
-def waypoints_to_enu(waypoints: Sequence[tuple], config: AirspaceConfig) -> np.ndarray:
-    lats = np.array([wp[0] for wp in waypoints])
-    lons = np.array([wp[1] for wp in waypoints])
-    alts = np.array([wp[2] if wp[2] is not None else 0.0 for wp in waypoints])
+def waypoints_to_enu(proc: Procedure, config: AirspaceConfig) -> np.ndarray:
+    lats = np.array([wp[0] for wp in proc.waypoints])
+    lons = np.array([wp[1] for wp in proc.waypoints])
+    alts = np.array([wp[2] if wp[2] is not None else 0.0 for wp in proc.waypoints])
     return wgs84_to_enu(lats, lons, alts, config)
 
 
-def build_procedural_trajectory(procs: Sequence[Procedure], count: int,
-                                config: AirspaceConfig) -> list[ProceduralTrajectory]:
-    """Resample each procedure's waypoint path into ``count`` ENU points.
+def build_procedural_trajectory(proc: Procedure, count: int,
+                                config: AirspaceConfig) -> ProceduralTrajectory:
+    """Resample a procedure's waypoint path into ``count`` ENU points.
 
-    A path is a monotone cubic interpolation through the waypoints, sampled
-    at equal steps of the chord-length parameter. All waypoints are
-    converted in one call and all paths resampled in another. The first
-    procedure that fails raises ValueError: for a repeated waypoint, or
-    with the reason resampling rejects it.
+    The path is a monotone cubic interpolation through the waypoints,
+    sampled at equal steps of the chord-length parameter.
     """
-    wps = np.split(waypoints_to_enu([wp for p in procs for wp in p.waypoints], config),
-                   np.cumsum([len(p.waypoints) for p in procs])[:-1])
-    seg_lens = [np.linalg.norm(np.diff(w, axis=0), axis=1) for w in wps]
-    chords = [np.concatenate(([0.0], np.cumsum(seg_len))) for seg_len in seg_lens]
-    _, points, failed = pchip_resample(chords, wps, count)
-    failed.update({row: f"procedure {procs[row].name!r} repeats a waypoint"
-                   for row, seg_len in enumerate(seg_lens) if np.any(seg_len == 0)})
-    if failed:
-        raise ValueError(failed[min(failed)])
-    return [ProceduralTrajectory(proc.name, row, path_length(row))
-            for proc, row in zip(procs, points)]
+    wps = waypoints_to_enu(proc, config)
+    seg_len = np.linalg.norm(np.diff(wps, axis=0), axis=1)
+    chord = np.concatenate(([0.0], np.cumsum(seg_len)))
+    _, (points,), rejected = pchip_resample([chord], [wps], count)
+    if rejected:  # a repeated waypoint repeats a chord length
+        raise ValueError(f"procedure {proc.name!r} repeats a waypoint"
+                         if np.any(seg_len == 0) else rejected[0])
+    return ProceduralTrajectory(procedure=proc.name, points=points,
+                                total_distance=path_length(points))

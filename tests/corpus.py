@@ -74,10 +74,11 @@ def gt_procedures() -> list[Procedure]:
 
 def gt_procedure_set(t_v=T_V, t_f=T_F) -> ProcedureSet:
     procs = gt_procedures()
-    return ProcedureSet(radar_vectors=build_procedural_trajectory(procs[:2], t_v,
-                                                                  AIRSPACE),
+    rv_trajs = [build_procedural_trajectory(p, t_v, AIRSPACE)
+                for p in procs[:2]]
+    return ProcedureSet(radar_vectors=rv_trajs,
                         frequencies=[p.frequency for p in procs[:2]],
-                        iap=build_procedural_trajectory(procs[2:], t_f, AIRSPACE)[0])
+                        iap=build_procedural_trajectory(procs[2], t_f, AIRSPACE))
 
 
 def _smooth_cov_factor(t_len, dim, scales, time_scale, dist_scale, seed):
@@ -106,8 +107,8 @@ def _overlap_path(procs, t_f, n_overlap):
     tail = np.mean([rv.points[lead] for rv in procs.radar_vectors], axis=0)
     u = np.linspace(0.0, 1.0, t_v)[lead]
     tail[:, 2] += _RV_DESCENT[0] + (_RV_DESCENT[1] - _RV_DESCENT[0]) * u
-    approach, = build_procedural_trajectory(gt_procedures()[2:], t_f - n_overlap + 1,
-                                            AIRSPACE)
+    approach = build_procedural_trajectory(gt_procedures()[2], t_f - n_overlap + 1,
+                                           AIRSPACE)
     return np.vstack([tail, approach.points])
 
 

@@ -52,7 +52,7 @@ def test_single_cluster_is_pointwise_mean(airspace):
     resampled = [resample_one(times, xyz[:, :2], samples)[1]
                  for times, xyz in tracks]
     expected = np.mean(resampled, axis=0)
-    got = waypoints_to_enu(paths[0].waypoints, airspace)[:, :2]
+    got = waypoints_to_enu(paths[0], airspace)[:, :2]
     assert np.allclose(got, expected, atol=1e-6)
 
 
@@ -67,8 +67,7 @@ def test_two_bundles_recovered_within_envelopes(airspace):
                                    seed=200 + i))
     paths, _ = extract_nominal_paths(tracks, 2, airspace, samples=30, rng=rng_seed)
     assert len(paths) == 2
-    mean_ys = sorted(np.mean(waypoints_to_enu(p.waypoints, airspace)[:, 1])
-                     for p in paths)
+    mean_ys = sorted(np.mean(waypoints_to_enu(p, airspace)[:, 1]) for p in paths)
     assert abs(mean_ys[0] - (-6000.0)) < 500.0
     assert abs(mean_ys[1] - 6000.0) < 500.0
     assert sorted(p.frequency for p in paths) == pytest.approx([8 / 20, 12 / 20])
@@ -102,7 +101,7 @@ def two_waypoint_procedure(airspace):
 
 def test_two_waypoints_give_equally_spaced_points(airspace):
     proc = two_waypoint_procedure(airspace)
-    traj, = build_procedural_trajectory([proc], 5, airspace)
+    traj = build_procedural_trajectory(proc, 5, airspace)
     # collinear and equally spaced
     deltas = np.diff(traj.points, axis=0)
     assert np.allclose(deltas, deltas[0], atol=1e-6)
@@ -116,7 +115,7 @@ def test_monotone_waypoints_give_monotone_resampling(airspace):
     proc = Procedure(name="MONO", kind=ProcedureKind.RADAR_VECTOR,
                      waypoints=[(float(a), float(b), float(c))
                                 for a, b, c in zip(lat, lon, alt)])
-    traj, = build_procedural_trajectory([proc], 100, airspace)
+    traj = build_procedural_trajectory(proc, 100, airspace)
     assert np.all(np.diff(traj.points[:, 0]) > -1e-9)
 
 
@@ -128,8 +127,8 @@ def test_waypoints_hit_within_a_meter(airspace):
     proc = Procedure(name="CURVY", kind=ProcedureKind.RADAR_VECTOR,
                      waypoints=[(float(a), float(b), float(c))
                                 for a, b, c in zip(lat, lon, alt)])
-    traj, = build_procedural_trajectory([proc], 400, airspace)
-    wps = waypoints_to_enu(proc.waypoints, airspace)
+    traj = build_procedural_trajectory(proc, 400, airspace)
+    wps = waypoints_to_enu(proc, airspace)
     dists = point_to_polyline_distance(wps[:, :2], traj.points[:, :2])
     assert dists.max() < 1.0
 
@@ -142,13 +141,13 @@ def test_total_distance_at_least_straight_line(airspace):
     proc = Procedure(name="ZIGZAG", kind=ProcedureKind.RADAR_VECTOR,
                      waypoints=[(float(a), float(b), None)
                                 for a, b in zip(lat, lon)])
-    traj, = build_procedural_trajectory([proc], 50, airspace)
+    traj = build_procedural_trajectory(proc, 50, airspace)
     straight = np.linalg.norm(traj.points[-1] - traj.points[0])
     assert traj.total_distance >= straight
     assert traj.total_distance == pytest.approx(path_length(traj.points))
 
 
-def test_batched_procedural_trajectories_equal_each_procedure_alone(airspace):
+def test_procedural_trajectories_equal_scipy_resampling(airspace):
     # the corpus's procedures (altitudes given and not) and a curvy one of
     # more waypoints
     lat, lon, alt = enu_to_wgs84(np.column_stack([
@@ -158,43 +157,37 @@ def test_batched_procedural_trajectories_equal_each_procedure_alone(airspace):
         Procedure(name="CURVY", kind=ProcedureKind.RADAR_VECTOR,
                   waypoints=list(zip(lat.tolist(), lon.tolist(), alt.tolist())))]
     for count in (12, 40, 350):
-        trajs = build_procedural_trajectory(procs, count, airspace)
-        assert [t.procedure for t in trajs] == [p.name for p in procs]
-        for proc, traj in zip(procs, trajs):
+        for proc in procs:
+            traj = build_procedural_trajectory(proc, count, airspace)
             # the procedure's own conversion, chord and scipy's resampling
-            wps = waypoints_to_enu(proc.waypoints, airspace)
+            wps = waypoints_to_enu(proc, airspace)
             chord = np.concatenate(
                 ([0.0], np.cumsum(np.linalg.norm(np.diff(wps, axis=0), axis=1))))
             want = pchip_resample_scipy(chord, wps, count)[1]
+            assert traj.procedure == proc.name
             assert_bitwise(traj.points, want)
             assert traj.total_distance == path_length(want)
-            alone, = build_procedural_trajectory([proc], count, airspace)
-            assert_bitwise(traj.points, alone.points)
 
 
-def test_first_failing_procedure_raises_in_file_order(airspace):
-    good, rv, iap = corpus.gt_procedures()
-    waypoints = list(good.waypoints)
-    waypoints[3] = (math.nan, *waypoints[3][1:])
-    non_finite = Procedure("NAN", ProcedureKind.RADAR_VECTOR, waypoints)
+def test_bad_waypoints_raise_their_messages(airspace):
+    _, rv, _ = corpus.gt_procedures()
     waypoints = list(rv.waypoints)
+    waypoints[1] = (math.nan, *waypoints[1][1:])
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "`x` must contain only finite values.") + "$"):
+        build_procedural_trajectory(Procedure("NAN", ProcedureKind.RADAR_VECTOR,
+                                              waypoints), 40, airspace)
+    # a repeated waypoint gives its own message, whatever resampling rejects
     waypoints[4] = waypoints[3]
-    repeated = Procedure("REP", ProcedureKind.RADAR_VECTOR, waypoints)
-    x_message = "^" + re.escape("`x` must contain only finite values.") + "$"
-    for procs, message in (([good, non_finite, repeated, iap], x_message),
-                           ([good, repeated, non_finite, iap],
-                            "^procedure 'REP' repeats a waypoint$")):
-        with pytest.raises(ValueError, match=message):
-            build_procedural_trajectory(procs, 40, airspace)
-        # the message the first failing procedure gives alone
-        with pytest.raises(ValueError, match=message):
-            build_procedural_trajectory(procs[1:2], 40, airspace)
+    with pytest.raises(ValueError, match="^procedure 'REP' repeats a waypoint$"):
+        build_procedural_trajectory(Procedure("REP", ProcedureKind.RADAR_VECTOR,
+                                              waypoints), 40, airspace)
 
 
 def test_build_rejects_degenerate_inputs(airspace):
     proc = two_waypoint_procedure(airspace)
     with pytest.raises(ValueError):
-        build_procedural_trajectory([proc], 1, airspace)
+        build_procedural_trajectory(proc, 1, airspace)
     with pytest.raises(ValueError):
         Procedure(name="ONE", kind=ProcedureKind.IAP,
                   waypoints=[(40.0, -73.0, None)])
@@ -226,7 +219,7 @@ def test_duration_key_does_not_change_the_trajectory(tmp_path, airspace):
     save_procedures([two_waypoint_procedure(airspace)], plain)
     timed.write_text(plain.read_text(encoding="utf-8") + "duration_s: 540.0\n",
                      encoding="utf-8")
-    trajs = [build_procedural_trajectory(load_procedures(path)[:1], 20, airspace)[0]
+    trajs = [build_procedural_trajectory(load_procedures(path)[0], 20, airspace)
              for path in (plain, timed)]
     assert np.array_equal(trajs[0].points, trajs[1].points)
     assert trajs[0].total_distance == trajs[1].total_distance
