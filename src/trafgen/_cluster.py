@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class KMeansResult:
-    centers: np.ndarray   # (k, n)
-    labels: np.ndarray    # (m,)
-    inertia: float
-    has_empty_cluster: bool
 
 
 def kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -33,7 +23,9 @@ def kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansResult:
+def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int,
+           ) -> tuple[bool, float, np.ndarray, np.ndarray]:
+    """(has an empty cluster, inertia, centers, labels) of one Lloyd run."""
     k = centers.shape[0]
     labels = None
     for _it in range(max_iter):
@@ -50,18 +42,17 @@ def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansResult
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(data.shape[0]), labels].sum())
     empty = bool(np.any(np.bincount(labels, minlength=k) == 0))
-    return KMeansResult(centers=centers, labels=labels, inertia=inertia,
-                        has_empty_cluster=empty)
+    return empty, inertia, centers, labels
 
 
 def kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
-           restarts: int = 1, max_iter: int = 100) -> KMeansResult:
-    """Best-of-``restarts`` k-means.
+           restarts: int = 1, max_iter: int = 100,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n) centers and (m,) labels of the best of ``restarts`` runs.
 
     A run that converges with an empty cluster counts only when every
-    restart does: then the best degenerate run is returned with
-    ``has_empty_cluster`` set so the caller can drop empty clusters. Ties
-    keep the earliest run.
+    restart does: then the best degenerate run is returned. Ties keep the
+    earliest run.
     """
     data = np.asarray(data, dtype=float)
     if k < 1:
@@ -70,4 +61,4 @@ def kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
         raise ValueError(f"need at least k={k} points, got {data.shape[0]}")
     runs = [_lloyd(data, kmeans_pp_seed(data, k, rng), max_iter)
             for _ in range(max(restarts, 1))]
-    return min(runs, key=lambda r: (r.has_empty_cluster, r.inertia))
+    return min(runs, key=lambda r: r[:2])[2:]

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+import sys
 import tokenize
 from itertools import chain, islice
 from operator import itemgetter
@@ -332,11 +333,19 @@ def _runs(keys: np.ndarray, values: np.ndarray):
 
 
 def _dataset_meta(doc: dict) -> tuple[dict, int]:
-    """The meta sidecar, every row's keys checked, and its T."""
+    """The meta sidecar, every row's keys and values checked, and its T."""
     for i, row in enumerate(doc["rows"]):
         missing = [k for k in ("flight_id", "procedure", "arrival_time") if k not in row]
         if missing:
             raise ValueError(f"row {i} lacks {', '.join(missing)}")
+        for key in ("flight_id", "procedure"):
+            if not isinstance(row[key], str):
+                raise ValueError(f"row {i}: {key} must be a string, got {row[key]!r:.40}")
+        # a bool, NaN, an infinity or an int beyond the float range fails
+        time = row["arrival_time"]
+        if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
+            raise ValueError(f"row {i}: arrival_time must be a finite number, "
+                             f"got {time!r:.40}")
     return doc, int(doc["T"])
 
 

@@ -312,13 +312,13 @@ def cmd_select(config: RunConfig) -> int:
     for segment in _segments(config):
         data, _ = _read_dataset(segment)
         seed = _seed(config, f"select-{segment.kind}")
-        sweep = metrics.silhouette_sweep(data, config.k_grid, seed=seed)
-        ranks = select_rank(data, config.rank_grid, seed=seed)
+        best_k, k_curve = metrics.silhouette_sweep(data, config.k_grid, seed=seed)
+        rank, rank_curve = select_rank(data, config.rank_grid, seed=seed)
         report[segment.kind] = {
-            "n_components": sweep.n_components,
-            "silhouette_curve": [[k, s] for k, s in sweep.curve],
-            "rank": ranks.rank,
-            "rank_curve": [[k, ll] for k, ll in ranks.curve],
+            "n_components": best_k,
+            "silhouette_curve": [[k, s] for k, s in k_curve],
+            "rank": rank,
+            "rank_curve": [[k, ll] for k, ll in rank_curve],
         }
     write_json(config.out_dir / "selection_report.json", report)
     return EXIT_OK
@@ -369,10 +369,16 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_train_pairwise(config: RunConfig) -> int:
     """Fit pairwise mixtures per radar-vector procedure combination."""
-    data, meta = _read_dataset(_segments(config)[0])
+    segment = _segments(config)[0]
+    data, meta = _read_dataset(segment)
+    names = [row["procedure"] for row in meta["rows"]]
+    joined = [name for name in names if "|" in name]
+    if joined:  # a model's key joins its two procedure names with "|"
+        raise DataError(f"{segment.dataset.with_suffix('.meta.json')}: procedure "
+                        f"{joined[0]!r} contains '|', which joins pairwise model keys")
     groups = multi_model.extract_pairs(
-        data, [row["procedure"] for row in meta["rows"]],
-        [row["arrival_time"] for row in meta["rows"]], config.pairing_window_s)
+        data, names, [row["arrival_time"] for row in meta["rows"]],
+        config.pairing_window_s)
     if not groups:
         raise DataError("no arrival pairs inside the pairing window")
     seed = _seed(config, "train-pairwise")
@@ -417,6 +423,10 @@ def cmd_generate(config: RunConfig, count: int) -> int:
 def _pairwise_models(doc: dict) -> dict:
     if doc["segment"] != "radar_vector":
         raise ValueError(f"segment {doc['segment']!r} is not radar_vector")
+    malformed = [key for key in doc["models"] if key.count("|") != 1]
+    if malformed:
+        raise ValueError(f"key {malformed[0]!r} is not two procedure names "
+                         "joined by '|'")
     return {tuple(key.split("|")): model_from_dict(m)
             for key, m in doc["models"].items()}
 
@@ -446,19 +456,19 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
                   for j in rng.choice(len(rv_trajs), size=n_aircraft, p=probs)]
         sequence = [t.procedure for t in chosen]
         params = multi_model.assemble_scene_params(models, sequence, rng)
-        scene = multi_model.generate_scene(params, chosen, rng)
-        scenes.append(scene)
+        trajectories, deltas = multi_model.generate_scene(params, chosen, rng)
+        scenes.append(trajectories)
         meta.append({
             "scene_id": i, "procedures": sequence,
             "components": params.provenance,
             "block_drift": params.block_drift,
-            "inter_arrival_times": [float(v) for v in scene.inter_arrival_times],
+            "inter_arrival_times": [float(v) for v in deltas],
         })
     write_trajectory_csv(
         config.out_dir / "scenes.csv", ["scene_id", "aircraft_idx"],
         (((scene_id, idx), times, points)
          for scene_id, scene in enumerate(scenes)
-         for idx, (times, points) in enumerate(scene.trajectories)))
+         for idx, (times, points) in enumerate(scene)))
     write_json(config.out_dir / "scenes.meta.json", {
         "count": count, "aircraft_per_scene": n_aircraft,
         "seed": config.seed, "scenes": meta})
@@ -487,18 +497,17 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
             "synthetic_mass": hist_s.mass.tolist(),
             "js_divergence": metrics.js_divergence(hist_a, hist_s),
         }
-    sep = metrics.SeparationConfig()
-    los_actual = metrics.loss_of_separation_count(actual, sep)
-    los_synth = metrics.loss_of_separation_count(synthetic, sep)
+    actual_events, actual_flags = metrics.loss_of_separation_count(actual)
+    synthetic_events, synthetic_flags = metrics.loss_of_separation_count(synthetic)
     write_json(config.out_dir / "metrics_report.json", {
         "variables": variables,
         "separation": {
-            "horizontal_min_nm": sep.horizontal_min_nm,
-            "vertical_min_ft": sep.vertical_min_ft,
-            "actual_events": los_actual.count,
-            "synthetic_events": los_synth.count,
-            "actual_scenes_with_violation": int(np.sum(los_actual.scene_flags)),
-            "synthetic_scenes_with_violation": int(np.sum(los_synth.scene_flags)),
+            "horizontal_min_nm": metrics.HORIZONTAL_MIN_NM,
+            "vertical_min_ft": metrics.VERTICAL_MIN_FT,
+            "actual_events": actual_events,
+            "synthetic_events": synthetic_events,
+            "actual_scenes_with_violation": int(np.sum(actual_flags)),
+            "synthetic_scenes_with_violation": int(np.sum(synthetic_flags)),
         },
     })
     return EXIT_OK

@@ -42,15 +42,9 @@ class Histogram:
         return cls(edges=edges, counts=counts, mass=counts / total)
 
 
-@dataclass(frozen=True)
-class SeparationConfig:
-    horizontal_min_nm: float = 3.0
-    vertical_min_ft: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.horizontal_min_nm <= 0 or self.vertical_min_ft <= 0:
-            raise ValueError("separation minima must be positive")
-
+# terminal separation minima; floats, as the metrics report writes them
+HORIZONTAL_MIN_NM = 3.0
+VERTICAL_MIN_FT = 1000.0
 
 # Bin-count cap: a few far outliers would otherwise make the Freedman-Diaconis
 # width ask for millions of bins, and the memory they need.
@@ -194,20 +188,15 @@ def _mean_silhouette(sums: np.ndarray, members: list[np.ndarray]) -> float:
     return float(scores.mean())
 
 
-@dataclass
-class SilhouetteSweep:
-    n_components: int
-    curve: list[tuple[int, float]]  # (K, silhouette score)
-
-
 def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
-                     seed: int = 0) -> SilhouetteSweep:
+                     seed: int = 0) -> tuple[int, list[tuple[int, float]]]:
     """Fit a mixture per grid value and score its hard labels.
 
     One blocked distance pass scores every grid value's labels
     (``silhouette_scores``), so memory is bounded by a row block and the
     per-cluster sums, not by the (m, m) distance matrix.
-    Returns the argmax K (ties toward the smaller K) with the full curve.
+    Returns the argmax K (ties toward the smaller K) with the full
+    (K, silhouette score) curve.
     Raises DataError for an empty grid or a grid K below 2.
     """
     grid = list(component_grid)
@@ -218,7 +207,7 @@ def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
     labels = [em_fit(data, k, seed=seed).labels for k in grid]
     curve = [(int(k), score) for k, score in zip(grid, silhouette_scores(data, labels))]
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
-    return SilhouetteSweep(n_components=curve[best][0], curve=curve)
+    return curve[best][0], curve
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +265,16 @@ def extract_variables(scenes: Sequence[Scene]) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Loss of separation
 
-@dataclass
-class SeparationReport:
-    count: int                    # violation events
-    scene_flags: list[bool]       # any violation per scene
-
-
-def loss_of_separation_count(scenes: Sequence[Scene],
-                             sep: SeparationConfig = SeparationConfig(),
-                             ) -> SeparationReport:
+def loss_of_separation_count(scenes: Sequence[Scene]) -> tuple[int, list[bool]]:
     """Count separation violation events across scenes.
 
     A sample violates when a pair is simultaneously below BOTH the horizontal
     and the vertical minimum. Each maximal contiguous run of violating
-    samples for a pair counts once.
+    samples for a pair counts once. Returns the event count and, per scene,
+    whether it has any violation.
     """
-    h_min = sep.horizontal_min_nm * NM_TO_M
-    v_min = sep.vertical_min_ft * FT_TO_M
+    h_min = HORIZONTAL_MIN_NM * NM_TO_M
+    v_min = VERTICAL_MIN_FT * FT_TO_M
     total = 0
     flags = []
     for scene in scenes:
@@ -314,4 +296,4 @@ def loss_of_separation_count(scenes: Sequence[Scene],
             scene_count += int(starts.sum())
         total += scene_count
         flags.append(scene_count > 0)
-    return SeparationReport(count=total, scene_flags=flags)
+    return total, flags

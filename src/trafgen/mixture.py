@@ -231,9 +231,9 @@ def em_fit(data: np.ndarray, n_components: int, *,
     rng = np.random.default_rng(seed)
     reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
 
-    km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
+    _, labels = kmeans(data, n_components, rng, restarts=1, max_iter=50)
     resp = np.zeros((m, n_components))
-    resp[np.arange(m), km.labels] = 1.0
+    resp[np.arange(m), labels] = 1.0
     # guard against empty k-means clusters: give them a uniform sliver
     empty = resp.sum(axis=0) == 0
     if empty.any():
@@ -314,14 +314,9 @@ def _ppca(vecs: np.ndarray, eigvals: np.ndarray, rest: float, rank: int,
     return np.pad(w, ((0, 0), (0, rank - w.shape[1]))), noise_var
 
 
-@dataclass
-class RankSelection:
-    rank: int
-    curve: list[tuple[int, float]]  # (rank, held-out log-likelihood)
-
-
 def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
-                seed: int | np.random.Generator = 0) -> RankSelection:
+                seed: int | np.random.Generator = 0,
+                ) -> tuple[int, list[tuple[int, float]]]:
     """Pick the PPCA rank maximizing held-out marginal log-likelihood.
 
     The data is split 80/20 (seeded). The training part's sample covariance
@@ -329,9 +324,9 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
     and scores the held-out part in the same eigenbasis. sigma^2 is floored
     at 1e-10 times trace / n of the sample covariance, so that data of rank
     below the grid rank (sigma^2 ~ 0) still gives a finite score. Ties break
-    toward the smaller rank. The full (rank, log-likelihood) curve is
-    returned for reporting. Raises DataError when the grid is empty, when a
-    grid rank is outside [1, n), or when the rows are too few to split.
+    toward the smaller rank. Returns the rank and, for reporting, the full
+    (rank, log-likelihood) curve. Raises DataError when the grid is empty,
+    when a grid rank is outside [1, n), or when the rows are too few to split.
     """
     data = np.asarray(data, dtype=float)
     m, n = data.shape
@@ -362,7 +357,7 @@ def select_rank(data: np.ndarray, rank_grid: Sequence[int], *,
                                          n).sum())
         curve.append((int(k), ll))
     best = max(range(len(curve)), key=lambda i: (curve[i][1], -curve[i][0]))
-    return RankSelection(rank=curve[best][0], curve=curve)
+    return curve[best][0], curve
 
 
 def compress_model(model: MixtureModel, rank: int) -> MixtureModel:

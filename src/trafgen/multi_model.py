@@ -59,12 +59,6 @@ class SceneParams:
     block_drift: list[float] = field(default_factory=list)  # PSD-repair drift
 
 
-@dataclass
-class TrafficScene:
-    trajectories: list[tuple[np.ndarray, np.ndarray]]  # (times, points) each
-    inter_arrival_times: np.ndarray  # (N-1,), nonnegative
-
-
 def _block(i: int, d: int) -> slice:
     """Slice of aircraft ``i``'s deviation block inside the set vector."""
     start = i * (d + 1)
@@ -289,7 +283,7 @@ def _scene_parts(params: SceneParams, z: np.ndarray) -> list[np.ndarray]:
 def generate_scene(params: SceneParams,
                    procedures: Sequence[ProceduralTrajectory],
                    rng: int | np.random.Generator | None = None,
-                   ) -> TrafficScene:
+                   ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Sample one joint deviation vector and reconstruct the N trajectories.
 
     The scene vector is redrawn by :func:`~trafgen.mixture.redraw` while
@@ -297,6 +291,7 @@ def generate_scene(params: SceneParams,
     nonpositive transit time or distance. Trajectory timestamps are aligned
     so that successive reconstructed arrival (final) times differ exactly by
     the sampled inter-arrival times, with the first aircraft starting at 0.
+    Returns each trajectory's (times, points) and the inter-arrival times.
     """
     rng = np.random.default_rng(rng)
     n = len(params.procedure_sequence)
@@ -315,6 +310,4 @@ def generate_scene(params: SceneParams,
 
     deltas, (times, points) = redraw(draw, "scene sampling")
     arrivals = np.cumsum(np.concatenate([times[:1, -1], deltas]))
-    return TrafficScene(
-        trajectories=list(zip(times + (arrivals - times[:, -1])[:, None], points)),
-        inter_arrival_times=deltas)
+    return list(zip(times + (arrivals - times[:, -1])[:, None], points)), deltas

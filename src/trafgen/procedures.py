@@ -134,13 +134,13 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
     rng = np.random.default_rng(rng)
     data = resampled[kept].reshape(len(kept), -1)
 
-    result = kmeans(data, k, rng, restarts=KMEANS_RESTARTS)
+    centers, labels = kmeans(data, k, rng, restarts=KMEANS_RESTARTS)
     procedures = []
     for j in range(k):
-        member = result.labels == j
+        member = labels == j
         if not member.any():
             continue  # empty cluster survived every restart: drop it
-        mean_path = result.centers[j].reshape(samples, 2)
+        mean_path = centers[j].reshape(samples, 2)
         wp_idx = np.unique(np.linspace(0, samples - 1, WAYPOINT_COUNT).astype(int))
         enu_wps = np.column_stack([mean_path[wp_idx], np.zeros(len(wp_idx))])
         lat, lon, _ = enu_to_wgs84(enu_wps, config)

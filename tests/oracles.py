@@ -581,9 +581,9 @@ def em_fit_dense(data, n_components, *, seed=0, segment_kind="generic"):
     rng = np.random.default_rng(seed)
     reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
 
-    km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
+    _, labels = kmeans(data, n_components, rng, restarts=1, max_iter=50)
     resp = np.zeros((m, n_components))
-    resp[np.arange(m), km.labels] = 1.0
+    resp[np.arange(m), labels] = 1.0
     empty = resp.sum(axis=0) == 0
     if empty.any():
         resp[:, empty] = 1e-6
@@ -625,9 +625,9 @@ def em_fit_full_loop(data, n_components, *, seed=0):
     rng = np.random.default_rng(seed)
     reg = max(1e-6 * float(np.mean(np.var(data, axis=0))), 1e-12)
 
-    km = kmeans(data, n_components, rng, restarts=1, max_iter=50)
+    _, labels = kmeans(data, n_components, rng, restarts=1, max_iter=50)
     resp = np.zeros((m, n_components))
-    resp[np.arange(m), km.labels] = 1.0
+    resp[np.arange(m), labels] = 1.0
     empty = resp.sum(axis=0) == 0
     if empty.any():
         resp[:, empty] = 1e-6

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from trafgen import metrics
 from trafgen.cli import run as cli_run
-from trafgen.metrics import (SeparationConfig, extract_variables,
-                             histogram_pair, js_divergence,
+from trafgen.metrics import (extract_variables, histogram_pair, js_divergence,
                              loss_of_separation_count, silhouette_scores,
                              silhouette_sweep)
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
@@ -165,15 +165,15 @@ def test_criterion_05_rank_selection_recovers_rank_five():
     latent = rng.normal(size=(3000, 5))
     mixing = rng.normal(size=(30, 5)) * 2.0
     data = latent @ mixing.T + 0.3 * rng.normal(size=(3000, 30))
-    result = select_rank(data, range(1, 13), seed=7)
-    assert abs(result.rank - 5) <= 1
-    lls = np.array([ll for _, ll in result.curve])
+    rank, curve = select_rank(data, range(1, 13), seed=7)
+    assert abs(rank - 5) <= 1
+    lls = np.array([ll for _, ll in curve])
     peak = int(np.argmax(lls))
     assert np.all(np.diff(lls[:peak + 1]) > 0)   # rises into the peak
     assert lls[-1] < lls[peak]                   # falls away after it
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    report(5, f"held-out curve unimodal, selected rank {result.rank} "
+    report(5, f"held-out curve unimodal, selected rank {rank} "
               f"(true 5) ({elapsed:.1f} s)")
 
 
@@ -185,8 +185,8 @@ def test_criterion_06_silhouette_sweep_and_brute_force():
     for k_true in (2, 6):
         offsets = rng.normal(scale=40.0, size=(k_true, 4))
         data = np.vstack([rng.normal(size=(150, 4)) + off for off in offsets])
-        sweep = silhouette_sweep(data, list(range(2, 9)), seed=3)
-        assert sweep.n_components == k_true
+        n_components, _ = silhouette_sweep(data, list(range(2, 9)), seed=3)
+        assert n_components == k_true
     for seed in range(3):
         r = np.random.default_rng(seed)
         data = r.normal(size=(500, 3))
@@ -333,11 +333,11 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
     n_scenes = 10_000
     draws = np.empty((n_scenes, 2 * d + 1))
     for i in range(n_scenes):
-        scene = generate_scene(params, [proc, proc], rng)
+        trajectories, deltas = generate_scene(params, [proc, proc], rng)
         (tau1, tau2), rejected = build_deviation_vector(
-            *map(np.stack, zip(*scene.trajectories)), proc.points)
+            *map(np.stack, zip(*trajectories)), proc.points)
         assert rejected == {}
-        draws[i] = np.concatenate([tau1, scene.inter_arrival_times, tau2])
+        draws[i] = np.concatenate([tau1, deltas, tau2])
     comp = k1_model.components[0]
     variances = np.diag(dense_covariance(comp))
     se = np.sqrt(variances / n_scenes)
@@ -382,14 +382,10 @@ def parallel_pair_scene(horizontal_nm, vertical_ft, n=12):
     return [a, b]
 
 
-def test_criterion_10_separation_semantics_and_model_comparison():
-    sep = SeparationConfig()
-    assert loss_of_separation_count([parallel_pair_scene(2.9, 1500.0)],
-                                    sep).count == 0
-    assert loss_of_separation_count([parallel_pair_scene(2.9, 500.0)],
-                                    sep).count == 1
-    assert loss_of_separation_count([parallel_pair_scene(3.5, 500.0)],
-                                    sep).count == 0
+def test_criterion_10_separation_semantics_and_model_comparison(monkeypatch):
+    assert loss_of_separation_count([parallel_pair_scene(2.9, 1500.0)])[0] == 0
+    assert loss_of_separation_count([parallel_pair_scene(2.9, 500.0)])[0] == 1
+    assert loss_of_separation_count([parallel_pair_scene(3.5, 500.0)])[0] == 0
 
     # monotone in both minima on single-dip geometry, where runs of
     # violating samples cannot merge
@@ -403,12 +399,16 @@ def test_criterion_10_separation_semantics_and_model_comparison():
         b = (times, np.column_stack([np.zeros(n), gap,
                                      np.full(n, rng.uniform(0, 250.0))]))
         dip_scenes.append([a, b])
-    base_count = loss_of_separation_count(
-        dip_scenes, SeparationConfig(3.0, 1000.0)).count
-    for stricter in (SeparationConfig(4.0, 1000.0),
-                     SeparationConfig(3.0, 2000.0),
-                     SeparationConfig(4.5, 2500.0)):
-        assert loss_of_separation_count(dip_scenes, stricter).count >= base_count
+
+    def count_under(horizontal_min_nm, vertical_min_ft):
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "HORIZONTAL_MIN_NM", horizontal_min_nm)
+            patch.setattr(metrics, "VERTICAL_MIN_FT", vertical_min_ft)
+            return loss_of_separation_count(dip_scenes)[0]
+
+    base_count = count_under(3.0, 1000.0)
+    for stricter in ((4.0, 1000.0), (3.0, 2000.0), (4.5, 2500.0)):
+        assert count_under(*stricter) >= base_count
 
     # correlated pairwise model vs independent single-trajectory baseline
     taus, names, times, proc = corpus.make_intrail_records(400, rho=0.95,
@@ -423,8 +423,8 @@ def test_criterion_10_separation_semantics_and_model_comparison():
     for _ in range(n_scenes):
         params = assemble_scene_params(pairwise_models,
                                        ["INTRAIL"] * n_aircraft, rng)
-        scene = generate_scene(params, [proc] * n_aircraft, rng)
-        multi_scenes.append(scene.trajectories)
+        trajectories, _ = generate_scene(params, [proc] * n_aircraft, rng)
+        multi_scenes.append(trajectories)
 
     # independent baseline: single-trajectory mixture, deltas from the
     # pairwise delta marginal, no cross-aircraft covariance
@@ -454,11 +454,11 @@ def test_criterion_10_separation_semantics_and_model_comparison():
     rng = np.random.default_rng(32)
     single_scenes = []
     for _ in range(n_scenes):
-        scene = generate_scene(independent_params, [proc] * n_aircraft, rng)
-        single_scenes.append(scene.trajectories)
+        trajectories, _ = generate_scene(independent_params, [proc] * n_aircraft, rng)
+        single_scenes.append(trajectories)
 
-    multi_los = loss_of_separation_count(multi_scenes, sep).count
-    single_los = loss_of_separation_count(single_scenes, sep).count
+    multi_los, _ = loss_of_separation_count(multi_scenes)
+    single_los, _ = loss_of_separation_count(single_scenes)
     assert multi_los <= single_los
     report(10, f"rule fixtures and monotonicity hold; correlated pairwise "
                f"scenes yield {multi_los} LoS events vs {single_los} for "

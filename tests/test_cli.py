@@ -890,11 +890,18 @@ def npz_rv_dataset(out):
         np.savez(handle, data)
 
 
+def set_meta_row_3(**values):
+    """A damage that gives row 3 of the radar-vector meta ``values``."""
+    return lambda out: edit_json(out / "rv_dataset.meta.json",
+                                 lambda doc: doc["rows"][3].update(values))
+
+
 RV_DIM = 3 * corpus.T_V + 2
 FA_DIM = 3 * corpus.T_F + 2
 CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
 NAN_AT_ROW_2 = "{out}/rv_dataset.npy: row 2: deviation values must be finite"
 MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
+META_ROW_3 = "{out}/rv_dataset.meta.json: malformed dataset meta: row 3: "
 
 
 @pytest.mark.parametrize("command, keys, damage, message", [
@@ -956,6 +963,20 @@ MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
     ("train-pairwise", {}, nan_in_rv_dataset, NAN_AT_ROW_2),
     ("train-pairwise", {}, empty_rv_dataset,
      "{out}/rv_dataset.npy: dataset has no rows"),
+    ("train-pairwise", {}, set_meta_row_3(arrival_time="soon"),
+     META_ROW_3 + "arrival_time must be a finite number, got 'soon'"),
+    ("train-pairwise", {}, set_meta_row_3(arrival_time=float("nan")),
+     META_ROW_3 + "arrival_time must be a finite number, got nan"),
+    ("train-pairwise", {}, set_meta_row_3(arrival_time=float("-inf")),
+     META_ROW_3 + "arrival_time must be a finite number, got -inf"),
+    ("train-pairwise", {}, set_meta_row_3(arrival_time=True),
+     META_ROW_3 + "arrival_time must be a finite number, got True"),
+    ("train-pairwise", {}, set_meta_row_3(arrival_time=10**400),
+     META_ROW_3 + "arrival_time must be a finite number, got " + "1" + "0" * 39),
+    ("train-pairwise", {}, set_meta_row_3(procedure=["RV_WEST"]),
+     META_ROW_3 + "procedure must be a string, got ['RV_WEST']"),
+    ("train-pairwise", {}, set_meta_row_3(flight_id=7),
+     META_ROW_3 + "flight_id must be a string, got 7"),
     ("select", {"seed": -3}, None,
      "{cfg}: malformed config file: seed must be at least 0, got -3"),
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
@@ -967,6 +988,8 @@ MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
         "train_k_0", "train_k_100", "train_rank_0", "train_rank_9999",
         "train_nan", "train_k_fa_100", "train_rank_fa_0", "pairwise_k_0",
         "pairwise_rank_0", "pairwise_rank_99999", "pairwise_nan", "pairwise_empty",
+        "meta_time_text", "meta_time_nan", "meta_time_inf", "meta_time_bool",
+        "meta_time_huge_int", "meta_procedure_list", "meta_flight_id_number",
         "negative_config_seed"])
 def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
                                       keys, damage, message):
@@ -1291,6 +1314,50 @@ def test_untrained_pair_combinations_are_named_before_sampling(tmp_path, capsys)
     err = capsys.readouterr().err
     assert str(out / "model_pairwise.json") in err
     assert all(key in err for key in missing)
+    assert not (out / "scenes.csv").exists()
+
+
+def test_procedure_name_with_a_pipe_fails_train_pairwise(tmp_path, capsys):
+    # a pairwise model key joins two procedure names with "|"
+    config_path = corpus.write_corpus(tmp_path, n_flights=40, seed=0)
+    yaml_path = tmp_path / "procedures.yaml"
+    yaml_path.write_text(yaml_path.read_text(encoding="utf-8").replace(
+        "RV_WEST", "RV|WEST"), encoding="utf-8")
+    assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
+    out = tmp_path / "out"
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert run(["--config", str(config_path), "train-pairwise"]) == EXIT_DATA
+    assert (f"data error: {out / 'rv_dataset.meta.json'}: procedure 'RV|WEST' "
+            "contains '|', which joins pairwise model keys"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("old, new", [("RV_WEST", "RV|WEST"),
+                                      ("RV_WEST|RV_WEST", "RV_WEST")],
+                         ids=["pipe_in_name", "one_name"])
+def test_pairwise_key_must_join_two_names(tmp_path, capsys, pipeline, old, new):
+    # every combination has a model, but some keys do not split in two
+    base, _ = pipeline
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    yaml_path = tmp_path / "procedures.yaml"
+    yaml_path.write_text(yaml_path.read_text(encoding="utf-8").replace(old, new),
+                         encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    doc = json.loads((base / "out" / "model_pairwise.json").read_text(
+        encoding="utf-8"))
+    doc["models"] = {key.replace(old, new): model
+                     for key, model in doc["models"].items()}
+    (out / "model_pairwise.json").write_text(json.dumps(doc), encoding="utf-8")
+    malformed = [key for key in doc["models"] if key.count("|") != 1]
+    assert malformed
+    assert run(["--config", str(config_path), "generate-scenes",
+                "--count", "2", "--aircraft", "2"]) == EXIT_DATA
+    assert (f"data error: {out / 'model_pairwise.json'}: malformed pairwise "
+            f"model: key {malformed[0]!r} is not two procedure names joined "
+            "by '|'" in capsys.readouterr().err)
     assert not (out / "scenes.csv").exists()
 
 

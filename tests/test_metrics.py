@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 
 from trafgen import metrics
 from trafgen.errors import DataError
-from trafgen.metrics import (MAX_BINS, Histogram, SeparationConfig, extract_variables,
+from trafgen.metrics import (MAX_BINS, Histogram, extract_variables,
                              histogram_pair, js_divergence,
                              loss_of_separation_count, shared_fd_edges,
                              silhouette_scores, silhouette_sweep)
@@ -80,17 +80,17 @@ def test_silhouette_sweep_recovers_three_clusters():
     rng = np.random.default_rng(2)
     data = np.vstack([rng.normal(size=(120, 2)) + offset
                       for offset in ([0.0, 0.0], [12.0, 0.0], [0.0, 12.0])])
-    sweep = silhouette_sweep(data, [2, 3, 4, 5], seed=3)
-    assert sweep.n_components == 3
-    assert [k for k, _ in sweep.curve] == [2, 3, 4, 5]
+    n_components, curve = silhouette_sweep(data, [2, 3, 4, 5], seed=3)
+    assert n_components == 3
+    assert [k for k, _ in curve] == [2, 3, 4, 5]
 
 
 def test_silhouette_sweep_singleton_grid():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(60, 2))
-    sweep = silhouette_sweep(data, [2], seed=0)
-    assert sweep.n_components == 2
-    assert len(sweep.curve) == 1
+    n_components, curve = silhouette_sweep(data, [2], seed=0)
+    assert n_components == 2
+    assert len(curve) == 1
 
 
 # SILHOUETTE_CDIST_WORK values that send a silhouette pass to the numpy
@@ -119,9 +119,9 @@ def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
     for cdist_work in BOTH_KERNELS:
         monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
         calls.clear()
-        sweep = silhouette_sweep(data, [2, 3, 4], seed=0)
+        _, curve = silhouette_sweep(data, [2, 3, 4], seed=0)
         assert calls == [((20, 2), (50, 2)), ((20, 2), (50, 2)), ((10, 2), (50, 2))]
-        assert [k for k, _ in sweep.curve] == [2, 3, 4]
+        assert [k for k, _ in curve] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("m, rows", [(23, 5), (21, 5), (23, 1), (23, 40), (24, 6)],
@@ -161,8 +161,8 @@ def test_euclidean_distances_equal_cdist_bitwise(m, n):
 def test_silhouette_sweep_memory_is_bounded():
     # the full distance matrix alone would take 8 m^2 = 288 MB
     data = np.random.default_rng(5).normal(size=(6000, 8))
-    peak, sweep = peak_traced_bytes(lambda: silhouette_sweep(data, [2, 3], seed=0))
-    assert [k for k, _ in sweep.curve] == [2, 3]
+    peak, (_, curve) = peak_traced_bytes(lambda: silhouette_sweep(data, [2, 3], seed=0))
+    assert [k for k, _ in curve] == [2, 3]
     assert peak < 16 * 2**20
 
 
@@ -318,12 +318,12 @@ def pair_scene(horizontal_nm, vertical_ft, n=12):
 
 
 def test_separation_rule_fixtures():
-    sep = SeparationConfig()  # 3 NM / 1000 ft
-    assert loss_of_separation_count([pair_scene(2.9, 1500.0)], sep).count == 0
-    report = loss_of_separation_count([pair_scene(2.9, 500.0)], sep)
-    assert report.count == 1  # one maximal contiguous run
-    assert report.scene_flags == [True]
-    assert loss_of_separation_count([pair_scene(3.5, 500.0)], sep).count == 0
+    # 3 NM / 1000 ft
+    assert loss_of_separation_count([pair_scene(2.9, 1500.0)])[0] == 0
+    count, scene_flags = loss_of_separation_count([pair_scene(2.9, 500.0)])
+    assert count == 1  # one maximal contiguous run
+    assert scene_flags == [True]
+    assert loss_of_separation_count([pair_scene(3.5, 500.0)])[0] == 0
 
 
 def test_separation_event_counting_runs():
@@ -332,12 +332,12 @@ def test_separation_event_counting_runs():
     gaps_nm = np.array([5.0, 2.0, 2.0, 5.0, 5.0, 2.0, 2.0, 5.0, 5.0])
     a = (times, np.column_stack([np.zeros(9), np.zeros(9), np.zeros(9)]))
     b = (times, np.column_stack([np.zeros(9), gaps_nm * NM_TO_M, np.zeros(9)]))
-    report = loss_of_separation_count([[a, b]])
-    assert report.count == 2
+    count, _ = loss_of_separation_count([[a, b]])
+    assert count == 2
 
 
 def test_separation_requires_time_overlap():
     a = straight_traj(10, 80.0, y=0.0, t0=0.0)
     b = straight_traj(10, 80.0, y=100.0, t0=1e6)  # disjoint in time
-    report = loss_of_separation_count([[a, b]])
-    assert report.count == 0
+    count, _ = loss_of_separation_count([[a, b]])
+    assert count == 0

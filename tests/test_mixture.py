@@ -369,23 +369,23 @@ def rank5_data(rng, m=3000, n=30, noise=0.3):
 def test_select_rank_recovers_generating_rank():
     rng = np.random.default_rng(10)
     data = rank5_data(rng)
-    result = select_rank(data, range(1, 12), seed=0)
-    assert abs(result.rank - 5) <= 1
-    assert len(result.curve) == 11
+    rank, curve = select_rank(data, range(1, 12), seed=0)
+    assert abs(rank - 5) <= 1
+    assert len(curve) == 11
 
 
 def test_select_rank_singleton_grid():
     rng = np.random.default_rng(11)
     data = rng.normal(size=(200, 6))
-    result = select_rank(data, [3], seed=0)
-    assert result.rank == 3
+    rank, _ = select_rank(data, [3], seed=0)
+    assert rank == 3
 
 
 def test_select_rank_curve_rises_then_falls():
     rng = np.random.default_rng(12)
     data = rank5_data(rng)
-    result = select_rank(data, range(1, 12), seed=0)
-    lls = [ll for _, ll in result.curve]
+    _, curve = select_rank(data, range(1, 12), seed=0)
+    lls = [ll for _, ll in curve]
     peak = int(np.argmax(lls))
     # unimodal shape up to noise: increases into the peak, decreases well after
     assert all(np.diff(lls[:peak + 1]) > 0)
@@ -414,11 +414,11 @@ def test_select_rank_matches_per_rank_oracle(deficient, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(mixture, "_spectral_log_density", recording_log_density)
-    result = select_rank(data, grid, seed=4)
+    selected, selected_curve = select_rank(data, grid, seed=4)
     rank, curve = select_rank_per_rank(data, grid, seed=4)
-    assert result.rank == rank
-    assert [k for k, _ in result.curve] == grid
-    assert np.allclose([ll for _, ll in result.curve], [ll for _, ll in curve],
+    assert selected == rank
+    assert [k for k, _ in selected_curve] == grid
+    assert np.allclose([ll for _, ll in selected_curve], [ll for _, ll in curve],
                        rtol=1e-6 if deficient else 1e-9, atol=0.0)
     assert attempts == []  # scored in the eigenbasis, no Cholesky
     # sigma^2 is floored at 1e-10 trace / n of the training sample covariance

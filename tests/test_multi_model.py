@@ -434,8 +434,8 @@ def test_scene_assembly_forms_no_dense_scene_matrix():
         params = assemble_scene_params(models, ["P"] * n_aircraft, rng=0)
         return generate_scene(params, [proc] * n_aircraft, rng=1)
 
-    peak, drawn = peak_traced_bytes(scene)
-    assert len(drawn.trajectories) == n_aircraft
+    peak, (trajectories, _) = peak_traced_bytes(scene)
+    assert len(trajectories) == n_aircraft
     dim = n_aircraft * d + n_aircraft - 1
     assert peak < dim * dim * 8 / 10
 
@@ -475,10 +475,10 @@ def zero_cov_params(n_aircraft):
 
 def test_zero_covariance_scene_equals_mean_scene():
     params = zero_cov_params(3)
-    scene = generate_scene(params, scene_procedures(3), rng=0)
-    assert np.array_equal(scene.inter_arrival_times, [90.0, 90.0])
+    trajectories, deltas = generate_scene(params, scene_procedures(3), rng=0)
+    assert np.array_equal(deltas, [90.0, 90.0])
     proc = scene_procedures(1)[0]
-    for i, (times, points) in enumerate(scene.trajectories):
+    for i, (times, points) in enumerate(trajectories):
         assert np.allclose(points, proc.points, atol=1e-9)
         expected_transit = (300.0 + 10.0 * i) / 9000.0 * proc.total_distance
         assert times[-1] - times[0] == pytest.approx(expected_transit)
@@ -491,11 +491,11 @@ def test_arrival_time_bookkeeping_is_exact():
     rng = np.random.default_rng(11)
     for _ in range(10):
         params = assemble_scene_params(models, ["P", "P", "P"], rng)
-        scene = generate_scene(params, scene_procedures(3), rng)
-        ends = [times[-1] for times, _ in scene.trajectories]
+        trajectories, deltas = generate_scene(params, scene_procedures(3), rng)
+        ends = [times[-1] for times, _ in trajectories]
         gaps = np.diff(ends)
-        assert np.allclose(gaps, scene.inter_arrival_times, atol=1e-9)
-        assert scene.trajectories[0][0][0] == 0.0
+        assert np.allclose(gaps, deltas, atol=1e-9)
+        assert trajectories[0][0][0] == 0.0
 
 
 def test_delta_moments_match_monte_carlo():
@@ -509,7 +509,7 @@ def test_delta_moments_match_monte_carlo():
     rng = np.random.default_rng(13)
     n = 10_000
     draws = np.array([
-        generate_scene(params, scene_procedures(2), rng).inter_arrival_times[0]
+        generate_scene(params, scene_procedures(2), rng)[1][0]
         for _ in range(n)
     ])
     se_mean = np.sqrt(var_true / n)
@@ -575,10 +575,9 @@ def test_scene_generation_deterministic():
     for _ in range(2):
         rng = np.random.default_rng(15)
         params = assemble_scene_params(models, ["P", "P", "P"], rng)
-        scene = generate_scene(params, scene_procedures(3), rng)
-        out.append(scene)
-    for (times1, points1), (times2, points2) in zip(out[0].trajectories,
-                                                    out[1].trajectories):
+        trajectories, _ = generate_scene(params, scene_procedures(3), rng)
+        out.append(trajectories)
+    for (times1, points1), (times2, points2) in zip(out[0], out[1]):
         assert np.array_equal(times1, times2)
         assert np.array_equal(points1, points2)
 

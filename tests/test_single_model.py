@@ -140,8 +140,8 @@ def test_silhouette_sweep_finds_generating_component_count():
         blobs = [rng.normal(scale=60.0, size=(120, DIM_F))
                  + np.eye(DIM_F)[2] * off for off in offsets]
         data = np.vstack(blobs) + np.array([300.0, 9000.0] + [0.0] * (DIM_F - 2))
-        sweep = silhouette_sweep(data, [2, 3, 4, 5, 6, 7], seed=4)
-        assert sweep.n_components == k_true
+        n_components, _ = silhouette_sweep(data, [2, 3, 4, 5, 6, 7], seed=4)
+        assert n_components == k_true
 
 
 def test_train_is_bit_identical_for_fixed_seed():
