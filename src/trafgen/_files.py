@@ -115,18 +115,23 @@ def write_trajectory_csv(path: Path, key_columns: list[str], rows) -> None:
     """Write (keys, times, points) rows as one CSV line per sample.
 
     The bytes are those of ``csv.writer``: CRLF line ends, floats as
-    ``repr``, and the keys, integers, as ``str``.
+    ``repr``, and the keys, integers, as ``str``. Times that do not strictly
+    increase, which ``read_trajectory_file`` rejects, raise ValueError
+    naming the row's keys; the file is then left as it was.
     """
     with atomic_path(path) as tmp, \
             tmp.open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join([*key_columns, "t", "x", "y", "z"]) + "\r\n")
         # one write per trajectory, so memory stays bounded by one of them
         for keys, times, points in rows:
+            times = np.asarray(times, dtype=float)
+            if np.any(np.diff(times) <= 0):
+                raise ValueError(f"times of aircraft {'/'.join(map(str, keys))} "
+                                 "do not strictly increase")
             prefix = "".join(f"{key}," for key in keys)
             handle.write("".join([
                 f"{prefix}{t!r},{x!r},{y!r},{z!r}\r\n" for t, (x, y, z)
-                in zip(np.asarray(times, dtype=float).tolist(),
-                       np.asarray(points, dtype=float).tolist())]))
+                in zip(times.tolist(), np.asarray(points, dtype=float).tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,9 @@ def _dataset_meta(doc: dict) -> tuple[dict, int]:
         if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
             raise ValueError(f"row {i}: arrival_time must be a finite number, "
                              f"got {time!r:.40}")
-    return doc, int(doc["T"])
+    if type(doc["T"]) is not int:
+        raise ValueError(f"T must be an integer, got {doc['T']!r:.40}")
+    return doc, doc["T"]
 
 
 def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:

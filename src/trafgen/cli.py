@@ -150,8 +150,10 @@ def _segments(config: RunConfig) -> tuple[_Segment, _Segment]:
 # ---------------------------------------------------------------------------
 # Commands
 
-def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSet:
-    """The radar-vector and IAP procedural trajectories at the config's lengths."""
+def _load_procedural_trajectories(config: RunConfig) -> tuple[
+        list[procedures.ProceduralTrajectory], list[float], procedures.ProceduralTrajectory]:
+    """The radar-vector procedural trajectories, their frequencies scaled to
+    sum to 1, and the IAP's, at the config's lengths."""
     procs = procedures.load_procedures(config.procedures)
     rv_procs = [p for p in procs if p.kind is procedures.ProcedureKind.RADAR_VECTOR]
     iaps = [p for p in procs if p.kind is procedures.ProcedureKind.IAP]
@@ -160,15 +162,17 @@ def _load_procedural_trajectories(config: RunConfig) -> single_model.ProcedureSe
     if len(iaps) != 1:
         raise DataError(f"{config.procedures}: expected exactly 1 IAP, "
                         f"found {len(iaps)}")
-    try:  # a repeated waypoint or all-zero frequencies
-        return single_model.ProcedureSet(
-            radar_vectors=[procedures.build_procedural_trajectory(
-                p, config.t_v, config.airspace) for p in rv_procs],
-            frequencies=[p.frequency for p in rv_procs],
-            iap=procedures.build_procedural_trajectory(
-                iaps[0], config.t_f, config.airspace))
+    try:  # a repeated waypoint
+        rv_trajs = [procedures.build_procedural_trajectory(
+            p, config.t_v, config.airspace) for p in rv_procs]
+        iap = procedures.build_procedural_trajectory(iaps[0], config.t_f,
+                                                     config.airspace)
     except ValueError as exc:
         raise DataError(f"{config.procedures}: {exc}") from exc
+    total = float(sum(p.frequency for p in rv_procs))
+    if total <= 0:
+        raise DataError(f"{config.procedures}: frequencies must have positive total")
+    return rv_trajs, [p.frequency / total for p in rv_procs], iap
 
 
 def _read_arrivals(config: RunConfig) -> tuple[list, list[str], list, list[dict]]:
@@ -209,8 +213,7 @@ def cmd_ingest(config: RunConfig) -> int:
     flights, parse_errors, arrivals, exclusions = _read_arrivals(config)
     if not arrivals:
         raise DataError("no arrival flights after classification")
-    proc_set = _load_procedural_trajectories(config)
-    rv_trajs, iap_traj = proc_set.radar_vectors, proc_set.iap
+    rv_trajs, _, iap_traj = _load_procedural_trajectories(config)
     threshold_m = config.segment_threshold_nm * NM_TO_M
 
     # 1. split every arrival. The radar-vector part runs up TO the handoff
@@ -406,14 +409,15 @@ def cmd_generate(config: RunConfig, count: int) -> int:
         preprocess.deviation_length(m.dimension, "model dimension", segment.symbol,
                                     expected=segment.length, path=segment.model)
     model = single_model.SingleTrajectoryModel(*models, config.n_overlap)
-    proc_set = _load_procedural_trajectories(config)
+    rv_trajs, probs, iap = _load_procedural_trajectories(config)
     rng = substream(config.seed, "generate")
     rows, meta = [], []
     for i in range(count):
-        traj = single_model.generate(model, proc_set, rng)
-        rows.append(((i,), traj.times, traj.points))
-        meta.append({"traj_id": i, "procedure": traj.procedure_used,
-                     "components": list(traj.source_components)})
+        rv_proc = rv_trajs[int(rng.choice(len(rv_trajs), p=probs))]
+        times, points, components = single_model.generate(model, rv_proc, iap, rng)
+        rows.append(((i,), times, points))
+        meta.append({"traj_id": i, "procedure": rv_proc.procedure,
+                     "components": list(components)})
     write_trajectory_csv(config.out_dir / "trajectories.csv", ["traj_id"], rows)
     write_json(config.out_dir / "trajectories.meta.json",
                {"count": count, "seed": config.seed, "trajectories": meta})
@@ -435,8 +439,7 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     """Generate correlated multi-aircraft scenes from the pairwise models."""
     models = read_json(config.out_dir / "model_pairwise.json", "pairwise model",
                        _pairwise_models, tag=PAIRWISE_FORMAT)
-    proc_set = _load_procedural_trajectories(config)
-    rv_trajs, probs = proc_set.radar_vectors, proc_set.frequencies
+    rv_trajs, probs, _ = _load_procedural_trajectories(config)
     # assembly reaches every ordered pair of a scene's procedures, adjacent
     # or not, so any two procedures that can be drawn need a model
     drawn = [t.procedure for t, p in zip(rv_trajs, probs) if p > 0]

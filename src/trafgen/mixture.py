@@ -496,17 +496,10 @@ def redraw(draw: Callable, what: str):
         f"{what} failed after {MAX_DRAWS} attempts; last cause: {cause}")
 
 
-def sample(model: MixtureModel, rng: int | np.random.Generator | None = None,
-           ) -> tuple[np.ndarray, int]:
-    """Draw one vector from the mixture; returns (sample, component index)."""
-    x, comp = sample_many(model, 1, rng)
-    return x[0], int(comp[0])
-
-
-def sample_many(model: MixtureModel, size: int,
-                rng: int | np.random.Generator | None = None,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` vectors; returns (samples (size, n), component indices)."""
+def sample(model: MixtureModel, size: int,
+           rng: int | np.random.Generator | None = None,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``size`` vectors; returns (samples (size, n), component indices (size,))."""
     rng = np.random.default_rng(rng)
     comps = rng.choice(len(model.components), size=size, p=model.weights)
     out = np.empty((size, model.dimension))

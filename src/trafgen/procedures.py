@@ -49,8 +49,9 @@ class Procedure:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError(f"procedure {self.name!r} needs >= 2 waypoints")
-        if self.frequency < 0:
-            raise ValueError("frequency must be nonnegative")
+        if not 0 <= self.frequency < np.inf:
+            raise ValueError(f"procedure {self.name!r}: frequency must be "
+                             f"finite and nonnegative, got {self.frequency}")
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 The two mixtures, one per segment, are fitted by ``trafgen train`` with
 :func:`~trafgen.mixture.em_fit` and :func:`~trafgen.mixture.compress_model`.
-Generation samples a radar-vector deviation vector, reconstructs it against a
-test procedure, then conditions the final-approach mixture on the deviations
-implied by the tail of the radar-vector trajectory so the two segments join
-smoothly. A model states only that overlap, n_overlap: the segment lengths
-T_v and T_f follow from the mixtures' dimensions, 3T+2 each, by
+Generation samples a radar-vector deviation vector, reconstructs it against
+the radar-vector procedure its caller drew, then conditions the
+final-approach mixture on the deviations implied by the tail of the
+radar-vector trajectory so the two segments join smoothly. A model states
+only that overlap, n_overlap: the segment lengths T_v and T_f follow from
+the mixtures' dimensions, 3T+2 each, by
 :func:`~trafgen.preprocess.deviation_length`.
 """
 
@@ -58,69 +59,31 @@ class SingleTrajectoryModel:
                                   np.arange(2, 2 + 3 * self.n_overlap))
 
 
-@dataclass
-class SyntheticTrajectory:
-    """A stitched trajectory of T_v + T_f - n_overlap + 1 samples.
+def generate(model: SingleTrajectoryModel, rv_proc: ProceduralTrajectory,
+             iap: ProceduralTrajectory, rng: int | np.random.Generator | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """One synthetic trajectory against ``rv_proc`` and the IAP: its
+    T_v + T_f - n_overlap + 1 strictly increasing times, its points, and its
+    (radar-vector, final-approach) component indices.
 
-    The overlap is emitted once: the first final-approach sample, at index
-    T_v, is the one that retraces the last radar-vector position.
-    """
-
-    times: np.ndarray    # (T_v + T_f - n_overlap + 1,), strictly increasing
-    points: np.ndarray   # (T_v + T_f - n_overlap + 1, 3)
-    procedure_used: str
-    source_components: tuple[int, int]  # (radar-vector, final-approach)
-
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-
-
-@dataclass
-class ProcedureSet:
-    """Procedural trajectories to generate against, with RV frequencies."""
-
-    radar_vectors: list[ProceduralTrajectory]
-    frequencies: list[float]
-    iap: ProceduralTrajectory
-
-    def __post_init__(self) -> None:
-        if len(self.frequencies) != len(self.radar_vectors):
-            raise ValueError("one frequency per radar-vector procedure")
-        total = float(sum(self.frequencies))
-        if total <= 0:
-            raise ValueError("frequencies must have positive total")
-        self.frequencies = [f / total for f in self.frequencies]
-
-
-def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
-             rng: int | np.random.Generator | None = None,
-             ) -> SyntheticTrajectory:
-    """Generate one synthetic trajectory against test procedures.
-
-    Picks a radar-vector procedure proportionally to frequency, samples and
-    reconstructs the radar-vector segment, conditions the final-approach
-    mixture on the deviations of the segment's last ``n_overlap`` positions
-    from the IAP head, and joins the reconstructed segments. The overlap is
-    emitted once: final-approach samples before the one that retraces the
-    radar-vector end are dropped. A draw that fails is redrawn by
-    :func:`~trafgen.mixture.redraw`.
+    Samples and reconstructs the radar-vector segment, conditions the
+    final-approach mixture on the deviations of the segment's last
+    ``n_overlap`` positions from the IAP head, and joins the reconstructed
+    segments. The overlap is emitted once: the final-approach sample at
+    index T_v retraces the radar-vector end, and those before it are
+    dropped. A draw that fails is redrawn by :func:`~trafgen.mixture.redraw`.
     """
     rng = np.random.default_rng(rng)
     n_ov = model.n_overlap
-    proc_idx = int(rng.choice(len(procedures.radar_vectors),
-                              p=procedures.frequencies))
-    rv_proc = procedures.radar_vectors[proc_idx]
-    iap = procedures.iap
     conditional_fa = model.final_approach_conditional
 
     def draw():
-        tau_rv, comp_rv = sample(model.radar_vector_model, rng)
+        tau_rv, (comp_rv,) = sample(model.radar_vector_model, 1, rng)
         (rv_times,), (rv_points,) = reconstruct_trajectory(
-            tau_rv[None], rv_proc.points, rv_proc.total_distance)
+            tau_rv, rv_proc.points, rv_proc.total_distance)
         # deviations of the trajectory tail from the IAP head (tau_a block)
         overlap_dev = (rv_points[-n_ov:] - iap.points[:n_ov]).ravel()
-        tau_b, comp_fa = sample(conditional_fa(overlap_dev), rng)
+        (tau_b,), (comp_fa,) = sample(conditional_fa(overlap_dev), 1, rng)
         tau_fa = np.empty(model.final_approach_model.dimension)
         tau_fa[conditional_fa.observed_idx] = overlap_dev
         tau_fa[conditional_fa.free_idx] = tau_b
@@ -135,9 +98,5 @@ def generate(model: SingleTrajectoryModel, procedures: ProcedureSet,
     epsilon = max(1e-6 * fa_times[-1], 1e-9 * rv_times[-1], 1e-9)
     join = n_ov - 1
     fa_times = fa_times[join:] - fa_times[join] + rv_times[-1] + epsilon
-    return SyntheticTrajectory(
-        times=np.concatenate([rv_times, fa_times]),
-        points=np.vstack([rv_points, fa_points[join:]]),
-        procedure_used=rv_proc.procedure,
-        source_components=components,
-    )
+    return (np.concatenate([rv_times, fa_times]),
+            np.vstack([rv_points, fa_points[join:]]), components)

@@ -48,7 +48,11 @@ def _write_truth(path: Path, trajectories) -> None:
         writer = csv.writer(handle)
         writer.writerow(["traj_id", "t", "x", "y", "z"])
         for i, traj in enumerate(trajectories):
-            for t, (x, y, z) in zip(traj.times.tolist(), traj.points.tolist()):
+            # a (procedure, times, points, components) tuple, or a record
+            # with times and points from a checkout that predates it
+            times, points = (traj[1:3] if isinstance(traj, tuple)
+                             else (traj.times, traj.points))
+            for t, (x, y, z) in zip(times.tolist(), points.tolist()):
                 writer.writerow([i, repr(t), repr(x), repr(y), repr(z)])
 
 

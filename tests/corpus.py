@@ -16,7 +16,7 @@ from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.preprocess import path_length
 from trafgen.procedures import (Procedure, ProcedureKind,
                                 build_procedural_trajectory, save_procedures)
-from trafgen.single_model import ProcedureSet, SingleTrajectoryModel, generate
+from trafgen.single_model import SingleTrajectoryModel, generate
 
 # default segment lengths and overlap of the test corpus; the paper's are
 # T_v = 350, T_f = 150 and n_overlap = 10
@@ -72,13 +72,24 @@ def gt_procedures() -> list[Procedure]:
     ]
 
 
-def gt_procedure_set(t_v=T_V, t_f=T_F) -> ProcedureSet:
+def gt_procedure_set(t_v=T_V, t_f=T_F):
+    """The radar-vector procedural trajectories, their frequencies scaled to
+    sum to 1, and the IAP's, as ``trafgen generate`` loads them."""
     procs = gt_procedures()
-    rv_trajs = [build_procedural_trajectory(p, t_v, AIRSPACE)
-                for p in procs[:2]]
-    return ProcedureSet(radar_vectors=rv_trajs,
-                        frequencies=[p.frequency for p in procs[:2]],
-                        iap=build_procedural_trajectory(procs[2], t_f, AIRSPACE))
+    total = float(sum(p.frequency for p in procs[:2]))
+    return ([build_procedural_trajectory(p, t_v, AIRSPACE) for p in procs[:2]],
+            [p.frequency / total for p in procs[:2]],
+            build_procedural_trajectory(procs[2], t_f, AIRSPACE))
+
+
+def generate_drawn(model, procs, rng):
+    """``generate`` against a radar-vector procedure of ``procs``, a
+    ``gt_procedure_set`` tuple, drawn by frequency from ``rng`` first, as
+    ``trafgen generate`` draws it. Returns (procedure name, times, points,
+    components)."""
+    rv_trajs, frequencies, iap = procs
+    rv_proc = rv_trajs[int(rng.choice(len(rv_trajs), p=frequencies))]
+    return rv_proc.procedure, *generate(model, rv_proc, iap, rng)
 
 
 def _smooth_cov_factor(t_len, dim, scales, time_scale, dist_scale, seed):
@@ -102,9 +113,10 @@ def _overlap_path(procs, t_f, n_overlap):
     the join (here the mean of the two arcs' tails at their mean altitude),
     then resamples the approach itself to T_f - n_overlap + 1 samples.
     """
-    t_v = procs.radar_vectors[0].points.shape[0]
+    rv_trajs, _, _ = procs
+    t_v = rv_trajs[0].points.shape[0]
     lead = slice(t_v - n_overlap, t_v - 1)
-    tail = np.mean([rv.points[lead] for rv in procs.radar_vectors], axis=0)
+    tail = np.mean([rv.points[lead] for rv in rv_trajs], axis=0)
     u = np.linspace(0.0, 1.0, t_v)[lead]
     tail[:, 2] += _RV_DESCENT[0] + (_RV_DESCENT[1] - _RV_DESCENT[0]) * u
     approach = build_procedural_trajectory(gt_procedures()[2], t_f - n_overlap + 1,
@@ -137,19 +149,20 @@ def _gt_component(proc_traj, t_len, lane_offset, descent, transit_mean,
 def ground_truth_model(t_v=T_V, t_f=T_F,
                        n_overlap=N_OVERLAP) -> SingleTrajectoryModel:
     procs = gt_procedure_set(t_v, t_f)
+    (rv_west, _), _, iap = procs
     rv = MixtureModel(components=[
-        _gt_component(procs.radar_vectors[0], t_v, +350.0, _RV_DESCENT,
+        _gt_component(rv_west, t_v, +350.0, _RV_DESCENT,
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=11),
-        _gt_component(procs.radar_vectors[0], t_v, -350.0, _RV_DESCENT,
+        _gt_component(rv_west, t_v, -350.0, _RV_DESCENT,
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=12),
     ], segment_kind="radar_vector")
     # final-approach rows follow ingest's overlap rule; at n_overlap = 1 that
     # path is the IAP itself
     path = _overlap_path(procs, t_f, n_overlap) if n_overlap > 1 else None
     fa = MixtureModel(components=[
-        _gt_component(procs.iap, t_f, +450.0, None, 160.0, 40.0, 8.0, 100.0,
+        _gt_component(iap, t_f, +450.0, None, 160.0, 40.0, 8.0, 100.0,
                       0.5, seed=13, path=path),
-        _gt_component(procs.iap, t_f, -450.0, None, 160.0, 40.0, 8.0, 100.0,
+        _gt_component(iap, t_f, -450.0, None, 160.0, 40.0, 8.0, 100.0,
                       0.5, seed=14, path=path),
     ], segment_kind="final_approach")
     return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
@@ -157,23 +170,24 @@ def ground_truth_model(t_v=T_V, t_f=T_F,
 
 
 def generate_actual(n, seed, t_v=T_V, t_f=T_F, n_overlap=N_OVERLAP):
-    """Ground-truth trajectories, as the generator's SyntheticTrajectory."""
+    """Ground-truth trajectories, as ``generate_drawn`` tuples."""
     model = ground_truth_model(t_v, t_f, n_overlap)
     procs = gt_procedure_set(t_v, t_f)
     rng = np.random.default_rng(seed)
-    return [generate(model, procs, rng) for _ in range(n)]
+    return [generate_drawn(model, procs, rng) for _ in range(n)]
 
 
 def write_tracks_csv(path: Path, trajectories, spacing_range=(80.0, 140.0),
                      seed=0) -> None:
-    """Write trajectories as a geodetic track CSV with stacked arrival times."""
+    """Write ``generate_drawn`` trajectories as a geodetic track CSV with
+    stacked arrival times."""
     rng = np.random.default_rng(seed)
     offset = 0.0
     lines = ["id,time,lat,lon,alt"]
-    for i, traj in enumerate(trajectories):
+    for i, (_, times, points, _) in enumerate(trajectories):
         offset += float(rng.uniform(*spacing_range))
-        lat, lon, alt_ft = enu_to_wgs84(traj.points, AIRSPACE)
-        for t, la, lo, af in zip(traj.times, lat, lon, alt_ft):
+        lat, lon, alt_ft = enu_to_wgs84(points, AIRSPACE)
+        for t, la, lo, af in zip(times, lat, lon, alt_ft):
             lines.append(f"AC{i:05d},{float(t + offset)!r},{float(la)!r},"
                          f"{float(lo)!r},{float(af)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

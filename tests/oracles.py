@@ -54,7 +54,7 @@ from trafgen.errors import DataError, NumericalError
 from trafgen.ingest import Flight
 from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, MODEL_FORMAT,
                              EMFit, GaussianComponent, MixtureModel,
-                             _log_densities, _logsumexp, _m_step, sample_many)
+                             _log_densities, _logsumexp, _m_step, sample)
 from trafgen.multi_model import _block, _delta_index, _require_model
 
 
@@ -249,7 +249,7 @@ def mc_conditional_moments(model: MixtureModel, observed_idx, observed_vals,
     mask = np.ones(model.dimension, dtype=bool)
     mask[observed_idx] = False
 
-    draws, comps = sample_many(model, n_samples, rng)
+    draws, comps = sample(model, n_samples, rng)
     a_part = draws[:, observed_idx]
     h = bandwidth * a_part.std(axis=0)
     h = np.where(h > 0, h, 1.0)

@@ -16,7 +16,7 @@ from trafgen.metrics import (extract_variables, histogram_pair, js_divergence,
                              loss_of_separation_count, silhouette_scores,
                              silhouette_sweep)
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
-                             MixtureModel, compress_model, em_fit, sample_many,
+                             MixtureModel, compress_model, em_fit, sample,
                              select_rank)
 from trafgen.multi_model import (SceneParams, _block, _delta_index,
                                  assemble_scene_params, extract_pairs,
@@ -80,7 +80,7 @@ def test_criterion_02_conditional_matches_monte_carlo():
         model = random_mixture(rng, k, n)
         n_obs = int(rng.integers(1, n - 1))
         observed_idx = np.sort(rng.choice(n, size=n_obs, replace=False))
-        anchor, _ = sample_many(model, 1, rng)
+        anchor, _ = sample(model, 1, rng)
         observed_vals = anchor[0, observed_idx]
 
         conditioned = ConditionalMixture(model, observed_idx)(observed_vals)
@@ -90,8 +90,8 @@ def test_criterion_02_conditional_matches_monte_carlo():
         mc_w, w_se, mc_mean, mean_se = mc_conditional_moments(
             model, observed_idx, observed_vals, 1_000_000,
             np.random.default_rng(1000 + case))
-        scale = np.std(sample_many(model, 2000,
-                                   np.random.default_rng(2))[0], axis=0)
+        scale = np.std(sample(model, 2000,
+                              np.random.default_rng(2))[0], axis=0)
         b_scale = np.delete(scale, observed_idx)
         assert np.all(np.abs(analytic_w - mc_w) <= 3.0 * w_se + 0.015)
         assert np.all(np.abs(analytic_mean - mc_mean)
@@ -256,7 +256,7 @@ def pipeline(tmp_path_factory):
 def test_criterion_08_end_to_end_distributional_fidelity(pipeline):
     base, config_path, pipeline_elapsed = pipeline
     holdout = corpus.generate_actual(1000, seed=77)
-    actual_scenes = [[(t.times, t.points)] for t in holdout]
+    actual_scenes = [[(times, points)] for _, times, points, _ in holdout]
     from trafgen.cli import read_trajectory_file
     synthetic_scenes = read_trajectory_file(base / "out" / "trajectories.csv")
     assert len(synthetic_scenes) == 1000

@@ -86,7 +86,7 @@ def test_selection_report_covers_grids(pipeline):
 def test_selection_picks_generating_component_count(tmp_path):
     """Clean two-component deviation data: the report must choose K=2."""
     from trafgen.cli import write_deviation_dataset
-    from trafgen.mixture import sample_many
+    from trafgen.mixture import sample
 
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     gt = corpus.ground_truth_model()
@@ -94,7 +94,7 @@ def test_selection_picks_generating_component_count(tmp_path):
     for model, name, t_len in (
             (gt.radar_vector_model, "rv_dataset.npy", corpus.T_V),
             (gt.final_approach_model, "fa_dataset.npy", corpus.T_F)):
-        data, _ = sample_many(model, 400, np.random.default_rng(1))
+        data, _ = sample(model, 400, np.random.default_rng(1))
         rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
                  "arrival_time": 100.0 * i} for i in range(len(data))]
         write_deviation_dataset(out / name, data, model.segment_kind, t_len,
@@ -260,6 +260,22 @@ def test_generate_count_zero_writes_header_only(tmp_path, pipeline):
     assert lines == ["traj_id,t,x,y,z"]
 
 
+def test_degenerate_frequencies_pin_the_procedure(tmp_path):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    gt = corpus.ground_truth_model()
+    save_model(gt.radar_vector_model, out / "model_rv.json")
+    save_model(gt.final_approach_model, out / "model_fa.json")
+    procs = procedures.load_procedures(tmp_path / "procedures.yaml")
+    procs[0].frequency, procs[1].frequency = 1.0, 0.0
+    procedures.save_procedures(procs, tmp_path / "procedures.yaml")
+    assert run(["--config", str(config_path), "generate",
+                "--count", "10"]) == EXIT_OK
+    meta = json.loads((out / "trajectories.meta.json").read_text())
+    assert [entry["procedure"] for entry in meta["trajectories"]] == [
+        procs[0].name] * 10
+
+
 def test_scene_outputs(pipeline):
     base, _ = pipeline
     scenes = read_trajectory_file(base / "out" / "scenes.csv")
@@ -387,7 +403,7 @@ def test_paper_dimension_ingest_matches_per_pair_loop(tmp_path, monkeypatch):
         assert (batched / name).read_bytes() == (looped / name).read_bytes(), name
     rv, meta = read_deviation_dataset(batched / "rv_dataset.npy")
     assert rv.shape == (6, 3 * 350 + 2)
-    flown = [t.procedure_used for t in corpus.generate_actual(6, 4, **dims)]
+    flown = [name for name, *_ in corpus.generate_actual(6, 4, **dims)]
     assert [row["procedure"] for row in meta["rows"]] == flown
 
 
@@ -399,8 +415,9 @@ def test_paper_dimension_pipeline_runs_through_evaluate(tmp_path, n_overlap):
                                       explicit_choice=True, **dims)
     actual = tmp_path / "actual.csv"
     _files.write_trajectory_csv(actual, ["traj_id"], [
-        ((i,), traj.times, traj.points)
-        for i, traj in enumerate(corpus.generate_actual(10, 1, **dims))])
+        ((i,), times, points)
+        for i, (_, times, points, _) in enumerate(
+            corpus.generate_actual(10, 1, **dims))])
     out = tmp_path / "out"
     for args in (["ingest"], ["train"], ["generate", "--count", "10"],
                  ["evaluate", "--actual", str(actual),
@@ -428,11 +445,12 @@ def test_final_approach_rows_open_with_the_radar_vector_tail(tmp_path):
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
     rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.npy")
     fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.npy")
-    procs = cli._load_procedural_trajectories(RunConfig.from_file(config_path))
-    proc_points = {t.procedure: t.points for t in procs.radar_vectors}
+    rv_trajs, _, iap = cli._load_procedural_trajectories(
+        RunConfig.from_file(config_path))
+    proc_points = {t.procedure: t.points for t in rv_trajs}
     for rv_row, fa_row, row in zip(rv, fa, rv_meta["rows"]):
         rv_points = rv_row[2:].reshape(t_v, 3) + proc_points[row["procedure"]]
-        fa_points = fa_row[2:].reshape(t_f, 3) + procs.iap.points
+        fa_points = fa_row[2:].reshape(t_f, 3) + iap.points
         # the last n_ov samples of the radar-vector part, the join included
         np.testing.assert_allclose(fa_points[:n_ov], rv_points[-n_ov:],
                                    rtol=0.0, atol=1e-6)
@@ -632,6 +650,25 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "model_rv.json", "nominal_paths.yaml", "rv_dataset.meta.json",
         "rv_dataset.npy", "trajectories.csv"]
+
+
+@pytest.mark.parametrize("key_columns, keys, times", [
+    (["traj_id"], (1,), [0.0, 1.0, 1.0]),
+    (["scene_id", "aircraft_idx"], (0, 1), [0.0, 2.0, 1.0]),
+], ids=["trajectory_repeated_time", "scene_decreasing_time"])
+def test_trajectory_writer_rejects_times_that_do_not_increase(
+        tmp_path, key_columns, keys, times):
+    path = tmp_path / "out.csv"
+    first = ((0,) * len(key_columns), [0.0, 1.0, 2.0], [(1.0, 2.0, 3.0)] * 3)
+    _files.write_trajectory_csv(path, key_columns, [first])
+    good = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(
+            f"times of aircraft {'/'.join(map(str, keys))} "
+            "do not strictly increase")):
+        _files.write_trajectory_csv(path, key_columns,
+                                    [first, (keys, times, [(4.0, 5.0, 6.0)] * 3)])
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_evaluate_scene_file_has_closest_distance(pipeline):
@@ -896,12 +933,19 @@ def set_meta_row_3(**values):
                                  lambda doc: doc["rows"][3].update(values))
 
 
+def set_meta_t(value):
+    """A damage that sets the radar-vector meta's T to ``value``."""
+    return lambda out: edit_json(out / "rv_dataset.meta.json",
+                                 lambda doc: doc.update(T=value))
+
+
 RV_DIM = 3 * corpus.T_V + 2
 FA_DIM = 3 * corpus.T_F + 2
 CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
 NAN_AT_ROW_2 = "{out}/rv_dataset.npy: row 2: deviation values must be finite"
 MALFORMED_RV = "{out}/rv_dataset.npy: malformed deviation dataset: "
 META_ROW_3 = "{out}/rv_dataset.meta.json: malformed dataset meta: row 3: "
+META_T = "{out}/rv_dataset.meta.json: malformed dataset meta: T must be an integer, got "
 
 
 @pytest.mark.parametrize("command, keys, damage, message", [
@@ -979,6 +1023,9 @@ META_ROW_3 = "{out}/rv_dataset.meta.json: malformed dataset meta: row 3: "
      META_ROW_3 + "flight_id must be a string, got 7"),
     ("select", {"seed": -3}, None,
      "{cfg}: malformed config file: seed must be at least 0, got -3"),
+    ("select", {}, set_meta_t(40.9), META_T + "40.9"),
+    ("select", {}, set_meta_t("40"), META_T + "'40'"),
+    ("select", {}, set_meta_t(True), META_T + "True"),
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
         "select_rank_empty", "select_nan", "select_inf", "select_identical_rows",
         "select_empty", "select_empty_file", "select_csv_text", "select_truncated",
@@ -990,7 +1037,7 @@ META_ROW_3 = "{out}/rv_dataset.meta.json: malformed dataset meta: row 3: "
         "pairwise_rank_0", "pairwise_rank_99999", "pairwise_nan", "pairwise_empty",
         "meta_time_text", "meta_time_nan", "meta_time_inf", "meta_time_bool",
         "meta_time_huge_int", "meta_procedure_list", "meta_flight_id_number",
-        "negative_config_seed"])
+        "negative_config_seed", "meta_t_float", "meta_t_text", "meta_t_bool"])
 def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
                                       keys, damage, message):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -1025,7 +1072,7 @@ def test_a_defect_inside_a_draw_is_a_traceback_not_exit_3(monkeypatch,
                                                           pipeline):
     _, config_path = pipeline
 
-    def broken(model, rng):
+    def broken(model, size, rng):
         raise ValueError("a defect")
 
     monkeypatch.setattr(single_model, "sample", broken)
@@ -1093,13 +1140,27 @@ def _zero_frequencies(procs):
     return "frequencies must have positive total"
 
 
+def _nan_frequency(procs):
+    procs[0].frequency = float("nan")
+    return (f"malformed procedure file: procedure {procs[0].name!r}: "
+            "frequency must be finite and nonnegative, got nan")
+
+
+def _inf_frequency(procs):
+    procs[1].frequency = float("inf")
+    return (f"malformed procedure file: procedure {procs[1].name!r}: "
+            "frequency must be finite and nonnegative, got inf")
+
+
 def _repeated_waypoint(procs):
     procs[0].waypoints[1] = procs[0].waypoints[0]
     return f"procedure {procs[0].name!r} repeats a waypoint"
 
 
-@pytest.mark.parametrize("defect", [_zero_frequencies, _repeated_waypoint],
-                         ids=["zero_frequencies", "repeated_waypoint"])
+@pytest.mark.parametrize("defect", [_zero_frequencies, _nan_frequency,
+                                    _inf_frequency, _repeated_waypoint],
+                         ids=["zero_frequencies", "nan_frequency",
+                              "inf_frequency", "repeated_waypoint"])
 @pytest.mark.parametrize("command", [["ingest"],
                                      ["generate-scenes", "--count", "1"]],
                          ids=["ingest", "generate_scenes"])

@@ -10,7 +10,7 @@ from trafgen import mixture
 from trafgen.errors import DataError, NumericalError
 from trafgen.mixture import (ConditionalMixture, GaussianComponent,
                              MixtureModel, compress_model, em_fit, load_model,
-                             sample, sample_many, save_model, select_rank)
+                             sample, save_model, select_rank)
 
 from conftest import assert_bitwise, peak_traced_bytes, ppca
 from oracles import (compress_model_dense, condition_dense, dense_covariance,
@@ -559,8 +559,8 @@ def test_conditional_mixture_draws_match_dense_moments():
     cov = sum(w * (f @ f.T + np.outer(m - mean, m - mean))
               for w, m, f in zip(weights, means, factors))
     size = 100_000
-    draws, _ = sample_many(ConditionalMixture(model, idx)(vals), size,
-                           np.random.default_rng(8))
+    draws, _ = sample(ConditionalMixture(model, idx)(vals), size,
+                      np.random.default_rng(8))
     sd = np.sqrt(np.diag(cov))
     assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3.0 * sd / np.sqrt(size))
     # SE of a sample covariance entry under normality: sqrt((c_ij^2 + c_ii c_jj) / N)
@@ -625,14 +625,14 @@ def test_sample_degenerate_component_returns_mean():
                              cov_factor=np.zeros((3, 0)))
     model = MixtureModel(components=[comp])
     for seed in range(5):
-        draw, idx = sample(model, seed)
+        (draw,), (idx,) = sample(model, 1, seed)
         assert np.array_equal(draw, mean)
         assert idx == 0
 
 
 def test_sample_standard_normal_moments():
     model = MixtureModel(components=[single_gaussian([0.0], [[1.0]])])
-    draws, _ = sample_many(model, 100_000, np.random.default_rng(21))
+    draws, _ = sample(model, 100_000, np.random.default_rng(21))
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.03
 
@@ -643,7 +643,7 @@ def test_sample_component_frequencies_match_weights():
              for i, w in enumerate(weights)]
     model = MixtureModel(components=comps)
     n = 100_000
-    _, indices = sample_many(model, n, np.random.default_rng(22))
+    _, indices = sample(model, n, np.random.default_rng(22))
     freqs = np.bincount(indices, minlength=3) / n
     sigma = np.sqrt(weights * (1 - weights) / n)
     assert np.all(np.abs(freqs - weights) <= 3.0 * sigma)
@@ -653,7 +653,7 @@ def test_sample_noise_var_contributes():
     comp = GaussianComponent(weight=1.0, mean=np.zeros(2),
                              cov_factor=np.zeros((2, 0)), noise_var=4.0)
     model = MixtureModel(components=[comp])
-    draws, _ = sample_many(model, 50_000, np.random.default_rng(23))
+    draws, _ = sample(model, 50_000, np.random.default_rng(23))
     assert np.allclose(draws.var(axis=0), 4.0, atol=0.15)
 
 

@@ -9,11 +9,12 @@ from trafgen.errors import NumericalError
 from trafgen.metrics import histogram_pair, js_divergence, silhouette_sweep
 from trafgen.preprocess import reconstruct_trajectory
 from trafgen.mixture import GaussianComponent, MixtureModel, compress_model, \
-    em_fit, sample_many, substream
+    em_fit, sample, substream
 from trafgen import mixture, single_model
-from trafgen.single_model import SingleTrajectoryModel, ProcedureSet, generate
+from trafgen.single_model import SingleTrajectoryModel
 
 from conftest import make_proc_traj
+from corpus import generate_drawn
 from oracles import dense_covariance, model_to_dict
 
 
@@ -103,8 +104,7 @@ def zero_cov_model():
 
 
 def make_procs():
-    return ProcedureSet(radar_vectors=[rv_procedure()], frequencies=[1.0],
-                          iap=iap_procedure())
+    return [rv_procedure()], [1.0], iap_procedure()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_train_recovers_single_component_mean():
     gt_single = MixtureModel(components=[GaussianComponent(
         weight=1.0, mean=gt.mean, cov_factor=gt.cov_factor,
         noise_var=gt.noise_var)])
-    data, _ = sample_many(gt_single, 4000, np.random.default_rng(0))
+    data, _ = sample(gt_single, 4000, np.random.default_rng(0))
 
     model, log_likelihoods = fit_segment(data, "radar_vector", 1, 3, seed=0)
     recovered = model.components[0]
@@ -146,9 +146,9 @@ def test_silhouette_sweep_finds_generating_component_count():
 
 def test_train_is_bit_identical_for_fixed_seed():
     rng = np.random.default_rng(6)
-    rv_data, _ = sample_many(ground_truth_model().radar_vector_model, 600, rng)
-    fa_data, _ = sample_many(ground_truth_model().final_approach_model, 600,
-                             np.random.default_rng(7))
+    rv_data, _ = sample(ground_truth_model().radar_vector_model, 600, rng)
+    fa_data, _ = sample(ground_truth_model().final_approach_model, 600,
+                        np.random.default_rng(7))
     for data, segment in ((rv_data, "radar_vector"),
                           (fa_data, "final_approach")):
         model1, _ = fit_segment(data, segment, 2, 3, seed=123)
@@ -159,26 +159,16 @@ def test_train_is_bit_identical_for_fixed_seed():
 # ---------------------------------------------------------------------------
 # generate
 
-def test_degenerate_frequencies_pin_the_procedure():
-    procs = ProcedureSet(
-        radar_vectors=[rv_procedure("RV0"), rv_procedure("RV1", y0=-15000.0),
-                       rv_procedure("RV2", y0=0.0)],
-        frequencies=[1.0, 0.0, 0.0], iap=iap_procedure())
-    model = zero_cov_model()
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        assert generate(model, procs, rng).procedure_used == "RV0"
-
-
 def test_zero_covariance_reproduces_procedural_paths():
     model = zero_cov_model()
-    traj = generate(model, make_procs(), np.random.default_rng(9))
+    _, times, points, _ = generate_drawn(model, make_procs(),
+                                         np.random.default_rng(9))
     rv_proc, iap = rv_procedure(), iap_procedure()
-    assert np.allclose(traj.points[:T_V], rv_proc.points, atol=1e-9)
-    assert np.allclose(traj.points[T_V:], iap.points[N_OV - 1:], atol=1e-9)
+    assert np.allclose(points[:T_V], rv_proc.points, atol=1e-9)
+    assert np.allclose(points[T_V:], iap.points[N_OV - 1:], atol=1e-9)
     # mean transit times: tau_2 equals the procedural distance, so t' = tau_1
-    assert traj.times[T_V - 1] == pytest.approx(RV_TRANSIT_S, abs=1e-9)
-    span_fa = traj.times[-1] - traj.times[T_V]
+    assert times[T_V - 1] == pytest.approx(RV_TRANSIT_S, abs=1e-9)
+    span_fa = times[-1] - times[T_V]
     assert span_fa == pytest.approx(
         IAP_TRANSIT_S * (T_F - N_OV) / (T_F - 1), abs=1e-9)
 
@@ -187,10 +177,10 @@ def test_generated_trajectory_shape_and_monotone_times():
     model = ground_truth_model()
     rng = np.random.default_rng(10)
     for _ in range(25):
-        traj = generate(model, make_procs(), rng)
-        assert traj.points.shape == (ROWS, 3)
-        assert traj.times.shape == (ROWS,)
-        assert np.all(np.diff(traj.times) > 0)
+        _, times, points, _ = generate_drawn(model, make_procs(), rng)
+        assert points.shape == (ROWS, 3)
+        assert times.shape == (ROWS,)
+        assert np.all(np.diff(times) > 0)
 
 
 def test_conditioning_consistency_of_overlap():
@@ -199,8 +189,8 @@ def test_conditioning_consistency_of_overlap():
     model = ground_truth_model()
     rng = np.random.default_rng(11)
     for _ in range(10):
-        traj = generate(model, make_procs(), rng)
-        assert np.allclose(traj.points[T_V], traj.points[T_V - 1],
+        _, _, points, _ = generate_drawn(model, make_procs(), rng)
+        assert np.allclose(points[T_V], points[T_V - 1],
                            atol=1e-9, rtol=0.0)
 
 
@@ -208,16 +198,14 @@ def test_stitch_is_continuous_at_paper_overlap():
     # n_overlap = 10 as in the paper: the join must not step back over the
     # overlap, so its step speed stays within that of the other steps
     model = ground_truth_model(t_v=40, t_f=20, n_ov=10)
-    procs = ProcedureSet(
-        radar_vectors=[rv_procedure(t_v=40, t_f=20, n_ov=10)], frequencies=[1.0],
-        iap=iap_procedure(20))
+    procs = [rv_procedure(t_v=40, t_f=20, n_ov=10)], [1.0], iap_procedure(20)
     rng = np.random.default_rng(18)
     for _ in range(10):
-        traj = generate(model, procs, rng)
-        assert traj.points.shape == (40 + 20 - 10 + 1, 3)
-        dt = np.diff(traj.times)
+        _, times, points, _ = generate_drawn(model, procs, rng)
+        assert points.shape == (40 + 20 - 10 + 1, 3)
+        dt = np.diff(times)
         assert np.all(dt > 0)
-        speed = np.linalg.norm(np.diff(traj.points[:, :2], axis=0), axis=1) / dt
+        speed = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1) / dt
         join = 40 - 1
         assert speed[join] <= np.delete(speed, join).max()
 
@@ -226,7 +214,7 @@ def test_retry_failure_names_its_cause():
     model = zero_cov_model()
     model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
     with pytest.raises(NumericalError) as err:
-        generate(model, make_procs(), np.random.default_rng(19))
+        generate_drawn(model, make_procs(), np.random.default_rng(19))
     assert str(err.value) == ("generation failed after 10 attempts; last cause: "
                               "transit_time must be positive")
 
@@ -243,7 +231,7 @@ def test_generate_stops_after_max_draws(monkeypatch):
     monkeypatch.setattr(mixture, "MAX_DRAWS", 3)
     monkeypatch.setattr(single_model, "reconstruct_trajectory", counted)
     with pytest.raises(NumericalError, match="generation failed after 3 attempts"):
-        generate(model, make_procs(), np.random.default_rng(19))
+        generate_drawn(model, make_procs(), np.random.default_rng(19))
     assert len(draws) == 3
 
 
@@ -252,13 +240,14 @@ def test_a_plain_value_error_in_a_draw_is_not_redrawn(monkeypatch):
     # exception is a defect and passes through on the first draw
     calls = []
 
-    def broken(model, rng):
+    def broken(model, size, rng):
         calls.append(model)
         raise ValueError("a defect")
 
     monkeypatch.setattr(single_model, "sample", broken)
     with pytest.raises(ValueError, match="a defect") as err:
-        generate(ground_truth_model(), make_procs(), np.random.default_rng(20))
+        generate_drawn(ground_truth_model(), make_procs(),
+                       np.random.default_rng(20))
     assert type(err.value) is ValueError
     assert len(calls) == 1
 
@@ -266,17 +255,19 @@ def test_a_plain_value_error_in_a_draw_is_not_redrawn(monkeypatch):
 def test_conditional_sampler_is_built_once():
     model = ground_truth_model()
     sampler = model.final_approach_conditional
-    generate(model, make_procs(), np.random.default_rng(20))
+    generate_drawn(model, make_procs(), np.random.default_rng(20))
     assert model.final_approach_conditional is sampler
 
 
 def test_generate_reproducible_for_fixed_seed():
     model = ground_truth_model()
-    t1 = generate(model, make_procs(), np.random.default_rng(12))
-    t2 = generate(model, make_procs(), np.random.default_rng(12))
-    assert np.array_equal(t1.times, t2.times)
-    assert np.array_equal(t1.points, t2.points)
-    assert t1.source_components == t2.source_components
+    _, times1, points1, components1 = generate_drawn(
+        model, make_procs(), np.random.default_rng(12))
+    _, times2, points2, components2 = generate_drawn(
+        model, make_procs(), np.random.default_rng(12))
+    assert np.array_equal(times1, times2)
+    assert np.array_equal(points1, points2)
+    assert components1 == components2
 
 
 def test_transit_time_scales_linearly_with_procedure_length():
@@ -284,16 +275,15 @@ def test_transit_time_scales_linearly_with_procedure_length():
     short = make_procs()
     long_proc = rv_procedure("RVLONG", length=40000.0)
     # same sampled (tau_1, tau_2); doubled-length procedure
-    long = ProcedureSet(radar_vectors=[long_proc], frequencies=[1.0],
-                          iap=iap_procedure())
-    t_short = generate(model, short, np.random.default_rng(13))
-    t_long = generate(model, long, np.random.default_rng(13))
+    long = [long_proc], [1.0], iap_procedure()
+    _, t_short, _, _ = generate_drawn(model, short, np.random.default_rng(13))
+    _, t_long, _, _ = generate_drawn(model, long, np.random.default_rng(13))
     rv_mean = model.radar_vector_model.components[0].mean
     ratio = long_proc.total_distance / rv_procedure().total_distance
     expected = rv_mean[0] / rv_mean[1] * long_proc.total_distance
-    assert t_long.times[T_V - 1] == pytest.approx(expected, rel=1e-12)
-    assert t_long.times[T_V - 1] == pytest.approx(
-        t_short.times[T_V - 1] * ratio, rel=1e-12)
+    assert t_long[T_V - 1] == pytest.approx(expected, rel=1e-12)
+    assert t_long[T_V - 1] == pytest.approx(
+        t_short[T_V - 1] * ratio, rel=1e-12)
 
 
 def test_end_to_end_distribution_matches_ground_truth():
@@ -301,23 +291,23 @@ def test_end_to_end_distribution_matches_ground_truth():
     procs = make_procs()
     # "actual" trajectories straight from the ground-truth generator
     rng = np.random.default_rng(14)
-    actual = [generate(gt, procs, rng) for _ in range(1000)]
+    actual = [generate_drawn(gt, procs, rng)[2] for _ in range(1000)]
     # training datasets drawn from the ground-truth deviation mixtures
-    rv_data, _ = sample_many(gt.radar_vector_model, 2000,
-                             np.random.default_rng(15))
-    fa_data, _ = sample_many(gt.final_approach_model, 2000,
-                             np.random.default_rng(16))
+    rv_data, _ = sample(gt.radar_vector_model, 2000,
+                        np.random.default_rng(15))
+    fa_data, _ = sample(gt.final_approach_model, 2000,
+                        np.random.default_rng(16))
     model = SingleTrajectoryModel(
         radar_vector_model=fit_segment(rv_data, "radar_vector", 2, 4, seed=1)[0],
         final_approach_model=fit_segment(fa_data, "final_approach", 2, 4,
                                          seed=1)[0],
         n_overlap=N_OV)
     rng = np.random.default_rng(17)
-    synthetic = [generate(model, procs, rng) for _ in range(1000)]
+    synthetic = [generate_drawn(model, procs, rng)[2] for _ in range(1000)]
 
     for axis in range(3):
-        a = np.concatenate([t.points[:, axis] for t in actual])
-        s = np.concatenate([t.points[:, axis] for t in synthetic])
+        a = np.concatenate([points[:, axis] for points in actual])
+        s = np.concatenate([points[:, axis] for points in synthetic])
         ha, hs = histogram_pair(a, s)
         assert js_divergence(ha, hs) <= 0.05
 
