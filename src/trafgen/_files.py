@@ -2,8 +2,8 @@
 
 Writes are atomic, so a failed write leaves any previous file intact. Reads
 raise DataError naming the file and its kind for an OSError, and for any
-KeyError, TypeError, ValueError or IndexError (or YAML or CSV syntax error)
-raised while its contents are interpreted. The ``parse`` callbacks run
+KeyError, TypeError, ValueError, IndexError or OverflowError (or YAML or CSV
+syntax error) raised while its contents are interpreted. The ``parse`` callbacks run
 inside that boundary; they report a content problem by raising ValueError.
 ``read_csv`` and ``read_deviation_dataset`` check their data themselves: there
 only an OSError or their parser's error for a malformed file is a DataError,
@@ -40,7 +40,7 @@ CSV_BLOCK_LINES = 4096
 # the lines csv reads as empty rows
 _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
-_MALFORMED = (KeyError, TypeError, ValueError, IndexError, csv.Error)
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError, csv.Error)
 # what read_csv's own parsing raises for a malformed file
 _MALFORMED_CSV = (csv.Error, UnicodeDecodeError)
 # what numpy's .npy reader raises for a malformed file, its header included
@@ -351,9 +351,14 @@ def _dataset_meta(doc: dict) -> tuple[dict, int]:
         if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
             raise ValueError(f"row {i}: arrival_time must be a finite number, "
                              f"got {time!r:.40}")
-    if type(doc["T"]) is not int:
-        raise ValueError(f"T must be an integer, got {doc['T']!r:.40}")
-    return doc, doc["T"]
+    return doc, json_int(doc["T"], "T")
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool), else a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r:.40}")
+    return value
 
 
 def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, multi_model, preprocess, procedures, single_model
-from ._files import (read_deviation_dataset, read_json, read_keyvalue,
+from ._files import (json_int, read_deviation_dataset, read_json, read_keyvalue,
                      read_trajectory_file, write_deviation_dataset, write_json,
                      write_trajectory_csv)
 from .errors import DataError, NumericalError
@@ -180,118 +180,114 @@ def _read_arrivals(config: RunConfig) -> tuple[list, list[str], list, list[dict]
     WARNING gives their count and the first few), the arrivals as (flight,
     ENU track), and an exclusion for every other flight.
 
-    All flights are converted to ENU in one call; the tracks are reused.
+    All flights are converted to ENU, then classified, in one call each; the
+    tracks are reused.
     """
     flights, errors = parse_tracks(config.tracks)
     if errors:
         shown = errors[:MAX_LOGGED_PARSE_ERRORS]
         logger.warning("parse: %d records rejected; first %d: %s",
                        len(errors), len(shown), "; ".join(shown))
+    tracks = flight_to_enu(flights, config.airspace)
+    classes, rejected = classify_flight(tracks, config.airspace)
     arrivals, exclusions = [], []
-    for flight, track in zip(flights, flight_to_enu(flights, config.airspace)):
-        try:
-            kind = classify_flight(flight, config.airspace, track)
-        except DataError as exc:
-            exclusions.append({"flight": flight.id, "reason": str(exc)})
-            continue
-        if kind is not FlightClass.ARRIVAL:
-            exclusions.append({"flight": flight.id,
-                               "reason": f"classified as {kind.value}"})
-            continue
-        arrivals.append((flight, track))
+    for row, (flight, track, kind) in enumerate(zip(flights, tracks, classes)):
+        if kind is FlightClass.ARRIVAL:
+            arrivals.append((flight, track))
+        else:
+            exclusions.append({"flight": flight.id, "reason": (
+                f"classified as {kind.value}" if kind else
+                f"flight {flight.id!r}: {rejected[row]}")})
     return flights, errors, arrivals, exclusions
 
 
 def cmd_ingest(config: RunConfig) -> int:
     """Parse tracks, classify arrivals, segment, and write deviation datasets.
 
-    Each step is one kernel call over all arrivals, or over all parts of
-    one segment: segmentation, resampling, procedure assignment (DTW) and
-    deviation vectors. An arrival is excluded with the reason a kernel
-    gives for the first of its rows that it rejects.
+    Each step is one kernel call over all flights, over all arrivals, or
+    over all parts of one segment: ENU conversion, classification,
+    segmentation, resampling, procedure assignment (DTW) and deviation
+    vectors. An arrival is excluded with the reason a kernel gives for the
+    first of its rows that it rejects.
     """
     flights, parse_errors, arrivals, exclusions = _read_arrivals(config)
     if not arrivals:
         raise DataError("no arrival flights after classification")
     rv_trajs, _, iap_traj = _load_procedural_trajectories(config)
-    threshold_m = config.segment_threshold_nm * NM_TO_M
 
     # 1. split every arrival. The radar-vector part runs up TO the handoff
     # point; a final-approach row opens with the n_overlap - 1 radar-vector
     # samples before it and resamples the track FROM it, so its first
     # n_overlap samples are the tail generate conditions on
     n_lead = config.n_overlap - 1
-    rv_raw, fa_raw = {}, {}
+    times, xyz = zip(*(track for _, track in arrivals))
     boundaries, failed = preprocess.segment_trajectory(
-        [xyz for _, (_, xyz) in arrivals], iap_traj, threshold_m)
-    for a, ((_, (times, xyz)), boundary) in enumerate(zip(arrivals, boundaries)):
-        if a in failed:
-            continue
-        if boundary >= 1:
-            rv_raw[a] = (times[:boundary + 1], xyz[:boundary + 1])
-        if len(times) - boundary >= 2 and (boundary >= 1 or not n_lead):
-            fa_raw[a] = (times[boundary:], xyz[boundary:])
-    if not rv_raw or not fa_raw:
+        xyz, iap_traj.points, config.segment_threshold_nm * NM_TO_M)
+    # the arrivals that have each part, as masks and as sorted ids
+    has_rv = boundaries >= 1
+    has_rv[list(failed)] = False  # a track that never joins has no part
+    has_fa = ((np.array([len(t) for t in times]) - boundaries >= 2)
+              & (has_rv | (n_lead == 0)))
+    rv_ids, fa_ids = np.flatnonzero(has_rv), np.flatnonzero(has_fa)
+    if not rv_ids.size or not fa_ids.size:
         raise DataError(_EMPTY_DATASET)
 
     # 2. resample each segment's parts in one call
     rv_times, rv_points, rv_rejected = preprocess.pchip_resample(
-        *zip(*rv_raw.values()), config.t_v)
+        [times[a][:boundaries[a] + 1] for a in rv_ids],
+        [xyz[a][:boundaries[a] + 1] for a in rv_ids], config.t_v)
     fa_times, fa_points, fa_rejected = preprocess.pchip_resample(
-        *zip(*fa_raw.values()), config.t_f - n_lead)
-    rv_row, fa_row = ({a: row for row, a in enumerate(raw)} for raw in (rv_raw, fa_raw))
+        [times[a][boundaries[a]:] for a in fa_ids],
+        [xyz[a][boundaries[a]:] for a in fa_ids], config.t_f - n_lead)
 
     # 3. final-approach rows of every part
     if n_lead:
-        lead = [rv_row[a] for a in fa_raw]
+        lead = np.searchsorted(rv_ids, fa_ids)
         fa_times = np.concatenate([rv_times[lead, -n_lead - 1:-1], fa_times], axis=1)
         fa_points = np.concatenate([rv_points[lead, -n_lead - 1:-1], fa_points],
                                    axis=1)
     fa_rows, fa_invalid = preprocess.build_deviation_vector(
         fa_times, fa_points, iap_traj.points)
     # an arrival keeps its first failure
-    for raw, rejected in ((rv_raw, rv_rejected), (fa_raw, fa_rejected),
-                          (fa_raw, fa_invalid)):
-        arrivals_of = list(raw)
+    for ids, rejected in ((rv_ids, rv_rejected), (fa_ids, fa_rejected),
+                          (fa_ids, fa_invalid)):
         for row, message in rejected.items():
-            failed.setdefault(arrivals_of[row], message)
+            failed.setdefault(int(ids[row]), message)
 
     # every exclusion in arrival order, then each part too short to resample
-    kept = [a for a in range(len(arrivals)) if a not in failed]
     exclusions += [{"flight": arrivals[a][0].id, "reason": failed[a]}
                    for a in sorted(failed)]
     exclusions += [{"flight": arrivals[a][0].id, "reason": f"{part} segment too short"}
-                   for a in kept for part, rows in (("radar-vector", rv_row),
-                                                    ("final-approach", fa_row))
-                   if a not in rows]
-    rv_ids, fa_ids = ([a for a in kept if a in rows] for rows in (rv_row, fa_row))
-    if not rv_ids or not fa_ids:
+                   for a in range(len(arrivals)) if a not in failed
+                   for part, has in (("radar-vector", has_rv), ("final-approach", has_fa))
+                   if not has[a]]
+    rv_keep, fa_keep = (~np.isin(ids, list(failed)) for ids in (rv_ids, fa_ids))
+    if not rv_keep.any() or not fa_keep.any():
         raise DataError(_EMPTY_DATASET)
-    keys = {a: {"flight_id": arrivals[a][0].id,
-                "arrival_time": float(arrivals[a][0].points[-1, 0])} for a in kept}
+    rv_ids, rv_times, rv_points = rv_ids[rv_keep], rv_times[rv_keep], rv_points[rv_keep]
+    fa_ids, fa_rows = fa_ids[fa_keep], fa_rows[fa_keep]
 
     # 4. nearest radar-vector procedure of every part, in one call
-    take = [rv_row[a] for a in rv_ids]
-    rv_times, rv_points = rv_times[take], rv_points[take]
-    procs = [rv_trajs[j] for j in preprocess.assign_procedures(rv_points, rv_trajs)]
+    proc_points = np.stack([proc.points for proc in rv_trajs])
+    assigned = preprocess.assign_procedures(rv_points, proc_points)
 
     # 5. radar-vector deviations from the assigned procedures. Each part
     # runs from beyond the threshold to inside it, so none is rejected
     rv_rows, rejected = preprocess.build_deviation_vector(
-        rv_times, rv_points, np.stack([proc.points for proc in procs]))
+        rv_times, rv_points, proc_points[assigned])
     if rejected:
         raise ValueError(f"radar-vector rows rejected: {rejected}")
-    rv_meta = [{**keys[a], "procedure": proc.procedure}
-               for a, proc in zip(rv_ids, procs)]
-    fa_meta = [{**keys[a], "procedure": iap_traj.procedure} for a in fa_ids]
-    for segment, rows, meta in zip(
-            _segments(config), (rv_rows, fa_rows[[fa_row[a] for a in fa_ids]]),
-            (rv_meta, fa_meta)):
-        write_deviation_dataset(segment.dataset, rows, segment.kind,
-                                segment.length, meta)
+    for segment, rows, ids, names in zip(
+            _segments(config), (rv_rows, fa_rows), (rv_ids, fa_ids),
+            ([rv_trajs[j].procedure for j in assigned.tolist()],
+             [iap_traj.procedure] * len(fa_ids))):
+        write_deviation_dataset(segment.dataset, rows, segment.kind, segment.length, [
+            {"flight_id": arrivals[a][0].id, "procedure": name,
+             "arrival_time": float(arrivals[a][0].points[-1, 0])}
+            for a, name in zip(ids.tolist(), names)])
     write_json(config.out_dir / "ingest_report.json", {
         "flights_parsed": len(flights), "parse_errors": parse_errors,
-        "arrivals_retained": len(kept), "rv_rows": len(rv_ids),
+        "arrivals_retained": len(arrivals) - len(failed), "rv_rows": len(rv_ids),
         "fa_rows": len(fa_ids), "exclusions": exclusions})
     return EXIT_OK
 
@@ -334,8 +330,8 @@ def _chosen(config: RunConfig, segment: _Segment) -> tuple[int, int]:
         return explicit
     reported = read_json(
         config.out_dir / "selection_report.json", "selection report",
-        lambda report: (int(report[segment.kind]["n_components"]),
-                        int(report[segment.kind]["rank"])))
+        lambda report: [json_int(report[segment.kind][key], f"{segment.kind} {key}")
+                        for key in ("n_components", "rank")])
     return tuple(r if e is None else e for e, r in zip(explicit, reported))
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from ._files import read_csv
-from .errors import DataError
 from .units import FT_TO_M, NM_TO_M
 
 # WGS84 ellipsoid
@@ -192,30 +191,29 @@ def flight_to_enu(flights: list[Flight], config: AirspaceConfig,
     return tracks
 
 
-def classify_flight(flight: Flight, config: AirspaceConfig,
-                    track: tuple[np.ndarray, np.ndarray]) -> FlightClass:
-    """Classify a flight as arrival, departure, or overflight.
+def classify_flight(tracks: list[tuple[np.ndarray, np.ndarray]], config: AirspaceConfig,
+                    ) -> tuple[list[FlightClass | None], dict[int, str]]:
+    """Class of every ENU track of :func:`flight_to_enu` (arrival, departure
+    or overflight), and ``rejected``, which maps each track with fewer than
+    2 points inside the airspace to that message; its class is None.
 
     An arrival shows a net-decreasing range to the origin and ends below the
     landing ceiling within the landing radius; a departure is the mirror
-    image; anything else is an overflight. ``track`` is the flight's
-    entry of :func:`flight_to_enu`, so only the in-airspace portion is used.
-    Raises DataError when fewer than 2 points lie inside the airspace.
+    image; anything else is an overflight. Only the first and last of a
+    track's points, which all lie inside the airspace, count.
     """
-    times, xyz = track
-    if len(times) < 2:
-        raise DataError(
-            f"flight {flight.id!r}: fewer than 2 points inside the airspace"
-        )
-    ranges = np.hypot(xyz[:, 0], xyz[:, 1])
-    agl = xyz[:, 2]  # meters above the airport reference point
-    ceiling_m = config.landing_ceiling_ft * FT_TO_M
-    landing_radius_m = config.landing_radius_nm * NM_TO_M
-
-    ends_low_and_close = ranges[-1] <= landing_radius_m and agl[-1] <= ceiling_m
-    starts_low_and_close = ranges[0] <= landing_radius_m and agl[0] <= ceiling_m
-    if ranges[-1] < ranges[0] and ends_low_and_close:
-        return FlightClass.ARRIVAL
-    if ranges[0] < ranges[-1] and starts_low_and_close:
-        return FlightClass.DEPARTURE
-    return FlightClass.OVERFLIGHT
+    counts = np.array([len(times) for times, _ in tracks], dtype=int)
+    short, ends = counts < 2, np.cumsum(counts)
+    # first and last point of every track, (2, F, 3); NaN for a short one
+    xyz = np.concatenate([points for _, points in tracks] + [np.full((1, 3), np.nan)])
+    xyz = xyz[np.where(short, -1, [ends - counts, ends - 1])]
+    ranges = np.hypot(xyz[..., 0], xyz[..., 1])
+    agl = xyz[..., 2]  # meters above the airport reference point
+    low_and_close = ((ranges <= config.landing_radius_nm * NM_TO_M)
+                     & (agl <= config.landing_ceiling_ft * FT_TO_M))
+    classes = np.select(
+        [short, (ranges[1] < ranges[0]) & low_and_close[1],
+         (ranges[0] < ranges[1]) & low_and_close[0]],
+        [None, FlightClass.ARRIVAL, FlightClass.DEPARTURE], FlightClass.OVERFLIGHT)
+    return classes.tolist(), {row: "fewer than 2 points inside the airspace"
+                              for row in np.flatnonzero(short).tolist()}

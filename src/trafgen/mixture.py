@@ -15,13 +15,14 @@ from __future__ import annotations
 import logging
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._cluster import kmeans
-from ._files import json_chunks, read_json, write_text
+from ._files import json_chunks, json_int, read_json, write_text
 from .errors import DataError, InvalidDeviation, NumericalError
 
 logger = logging.getLogger(__name__)
@@ -540,13 +541,28 @@ def check_finite(components: Sequence[GaussianComponent]) -> None:
 
 
 def model_from_dict(doc: dict) -> MixtureModel:
+    """The model of a document whose weights, means, factors and noise
+    variances are JSON numbers and whose headers match its components."""
+    for i, c in enumerate(doc["components"]):
+        values = [c["weight"], c["noise_var"], *c["mean"],
+                  *chain.from_iterable(c["cov_factor"])]
+        if not set(map(type, values)) <= {int, float}:  # a bool or text is neither
+            bad = next(v for v in values if type(v) not in (int, float))
+            raise ValueError(f"component {i} holds {bad!r:.40}, which is not a number")
     components = [GaussianComponent(
         weight=float(c["weight"]), mean=np.asarray(c["mean"], dtype=float),
         cov_factor=np.asarray(c["cov_factor"], dtype=float),
         noise_var=float(c["noise_var"])) for c in doc["components"]]
     check_finite(components)
-    return MixtureModel(components=components,
-                        segment_kind=str(doc.get("segment_kind", "generic")))
+    model = MixtureModel(components=components,
+                         segment_kind=str(doc.get("segment_kind", "generic")))
+    n_components = json_int(doc["n_components"], "n_components")
+    dimension = json_int(doc["dimension"], "dimension")
+    if (n_components, dimension) != (len(components), model.dimension):
+        raise ValueError(f"headers n_components {n_components} and dimension "
+                         f"{dimension} do not match the components: "
+                         f"{len(components)} of dimension {model.dimension}")
+    return model
 
 
 def write_models(path: str | Path, doc: dict) -> None:

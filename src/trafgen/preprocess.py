@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, InvalidDeviation
-
-if TYPE_CHECKING:
-    from .procedures import ProceduralTrajectory
 
 
 def path_length(points: np.ndarray):
@@ -116,18 +113,16 @@ def _dtw_wavefront(a: np.ndarray, b: np.ndarray,
     return prev[..., m - 1]
 
 
-def assign_procedures(points: np.ndarray,
-                      procedures: Sequence["ProceduralTrajectory"]) -> np.ndarray:
+def assign_procedures(points: np.ndarray, proc_points: np.ndarray) -> np.ndarray:
     """Per trajectory in ``points`` (F, T, >= 2), the index of the procedure
-    with the smallest horizontal DTW distance.
-
-    The procedures must share one length. Ties break toward the lowest index.
+    in ``proc_points`` (R, T, >= 2) with the smallest horizontal DTW
+    distance. Ties break toward the lowest index.
     """
-    if len(procedures) == 0:
+    proc_points = np.asarray(proc_points, dtype=float)
+    if len(proc_points) == 0:
         raise ValueError("need at least one candidate procedure")
     xy = np.asarray(points, dtype=float)[..., :2]
-    procs_xy = np.stack([proc.points[:, :2] for proc in procedures])
-    return np.argmin(dtw_distances(xy, procs_xy), axis=1)
+    return np.argmin(dtw_distances(xy, proc_points[..., :2]), axis=1)
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
@@ -158,11 +153,11 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     return np.sqrt(rel_x.min(axis=1))
 
 
-def segment_trajectory(tracks: Sequence[np.ndarray], iap: "ProceduralTrajectory",
+def segment_trajectory(tracks: Sequence[np.ndarray], iap_points: np.ndarray,
                        threshold: float) -> tuple[np.ndarray, dict[int, str]]:
     """Boundary index of every track, splitting radar-vector from
     final-approach points, and ``rejected``, which maps each track that
-    never joins the IAP to that message.
+    never joins the IAP, whose points are ``iap_points``, to that message.
 
     A boundary is the first index from which the track's horizontal
     distance to the IAP polyline stays below ``threshold`` (meters); a track
@@ -175,8 +170,8 @@ def segment_trajectory(tracks: Sequence[np.ndarray], iap: "ProceduralTrajectory"
         raise ValueError("segment_trajectory needs one or more nonempty tracks")
     xy = np.concatenate([np.asarray(track, dtype=float)[:, :2] for track in tracks])
     # point_to_polyline_distance holds up to six (P, S) arrays at once
-    step = max(1, DTW_CHUNK_BYTES // (8 * 6 * max(len(iap.points) - 1, 1)))
-    dist = np.concatenate([point_to_polyline_distance(xy[i:i + step], iap.points)
+    step = max(1, DTW_CHUNK_BYTES // (8 * 6 * max(len(iap_points) - 1, 1)))
+    dist = np.concatenate([point_to_polyline_distance(xy[i:i + step], iap_points)
                            for i in range(0, len(xy), step)])
     beyond = ~(dist < threshold)
     ends = np.cumsum(counts)

@@ -383,10 +383,10 @@ INGEST_OUTPUTS = ("rv_dataset.npy", "fa_dataset.npy", "rv_dataset.meta.json",
                   "fa_dataset.meta.json", "ingest_report.json")
 
 
-def loop_assign_procedures(points, procs):
+def loop_assign_procedures(points, proc_points):
     """Per-pair assignment with the textbook DTW loop."""
     return np.array([
-        int(np.argmin([dtw_loop(p[:, :2], q.points[:, :2]) for q in procs]))
+        int(np.argmin([dtw_loop(p[:, :2], q[:, :2]) for q in proc_points]))
         for p in points])
 
 
@@ -467,8 +467,20 @@ def straight_track(start, end, n=30):
     return np.linspace(start, end, n)
 
 
-def test_ingest_exclusions_keep_flight_order(tmp_path):
-    config_path = corpus.write_corpus(tmp_path, n_flights=3, seed=0)
+# the ingest report's exclusions, arrivals_retained, rv_rows and fa_rows; at
+# n_overlap = 3, Z6's final-approach row opens with radar-vector samples, so
+# its path length is positive and it is kept, and Z1 has no radar-vector part
+# to open its final-approach row with
+EXCLUSIONS = {
+    1: (["Z2", "Z4", "Z8", "Z7", "Z6", "Z3", "Z1", "Z5"], 5, 4, 4),
+    3: (["Z2", "Z4", "Z8", "Z7", "Z3", "Z1", "Z1", "Z5"], 6, 5, 4),
+}
+
+
+@pytest.mark.parametrize("n_overlap", [1, 3])
+def test_ingest_exclusions_keep_flight_order(tmp_path, n_overlap):
+    config_path = corpus.write_corpus(tmp_path, n_flights=3, seed=0,
+                                      n_overlap=n_overlap)
     tracks = tmp_path / "tracks.csv"
     lines = tracks.read_text(encoding="utf-8").splitlines()
     # flies only the final approach: no radar-vector part
@@ -482,6 +494,11 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
         [16000.0, 16000.0, 900.0], [0.0, 0.0, 3.0]))
     flight_id, _, rest = lines[-30].split(",", 2)
     lines[-30] = f"{flight_id},-1e19,{rest}"
+    # straight in from due south: only the last sample is within 1 NM of
+    # the approach path, so there is no final-approach part. It sits between
+    # arrivals with both parts, so a wrong lead row for Z6 shows
+    write_enu_flight(lines, "Z5", 9700.0, straight_track(
+        [0.0, -20000.0, 3000.0], [0.0, 0.0, 3.0], n=10))
     # jumps onto the field from 2 km west and sits there: its final-approach
     # part has path length 0, which only the row built after resampling finds
     write_enu_flight(lines, "Z6", 9750.0, np.vstack([straight_track(
@@ -491,24 +508,43 @@ def test_ingest_exclusions_keep_flight_order(tmp_path):
         [-30000.0, -20000.0, 2000.0], [2500.0, -2500.0, 3.0]))
     write_enu_flight(lines, "Z4", 10500.0, straight_track(
         [40000.0, 0.0, 3000.0], [-40000.0, 0.0, 3000.0]))
-    # straight in from due south: only the last sample is within 1 NM of
-    # the approach path, so there is no final-approach part
-    write_enu_flight(lines, "Z5", 11000.0, straight_track(
-        [0.0, -20000.0, 3000.0], [0.0, 0.0, 3.0], n=10))
+    # both points outside the 25 NM radius
+    write_enu_flight(lines, "Z8", 11000.0, straight_track(
+        [60000.0, 0.0, 3000.0], [50000.0, 0.0, 3000.0], n=2))
     tracks.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
-    report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
-    flights = [e["flight"] for e in report["exclusions"]]
-    reasons = [e["reason"] for e in report["exclusions"]]
-    assert flights == ["Z2", "Z4", "Z7", "Z6", "Z3", "Z1", "Z5"]
-    assert reasons[:2] == ["classified as overflight"] * 2
-    assert reasons[2] == "times must be strictly increasing"
-    assert reasons[3] == "total_distance must be positive"
-    assert "never joins the final approach" in reasons[4]
-    assert reasons[5] == "radar-vector segment too short"
-    assert reasons[6] == "final-approach segment too short"
-    assert report["arrivals_retained"] == 5 and report["rv_rows"] == 4
-    assert report["fa_rows"] == 4
+    out = tmp_path / "out"
+    report = json.loads((out / "ingest_report.json").read_text())
+    flights, retained, rv_count, fa_count = EXCLUSIONS[n_overlap]
+    assert [e["flight"] for e in report["exclusions"]] == flights
+    reasons = dict(zip(flights, [e["reason"] for e in report["exclusions"]]))
+    assert reasons["Z2"] == reasons["Z4"] == "classified as overflight"
+    assert reasons["Z8"] == "flight 'Z8': fewer than 2 points inside the airspace"
+    assert reasons["Z7"] == "times must be strictly increasing"
+    assert "never joins the final approach" in reasons["Z3"]
+    assert reasons["Z5"] == "final-approach segment too short"
+    if n_overlap == 1:
+        assert reasons["Z6"] == "total_distance must be positive"
+        assert reasons["Z1"] == "radar-vector segment too short"
+    assert (report["arrivals_retained"], report["rv_rows"],
+            report["fa_rows"]) == (retained, rv_count, fa_count)
+
+    # each final-approach row opens with its radar-vector row's last points
+    rv_trajs, _, iap = cli._load_procedural_trajectories(
+        RunConfig.from_file(config_path))
+    proc_points = {traj.procedure: traj.points for traj in rv_trajs + [iap]}
+    points = {}
+    for name in ("rv_dataset.npy", "fa_dataset.npy"):
+        rows, meta = read_deviation_dataset(out / name)
+        for row, entry in zip(rows, meta["rows"]):
+            points.setdefault(entry["flight_id"], []).append(
+                proc_points[entry["procedure"]] + row[2:].reshape(-1, 3))
+    # the three corpus flights and, at n_overlap = 3, Z6 have both rows
+    paired = {flight: both for flight, both in points.items() if len(both) == 2}
+    assert len(paired) == 3 + (n_overlap == 3)
+    assert ("Z6" in paired) == (n_overlap == 3)
+    for rv, fa in paired.values():
+        np.testing.assert_allclose(fa[:n_overlap], rv[-n_overlap:], rtol=0, atol=1e-6)
 
 
 def test_resampling_rejects_only_the_faulty_parts(monkeypatch):
@@ -752,10 +788,21 @@ def truncate(path):
     path.write_text(text[:len(text) // 2], encoding="utf-8")
 
 
+def selection_report(rv_n_components):
+    """A damage that writes a selection report whose radar-vector
+    n_components is the given value."""
+    return lambda path: path.write_text(json.dumps({
+        "radar_vector": {"n_components": rv_n_components, "rank": 2},
+        "final_approach": {"n_components": 2, "rank": 2}}), encoding="utf-8")
+
+
 @pytest.mark.parametrize("target, damage, command", [
     ("selection_report.json",
      lambda path: path.write_text('{"radar_vector": ', encoding="utf-8"),
      ["train"]),
+    ("selection_report.json", selection_report(2.9), ["train"]),
+    ("selection_report.json", selection_report("2"), ["train"]),
+    ("selection_report.json", selection_report(True), ["train"]),
     ("rv_dataset.meta.json",
      lambda path: edit_json(path, lambda doc: doc.pop("T")), ["select"]),
     ("model_rv.json", truncate, ["generate", "--count", "1"]),
@@ -764,7 +811,8 @@ def truncate(path):
          "format": "trafgen-pairwise/1", "segment": "final_approach",
          "models": {}}), encoding="utf-8"),
      ["generate-scenes", "--count", "1"]),
-], ids=["broken_json", "meta_without_T", "truncated_model", "fa_pairwise"])
+], ids=["broken_json", "float_choice", "text_choice", "bool_choice",
+        "meta_without_T", "truncated_model", "fa_pairwise"])
 def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
                                                      damage, command):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -778,20 +826,58 @@ def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
     assert str(out / target) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target, edit, command, output", [
+def test_selection_report_choices_must_be_json_integers(tmp_path, capsys):
+    config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
+    out = tmp_path / "out"
+    write_small_datasets(out)
+    selection_report(2.9)(out / "selection_report.json")
+    assert run(["--config", str(config_path), "train"]) == EXIT_DATA
+    assert (f"data error: {out / 'selection_report.json'}: malformed selection "
+            "report: radar_vector n_components must be an integer, got 2.9\n"
+            == capsys.readouterr().err)
+    assert not (out / "model_rv.json").exists()
+
+
+NON_FINITE = "component {} holds a non-finite value"
+
+
+@pytest.mark.parametrize("target, edit, command, output, reason", [
     ("model_fa.json",
      lambda doc: doc["components"][0]["cov_factor"][0].__setitem__(0, np.nan),
-     ["generate", "--count", "3"], "trajectories.csv"),
+     ["generate", "--count", "3"], "trajectories.csv", NON_FINITE.format(0)),
     ("model_rv.json",
      lambda doc: doc["components"][-1].__setitem__("noise_var", np.inf),
-     ["generate", "--count", "3"], "trajectories.csv"),
+     ["generate", "--count", "3"], "trajectories.csv", NON_FINITE.format(1)),
+    ("model_rv.json",
+     lambda doc: doc["components"][-1].__setitem__("noise_var", 10 ** 400),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "int too large to convert to float"),
     ("model_pairwise.json",
      lambda doc: next(iter(doc["models"].values()))["components"][0]["mean"]
      .__setitem__(0, np.nan),
-     ["generate-scenes", "--count", "3"], "scenes.csv"),
-], ids=["fa_factor_nan", "rv_noise_inf", "pairwise_mean_nan"])
+     ["generate-scenes", "--count", "3"], "scenes.csv", NON_FINITE.format(0)),
+    ("model_rv.json", lambda doc: doc["components"][0].__setitem__("weight", "1.0"),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "component 0 holds '1.0', which is not a number"),
+    ("model_rv.json",
+     lambda doc: doc["components"][1].__setitem__("noise_var", True),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "component 1 holds True, which is not a number"),
+    ("model_fa.json",
+     lambda doc: doc["components"][0]["mean"].__setitem__(5, "12.5"),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "component 0 holds '12.5', which is not a number"),
+    ("model_rv.json",
+     lambda doc: doc.update(dimension=7, n_components=9, components=[
+         {**doc["components"][0], "weight": 1.0}]),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "headers n_components 9 and dimension 7 do not match the components: "
+     "1 of dimension 122"),
+], ids=["fa_factor_nan", "rv_noise_inf", "rv_noise_huge", "pairwise_mean_nan",
+        "rv_weight_text", "rv_noise_bool", "fa_mean_text", "rv_headers"])
 def test_non_finite_model_values_are_data_errors(tmp_path, capsys, pipeline,
-                                                 target, edit, command, output):
+                                                 target, edit, command, output,
+                                                 reason):
     base, _ = pipeline
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     out = tmp_path / "out"
@@ -802,7 +888,7 @@ def test_non_finite_model_values_are_data_errors(tmp_path, capsys, pipeline,
     assert run(["--config", str(config_path), *command]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"data error: {out / target}: malformed " in err
-    assert "holds a non-finite value" in err
+    assert f" {reason}\n" in err
     assert not (out / output).exists()
 
 
@@ -1177,6 +1263,26 @@ def test_unusable_procedures_are_data_errors_naming_the_file(
     assert run(["--config", str(config_path), *command]) == EXIT_DATA
     assert (f"data error: {tmp_path / 'procedures.yaml'}: {reason}"
             in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == [model.name]
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["generate-scenes", "--count", "1"]],
+                         ids=["ingest", "generate_scenes"])
+def test_a_frequency_beyond_the_float_range_is_a_data_error(tmp_path, capsys,
+                                                            pipeline, command):
+    # beside _inf_frequency: a 400-digit integer, which float() cannot take
+    config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
+    out = tmp_path / "out"
+    out.mkdir()
+    model = pipeline[0] / "out" / "model_pairwise.json"
+    (out / model.name).write_bytes(model.read_bytes())
+    path = tmp_path / "procedures.yaml"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"frequency: \S+", f"frequency: {10 ** 400}", text,
+                           count=1), encoding="utf-8")
+    assert run(["--config", str(config_path), *command]) == EXIT_DATA
+    assert (f"data error: {path}: malformed procedure file: int too large to "
+            "convert to float\n" == capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == [model.name]
 
 

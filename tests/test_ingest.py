@@ -276,7 +276,7 @@ def reverse_flight(flight):
 
 
 def classify(flight, airspace):
-    return classify_flight(flight, airspace, flight_to_enu([flight], airspace)[0])
+    return classify_flight(flight_to_enu([flight], airspace), airspace)[0][0]
 
 
 def test_spiral_in_is_arrival(airspace):
@@ -313,8 +313,28 @@ def test_too_few_points_inside_airspace(airspace):
     # both points far outside the 25 NM radius
     flight = make_flight("far", [0.0, 10.0], [45.0, 45.01], [-70.0, -70.01],
                          [30000.0, 30000.0])
-    with pytest.raises(DataError, match="fewer than 2 points"):
-        classify(flight, airspace)
+    classes, rejected = classify_flight(flight_to_enu([flight], airspace), airspace)
+    assert classes == [None]
+    assert rejected == {0: "fewer than 2 points inside the airspace"}
+
+
+def test_classification_takes_every_track_in_one_call(airspace):
+    spiral = spiral_arrival(airspace)
+    n = 40
+    xyz = np.column_stack([np.linspace(-20.0, 20.0, n) * NM_TO_M,
+                           np.full(n, 5.0 * NM_TO_M), np.full(n, 10000.0 * FT_TO_M)])
+    chord = make_flight("chord", np.arange(n) * 15.0, *enu_to_wgs84(xyz, airspace))
+    # one point inside the airspace, then the rest far outside it
+    lone = make_flight("lone", [0.0, 10.0, 20.0], [airspace.origin_lat, 45.0, 45.01],
+                       [airspace.origin_lon, -70.0, -70.01], [100.0] * 3)
+    far = make_flight("far", [0.0, 10.0], [45.0, 45.01], [-70.0, -70.01],
+                      [30000.0, 30000.0])
+    flights = [spiral, far, reverse_flight(spiral), lone, chord]
+    classes, rejected = classify_flight(flight_to_enu(flights, airspace), airspace)
+    assert classes == [FlightClass.ARRIVAL, None, FlightClass.DEPARTURE, None,
+                       FlightClass.OVERFLIGHT]
+    assert rejected == dict.fromkeys([1, 3], "fewer than 2 points inside the airspace")
+    assert classify_flight([], airspace) == ([], {})
 
 
 def test_airspace_config_file_round_trip(tmp_path):

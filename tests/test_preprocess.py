@@ -134,17 +134,22 @@ def straight_proc(offset_y, name="P", n=20):
     return make_proc_traj(points, name=name)
 
 
+def stacked(procs):
+    """The (R, T, 3) points of procedural trajectories."""
+    return np.stack([proc.points for proc in procs])
+
+
 def test_assign_exact_match_selects_that_procedure():
     procs = [straight_proc(0.0, "P0"), straight_proc(4000.0, "P1"),
              straight_proc(8000.0, "P2")]
-    assert assign_procedures(procs[2].points[None], procs)[0] == 2
+    assert assign_procedures(procs[2].points[None], stacked(procs))[0] == 2
     assert dtw(procs[2].points[:, :2], procs[2].points[:, :2]) == 0.0
 
 
 def test_assign_single_candidate_defaults_to_zero():
     procs = [straight_proc(0.0)]
     traj = straight_proc(90000.0).points
-    assert assign_procedures(traj[None], procs)[0] == 0
+    assert assign_procedures(traj[None], stacked(procs))[0] == 0
 
 
 def test_assign_matches_full_distance_table():
@@ -152,7 +157,7 @@ def test_assign_matches_full_distance_table():
     procs = [straight_proc(0.0), straight_proc(3000.0), straight_proc(6_000.0)]
     traj = straight_proc(2000.0).points + rng.normal(scale=50.0, size=(20, 3))
     table = [dtw(traj[:, :2], p.points[:, :2]) for p in procs]
-    assert assign_procedures(traj[None], procs)[0] == int(np.argmin(table))
+    assert assign_procedures(traj[None], stacked(procs))[0] == int(np.argmin(table))
 
 
 def test_assign_procedures_breaks_exact_ties_toward_lowest_index():
@@ -166,9 +171,9 @@ def test_assign_procedures_breaks_exact_ties_toward_lowest_index():
     south = straight_proc(-1500.0).points
     north = straight_proc(1500.0).points
     batch = np.stack([on_axis, south, north, on_axis])
-    assert assign_procedures(batch, procs).tolist() == [0, 1, 0, 0]
-    assert assign_procedures(batch, procs[1:]).tolist() == [0, 0, 1, 0]
-    assert assign_procedures(on_axis[None], procs)[0] == 0
+    assert assign_procedures(batch, stacked(procs)).tolist() == [0, 1, 0, 0]
+    assert assign_procedures(batch, stacked(procs[1:])).tolist() == [0, 0, 1, 0]
+    assert assign_procedures(on_axis[None], stacked(procs))[0] == 0
 
 
 def test_assign_procedures_matches_per_pair_loop():
@@ -178,7 +183,7 @@ def test_assign_procedures_matches_per_pair_loop():
                       for y in (1400.0, 1600.0, 4400.0, 4600.0, -900.0)])
     expected = [int(np.argmin([dtw_loop(t[:, :2], p.points[:, :2]) for p in procs]))
                 for t in batch]
-    assert assign_procedures(batch, procs).tolist() == expected
+    assert assign_procedures(batch, stacked(procs)).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,7 @@ def test_assign_procedures_matches_per_pair_loop():
 
 def test_segment_identical_to_iap_gives_boundary_zero():
     iap = straight_proc(0.0, "IAP")
-    boundaries, rejected = segment_trajectory([iap.points], iap, threshold=1852.0)
+    boundaries, rejected = segment_trajectory([iap.points], iap.points, 1852.0)
     assert boundaries.tolist() == [0] and rejected == {}
 
 
@@ -216,7 +221,7 @@ def segmented_in_chunks(monkeypatch, tracks, iap, threshold):
     monkeypatch.setattr(preprocess, "point_to_polyline_distance", recording)
     monkeypatch.setattr(preprocess, "DTW_CHUNK_BYTES",
                         8 * 6 * (len(iap.points) - 1) * 7)
-    boundaries, rejected = segment_trajectory(tracks, iap, threshold)
+    boundaries, rejected = segment_trajectory(tracks, iap.points, threshold)
     # a track that never joins has no point from which it stays joined
     for row in rejected:
         assert boundaries[row] == len(tracks[row])
@@ -265,7 +270,7 @@ def test_segment_error_when_never_joining(monkeypatch):
 def test_segment_rejects_an_empty_track():
     iap = straight_proc(0.0, "IAP")
     with pytest.raises(ValueError, match="nonempty"):
-        segment_trajectory([iap.points, iap.points[:0]], iap, 1852.0)
+        segment_trajectory([iap.points, iap.points[:0]], iap.points, 1852.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
