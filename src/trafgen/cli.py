@@ -151,9 +151,9 @@ def _segments(config: RunConfig) -> tuple[_Segment, _Segment]:
 # Commands
 
 def _load_procedural_trajectories(config: RunConfig) -> tuple[
-        list[procedures.ProceduralTrajectory], list[float], procedures.ProceduralTrajectory]:
-    """The radar-vector procedural trajectories, their frequencies scaled to
-    sum to 1, and the IAP's, at the config's lengths."""
+        list[str], np.ndarray, list[float], str, np.ndarray]:
+    """The radar-vector procedures' names, procedural points (R, T_v, 3) and
+    frequencies scaled to sum to 1, and the IAP's name and points (T_f, 3)."""
     procs = procedures.load_procedures(config.procedures)
     rv_procs = [p for p in procs if p.kind is procedures.ProcedureKind.RADAR_VECTOR]
     iaps = [p for p in procs if p.kind is procedures.ProcedureKind.IAP]
@@ -170,9 +170,11 @@ def _load_procedural_trajectories(config: RunConfig) -> tuple[
     except ValueError as exc:
         raise DataError(f"{config.procedures}: {exc}") from exc
     total = float(sum(p.frequency for p in rv_procs))
-    if total <= 0:
-        raise DataError(f"{config.procedures}: frequencies must have positive total")
-    return rv_trajs, [p.frequency / total for p in rv_procs], iap
+    if not 0 < total < np.inf:
+        raise DataError(f"{config.procedures}: frequencies must have a positive "
+                        "finite total")
+    return ([p.name for p in rv_procs], np.stack([t.points for t in rv_trajs]),
+            [p.frequency / total for p in rv_procs], iaps[0].name, iap.points)
 
 
 def _read_arrivals(config: RunConfig) -> tuple[list, list[str], list, list[dict]]:
@@ -213,7 +215,7 @@ def cmd_ingest(config: RunConfig) -> int:
     flights, parse_errors, arrivals, exclusions = _read_arrivals(config)
     if not arrivals:
         raise DataError("no arrival flights after classification")
-    rv_trajs, _, iap_traj = _load_procedural_trajectories(config)
+    names, proc_points, _, iap_name, iap_points = _load_procedural_trajectories(config)
 
     # 1. split every arrival. The radar-vector part runs up TO the handoff
     # point; a final-approach row opens with the n_overlap - 1 radar-vector
@@ -222,7 +224,7 @@ def cmd_ingest(config: RunConfig) -> int:
     n_lead = config.n_overlap - 1
     times, xyz = zip(*(track for _, track in arrivals))
     boundaries, failed = preprocess.segment_trajectory(
-        xyz, iap_traj.points, config.segment_threshold_nm * NM_TO_M)
+        xyz, iap_points, config.segment_threshold_nm * NM_TO_M)
     # the arrivals that have each part, as masks and as sorted ids
     has_rv = boundaries >= 1
     has_rv[list(failed)] = False  # a track that never joins has no part
@@ -247,7 +249,7 @@ def cmd_ingest(config: RunConfig) -> int:
         fa_points = np.concatenate([rv_points[lead, -n_lead - 1:-1], fa_points],
                                    axis=1)
     fa_rows, fa_invalid = preprocess.build_deviation_vector(
-        fa_times, fa_points, iap_traj.points)
+        fa_times, fa_points, iap_points)
     # an arrival keeps its first failure
     for ids, rejected in ((rv_ids, rv_rejected), (fa_ids, fa_rejected),
                           (fa_ids, fa_invalid)):
@@ -268,7 +270,6 @@ def cmd_ingest(config: RunConfig) -> int:
     fa_ids, fa_rows = fa_ids[fa_keep], fa_rows[fa_keep]
 
     # 4. nearest radar-vector procedure of every part, in one call
-    proc_points = np.stack([proc.points for proc in rv_trajs])
     assigned = preprocess.assign_procedures(rv_points, proc_points)
 
     # 5. radar-vector deviations from the assigned procedures. Each part
@@ -279,8 +280,7 @@ def cmd_ingest(config: RunConfig) -> int:
         raise ValueError(f"radar-vector rows rejected: {rejected}")
     for segment, rows, ids, names in zip(
             _segments(config), (rv_rows, fa_rows), (rv_ids, fa_ids),
-            ([rv_trajs[j].procedure for j in assigned.tolist()],
-             [iap_traj.procedure] * len(fa_ids))):
+            ([names[j] for j in assigned.tolist()], [iap_name] * len(fa_ids))):
         write_deviation_dataset(segment.dataset, rows, segment.kind, segment.length, [
             {"flight_id": arrivals[a][0].id, "procedure": name,
              "arrival_time": float(arrivals[a][0].points[-1, 0])}
@@ -350,7 +350,7 @@ def cmd_train(config: RunConfig) -> int:
     models, log = [], {}
     for segment, rows, (k, rank) in zip(segments, data, chosen):
         seed = _seed(config, f"train-{segment.kind}")
-        fit = em_fit(rows, k, seed=seed, segment_kind=segment.kind)
+        fit = em_fit(rows, k, seed=seed)
         models.append(compress_model(fit.model, rank))
         log[segment.kind] = {"n_components": k, "rank": rank,
                              "log_likelihoods": fit.log_likelihoods}
@@ -361,7 +361,7 @@ def cmd_train(config: RunConfig) -> int:
             raise NumericalError(
                 f"{segment.model}: cannot write the model: {exc}") from exc
     for segment, model in zip(segments, models):
-        save_model(model, segment.model)
+        save_model(model, segment.model, segment.kind)
     write_json(config.out_dir / "train_log.json", log)
     return EXIT_OK
 
@@ -387,7 +387,8 @@ def cmd_train_pairwise(config: RunConfig) -> int:
         raise DataError("every pairwise group was under the sample minimum")
     write_models(config.out_dir / "model_pairwise.json", {
         "format": PAIRWISE_FORMAT, "segment": "radar_vector",
-        "models": {f"{a}|{b}": model_document(m) for (a, b), m in models.items()}})
+        "models": {f"{a}|{b}": model_document(m, "pairwise")
+                   for (a, b), m in models.items()}})
     write_json(config.out_dir / "train_pairwise_log.json", {
         "groups": {f"{a}|{b}": len(v) for (a, b), v in groups.items()},
         "trained": sorted(f"{a}|{b}" for a, b in models),
@@ -405,14 +406,15 @@ def cmd_generate(config: RunConfig, count: int) -> int:
         preprocess.deviation_length(m.dimension, "model dimension", segment.symbol,
                                     expected=segment.length, path=segment.model)
     model = single_model.SingleTrajectoryModel(*models, config.n_overlap)
-    rv_trajs, probs, iap = _load_procedural_trajectories(config)
+    names, rv_points, probs, _, iap_points = _load_procedural_trajectories(config)
     rng = substream(config.seed, "generate")
     rows, meta = [], []
     for i in range(count):
-        rv_proc = rv_trajs[int(rng.choice(len(rv_trajs), p=probs))]
-        times, points, components = single_model.generate(model, rv_proc, iap, rng)
+        j = int(rng.choice(len(names), p=probs))
+        times, points, components = single_model.generate(
+            model, rv_points[j], iap_points, rng)
         rows.append(((i,), times, points))
-        meta.append({"traj_id": i, "procedure": rv_proc.procedure,
+        meta.append({"traj_id": i, "procedure": names[j],
                      "components": list(components)})
     write_trajectory_csv(config.out_dir / "trajectories.csv", ["traj_id"], rows)
     write_json(config.out_dir / "trajectories.meta.json",
@@ -435,10 +437,10 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     """Generate correlated multi-aircraft scenes from the pairwise models."""
     models = read_json(config.out_dir / "model_pairwise.json", "pairwise model",
                        _pairwise_models, tag=PAIRWISE_FORMAT)
-    rv_trajs, probs, _ = _load_procedural_trajectories(config)
+    names, rv_points, probs, _, _ = _load_procedural_trajectories(config)
     # assembly reaches every ordered pair of a scene's procedures, adjacent
     # or not, so any two procedures that can be drawn need a model
-    drawn = [t.procedure for t, p in zip(rv_trajs, probs) if p > 0]
+    drawn = [name for name, p in zip(names, probs) if p > 0]
     missing = [f"{a}|{b}" for a in drawn for b in drawn if (a, b) not in models]
     if missing:
         raise DataError(f"{config.out_dir / 'model_pairwise.json'}: no pairwise "
@@ -451,11 +453,10 @@ def cmd_generate_scenes(config: RunConfig, count: int, n_aircraft: int) -> int:
     rng = substream(config.seed, "generate-scenes")
     scenes, meta = [], []
     for i in range(count):
-        chosen = [rv_trajs[j]
-                  for j in rng.choice(len(rv_trajs), size=n_aircraft, p=probs)]
-        sequence = [t.procedure for t in chosen]
+        chosen = rng.choice(len(names), size=n_aircraft, p=probs)
+        sequence = [names[j] for j in chosen]
         params = multi_model.assemble_scene_params(models, sequence, rng)
-        trajectories, deltas = multi_model.generate_scene(params, chosen, rng)
+        trajectories, deltas = multi_model.generate_scene(params, rv_points[chosen], rng)
         scenes.append(trajectories)
         meta.append({
             "scene_id": i, "procedures": sequence,

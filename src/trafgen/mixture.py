@@ -67,7 +67,6 @@ class GaussianComponent:
 @dataclass
 class MixtureModel:
     components: list[GaussianComponent]
-    segment_kind: str = "generic"
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -189,8 +188,7 @@ class EMFit:
 
 
 def em_fit(data: np.ndarray, n_components: int, *,
-           seed: int | np.random.Generator = 0,
-           segment_kind: str = "generic") -> EMFit:
+           seed: int | np.random.Generator = 0) -> EMFit:
     """Fit a full-covariance Gaussian mixture with EM.
 
     Initialization is k-means++ on the data; every M-step adds ``reg * I``
@@ -276,7 +274,7 @@ def em_fit(data: np.ndarray, n_components: int, *,
     total = sum(c.weight for c in components)
     for c in components:
         c.weight /= total
-    model = MixtureModel(components=components, segment_kind=segment_kind)
+    model = MixtureModel(components=components)
     return EMFit(model=model, labels=resp.argmax(axis=1),
                  log_likelihoods=history)
 
@@ -379,7 +377,7 @@ def compress_model(model: MixtureModel, rank: int) -> MixtureModel:
         compressed.append(GaussianComponent(
             weight=comp.weight, mean=comp.mean.copy(),
             cov_factor=w, noise_var=noise_var))
-    return MixtureModel(components=compressed, segment_kind=model.segment_kind)
+    return MixtureModel(components=compressed)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,6 @@ class ConditionalMixture:
 
         self.observed_idx = idx_a
         self.free_idx = idx_b
-        self.segment_kind = model.segment_kind
         self._prior_weights = model.weights
         self._observed = []  # (mu_a, (V, sigma^2), s_a): the marginal of x_a
         self._free = []      # (mu_b, G, F_b R, s)
@@ -474,7 +471,7 @@ class ConditionalMixture:
             for w, mean_a, (mean_b, gain, factor, noise_var)
             in zip(new_weights, means_a, self._free)
         ]
-        return MixtureModel(components=components, segment_kind=self.segment_kind)
+        return MixtureModel(components=components)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -520,11 +517,11 @@ def sample(model: MixtureModel, size: int,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def model_document(model: MixtureModel) -> dict:
-    """The model's JSON document, its arrays kept as arrays for
-    ``write_models``."""
+def model_document(model: MixtureModel, kind: str) -> dict:
+    """The JSON document of a model of segment kind ``kind``, its arrays
+    kept as arrays for ``write_models``."""
     return {
-        "format": MODEL_FORMAT, "segment_kind": model.segment_kind,
+        "format": MODEL_FORMAT, "segment_kind": kind,
         "n_components": len(model.components), "dimension": model.dimension,
         "components": [{"weight": c.weight, "mean": c.mean,
                         "cov_factor": c.cov_factor,
@@ -554,8 +551,7 @@ def model_from_dict(doc: dict) -> MixtureModel:
         cov_factor=np.asarray(c["cov_factor"], dtype=float),
         noise_var=float(c["noise_var"])) for c in doc["components"]]
     check_finite(components)
-    model = MixtureModel(components=components,
-                         segment_kind=str(doc.get("segment_kind", "generic")))
+    model = MixtureModel(components=components)
     n_components = json_int(doc["n_components"], "n_components")
     dimension = json_int(doc["dimension"], "dimension")
     if (n_components, dimension) != (len(components), model.dimension):
@@ -575,8 +571,8 @@ def write_models(path: str | Path, doc: dict) -> None:
         raise NumericalError(f"{path}: cannot write the model: {exc}") from exc
 
 
-def save_model(model: MixtureModel, path: str | Path) -> None:
-    write_models(path, model_document(model))
+def save_model(model: MixtureModel, path: str | Path, kind: str) -> None:
+    write_models(path, model_document(model, kind))
 
 
 def load_model(path: str | Path) -> MixtureModel:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DataError, InvalidDeviation
 from .mixture import MixtureModel, compress_model, em_fit, redraw
 from .preprocess import deviation_length, deviation_width, reconstruct_trajectory
-from .procedures import ProceduralTrajectory
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +116,7 @@ def train_pairwise(groups: Mapping[tuple[str, str], np.ndarray],
             logger.warning("skipping pairwise group %s: %d samples < %d",
                            key, len(data), min_samples)
             continue
-        fit = em_fit(data, n_components, seed=seed, segment_kind="pairwise")
+        fit = em_fit(data, n_components, seed=seed)
         models[key] = compress_model(fit.model, rank)
     return models
 
@@ -280,11 +279,11 @@ def _scene_parts(params: SceneParams, z: np.ndarray) -> list[np.ndarray]:
                 z_parts, y, ly)]
 
 
-def generate_scene(params: SceneParams,
-                   procedures: Sequence[ProceduralTrajectory],
+def generate_scene(params: SceneParams, proc_points: np.ndarray,
                    rng: int | np.random.Generator | None = None,
                    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Sample one joint deviation vector and reconstruct the N trajectories.
+    """Sample one joint deviation vector and reconstruct the N trajectories
+    against their procedural points (N, T_v, 3).
 
     The scene vector is redrawn by :func:`~trafgen.mixture.redraw` while
     any sampled inter-arrival time is negative or a deviation block has
@@ -295,18 +294,15 @@ def generate_scene(params: SceneParams,
     """
     rng = np.random.default_rng(rng)
     n = len(params.procedure_sequence)
-    if len(procedures) != n:
-        raise ValueError(f"need {n} procedural trajectories, got {len(procedures)}")
-    proc_points = np.stack([proc.points for proc in procedures])
-    distances = np.array([proc.total_distance for proc in procedures])
+    if len(proc_points) != n:
+        raise ValueError(f"need {n} procedural trajectories, got {len(proc_points)}")
 
     def draw():
         parts = _scene_parts(params, rng.standard_normal(params.mean.size))
         deltas = np.concatenate(parts[1::2])
         if np.any(deltas < 0):
             raise InvalidDeviation(f"negative inter-arrival time {deltas.min():g} s")
-        return deltas, reconstruct_trajectory(np.stack(parts[::2]), proc_points,
-                                              distances)
+        return deltas, reconstruct_trajectory(np.stack(parts[::2]), proc_points)
 
     deltas, (times, points) = redraw(draw, "scene sampling")
     arrivals = np.cumsum(np.concatenate([times[:1, -1], deltas]))

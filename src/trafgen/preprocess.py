@@ -393,17 +393,17 @@ def build_deviation_vector(times: np.ndarray, points: np.ndarray,
     return rows, _deviation_rejects(rows)
 
 
-def reconstruct_trajectory(rows: np.ndarray, proc_points: np.ndarray,
-                           total_distance) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_trajectory(rows: np.ndarray,
+                           proc_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Times (B, T) and points (B, T, 3) of deviation vectors (B, 3T + 2)
-    against procedural points (T, 3) or (B, T, 3) of total distance d' (a
-    scalar or (B,)): the inverse of :func:`build_deviation_vector`.
+    against procedural points (T, 3) or (B, T, 3): the inverse of
+    :func:`build_deviation_vector`.
 
     Points are the procedural points plus the deviations. Each row's times
-    are spread evenly over [0, t'], its transit time rescaled to the
-    procedure's length, t' = tau_1 / tau_2 * d'. A row whose transit time or
-    total distance is not positive raises InvalidDeviation with the message
-    of the first such row.
+    are spread evenly over [0, t'], its transit time rescaled to the length
+    d' of its procedural points, t' = tau_1 / tau_2 * d'. A row whose transit
+    time or total distance is not positive raises InvalidDeviation with the
+    message of the first such row.
     """
     rows = np.asarray(rows, dtype=float)
     count = np.shape(proc_points)[-2]
@@ -412,5 +412,5 @@ def reconstruct_trajectory(rows: np.ndarray, proc_points: np.ndarray,
     if rejected := _deviation_rejects(rows):
         raise InvalidDeviation(rejected[min(rejected)])
     points = proc_points + rows[:, 2:].reshape(len(rows), count, 3)
-    transit = rows[:, 0] / rows[:, 1] * total_distance
+    transit = rows[:, 0] / rows[:, 1] * path_length(proc_points)
     return _linspace_rows(np.zeros(len(rows)), transit, count), points

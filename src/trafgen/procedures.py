@@ -18,7 +18,7 @@ from ._cluster import kmeans
 from ._files import read_yaml, write_text
 from .errors import DataError
 from .ingest import AirspaceConfig, enu_to_wgs84, wgs84_to_enu
-from .preprocess import path_length, pchip_resample
+from .preprocess import pchip_resample
 
 # an ENU track (times (n,), positions (n, 3)), as flight_to_enu returns it
 EnuTrack = tuple[np.ndarray, np.ndarray]
@@ -60,12 +60,6 @@ class ProceduralTrajectory:
 
     procedure: str
     points: np.ndarray  # (T, 3) meters ENU
-    total_distance: float
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError("points must have shape (T, 3)")
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +69,29 @@ def load_procedures(path: str | Path) -> list[Procedure]:
     return read_yaml(path, "procedure file", _procedures_from_documents)
 
 
+def _procedure(doc: dict) -> Procedure:
+    """The procedure of one document. Its name must be a string, and its
+    frequency and waypoint coordinates YAML ints or floats (a bool or text
+    is neither); an altitude may be null."""
+    name = doc["name"]
+    if type(name) is not str:
+        raise ValueError(f"procedure {name!r:.40}: the name is not a string")
+
+    def number(value, what: str) -> float:
+        if type(value) not in (int, float):
+            raise ValueError(f"procedure {name!r}: {what} {value!r:.40} is not a number")
+        return float(value)
+
+    return Procedure(
+        name=name, kind=ProcedureKind(doc["kind"]),
+        frequency=number(doc.get("frequency", 1.0), "frequency"),
+        waypoints=[(number(wp[0], "latitude"), number(wp[1], "longitude"),
+                    None if len(wp) < 3 or wp[2] is None else number(wp[2], "altitude"))
+                   for wp in doc["waypoints"]])
+
+
 def _procedures_from_documents(docs: list) -> list[Procedure]:
-    procedures = [Procedure(
-        name=str(doc["name"]), kind=ProcedureKind(doc["kind"]),
-        waypoints=[(float(wp[0]), float(wp[1]),
-                    float(wp[2]) if len(wp) > 2 and wp[2] is not None else None)
-                   for wp in doc["waypoints"]],
-        frequency=float(doc.get("frequency", 1.0)),
-    ) for doc in docs if doc is not None]
+    procedures = [_procedure(doc) for doc in docs if doc is not None]
     if not procedures:
         raise ValueError("no procedures found")
     names = [proc.name for proc in procedures]
@@ -178,5 +187,4 @@ def build_procedural_trajectory(proc: Procedure, count: int,
     if rejected:  # a repeated waypoint repeats a chord length
         raise ValueError(f"procedure {proc.name!r} repeats a waypoint"
                          if np.any(seg_len == 0) else rejected[0])
-    return ProceduralTrajectory(procedure=proc.name, points=points,
-                                total_distance=path_length(points))
+    return ProceduralTrajectory(procedure=proc.name, points=points)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .mixture import ConditionalMixture, MixtureModel, redraw, sample
 from .preprocess import deviation_length, reconstruct_trajectory
-from .procedures import ProceduralTrajectory
 
 
 def check_segment_lengths(t_v: int, t_f: int, n_overlap: int) -> None:
@@ -59,12 +58,12 @@ class SingleTrajectoryModel:
                                   np.arange(2, 2 + 3 * self.n_overlap))
 
 
-def generate(model: SingleTrajectoryModel, rv_proc: ProceduralTrajectory,
-             iap: ProceduralTrajectory, rng: int | np.random.Generator | None = None,
+def generate(model: SingleTrajectoryModel, rv_points: np.ndarray,
+             iap_points: np.ndarray, rng: int | np.random.Generator | None = None,
              ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """One synthetic trajectory against ``rv_proc`` and the IAP: its
-    T_v + T_f - n_overlap + 1 strictly increasing times, its points, and its
-    (radar-vector, final-approach) component indices.
+    """One synthetic trajectory against radar-vector and IAP procedural points
+    (T_v, 3) and (T_f, 3): its T_v + T_f - n_overlap + 1 strictly increasing
+    times, its points, and its (radar-vector, final-approach) component indices.
 
     Samples and reconstructs the radar-vector segment, conditions the
     final-approach mixture on the deviations of the segment's last
@@ -79,18 +78,17 @@ def generate(model: SingleTrajectoryModel, rv_proc: ProceduralTrajectory,
 
     def draw():
         tau_rv, (comp_rv,) = sample(model.radar_vector_model, 1, rng)
-        (rv_times,), (rv_points,) = reconstruct_trajectory(
-            tau_rv, rv_proc.points, rv_proc.total_distance)
+        (rv_times,), (rv_track,) = reconstruct_trajectory(tau_rv, rv_points)
         # deviations of the trajectory tail from the IAP head (tau_a block)
-        overlap_dev = (rv_points[-n_ov:] - iap.points[:n_ov]).ravel()
+        overlap_dev = (rv_track[-n_ov:] - iap_points[:n_ov]).ravel()
         (tau_b,), (comp_fa,) = sample(conditional_fa(overlap_dev), 1, rng)
         tau_fa = np.empty(model.final_approach_model.dimension)
         tau_fa[conditional_fa.observed_idx] = overlap_dev
         tau_fa[conditional_fa.free_idx] = tau_b
-        return (rv_times, rv_points, *reconstruct_trajectory(
-            tau_fa[None], iap.points, iap.total_distance), (int(comp_rv), int(comp_fa)))
+        return (rv_times, rv_track, *reconstruct_trajectory(tau_fa[None], iap_points),
+                (int(comp_rv), int(comp_fa)))
 
-    rv_times, rv_points, (fa_times,), (fa_points,), components = redraw(
+    rv_times, rv_track, (fa_times,), (fa_track,), components = redraw(
         draw, "generation")
     # Final-approach sample n_ov-1 retraces the radar-vector end, so the
     # physical time gap at the join is zero; a vanishing offset keeps
@@ -99,4 +97,4 @@ def generate(model: SingleTrajectoryModel, rv_proc: ProceduralTrajectory,
     join = n_ov - 1
     fa_times = fa_times[join:] - fa_times[join] + rv_times[-1] + epsilon
     return (np.concatenate([rv_times, fa_times]),
-            np.vstack([rv_points, fa_points[join:]]), components)
+            np.vstack([rv_track, fa_track[join:]]), components)

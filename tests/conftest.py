@@ -38,20 +38,16 @@ def resample_one(times, values, count):
     return new_times[0], new_values[0]
 
 
-def rebuild_one(tau, proc):
+def rebuild_one(tau, proc_points):
     """The (T,) times and (T, 3) points of one deviation vector against the
-    procedural trajectory ``proc``."""
-    times, points = reconstruct_trajectory(np.asarray(tau)[None], proc.points,
-                                           proc.total_distance)
+    procedural points ``proc_points`` (T, 3)."""
+    times, points = reconstruct_trajectory(np.asarray(tau)[None], proc_points)
     return times[0], points[0]
 
 
 def make_proc_traj(points, name="PROC"):
     """ProceduralTrajectory straight from an ENU point array (test shortcut)."""
-    points = np.asarray(points, dtype=float)
-    length = float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
-    return ProceduralTrajectory(procedure=name, points=points,
-                                total_distance=length)
+    return ProceduralTrajectory(procedure=name, points=points)
 
 
 def assert_bitwise(got, want):

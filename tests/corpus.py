@@ -89,7 +89,7 @@ def generate_drawn(model, procs, rng):
     components)."""
     rv_trajs, frequencies, iap = procs
     rv_proc = rv_trajs[int(rng.choice(len(rv_trajs), p=frequencies))]
-    return rv_proc.procedure, *generate(model, rv_proc, iap, rng)
+    return rv_proc.procedure, *generate(model, rv_proc.points, iap.points, rng)
 
 
 def _smooth_cov_factor(t_len, dim, scales, time_scale, dist_scale, seed):
@@ -131,13 +131,13 @@ def _gt_component(proc_traj, t_len, lane_offset, descent, transit_mean,
     u = np.linspace(0.0, 1.0, t_len)
     mean = np.zeros(dim)
     mean[0] = transit_mean
-    mean[1] = proc_traj.total_distance
+    mean[1] = path_length(proc_traj.points)
     mean[2::3] = lane_offset * np.sin(np.pi * u)
     if descent is not None:
         mean[4::3] = descent[0] + (descent[1] - descent[0]) * u
     if path is not None:
         mean[1] = path_length(path)
-        mean[0] = transit_mean * mean[1] / proc_traj.total_distance
+        mean[0] = transit_mean * mean[1] / path_length(proc_traj.points)
         mean[2:] += (path - proc_traj.points).ravel()
     return GaussianComponent(weight=weight, mean=mean,
                              cov_factor=_smooth_cov_factor(
@@ -155,7 +155,7 @@ def ground_truth_model(t_v=T_V, t_f=T_F,
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=11),
         _gt_component(rv_west, t_v, -350.0, _RV_DESCENT,
                       600.0, 120.0, 25.0, 200.0, 0.5, seed=12),
-    ], segment_kind="radar_vector")
+    ])
     # final-approach rows follow ingest's overlap rule; at n_overlap = 1 that
     # path is the IAP itself
     path = _overlap_path(procs, t_f, n_overlap) if n_overlap > 1 else None
@@ -164,7 +164,7 @@ def ground_truth_model(t_v=T_V, t_f=T_F,
                       0.5, seed=13, path=path),
         _gt_component(iap, t_f, -450.0, None, 160.0, 40.0, 8.0, 100.0,
                       0.5, seed=14, path=path),
-    ], segment_kind="final_approach")
+    ])
     return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
                                  n_overlap=n_overlap)
 
@@ -202,7 +202,7 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
     the only strong pair correlation is between transit times (a follower
     holds the leader's speed). Returns the (n, 3T+2) deviation matrix, the
     procedure name and the arrival time of each row, and the procedural
-    trajectory.
+    points.
     """
     rng = np.random.default_rng(seed)
     u = np.linspace(0.0, 1.0, segment_samples)
@@ -210,9 +210,6 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
         [-30000.0 * (1.0 - u), np.zeros(segment_samples),
          np.zeros(segment_samples)])
     length = 30000.0
-    from trafgen.procedures import ProceduralTrajectory
-    proc = ProceduralTrajectory(procedure="INTRAIL", points=points,
-                                total_distance=length)
 
     taus, arrivals = [], []
     arrival = 0.0
@@ -228,7 +225,7 @@ def make_intrail_records(n, *, rho=0.95, seed=0, transit_mean=400.0,
         distance = length + rng.normal(scale=30.0)
         taus.append(np.concatenate([[transit, distance], dev.ravel()]))
         arrivals.append(arrival)
-    return np.stack(taus), ["INTRAIL"] * n, np.array(arrivals), proc
+    return np.stack(taus), ["INTRAIL"] * n, np.array(arrivals), points
 
 
 def write_corpus(base: Path, n_flights=300, seed=0, *,

@@ -171,12 +171,12 @@ def write_trajectory_csv_rows(path: Path, key_columns, rows) -> None:
                                  repr(float(y)), repr(float(z))])
 
 
-def model_to_dict(model: MixtureModel) -> dict:
-    """The model's JSON document as Python lists: ``json.dumps(...,
-    sort_keys=True)`` of it is the text ``save_model`` must write byte for
-    byte, one array at a time."""
+def model_to_dict(model: MixtureModel, kind: str) -> dict:
+    """The JSON document of a model of segment kind ``kind`` as Python
+    lists: ``json.dumps(..., sort_keys=True)`` of it is the text
+    ``save_model`` must write byte for byte, one array at a time."""
     return {
-        "format": MODEL_FORMAT, "segment_kind": model.segment_kind,
+        "format": MODEL_FORMAT, "segment_kind": kind,
         "n_components": len(model.components), "dimension": model.dimension,
         "components": [{"weight": c.weight, "mean": c.mean.tolist(),
                         "cov_factor": c.cov_factor.tolist(),
@@ -570,7 +570,7 @@ def _m_step_dense(data, resp, reg):
     return weights, means, covs
 
 
-def em_fit_dense(data, n_components, *, seed=0, segment_kind="generic"):
+def em_fit_dense(data, n_components, *, seed=0):
     """EM holding every covariance as an n x n matrix.
 
     Each E-step factors every component covariance by Cholesky; the
@@ -611,7 +611,7 @@ def em_fit_dense(data, n_components, *, seed=0, segment_kind="generic"):
     total = sum(c.weight for c in components)
     for c in components:
         c.weight /= total
-    model = MixtureModel(components=components, segment_kind=segment_kind)
+    model = MixtureModel(components=components)
     return EMFit(model=model, labels=resp.argmax(axis=1),
                  log_likelihoods=history)
 
@@ -683,7 +683,7 @@ def compress_model_dense(model, rank):
         compressed.append(GaussianComponent(
             weight=comp.weight, mean=comp.mean.copy(),
             cov_factor=w, noise_var=noise_var))
-    return MixtureModel(components=compressed, segment_kind=model.segment_kind)
+    return MixtureModel(components=compressed)
 
 
 def extract_pairs_sorted(records, window):

@@ -25,7 +25,7 @@ from trafgen.preprocess import build_deviation_vector, dtw_distances
 from trafgen.units import FT_TO_M, NM_TO_M
 
 import corpus
-from conftest import make_proc_traj, one_deviation, ppca, rebuild_one
+from conftest import one_deviation, ppca, rebuild_one
 from oracles import dense_covariance, dtw_brute_force, mc_conditional_moments, \
     psd_factor, scene_covariance, silhouette_brute_force
 
@@ -205,20 +205,20 @@ def test_criterion_07_round_trip_exactness():
     for _ in range(1000):
         t_len = int(rng.integers(3, 12))
         base = rng.normal(scale=5000.0, size=(t_len, 3)).cumsum(axis=0)
-        proc = make_proc_traj(base, name="RT")
         times = np.sort(rng.uniform(0.0, 900.0, size=t_len))
         times[0] = 0.0
         times += np.arange(t_len) * 1e-3
         points = base + rng.normal(scale=400.0, size=(t_len, 3))
-        tau = one_deviation(times, points, proc.points)
-        proc.total_distance = tau[1]  # d' = tau_2
-        rec_times, rec_points = rebuild_one(tau, proc)
+        tau = one_deviation(times, points, base)
+        _, rec_points = rebuild_one(tau, base)
+        # d' = tau_2: times against a procedure as long as the flight, the
+        # flight's own polyline; the points do not depend on d'
+        rec_times, _ = rebuild_one(tau, points)
         assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
         assert rec_times[-1] == pytest.approx(tau[0], abs=1e-9)
-        # explicit rescaling check against the formula
-        proc.total_distance = 2.5 * tau[1]
-        scaled_times, _ = rebuild_one(tau, proc)
-        expected = tau[0] / tau[1] * proc.total_distance
+        # explicit rescaling check against the formula, d' = 2.5 tau_2
+        scaled_times, _ = rebuild_one(tau, 2.5 * points)
+        expected = tau[0] / tau[1] * (2.5 * tau[1])
         assert scaled_times[-1] == pytest.approx(expected, abs=1e-9)
     report(7, "build/reconstruct is an exact inverse at d' = tau_2 for 1000 "
               "random trajectories; transit rescaling matches the formula")
@@ -308,7 +308,7 @@ def consistent_pairwise_model(t_len=3, seed=0, weights=(1.0,)):
         factor[d, 3] = 4.0
         comps.append(GaussianComponent(weight=float(w), mean=mean,
                                        cov_factor=factor, noise_var=1.0))
-    return MixtureModel(components=comps, segment_kind="pairwise"), d
+    return MixtureModel(components=comps), d
 
 
 def test_criterion_09_assembly_psd_marginals_and_selection():
@@ -326,16 +326,14 @@ def test_criterion_09_assembly_psd_marginals_and_selection():
     models = {("P", "P"): k1_model}
     params = assemble_scene_params(models, ["P", "P"], rng=0)
     u = np.linspace(0.0, 1.0, 3)
-    proc = make_proc_traj(
-        np.column_stack([-9000.0 * (1.0 - u), np.zeros(3), np.zeros(3)]),
-        name="P")
+    proc_points = np.column_stack([-9000.0 * (1.0 - u), np.zeros(3), np.zeros(3)])
     rng = np.random.default_rng(99)
     n_scenes = 10_000
     draws = np.empty((n_scenes, 2 * d + 1))
     for i in range(n_scenes):
-        trajectories, deltas = generate_scene(params, [proc, proc], rng)
+        trajectories, deltas = generate_scene(params, np.stack([proc_points] * 2), rng)
         (tau1, tau2), rejected = build_deviation_vector(
-            *map(np.stack, zip(*trajectories)), proc.points)
+            *map(np.stack, zip(*trajectories)), proc_points)
         assert rejected == {}
         draws[i] = np.concatenate([tau1, deltas, tau2])
     comp = k1_model.components[0]
@@ -411,8 +409,8 @@ def test_criterion_10_separation_semantics_and_model_comparison(monkeypatch):
         assert count_under(*stricter) >= base_count
 
     # correlated pairwise model vs independent single-trajectory baseline
-    taus, names, times, proc = corpus.make_intrail_records(400, rho=0.95,
-                                                           seed=2024)
+    taus, names, times, proc_points = corpus.make_intrail_records(
+        400, rho=0.95, seed=2024)
     groups = extract_pairs(taus, names, times, window=180.0)
     pairwise_models = train_pairwise(groups, 1, rank=8, seed=0)
     assert ("INTRAIL", "INTRAIL") in pairwise_models
@@ -423,7 +421,8 @@ def test_criterion_10_separation_semantics_and_model_comparison(monkeypatch):
     for _ in range(n_scenes):
         params = assemble_scene_params(pairwise_models,
                                        ["INTRAIL"] * n_aircraft, rng)
-        trajectories, _ = generate_scene(params, [proc] * n_aircraft, rng)
+        trajectories, _ = generate_scene(
+            params, np.stack([proc_points] * n_aircraft), rng)
         multi_scenes.append(trajectories)
 
     # independent baseline: single-trajectory mixture, deltas from the
@@ -454,7 +453,8 @@ def test_criterion_10_separation_semantics_and_model_comparison(monkeypatch):
     rng = np.random.default_rng(32)
     single_scenes = []
     for _ in range(n_scenes):
-        trajectories, _ = generate_scene(independent_params, [proc] * n_aircraft, rng)
+        trajectories, _ = generate_scene(independent_params,
+                                         np.stack([proc_points] * n_aircraft), rng)
         single_scenes.append(trajectories)
 
     multi_los, _ = loss_of_separation_count(multi_scenes)

@@ -91,14 +91,14 @@ def test_selection_picks_generating_component_count(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     gt = corpus.ground_truth_model()
     out = tmp_path / "out"
-    for model, name, t_len in (
-            (gt.radar_vector_model, "rv_dataset.npy", corpus.T_V),
-            (gt.final_approach_model, "fa_dataset.npy", corpus.T_F)):
+    for model, name, kind, t_len in (
+            (gt.radar_vector_model, "rv_dataset.npy", "radar_vector", corpus.T_V),
+            (gt.final_approach_model, "fa_dataset.npy", "final_approach",
+             corpus.T_F)):
         data, _ = sample(model, 400, np.random.default_rng(1))
         rows = [{"flight_id": f"S{i}", "procedure": "RV_WEST",
                  "arrival_time": 100.0 * i} for i in range(len(data))]
-        write_deviation_dataset(out / name, data, model.segment_kind, t_len,
-                                rows)
+        write_deviation_dataset(out / name, data, kind, t_len, rows)
     assert run(["--config", str(config_path), "select"]) == EXIT_OK
     report = json.loads((out / "selection_report.json").read_text())
     assert report["radar_vector"]["n_components"] == 2
@@ -119,6 +119,16 @@ def test_model_files_are_compact_sorted_key_json(pipeline):
     for name in ("model_rv.json", "model_fa.json", "model_pairwise.json"):
         text = (base / "out" / name).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), sort_keys=True), name
+
+
+def test_model_files_record_their_segment_kind(pipeline):
+    out = pipeline[0] / "out"
+    for name, kind in (("model_rv.json", "radar_vector"),
+                       ("model_fa.json", "final_approach")):
+        doc = json.loads((out / name).read_text(encoding="utf-8"))
+        assert doc["segment_kind"] == kind
+    doc = json.loads((out / "model_pairwise.json").read_text(encoding="utf-8"))
+    assert {m["segment_kind"] for m in doc["models"].values()} == {"pairwise"}
 
 
 def test_train_rerun_identical_models(pipeline):
@@ -190,6 +200,10 @@ def test_train_names_final_approach_dataset_of_another_length(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == before
 
 
+# the segment kind of model_<name>.json
+KINDS = {"rv": "radar_vector", "fa": "final_approach"}
+
+
 @pytest.mark.parametrize("segment", ["rv", "fa"])
 def test_generate_rejects_model_of_another_length(tmp_path, capsys, segment):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -201,7 +215,7 @@ def test_generate_rejects_model_of_another_length(tmp_path, capsys, segment):
         dim = 3 * length + 2
         save_model(MixtureModel(components=[GaussianComponent(
             weight=1.0, mean=np.ones(dim), cov_factor=np.zeros((dim, 1)),
-            noise_var=1.0)]), out / f"model_{name}.json")
+            noise_var=1.0)]), out / f"model_{name}.json", KINDS[name])
     before = sorted(p.name for p in out.iterdir())
     assert run(["--config", str(config_path), "generate",
                 "--count", "3"]) == EXIT_DATA
@@ -215,7 +229,7 @@ def test_generate_rejects_model_of_another_length(tmp_path, capsys, segment):
     dim = expected + 1
     save_model(MixtureModel(components=[GaussianComponent(
         weight=1.0, mean=np.ones(dim), cov_factor=np.zeros((dim, 1)),
-        noise_var=1.0)]), out / f"model_{segment}.json")
+        noise_var=1.0)]), out / f"model_{segment}.json", KINDS[segment])
     assert run(["--config", str(config_path), "generate",
                 "--count", "3"]) == EXIT_DATA
     assert (f"data error: {out / f'model_{segment}.json'}: model dimension "
@@ -264,8 +278,8 @@ def test_degenerate_frequencies_pin_the_procedure(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     out = tmp_path / "out"
     gt = corpus.ground_truth_model()
-    save_model(gt.radar_vector_model, out / "model_rv.json")
-    save_model(gt.final_approach_model, out / "model_fa.json")
+    save_model(gt.radar_vector_model, out / "model_rv.json", "radar_vector")
+    save_model(gt.final_approach_model, out / "model_fa.json", "final_approach")
     procs = procedures.load_procedures(tmp_path / "procedures.yaml")
     procs[0].frequency, procs[1].frequency = 1.0, 0.0
     procedures.save_procedures(procs, tmp_path / "procedures.yaml")
@@ -445,12 +459,12 @@ def test_final_approach_rows_open_with_the_radar_vector_tail(tmp_path):
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
     rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.npy")
     fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.npy")
-    rv_trajs, _, iap = cli._load_procedural_trajectories(
+    names, rv_procs, _, _, iap_points = cli._load_procedural_trajectories(
         RunConfig.from_file(config_path))
-    proc_points = {t.procedure: t.points for t in rv_trajs}
+    proc_points = dict(zip(names, rv_procs))
     for rv_row, fa_row, row in zip(rv, fa, rv_meta["rows"]):
         rv_points = rv_row[2:].reshape(t_v, 3) + proc_points[row["procedure"]]
-        fa_points = fa_row[2:].reshape(t_f, 3) + iap.points
+        fa_points = fa_row[2:].reshape(t_f, 3) + iap_points
         # the last n_ov samples of the radar-vector part, the join included
         np.testing.assert_allclose(fa_points[:n_ov], rv_points[-n_ov:],
                                    rtol=0.0, atol=1e-6)
@@ -530,9 +544,9 @@ def test_ingest_exclusions_keep_flight_order(tmp_path, n_overlap):
             report["fa_rows"]) == (retained, rv_count, fa_count)
 
     # each final-approach row opens with its radar-vector row's last points
-    rv_trajs, _, iap = cli._load_procedural_trajectories(
+    names, rv_points, _, iap_name, iap_points = cli._load_procedural_trajectories(
         RunConfig.from_file(config_path))
-    proc_points = {traj.procedure: traj.points for traj in rv_trajs + [iap]}
+    proc_points = dict(zip([*names, iap_name], [*rv_points, iap_points]))
     points = {}
     for name in ("rv_dataset.npy", "fa_dataset.npy"):
         rows, meta = read_deviation_dataset(out / name)
@@ -661,7 +675,8 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
     # model and procedure files are written chunk by chunk: a write that
     # fails after its first chunk (a full disk) must not truncate the old file
     model_path = tmp_path / "model_rv.json"
-    save_model(corpus.ground_truth_model().radar_vector_model, model_path)
+    save_model(corpus.ground_truth_model().radar_vector_model, model_path,
+               "radar_vector")
     procedure_path = tmp_path / "nominal_paths.yaml"
     procedures.save_procedures(corpus.gt_procedures(), procedure_path)
     saved = {p: p.read_bytes() for p in (model_path, procedure_path)}
@@ -677,7 +692,7 @@ def test_failed_writes_leave_the_previous_file_intact(tmp_path, monkeypatch):
             patch.setattr(module, "write_text", fail_after_first_chunk)
         with pytest.raises(OSError):
             save_model(corpus.ground_truth_model().final_approach_model,
-                       model_path)
+                       model_path, "final_approach")
         with pytest.raises(OSError):
             procedures.save_procedures(corpus.gt_procedures()[:1],
                                        procedure_path)
@@ -819,8 +834,8 @@ def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
     out = tmp_path / "out"
     write_small_datasets(out)
     gt = corpus.ground_truth_model()
-    save_model(gt.radar_vector_model, out / "model_rv.json")
-    save_model(gt.final_approach_model, out / "model_fa.json")
+    save_model(gt.radar_vector_model, out / "model_rv.json", "radar_vector")
+    save_model(gt.final_approach_model, out / "model_fa.json", "final_approach")
     damage(out / target)
     assert run(["--config", str(config_path), *command]) == EXIT_DATA
     assert str(out / target) in capsys.readouterr().err
@@ -905,7 +920,7 @@ def test_non_finite_model_value_fails_before_a_file_is_replaced(
     def fit_with_nan(*args, **kwargs):
         fitted = real_fit(*args, **kwargs)
         for model in fitted.values() if isinstance(fitted, dict) else [fitted]:
-            if model.segment_kind != "radar_vector":
+            if model.dimension != 3 * corpus.T_V + 2:  # not radar-vector
                 model.components[0].mean[0] = np.nan
         return fitted
 
@@ -1207,8 +1222,8 @@ def test_duplicate_procedure_name_is_data_error_naming_the_file(tmp_path,
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     out = tmp_path / "out"
     gt = corpus.ground_truth_model()
-    save_model(gt.radar_vector_model, out / "model_rv.json")
-    save_model(gt.final_approach_model, out / "model_fa.json")
+    save_model(gt.radar_vector_model, out / "model_rv.json", "radar_vector")
+    save_model(gt.final_approach_model, out / "model_fa.json", "final_approach")
     procs = procedures.load_procedures(tmp_path / "procedures.yaml")
     procs[1].name = procs[0].name
     procedures.save_procedures(procs, tmp_path / "procedures.yaml")
@@ -1223,7 +1238,15 @@ def test_duplicate_procedure_name_is_data_error_naming_the_file(tmp_path,
 def _zero_frequencies(procs):
     for proc in procs:
         proc.frequency = 0.0
-    return "frequencies must have positive total"
+    return "frequencies must have a positive finite total"
+
+
+def _overflowing_frequencies(procs):
+    # each frequency is finite; their total is not
+    for proc in procs:
+        if proc.kind is procedures.ProcedureKind.RADAR_VECTOR:
+            proc.frequency = 1.0e308
+    return "frequencies must have a positive finite total"
 
 
 def _nan_frequency(procs):
@@ -1243,27 +1266,73 @@ def _repeated_waypoint(procs):
     return f"procedure {procs[0].name!r} repeats a waypoint"
 
 
-@pytest.mark.parametrize("defect", [_zero_frequencies, _nan_frequency,
-                                    _inf_frequency, _repeated_waypoint],
-                         ids=["zero_frequencies", "nan_frequency",
-                              "inf_frequency", "repeated_waypoint"])
-@pytest.mark.parametrize("command", [["ingest"],
-                                     ["generate-scenes", "--count", "1"]],
-                         ids=["ingest", "generate_scenes"])
+# the commands that read the procedure file, each with the models it reads
+PROCEDURE_COMMANDS = pytest.mark.parametrize(
+    "command", [["ingest"], ["generate", "--count", "1"],
+                ["generate-scenes", "--count", "1"]],
+    ids=["ingest", "generate", "generate_scenes"])
+MODEL_FILES = ("model_fa.json", "model_pairwise.json", "model_rv.json")
+
+
+def copy_models(pipeline, out):
+    """The pipeline's model files, copied into ``out``, which is made."""
+    out.mkdir()
+    for name in MODEL_FILES:
+        (out / name).write_bytes((pipeline[0] / "out" / name).read_bytes())
+
+
+@pytest.mark.parametrize("defect", [_zero_frequencies, _overflowing_frequencies,
+                                    _nan_frequency, _inf_frequency,
+                                    _repeated_waypoint],
+                         ids=["zero_frequencies", "overflowing_total",
+                              "nan_frequency", "inf_frequency",
+                              "repeated_waypoint"])
+@PROCEDURE_COMMANDS
 def test_unusable_procedures_are_data_errors_naming_the_file(
         tmp_path, capsys, pipeline, defect, command):
     config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
     out = tmp_path / "out"
-    out.mkdir()
-    model = pipeline[0] / "out" / "model_pairwise.json"
-    (out / model.name).write_bytes(model.read_bytes())
+    copy_models(pipeline, out)
     procs = procedures.load_procedures(tmp_path / "procedures.yaml")
     reason = defect(procs)
     procedures.save_procedures(procs, tmp_path / "procedures.yaml")
     assert run(["--config", str(config_path), *command]) == EXIT_DATA
     assert (f"data error: {tmp_path / 'procedures.yaml'}: {reason}"
             in capsys.readouterr().err)
-    assert sorted(p.name for p in out.iterdir()) == [model.name]
+    assert sorted(p.name for p in out.iterdir()) == list(MODEL_FILES)
+
+
+def _set(doc, keys, value):
+    """Set ``doc[k0][k1]...`` to ``value``."""
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, reason", [
+    (["frequency"], "0.65", "procedure 'RV_WEST': frequency '0.65' is not a number"),
+    (["frequency"], True, "procedure 'RV_WEST': frequency True is not a number"),
+    (["waypoints", 0, 0], "40.8",
+     "procedure 'RV_WEST': latitude '40.8' is not a number"),
+    (["waypoints", 0, 1], False,
+     "procedure 'RV_WEST': longitude False is not a number"),
+    (["name"], None, "procedure None: the name is not a string"),
+], ids=["text_frequency", "bool_frequency", "text_latitude", "bool_longitude",
+        "null_name"])
+@PROCEDURE_COMMANDS
+def test_procedure_values_must_be_numbers_and_names_strings(
+        tmp_path, capsys, pipeline, keys, value, reason, command):
+    import yaml
+    config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
+    copy_models(pipeline, tmp_path / "out")
+    path = tmp_path / "procedures.yaml"
+    docs = list(yaml.safe_load_all(path.read_text(encoding="utf-8")))
+    _set(docs[0], keys, value)
+    path.write_text(yaml.safe_dump_all(docs), encoding="utf-8")
+    assert run(["--config", str(config_path), *command]) == EXIT_DATA
+    assert (f"data error: {path}: malformed procedure file: {reason}\n"
+            == capsys.readouterr().err)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == list(MODEL_FILES)
 
 
 @pytest.mark.parametrize("command", [["ingest"], ["generate-scenes", "--count", "1"]],
@@ -1302,6 +1371,16 @@ LOADED_SCIPY = ("sorted(m for m in sys.modules "
 def test_cli_import_loads_no_scipy():
     code = f"import json, sys, trafgen.cli; print(json.dumps({LOADED_SCIPY}))"
     assert scipy_modules_after(code) == []
+
+
+def test_the_model_modules_do_not_import_procedures():
+    # generation takes procedural points as arrays, not procedure records
+    code = ("import json, sys, trafgen.single_model, trafgen.multi_model; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('trafgen.'))))")
+    loaded = scipy_modules_after(code)
+    assert "trafgen.single_model" in loaded and "trafgen.multi_model" in loaded
+    assert "trafgen.procedures" not in loaded
 
 
 def test_only_select_loads_scipy(tmp_path):
@@ -1551,7 +1630,7 @@ def test_pairwise_model_of_another_t_v_fails_before_any_draw(tmp_path, capsys):
     doc = json.loads((out / "model_pairwise.json").read_text(encoding="utf-8"))
     odd = MixtureModel(components=[GaussianComponent(
         weight=1.0, mean=np.ones(9), cov_factor=np.zeros((9, 1)), noise_var=1.0)])
-    doc["models"] = {key: model_to_dict(odd) for key in doc["models"]}
+    doc["models"] = {key: model_to_dict(odd, "pairwise") for key in doc["models"]}
     (out / "model_pairwise.json").write_text(json.dumps(doc), encoding="utf-8")
     assert run(["--config", str(config_path), "generate-scenes",
                 "--count", "5", "--aircraft", "3"]) == EXIT_DATA

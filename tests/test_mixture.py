@@ -19,7 +19,7 @@ from oracles import (compress_model_dense, condition_dense, dense_covariance,
                      select_rank_per_rank)
 
 
-def single_gaussian(mean, cov, weight=1.0, kind="generic"):
+def single_gaussian(mean, cov, weight=1.0):
     cov = np.asarray(cov, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(cov)
     factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
@@ -27,11 +27,11 @@ def single_gaussian(mean, cov, weight=1.0, kind="generic"):
                              cov_factor=factor)
 
 
-def two_component_model(mu0, cov0, mu1, cov1, w0=0.5, kind="generic"):
+def two_component_model(mu0, cov0, mu1, cov1, w0=0.5):
     return MixtureModel(components=[
         single_gaussian(mu0, cov0, weight=w0),
         single_gaussian(mu1, cov1, weight=1.0 - w0),
-    ], segment_kind=kind)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +675,12 @@ def test_model_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     model = two_component_model([0.0, 1.0], random_psd(rng, 2) + np.eye(2),
                                 [5.0, -2.0], random_psd(rng, 2) + np.eye(2),
-                                w0=0.3, kind="final_approach")
+                                w0=0.3)
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(model, path, "final_approach")
     again = load_model(path)
-    assert again.segment_kind == model.segment_kind
+    assert json.loads(path.read_text(encoding="utf-8"))["segment_kind"] == \
+        "final_approach"
     for c1, c2 in zip(model.components, again.components):
         assert c1.weight == c2.weight
         assert np.array_equal(c1.mean, c2.mean)
@@ -701,22 +702,21 @@ def test_model_file_is_the_whole_document_dumps(tmp_path, n_components, rank):
         factor[:len(edge)] = np.array(edge)[:, None]
         components.append(GaussianComponent(weight, mean, factor,
                                             noise_var=float(i) + 0.25 * rank))
-    model = MixtureModel(components=components, segment_kind="radar_vector")
+    model = MixtureModel(components=components)
     path = tmp_path / "model.json"
-    save_model(model, path)
-    assert path.read_bytes() == json.dumps(model_to_dict(model),
+    save_model(model, path, "radar_vector")
+    assert path.read_bytes() == json.dumps(model_to_dict(model, "radar_vector"),
                                            sort_keys=True).encode()
 
 
 def test_non_finite_model_value_fails_the_write(tmp_path):
     path = tmp_path / "model_rv.json"
-    model = MixtureModel(components=[single_gaussian([0.0, 1.0], np.eye(2))],
-                         segment_kind="radar_vector")
-    save_model(model, path)
+    model = MixtureModel(components=[single_gaussian([0.0, 1.0], np.eye(2))])
+    save_model(model, path, "radar_vector")
     saved = path.read_bytes()
     model.components[0].noise_var = np.inf
     with pytest.raises(NumericalError, match=f"{path}: cannot write the model"):
-        save_model(model, path)
+        save_model(model, path, "radar_vector")
     assert path.read_bytes() == saved
     assert [p.name for p in tmp_path.iterdir()] == ["model_rv.json"]
 
@@ -729,9 +729,9 @@ def test_model_writer_holds_one_array_at_a_time(tmp_path):
         0.5, rng.normal(size=n), rng.normal(size=(n, rank)), 0.1)
         for _ in range(2)])
     whole, text = peak_traced_bytes(
-        lambda: json.dumps(model_to_dict(model), sort_keys=True))
+        lambda: json.dumps(model_to_dict(model, "radar_vector"), sort_keys=True))
     path = tmp_path / "model.json"
-    chunked, _ = peak_traced_bytes(lambda: save_model(model, path))
+    chunked, _ = peak_traced_bytes(lambda: save_model(model, path, "radar_vector"))
     assert path.read_text(encoding="utf-8") == text
     assert chunked < 0.6 * whole, (chunked, whole)
 

@@ -11,8 +11,9 @@ from trafgen.mixture import GaussianComponent, MixtureModel
 from trafgen.multi_model import (SceneParams, assemble_scene_params,
                                  extract_pairs, generate_scene, train_pairwise,
                                  _block, _delta_index, _scene_parts)
+from trafgen.preprocess import path_length
 
-from conftest import make_proc_traj, peak_traced_bytes
+from conftest import peak_traced_bytes
 from oracles import (assemble_scene_dense, dense_covariance,
                      extract_pairs_sorted, repair_psd_dense, scene_covariance)
 
@@ -118,7 +119,6 @@ def test_single_procedure_trains_one_combination():
     models = train_pairwise(groups, 1, rank=4, seed=0)
     assert set(models) == {("P", "P")}
     assert models[("P", "P")].dimension == PAIR_DIM
-    assert models[("P", "P")].segment_kind == "pairwise"
 
 
 def test_cross_correlation_recovered():
@@ -200,7 +200,7 @@ def consistent_pair_component(weight=1.0, scale=2.0, delta_coupling=3.0, seed=0)
 
 def k1_models(scale=2.0, seed=0):
     comp = consistent_pair_component(scale=scale, seed=seed)
-    return {("P", "P"): MixtureModel(components=[comp], segment_kind="pairwise")}
+    return {("P", "P"): MixtureModel(components=[comp])}
 
 
 def test_k1_assembly_blocks_equal_component_blocks():
@@ -245,7 +245,7 @@ def test_unobservable_delta_cross_covariances_are_zero():
 
 def test_selection_matches_brute_force_on_two_component_models():
     comps = [pair_component(0.55, 1.0, seed=4), pair_component(0.45, 3.0, seed=5)]
-    model = MixtureModel(components=comps, segment_kind="pairwise")
+    model = MixtureModel(components=comps)
     models = {("P", "P"): model}
     rng_seed = 7
     params = assemble_scene_params(models, ["P", "P", "P"], rng=rng_seed)
@@ -272,8 +272,7 @@ def test_assembled_covariance_is_psd_with_bounded_block_drift():
     for seed, weight in ((8, 0.5), (9, 0.5)):
         base = consistent_pair_component(weight=weight, scale=2.0, seed=seed)
         comps.append(base)
-    models = {("P", "P"): MixtureModel(components=comps,
-                                       segment_kind="pairwise")}
+    models = {("P", "P"): MixtureModel(components=comps)}
     for seed in range(5):
         params = assemble_scene_params(models, ["P", "P", "P"], rng=seed)
         cov = scene_covariance(params)
@@ -286,8 +285,7 @@ def test_assembled_covariance_is_psd_with_bounded_block_drift():
 def test_incompatible_components_repair_and_report(caplog):
     comps = [pair_component(0.5, 1.5, cross=4.0, seed=8),
              pair_component(0.5, 2.5, cross=-4.0, seed=9)]
-    models = {("P", "P"): MixtureModel(components=comps,
-                                       segment_kind="pairwise")}
+    models = {("P", "P"): MixtureModel(components=comps)}
     with caplog.at_level(logging.WARNING):
         params = assemble_scene_params(models, ["P", "P", "P"], rng=1)
     eigs = np.linalg.eigvalsh(scene_covariance(params))
@@ -307,7 +305,7 @@ def random_pair_models(rank, seed, n_components=3):
                               cov_factor=rng.normal(scale=2.0,
                                                     size=(PAIR_DIM, rank)),
                               noise_var=0.5)
-            for _ in range(n_components)], segment_kind="pairwise")
+            for _ in range(n_components)])
     return models
 
 
@@ -424,15 +422,14 @@ def test_scene_assembly_forms_no_dense_scene_matrix():
     comp = GaussianComponent(weight=1.0, mean=mean,
                              cov_factor=rng.normal(size=(2 * d + 1, 8)),
                              noise_var=0.5)
-    models = {("P", "P"): MixtureModel(components=[comp],
-                                       segment_kind="pairwise")}
+    models = {("P", "P"): MixtureModel(components=[comp])}
     u = np.linspace(0.0, 1.0, 350)
-    proc = make_proc_traj(np.column_stack([-9000.0 * (1.0 - u), np.zeros(350),
-                                           400.0 * (1.0 - u)]), name="P")
+    proc_points = np.column_stack([-9000.0 * (1.0 - u), np.zeros(350),
+                                   400.0 * (1.0 - u)])
 
     def scene():
         params = assemble_scene_params(models, ["P"] * n_aircraft, rng=0)
-        return generate_scene(params, [proc] * n_aircraft, rng=1)
+        return generate_scene(params, np.stack([proc_points] * n_aircraft), rng=1)
 
     peak, (trajectories, _) = peak_traced_bytes(scene)
     assert len(trajectories) == n_aircraft
@@ -450,10 +447,11 @@ def test_missing_combination_is_named():
 # generate_scene
 
 def scene_procedures(n):
+    """The procedural points (n, T_SEG, 3) of n aircraft on one procedure."""
     u = np.linspace(0.0, 1.0, T_SEG)
     points = np.column_stack([-9000.0 * (1.0 - u), np.zeros(T_SEG),
                               400.0 * (1.0 - u)])
-    return [make_proc_traj(points, name="P") for _ in range(n)]
+    return np.stack([points] * n)
 
 
 def zero_cov_params(n_aircraft):
@@ -477,17 +475,16 @@ def test_zero_covariance_scene_equals_mean_scene():
     params = zero_cov_params(3)
     trajectories, deltas = generate_scene(params, scene_procedures(3), rng=0)
     assert np.array_equal(deltas, [90.0, 90.0])
-    proc = scene_procedures(1)[0]
+    proc_points = scene_procedures(1)[0]
     for i, (times, points) in enumerate(trajectories):
-        assert np.allclose(points, proc.points, atol=1e-9)
-        expected_transit = (300.0 + 10.0 * i) / 9000.0 * proc.total_distance
+        assert np.allclose(points, proc_points, atol=1e-9)
+        expected_transit = (300.0 + 10.0 * i) / 9000.0 * path_length(proc_points)
         assert times[-1] - times[0] == pytest.approx(expected_transit)
 
 
 def test_arrival_time_bookkeeping_is_exact():
     comps = [pair_component(1.0, 2.0, cross=3.0, seed=10)]
-    models = {("P", "P"): MixtureModel(components=comps,
-                                       segment_kind="pairwise")}
+    models = {("P", "P"): MixtureModel(components=comps)}
     rng = np.random.default_rng(11)
     for _ in range(10):
         params = assemble_scene_params(models, ["P", "P", "P"], rng)
@@ -500,8 +497,7 @@ def test_arrival_time_bookkeeping_is_exact():
 
 def test_delta_moments_match_monte_carlo():
     comps = [pair_component(1.0, 2.0, cross=3.0, seed=12)]
-    models = {("P", "P"): MixtureModel(components=comps,
-                                       segment_kind="pairwise")}
+    models = {("P", "P"): MixtureModel(components=comps)}
     params = assemble_scene_params(models, ["P", "P"], rng=0)
     d12 = _delta_index(0, D)
     mean_true = params.mean[d12]
@@ -569,8 +565,7 @@ def test_a_plain_value_error_in_a_scene_draw_is_not_redrawn(monkeypatch):
 
 def test_scene_generation_deterministic():
     comps = [pair_component(1.0, 2.0, seed=14)]
-    models = {("P", "P"): MixtureModel(components=comps,
-                                       segment_kind="pairwise")}
+    models = {("P", "P"): MixtureModel(components=comps)}
     out = []
     for _ in range(2):
         rng = np.random.default_rng(15)

@@ -473,7 +473,7 @@ def test_deviation_zero_case():
     tau = one_deviation(times, proc.points, proc.points)
     assert np.allclose(tau[2:], 0.0)
     assert tau[0] == pytest.approx(STRAIGHT_TRANSIT_S)
-    assert tau[1] == pytest.approx(proc.total_distance)
+    assert tau[1] == pytest.approx(path_length(proc.points))
 
 
 def test_deviation_translation_shows_in_dx_only():
@@ -499,10 +499,12 @@ def test_round_trip_is_exact_inverse():
     times = np.linspace(0.0, 600.0, 12)
     points = proc.points + rng.normal(scale=300.0, size=(12, 3))
     tau = one_deviation(times, points, proc.points)
-    # round trip is exact when the procedural distance equals tau_2
-    proc_same_length = make_proc_traj(proc.points, name="SAME")
-    proc_same_length.total_distance = tau[1]
-    rec_times, rec_points = rebuild_one(tau, proc_same_length)
+    # round trip is exact when the procedural distance equals tau_2. The
+    # points do not depend on it; the times are rebuilt against a procedure
+    # of that length, the flight's own polyline
+    _, rec_points = rebuild_one(tau, proc.points)
+    assert path_length(points) == tau[1]
+    rec_times, _ = rebuild_one(tau, points)
     assert np.allclose(rec_points, points, atol=1e-9, rtol=0.0)
     assert rec_times[-1] == pytest.approx(tau[0], abs=1e-9)
 
@@ -511,17 +513,16 @@ def test_reconstruct_transit_time_formula():
     # tau_1 = 600 s over tau_2 = 20 NM, procedure of 30 NM -> 900 s
     proc_points = np.column_stack([np.linspace(0.0, 55560.0, 8),
                                    np.zeros(8), np.zeros(8)])
-    proc = make_proc_traj(proc_points, name="LONG")
     tau = np.concatenate([[600.0, 37040.0], np.zeros(3 * 8)])
-    times, _ = rebuild_one(tau, proc)
+    times, _ = rebuild_one(tau, proc_points)
     assert times[-1] == pytest.approx(900.0, abs=1e-9)
     assert np.allclose(np.diff(times), times[1] - times[0])
 
 
 def test_reconstruct_zero_deviations_returns_procedure():
     proc = straight_proc(0.0, n=10)
-    tau = np.concatenate([[300.0, proc.total_distance], np.zeros(3 * 10)])
-    _, points = rebuild_one(tau, proc)
+    tau = np.concatenate([[300.0, path_length(proc.points)], np.zeros(3 * 10)])
+    _, points = rebuild_one(tau, proc.points)
     assert np.array_equal(points, proc.points)
 
 
@@ -586,7 +587,7 @@ COUNT_MISMATCH = "deviation count does not match procedural length"
 def test_reconstruct_rejects_malformed_vectors(head, size, message):
     tau = np.concatenate([head, np.zeros(size - 2)])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        rebuild_one(tau, straight_proc(0.0, n=10))
+        rebuild_one(tau, straight_proc(0.0, n=10).points)
 
 
 @pytest.mark.parametrize("t_len", [40, 350])
@@ -599,7 +600,7 @@ def test_batched_reconstruction_equals_row_by_row(t_len):
     procs = rng.normal(scale=3000.0, size=(rows, t_len, 3)).cumsum(axis=1)
     dists = path_length(procs)
     for proc_points, dist in ((procs, dists), (procs[2], dists[2])):
-        times, points = reconstruct_trajectory(tau, proc_points, dist)
+        times, points = reconstruct_trajectory(tau, proc_points)
         assert times.shape == (rows, t_len) and points.shape == (rows, t_len, 3)
         for row in range(rows):
             own, d = ((proc_points, dist) if proc_points.ndim == 2
@@ -616,9 +617,9 @@ def test_reconstruct_raises_for_the_first_rejected_row():
     tau[2, 1] = 0.0
     tau[4, 0] = -1.0
     with pytest.raises(InvalidDeviation, match="^total_distance must be positive$"):
-        reconstruct_trajectory(tau, proc.points, proc.total_distance)
+        reconstruct_trajectory(tau, proc.points)
     with pytest.raises(ValueError, match="^deviation count does not match"):
-        reconstruct_trajectory(tau[:, :-1], proc.points, proc.total_distance)
+        reconstruct_trajectory(tau[:, :-1], proc.points)
 
 
 def test_path_length_is_polyline_sum():

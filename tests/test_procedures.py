@@ -143,8 +143,9 @@ def test_total_distance_at_least_straight_line(airspace):
                                 for a, b in zip(lat, lon)])
     traj = build_procedural_trajectory(proc, 50, airspace)
     straight = np.linalg.norm(traj.points[-1] - traj.points[0])
-    assert traj.total_distance >= straight
-    assert traj.total_distance == pytest.approx(path_length(traj.points))
+    assert path_length(traj.points) >= straight
+    assert path_length(traj.points) == pytest.approx(
+        sum(np.linalg.norm(b - a) for a, b in zip(traj.points, traj.points[1:])))
 
 
 def test_procedural_trajectories_equal_scipy_resampling(airspace):
@@ -166,7 +167,7 @@ def test_procedural_trajectories_equal_scipy_resampling(airspace):
             want = pchip_resample_scipy(chord, wps, count)[1]
             assert traj.procedure == proc.name
             assert_bitwise(traj.points, want)
-            assert traj.total_distance == path_length(want)
+            assert path_length(traj.points) == path_length(want)
 
 
 def test_bad_waypoints_raise_their_messages(airspace):
@@ -214,6 +215,16 @@ def test_procedure_file_round_trip(tmp_path, airspace):
     assert again[0].waypoints[0][2] is None
 
 
+def test_null_altitudes_and_int_values_load(tmp_path):
+    path = tmp_path / "procs.yaml"
+    path.write_text("name: RV_A\nkind: radar_vector\nfrequency: 1\n"
+                    "waypoints:\n- [40.7, -73.9, null]\n- [40, -73.8]\n",
+                    encoding="utf-8")
+    (proc,) = load_procedures(path)
+    assert proc.waypoints == [(40.7, -73.9, None), (40.0, -73.8, None)]
+    assert proc.frequency == 1.0
+
+
 def test_duration_key_does_not_change_the_trajectory(tmp_path, airspace):
     plain, timed = tmp_path / "plain.yaml", tmp_path / "timed.yaml"
     save_procedures([two_waypoint_procedure(airspace)], plain)
@@ -222,7 +233,7 @@ def test_duration_key_does_not_change_the_trajectory(tmp_path, airspace):
     trajs = [build_procedural_trajectory(load_procedures(path)[0], 20, airspace)
              for path in (plain, timed)]
     assert np.array_equal(trajs[0].points, trajs[1].points)
-    assert trajs[0].total_distance == trajs[1].total_distance
+    assert path_length(trajs[0].points) == path_length(trajs[1].points)
 
 
 def test_load_procedures_errors(tmp_path):

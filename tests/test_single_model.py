@@ -7,7 +7,7 @@ import pytest
 
 from trafgen.errors import NumericalError
 from trafgen.metrics import histogram_pair, js_divergence, silhouette_sweep
-from trafgen.preprocess import reconstruct_trajectory
+from trafgen.preprocess import path_length, reconstruct_trajectory
 from trafgen.mixture import GaussianComponent, MixtureModel, compress_model, \
     em_fit, sample, substream
 from trafgen import mixture, single_model
@@ -66,7 +66,7 @@ def gt_component(proc, transit, dim, lateral, scale, weight, seed):
     u = np.linspace(0.0, 1.0, t_len)
     mean = np.zeros(dim)
     mean[0] = transit
-    mean[1] = proc.total_distance
+    mean[1] = path_length(proc.points)
     mean[2::3] = lateral * np.sin(np.pi * u)  # tapered east offset
     return GaussianComponent(weight=weight, mean=mean,
                              cov_factor=smooth_factor(dim, scale, seed),
@@ -79,13 +79,13 @@ def ground_truth_model(t_v=T_V, t_f=T_F, n_ov=N_OV):
     rv = MixtureModel(components=[
         gt_component(rv_proc, RV_TRANSIT_S, dim_v, +400.0, 30.0, 0.6, seed=1),
         gt_component(rv_proc, RV_TRANSIT_S, dim_v, -400.0, 30.0, 0.4, seed=2),
-    ], segment_kind="radar_vector")
+    ])
     fa = MixtureModel(components=[
         gt_component(iap_procedure(t_f), IAP_TRANSIT_S, dim_f, +120.0, 15.0,
                      0.5, seed=3),
         gt_component(iap_procedure(t_f), IAP_TRANSIT_S, dim_f, -120.0, 15.0,
                      0.5, seed=4),
-    ], segment_kind="final_approach")
+    ])
     return SingleTrajectoryModel(radar_vector_model=rv, final_approach_model=fa,
                                  n_overlap=n_ov)
 
@@ -94,7 +94,7 @@ def zero_cov_model():
     def degenerate(proc, transit, dim):
         mean = np.zeros(dim)
         mean[0] = transit
-        mean[1] = proc.total_distance
+        mean[1] = path_length(proc.points)
         return MixtureModel(components=[GaussianComponent(
             weight=1.0, mean=mean, cov_factor=np.zeros((dim, 0)))])
     return SingleTrajectoryModel(
@@ -114,7 +114,7 @@ def fit_segment(data, segment, n_components, rank, seed):
     """A segment's compressed mixture and EM log-likelihoods, seeded from the
     substream ``train-<segment>`` of ``seed`` as ``trafgen train`` seeds it."""
     segment_seed = int(substream(seed, f"train-{segment}").integers(2 ** 31))
-    fit = em_fit(data, n_components, seed=segment_seed, segment_kind=segment)
+    fit = em_fit(data, n_components, seed=segment_seed)
     return compress_model(fit.model, rank), fit.log_likelihoods
 
 
@@ -153,7 +153,7 @@ def test_train_is_bit_identical_for_fixed_seed():
                           (fa_data, "final_approach")):
         model1, _ = fit_segment(data, segment, 2, 3, seed=123)
         model2, _ = fit_segment(data, segment, 2, 3, seed=123)
-        assert model_to_dict(model1) == model_to_dict(model2)
+        assert model_to_dict(model1, segment) == model_to_dict(model2, segment)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +224,9 @@ def test_generate_stops_after_max_draws(monkeypatch):
     model.radar_vector_model.components[0].mean[0] = -1.0  # negative transit
     draws = []
 
-    def counted(rows, proc_points, total_distance):
+    def counted(rows, proc_points):
         draws.append(rows)
-        return reconstruct_trajectory(rows, proc_points, total_distance)
+        return reconstruct_trajectory(rows, proc_points)
 
     monkeypatch.setattr(mixture, "MAX_DRAWS", 3)
     monkeypatch.setattr(single_model, "reconstruct_trajectory", counted)
@@ -279,8 +279,8 @@ def test_transit_time_scales_linearly_with_procedure_length():
     _, t_short, _, _ = generate_drawn(model, short, np.random.default_rng(13))
     _, t_long, _, _ = generate_drawn(model, long, np.random.default_rng(13))
     rv_mean = model.radar_vector_model.components[0].mean
-    ratio = long_proc.total_distance / rv_procedure().total_distance
-    expected = rv_mean[0] / rv_mean[1] * long_proc.total_distance
+    ratio = path_length(long_proc.points) / path_length(rv_procedure().points)
+    expected = rv_mean[0] / rv_mean[1] * path_length(long_proc.points)
     assert t_long[T_V - 1] == pytest.approx(expected, rel=1e-12)
     assert t_long[T_V - 1] == pytest.approx(
         t_short[T_V - 1] * ratio, rel=1e-12)
