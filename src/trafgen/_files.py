@@ -230,9 +230,7 @@ def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
         def screen(lines, keys, values, present, reasons):
             """Report each rejected row in line order, and give the (keys,
             values) of the rest; ``reasons`` holds those found so far."""
-            for mask, message in rules:
-                for j in np.flatnonzero(mask(values)).tolist():
-                    reasons.setdefault(j, message.format(*values[j].tolist()))
+            rule_reasons(rules, values, reasons)
             if present.size:  # optional fields may be empty
                 _convert(np.where(present == "", "0", present), reasons)
             for j in sorted(reasons):
@@ -303,6 +301,16 @@ def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
                 raise failure
             if len(block) < CSV_BLOCK_LINES:
                 return
+
+
+def rule_reasons(rules, values: np.ndarray, reasons: dict[int, str]) -> dict[int, str]:
+    """Add to ``reasons`` each row of the (n, v) ``values`` that a ``(mask,
+    message)`` rule flags and that has no reason yet, with the message of the
+    first rule that flags it, formatted with the row's values; return it."""
+    for mask, message in rules:
+        for j in np.flatnonzero(mask(values)).tolist():
+            reasons.setdefault(j, message.format(*values[j].tolist()))
+    return reasons
 
 
 def _convert(fields: np.ndarray, reasons: dict[int, str]) -> np.ndarray:

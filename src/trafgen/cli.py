@@ -99,6 +99,9 @@ class RunConfig:
         cfg = cls(airspace=airspace, **kwargs)
         for name in ("tracks", "procedures", "out_dir"):
             setattr(cfg, name, path.parent / getattr(cfg, name))
+        if not 0 < cfg.segment_threshold_nm < np.inf:
+            raise ValueError("segment_threshold_nm must be finite and positive, "
+                             f"got {cfg.segment_threshold_nm}")
         if cfg.seed < 0:
             raise ValueError(f"seed must be at least 0, got {cfg.seed}")
         single_model.check_segment_lengths(cfg.t_v, cfg.t_f, cfg.n_overlap)
@@ -513,14 +516,12 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
     return EXIT_OK
 
 
-def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None,
-                     samples: int) -> int:
+def cmd_review_paths(config: RunConfig, k: int, keep: list[int] | None) -> int:
     """Extract nominal radar-vector paths and write the curated subset."""
     arrivals = _read_arrivals(config)[2]
     rng = substream(config.seed, "review-paths")
     paths, dropped = procedures.extract_nominal_paths(
-        [track for _, track in arrivals], k, config.airspace, samples=samples,
-        rng=rng)
+        [track for _, track in arrivals], k, config.airspace, rng=rng)
     if dropped:
         logger.warning("review-paths: %d arrivals dropped: %s", len(dropped),
                        "; ".join(f"{arrivals[i][0].id}: {reason}"
@@ -565,8 +566,6 @@ def _index_list(raw: str) -> list[int]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trafgen", description=__doc__)
     parser.add_argument("--config", required=True, help="run config file")
-    parser.add_argument("--seed", type=_int_at_least(0),
-                        help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest").set_defaults(call=lambda cfg, a: cmd_ingest(cfg))
@@ -591,9 +590,7 @@ def _build_parser() -> _Parser:
     p_review.add_argument("--k", type=_int_at_least(1), required=True)
     p_review.add_argument("--keep", type=_index_list,
                           help="comma-separated path indices to keep")
-    p_review.add_argument("--samples", type=_int_at_least(2), default=100)
-    p_review.set_defaults(
-        call=lambda cfg, a: cmd_review_paths(cfg, a.k, a.keep, a.samples))
+    p_review.set_defaults(call=lambda cfg, a: cmd_review_paths(cfg, a.k, a.keep))
     return parser
 
 
@@ -607,8 +604,6 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         config = RunConfig.from_file(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
         if args.out is not None:
             config.out_dir = Path(args.out)
         config.out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,14 +9,14 @@ an east-north-up frame centered at the configured airport reference point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ._files import read_csv
+from ._files import read_csv, rule_reasons
 from .units import FT_TO_M, NM_TO_M
 
 # WGS84 ellipsoid
@@ -47,7 +47,17 @@ class AirspaceConfig:
     landing_radius_nm: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.radius_nm <= 0:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+        # the origin follows a track row's rule, whose reasons name the
+        # fields lat and lon
+        reasons = rule_reasons(POSITION_RULES, np.array(
+            [[0.0, self.origin_lat, self.origin_lon, self.origin_alt_ft]]), {})
+        if reasons:
+            raise ValueError(f"origin_{reasons[0]}")
+        if not self.radius_nm > 0:
             raise ValueError("radius_nm must be positive")
 
     @property
@@ -133,8 +143,9 @@ def enu_to_wgs84(enu, config: AirspaceConfig):
 # Track file parsing
 
 _COLUMNS = (("id",), ("time", "lat", "lon", "alt"))
-# the reasons a row of (time, lat, lon, alt) is rejected, in the order tried
-_RULES = (
+# the reasons a row of (time, lat, lon, alt) is rejected, in the order tried:
+# the coordinate rule of a track row, a procedure waypoint and the origin
+POSITION_RULES = (
     (lambda v: ~((-90.0 <= v[:, 1]) & (v[:, 1] <= 90.0)),
      "lat {1} outside [-90, 90]"),
     (lambda v: ~((-180.0 <= v[:, 2]) & (v[:, 2] <= 180.0)),
@@ -154,8 +165,9 @@ def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:
     """
     errors: list[str] = []
     runs_by_id: dict[str, list[np.ndarray]] = {}
-    for (flight_id,), values in read_csv(path, "track file", (_COLUMNS,), _RULES,
-                                         optional=("gs", "vr"), errors=errors):
+    for (flight_id,), values in read_csv(path, "track file", (_COLUMNS,),
+                                         POSITION_RULES, optional=("gs", "vr"),
+                                         errors=errors):
         runs_by_id.setdefault(flight_id, []).append(values)
 
     flights: list[Flight] = []

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import preprocess
 from .errors import DataError
 from .mixture import em_fit
 from .units import MPS_TO_KT, NM_TO_M, FT_TO_M
@@ -99,9 +100,6 @@ def js_divergence(p: Histogram, q: Histogram) -> float:
 # ---------------------------------------------------------------------------
 # Silhouette
 
-# bytes of one row block of silhouette distances, which bounds the working
-# memory of silhouette_scores
-SILHOUETTE_BLOCK_BYTES = 1 << 21
 # pair-coordinates m * m * n of a silhouette pass from which scipy's cdist
 # fills its distances; below it a numpy kernel does, and select never imports
 # scipy. Timed in fresh processes on a 2-core VM (numpy 2.4, scipy 1.17) at
@@ -118,9 +116,9 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
     a(i) is the mean Euclidean distance from row i to the other rows of its
     cluster, b(i) the mean distance to the nearest other cluster.
     Singleton-cluster rows score 0. One pass computes the distances a block
-    of rows at a time, about ``SILHOUETTE_BLOCK_BYTES`` (two rows at least),
-    and sums each block row over every cluster of every labeling. So memory
-    grows with the m rows times the clusters, not with m², and each row's
+    of rows at a time, about ``preprocess.CHUNK_BYTES`` of them (two rows at
+    least), and sums each block row over every cluster of every labeling. So
+    memory grows with the m rows times the clusters, not with m², and each row's
     sums are those of the full (m, m) distance matrix, bit for bit.
 
     A pass over m rows of n values fills its blocks with scipy's ``cdist``
@@ -147,7 +145,7 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
     sums = [np.empty((m, len(masks))) for masks in members]
     # numpy sums the masked columns of two or more rows column by column, as
     # for the full matrix, but one row pairwise; so no block has one row
-    step = max(2, SILHOUETTE_BLOCK_BYTES // (8 * m))
+    step = max(2, preprocess.CHUNK_BYTES // (8 * m))
     for start in range(0, m - 1, step):
         stop = m if m - start <= step + 1 else start + step
         dist = distances(data[start:stop], data)

@@ -213,7 +213,10 @@ def em_fit(data: np.ndarray, n_components: int, *,
     their last results. So a hard fit makes one M-step and records two
     equal log-likelihoods, as the full loop does. That the result equals
     the full loop's bit for bit relies on BLAS returning the same bits for
-    the same inputs.
+    the same inputs. The shortcut stays because it about halves a hard fit
+    of hundreds of rows (400 × 1,052 rows on a 2-core VM: 224 against 398 ms
+    at K = 2, 275 against 512 ms at K = 3), though no benchmark workload
+    fits that many rows at paper dimensions.
 
     Raises DataError if n_components < 1 or > m, or if data is not finite.
     """

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from ._cluster import kmeans
-from ._files import read_yaml, write_text
+from ._files import read_yaml, rule_reasons, write_text
 from .errors import DataError
-from .ingest import AirspaceConfig, enu_to_wgs84, wgs84_to_enu
+from .ingest import POSITION_RULES, AirspaceConfig, enu_to_wgs84, wgs84_to_enu
 from .preprocess import pchip_resample
 
 # an ENU track (times (n,), positions (n, 3)), as flight_to_enu returns it
@@ -25,6 +25,8 @@ EnuTrack = tuple[np.ndarray, np.ndarray]
 
 # k-means restarts when clustering nominal radar-vector paths
 KMEANS_RESTARTS = 20
+# samples per track when clustering nominal radar-vector paths
+NOMINAL_SAMPLES = 100
 # waypoints per extracted nominal path, spread evenly over its samples
 WAYPOINT_COUNT = 25
 
@@ -72,7 +74,8 @@ def load_procedures(path: str | Path) -> list[Procedure]:
 def _procedure(doc: dict) -> Procedure:
     """The procedure of one document. Its name must be a string, and its
     frequency and waypoint coordinates YAML ints or floats (a bool or text
-    is neither); an altitude may be null."""
+    is neither); an altitude may be null. Each waypoint follows a track
+    row's coordinate rule (``ingest.POSITION_RULES``)."""
     name = doc["name"]
     if type(name) is not str:
         raise ValueError(f"procedure {name!r:.40}: the name is not a string")
@@ -82,12 +85,18 @@ def _procedure(doc: dict) -> Procedure:
             raise ValueError(f"procedure {name!r}: {what} {value!r:.40} is not a number")
         return float(value)
 
-    return Procedure(
-        name=name, kind=ProcedureKind(doc["kind"]),
-        frequency=number(doc.get("frequency", 1.0), "frequency"),
-        waypoints=[(number(wp[0], "latitude"), number(wp[1], "longitude"),
-                    None if len(wp) < 3 or wp[2] is None else number(wp[2], "altitude"))
-                   for wp in doc["waypoints"]])
+    kind = ProcedureKind(doc["kind"])
+    frequency = number(doc.get("frequency", 1.0), "frequency")
+    waypoints = [(number(wp[0], "latitude"), number(wp[1], "longitude"),
+                  None if len(wp) < 3 or wp[2] is None else number(wp[2], "altitude"))
+                 for wp in doc["waypoints"]]
+    reasons = rule_reasons(POSITION_RULES, np.array(
+        [(0.0, lat, lon, 0.0 if alt is None else alt) for lat, lon, alt in waypoints],
+        dtype=float).reshape(-1, 4), {})
+    if reasons:
+        first = min(reasons)
+        raise ValueError(f"procedure {name!r}: waypoint {first}: {reasons[first]}")
+    return Procedure(name=name, kind=kind, frequency=frequency, waypoints=waypoints)
 
 
 def _procedures_from_documents(docs: list) -> list[Procedure]:
@@ -119,25 +128,25 @@ def save_procedures(procedures: Sequence[Procedure], path: str | Path) -> None:
 
 def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
                           config: AirspaceConfig, *,
-                          samples: int = 100,
                           rng: np.random.Generator | int | None = None,
                           ) -> tuple[list[Procedure], dict[int, str]]:
     """Cluster arrival tracks into ``k`` nominal radar-vector paths.
 
     Tracks are ENU ``(times, xyz)`` pairs as :func:`flight_to_enu` returns
-    them. They are resampled to a common length in one call and clustered
-    with k-means (k-means++ seeding, best of ``KMEANS_RESTARTS``) on
-    flattened horizontal positions. Cluster means become waypoint lists of
-    ``WAYPOINT_COUNT`` evenly spread points (all ``samples`` points when
-    there are fewer); frequency is the cluster membership fraction. Returns
-    the paths, and the tracks resampling rejects as ``pchip_resample`` maps
-    them; those are dropped. The caller curates which paths to keep. Raises
-    DataError when fewer than ``k`` tracks remain.
+    them. They are resampled to ``NOMINAL_SAMPLES`` points in one call and
+    clustered with k-means (k-means++ seeding, best of ``KMEANS_RESTARTS``)
+    on flattened horizontal positions. Cluster means become waypoint lists
+    of ``WAYPOINT_COUNT`` evenly spread points (all ``NOMINAL_SAMPLES``
+    points when there are fewer); frequency is the cluster membership
+    fraction. Returns the paths, and the dropped tracks that resampling
+    rejects, as ``pchip_resample`` maps them. The caller curates which
+    paths to keep. Raises DataError when fewer than ``k`` tracks remain.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _, resampled, dropped = pchip_resample(
-        [times for times, _ in tracks], [xyz[:, :2] for _, xyz in tracks], samples)
+        [times for times, _ in tracks], [xyz[:, :2] for _, xyz in tracks],
+        NOMINAL_SAMPLES)
     kept = [i for i in range(len(tracks)) if i not in dropped]
     if len(kept) < k:
         raise DataError(f"only {len(kept)} arrivals for k={k} nominal paths")
@@ -145,13 +154,13 @@ def extract_nominal_paths(tracks: Sequence[EnuTrack], k: int,
     data = resampled[kept].reshape(len(kept), -1)
 
     centers, labels = kmeans(data, k, rng, restarts=KMEANS_RESTARTS)
+    wp_idx = np.unique(np.linspace(0, NOMINAL_SAMPLES - 1, WAYPOINT_COUNT).astype(int))
     procedures = []
     for j in range(k):
         member = labels == j
         if not member.any():
             continue  # empty cluster survived every restart: drop it
-        mean_path = centers[j].reshape(samples, 2)
-        wp_idx = np.unique(np.linspace(0, samples - 1, WAYPOINT_COUNT).astype(int))
+        mean_path = centers[j].reshape(NOMINAL_SAMPLES, 2)
         enu_wps = np.column_stack([mean_path[wp_idx], np.zeros(len(wp_idx))])
         lat, lon, _ = enu_to_wgs84(enu_wps, config)
         procedures.append(Procedure(

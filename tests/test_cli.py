@@ -1,5 +1,6 @@
 """CLI pipeline: commands, file formats, determinism, and exit codes."""
 
+import argparse
 import ast
 import dataclasses
 import json
@@ -585,8 +586,9 @@ def test_resampling_rejects_only_the_faulty_parts(monkeypatch):
         for out, want in zip((got_times[row], got[row]),
                              resample_one(*parts[row], 7)):
             assert_bitwise(out, want)
-    # chunks of at most 12 knots give the rows of one chunk, bit for bit
-    monkeypatch.setattr(preprocess, "RESAMPLE_BATCH_KNOTS", 12)
+    # chunks of at most 12 knots of 3 values give the rows of one chunk, bit
+    # for bit
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 12 * 8 * (12 + 10 * 3))
     chunked = preprocess.pchip_resample(times, values, 7)
     assert chunked[2] == rejected
     for out, want in zip(chunked[:2], (got_times, got)):
@@ -736,7 +738,7 @@ def test_evaluate_scene_file_has_closest_distance(pipeline):
 def test_review_paths_writes_kept_subset(pipeline):
     base, config_path = pipeline
     code = run(["--config", str(config_path), "review-paths", "--k", "2",
-                "--samples", "40", "--keep", "0"])
+                "--keep", "0"])
     assert code == EXIT_OK
     from trafgen.procedures import load_procedures
     kept = load_procedures(base / "out" / "nominal_paths.yaml")
@@ -1191,15 +1193,12 @@ def test_usage_error_exit_code():
     ["generate-scenes", "--count", "-1"],
     ["generate-scenes", "--count", "2", "--aircraft", "1"],
     ["review-paths", "--k", "0"],
-    ["review-paths", "--k", "2", "--samples", "1"],
     ["review-paths", "--k", "2", "--keep", "0,x"],
     ["review-paths", "--k", "2", "--keep", "0,,1"],
     ["review-paths", "--k", "2", "--keep", "-1"],
     ["review-paths", "--k", "2", "--keep", "0,0"],
-    ["--seed", "-1", "ingest"],
 ], ids=["negative_count", "negative_scene_count", "one_aircraft", "zero_k",
-        "one_sample", "keep_not_integer", "keep_empty_item", "keep_negative",
-        "keep_repeated", "negative_seed"])
+        "keep_not_integer", "keep_empty_item", "keep_negative", "keep_repeated"])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, args):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
     assert run(["--config", str(config_path), *args]) == EXIT_USAGE
@@ -1335,6 +1334,33 @@ def test_procedure_values_must_be_numbers_and_names_strings(
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == list(MODEL_FILES)
 
 
+@pytest.mark.parametrize("position, reason", [
+    ((95.0, None, None), "lat 95.0 outside [-90, 90]"),
+    ((None, 200.0, None), "lon 200.0 outside [-180, 180]"),
+    ((float("nan"), None, None), "lat nan outside [-90, 90]"),
+    ((None, None, float("inf")), "time and alt must be finite"),
+], ids=["lat_95", "lon_200", "nan_lat", "inf_alt"])
+@PROCEDURE_COMMANDS
+def test_waypoints_follow_the_track_coordinate_rule(
+        tmp_path, capsys, pipeline, position, reason, command):
+    # RV_WEST's second waypoint, (lat, lon) with no altitude, takes each
+    # given value of (lat, lon, alt)
+    import yaml
+    config_path = corpus.write_corpus(tmp_path, n_flights=5, seed=0)
+    copy_models(pipeline, tmp_path / "out")
+    path = tmp_path / "procedures.yaml"
+    docs = list(yaml.safe_load_all(path.read_text(encoding="utf-8")))
+    assert docs[0]["name"] == "RV_WEST"
+    waypoint = docs[0]["waypoints"][1] + [None]
+    docs[0]["waypoints"][1] = [old if new is None else new
+                               for new, old in zip(position, waypoint)]
+    path.write_text(yaml.safe_dump_all(docs), encoding="utf-8")
+    assert run(["--config", str(config_path), *command]) == EXIT_DATA
+    assert (f"data error: {path}: malformed procedure file: procedure 'RV_WEST': "
+            f"waypoint 1: {reason}\n" == capsys.readouterr().err)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == list(MODEL_FILES)
+
+
 @pytest.mark.parametrize("command", [["ingest"], ["generate-scenes", "--count", "1"]],
                          ids=["ingest", "generate_scenes"])
 def test_a_frequency_beyond_the_float_range_is_a_data_error(tmp_path, capsys,
@@ -1389,7 +1415,7 @@ def test_only_select_loads_scipy(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=60, seed=0,
                                       explicit_choice=True)
     out = tmp_path / "out"
-    stages = [["ingest"], ["review-paths", "--k", "2", "--samples", "20"],
+    stages = [["ingest"], ["review-paths", "--k", "2"],
               ["train"], ["train-pairwise"], ["generate", "--count", "5"],
               ["generate-scenes", "--count", "2", "--aircraft", "2"]]
     for name in ("trajectories.csv", "scenes.csv"):
@@ -1695,8 +1721,21 @@ def test_every_config_field_round_trips(tmp_path):
     ({"radius_nm": "far"}, "could not convert string to float: 'far'"),
     ({"t_f": "late", "t_v": "early"},
      "invalid literal for int() with base 10: 'early'"),
+    # the origin follows a track row's coordinate rule, so a longitude is
+    # not wrapped around
+    ({"origin_lat": "140.6413"}, "origin_lat 140.6413 outside [-90, 90]"),
+    ({"origin_lon": "286.2219"}, "origin_lon 286.2219 outside [-180, 180]"),
+    ({"origin_lat": "nan"}, "origin_lat must be finite, got nan"),
+    ({"radius_nm": "nan"}, "radius_nm must be finite, got nan"),
+    ({"origin_alt_ft": "inf"}, "origin_alt_ft must be finite, got inf"),
+    ({"segment_threshold_nm": "nan"},
+     "segment_threshold_nm must be finite and positive, got nan"),
+    ({"segment_threshold_nm": "-1"},
+     "segment_threshold_nm must be finite and positive, got -1.0"),
 ], ids=["int", "optional_int", "float", "int_list", "airspace_float",
-        "first_bad_field"])
+        "first_bad_field", "origin_lat_range", "origin_lon_range",
+        "nan_origin_lat", "nan_radius", "inf_origin_alt", "nan_threshold",
+        "negative_threshold"])
 def test_bad_config_values_are_data_errors(tmp_path, capsys, keys, reason):
     # Path fields take any string, so they have no bad value; two bad
     # values report the one whose field comes first
@@ -1739,8 +1778,11 @@ def test_run_config_rejects_unknown_keys(tmp_path):
 
 def test_threads_is_neither_a_config_key_nor_a_flag(tmp_path, capsys):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
-    assert run(["--config", str(config_path), "--threads", "2",
-                "ingest"]) == EXIT_USAGE
+    # nor are --seed (the config's seed is the only seed) and review-paths
+    # --samples (nominal paths take procedures.NOMINAL_SAMPLES)
+    for args in (["--threads", "2", "ingest"], ["--seed", "1", "ingest"],
+                 ["review-paths", "--k", "2", "--samples", "40"]):
+        assert run(["--config", str(config_path), *args]) == EXIT_USAGE
     base = config_path.read_text(encoding="utf-8")
     # nor are the procedure-timing keys, which nothing reads, nor the field
     # that holds the airspace keys
@@ -1790,6 +1832,24 @@ def test_every_config_key_is_documented():
     keys = [f.name for config in (RunConfig, cli.AirspaceConfig)
             for f in dataclasses.fields(config) if f.name != "airspace"]
     assert [key for key in keys if f"`{key}`" not in readme] == []
+
+
+def test_every_flag_is_documented():
+    # the README's CLI section names every long option of the parser and
+    # its subcommands (argparse's own --help aside), and no `--flag` in
+    # backticks that the parser lacks
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parsers, flags = [cli._build_parser()], set()
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.dest != "help":
+                flags.update(o for o in action.option_strings if o.startswith("--"))
+    assert [flag for flag in sorted(flags)
+            if not re.search(rf"(?<![\w-]){flag}(?![\w-])", section)] == []
+    assert sorted(set(re.findall(r"`(--[\w-]+)", section)) - flags) == []
 
 
 DIGESTED = ["eval_scenes/metrics_report.json", *(f"out/{name}" for name in (

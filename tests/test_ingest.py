@@ -364,6 +364,8 @@ def test_airspace_config_requires_origin(tmp_path):
 def test_airspace_config_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         AirspaceConfig(origin_lat=0.0, origin_lon=0.0, radius_nm=-1.0)
+    with pytest.raises(ValueError):
+        AirspaceConfig(origin_lat=0.0, origin_lon=0.0, radius_nm=float("nan"))
 
 
 def test_flight_to_enu_of_a_corpus_equals_per_flight_conversion(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from trafgen import metrics
+from trafgen import metrics, preprocess
 from trafgen.errors import DataError
 from trafgen.metrics import (MAX_BINS, Histogram, extract_variables,
                              histogram_pair, js_divergence,
@@ -114,7 +114,7 @@ def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
                         counting(scipy.spatial.distance.cdist))
     monkeypatch.setattr(metrics, "_euclidean_distances",
                         counting(metrics._euclidean_distances))
-    monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_BYTES", 8 * 50 * 20)
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * 50 * 20)
     data = np.random.default_rng(4).normal(size=(50, 2))
     for cdist_work in BOTH_KERNELS:
         monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
@@ -130,7 +130,7 @@ def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
 def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
     # several labelings in one pass: a singleton cluster, labels {0, 2}
     # with a gap, and four clusters; by either kernel
-    monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_BYTES", 8 * m * rows)
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * m * rows)
     rng = np.random.default_rng(m + rows)
     data = rng.normal(size=(m, 3))
     singleton = np.r_[0, np.ones(m - 1, dtype=int)]

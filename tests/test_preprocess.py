@@ -102,7 +102,7 @@ def test_dtw_distances_chunks_flights_under_the_byte_budget(monkeypatch):
         return wavefront(a, b, b_reversed)
 
     monkeypatch.setattr(preprocess, "_dtw_wavefront", recording)
-    monkeypatch.setattr(preprocess, "DTW_CHUNK_BYTES", 40_000)
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 40_000)
     rng = np.random.default_rng(5)
     a = random_walks(rng, 7, 40)
     b = random_walks(rng, 3, 40)
@@ -110,6 +110,50 @@ def test_dtw_distances_chunks_flights_under_the_byte_budget(monkeypatch):
     # several chunks, the last one partial
     assert len(chunks) > 1 and sum(chunks) == 7 and chunks[-1] < chunks[0]
     assert np.array_equal(table, loop_table(a, b))
+
+
+def test_one_byte_budget_chunks_every_blocked_kernel(monkeypatch):
+    # preprocess.CHUNK_BYTES alone sets the chunks of all four blocked
+    # kernels: under a small budget each works in several chunks and gives
+    # its one-chunk results bit for bit
+    from trafgen import metrics
+    rng = np.random.default_rng(9)
+    flights, procs = random_walks(rng, 12, 30), random_walks(rng, 2, 30)
+    iap = np.column_stack([np.linspace(0.0, 9000.0, 20), np.zeros((20, 2))])
+    tracks = [np.column_stack([np.linspace(1000.0, 8000.0, n),
+                               np.linspace(3000.0, 0.0, n) + rng.normal(0.0, 50.0, n),
+                               np.zeros(n)]) for n in (15, 30, 8, 22)]
+    times = [np.cumsum(rng.uniform(1.0, 2.0, n)) for n in rng.integers(5, 40, 30)]
+    values = [rng.normal(size=(len(t), 3)) for t in times]
+    data = rng.normal(size=(60, 4))
+    labelings = [rng.integers(0, 3, 60), rng.integers(0, 5, 60)]
+    calls = {}
+    for module, name in ((preprocess, "_dtw_wavefront"),
+                         (preprocess, "point_to_polyline_distance"),
+                         (preprocess, "_pchip_rows"),
+                         (metrics, "_euclidean_distances")):
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    def kernels(chunk_bytes):
+        monkeypatch.setattr(preprocess, "CHUNK_BYTES", chunk_bytes)
+        calls.update(dict.fromkeys(calls, 0))
+        boundaries, never_joins = segment_trajectory(tracks, iap, 500.0)
+        new_times, resampled, rejected = pchip_resample(times, values, 20)
+        assert never_joins == {} and rejected == {}
+        return [dtw_distances(flights, procs), boundaries, new_times, resampled,
+                np.array(metrics.silhouette_scores(data, labelings))]
+
+    whole = kernels(1 << 40)
+    assert list(calls.values()) == [1, 1, 1, 1]
+    chunked = kernels(1 << 14)
+    assert all(count > 1 for count in calls.values()), calls
+    for got, want in zip(chunked, whole):
+        assert_bitwise(got, want)
 
 
 def test_dtw_distances_rejects_bad_shapes():
@@ -219,7 +263,7 @@ def segmented_in_chunks(monkeypatch, tracks, iap, threshold):
         return measure(points, polyline)
 
     monkeypatch.setattr(preprocess, "point_to_polyline_distance", recording)
-    monkeypatch.setattr(preprocess, "DTW_CHUNK_BYTES",
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES",
                         8 * 6 * (len(iap.points) - 1) * 7)
     boundaries, rejected = segment_trajectory(tracks, iap.points, threshold)
     # a track that never joins has no point from which it stays joined

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from trafgen import procedures
 from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84, flight_to_enu
 from trafgen.preprocess import path_length, point_to_polyline_distance
@@ -39,11 +40,11 @@ def bundle_track(airspace, y_offset, duration, n=40, noise=0.0, seed=0):
 # ---------------------------------------------------------------------------
 # extract_nominal_paths
 
-def test_single_cluster_is_pointwise_mean(airspace):
+def test_single_cluster_is_pointwise_mean(airspace, monkeypatch):
     tracks = [bundle_track(airspace, y, 400.0) for y in [-1000.0, 0.0, 1000.0]]
     samples = WAYPOINT_COUNT  # every resampled point is a waypoint
-    paths, dropped = extract_nominal_paths(tracks, 1, airspace, samples=samples,
-                                           rng=0)
+    monkeypatch.setattr(procedures, "NOMINAL_SAMPLES", samples)
+    paths, dropped = extract_nominal_paths(tracks, 1, airspace, rng=0)
     assert dropped == {}
     assert len(paths) == 1
     assert paths[0].kind is ProcedureKind.RADAR_VECTOR
@@ -56,7 +57,7 @@ def test_single_cluster_is_pointwise_mean(airspace):
     assert np.allclose(got, expected, atol=1e-6)
 
 
-def test_two_bundles_recovered_within_envelopes(airspace):
+def test_two_bundles_recovered_within_envelopes(airspace, monkeypatch):
     rng_seed = 0
     tracks = []
     for i in range(12):
@@ -65,7 +66,8 @@ def test_two_bundles_recovered_within_envelopes(airspace):
     for i in range(8):
         tracks.append(bundle_track(airspace, 6000.0, 440.0, noise=150.0,
                                    seed=200 + i))
-    paths, _ = extract_nominal_paths(tracks, 2, airspace, samples=30, rng=rng_seed)
+    monkeypatch.setattr(procedures, "NOMINAL_SAMPLES", 30)
+    paths, _ = extract_nominal_paths(tracks, 2, airspace, rng=rng_seed)
     assert len(paths) == 2
     mean_ys = sorted(np.mean(waypoints_to_enu(p, airspace)[:, 1]) for p in paths)
     assert abs(mean_ys[0] - (-6000.0)) < 500.0
@@ -73,9 +75,10 @@ def test_two_bundles_recovered_within_envelopes(airspace):
     assert sorted(p.frequency for p in paths) == pytest.approx([8 / 20, 12 / 20])
 
 
-def test_identical_flights_collapse_to_common_path(airspace):
+def test_identical_flights_collapse_to_common_path(airspace, monkeypatch):
     tracks = [bundle_track(airspace, 0.0, 400.0) for _ in range(5)]
-    paths, _ = extract_nominal_paths(tracks, 2, airspace, samples=20, rng=1)
+    monkeypatch.setattr(procedures, "NOMINAL_SAMPLES", 20)
+    paths, _ = extract_nominal_paths(tracks, 2, airspace, rng=1)
     # every restart leaves one cluster empty; output keeps the common path
     assert len(paths) == 1
     assert paths[0].frequency == pytest.approx(1.0)
