@@ -26,23 +26,19 @@ def kmeans_pp_seed(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int,
            ) -> tuple[bool, float, np.ndarray, np.ndarray]:
     """(has an empty cluster, inertia, centers, labels) of one Lloyd run."""
-    k = centers.shape[0]
     labels = None
-    for _it in range(max_iter):
-        dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    for it in range(max_iter + 1):
+        # one center at a time, as kmeans_pp_seed: one copy of the data, not k
+        dists = np.stack([np.sum((data - c) ** 2, axis=1) for c in centers], axis=1)
         new_labels = dists.argmin(axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
+        if it == max_iter or (labels is not None and np.array_equal(new_labels, labels)):
             break
         labels = new_labels
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centers[j] = data[mask].mean(axis=0)
-    dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(data.shape[0]), labels].sum())
-    empty = bool(np.any(np.bincount(labels, minlength=k) == 0))
-    return empty, inertia, centers, labels
+        for j in np.flatnonzero(np.bincount(labels)):  # an empty one keeps its center
+            centers[j] = data[labels == j].mean(axis=0)
+    inertia = float(dists[np.arange(data.shape[0]), new_labels].sum())
+    empty = bool(np.any(np.bincount(new_labels, minlength=len(centers)) == 0))
+    return empty, inertia, centers, new_labels
 
 
 def kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
@@ -52,7 +48,7 @@ def kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
 
     A run that converges with an empty cluster counts only when every
     restart does: then the best degenerate run is returned. Ties keep the
-    earliest run.
+    earliest run. A run holds about one copy of the data, whatever k.
     """
     data = np.asarray(data, dtype=float)
     if k < 1:

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tokenize
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .preprocess import deviation_length
+from . import preprocess
 
 DEVIATION_FORMAT = "trafgen-deviations/2"
 
@@ -35,8 +35,6 @@ DEVIATION_FORMAT = "trafgen-deviations/2"
 _TRAJECTORY_LAYOUTS = ((("scene_id", "aircraft_idx"), ("t", "x", "y", "z")),
                        (("traj_id",), ("t", "x", "y", "z")))
 
-# lines per block of read_csv, which bounds its working memory
-CSV_BLOCK_LINES = 4096
 # the lines csv reads as empty rows
 _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
@@ -202,13 +200,15 @@ def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
     appended to ``errors`` and skipped when a list is given, raised as
     DataError otherwise; either way rows are reported in line order.
 
-    The file is read in blocks of ``CSV_BLOCK_LINES`` lines. numpy's C
-    parser reads a block's value fields as float64, a subset of what float()
-    reads, to the same values. A block holding a blank line, a quote, a line
-    longer than csv's field limit, or a field the parser rejects (a short
-    row, or a value only float() reads) is read by csv, and float() converts
-    its value fields in one pass, so every result and message is csv's and
-    float()'s.
+    The file is read in blocks of whole lines, each ending at the line that
+    brings it to ``preprocess.CHUNK_BYTES`` at 1,024 bytes a line and 4 a
+    character: more than its arrays took, traced, on lines of 17 to 386
+    characters (230 to 1,390 bytes). numpy's C parser reads a block's value
+    fields as float64, a subset of what float() reads, to the same values.
+    A block holding a blank line, a quote, a line longer than csv's field
+    limit, or a field the parser rejects (a short row, or a value only
+    float() reads) is read by csv, and float() converts its value fields in
+    one pass, so every result and message is csv's and float()'s.
     """
     with (_reading(path, kind, _MALFORMED_CSV),
           open(path, newline="", encoding="utf-8") as handle):
@@ -289,9 +289,11 @@ def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
 
         before = reader.line_num
         while True:
-            block, failure = [], None
+            block, size, failure = [], 0, None
             try:
-                block.extend(islice(handle, CSV_BLOCK_LINES))
+                while size < preprocess.CHUNK_BYTES and (line := handle.readline()):
+                    block.append(line)
+                    size += 1024 + 4 * len(line)
             except UnicodeDecodeError as exc:  # the rows before it count first
                 failure = exc
             keys, values, read = numpy_pass(block, before) or csv_pass(block, before)
@@ -299,7 +301,7 @@ def read_csv(path: str | Path, kind: str, layouts, rules, *, optional=(),
             yield from _runs(keys, values)
             if failure is not None:
                 raise failure
-            if len(block) < CSV_BLOCK_LINES:
+            if size < preprocess.CHUNK_BYTES:
                 return
 
 
@@ -385,7 +387,7 @@ def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
         raise DataError(f"{path}: row {bad[0]}: deviation values must be finite")
-    deviation_length(data.shape[1], "dataset width", expected=t_len, path=path)
+    preprocess.deviation_length(data.shape[1], "dataset width", expected=t_len, path=path)
     if len(data) != len(meta["rows"]):
         raise DataError(f"{path}: {len(data)} rows, but its meta lists "
                         f"{len(meta['rows'])}")

@@ -144,15 +144,15 @@ def enu_to_wgs84(enu, config: AirspaceConfig):
 
 _COLUMNS = (("id",), ("time", "lat", "lon", "alt"))
 # the reasons a row of (time, lat, lon, alt) is rejected, in the order tried:
-# the coordinate rule of a track row, a procedure waypoint and the origin
+# the coordinate rule of a track row and the origin
 POSITION_RULES = (
-    (lambda v: ~((-90.0 <= v[:, 1]) & (v[:, 1] <= 90.0)),
-     "lat {1} outside [-90, 90]"),
-    (lambda v: ~((-180.0 <= v[:, 2]) & (v[:, 2] <= 180.0)),
-     "lon {2} outside [-180, 180]"),
-    (lambda v: ~np.isfinite(v[:, [0, 3]]).all(axis=1),
-     "time and alt must be finite"),
+    (lambda v: ~(np.abs(v[:, 1]) <= 90.0), "lat {1} outside [-90, 90]"),
+    (lambda v: ~(np.abs(v[:, 2]) <= 180.0), "lon {2} outside [-180, 180]"),
+    (lambda v: ~np.isfinite(v[:, [0, 3]]).all(axis=1), "time and alt must be finite"),
 )
+# those of a procedure waypoint, which has no time
+WAYPOINT_RULES = POSITION_RULES[:2] + (
+    (lambda v: ~np.isfinite(v[:, 3]), "alt {3} must be finite"),)
 
 
 def parse_tracks(path: str | Path) -> tuple[list[Flight], list[str]]:

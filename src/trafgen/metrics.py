@@ -116,17 +116,18 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
     a(i) is the mean Euclidean distance from row i to the other rows of its
     cluster, b(i) the mean distance to the nearest other cluster.
     Singleton-cluster rows score 0. One pass computes the distances a block
-    of rows at a time, about ``preprocess.CHUNK_BYTES`` of them (two rows at
-    least), and sums each block row over every cluster of every labeling. So
-    memory grows with the m rows times the clusters, not with m², and each row's
-    sums are those of the full (m, m) distance matrix, bit for bit.
+    of rows at a time (two rows at least), and sums each block row over
+    every cluster of every labeling. So memory grows with the m rows times
+    the clusters, not with m², and each row's sums are those of the full
+    (m, m) distance matrix, bit for bit.
 
     A pass over m rows of n values fills its blocks with scipy's ``cdist``
     when its work m * m * n is at least ``SILHOUETTE_CDIST_WORK``, and with
     ``_euclidean_distances`` below it, which spares the import of
     ``scipy.spatial`` and needs one more block-sized buffer (and a
     transposed copy of the data). The two are equal bit for bit, so the
-    scores do not depend on which one ran.
+    scores do not depend on which one ran. A block's arrays stay under
+    ``preprocess.CHUNK_BYTES``.
     Raises DataError for a labeling with fewer than 2 clusters.
     """
     members = []
@@ -137,21 +138,24 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
             raise DataError("silhouette needs at least 2 clusters")
         members.append([labels == c for c in unique])
     m = len(data)
-    if m * m * data.shape[1] < SILHOUETTE_CDIST_WORK:
-        distances = _euclidean_distances
-    else:
+    # a block row holds two rows of distances (a block's and its member copy,
+    # or the next block's), and one of squares more on the numpy kernel
+    distances, rows_held = _euclidean_distances, 3
+    if m * m * data.shape[1] >= SILHOUETTE_CDIST_WORK:
         # scipy is imported here only: no other stage needs it at start-up
         from scipy.spatial.distance import cdist as distances
+        rows_held = 2
     sums = [np.empty((m, len(masks))) for masks in members]
-    # numpy sums the masked columns of two or more rows column by column, as
-    # for the full matrix, but one row pairwise; so no block has one row
-    step = max(2, preprocess.CHUNK_BYTES // (8 * m))
-    for start in range(0, m - 1, step):
-        stop = m if m - start <= step + 1 else start + step
-        dist = distances(data[start:stop], data)
+    step = max(2, preprocess.CHUNK_BYTES // (8 * m * rows_held))
+    for start in range(0, m, step):
+        # numpy sums the masked columns of two or more rows column by column,
+        # as for the full matrix, but one row pairwise: a lone last row joins
+        # the row before it, which is summed again
+        rows = slice(min(start, m - 2), start + step)
+        dist = distances(data[rows], data)
         for total, masks in zip(sums, members):
             for pos, member in enumerate(masks):
-                total[start:stop, pos] = dist[:, member].sum(axis=1)
+                total[rows, pos] = dist[:, member].sum(axis=1)
     return [_mean_silhouette(total, masks) for total, masks in zip(sums, members)]
 
 
@@ -188,11 +192,8 @@ def _mean_silhouette(sums: np.ndarray, members: list[np.ndarray]) -> float:
 
 def silhouette_sweep(data: np.ndarray, component_grid: Sequence[int], *,
                      seed: int = 0) -> tuple[int, list[tuple[int, float]]]:
-    """Fit a mixture per grid value and score its hard labels.
-
-    One blocked distance pass scores every grid value's labels
-    (``silhouette_scores``), so memory is bounded by a row block and the
-    per-cluster sums, not by the (m, m) distance matrix.
+    """Fit a mixture per grid value and score its hard labels, all in one
+    pass of ``silhouette_scores``.
     Returns the argmax K (ties toward the smaller K) with the full
     (K, silhouette score) curve.
     Raises DataError for an empty grid or a grid K below 2.

@@ -24,9 +24,10 @@ def path_length(points: np.ndarray):
     return np.linalg.norm(np.diff(points, axis=-2), axis=-1).sum(axis=-1)
 
 
-# Upper bound, in bytes, on one chunk of dtw_distances, segment_trajectory,
-# pchip_resample and metrics.silhouette_scores; each derives its chunk from
-# its own bytes per item, and no result depends on the chunk size
+# Upper bound, in bytes, on the block-sized arrays that a blocked pass holds
+# beyond its inputs and outputs: dtw_distances, segment_trajectory,
+# pchip_resample, metrics.silhouette_scores and _files.read_csv each count
+# their own bytes per item, and no result depends on the block size
 CHUNK_BYTES = 1 << 20
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._cluster import kmeans
 from ._files import read_yaml, rule_reasons, write_text
 from .errors import DataError
-from .ingest import POSITION_RULES, AirspaceConfig, enu_to_wgs84, wgs84_to_enu
+from .ingest import WAYPOINT_RULES, AirspaceConfig, enu_to_wgs84, wgs84_to_enu
 from .preprocess import pchip_resample
 
 # an ENU track (times (n,), positions (n, 3)), as flight_to_enu returns it
@@ -74,8 +74,8 @@ def load_procedures(path: str | Path) -> list[Procedure]:
 def _procedure(doc: dict) -> Procedure:
     """The procedure of one document. Its name must be a string, and its
     frequency and waypoint coordinates YAML ints or floats (a bool or text
-    is neither); an altitude may be null. Each waypoint follows a track
-    row's coordinate rule (``ingest.POSITION_RULES``)."""
+    is neither); an altitude may be null. Each waypoint follows
+    ``ingest.WAYPOINT_RULES``, a track row's rule without its time."""
     name = doc["name"]
     if type(name) is not str:
         raise ValueError(f"procedure {name!r:.40}: the name is not a string")
@@ -90,7 +90,7 @@ def _procedure(doc: dict) -> Procedure:
     waypoints = [(number(wp[0], "latitude"), number(wp[1], "longitude"),
                   None if len(wp) < 3 or wp[2] is None else number(wp[2], "altitude"))
                  for wp in doc["waypoints"]]
-    reasons = rule_reasons(POSITION_RULES, np.array(
+    reasons = rule_reasons(WAYPOINT_RULES, np.array(
         [(0.0, lat, lon, 0.0 if alt is None else alt) for lat, lon, alt in waypoints],
         dtype=float).reshape(-1, 4), {})
     if reasons:

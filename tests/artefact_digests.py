@@ -2,7 +2,7 @@
 
     python tests/artefact_digests.py [--root CHECKOUT] [--flights 300]
         [--seed 0] [--t-v 40] [--t-f 20] [--n-overlap 1]
-        [--count 200] [--scenes 20] [--aircraft 3]
+        [--count 200] [--scenes 20] [--aircraft 3] [--chunk-bytes N]
 
 Writes a corpus and a held-out ground-truth set into a temporary directory,
 appends to the corpus's ``tracks.csv`` a fixed set of rows that the track
@@ -19,8 +19,10 @@ its standard error, then one ``<sha256>  <path>`` line per output file.
 Every path is relative to the run directory, so the output depends only on
 the program and the arguments. Running the script against two checkouts with the same
 arguments and diffing the output shows whether a change keeps every
-artefact byte-identical. Needs only the standard library and numpy, besides
-trafgen's own dependencies.
+artefact byte-identical. ``--chunk-bytes N`` sets ``preprocess.CHUNK_BYTES``
+before the run, so diffing against a run at the default shows that no
+artefact depends on the block size. Needs only the standard library and
+numpy, besides trafgen's own dependencies.
 """
 
 from __future__ import annotations
@@ -84,12 +86,17 @@ def main() -> None:
                         help="trajectories to generate, and held-out ones")
     parser.add_argument("--scenes", type=int, default=20)
     parser.add_argument("--aircraft", type=int, default=3)
+    parser.add_argument("--chunk-bytes", type=int, default=None,
+                        help="preprocess.CHUNK_BYTES of the run (default: trafgen's)")
     args = parser.parse_args()
 
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     import corpus  # noqa: E402 -- the chosen checkout's, on its own trafgen
+    from trafgen import preprocess  # noqa: E402
     from trafgen.cli import run  # noqa: E402
+    if args.chunk_bytes is not None:
+        preprocess.CHUNK_BYTES = args.chunk_bytes
 
     dims = {"t_v": args.t_v, "t_f": args.t_f, "n_overlap": args.n_overlap}
     commands = [

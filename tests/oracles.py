@@ -10,7 +10,9 @@ must match bit for bit, the
 per-call conditioning on dense n x n covariances, which the factored
 conditional must match to rounding, the PSD repair by a full
 eigendecomposition, the row-by-row DTW double loop,
-which the batched wavefront must match bit for bit, the rank selection
+which the batched wavefront must match bit for bit, k-means with each
+Lloyd step's distances from one (m, k, n) broadcast, which k-means one
+center at a time must match bit for bit, the rank selection
 that refits PPCA for every grid rank and adds jitter through a dense
 identity, EM and PPCA compression on full n x n covariances with one
 Cholesky per component per E-step, which the spectral forms must match to
@@ -48,7 +50,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
-from trafgen._cluster import kmeans
+from trafgen._cluster import kmeans, kmeans_pp_seed
 from trafgen._files import _reading
 from trafgen.errors import DataError, NumericalError
 from trafgen.ingest import Flight
@@ -657,6 +659,30 @@ def em_fit_full_loop(data, n_components, *, seed=0):
         c.weight /= total
     return EMFit(model=MixtureModel(components=components),
                  labels=resp.argmax(axis=1), log_likelihoods=history)
+
+
+def kmeans_broadcast(data, k, rng, restarts=1, max_iter=100):
+    """``kmeans`` with each Lloyd step's squared distances from one (m, k, n)
+    broadcast, which holds k copies of the data."""
+    data = np.asarray(data, dtype=float)
+    runs = []
+    for _ in range(max(restarts, 1)):
+        centers, labels = kmeans_pp_seed(data, k, rng), None
+        for _it in range(max_iter):
+            dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = dists.argmin(axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for j in range(k):
+                if np.any(labels == j):
+                    centers[j] = data[labels == j].mean(axis=0)
+        dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = dists.argmin(axis=1)
+        runs.append((bool(np.any(np.bincount(labels, minlength=k) == 0)),
+                     float(dists[np.arange(len(data)), labels].sum()),
+                     centers, labels))
+    return min(runs, key=lambda r: r[:2])[2:]
 
 
 def _ppca_from_eigh(eigvals, eigvecs, rank):

@@ -1338,7 +1338,7 @@ def test_procedure_values_must_be_numbers_and_names_strings(
     ((95.0, None, None), "lat 95.0 outside [-90, 90]"),
     ((None, 200.0, None), "lon 200.0 outside [-180, 180]"),
     ((float("nan"), None, None), "lat nan outside [-90, 90]"),
-    ((None, None, float("inf")), "time and alt must be finite"),
+    ((None, None, float("inf")), "alt inf must be finite"),
 ], ids=["lat_95", "lon_200", "nan_lat", "inf_alt"])
 @PROCEDURE_COMMANDS
 def test_waypoints_follow_the_track_coordinate_rule(

@@ -94,8 +94,9 @@ def test_silhouette_sweep_singleton_grid():
 
 
 # SILHOUETTE_CDIST_WORK values that send a silhouette pass to the numpy
-# kernel and to scipy's cdist
-BOTH_KERNELS = (10**18, 0)
+# kernel and to scipy's cdist, with the rows of distances each kernel's
+# pass holds per block row
+BOTH_KERNELS = ((10**18, 3), (0, 2))
 
 
 def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
@@ -114,9 +115,9 @@ def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
                         counting(scipy.spatial.distance.cdist))
     monkeypatch.setattr(metrics, "_euclidean_distances",
                         counting(metrics._euclidean_distances))
-    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * 50 * 20)
     data = np.random.default_rng(4).normal(size=(50, 2))
-    for cdist_work in BOTH_KERNELS:
+    for cdist_work, rows_held in BOTH_KERNELS:
+        monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * 50 * 20 * rows_held)
         monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
         calls.clear()
         _, curve = silhouette_sweep(data, [2, 3, 4], seed=0)
@@ -130,7 +131,6 @@ def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
 def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
     # several labelings in one pass: a singleton cluster, labels {0, 2}
     # with a gap, and four clusters; by either kernel
-    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * m * rows)
     rng = np.random.default_rng(m + rows)
     data = rng.normal(size=(m, 3))
     singleton = np.r_[0, np.ones(m - 1, dtype=int)]
@@ -140,7 +140,8 @@ def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
     four[:4] = 0, 1, 2, 3
     labelings = [singleton, gap, four]
     dist = cdist(data, data)
-    for cdist_work in BOTH_KERNELS:
+    for cdist_work, rows_held in BOTH_KERNELS:
+        monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * m * rows * rows_held)
         monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
         got = silhouette_scores(data, labelings)
         for score, labels in zip(got, labelings):

@@ -15,7 +15,7 @@ from trafgen.preprocess import (assign_procedures, build_deviation_vector,
                                 reconstruct_trajectory, segment_trajectory)
 
 from conftest import (assert_bitwise, make_proc_traj, one_deviation,
-                      rebuild_one, resample_one)
+                      peak_traced_bytes, rebuild_one, resample_one)
 from oracles import (dtw_brute_force, dtw_loop, local_cost_stacked,
                      pchip_resample_scipy, point_to_polyline_distance_stacked)
 
@@ -154,6 +154,70 @@ def test_one_byte_budget_chunks_every_blocked_kernel(monkeypatch):
     assert all(count > 1 for count in calls.values()), calls
     for got, want in zip(chunked, whole):
         assert_bitwise(got, want)
+
+
+BLOCKED_PASSES = ["dtw_distances", "segment_trajectory", "pchip_resample",
+                  "silhouette_scores-numpy", "silhouette_scores-cdist",
+                  "read_csv-numpy", "read_csv-csv"]
+
+
+def blocked_pass(name, tmp_path, monkeypatch):
+    """A call of the blocked pass ``name`` on inputs of several blocks at
+    the default budget, and the bytes it holds besides its blocks: its
+    outputs and its arrays of one value per item."""
+    from trafgen import _files, ingest, metrics
+    rng = np.random.default_rng(12)
+    if name == "dtw_distances":
+        flights, procs = random_walks(rng, 300, 30), random_walks(rng, 3, 30)
+        # the (F, R) distances and two contiguous copies of the procedures
+        return lambda: dtw_distances(flights, procs), 8 * (300 * 3 + 2 * procs.size)
+    if name == "segment_trajectory":
+        iap = np.column_stack([np.linspace(0.0, 9000.0, 20), np.zeros((20, 2))])
+        tracks = [np.column_stack([np.linspace(1000.0, 8000.0, n), np.zeros((n, 2))])
+                  for n in rng.integers(50, 150, 40)]
+        # every point's x and y, and the distances of the chunks so far
+        return (lambda: segment_trajectory(tracks, iap, 500.0),
+                24 * sum(map(len, tracks)))
+    if name == "pchip_resample":
+        times = [np.cumsum(rng.uniform(1.0, 2.0, n)) for n in rng.integers(20, 60, 300)]
+        values = [rng.normal(size=(len(t), 3)) for t in times]
+        # the (B, 20) times and (B, 20, 3) values, and four numbers a row
+        return lambda: pchip_resample(times, values, 20), 8 * 300 * (4 * 20 + 4)
+    if name.startswith("silhouette_scores"):
+        numpy_kernel = name.endswith("numpy")
+        monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", 10**18 if numpy_kernel else 0)
+        data = rng.normal(size=(2000, 4))
+        labelings = [rng.integers(0, 3, 2000), rng.integers(0, 5, 2000)]
+        # every row's sums to each of the 8 clusters and their member masks,
+        # and the numpy kernel's transposed copy of the data
+        return (lambda: metrics.silhouette_scores(data, labelings),
+                9 * 2000 * 8 + numpy_kernel * data.nbytes)
+    # a track file whose ids, quoted or not, send every block to csv or numpy
+    quote = '"' if name.endswith("csv") else ""
+    path = tmp_path / "tracks.csv"
+    path.write_text("id,time,lat,lon,alt\n" + "".join(
+        f"{quote}AC{i // 50:05d}{quote},{i % 50 + rng.random()!r},{40 + rng.random()!r},"
+        f"{-73 - rng.random()!r},{1000 * rng.random()!r}\n" for i in range(3000)))
+
+    def read():  # keeping no run
+        layout = (("id",), ("time", "lat", "lon", "alt"))
+        for _ in _files.read_csv(path, "track file", (layout,), ingest.POSITION_RULES):
+            pass
+    return read, 0
+
+
+@pytest.mark.parametrize("name", BLOCKED_PASSES)
+def test_every_blocked_pass_holds_its_blocks_within_the_budget(name, tmp_path,
+                                                               monkeypatch):
+    # at the default budget, the peak beyond the inputs and what the pass
+    # holds besides its blocks is within preprocess.CHUNK_BYTES, but for
+    # numpy's iterator buffers (up to its buffer size of each of three
+    # operands of a ufunc, whatever the block); a tenth of the budget at
+    # least shows that the inputs fill the blocks
+    call, held = blocked_pass(name, tmp_path, monkeypatch)
+    peak, _ = peak_traced_bytes(call)
+    buffers = 3 * 8 * np.getbufsize()
+    assert preprocess.CHUNK_BYTES / 10 < peak - held <= preprocess.CHUNK_BYTES + buffers
 
 
 def test_dtw_distances_rejects_bad_shapes():

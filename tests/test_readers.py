@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trafgen import _files
+from trafgen import _files, preprocess
 from trafgen._files import (read_deviation_dataset, read_trajectory_file,
                             write_deviation_dataset)
 from trafgen.errors import DataError
@@ -31,6 +31,9 @@ READABLE = st.sampled_from(["1_0", "１２", "١", " 12.5 ", "\t7\t", "+3",
 UNREADABLE = st.sampled_from(["abc", "", " ", "1e", "0x10", "1\x00"])
 KEYS = st.sampled_from(["a", "b", "c", " a", "a ", '"a"', '"a,b"', '"q""x"',
                         '"x\ny"', "a\x00", "é", ""])
+# budgets of read_csv, which counts 1,024 bytes a line and 4 a character:
+# blocks of 1 to 6 lines
+BLOCK_BYTES = st.integers(1, 6 * 1024)
 GROUND_SPEEDS = st.sampled_from(["", "250", "fast", " ", "nan", "1_0", "-3e2"])
 
 
@@ -129,7 +132,7 @@ def test_parse_tracks_matches_the_row_reader(tmp_path_factory, data):
     text = lines_of(data, header, TRACK_VALUES, data.draw(st.integers(0, 30)))
     path = write(tmp_path_factory, text, "tracks.csv")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_files, "CSV_BLOCK_LINES", data.draw(st.integers(1, 6)))
+        patch.setattr(preprocess, "CHUNK_BYTES", data.draw(BLOCK_BYTES))
         got = outcome(parse_tracks, path)
     assert_same_flights(got, outcome(parse_tracks_rows, path))
 
@@ -153,7 +156,7 @@ def test_read_trajectory_file_matches_the_row_reader(tmp_path_factory, data):
     text = lines_of(data, header, values, data.draw(st.integers(0, 30)), dirty)
     path = write(tmp_path_factory, text, "trajectories.csv")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_files, "CSV_BLOCK_LINES", data.draw(st.integers(1, 6)))
+        patch.setattr(preprocess, "CHUNK_BYTES", data.draw(BLOCK_BYTES))
         got = outcome(read_trajectory_file, path)
     assert_same_scenes(got, outcome(read_trajectory_file_rows, path))
 
@@ -173,7 +176,8 @@ def csv_readers(monkeypatch):
 
 
 def test_clean_blocks_are_not_read_by_csv(tmp_path, monkeypatch, csv_readers):
-    # blocks of 2 lines: rows out of range and empty optional fields are
+    # blocks of 2 lines, the last of 1 (2,048 bytes fill at the second line
+    # of 15 to 25 characters): rows out of range and empty optional fields are
     # read by numpy; a value only float() reads, one it rejects and a short
     # row each need csv
     rows = ["a,0,40.6,-73.7,1000,250,", "a,1,95,-73.7,1000,,-800",
@@ -181,7 +185,7 @@ def test_clean_blocks_are_not_read_by_csv(tmp_path, monkeypatch, csv_readers):
             "b,4,40.6,-73.7"]
     path = tmp_path / "tracks.csv"
     path.write_text("id,time,lat,lon,alt,gs,vr\n" + "\n".join(rows) + "\n")
-    monkeypatch.setattr(_files, "CSV_BLOCK_LINES", 2)
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 2048)
     flights, errors = parse_tracks(path)
     # the header's reader and those of the last two blocks
     assert len(csv_readers) == 3
