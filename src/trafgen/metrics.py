@@ -100,15 +100,6 @@ def js_divergence(p: Histogram, q: Histogram) -> float:
 # ---------------------------------------------------------------------------
 # Silhouette
 
-# pair-coordinates m * m * n of a silhouette pass from which scipy's cdist
-# fills its distances; below it a numpy kernel does, and select never imports
-# scipy. Timed in fresh processes on a 2-core VM (numpy 2.4, scipy 1.17) at
-# n = 122 and n = 1,052, the numpy pass costs as much as the cdist pass with
-# its import at 1.7e8 pair-coordinates (0.49-0.52 s); at 1e8 it takes 0.25 s
-# against 0.42-0.48 s
-SILHOUETTE_CDIST_WORK = 10**8
-
-
 def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list[float]:
     """Mean silhouette coefficient (b - a) / max(a, b) of each labeling of
     the rows of ``data``.
@@ -118,16 +109,11 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
     Singleton-cluster rows score 0. One pass computes the distances a block
     of rows at a time (two rows at least), and sums each block row over
     every cluster of every labeling. So memory grows with the m rows times
-    the clusters, not with m², and each row's sums are those of the full
-    (m, m) distance matrix, bit for bit.
-
-    A pass over m rows of n values fills its blocks with scipy's ``cdist``
-    when its work m * m * n is at least ``SILHOUETTE_CDIST_WORK``, and with
-    ``_euclidean_distances`` below it, which spares the import of
-    ``scipy.spatial`` and needs one more block-sized buffer (and a
-    transposed copy of the data). The two are equal bit for bit, so the
-    scores do not depend on which one ran. A block's arrays stay under
-    ``preprocess.CHUNK_BYTES``.
+    the clusters, not with m², and a block's two rows of distances per row
+    (the block and its member copy) stay under ``preprocess.CHUNK_BYTES``.
+    The rows are centred once, since the Gram form of ``_distance_block``
+    cancels more the farther they sit from the origin; no score depends on
+    the block size.
     Raises DataError for a labeling with fewer than 2 clusters.
     """
     members = []
@@ -138,40 +124,44 @@ def silhouette_scores(data: np.ndarray, labelings: Sequence[np.ndarray]) -> list
             raise DataError("silhouette needs at least 2 clusters")
         members.append([labels == c for c in unique])
     m = len(data)
-    # a block row holds two rows of distances (a block's and its member copy,
-    # or the next block's), and one of squares more on the numpy kernel
-    distances, rows_held = _euclidean_distances, 3
-    if m * m * data.shape[1] >= SILHOUETTE_CDIST_WORK:
-        # scipy is imported here only: no other stage needs it at start-up
-        from scipy.spatial.distance import cdist as distances
-        rows_held = 2
+    centred = data - data.mean(axis=0)
+    norms = np.einsum("ij,ij->i", centred, centred)
     sums = [np.empty((m, len(masks))) for masks in members]
-    step = max(2, preprocess.CHUNK_BYTES // (8 * m * rows_held))
+    # a block row holds two rows of distances: a block's and its member
+    # copy, or the next block's
+    step = max(2, preprocess.CHUNK_BYTES // (16 * m))
     for start in range(0, m, step):
         # numpy sums the masked columns of two or more rows column by column,
         # as for the full matrix, but one row pairwise: a lone last row joins
         # the row before it, which is summed again
-        rows = slice(min(start, m - 2), start + step)
-        dist = distances(data[rows], data)
+        rows = slice(min(start, m - 2), min(start + step, m))
+        dist = _distance_block(centred, norms, rows)
         for total, masks in zip(sums, members):
             for pos, member in enumerate(masks):
                 total[rows, pos] = dist[:, member].sum(axis=1)
     return [_mean_silhouette(total, masks) for total, masks in zip(sums, members)]
 
 
-def _euclidean_distances(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """The (len(rows), len(data)) Euclidean distances, equal bit for bit to
-    scipy's ``cdist(rows, data)``: like scipy's kernel, it adds the squared
-    coordinate differences one coordinate at a time, from the first, then
-    takes the root. (A scipy built to fuse the multiply and add would round
-    differently.)"""
-    total = np.zeros((len(rows), len(data)))
-    square = np.empty_like(total)
-    for row_values, values in zip(rows.T, np.ascontiguousarray(data.T)):
-        np.subtract(row_values[:, None], values, out=square)
-        np.multiply(square, square, out=square)
-        total += square
-    return np.sqrt(total, out=total)
+def _distance_block(centred: np.ndarray, norms: np.ndarray, rows: slice) -> np.ndarray:
+    """The Euclidean distances from ``centred[rows]`` (two rows at least) to
+    every row, as sqrt(|a|² + |b|² - 2 a·b) with ``norms`` the squared row
+    norms. Each product takes two rows against all rows (a lone last row
+    with the row before it), since BLAS may round a row's products
+    differently in a taller one. Squares that round below 0 are 0, and a
+    row's distance to itself is exactly 0."""
+    start, stop = rows.start, rows.stop
+    block = np.empty((stop - start, len(centred)))
+    for first in range(start, stop, 2):
+        first = min(first, stop - 2)
+        np.matmul(centred[first:first + 2], centred.T,
+                  out=block[first - start:first - start + 2])
+    block *= -2.0
+    block += norms[rows, None]
+    block += norms
+    np.maximum(block, 0.0, out=block)
+    np.sqrt(block, out=block)
+    block[np.arange(stop - start), np.arange(start, stop)] = 0.0
+    return block
 
 
 def _mean_silhouette(sums: np.ndarray, members: list[np.ndarray]) -> float:

@@ -5,8 +5,8 @@ oracle enumerates warping paths, the silhouette oracle is O(m^2) loops, and
 the conditional-Gaussian oracle estimates posterior moments by kernel-weighted
 joint sampling (no use of the conditional formulas). Other references
 keep the plain dense computation that a structured fast path replaces: the
-silhouette from the full m x m distance matrix, which the row-blocked one
-must match bit for bit, the
+silhouette from scipy's full m x m distance matrix, which the row-blocked
+one, with its distances from Gram products, must match within rounding, the
 per-call conditioning on dense n x n covariances, which the factored
 conditional must match to rounding, the PSD repair by a full
 eigendecomposition, the row-by-row DTW double loop,
@@ -212,8 +212,10 @@ def silhouette_brute_force(data, labels):
 
 def silhouette_score(dist, labels):
     """Mean silhouette coefficient from the full (m, m) distance matrix
-    ``dist``, one cluster's columns at a time: the reference that the
-    row-blocked ``silhouette_scores`` must match bit for bit."""
+    ``dist`` (scipy's ``cdist`` of the rows), one cluster's columns at a
+    time: the reference that the row-blocked ``silhouette_scores`` must
+    match within rounding, not bit for bit, since it forms its distances
+    from Gram products."""
     labels = np.asarray(labels)
     unique = np.unique(labels)
     if unique.size < 2:

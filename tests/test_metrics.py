@@ -93,46 +93,59 @@ def test_silhouette_sweep_singleton_grid():
     assert len(curve) == 1
 
 
-# SILHOUETTE_CDIST_WORK values that send a silhouette pass to the numpy
-# kernel and to scipy's cdist, with the rows of distances each kernel's
-# pass holds per block row
-BOTH_KERNELS = ((10**18, 3), (0, 2))
-
-
 def test_silhouette_sweep_computes_one_distance_matrix(monkeypatch):
-    # one pass of row blocks covers the rows once, for every grid K, through
-    # one of the two kernels
-    import scipy.spatial.distance
-    calls = []
+    # one pass of row blocks covers the rows once, for every grid K, and
+    # every product takes two rows of the data against all rows
+    calls, products = [], []
+    matmul, scores = np.matmul, metrics.silhouette_scores
 
-    def counting(original):
-        def count(*args, **kwargs):
-            calls.append((args[0].shape, args[1].shape))
-            return original(*args, **kwargs)
-        return count
+    def counting_matmul(a, b, **kwargs):
+        products.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
 
-    monkeypatch.setattr(scipy.spatial.distance, "cdist",
-                        counting(scipy.spatial.distance.cdist))
-    monkeypatch.setattr(metrics, "_euclidean_distances",
-                        counting(metrics._euclidean_distances))
+    def counting_scores(data, labelings):
+        calls.append(len(labelings))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", counting_matmul)
+            return scores(data, labelings)
+
+    monkeypatch.setattr(metrics, "silhouette_scores", counting_scores)
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 16 * 50 * 20)
     data = np.random.default_rng(4).normal(size=(50, 2))
-    for cdist_work, rows_held in BOTH_KERNELS:
-        monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * 50 * 20 * rows_held)
-        monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
-        calls.clear()
-        _, curve = silhouette_sweep(data, [2, 3, 4], seed=0)
-        assert calls == [((20, 2), (50, 2)), ((20, 2), (50, 2)), ((10, 2), (50, 2))]
-        assert [k for k, _ in curve] == [2, 3, 4]
+    _, curve = silhouette_sweep(data, [2, 3, 4], seed=0)
+    assert calls == [3]
+    assert products == [((2, 2), (2, 50))] * 25
+    assert [k for k, _ in curve] == [2, 3, 4]
 
 
-@pytest.mark.parametrize("m, rows", [(23, 5), (21, 5), (23, 1), (23, 40), (24, 6)],
-                         ids=["partial-last-block", "lone-last-row-joins",
-                              "smallest-blocks", "one-block", "whole-blocks"])
-def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
+# rows per block of the five block splits; a case's own split is one of them
+BLOCK_ROWS = (5, 1, 40, 6)
+
+
+@pytest.mark.parametrize(
+    "m, n, rows, far, duplicated",
+    [(23, 3, 5, False, False), (21, 3, 5, False, False), (23, 3, 1, False, False),
+     (23, 3, 40, False, False), (24, 3, 6, False, False),
+     (24, 1052, 5, True, False), (24, 452, 6, True, False),
+     (60, 122, 40, True, False), (9, 5, 1, True, False), (24, 452, 5, True, True)],
+    ids=["partial-last-block", "lone-last-row-joins", "smallest-blocks",
+         "one-block", "whole-blocks", "24x1052", "24x452", "60x122", "9x5",
+         "duplicated-rows"])
+def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, n, rows, far,
+                                                 duplicated):
     # several labelings in one pass: a singleton cluster, labels {0, 2}
-    # with a gap, and four clusters; by either kernel
+    # with a gap, and four clusters. Far data sits near 1e4 on scales from
+    # 0.1 to 100, far from the origin; the kernel centres it. Every block
+    # split gives the same scores bit for bit, within 1e-12 of the full
+    # matrix; a duplicated pair's distance rounds to about sqrt(eps) times
+    # the rows' norm, not to 0, so with every fourth row repeated the
+    # scores are within 1e-8
     rng = np.random.default_rng(m + rows)
-    data = rng.normal(size=(m, 3))
+    data = rng.normal(size=(m, n))
+    if far:
+        data = 1e4 + data * rng.uniform(0.1, 100.0, size=n)
+    if duplicated:
+        data[1::4] = data[::4]
     singleton = np.r_[0, np.ones(m - 1, dtype=int)]
     gap = 2 * rng.integers(0, 2, size=m)
     gap[:2] = 0, 2
@@ -140,23 +153,13 @@ def test_silhouette_scores_equal_the_full_matrix(monkeypatch, m, rows):
     four[:4] = 0, 1, 2, 3
     labelings = [singleton, gap, four]
     dist = cdist(data, data)
-    for cdist_work, rows_held in BOTH_KERNELS:
-        monkeypatch.setattr(preprocess, "CHUNK_BYTES", 8 * m * rows * rows_held)
-        monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", cdist_work)
-        got = silhouette_scores(data, labelings)
-        for score, labels in zip(got, labelings):
-            assert_bitwise(score, silhouette_score(dist, labels))
-
-
-@pytest.mark.parametrize("m, n", [(24, 1052), (24, 452), (60, 122), (9, 5)])
-def test_euclidean_distances_equal_cdist_bitwise(m, n):
-    # coordinates near 1e4 on scales from 0.1 to 100, so that every
-    # difference and square rounds; blocks of 2 rows, a lone last row and
-    # all rows
-    rng = np.random.default_rng(m * n)
-    data = 1e4 + rng.normal(size=(m, n)) * rng.uniform(0.1, 100.0, size=n)
-    for rows in (data[:2], data[2:4], data[-1:], data):
-        assert_bitwise(metrics._euclidean_distances(rows, data), cdist(rows, data))
+    want = [silhouette_score(dist, labels) for labels in labelings]
+    monkeypatch.setattr(preprocess, "CHUNK_BYTES", 16 * m * rows)
+    got = silhouette_scores(data, labelings)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-8 if duplicated else 1e-12)
+    for other in BLOCK_ROWS:
+        monkeypatch.setattr(preprocess, "CHUNK_BYTES", 16 * m * other)
+        assert_bitwise(np.array(silhouette_scores(data, labelings)), np.array(got))
 
 
 def test_silhouette_sweep_memory_is_bounded():

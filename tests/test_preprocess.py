@@ -131,7 +131,7 @@ def test_one_byte_budget_chunks_every_blocked_kernel(monkeypatch):
     for module, name in ((preprocess, "_dtw_wavefront"),
                          (preprocess, "point_to_polyline_distance"),
                          (preprocess, "_pchip_rows"),
-                         (metrics, "_euclidean_distances")):
+                         (metrics, "_distance_block")):
         calls[name] = 0
 
         def counting(*args, _name=name, _original=getattr(module, name)):
@@ -157,11 +157,10 @@ def test_one_byte_budget_chunks_every_blocked_kernel(monkeypatch):
 
 
 BLOCKED_PASSES = ["dtw_distances", "segment_trajectory", "pchip_resample",
-                  "silhouette_scores-numpy", "silhouette_scores-cdist",
-                  "read_csv-numpy", "read_csv-csv"]
+                  "silhouette_scores", "read_csv-numpy", "read_csv-csv"]
 
 
-def blocked_pass(name, tmp_path, monkeypatch):
+def blocked_pass(name, tmp_path):
     """A call of the blocked pass ``name`` on inputs of several blocks at
     the default budget, and the bytes it holds besides its blocks: its
     outputs and its arrays of one value per item."""
@@ -183,15 +182,15 @@ def blocked_pass(name, tmp_path, monkeypatch):
         values = [rng.normal(size=(len(t), 3)) for t in times]
         # the (B, 20) times and (B, 20, 3) values, and four numbers a row
         return lambda: pchip_resample(times, values, 20), 8 * 300 * (4 * 20 + 4)
-    if name.startswith("silhouette_scores"):
-        numpy_kernel = name.endswith("numpy")
-        monkeypatch.setattr(metrics, "SILHOUETTE_CDIST_WORK", 10**18 if numpy_kernel else 0)
+    if name == "silhouette_scores":
         data = rng.normal(size=(2000, 4))
         labelings = [rng.integers(0, 3, 2000), rng.integers(0, 5, 2000)]
         # every row's sums to each of the 8 clusters and their member masks,
-        # and the numpy kernel's transposed copy of the data
+        # the centred copy of the data, the rows' squared norms, and the
+        # ufunc buffer (traced: 65,104-65,232 bytes at 2,000 rows) that numpy
+        # allocates for the broadcasting adds of the norms to a block
         return (lambda: metrics.silhouette_scores(data, labelings),
-                9 * 2000 * 8 + numpy_kernel * data.nbytes)
+                9 * 2000 * 8 + data.nbytes + 8 * 2000 + 8 * np.getbufsize())
     # a track file whose ids, quoted or not, send every block to csv or numpy
     quote = '"' if name.endswith("csv") else ""
     path = tmp_path / "tracks.csv"
@@ -207,14 +206,13 @@ def blocked_pass(name, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", BLOCKED_PASSES)
-def test_every_blocked_pass_holds_its_blocks_within_the_budget(name, tmp_path,
-                                                               monkeypatch):
+def test_every_blocked_pass_holds_its_blocks_within_the_budget(name, tmp_path):
     # at the default budget, the peak beyond the inputs and what the pass
     # holds besides its blocks is within preprocess.CHUNK_BYTES, but for
     # numpy's iterator buffers (up to its buffer size of each of three
     # operands of a ufunc, whatever the block); a tenth of the budget at
     # least shows that the inputs fill the blocks
-    call, held = blocked_pass(name, tmp_path, monkeypatch)
+    call, held = blocked_pass(name, tmp_path)
     peak, _ = peak_traced_bytes(call)
     buffers = 3 * 8 * np.getbufsize()
     assert preprocess.CHUNK_BYTES / 10 < peak - held <= preprocess.CHUNK_BYTES + buffers
