@@ -69,11 +69,12 @@ def shared_fd_edges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     lo, hi = union.min(), union.max()
     if lo == hi:
         return np.array([lo - 0.5, hi + 0.5])
-    # numpy's Freedman-Diaconis width and bin count, so uncapped edges match
+    # numpy's Freedman-Diaconis width and bin count (one bin at zero width),
+    # so uncapped edges equal bins="fd"'s without a second sort of the union
     width = 2.0 * np.subtract(*np.percentile(union, [75, 25])) \
         * union.size ** (-1.0 / 3.0)
-    too_many = width and np.ceil((hi - lo) / width) > MAX_BINS
-    edges = np.histogram_bin_edges(union, bins=MAX_BINS if too_many else "fd")
+    bins = min(np.ceil((hi - lo) / width), MAX_BINS) if width else 1
+    edges = np.histogram_bin_edges(union, bins=int(bins))
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         edges = np.array([lo, hi])
     return edges

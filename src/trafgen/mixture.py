@@ -114,11 +114,13 @@ def _project(centered: np.ndarray, vecs: np.ndarray,
     """Coordinates of centred rows in V, and the squared norms of their residuals.
 
     The residual is formed as a vector, x - V V^T x, rather than as
-    ||x||^2 - ||V^T x||^2, which cancels when x lies near span(V).
+    ||x||^2 - ||V^T x||^2, which cancels when x lies near span(V). It is
+    formed in ``centered``, which the caller gives up.
     """
     proj = centered @ vecs
-    resid = centered - proj @ vecs.T
-    return proj, np.sum(resid ** 2, axis=1)
+    centered -= proj @ vecs.T
+    np.square(centered, out=centered)
+    return proj, np.sum(centered, axis=1)
 
 
 def _spectral_log_density(proj: np.ndarray, resid_sq: np.ndarray,
@@ -144,10 +146,11 @@ def _log_densities(data: np.ndarray, weights, means, spectra,
                    noise) -> np.ndarray:
     """(m, K) matrix of log(pi_j) + log N(x_i | mu_j, V_j diag(s_j^2) V_j^T + noise_j I)."""
     out = np.empty((data.shape[0], len(weights)))
+    centered = np.empty_like(data)
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
     for j, (mean, (vecs, sq), s) in enumerate(zip(means, spectra, noise)):
-        proj, resid_sq = _project(data - mean, vecs)
+        proj, resid_sq = _project(np.subtract(data, mean, out=centered), vecs)
         out[:, j] = log_weights[j] + _spectral_log_density(
             proj, resid_sq, sq + s, s, data.shape[1])
     return out
@@ -290,8 +293,12 @@ def _m_step(data: np.ndarray, resp: np.ndarray,
     counts = np.maximum(counts, 1e-300)
     weights = counts / m
     means = (resp.T @ data) / counts[:, None]
-    spectra = [_spectrum((data - means[j]) * np.sqrt(resp[:, j:j + 1] / counts[j]))
-               for j in range(resp.shape[1])]
+    z = np.empty_like(data)  # each component's Z_j in turn
+    spectra = []
+    for j in range(resp.shape[1]):
+        np.subtract(data, means[j], out=z)
+        z *= np.sqrt(resp[:, j:j + 1] / counts[j])
+        spectra.append(_spectrum(z))
     return weights, means, spectra
 
 

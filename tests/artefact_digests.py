@@ -21,8 +21,11 @@ the program and the arguments. Running the script against two checkouts with the
 arguments and diffing the output shows whether a change keeps every
 artefact byte-identical. ``--chunk-bytes N`` sets ``preprocess.CHUNK_BYTES``
 before the run, so diffing against a run at the default shows that no
-artefact depends on the block size. Needs only the standard library and
-numpy, besides trafgen's own dependencies.
+artefact depends on the block size. The script imports trafgen before
+numpy, as the ``trafgen`` command does, so trafgen pins BLAS to one thread
+and the digests do not depend on ``OPENBLAS_NUM_THREADS`` or the core count.
+Needs only the standard library and numpy, besides trafgen's own
+dependencies.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ def main() -> None:
 
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    # trafgen before numpy, as in the CLI: it pins BLAS to one thread only
+    # when numpy is not yet loaded, and corpus imports numpy
+    import trafgen  # noqa: E402, F401
     import corpus  # noqa: E402 -- the chosen checkout's, on its own trafgen
     from trafgen import preprocess  # noqa: E402
     from trafgen.cli import run  # noqa: E402

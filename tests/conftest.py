@@ -1,6 +1,13 @@
-import tracemalloc
+import sys
 
-import numpy as np
+# trafgen before numpy, as in the trafgen command: it pins BLAS to one thread
+# only while numpy is not loaded, so in-process CLI runs write the same bytes
+NUMPY_BEFORE_TRAFGEN = "numpy" in sys.modules
+import trafgen  # noqa: E402, F401
+
+import tracemalloc  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
 
 from trafgen.ingest import AirspaceConfig, Flight

@@ -23,6 +23,7 @@ from trafgen.errors import DataError
 from trafgen.ingest import enu_to_wgs84
 from trafgen.mixture import GaussianComponent, MixtureModel, save_model
 
+import conftest
 import corpus
 from conftest import assert_bitwise, resample_one
 from oracles import dtw_loop, model_to_dict, write_trajectory_csv_rows
@@ -1435,6 +1436,72 @@ def test_no_command_needs_scipy(tmp_path):
     loaded = scipy_modules_after(code)
     assert [entry[0] for entry in loaded] == [args[0] for args in stages]
     assert [entry[1:] for entry in loaded] == [[EXIT_OK, []]] * len(stages)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(**threads) -> dict:
+    """This process's environment with trafgen's source on the path, no BLAS
+    thread variable set, and then ``threads``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return {**env, "PYTHONPATH": str(src), **threads}
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # unpinned, one OpenBLAS thread against two or more moved the rv model,
+    # the selection report, the train log and the trajectories here (at 120
+    # flights they happened to agree)
+    config_path = corpus.write_corpus(tmp_path, n_flights=200, seed=0)
+    stages = [["ingest"], ["select"], ["train"], ["generate", "--count", "20"]]
+    code = ("import sys\n"
+            "from trafgen.cli import run\n"
+            f"for args in {stages!r}:\n"
+            f"    code = run(['--config', {str(config_path)!r},\n"
+            "                '--out', sys.argv[1], *args])\n"
+            "    assert code == 0, (args, code)\n")
+    outputs = {}
+    for threads in ("1", None, "2", "4"):
+        env = blas_env() if threads is None else blas_env(
+            OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"out-{threads}"
+        subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                       check=True, capture_output=True)
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "trajectories.csv" in outputs["1"]
+    for threads in (None, "2", "4"):
+        assert outputs[threads].keys() == outputs["1"].keys()
+        assert [name for name, data in outputs["1"].items()
+                if outputs[threads][name] != data] == [], threads
+
+
+def test_importing_numpy_first_leaves_the_environment_alone():
+    code = ("import json, os, numpy\n"
+            "before = dict(os.environ)\n"
+            "import trafgen\n"
+            "print(json.dumps([before == dict(os.environ),\n"
+            "                  os.environ['OPENBLAS_NUM_THREADS']]))\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=blas_env(OPENBLAS_NUM_THREADS="4"), check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [True, "4"]
+
+
+def test_importing_trafgen_first_pins_blas_to_one_thread():
+    code = ("import json, os, trafgen, numpy\n"
+            f"print(json.dumps([os.environ[k] for k in {BLAS_THREADS!r}]))\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=blas_env(**dict.fromkeys(BLAS_THREADS, "4")),
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == ["1", "1", "1"]
+
+
+def test_in_process_cli_runs_are_pinned_as_the_command_is():
+    # conftest imports trafgen before numpy, so run() here uses one BLAS
+    # thread, as the trafgen command does
+    assert not conftest.NUMPY_BEFORE_TRAFGEN
+    assert [os.environ[k] for k in BLAS_THREADS] == ["1", "1", "1"]
 
 
 def test_only_procedure_commands_load_yaml(tmp_path):

@@ -247,15 +247,39 @@ def test_fd_edges_constant_data():
 
 
 def test_fd_edges_bin_count_is_capped():
-    rng = np.random.default_rng(6)
-    bulk = rng.normal(size=5000)
-    assert np.array_equal(shared_fd_edges(bulk, bulk[:10]),
-                          np.histogram_bin_edges(np.concatenate([bulk, bulk[:10]]),
-                                                 bins="fd"))
+    bulk = np.random.default_rng(6).normal(size=5000)
     # one far outlier would ask Freedman-Diaconis for about 10^8 bins
     edges = shared_fd_edges(bulk, np.array([1e7]))
     assert edges.size == MAX_BINS + 1
     assert edges[0] == bulk.min() and edges[-1] == 1e7
+
+
+def fd_cases():
+    rng = np.random.default_rng(6)
+    bulk = rng.normal(size=5000)
+    return {
+        "normal": (bulk, bulk[:10]),
+        "lognormal": (rng.lognormal(size=700), rng.lognormal(size=300)),
+        "zero-iqr": (np.zeros(50), np.array([1.0, 2.0, 3.0])),
+        "offset": (1e6 + 1e-3 * rng.normal(size=200), np.array([1e6])),
+        "three-samples": (np.array([0.0, 1.0]), np.array([5.0])),
+        "two-samples": (np.array([-2.5]), np.array([4.0])),
+        # about 16,000 Freedman-Diaconis bins, so the cap applies
+        "capped": (bulk, np.array([2500.0])),
+    }
+
+
+@pytest.mark.parametrize("case", list(fd_cases()))
+def test_fd_edges_equal_numpy_fd_edges(case):
+    # one width computation gives numpy's bins="fd" edges bit for bit, and
+    # MAX_BINS equal bins where those would be more
+    x, y = fd_cases()[case]
+    union = np.concatenate([x, y])
+    want = np.histogram_bin_edges(union, bins="fd")
+    if want.size > MAX_BINS + 1:
+        assert case == "capped"
+        want = np.histogram_bin_edges(union, bins=MAX_BINS)
+    assert_bitwise(shared_fd_edges(x, y), want)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -244,6 +244,19 @@ def test_em_and_rank_selection_form_no_n_by_n_matrix():
     assert peak < n * n * 8
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_em_holds_about_four_copies_of_the_data(k):
+    # corpus-2k's radar-vector shape. Each component is centred into one
+    # reused (m, n) buffer and its residual squared in place: traced 4.2-4.3x
+    # the rows, where a fresh centred and weighted copy per component and
+    # step held 5.2-5.3x
+    rng = np.random.default_rng(37)
+    data = rng.normal(size=(2000, 122)) * rng.uniform(0.1, 100.0, size=122)
+    peak, fit = peak_traced_bytes(lambda: em_fit(data, k, seed=1))
+    assert len(fit.log_likelihoods) > 2  # more than a hard fit's one M-step
+    assert peak <= 4.6 * data.nbytes
+
+
 # ---------------------------------------------------------------------------
 # PPCA compression of one covariance
 
