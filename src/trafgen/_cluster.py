@@ -51,10 +51,6 @@ def kmeans(data: np.ndarray, k: int, rng: np.random.Generator,
     earliest run. A run holds about one copy of the data, whatever k.
     """
     data = np.asarray(data, dtype=float)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if data.shape[0] < k:
-        raise ValueError(f"need at least k={k} points, got {data.shape[0]}")
     runs = [_lloyd(data, kmeans_pp_seed(data, k, rng), max_iter)
             for _ in range(max(restarts, 1))]
     return min(runs, key=lambda r: r[:2])[2:]

@@ -347,8 +347,10 @@ def _runs(keys: np.ndarray, values: np.ndarray):
             yield tuple(keys[start]), values[start:end]
 
 
-def _dataset_meta(doc: dict) -> tuple[dict, int]:
-    """The meta sidecar, every row's keys and values checked, and its T."""
+def _dataset_meta(doc: dict, kind: str) -> tuple[dict, int]:
+    """A ``kind`` dataset's meta, every row's keys and values checked, and its T."""
+    if doc["segment_kind"] != kind:
+        raise ValueError(f"segment_kind {doc['segment_kind']!r:.40} is not {kind!r}")
     for i, row in enumerate(doc["rows"]):
         missing = [k for k in ("flight_id", "procedure", "arrival_time") if k not in row]
         if missing:
@@ -371,10 +373,12 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def read_deviation_dataset(path: Path) -> tuple[np.ndarray, dict]:
-    """A dataset's (m, 3T+2) float64 matrix of finite values, and its meta."""
+def read_deviation_dataset(path: Path, kind: str) -> tuple[np.ndarray, dict]:
+    """A dataset's (m, 3T+2) float64 matrix of finite values, and its meta,
+    which must record the segment kind ``kind``."""
     meta, t_len = read_json(path.with_suffix(".meta.json"), "dataset meta",
-                            _dataset_meta, tag=DEVIATION_FORMAT)
+                            lambda doc: _dataset_meta(doc, kind),
+                            tag=DEVIATION_FORMAT)
     with _reading(path, "deviation dataset", _MALFORMED_NPY), \
             open(path, "rb") as handle:
         _check_npy_size(handle)

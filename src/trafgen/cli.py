@@ -217,7 +217,7 @@ def cmd_ingest(config: RunConfig) -> int:
     """
     flights, parse_errors, arrivals, exclusions = _read_arrivals(config)
     if not arrivals:
-        raise DataError("no arrival flights after classification")
+        raise DataError(f"{config.tracks}: no arrival flights after classification")
     names, proc_points, _, iap_name, iap_points = _load_procedural_trajectories(config)
 
     # 1. split every arrival. The radar-vector part runs up TO the handoff
@@ -235,7 +235,7 @@ def cmd_ingest(config: RunConfig) -> int:
               & (has_rv | (n_lead == 0)))
     rv_ids, fa_ids = np.flatnonzero(has_rv), np.flatnonzero(has_fa)
     if not rv_ids.size or not fa_ids.size:
-        raise DataError(_EMPTY_DATASET)
+        raise DataError(f"{config.tracks}: {_EMPTY_DATASET}")
 
     # 2. resample each segment's parts in one call
     rv_times, rv_points, rv_rejected = preprocess.pchip_resample(
@@ -268,7 +268,7 @@ def cmd_ingest(config: RunConfig) -> int:
                    if not has[a]]
     rv_keep, fa_keep = (~np.isin(ids, list(failed)) for ids in (rv_ids, fa_ids))
     if not rv_keep.any() or not fa_keep.any():
-        raise DataError(_EMPTY_DATASET)
+        raise DataError(f"{config.tracks}: {_EMPTY_DATASET}")
     rv_ids, rv_times, rv_points = rv_ids[rv_keep], rv_times[rv_keep], rv_points[rv_keep]
     fa_ids, fa_rows = fa_ids[fa_keep], fa_rows[fa_keep]
 
@@ -302,7 +302,7 @@ def _seed(config: RunConfig, name: str) -> int:
 
 def _read_dataset(segment: _Segment) -> tuple[np.ndarray, dict]:
     """A segment's deviation dataset and meta; its width must be 3T+2."""
-    data, meta = read_deviation_dataset(segment.dataset)
+    data, meta = read_deviation_dataset(segment.dataset, segment.kind)
     preprocess.deviation_length(data.shape[1], "dataset width", segment.symbol,
                                 expected=segment.length, path=segment.dataset)
     return data, meta
@@ -373,21 +373,22 @@ def cmd_train_pairwise(config: RunConfig) -> int:
     """Fit pairwise mixtures per radar-vector procedure combination."""
     segment = _segments(config)[0]
     data, meta = _read_dataset(segment)
+    meta_path = segment.dataset.with_suffix(".meta.json")
     names = [row["procedure"] for row in meta["rows"]]
     joined = [name for name in names if "|" in name]
     if joined:  # a model's key joins its two procedure names with "|"
-        raise DataError(f"{segment.dataset.with_suffix('.meta.json')}: procedure "
-                        f"{joined[0]!r} contains '|', which joins pairwise model keys")
+        raise DataError(f"{meta_path}: procedure {joined[0]!r} contains '|', "
+                        "which joins pairwise model keys")
     groups = multi_model.extract_pairs(
         data, names, [row["arrival_time"] for row in meta["rows"]],
         config.pairing_window_s)
     if not groups:
-        raise DataError("no arrival pairs inside the pairing window")
+        raise DataError(f"{meta_path}: no arrival pairs inside the pairing window")
     seed = _seed(config, "train-pairwise")
     models = multi_model.train_pairwise(
         groups, config.k_pairwise, config.rank_pairwise, seed=seed)
     if not models:
-        raise DataError("every pairwise group was under the sample minimum")
+        raise DataError(f"{meta_path}: every pairwise group was under the sample minimum")
     write_models(config.out_dir / "model_pairwise.json", {
         "format": PAIRWISE_FORMAT, "segment": "radar_vector",
         "models": {f"{a}|{b}": model_document(m, "pairwise")
@@ -404,7 +405,7 @@ def cmd_train_pairwise(config: RunConfig) -> int:
 def cmd_generate(config: RunConfig, count: int) -> int:
     """Generate single trajectories from the trained per-segment models."""
     segments = _segments(config)
-    models = [load_model(segment.model) for segment in segments]
+    models = [load_model(segment.model, segment.kind) for segment in segments]
     for segment, m in zip(segments, models):
         preprocess.deviation_length(m.dimension, "model dimension", segment.symbol,
                                     expected=segment.length, path=segment.model)
@@ -432,7 +433,7 @@ def _pairwise_models(doc: dict) -> dict:
     if malformed:
         raise ValueError(f"key {malformed[0]!r} is not two procedure names "
                          "joined by '|'")
-    return {tuple(key.split("|")): model_from_dict(m)
+    return {tuple(key.split("|")): model_from_dict(m, "pairwise")
             for key, m in doc["models"].items()}
 
 
@@ -482,8 +483,9 @@ def cmd_evaluate(config: RunConfig, actual_path: Path, synthetic_path: Path) -> 
     """Compare an actual and a synthetic set; write the metrics report."""
     actual = read_trajectory_file(actual_path)
     synthetic = read_trajectory_file(synthetic_path)
-    if not actual or not synthetic:
-        raise DataError("both actual and synthetic sets must be nonempty")
+    for path, trajectories in ((actual_path, actual), (synthetic_path, synthetic)):
+        if not trajectories:
+            raise DataError(f"{path}: no trajectories to compare")
     vars_actual = metrics.extract_variables(actual)
     vars_synth = metrics.extract_variables(synthetic)
 

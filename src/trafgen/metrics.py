@@ -56,7 +56,8 @@ def shared_fd_edges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Freedman-Diaconis bin edges over the union of two sample sets.
 
     When the Freedman-Diaconis width would need more than ``MAX_BINS`` bins,
-    the range is split into ``MAX_BINS`` equal bins instead. Non-finite
+    the range is split into ``MAX_BINS`` equal bins instead, and when its
+    bins would be narrower than the float spacing, into one bin. Non-finite
     samples raise DataError.
     """
     union = np.concatenate([np.asarray(x, dtype=float).ravel(),
@@ -74,10 +75,10 @@ def shared_fd_edges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     width = 2.0 * np.subtract(*np.percentile(union, [75, 25])) \
         * union.size ** (-1.0 / 3.0)
     bins = min(np.ceil((hi - lo) / width), MAX_BINS) if width else 1
-    edges = np.histogram_bin_edges(union, bins=int(bins))
-    if edges.size < 2 or np.any(np.diff(edges) <= 0):
-        edges = np.array([lo, hi])
-    return edges
+    try:
+        return np.histogram_bin_edges(union, bins=int(bins))
+    except ValueError:  # numpy refuses bins narrower than the float spacing
+        return np.array([lo, hi])
 
 
 def histogram_pair(x: np.ndarray, y: np.ndarray) -> tuple[Histogram, Histogram]:

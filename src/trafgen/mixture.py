@@ -156,30 +156,6 @@ def _log_densities(data: np.ndarray, weights, means, spectra,
     return out
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    """log(sum(exp(a))) over ``axis``, bitwise equal to scipy's ``logsumexp``.
-
-    The m tied maxima are taken out of the shifted sum s, giving
-    log1p(s / m) + log(m) + max; where that is not finite (all -inf, an
-    inf or a nan) the direct log of the sum stands instead.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-        top = np.max(a, axis=axis, keepdims=True)
-        tied = a == top
-        # a copy in a's memory order, as scipy's: the sums add in its order
-        rest = np.array(a, copy=True)
-        rest[tied] = -np.inf
-        m = np.sum(tied.astype(float), axis=axis, keepdims=True)
-        s = np.sum(np.exp(rest - top), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
-    return out[()] if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # EM fitting
 
@@ -253,7 +229,7 @@ def em_fit(data: np.ndarray, n_components: int, *,
         if not repeated:
             log_dens = _log_densities(data, weights, means, spectra,
                                       [reg] * n_components)
-            log_norm = _logsumexp(log_dens, axis=1)
+            log_norm = np.logaddexp.reduce(log_dens, axis=1)
             ll = float(log_norm.sum())
             resp = np.exp(log_dens - log_norm[:, None])
             repeated = resp.tobytes() == fitted.tobytes()
@@ -464,17 +440,11 @@ class ConditionalMixture:
         means_a, spectra, noise_a = zip(*self._observed)
         log_w = _log_densities(vals[None, :], self._prior_weights, means_a,
                                spectra, noise_a)[0]
-        norm = _logsumexp(log_w)
-        if np.isneginf(norm):
-            # every component assigns zero density to the observation
-            # (degenerate covariances): no evidence to reweight on, keep the
-            # prior weights
-            new_weights = self._prior_weights
-        elif not np.isfinite(norm):
+        norm = np.logaddexp.reduce(log_w)
+        if not np.isfinite(norm):  # -inf: no component explains x_a
             raise NumericalError("conditioning weights are not finite")
-        else:
-            new_weights = np.exp(log_w - norm)
-            new_weights /= new_weights.sum()
+        new_weights = np.exp(log_w - norm)
+        new_weights /= new_weights.sum()
         components = [
             GaussianComponent(weight=float(w), mean=mean_b + gain @ (vals - mean_a),
                               cov_factor=factor, noise_var=noise_var)
@@ -547,9 +517,11 @@ def check_finite(components: Sequence[GaussianComponent]) -> None:
             raise ValueError(f"component {i} holds a non-finite value")
 
 
-def model_from_dict(doc: dict) -> MixtureModel:
-    """The model of a document whose weights, means, factors and noise
+def model_from_dict(doc: dict, kind: str) -> MixtureModel:
+    """The model of a ``kind`` document whose weights, means, factors and noise
     variances are JSON numbers and whose headers match its components."""
+    if doc["segment_kind"] != kind:
+        raise ValueError(f"segment_kind {doc['segment_kind']!r:.40} is not {kind!r}")
     for i, c in enumerate(doc["components"]):
         values = [c["weight"], c["noise_var"], *c["mean"],
                   *chain.from_iterable(c["cov_factor"])]
@@ -585,5 +557,6 @@ def save_model(model: MixtureModel, path: str | Path, kind: str) -> None:
     write_models(path, model_document(model, kind))
 
 
-def load_model(path: str | Path) -> MixtureModel:
-    return read_json(path, "model file", model_from_dict, tag=MODEL_FORMAT)
+def load_model(path: str | Path, kind: str) -> MixtureModel:
+    return read_json(path, "model file", lambda doc: model_from_dict(doc, kind),
+                     tag=MODEL_FORMAT)

@@ -22,8 +22,9 @@ one dense covariance with its low-rank repair, which the factored scene
 must match to rounding.
 Pair extraction keeps its record-based form: Python's stable ``sorted`` over
 (procedure, arrival time, deviation vector) records, one row per pair.
-scipy's ``PchipInterpolator`` and ``logsumexp`` are the references that
-the library's numpy PCHIP and ``_logsumexp`` must match bit for bit, and
+scipy's ``PchipInterpolator`` is the reference that the library's numpy
+PCHIP must match bit for bit, scipy's ``logsumexp`` the one that numpy's
+``logaddexp.reduce`` must match within a few ulp, and
 ``csv.writer``, one row at a time, is the reference for the bytes of the
 bulk trajectory writer, ``json.dumps`` of the whole ``model_to_dict``
 document for the bytes of the model writer, which writes one array at a
@@ -56,7 +57,7 @@ from trafgen.errors import DataError, NumericalError
 from trafgen.ingest import Flight
 from trafgen.mixture import (_LOG_2PI, EM_MAX_ITER, EM_TOL, MODEL_FORMAT,
                              EMFit, GaussianComponent, MixtureModel,
-                             _log_densities, _logsumexp, _m_step, sample)
+                             _log_densities, _m_step, sample)
 from trafgen.multi_model import _block, _delta_index, _require_model
 
 
@@ -642,7 +643,7 @@ def em_fit_full_loop(data, n_components, *, seed=0):
     for it in range(EM_MAX_ITER):
         log_dens = _log_densities(data, weights, means, spectra,
                                   [reg] * n_components)
-        log_norm = _logsumexp(log_dens, axis=1)
+        log_norm = np.logaddexp.reduce(log_dens, axis=1)
         ll = float(log_norm.sum())
         resp = np.exp(log_dens - log_norm[:, None])
         history.append(ll)

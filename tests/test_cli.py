@@ -52,8 +52,8 @@ def read_bytes(path: Path) -> bytes:
 def test_ingest_outputs(pipeline):
     base, _ = pipeline
     out = base / "out"
-    rv, rv_meta = read_deviation_dataset(out / "rv_dataset.npy")
-    fa, fa_meta = read_deviation_dataset(out / "fa_dataset.npy")
+    rv, rv_meta = read_deviation_dataset(out / "rv_dataset.npy", "radar_vector")
+    fa, fa_meta = read_deviation_dataset(out / "fa_dataset.npy", "final_approach")
     assert rv.shape == (60, 3 * corpus.T_V + 2)
     assert fa.shape == (60, 3 * corpus.T_F + 2)
     assert len(rv_meta["rows"]) == 60
@@ -131,6 +131,80 @@ def test_model_files_record_their_segment_kind(pipeline):
         assert doc["segment_kind"] == kind
     doc = json.loads((out / "model_pairwise.json").read_text(encoding="utf-8"))
     assert {m["segment_kind"] for m in doc["models"].values()} == {"pairwise"}
+
+
+@pytest.fixture(scope="module")
+def equal_lengths(tmp_path_factory):
+    """A 120-flight corpus at T_v = T_f, ingested and trained: each segment's
+    files have the width and dimension of the other's."""
+    base = tmp_path_factory.mktemp("equal_lengths")
+    config_path = corpus.write_corpus(base, 120, seed=0, t_v=20, t_f=20,
+                                      n_overlap=1, explicit_choice=True)
+    for args in (["ingest"], ["train"]):
+        assert run(["--config", str(config_path), *args]) == EXIT_OK
+    return config_path
+
+
+def copy_out(config_path, out):
+    """The output directory next to ``config_path``, copied into ``out``."""
+    out.mkdir()
+    for path in (config_path.parent / "out").iterdir():
+        (out / path.name).write_bytes(path.read_bytes())
+
+
+def swap(out, first, second):
+    a, b = (out / first).read_bytes(), (out / second).read_bytes()
+    (out / first).write_bytes(b)
+    (out / second).write_bytes(a)
+
+
+def test_swapped_model_files_are_data_errors(tmp_path, capsys, equal_lengths):
+    out = tmp_path / "out"
+    copy_out(equal_lengths, out)
+    swap(out, "model_rv.json", "model_fa.json")
+    assert run(["--config", str(equal_lengths), "--out", str(out),
+                "generate", "--count", "3"]) == EXIT_DATA
+    assert (f"data error: {out / 'model_rv.json'}: malformed model file: "
+            "segment_kind 'final_approach' is not 'radar_vector'\n"
+            == capsys.readouterr().err)
+    assert not (out / "trajectories.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-pairwise"])
+def test_swapped_datasets_are_data_errors(tmp_path, capsys, equal_lengths,
+                                          command):
+    out = tmp_path / "out"
+    copy_out(equal_lengths, out)
+    swap(out, "rv_dataset.npy", "fa_dataset.npy")
+    swap(out, "rv_dataset.meta.json", "fa_dataset.meta.json")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run(["--config", str(equal_lengths), "--out", str(out),
+                command]) == EXIT_DATA
+    assert (f"data error: {out / 'rv_dataset.meta.json'}: malformed dataset "
+            "meta: segment_kind 'final_approach' is not 'radar_vector'\n"
+            == capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_model_that_explains_no_overlap_fails_generate(tmp_path, capsys,
+                                                          equal_lengths):
+    # zero factor rows and noise on the observed block (the first point of
+    # the final approach at n_overlap = 1): every component gives the radar-
+    # vector tail zero density, so no weights can be formed
+    out = tmp_path / "out"
+    copy_out(equal_lengths, out)
+
+    def degenerate(doc):
+        for comp in doc["components"]:
+            comp["cov_factor"][2:5] = [[0.0] * len(comp["cov_factor"][0])] * 3
+            comp["noise_var"] = 0.0
+
+    edit_json(out / "model_fa.json", degenerate)
+    assert run(["--config", str(equal_lengths), "--out", str(out),
+                "generate", "--count", "3"]) == EXIT_NUMERICAL
+    assert ("generation failed after 10 attempts; last cause: conditioning "
+            "weights are not finite\n") in capsys.readouterr().err
+    assert not (out / "trajectories.csv").exists()
 
 
 def test_train_rerun_identical_models(pipeline):
@@ -417,7 +491,7 @@ def test_paper_dimension_ingest_matches_per_pair_loop(tmp_path, monkeypatch):
                 "ingest"]) == EXIT_OK
     for name in INGEST_OUTPUTS:
         assert (batched / name).read_bytes() == (looped / name).read_bytes(), name
-    rv, meta = read_deviation_dataset(batched / "rv_dataset.npy")
+    rv, meta = read_deviation_dataset(batched / "rv_dataset.npy", "radar_vector")
     assert rv.shape == (6, 3 * 350 + 2)
     flown = [name for name, *_ in corpus.generate_actual(6, 4, **dims)]
     assert [row["procedure"] for row in meta["rows"]] == flown
@@ -459,8 +533,10 @@ def test_final_approach_rows_open_with_the_radar_vector_tail(tmp_path):
     config_path = corpus.write_corpus(tmp_path, n_flights=6, seed=4, t_v=t_v,
                                       t_f=t_f, n_overlap=n_ov)
     assert run(["--config", str(config_path), "ingest"]) == EXIT_OK
-    rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.npy")
-    fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.npy")
+    rv, rv_meta = read_deviation_dataset(tmp_path / "out" / "rv_dataset.npy",
+                                           "radar_vector")
+    fa, _ = read_deviation_dataset(tmp_path / "out" / "fa_dataset.npy",
+                                   "final_approach")
     names, rv_procs, _, _, iap_points = cli._load_procedural_trajectories(
         RunConfig.from_file(config_path))
     proc_points = dict(zip(names, rv_procs))
@@ -550,8 +626,9 @@ def test_ingest_exclusions_keep_flight_order(tmp_path, n_overlap):
         RunConfig.from_file(config_path))
     proc_points = dict(zip([*names, iap_name], [*rv_points, iap_points]))
     points = {}
-    for name in ("rv_dataset.npy", "fa_dataset.npy"):
-        rows, meta = read_deviation_dataset(out / name)
+    for name, kind in (("rv_dataset.npy", "radar_vector"),
+                       ("fa_dataset.npy", "final_approach")):
+        rows, meta = read_deviation_dataset(out / name, kind)
         for row, entry in zip(rows, meta["rows"]):
             points.setdefault(entry["flight_id"], []).append(
                 proc_points[entry["procedure"]] + row[2:].reshape(-1, 3))
@@ -736,6 +813,21 @@ def test_evaluate_scene_file_has_closest_distance(pipeline):
     assert report["variables"]["closest_distance"]["js_divergence"] == 0.0
 
 
+def test_evaluate_scenes_whose_aircraft_never_overlap(tmp_path, pipeline):
+    # the second aircraft starts after the first has landed, so no sample
+    # has a closest distance
+    scene_file = tmp_path / "scenes.csv"
+    scene_file.write_text("scene_id,aircraft_idx,t,x,y,z\n" + "".join(
+        f"0,{a},{10.0 * a + t},{100.0 * t},{50.0 * a},{300.0 - t}\n"
+        for a in range(2) for t in range(4)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--config", str(pipeline[1]), "--out", str(out), "evaluate",
+                "--actual", str(scene_file), "--synthetic", str(scene_file)]) == EXIT_OK
+    report = json.loads((out / "metrics_report.json").read_text())
+    assert report["variables"]["closest_distance"] is None
+    assert report["variables"]["horizontal_speed"]["js_divergence"] == 0.0
+
+
 def test_review_paths_writes_kept_subset(pipeline):
     base, config_path = pipeline
     code = run(["--config", str(config_path), "review-paths", "--k", "2",
@@ -829,8 +921,12 @@ def selection_report(rv_n_components):
          "format": "trafgen-pairwise/1", "segment": "final_approach",
          "models": {}}), encoding="utf-8"),
      ["generate-scenes", "--count", "1"]),
+    ("trajectories.csv",
+     lambda path: path.write_text("traj_id,t,x,y,z\n", encoding="utf-8"),
+     ["evaluate", "--actual", "{out}/trajectories.csv",
+      "--synthetic", "{out}/trajectories.csv"]),
 ], ids=["broken_json", "float_choice", "text_choice", "bool_choice",
-        "meta_without_T", "truncated_model", "fa_pairwise"])
+        "meta_without_T", "truncated_model", "fa_pairwise", "header_only_evaluate"])
 def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
                                                      damage, command):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -840,6 +936,7 @@ def test_malformed_files_exit_2_and_name_their_path(tmp_path, capsys, target,
     save_model(gt.radar_vector_model, out / "model_rv.json", "radar_vector")
     save_model(gt.final_approach_model, out / "model_fa.json", "final_approach")
     damage(out / target)
+    command = [arg.format(out=out) for arg in command]
     assert run(["--config", str(config_path), *command]) == EXIT_DATA
     assert str(out / target) in capsys.readouterr().err
 
@@ -891,8 +988,27 @@ NON_FINITE = "component {} holds a non-finite value"
      ["generate", "--count", "3"], "trajectories.csv",
      "headers n_components 9 and dimension 7 do not match the components: "
      "1 of dimension 122"),
+    ("model_fa.json", lambda doc: doc["components"][0]["cov_factor"].pop(),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "cov_factor must be (n, k) with n = len(mean)"),
+    ("model_rv.json", lambda doc: doc["components"][0].__setitem__("weight", 1.5),
+     ["generate", "--count", "3"], "trajectories.csv", "weight 1.5 outside [0, 1]"),
+    ("model_rv.json",
+     lambda doc: doc["components"][1].__setitem__("noise_var", -1.0),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "noise_var must be nonnegative"),
+    ("model_fa.json", lambda doc: doc["components"].clear(),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "a mixture needs at least one component"),
+    ("model_rv.json",
+     lambda doc: (doc["components"][1]["mean"].pop(),
+                  doc["components"][1]["cov_factor"].pop()),
+     ["generate", "--count", "3"], "trajectories.csv",
+     "components disagree on dimension: [121, 122]"),
 ], ids=["fa_factor_nan", "rv_noise_inf", "rv_noise_huge", "pairwise_mean_nan",
-        "rv_weight_text", "rv_noise_bool", "fa_mean_text", "rv_headers"])
+        "rv_weight_text", "rv_noise_bool", "fa_mean_text", "rv_headers",
+        "fa_factor_rows", "rv_weight_above_1", "rv_noise_negative",
+        "fa_no_components", "rv_two_dimensions"])
 def test_non_finite_model_values_are_data_errors(tmp_path, capsys, pipeline,
                                                  target, edit, command, output,
                                                  reason):
@@ -1043,6 +1159,24 @@ def set_meta_t(value):
                                  lambda doc: doc.update(T=value))
 
 
+def stationary_final_approaches(out):
+    """Tracks whose arrivals each jump onto the field and sit there, so
+    every final-approach part has path length 0 after resampling."""
+    lines = ["id,time,lat,lon,alt"]
+    for i in range(3):
+        write_enu_flight(lines, f"S{i}", 1000.0 * i, np.vstack([straight_track(
+            [-20000.0, 0.0, 2000.0], [-2000.0, 0.0, 100.0]),
+            [[0.0, 0.0, 3.0]] * 5]))
+    (out.parent / "tracks.csv").write_text("\n".join(lines) + "\n",
+                                           encoding="utf-8")
+
+
+def line_without_equals(out):
+    config_path = out.parent / "run.cfg"
+    config_path.write_text("no equals sign\n" + config_path.read_text(
+        encoding="utf-8"), encoding="utf-8")
+
+
 RV_DIM = 3 * corpus.T_V + 2
 FA_DIM = 3 * corpus.T_F + 2
 CHOSEN = {"k_rv": 2, "k_fa": 2, "rank_rv": 6, "rank_fa": 6}
@@ -1130,6 +1264,19 @@ META_T = "{out}/rv_dataset.meta.json: malformed dataset meta: T must be an integ
     ("select", {}, set_meta_t(40.9), META_T + "40.9"),
     ("select", {}, set_meta_t("40"), META_T + "'40'"),
     ("select", {}, set_meta_t(True), META_T + "True"),
+    ("ingest", {}, None,
+     "{cfg.parent}/tracks.csv: no arrival flights after classification"),
+    ("ingest", {}, stationary_final_approaches,
+     "{cfg.parent}/tracks.csv: ingest produced an empty deviation dataset"),
+    ("train-pairwise", {"pairing_window_s": 0}, None,
+     "{out}/rv_dataset.meta.json: no arrival pairs inside the pairing window"),
+    ("train-pairwise", {"k_pairwise": 50}, None,
+     "{out}/rv_dataset.meta.json: every pairwise group was under the sample minimum"),
+    ("select", {}, line_without_equals, "{cfg}: malformed config file: line 1: "
+     "expected 'key = value', got 'no equals sign'"),
+    ("review-paths --k 2 --keep 0,2", {},
+     lambda out: corpus.write_corpus(out.parent, n_flights=40, seed=0),
+     "--keep indices out of range: [2]"),
 ], ids=["select_k_1", "select_k_empty", "select_k_100", "select_rank_500",
         "select_rank_empty", "select_nan", "select_inf", "select_identical_rows",
         "select_empty", "select_empty_file", "select_csv_text", "select_truncated",
@@ -1141,7 +1288,10 @@ META_T = "{out}/rv_dataset.meta.json: malformed dataset meta: T must be an integ
         "pairwise_rank_0", "pairwise_rank_99999", "pairwise_nan", "pairwise_empty",
         "meta_time_text", "meta_time_nan", "meta_time_inf", "meta_time_bool",
         "meta_time_huge_int", "meta_procedure_list", "meta_flight_id_number",
-        "negative_config_seed", "meta_t_float", "meta_t_text", "meta_t_bool"])
+        "negative_config_seed", "meta_t_float", "meta_t_text", "meta_t_bool",
+        "ingest_no_arrivals", "ingest_every_part_rejected", "pairwise_no_pairs",
+        "pairwise_groups_too_small", "config_line_without_equals",
+        "keep_beyond_path_count"])
 def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
                                       keys, damage, message):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -1153,7 +1303,7 @@ def test_input_faults_are_data_errors(tmp_path, capsys, ingested, command,
     if damage is not None:
         damage(out)
     before = sorted(p.name for p in out.iterdir())
-    assert run(["--config", str(config_path), command]) == EXIT_DATA
+    assert run(["--config", str(config_path), *command.split()]) == EXIT_DATA
     assert (f"data error: {message.format(cfg=config_path, out=out)}"
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
@@ -1191,6 +1341,7 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("args", [
     ["generate", "--count", "-3"],
+    ["generate", "--count", "2.5"],
     ["generate-scenes", "--count", "-1"],
     ["generate-scenes", "--count", "2", "--aircraft", "1"],
     ["review-paths", "--k", "0"],
@@ -1198,7 +1349,7 @@ def test_usage_error_exit_code():
     ["review-paths", "--k", "2", "--keep", "0,,1"],
     ["review-paths", "--k", "2", "--keep", "-1"],
     ["review-paths", "--k", "2", "--keep", "0,0"],
-], ids=["negative_count", "negative_scene_count", "one_aircraft", "zero_k",
+], ids=["negative_count", "count_not_integer", "negative_scene_count", "one_aircraft", "zero_k",
         "keep_not_integer", "keep_empty_item", "keep_negative", "keep_repeated"])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, args):
     config_path = corpus.write_corpus(tmp_path, n_flights=0, seed=0)
@@ -1266,6 +1417,22 @@ def _repeated_waypoint(procs):
     return f"procedure {procs[0].name!r} repeats a waypoint"
 
 
+def _no_radar_vectors(procs):
+    procs[:] = [p for p in procs if p.kind is procedures.ProcedureKind.IAP]
+    return "no radar-vector procedures"
+
+
+def _two_iaps(procs):
+    iap = next(p for p in procs if p.kind is procedures.ProcedureKind.IAP)
+    procs.append(dataclasses.replace(iap, name=iap.name + "_2"))
+    return "expected exactly 1 IAP, found 2"
+
+
+def _no_procedures(procs):
+    procs.clear()
+    return "malformed procedure file: no procedures found"
+
+
 # the commands that read the procedure file, each with the models it reads
 PROCEDURE_COMMANDS = pytest.mark.parametrize(
     "command", [["ingest"], ["generate", "--count", "1"],
@@ -1283,10 +1450,12 @@ def copy_models(pipeline, out):
 
 @pytest.mark.parametrize("defect", [_zero_frequencies, _overflowing_frequencies,
                                     _nan_frequency, _inf_frequency,
-                                    _repeated_waypoint],
+                                    _repeated_waypoint, _no_radar_vectors,
+                                    _two_iaps, _no_procedures],
                          ids=["zero_frequencies", "overflowing_total",
                               "nan_frequency", "inf_frequency",
-                              "repeated_waypoint"])
+                              "repeated_waypoint", "no_radar_vectors",
+                              "two_iaps", "no_procedures"])
 @PROCEDURE_COMMANDS
 def test_unusable_procedures_are_data_errors_naming_the_file(
         tmp_path, capsys, pipeline, defect, command):
@@ -1787,10 +1956,12 @@ def test_every_config_field_round_trips(tmp_path):
      "segment_threshold_nm must be finite and positive, got nan"),
     ({"segment_threshold_nm": "-1"},
      "segment_threshold_nm must be finite and positive, got -1.0"),
+    ({"t_v": "1"}, "segment lengths must be >= 2"),
+    ({"t_f": "1"}, "segment lengths must be >= 2"),
 ], ids=["int", "optional_int", "float", "int_list", "airspace_float",
         "first_bad_field", "origin_lat_range", "origin_lon_range",
         "nan_origin_lat", "nan_radius", "inf_origin_alt", "nan_threshold",
-        "negative_threshold"])
+        "negative_threshold", "t_v_below_2", "t_f_below_2"])
 def test_bad_config_values_are_data_errors(tmp_path, capsys, keys, reason):
     # Path fields take any string, so they have no bad value; two bad
     # values report the one whose field comes first

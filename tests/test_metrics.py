@@ -246,6 +246,13 @@ def test_fd_edges_constant_data():
     assert edges.size == 2 and edges[0] < 2.0 < edges[1]
 
 
+def test_fd_edges_of_near_constant_values_are_one_bin():
+    # four adjacent floats: the Freedman-Diaconis width asks for more bins
+    # than there are floats between them, which numpy cannot make
+    x = 1.0 + np.spacing(1.0) * np.arange(4).repeat(2000)
+    assert_bitwise(shared_fd_edges(x, x[:10]), np.array([1.0, x[-1]]))
+
+
 def test_fd_edges_bin_count_is_capped():
     bulk = np.random.default_rng(6).normal(size=5000)
     # one far outlier would ask Freedman-Diaconis for about 10^8 bins

@@ -278,7 +278,7 @@ def test_a_reader_defect_is_not_a_data_error(tmp_path, monkeypatch):
                             dataset_rows(2))
     monkeypatch.setattr(np, "isfinite", defect)
     with pytest.raises(ValueError, match="defect inside the reader") as info:
-        read_deviation_dataset(path)
+        read_deviation_dataset(path, "radar_vector")
     assert not isinstance(info.value, DataError)
 
 
@@ -290,10 +290,24 @@ def test_a_deviation_dataset_round_trips_bit_for_bit(tmp_path):
         rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))])
     path = tmp_path / "rv_dataset.npy"
     write_deviation_dataset(path, data, "radar_vector", 1, dataset_rows(7))
-    got, meta = read_deviation_dataset(path)
+    got, meta = read_deviation_dataset(path, "radar_vector")
     assert_bitwise(got, data)
     assert meta["rows"] == dataset_rows(7)
     # the bytes of np.save, so the file is deterministic
     saved = io.BytesIO()
     np.save(saved, data)
     assert path.read_bytes() == saved.getvalue()
+
+
+def test_a_dataset_with_a_version_2_header_reads_normally(tmp_path):
+    # numpy writes format 2.0 for headers too long for 1.0; the size check
+    # reads either
+    data = np.random.default_rng(1).normal(size=(3, 5))
+    path = tmp_path / "rv_dataset.npy"
+    write_deviation_dataset(path, data, "radar_vector", 1, dataset_rows(3))
+    with open(path, "wb") as handle:
+        np.lib.format.write_array(handle, data, version=(2, 0))
+    assert path.read_bytes()[6:8] == b"\x02\x00"
+    got, meta = read_deviation_dataset(path, "radar_vector")
+    assert_bitwise(got, data)
+    assert meta["rows"] == dataset_rows(3)
